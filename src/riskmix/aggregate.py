@@ -1,43 +1,43 @@
 """Distribution of the aggregate claim S_n = X_1 + ... + X_n.
 
-Two evaluation routes are kept deliberately separate so they can be compared:
+Every formula comes from the frailty law (mixing.py), which owns the
+formulas of its sums; this module validates arguments and handles the
+boundary x <= 0.  The density has two entry points:
 
 * pdf_generic: the derivative route
       f(x) = x^{n-1}/Gamma(n) * (-1)^n L^(n)(x)
   valid for every frailty law in the catalog, and
 
-* pdf_closed: the per-model closed forms (second-kind beta for Pareto
+* pdf_closed: the law's printed sum density (second-kind beta for Pareto
   claims, signed gamma mixture for gamma claims, factorial sum for
-  Weibull-1/2, generalized-gamma Bell mixture for general Weibull, Bell sum
-  for inverse Gaussian, rational form for Lindley).
+  Weibull-1/2, rational form for Lindley).  Laws without a printed form
+  (inverse Gaussian, positive stable, second-kind beta) take the derivative
+  route, so for them the two entry points are one computation.
 
-Finite mixture representations and their moments live here too.
+Survival, cdf, moments and the finite mixture representation (with the
+moments of a mixture) are built on the same law methods.
 """
 
-import math
 from dataclasses import dataclass
-from enum import Enum
-from math import exp, inf, lgamma, log
+from math import exp, lgamma
 
 import numpy as np
-from scipy import special
 
 from .dependence import DependentVector
-from .errors import NonexistentMomentError, UnsupportedModelError
+from .errors import UnsupportedModelError
 from .mixing import (
-    BetaSecondKindMixing,
+    ComponentFamily,
     GammaMixing,
     GleserGammaMixing,
     InverseGaussianMixing,
     LevyMixing,
     LindleyMixing,
     MixingDistribution,
+    MixtureComponent,
+    MixtureRepresentation,
     PositiveStableMixing,
-    _log_bell_power,
-    _log_bell_sqrt,
+    _ret,
 )
-from .ruin import lindley_sum_pdf
-from .specfun import log_abs_falling_factorial
 
 __all__ = [
     "AggregateModel",
@@ -108,120 +108,27 @@ def lindley_model(lam: float, n: int) -> AggregateModel:
     return AggregateModel(DependentVector(LindleyMixing(lam), n))
 
 
-def _ret(value, scalar_in):
-    value = np.asarray(value, dtype=float)
-    return float(value) if scalar_in else value
-
-
 def pdf_generic(model: AggregateModel, x):
     """Theorem route: f(x) = x^{n-1}/Gamma(n) * (-1)^n L^(n)(x), x > 0."""
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise ValueError("pdf_generic requires x > 0; use pdf() for boundary points")
-    n = model.n
-    deriv = model.mixing.laplace_derivative(n, x_arr)
-    val = np.exp((n - 1.0) * np.log(x_arr) - lgamma(n)) * (-1.0) ** n * deriv
-    return _ret(val, scalar_in)
-
-
-def _sum_exp(terms):
-    arrs = [np.asarray(t, dtype=float) for t in terms]
-    if len(arrs) > 1:
-        arrs = np.broadcast_arrays(*arrs)
-    with np.errstate(invalid="ignore"):
-        return np.exp(special.logsumexp(np.stack(arrs), axis=0))
+    return _ret(model.mixing.sum_pdf_derivative(model.n, x_arr), scalar_in)
 
 
 def pdf_closed(model: AggregateModel, x):
-    """Per-model printed closed form; matches pdf_generic to ~1e-9 relative."""
+    """The law's printed sum density, or the derivative route for a law without
+    one; matches pdf_generic to ~1e-9 relative."""
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise ValueError("pdf_closed requires x > 0; use pdf() for boundary points")
-    m, n = model.mixing, model.n
-    log_x = np.log(x_arr)
-
-    if isinstance(m, GammaMixing):
-        # second-kind beta B2(shape1=n, shape2=alpha, scale=beta)
-        a, b = m.alpha, m.beta
-        val = np.exp((n - 1.0) * log_x - n * log(b) - special.betaln(n, a)
-                     - (n + a) * np.log1p(x_arr / b))
-    elif isinstance(m, GleserGammaMixing):
-        a, lam = m.alpha, m.lam
-        terms = []
-        for k in range(n):
-            sign_p, logp = log_abs_falling_factorial(a - 1.0, k)
-            if sign_p == 0:
-                continue
-            # (-1)^k (alpha-1)_k >= 0 throughout alpha in (0,1]
-            terms.append(logp - lgamma(a) - lgamma(k + 1) - lgamma(n - k)
-                         + (n + a - k - 1.0) * log(lam)
-                         + (n + a - k - 2.0) * log_x - lam * x_arr)
-        val = _sum_exp(terms)
-    elif isinstance(m, LevyMixing):
-        lam = m.lam
-        base = log(lam) - (2 * n - 1) * log(2.0) - lgamma(n)
-        terms = [base + lgamma(2 * n - 1 - k) - lgamma(n - k) - lgamma(k + 1)
-                 + k * (log(2.0) + log(lam)) + 0.5 * (k - 1.0) * log_x
-                 - lam * np.sqrt(x_arr)
-                 for k in range(n)]
-        val = _sum_exp(terms)
-    elif isinstance(m, PositiveStableMixing):
-        a = m.alpha
-        expo = -x_arr ** a
-        terms = []
-        for k in range(1, n + 1):
-            lb = _log_bell_power(n, k, a)
-            if lb == -inf:
-                continue
-            terms.append(lb - lgamma(n) + (k * a - 1.0) * log_x + expo)
-        val = _sum_exp(terms)
-    elif isinstance(m, InverseGaussianMixing):
-        lam, mu = m.lam, m.mu
-        b = 2.0 * mu ** 2 / lam
-        c = 1.0 + b * x_arr
-        bfun = lam / mu * (np.sqrt(c) - 1.0)
-        log_c = np.log(c)
-        terms = [(n - 1.0) * log_x - lgamma(n) + k * log(lam / mu) - bfun
-                 + n * log(b) + (0.5 * k - n) * log_c + _log_bell_sqrt(n, k)
-                 for k in range(1, n + 1)]
-        val = _sum_exp(terms)
-    elif isinstance(m, LindleyMixing):
-        val = lindley_sum_pdf(m.lam, n, x_arr)
-    else:
-        raise UnsupportedModelError(f"no closed-form sum pdf for {m.kind} mixing")
-    return _ret(val, scalar_in)
-
-
-def _pdf_at_zero(model: AggregateModel) -> float:
-    """Limit of the density at x = 0+ (may be inf; never a float overflow)."""
-    m, n = model.mixing, model.n
-    if isinstance(m, GammaMixing):
-        return m.alpha / m.beta if n == 1 else 0.0
-    if isinstance(m, GleserGammaMixing):
-        if m.alpha == 1.0:
-            return m.lam if n == 1 else 0.0
-        return inf
-    if isinstance(m, LevyMixing):
-        return inf
-    if isinstance(m, PositiveStableMixing):
-        if m.alpha == 1.0:
-            return 1.0 if n == 1 else 0.0
-        return inf
-    if isinstance(m, InverseGaussianMixing):
-        return m.mu if n == 1 else 0.0
-    if isinstance(m, LindleyMixing):
-        return lindley_sum_pdf(m.lam, n, 0.0)
-    if isinstance(m, BetaSecondKindMixing):
-        if m.gam > 1.0:
-            return m.beta / (m.gam - 1.0) if n == 1 else 0.0
-        return inf
-    raise UnsupportedModelError(f"unknown mixing law {m.kind}")
+    return _ret(model.mixing.sum_pdf(model.n, x_arr), scalar_in)
 
 
 def pdf(model: AggregateModel, x):
-    """Density of S_n; closed form where available, derivative route otherwise.
+    """Density of S_n; printed form where the law has one, derivative route otherwise.
 
     x = 0 returns the mathematical limit (inf signals an unbounded density),
     x < 0 returns 0.
@@ -231,13 +138,9 @@ def pdf(model: AggregateModel, x):
     out = np.zeros_like(x_arr, dtype=float)
     pos = x_arr > 0
     if np.any(pos):
-        try:
-            core = pdf_closed(model, x_arr[pos])
-        except UnsupportedModelError:
-            core = pdf_generic(model, x_arr[pos])
-        out[pos] = core
+        out[pos] = model.mixing.sum_pdf(model.n, x_arr[pos])
     if np.any(x_arr == 0):
-        out[x_arr == 0] = _pdf_at_zero(model)
+        out[x_arr == 0] = model.mixing.sum_pdf_at_zero(model.n)
     return _ret(out, scalar_in)
 
 
@@ -288,148 +191,9 @@ def variance(model: AggregateModel) -> float:
     return moment(model, 2) - mu1 ** 2
 
 
-class ComponentFamily(str, Enum):
-    GAMMA = "gamma"
-    SQUARE_GAMMA = "square-gamma"
-    GENERALIZED_GAMMA = "gen-gamma"
-    BETA2 = "beta2"
-
-
-@dataclass(frozen=True)
-class MixtureComponent:
-    """One mixture component; `scale` is the rate-style lambda for the gamma
-    and square-gamma families and the genuine scale for beta2."""
-
-    family: ComponentFamily
-    shape: float
-    shape2: float
-    scale: float
-    weight: float
-
-    def pdf(self, x):
-        scalar_in = np.isscalar(x)
-        x_arr = np.asarray(x, dtype=float)
-        f, a, b, s = self.family, self.shape, self.shape2, self.scale
-        with np.errstate(divide="ignore"):
-            log_x = np.log(x_arr)
-            if f is ComponentFamily.GAMMA:
-                logv = a * log(s) + (a - 1.0) * log_x - s * x_arr - lgamma(a)
-            elif f is ComponentFamily.SQUARE_GAMMA:
-                logv = (2 * a * log(s) + (a - 1.0) * log_x - s * np.sqrt(x_arr)
-                        - log(2.0) - lgamma(2 * a))
-            elif f is ComponentFamily.GENERALIZED_GAMMA:
-                logv = log(a) + (a * b - 1.0) * log_x - x_arr ** a - lgamma(b)
-            else:
-                logv = ((a - 1.0) * log_x - a * log(s) - special.betaln(a, b)
-                        - (a + b) * np.log1p(x_arr / s))
-        out = np.where(x_arr > 0, np.exp(logv), 0.0)
-        return _ret(out, scalar_in)
-
-    def cdf(self, x: float) -> float:
-        f, a, b, s = self.family, self.shape, self.shape2, self.scale
-        if x <= 0:
-            return 0.0
-        if f is ComponentFamily.GAMMA:
-            return float(special.gammainc(a, s * x))
-        if f is ComponentFamily.SQUARE_GAMMA:
-            return float(special.gammainc(2 * a, s * math.sqrt(x)))
-        if f is ComponentFamily.GENERALIZED_GAMMA:
-            return float(special.gammainc(b, x ** a))
-        return float(special.betainc(a, b, x / (x + s)))
-
-    def moment(self, r: float) -> float:
-        f, a, b, s = self.family, self.shape, self.shape2, self.scale
-        if r == 0:
-            return 1.0
-        if f is ComponentFamily.GAMMA:
-            return exp(lgamma(a + r) - lgamma(a) - r * log(s))
-        if f is ComponentFamily.SQUARE_GAMMA:
-            return exp(lgamma(2 * (a + r)) - lgamma(2 * a) - 2 * r * log(s))
-        if f is ComponentFamily.GENERALIZED_GAMMA:
-            return exp(lgamma(b + r / a) - lgamma(b))
-        if r >= b:
-            raise NonexistentMomentError(
-                f"beta2 moment of order {r} needs second shape > {r}, got {b}"
-            )
-        return exp(r * log(s) + lgamma(a + r) + lgamma(b - r) - lgamma(a) - lgamma(b))
-
-    def incomplete_moment_cdf(self, r: float, x: float) -> float:
-        """F^(r)(x) = int_0^x t^r f(t) dt / E(X^r), the r-th incomplete moment cdf."""
-        f, a, b, s = self.family, self.shape, self.shape2, self.scale
-        if x <= 0:
-            return 0.0
-        if f is ComponentFamily.GAMMA:
-            return float(special.gammainc(a + r, s * x))
-        if f is ComponentFamily.SQUARE_GAMMA:
-            return float(special.gammainc(2 * (a + r), s * math.sqrt(x)))
-        if f is ComponentFamily.GENERALIZED_GAMMA:
-            return float(special.gammainc(b + r / a, x ** a))
-        if r >= b:
-            raise NonexistentMomentError(
-                f"beta2 moment of order {r} needs second shape > {r}, got {b}"
-            )
-        return float(special.betainc(a + r, b - r, x / (x + s)))
-
-
-@dataclass(frozen=True)
-class MixtureRepresentation:
-    components: tuple
-
-    def __post_init__(self):
-        total = sum(c.weight for c in self.components)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"mixture weights sum to {total}, expected 1")
-
-    @property
-    def weights(self):
-        return np.array([c.weight for c in self.components])
-
-    def pdf(self, x):
-        scalar_in = np.isscalar(x)
-        x_arr = np.asarray(x, dtype=float)
-        # no positivity assumption on the weights: only the total is a density
-        out = sum(c.weight * np.asarray(c.pdf(x_arr), dtype=float)
-                  for c in self.components)
-        return _ret(out, scalar_in)
-
-    def cdf(self, x: float) -> float:
-        return sum(c.weight * c.cdf(x) for c in self.components)
-
-
 def mixture_representation(model: AggregateModel) -> MixtureRepresentation:
     """Finite mixture form of the aggregate density, where one exists."""
-    m, n = model.mixing, model.n
-    comps = []
-    if isinstance(m, GammaMixing):
-        comps.append(MixtureComponent(ComponentFamily.BETA2,
-                                      float(n), m.alpha, m.beta, 1.0))
-    elif isinstance(m, GleserGammaMixing):
-        a, lam = m.alpha, m.lam
-        for k in range(n):
-            sign_p, logp = log_abs_falling_factorial(a - 1.0, k)
-            w = 0.0 if sign_p == 0 else (-1.0) ** k * sign_p * exp(
-                logp + lgamma(n + a - k - 1.0) - lgamma(a)
-                - lgamma(k + 1) - lgamma(n - k))
-            comps.append(MixtureComponent(ComponentFamily.GAMMA,
-                                          n + a - k - 1.0, 0.0, lam, w))
-    elif isinstance(m, LevyMixing):
-        for k in range(n):
-            w = exp(lgamma(2 * n - k - 1) - lgamma(n - k) - lgamma(n)
-                    - (2 * n - k - 2) * log(2.0))
-            comps.append(MixtureComponent(ComponentFamily.SQUARE_GAMMA,
-                                          (k + 1) / 2.0, 0.0, m.lam, w))
-    elif isinstance(m, PositiveStableMixing):
-        a = m.alpha
-        for k in range(1, n + 1):
-            lb = _log_bell_power(n, k, a)
-            w = 0.0 if lb == -inf else exp(lb + lgamma(k) - lgamma(n) - log(a))
-            comps.append(MixtureComponent(ComponentFamily.GENERALIZED_GAMMA,
-                                          a, float(k), 1.0, w))
-    else:
-        raise UnsupportedModelError(
-            f"no finite mixture representation for {m.kind} mixing"
-        )
-    return MixtureRepresentation(tuple(comps))
+    return model.mixing.sum_mixture(model.n)
 
 
 def moment_from_mixture(rep: MixtureRepresentation, r: float) -> float:

@@ -310,12 +310,8 @@ def run_risk_command(cfg):
             levels = []
     if errors:
         return errors, None, None
-    rows = []
-    for lv in levels:
-        var = riskmeasures.value_at_risk(model, lv)
-        tv = riskmeasures.tvar(model, lv)
-        rows.append((lv, var, tv))
-    return [], ("level", "var", "tvar"), rows
+    reports = [riskmeasures.risk_report(model, lv, orders=(1,)) for lv in levels]
+    return [], ("level", "var", "tvar"), [(r.level, r.var, r.tvar) for r in reports]
 
 
 def run_moments(cfg):

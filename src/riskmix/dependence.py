@@ -4,18 +4,13 @@ survival copula, Kendall's tau, Pearson correlation and joint moments.
 All pairwise measures collapse to scalars because the vector is exchangeable.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
 
-from .mixing import (
-    InverseGaussianMixing,
-    MixingDistribution,
-    PositiveStableMixing,
-)
-from .specfun import upper_incomplete_gamma
+from .errors import UnsupportedModelError
+from .mixing import MixingDistribution
 
 __all__ = [
     "DependentVector",
@@ -90,23 +85,15 @@ def kendall_tau_numeric(v: DependentVector) -> float:
 
 
 def kendall_tau_closed(v: DependentVector) -> float:
-    """Closed-form tau where one is available (stable and IG frailties)."""
-    m = v.mixing
-    if isinstance(m, PositiveStableMixing):
-        return 1.0 - m.alpha
-    if isinstance(m, InverseGaussianMixing):
-        a = m.mu / m.lam
-        return 1.0 - (a * (2.0 + a)
-                      - 4.0 * math.exp(2.0 / a) * upper_incomplete_gamma(0.0, 2.0 / a)) \
-            / (2.0 * a ** 2)
-    raise NotImplementedError(f"no closed-form tau for {m.kind} mixing")
+    """Closed-form tau where the law has one (stable and IG frailties)."""
+    return v.mixing.kendall_tau()
 
 
 def kendall_tau(v: DependentVector) -> float:
     """Pairwise Kendall tau; closed form when available, quadrature otherwise."""
     try:
         return kendall_tau_closed(v)
-    except NotImplementedError:
+    except UnsupportedModelError:
         return kendall_tau_numeric(v)
 
 

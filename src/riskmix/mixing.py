@@ -2,17 +2,24 @@
 
 Each law knows its Laplace transform, exact n-th Laplace derivatives, the
 Archimedean generator (the exact functional inverse of the transform),
-negative moments and an exact sampler.  Everything downstream (aggregate
-densities, copulas, ruin formulas) plugs into this catalog.
+negative moments and an exact sampler.  It also owns the formulas of the sum
+S_n of n claims it drives: the sum density (the law's printed form where the
+source has one, the derivative route otherwise), the density limit at 0, the
+finite mixture representation and the closed-form Kendall tau.  Downstream
+modules (aggregate densities, copulas, risk measures) call these and never
+branch on the law's type.
 
 Laplace derivatives of the exp-of-composition laws (Levy, positive stable,
 inverse Gaussian) are assembled from partial Bell polynomials whose
 coefficient polynomials are accumulated in log space and exponentiated once,
-so orders up to DERIVATIVE_CAP stay accurate.
+so orders up to DERIVATIVE_CAP stay accurate.  The sqrt sequence (Levy,
+inverse Gaussian) has a Bessel-polynomial closed form for its coefficients;
+the power sequence (stable) is built by recurrence.
 """
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import lru_cache
 from math import exp, inf, lgamma, log
 
@@ -24,11 +31,13 @@ from .errors import (
     NonexistentMomentError,
     UnsupportedModelError,
 )
+from .ruin import lindley_sum_pdf
 from .specfun import (
     bell_partial,
     kummer_u_integral,
     log_abs_falling_factorial,
     log_bell_partial,
+    upper_incomplete_gamma,
 )
 
 __all__ = [
@@ -41,6 +50,9 @@ __all__ = [
     "LindleyMixing",
     "GleserGammaMixing",
     "BetaSecondKindMixing",
+    "ComponentFamily",
+    "MixtureComponent",
+    "MixtureRepresentation",
     "faa_di_bruno",
 ]
 
@@ -69,25 +81,22 @@ def _ret(value, scalar_in):
 
 
 def _signed_sum_exp(log_terms, sign):
-    """sign * sum_k exp(log_terms[k]), each entry a scalar or array."""
-    arrs = [np.asarray(t, dtype=float) for t in log_terms]
-    if len(arrs) > 1:
-        arrs = np.broadcast_arrays(*arrs)
-    arr = np.stack(arrs)
+    """sign * sum_k exp(log_terms[k]): log_terms is a (k, ...) array or a list
+    of equally shaped arrays."""
     with np.errstate(invalid="ignore"):
-        out = np.exp(special.logsumexp(arr, axis=0))
+        out = np.exp(special.logsumexp(np.asarray(log_terms, dtype=float), axis=0))
     return sign * out
 
 
-# log |a_j| for the sqrt-composition coefficients a_j = (-1)^{j-1}(2j-2)!/(2^{2j-1}(j-1)!)
-def _log_abs_sqrt_coeff(j: int) -> float:
-    return lgamma(2 * j - 1) - (2 * j - 1) * log(2.0) - lgamma(j)
+def _sqrt_bell(n: int, ndim: int):
+    """k = 1..n and log |B_{n,k}(a_1,...,a_{n-k+1})| for the sqrt coefficient
+    sequence a_j = (1/2)_j, as columns that broadcast over ndim more axes.
 
-
-@lru_cache(maxsize=None)
-def _log_bell_sqrt(n: int, k: int) -> float:
-    """log |B_{n,k}(a_1,...,a_{n-k+1})| for the sqrt coefficient sequence."""
-    return log_bell_partial(n, k, [_log_abs_sqrt_coeff(j) for j in range(1, n - k + 2)])
+    Bessel-polynomial closed form: |B_{n,k}| = (2n-k-1)! / ((k-1)! (n-k)! 2^{2n-k}).
+    """
+    k = np.arange(1.0, n + 1.0).reshape((-1,) + (1,) * ndim)
+    return k, (special.gammaln(2 * n - k) - special.gammaln(k)
+               - special.gammaln(n - k + 1) - (2 * n - k) * log(2.0))
 
 
 @lru_cache(maxsize=None)
@@ -96,6 +105,114 @@ def _log_bell_power(n: int, k: int, alpha: float) -> float:
     return log_bell_partial(
         n, k, [log_abs_falling_factorial(alpha, j)[1] for j in range(1, n - k + 2)]
     )
+
+
+class ComponentFamily(str, Enum):
+    GAMMA = "gamma"
+    SQUARE_GAMMA = "square-gamma"
+    GENERALIZED_GAMMA = "gen-gamma"
+    BETA2 = "beta2"
+
+
+@dataclass(frozen=True)
+class MixtureComponent:
+    """One mixture component; `scale` is the rate-style lambda for the gamma
+    and square-gamma families and the genuine scale for beta2."""
+
+    family: ComponentFamily
+    shape: float
+    shape2: float
+    scale: float
+    weight: float
+
+    def pdf(self, x):
+        scalar_in = np.isscalar(x)
+        x_arr = np.asarray(x, dtype=float)
+        f, a, b, s = self.family, self.shape, self.shape2, self.scale
+        with np.errstate(divide="ignore"):
+            log_x = np.log(x_arr)
+            if f is ComponentFamily.GAMMA:
+                logv = a * log(s) + (a - 1.0) * log_x - s * x_arr - lgamma(a)
+            elif f is ComponentFamily.SQUARE_GAMMA:
+                logv = (2 * a * log(s) + (a - 1.0) * log_x - s * np.sqrt(x_arr)
+                        - log(2.0) - lgamma(2 * a))
+            elif f is ComponentFamily.GENERALIZED_GAMMA:
+                logv = log(a) + (a * b - 1.0) * log_x - x_arr ** a - lgamma(b)
+            else:
+                logv = ((a - 1.0) * log_x - a * log(s) - special.betaln(a, b)
+                        - (a + b) * np.log1p(x_arr / s))
+        out = np.where(x_arr > 0, np.exp(logv), 0.0)
+        return _ret(out, scalar_in)
+
+    def cdf(self, x: float) -> float:
+        f, a, b, s = self.family, self.shape, self.shape2, self.scale
+        if x <= 0:
+            return 0.0
+        if f is ComponentFamily.GAMMA:
+            return float(special.gammainc(a, s * x))
+        if f is ComponentFamily.SQUARE_GAMMA:
+            return float(special.gammainc(2 * a, s * math.sqrt(x)))
+        if f is ComponentFamily.GENERALIZED_GAMMA:
+            return float(special.gammainc(b, x ** a))
+        return float(special.betainc(a, b, x / (x + s)))
+
+    def moment(self, r: float) -> float:
+        f, a, b, s = self.family, self.shape, self.shape2, self.scale
+        if r == 0:
+            return 1.0
+        if f is ComponentFamily.GAMMA:
+            return exp(lgamma(a + r) - lgamma(a) - r * log(s))
+        if f is ComponentFamily.SQUARE_GAMMA:
+            return exp(lgamma(2 * (a + r)) - lgamma(2 * a) - 2 * r * log(s))
+        if f is ComponentFamily.GENERALIZED_GAMMA:
+            return exp(lgamma(b + r / a) - lgamma(b))
+        if r >= b:
+            raise NonexistentMomentError(
+                f"beta2 moment of order {r} needs second shape > {r}, got {b}"
+            )
+        return exp(r * log(s) + lgamma(a + r) + lgamma(b - r) - lgamma(a) - lgamma(b))
+
+    def incomplete_moment_cdf(self, r: float, x: float) -> float:
+        """F^(r)(x) = int_0^x t^r f(t) dt / E(X^r), the r-th incomplete moment cdf."""
+        f, a, b, s = self.family, self.shape, self.shape2, self.scale
+        if x <= 0:
+            return 0.0
+        if f is ComponentFamily.GAMMA:
+            return float(special.gammainc(a + r, s * x))
+        if f is ComponentFamily.SQUARE_GAMMA:
+            return float(special.gammainc(2 * (a + r), s * math.sqrt(x)))
+        if f is ComponentFamily.GENERALIZED_GAMMA:
+            return float(special.gammainc(b + r / a, x ** a))
+        if r >= b:
+            raise NonexistentMomentError(
+                f"beta2 moment of order {r} needs second shape > {r}, got {b}"
+            )
+        return float(special.betainc(a + r, b - r, x / (x + s)))
+
+
+@dataclass(frozen=True)
+class MixtureRepresentation:
+    components: tuple
+
+    def __post_init__(self):
+        total = sum(c.weight for c in self.components)
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError(f"mixture weights sum to {total}, expected 1")
+
+    @property
+    def weights(self):
+        return np.array([c.weight for c in self.components])
+
+    def pdf(self, x):
+        scalar_in = np.isscalar(x)
+        x_arr = np.asarray(x, dtype=float)
+        # no positivity assumption on the weights: only the total is a density
+        out = sum(c.weight * np.asarray(c.pdf(x_arr), dtype=float)
+                  for c in self.components)
+        return _ret(out, scalar_in)
+
+    def cdf(self, x: float) -> float:
+        return sum(c.weight * c.cdf(x) for c in self.components)
 
 
 class MixingDistribution:
@@ -131,6 +248,31 @@ class MixingDistribution:
 
     def pdf(self, theta):
         raise UnsupportedModelError(f"{self.kind} mixing has no usable density")
+
+    # -- formulas of the sum S_n of n claims driven by this law
+
+    def sum_pdf_derivative(self, n: int, x):
+        """Density of S_n on an array x > 0 by the derivative route
+        f(x) = x^{n-1}/Gamma(n) * (-1)^n L^(n)(x)."""
+        deriv = self.laplace_derivative(n, x)
+        return np.exp((n - 1.0) * np.log(x) - lgamma(n)) * (-1.0) ** n * deriv
+
+    def sum_pdf(self, n: int, x):
+        """Density of S_n on an array x > 0 by the law's printed sum formula;
+        laws without one take the derivative route."""
+        return self.sum_pdf_derivative(n, x)
+
+    def sum_pdf_at_zero(self, n: int) -> float:
+        """Limit of the density of S_n at x = 0+ (may be inf; never a float overflow)."""
+        raise UnsupportedModelError(f"unknown mixing law {self.kind}")
+
+    def sum_mixture(self, n: int) -> MixtureRepresentation:
+        """Finite mixture form of the density of S_n, where one exists."""
+        raise UnsupportedModelError(f"no finite mixture representation for {self.kind} mixing")
+
+    def kendall_tau(self) -> float:
+        """Closed-form pairwise Kendall tau of the copula, where one exists."""
+        raise UnsupportedModelError(f"no closed-form tau for {self.kind} mixing")
 
 
 @dataclass(frozen=True)
@@ -180,6 +322,19 @@ class GammaMixing(MixingDistribution):
             logv = a * log(b) + (a - 1) * np.log(th) - b * th - lgamma(a)
         return _ret(np.where(th > 0, np.exp(logv), 0.0), np.isscalar(theta))
 
+    def sum_pdf(self, n, x):
+        # second-kind beta B2(shape1=n, shape2=alpha, scale=beta)
+        a, b = self.alpha, self.beta
+        return np.exp((n - 1.0) * np.log(x) - n * log(b) - special.betaln(n, a)
+                      - (n + a) * np.log1p(x / b))
+
+    def sum_pdf_at_zero(self, n):
+        return self.alpha / self.beta if n == 1 else 0.0
+
+    def sum_mixture(self, n):
+        return MixtureRepresentation((MixtureComponent(ComponentFamily.BETA2,
+                                                       float(n), self.alpha, self.beta, 1.0),))
+
 
 @dataclass(frozen=True)
 class LevyMixing(MixingDistribution):
@@ -202,10 +357,9 @@ class LevyMixing(MixingDistribution):
     def laplace_derivative(self, n, s):
         _check_order(n)
         s_arr = np.asarray(s, dtype=float)
-        log_s = np.log(s_arr)
+        k, log_bell = _sqrt_bell(n, s_arr.ndim)
         expo = -self.lam * np.sqrt(s_arr)
-        terms = [k * log(self.lam) + expo + (0.5 * k - n) * log_s + _log_bell_sqrt(n, k)
-                 for k in range(1, n + 1)]
+        terms = k * log(self.lam) + expo + (0.5 * k - n) * np.log(s_arr) + log_bell
         return _ret(_signed_sum_exp(terms, (-1.0) ** n), np.isscalar(s))
 
     def _generator(self, t, scalar_in):
@@ -227,6 +381,28 @@ class LevyMixing(MixingDistribution):
         with np.errstate(divide="ignore"):
             logv = log(lam / 2) - 0.5 * (log(math.pi) + 3 * np.log(th)) - lam ** 2 / (4 * th)
         return _ret(np.where(th > 0, np.exp(logv), 0.0), np.isscalar(theta))
+
+    def sum_pdf(self, n, x):
+        # printed factorial sum, typed independently of the Bell coefficients
+        lam = self.lam
+        log_x = np.log(x)
+        base = log(lam) - (2 * n - 1) * log(2.0) - lgamma(n)
+        terms = [base + lgamma(2 * n - 1 - k) - lgamma(n - k) - lgamma(k + 1)
+                 + k * (log(2.0) + log(lam)) + 0.5 * (k - 1.0) * log_x
+                 - lam * np.sqrt(x)
+                 for k in range(n)]
+        return _signed_sum_exp(terms, 1.0)
+
+    def sum_pdf_at_zero(self, n):
+        return inf
+
+    def sum_mixture(self, n):
+        # square-gamma components, weights those of the stable law at alpha = 1/2
+        k, log_bell = _sqrt_bell(n, 0)
+        weights = np.exp(log_bell + special.gammaln(k) - lgamma(n) + log(2.0))
+        return MixtureRepresentation(tuple(
+            MixtureComponent(ComponentFamily.SQUARE_GAMMA, kj / 2.0, 0.0, self.lam, wj)
+            for kj, wj in zip(k.tolist(), weights.tolist())))
 
 
 @dataclass(frozen=True)
@@ -265,6 +441,24 @@ class PositiveStableMixing(MixingDistribution):
 
     def _generator(self, t, scalar_in):
         return _ret((-np.log(t)) ** (1.0 / self.alpha), scalar_in)
+
+    def sum_pdf_at_zero(self, n):
+        if self.alpha == 1.0:
+            return 1.0 if n == 1 else 0.0
+        return inf
+
+    def sum_mixture(self, n):
+        a = self.alpha
+        comps = []
+        for k in range(1, n + 1):
+            lb = _log_bell_power(n, k, a)
+            w = 0.0 if lb == -inf else exp(lb + lgamma(k) - lgamma(n) - log(a))
+            comps.append(MixtureComponent(ComponentFamily.GENERALIZED_GAMMA,
+                                          a, float(k), 1.0, w))
+        return MixtureRepresentation(tuple(comps))
+
+    def kendall_tau(self):
+        return 1.0 - self.alpha
 
     def neg_moment(self, r):
         raise UnsupportedModelError(
@@ -310,11 +504,10 @@ class InverseGaussianMixing(MixingDistribution):
         s_arr = np.asarray(s, dtype=float)
         b = self._b
         c = 1.0 + b * s_arr
-        log_c = np.log(c)
+        k, log_bell = _sqrt_bell(n, s_arr.ndim)
         expo = -self.lam / self.mu * (np.sqrt(c) - 1.0)
-        ratio = log(self.lam / self.mu)
-        terms = [k * ratio + expo + n * log(b) + (0.5 * k - n) * log_c + _log_bell_sqrt(n, k)
-                 for k in range(1, n + 1)]
+        terms = (k * log(self.lam / self.mu) + expo + n * log(b) + (0.5 * k - n) * np.log(c)
+                 + log_bell)
         return _ret(_signed_sum_exp(terms, (-1.0) ** n), np.isscalar(s))
 
     def _generator(self, t, scalar_in):
@@ -334,6 +527,15 @@ class InverseGaussianMixing(MixingDistribution):
 
     def neg_moment(self, r):
         return self.pos_moment(r + 1) / self.mu ** (2 * r + 1)
+
+    def sum_pdf_at_zero(self, n):
+        return self.mu if n == 1 else 0.0
+
+    def kendall_tau(self):
+        a = self.mu / self.lam
+        return 1.0 - (a * (2.0 + a)
+                      - 4.0 * exp(2.0 / a) * upper_incomplete_gamma(0.0, 2.0 / a)) \
+            / (2.0 * a ** 2)
 
     def sample(self, size, rng):
         return rng.wald(self.mu, self.lam, size=size)
@@ -390,6 +592,12 @@ class LindleyMixing(MixingDistribution):
             "E(Theta^-r) diverges for the Lindley law (density positive at 0)"
         )
 
+    def sum_pdf(self, n, x):
+        return lindley_sum_pdf(self.lam, n, x)
+
+    def sum_pdf_at_zero(self, n):
+        return lindley_sum_pdf(self.lam, n, 0.0)
+
     def sample(self, size, rng):
         lam = self.lam
         pick = rng.random(size) < lam / (1.0 + lam)
@@ -445,6 +653,37 @@ class GleserGammaMixing(MixingDistribution):
 
     def _generator(self, t, scalar_in):
         return _ret(special.gammainccinv(self.alpha, t) / self.lam, scalar_in)
+
+    def sum_pdf(self, n, x):
+        a, lam = self.alpha, self.lam
+        log_x = np.log(x)
+        terms = []
+        for k in range(n):
+            sign_p, logp = log_abs_falling_factorial(a - 1.0, k)
+            if sign_p == 0:
+                continue
+            # (-1)^k (alpha-1)_k >= 0 throughout alpha in (0,1]
+            terms.append(logp - lgamma(a) - lgamma(k + 1) - lgamma(n - k)
+                         + (n + a - k - 1.0) * log(lam)
+                         + (n + a - k - 2.0) * log_x - lam * x)
+        return _signed_sum_exp(terms, 1.0)
+
+    def sum_pdf_at_zero(self, n):
+        if self.alpha == 1.0:
+            return self.lam if n == 1 else 0.0
+        return inf
+
+    def sum_mixture(self, n):
+        a, lam = self.alpha, self.lam
+        comps = []
+        for k in range(n):
+            sign_p, logp = log_abs_falling_factorial(a - 1.0, k)
+            w = 0.0 if sign_p == 0 else (-1.0) ** k * sign_p * exp(
+                logp + lgamma(n + a - k - 1.0) - lgamma(a)
+                - lgamma(k + 1) - lgamma(n - k))
+            comps.append(MixtureComponent(ComponentFamily.GAMMA,
+                                          n + a - k - 1.0, 0.0, lam, w))
+        return MixtureRepresentation(tuple(comps))
 
     def neg_moment(self, r):
         # E(Theta^-r) = Gamma(alpha + r) / (lam^r r! Gamma(alpha)), by the
@@ -527,6 +766,16 @@ class BetaSecondKindMixing(MixingDistribution):
             )
         return exp(lgamma(self.beta - r) - lgamma(self.beta)
                    + lgamma(self.gam + r) - lgamma(self.gam))
+
+    def sum_pdf_at_zero(self, n):
+        # Theta's density decays like theta^{-gam-1}/B(beta, gam); for gam = 1
+        # that is beta theta^{-2}, so x^{n-1} E(Theta^n e^{-Theta x})/Gamma(n)
+        # tends to beta Gamma(n-1)/Gamma(n) when n > 1
+        if self.gam > 1.0:
+            return self.beta / (self.gam - 1.0) if n == 1 else 0.0
+        if self.gam == 1.0 and n > 1:
+            return self.beta / (n - 1.0)
+        return inf
 
     def sample(self, size, rng):
         return rng.gamma(self.beta, 1.0, size=size) / rng.gamma(self.gam, 1.0, size=size)

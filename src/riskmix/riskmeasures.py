@@ -93,17 +93,8 @@ def tail_moment(target, r: int, a: float) -> float:
 
 
 def tvar(model: AggregateModel, level: float) -> float:
-    """Tail value at risk: E(S_n | S_n > VaR(level)).
-
-    Uses the mixture decomposition when the model has one (it is exact and
-    fast) and quadrature on the density otherwise.
-    """
-    a = value_at_risk(model, level)
-    try:
-        rep = mixture_representation(model)
-        return _tail_moment_mixture(rep, 1, a)
-    except UnsupportedModelError:
-        return _tail_moment_quadrature(model, 1, a)
+    """Tail value at risk: E(S_n | S_n > VaR(level))."""
+    return risk_report(model, level, orders=(1,)).tvar
 
 
 @dataclass(frozen=True)
@@ -115,14 +106,22 @@ class RiskReport:
 
 
 def risk_report(model: AggregateModel, level: float, orders=(1, 2)) -> RiskReport:
-    """VaR/TVaR bundle with tail moments of the requested orders."""
+    """VaR/TVaR bundle with tail moments of the requested orders.
+
+    Every moment the report needs must exist; a divergent one raises
+    NonexistentMomentError before the VaR search.  Tail moments use the
+    mixture decomposition when the model has one (it is exact and fast) and
+    quadrature on the density otherwise.
+    """
+    needed = dict.fromkeys((1, *orders))
+    for r in needed:
+        moment(model, r)
     a = value_at_risk(model, level)
     try:
         rep = mixture_representation(model)
-        tm = [(r, _tail_moment_mixture(rep, r, a)) for r in orders]
     except UnsupportedModelError:
-        tm = [(r, _tail_moment_quadrature(model, r, a)) for r in orders]
-    t = next((v for r, v in tm if r == 1), None)
-    if t is None:
-        t = tvar(model, level)
-    return RiskReport(level=level, var=a, tvar=t, tail_moments=tuple(tm))
+        tail = {r: _tail_moment_quadrature(model, r, a) for r in needed}
+    else:
+        tail = {r: _tail_moment_mixture(rep, r, a) for r in needed}
+    return RiskReport(level=level, var=a, tvar=tail[1],
+                      tail_moments=tuple((r, tail[r]) for r in orders))

@@ -320,6 +320,13 @@ class TestBoundaryBehavior:
         assert pdf(weibull_half_model(1.0, 3), 0.0) == math.inf
         assert pdf(inverse_gaussian_model(2.0, 0.7, 1), 0.0) == pytest.approx(0.7)
         assert pdf(lindley_model(1.0, 1), 0.0) == pytest.approx(1.5)
+        # beta2 with gam = 1: Theta's tail 2 theta^-2 gives the limit beta/(n-1)
+        for n, limit in ((2, 2.0), (3, 1.0)):
+            m = AggregateModel(DependentVector(BetaSecondKindMixing(2.0, 1.0), n))
+            assert pdf(m, 0.0) == pytest.approx(limit, rel=1e-15)
+            assert pdf(m, 1e-4) == pytest.approx(limit, rel=3e-3)
+        assert pdf(AggregateModel(DependentVector(BetaSecondKindMixing(2.0, 1.0), 1)),
+                   0.0) == math.inf
 
     def test_pdf_negative_is_zero(self):
         m = pareto_model(3.0, 1.0, 2)

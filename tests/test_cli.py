@@ -102,6 +102,13 @@ class TestRiskCommands:
         for row in doc["results"]:
             assert row["tvar"] >= row["var"]
 
+    def test_var_infinite_mean_is_numerical_failure(self, capsys):
+        code, out, err = run(capsys, ["var", "--model", "lindley", "--lambda", "1",
+                                      "--n", "2", "--levels", "0.9,0.99"])
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err
+
     def test_moments_table(self, capsys):
         code, out, _ = run(capsys, ["moments", "--model", "pareto", "--alpha", "3",
                                     "--beta", "1", "--n", "2", "--orders", "1,2"])

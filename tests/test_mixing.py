@@ -212,6 +212,21 @@ class TestFaaDiBrunoAgainstClosedForms:
 
 
 class TestLevyBesselIdentity:
+    def test_sqrt_bell_closed_form_matches_recurrences(self):
+        # production coefficients of the Levy and inverse Gaussian derivatives
+        from riskmix.mixing import DERIVATIVE_CAP, _sqrt_bell
+        from riskmix.specfun import bell_partial, log_bell_partial
+        abs_a = [abs(falling_factorial(0.5, j)) for j in range(1, DERIVATIVE_CAP + 1)]
+        for n in range(1, DERIVATIVE_CAP + 1):
+            _, got = _sqrt_bell(n, 0)
+            for k in range(1, n + 1):
+                args = abs_a[: n - k + 1]
+                want = log_bell_partial(n, k, np.log(args))
+                assert got[k - 1] == pytest.approx(want, abs=3e-13)
+                if n <= 20:
+                    assert math.exp(got[k - 1]) == pytest.approx(
+                        bell_partial(n, k, args), rel=1e-13)
+
     def test_derivative_equals_bessel_form(self):
         # (-1)^n L^(n)(x) = lam/sqrt(pi) (lam/(2 sqrt x))^{n-1/2} K_{n-1/2}(lam sqrt x)
         from riskmix.specfun import bessel_k_half

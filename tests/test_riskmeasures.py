@@ -7,6 +7,7 @@ from scipy import integrate
 from riskmix.aggregate import (
     gamma_claims_model,
     inverse_gaussian_model,
+    lindley_model,
     mixture_representation,
     pareto_model,
     pdf,
@@ -134,6 +135,12 @@ class TestTVaR:
         se = tail.std(ddof=1) / math.sqrt(tail.size)
         assert abs(tail.mean() - t) < 3 * se
 
+    def test_lindley_infinite_mean_raises(self):
+        # E(1/Theta) diverges, so no TVaR exists at any level
+        for lv in (0.9, 0.99):
+            with pytest.raises(NonexistentMomentError):
+                tvar(lindley_model(1.0, 2), lv)
+
     def test_tail_moment_order_one_consistency(self):
         m = inverse_gaussian_model(1.0, 1.0, 2)
         lv = 0.9
@@ -150,3 +157,15 @@ class TestRiskReport:
         assert orders == [1, 2]
         first = dict(rep.tail_moments)[1]
         assert first == pytest.approx(rep.tvar, rel=1e-10)
+
+    def test_divergent_moments_raise(self):
+        with pytest.raises(NonexistentMomentError):
+            risk_report(lindley_model(1.0, 2), 0.9)
+        with pytest.raises(NonexistentMomentError):
+            risk_report(pareto_model(0.8, 1.0, 2), 0.9, orders=(2,))
+
+    def test_tvar_is_the_report_tvar(self):
+        m = weibull_model(0.5, 3)
+        rep = risk_report(m, 0.95, orders=(2,))
+        assert [r for r, _ in rep.tail_moments] == [2]
+        assert rep.tvar == tvar(m, 0.95)
