@@ -14,8 +14,11 @@ boundary x <= 0.  The density has two entry points:
   (inverse Gaussian, positive stable, second-kind beta) take the derivative
   route, so for them the two entry points are one computation.
 
-Survival, cdf, moments and the finite mixture representation (with the
-moments of a mixture) are built on the same law methods.
+The survival sums the law's log-space derivative kernel
+(MixingDistribution.log_abs_laplace_derivative) in one log-space reduction,
+so it is finite for every x.  Cdf, moments and the finite mixture
+representation (with the moments of a mixture) are built on the same law
+methods.
 """
 
 from dataclasses import dataclass
@@ -36,6 +39,7 @@ from .mixing import (
     MixtureComponent,
     MixtureRepresentation,
     PositiveStableMixing,
+    _log_sum_exp,
     _ret,
 )
 
@@ -148,7 +152,10 @@ def survival(model: AggregateModel, x):
     """Pr(S_n > x) = sum_{k=0}^{n-1} x^k/k! * (-1)^k L^(k)(x).
 
     The sum starts at k = 0 (the k = 0 term is L itself), which is what the
-    gamma-cdf identity requires and what makes survival(0) = 1 exact.
+    gamma-cdf identity requires and what makes survival(0) = 1 exact.  Every
+    term is nonnegative, so the sum is one log-space reduction of
+    k log x - log k! + log|L^(k)(x)|: no term is formed in linear space, and
+    no x is too large for it.
     """
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
@@ -156,12 +163,10 @@ def survival(model: AggregateModel, x):
     pos = x_arr > 0
     if np.any(pos):
         xs = x_arr[pos]
-        m, n = model.mixing, model.n
-        acc = np.asarray(m.laplace(xs), dtype=float).copy()
-        for k in range(1, n):
-            term = (-1.0) ** k * np.asarray(m.laplace_derivative(k, xs), dtype=float)
-            acc += np.exp(k * np.log(xs) - lgamma(k + 1)) * term
-        out[pos] = acc
+        m, log_x = model.mixing, np.log(xs)
+        out[pos] = np.exp(_log_sum_exp([k * log_x - lgamma(k + 1.0)
+                                        + m.log_abs_laplace_derivative(k, xs)
+                                        for k in range(model.n)]))
     return _ret(out, scalar_in)
 
 

@@ -9,12 +9,23 @@ finite mixture representation and the closed-form Kendall tau.  Downstream
 modules (aggregate densities, copulas, risk measures) call these and never
 branch on the law's type.
 
+Each law implements one derivative kernel, log_abs_laplace_derivative(k, s)
+= log|L^(k)(s)| for every order k >= 0 (k = 0 is log L), on an array s > 0
+(and s = 0 at k = 0).  Every term of it stays in log space, so it neither
+overflows nor underflows where the derivative itself is representable only
+as a logarithm (huge s, high k).  laplace and laplace_derivative are written
+once on the base class, as exp and (-1)^k exp of the kernel, and the
+aggregate survival sums the kernel's terms in one log-space reduction.
+Multi-term kernels reduce with _log_sum_exp, a numpy max-shift.  The
+second-kind beta kernel is the log of a Kummer integral, evaluated for a
+whole array s at once (specfun.log_kummer_u_integral).
+
 Laplace derivatives of the exp-of-composition laws (Levy, positive stable,
 inverse Gaussian) are assembled from partial Bell polynomials whose
-coefficient polynomials are accumulated in log space and exponentiated once,
-so orders up to DERIVATIVE_CAP stay accurate.  The sqrt sequence (Levy,
-inverse Gaussian) has a Bessel-polynomial closed form for its coefficients;
-the power sequence (stable) is built by recurrence.
+coefficient polynomials are accumulated in log space, so orders up to
+DERIVATIVE_CAP stay accurate.  The sqrt sequence (Levy, inverse Gaussian)
+has a Bessel-polynomial closed form for its coefficients; the power sequence
+(stable) is built by recurrence.
 """
 
 import math
@@ -34,8 +45,8 @@ from .errors import (
 from .ruin import lindley_sum_pdf
 from .specfun import (
     bell_partial,
-    kummer_u_integral,
     log_abs_falling_factorial,
+    log_kummer_u_integral,
     log_bell_partial,
     upper_incomplete_gamma,
 )
@@ -65,9 +76,9 @@ def _require_positive(**params):
             raise ValueError(f"{name} must be positive, got {value}")
 
 
-def _check_order(n: int):
-    if n < 1:
-        raise ValueError("derivative order must be >= 1")
+def _check_order(n: int, lowest: int = 1):
+    if n < lowest:
+        raise ValueError(f"derivative order must be >= {lowest}")
     if n > DERIVATIVE_CAP:
         raise DerivativeCapError(
             f"derivative order {n} exceeds cap {DERIVATIVE_CAP}; "
@@ -80,12 +91,14 @@ def _ret(value, scalar_in):
     return float(value) if scalar_in else value
 
 
-def _signed_sum_exp(log_terms, sign):
-    """sign * sum_k exp(log_terms[k]): log_terms is a (k, ...) array or a list
-    of equally shaped arrays."""
-    with np.errstate(invalid="ignore"):
-        out = np.exp(special.logsumexp(np.asarray(log_terms, dtype=float), axis=0))
-    return sign * out
+def _log_sum_exp(log_terms):
+    """log sum_k exp(log_terms[k]): log_terms is a (k, ...) array or a list of
+    equally shaped arrays.  A column of -inf gives -inf; +inf and nan propagate."""
+    a = np.asarray(log_terms, dtype=float)
+    top = a.max(axis=0)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return shift + np.log(np.exp(a - shift).sum(axis=0))
 
 
 def _sqrt_bell(n: int, ndim: int):
@@ -222,11 +235,23 @@ class MixingDistribution:
     has_density = True
     support = (0.0, inf)
 
-    def laplace(self, s):
+    def log_abs_laplace_derivative(self, k: int, s):
+        """log|L^(k)(s)| on an array s > 0, for 0 <= k <= DERIVATIVE_CAP; k = 0
+        is log L and also takes s = 0.  (-1)^k L^(k) >= 0 for every law in
+        the catalog."""
         raise NotImplementedError
 
+    def laplace(self, s):
+        """L(s) = E(e^{-s Theta}) = exp(log L(s)), s >= 0."""
+        s_arr = np.asarray(s, dtype=float)
+        return _ret(np.exp(self.log_abs_laplace_derivative(0, s_arr)), np.isscalar(s))
+
     def laplace_derivative(self, n: int, s):
-        raise NotImplementedError
+        """L^(n)(s) = (-1)^n exp(log|L^(n)(s)|), n >= 1."""
+        _check_order(n)
+        s_arr = np.asarray(s, dtype=float)
+        return _ret((-1.0) ** n * np.exp(self.log_abs_laplace_derivative(n, s_arr)),
+                    np.isscalar(s))
 
     def generator(self, t):
         """Archimedean generator phi = L^{-1} on (0, 1]."""
@@ -254,8 +279,7 @@ class MixingDistribution:
     def sum_pdf_derivative(self, n: int, x):
         """Density of S_n on an array x > 0 by the derivative route
         f(x) = x^{n-1}/Gamma(n) * (-1)^n L^(n)(x)."""
-        deriv = self.laplace_derivative(n, x)
-        return np.exp((n - 1.0) * np.log(x) - lgamma(n)) * (-1.0) ** n * deriv
+        return np.exp((n - 1.0) * np.log(x) - lgamma(n) + self.log_abs_laplace_derivative(n, x))
 
     def sum_pdf(self, n: int, x):
         """Density of S_n on an array x > 0 by the law's printed sum formula;
@@ -290,17 +314,10 @@ class GammaMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(alpha=self.alpha, beta=self.beta)
 
-    def laplace(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        return _ret(np.exp(-self.alpha * np.log1p(s_arr / self.beta)), np.isscalar(s))
-
-    def laplace_derivative(self, n, s):
-        _check_order(n)
-        s_arr = np.asarray(s, dtype=float)
+    def log_abs_laplace_derivative(self, k, s):
+        _check_order(k, 0)
         a, b = self.alpha, self.beta
-        logv = (lgamma(a + n) - lgamma(a) - n * log(b)
-                - (a + n) * np.log1p(s_arr / b))
-        return _ret((-1.0) ** n * np.exp(logv), np.isscalar(s))
+        return lgamma(a + k) - lgamma(a) - k * log(b) - (a + k) * np.log1p(s / b)
 
     def _generator(self, t, scalar_in):
         return _ret(self.beta * np.expm1(-np.log(t) / self.alpha), scalar_in)
@@ -350,17 +367,13 @@ class LevyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def laplace(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        return _ret(np.exp(-self.lam * np.sqrt(s_arr)), np.isscalar(s))
-
-    def laplace_derivative(self, n, s):
-        _check_order(n)
-        s_arr = np.asarray(s, dtype=float)
-        k, log_bell = _sqrt_bell(n, s_arr.ndim)
-        expo = -self.lam * np.sqrt(s_arr)
-        terms = k * log(self.lam) + expo + (0.5 * k - n) * np.log(s_arr) + log_bell
-        return _ret(_signed_sum_exp(terms, (-1.0) ** n), np.isscalar(s))
+    def log_abs_laplace_derivative(self, n, s):
+        _check_order(n, 0)
+        expo = -self.lam * np.sqrt(s)
+        if n == 0:
+            return expo
+        k, log_bell = _sqrt_bell(n, s.ndim)
+        return _log_sum_exp(k * log(self.lam) + expo + (0.5 * k - n) * np.log(s) + log_bell)
 
     def _generator(self, t, scalar_in):
         return _ret((-np.log(t) / self.lam) ** 2, scalar_in)
@@ -391,7 +404,7 @@ class LevyMixing(MixingDistribution):
                  + k * (log(2.0) + log(lam)) + 0.5 * (k - 1.0) * log_x
                  - lam * np.sqrt(x)
                  for k in range(n)]
-        return _signed_sum_exp(terms, 1.0)
+        return np.exp(_log_sum_exp(terms))
 
     def sum_pdf_at_zero(self, n):
         return inf
@@ -422,22 +435,19 @@ class PositiveStableMixing(MixingDistribution):
         if not (0 < self.alpha <= 1):
             raise ValueError(f"stable index must lie in (0, 1], got {self.alpha}")
 
-    def laplace(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        return _ret(np.exp(-s_arr ** self.alpha), np.isscalar(s))
-
-    def laplace_derivative(self, n, s):
-        _check_order(n)
-        s_arr = np.asarray(s, dtype=float)
-        log_s = np.log(s_arr)
-        expo = -s_arr ** self.alpha
+    def log_abs_laplace_derivative(self, n, s):
+        _check_order(n, 0)
+        expo = -s ** self.alpha
+        if n == 0:
+            return expo
+        log_s = np.log(s)
         terms = []
         for k in range(1, n + 1):
             lb = _log_bell_power(n, k, self.alpha)
             if lb == -inf:
                 continue
             terms.append(expo + (k * self.alpha - n) * log_s + lb)
-        return _ret(_signed_sum_exp(terms, (-1.0) ** n), np.isscalar(s))
+        return _log_sum_exp(terms)
 
     def _generator(self, t, scalar_in):
         return _ret((-np.log(t)) ** (1.0 / self.alpha), scalar_in)
@@ -494,21 +504,16 @@ class InverseGaussianMixing(MixingDistribution):
     def _b(self):
         return 2.0 * self.mu ** 2 / self.lam
 
-    def laplace(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        root = np.sqrt(1.0 + self._b * s_arr)
-        return _ret(np.exp(-self.lam / self.mu * (root - 1.0)), np.isscalar(s))
-
-    def laplace_derivative(self, n, s):
-        _check_order(n)
-        s_arr = np.asarray(s, dtype=float)
+    def log_abs_laplace_derivative(self, n, s):
+        _check_order(n, 0)
         b = self._b
-        c = 1.0 + b * s_arr
-        k, log_bell = _sqrt_bell(n, s_arr.ndim)
+        c = 1.0 + b * s
         expo = -self.lam / self.mu * (np.sqrt(c) - 1.0)
-        terms = (k * log(self.lam / self.mu) + expo + n * log(b) + (0.5 * k - n) * np.log(c)
-                 + log_bell)
-        return _ret(_signed_sum_exp(terms, (-1.0) ** n), np.isscalar(s))
+        if n == 0:
+            return expo
+        k, log_bell = _sqrt_bell(n, s.ndim)
+        return _log_sum_exp(k * log(self.lam / self.mu) + expo + n * log(b)
+                            + (0.5 * k - n) * np.log(c) + log_bell)
 
     def _generator(self, t, scalar_in):
         lam, mu = self.lam, self.mu
@@ -565,20 +570,13 @@ class LindleyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def laplace(self, s):
-        s_arr = np.asarray(s, dtype=float)
+    def log_abs_laplace_derivative(self, k, s):
+        # lam^2/(1+lam) * (k! y^-(k+1) + (k+1)! y^-(k+2)), y = lam + s
+        _check_order(k, 0)
         lam = self.lam
-        return _ret(lam ** 2 * (lam + 1.0 + s_arr) / ((1.0 + lam) * (lam + s_arr) ** 2),
-                    np.isscalar(s))
-
-    def laplace_derivative(self, n, s):
-        _check_order(n)
-        s_arr = np.asarray(s, dtype=float)
-        lam = self.lam
-        y = lam + s_arr
-        val = (math.factorial(n) * y ** (-(n + 1.0))
-               + math.factorial(n + 1) * y ** (-(n + 2.0)))
-        return _ret((-1.0) ** n * lam ** 2 / (1.0 + lam) * val, np.isscalar(s))
+        y = lam + s
+        return (2.0 * log(lam) - math.log1p(lam) + lgamma(k + 1.0)
+                - (k + 1.0) * np.log(y) + np.log1p((k + 1.0) / y))
 
     def _generator(self, t, scalar_in):
         lam = self.lam
@@ -632,24 +630,23 @@ class GleserGammaMixing(MixingDistribution):
             raise ValueError(f"shape must lie in (0, 1], got {self.alpha}")
         _require_positive(lam=self.lam)
 
-    def laplace(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        return _ret(special.gammaincc(self.alpha, self.lam * s_arr), np.isscalar(s))
-
-    def laplace_derivative(self, n, s):
-        _check_order(n)
-        s_arr = np.asarray(s, dtype=float)
+    def log_abs_laplace_derivative(self, n, s):
+        _check_order(n, 0)
         a, lam = self.alpha, self.lam
-        log_s = np.log(s_arr)
-        terms = []
-        for k in range(n):
-            sign_p, logp = log_abs_falling_factorial(a - 1.0, k)
-            if sign_p == 0:
-                continue
-            terms.append(log(math.comb(n - 1, k)) + (n - 1 - k) * log(lam) + logp
-                         + (a - 1.0 - k) * log_s - lam * s_arr
-                         + a * log(lam) - lgamma(a))
-        return _ret(_signed_sum_exp(terms, (-1.0) ** n), np.isscalar(s))
+        if n == 0:
+            with np.errstate(divide="ignore"):
+                return np.log(special.gammaincc(a, lam * s))
+        col = (-1,) + (1,) * s.ndim
+        k = np.arange(n).reshape(col)
+        return _log_sum_exp(lgamma(n) - special.gammaln(k + 1) - special.gammaln(n - k)
+                            + (n - 1 - k) * log(lam) + self._log_falling(n).reshape(col)
+                            + (a - 1.0 - k) * np.log(s) - lam * s + a * log(lam) - lgamma(a))
+
+    def _log_falling(self, n):
+        """log|(alpha-1)_k| for k = 0..n-1, -inf where the product vanishes
+        (alpha = 1, k >= 1); (-1)^k (alpha-1)_k >= 0 throughout alpha in (0, 1]."""
+        with np.errstate(divide="ignore"):
+            return np.cumsum(np.log(np.r_[1.0, 1.0 - self.alpha + np.arange(n - 1.0)]))
 
     def _generator(self, t, scalar_in):
         return _ret(special.gammainccinv(self.alpha, t) / self.lam, scalar_in)
@@ -666,7 +663,7 @@ class GleserGammaMixing(MixingDistribution):
             terms.append(logp - lgamma(a) - lgamma(k + 1) - lgamma(n - k)
                          + (n + a - k - 1.0) * log(lam)
                          + (n + a - k - 2.0) * log_x - lam * x)
-        return _signed_sum_exp(terms, 1.0)
+        return np.exp(_log_sum_exp(terms))
 
     def sum_pdf_at_zero(self, n):
         if self.alpha == 1.0:
@@ -724,23 +721,16 @@ class BetaSecondKindMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(beta=self.beta, gam=self.gam)
 
-    def laplace(self, s):
-        scalar_in = np.isscalar(s)
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    def log_abs_laplace_derivative(self, n, s):
+        # E(Theta^n e^{-s Theta}) = Gamma(beta+n) U(beta+n, n+1-gam, s) / B(beta, gam)
+        _check_order(n, 0)
         lb = special.betaln(self.beta, self.gam)
-        out = np.array([1.0 if si == 0.0
-                        else kummer_u_integral(self.beta, 1.0 - self.gam, si) * exp(-lb)
-                        for si in s_arr])
-        return _ret(out[0] if scalar_in else out, scalar_in)
-
-    def laplace_derivative(self, n, s):
-        _check_order(n)
-        scalar_in = np.isscalar(s)
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        lb = special.betaln(self.beta, self.gam)
-        out = np.array([kummer_u_integral(self.beta + n, n + 1.0 - self.gam, si) * exp(-lb)
-                        for si in s_arr])
-        return _ret((-1.0) ** n * (out[0] if scalar_in else out), scalar_in)
+        if n == 0:
+            # L(0) = 1; the Kummer integral needs s > 0
+            zero = s == 0.0
+            return np.where(zero, 0.0, log_kummer_u_integral(
+                self.beta, 1.0 - self.gam, np.where(zero, 1.0, s)) - lb)
+        return log_kummer_u_integral(self.beta + n, n + 1.0 - self.gam, s) - lb
 
     def _generator(self, t, scalar_in):
         t_arr = np.atleast_1d(t)

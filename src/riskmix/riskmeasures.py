@@ -1,17 +1,26 @@
-"""Risk measures on the aggregate distribution: VaR by root finding on the
-survival function, TVaR, and conditional upper tail moments, including the
-finite-mixture decomposition
+"""Risk measures on the aggregate distribution: VaR by a safeguarded Newton
+iteration on the log survival function, TVaR, and conditional upper tail
+moments, including the finite-mixture decomposition
     E(X^r | X > a) = sum_k pi_k (1 - F_k(a)) / (1 - F(a)) * E(X_k^r | X_k > a).
 
 Level convention: value_at_risk(model, level) returns the x with
 F(x) = level, i.e. level is the probability of NOT exceeding the returned
 threshold.
+
+VaR brackets its root with one survival call on a geometric grid from 2^-40
+to 2^40, and a second one from there to 2^996 (about 1e300) only when the
+quantile lies beyond (the log-space survival is finite on all of it).  It
+starts from the log-log interpolation between the bracketing grid points and
+runs a safeguarded Newton iteration in u = log x on g = log S - log(1 - level),
+dg/du = -x f / S (S' = -f), bisecting whenever a step leaves the bracket.
+It stops on brentq's tolerances, xtol = 1e-14 and rtol = 1e-12.
 """
 
 from dataclasses import dataclass
+from math import exp, inf, log, log1p, sqrt
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from .aggregate import (
     AggregateModel,
@@ -22,12 +31,16 @@ from .aggregate import (
     pdf,
     survival,
 )
-from .errors import TailUnderflowError, UnsupportedModelError
+from .errors import RiskmixError, TailUnderflowError, UnsupportedModelError
 
 __all__ = ["RiskReport", "value_at_risk", "tail_moment", "tvar", "risk_report"]
 
 _DEEPEST_LEVEL = 1.0 - 1e-12
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=300)
+# bracketing grid 2^-40 .. 2^996, a factor 2 apart, in two parts that share
+# 2^40: the far part is evaluated only for a quantile beyond the near one
+_VAR_GRIDS = (2.0 ** np.arange(-40, 41), 2.0 ** np.arange(40, 997))
+_VAR_XTOL, _VAR_RTOL, _VAR_MAXITER = 1e-14, 1e-12, 100
 
 
 def value_at_risk(model: AggregateModel, level: float) -> float:
@@ -38,14 +51,44 @@ def value_at_risk(model: AggregateModel, level: float) -> float:
         raise TailUnderflowError(
             "survival evaluation underflows double precision this deep in the tail"
         )
-    target = 1.0 - level
-    lo, hi = 0.0, 1.0
-    while survival(model, hi) > target:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e300:
-            raise TailUnderflowError("VaR bracket expansion ran away")
-    return float(optimize.brentq(lambda x: survival(model, x) - target,
-                                 lo, hi, xtol=1e-14, rtol=1e-12))
+    log_target = log1p(-level)
+    for grid in _VAR_GRIDS:
+        with np.errstate(divide="ignore"):
+            log_grid = np.log(survival(model, grid))
+        below = np.flatnonzero(log_grid <= log_target)
+        if below.size:
+            break
+    else:
+        raise TailUnderflowError("VaR bracket expansion ran away")
+    j = below[0]
+    if j == 0:
+        lo, hi = 0.0, grid[0]
+        x = 0.5 * hi
+    else:
+        lo, hi = grid[j - 1], grid[j]
+        drop = log_grid[j - 1] - log_grid[j]
+        frac = (log_grid[j - 1] - log_target) / drop if np.isfinite(drop) else 0.5
+        x = lo * (hi / lo) ** frac
+    for _ in range(_VAR_MAXITER):
+        # Newton in u = log x: g(u) = log S - log(1 - level), dg/du = -x f / S
+        s = survival(model, x)
+        g = log(s) - log_target if s > 0.0 else -inf
+        if g == 0.0:
+            return x
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= _VAR_XTOL + _VAR_RTOL * hi:
+            return 0.5 * (lo + hi)
+        slope = x * pdf(model, x) / s if s > 0.0 else 0.0
+        new = x * exp(min(g / slope, 700.0)) if slope > 0.0 else 0.0
+        if not (lo <= new <= hi and new > 0.0):
+            new = sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+        if abs(new - x) <= _VAR_XTOL + _VAR_RTOL * new:
+            return new
+        x = new
+    raise RiskmixError(f"VaR iteration did not converge in {_VAR_MAXITER} steps")
 
 
 def _tail_moment_quadrature(model: AggregateModel, r: int, a: float) -> float:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import exp, log
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .specfun import exp_scaled_e1
 
@@ -33,17 +33,19 @@ __all__ = [
 def lindley_sum_pdf(lam: float, n: int, x):
     """Density of S_n under Lindley(lam) frailty:
 
-        f(x) = n lam^2 x^{n-1} (x + lam + n + 1) / ((1+lam)(x + lam)^{n+2}).
+        f(x) = n lam^2 x^{n-1} (x + lam + n + 1) / ((1+lam)(x + lam)^{n+2}),
+
+    evaluated in log space, so it is finite for every x >= 0.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
     x_arr = np.asarray(x, dtype=float)
-    val = (n * lam ** 2 / (1.0 + lam)
-           * x_arr ** (n - 1.0) * (x_arr + lam + n + 1.0)
-           / (x_arr + lam) ** (n + 2.0))
-    out = np.where(x_arr >= 0, val, 0.0)
+    xp = np.where(x_arr >= 0, x_arr, 0.0)
+    log_val = (log(n) + 2.0 * log(lam) - math.log1p(lam) + special.xlogy(n - 1.0, xp)
+               + np.log(xp + lam + n + 1.0) - (n + 2.0) * np.log(xp + lam))
+    out = np.where(x_arr >= 0, np.exp(log_val), 0.0)
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 

@@ -10,7 +10,7 @@ import math
 from math import exp, inf, lgamma, log, sqrt
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "falling_factorial",
@@ -21,10 +21,14 @@ __all__ = [
     "gamma_quantile",
     "bessel_k_half",
     "kummer_u_integral",
+    "log_kummer_u_integral",
     "exp_scaled_e1",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
+# log-height below its peak at which the Kummer integrand is cut, and the
+# most grid cells evaluated at once
+_KUMMER_DROP = 50.0
+_KUMMER_CELLS = 1 << 18
 
 
 def falling_factorial(a: float, k: int) -> float:
@@ -167,38 +171,73 @@ def bessel_k_half(n: int, x: float) -> float:
     return exp(0.5 * (log(math.pi) - l2x) - x + mx) * s
 
 
-def kummer_u_integral(a: float, b: float, z: float) -> float:
-    """Raw confluent hypergeometric integral int_0^inf e^{-zt} t^{a-1} (1+t)^{b-a-1} dt.
+def log_kummer_u_integral(a: float, b: float, z):
+    """log of the raw confluent hypergeometric integral
+    int_0^inf e^{-zt} t^{a-1} (1+t)^{b-a-1} dt, for a > 0, b <= a + 1 and
+    every z > 0 (a float or an array; arrays are evaluated in one pass).
 
-    Note this carries no 1/Gamma(a) prefactor: it equals Gamma(a) * U(a, b, z)
-    in the standard normalization.  For z < 1 the integral is split at t = 1
-    (endpoint singularity when a < 1) with the tail mapped to a finite
-    interval; for z >= 1 the substitution u = z t keeps the integrand's peak
-    at a z-independent location so the quadrature never misses it.
+    Note this carries no 1/Gamma(a) prefactor: the integral equals
+    Gamma(a) * U(a, b, z) in the standard normalization.  In v = log t the
+    integrand is exp(phi(v)), phi(v) = a v - z e^v + (b-a-1) log(1+e^v),
+    which is smooth and, for b <= a + 1, concave with one peak, whose
+    position solves a quadratic in e^v.  The integral is the trapezoid rule
+    on the infinite grid of step h through the peak, which converges
+    geometrically in 1/h for such integrands; h is set by the curvature at
+    the peak.  The grid is summed against exp(phi - phi(peak)) <= 1 and cut
+    where that has fallen below e^-50: to the right of the peak from a
+    tangent (phi is concave) or from the e^v term; to the left from a
+    tangent, or where e^v < 1e-17 / (z + a + 1 - b), below which
+    phi = a v + const and the rest of the sum is a geometric series.
     """
     if a <= 0:
         raise ValueError("integral diverges for a <= 0")
-    if z <= 0:
+    if b > a + 1.0:
+        raise ValueError("the integrand is log-concave only for b <= a + 1")
+    z_arr = np.asarray(z, dtype=float)
+    zf = z_arr.ravel()
+    if np.any(zf <= 0):
         raise ValueError("z must be positive")
+    c = b - a - 1.0
+    log_z = np.log(zf)
 
-    if z >= 1.0:
-        def h(u):
-            return exp(-u + (a - 1.0) * log(u) + (b - a - 1.0) * math.log1p(u / z))
+    def phi(v, log_z):
+        return a * v - np.exp(log_z + v) + c * np.logaddexp(0.0, v)
 
-        v1, _ = integrate.quad(h, 0.0, 1.0, **_QUAD_OPTS)
-        v2, _ = integrate.quad(h, 1.0, np.inf, **_QUAD_OPTS)
-        return exp(-a * log(z) + log(v1 + v2))
+    with np.errstate(over="ignore", divide="ignore"):
+        # peak: t = e^v is the positive root of z t^2 - (b - 1 - z) t - a = 0
+        m = b - 1.0 - zf
+        r = np.hypot(m, 2.0 * np.sqrt(a * zf))
+        peak = np.where(m >= 0, np.log(m + r) - log(2.0) - log_z,
+                        log(2.0 * a) - np.log(r - m))
+        top = phi(peak, log_z)
+        zt = np.exp(log_z + peak)
+        w = peak + np.array([[-1.0], [1.0]])
+        gap = phi(w, log_z) - top + _KUMMER_DROP
+        slope = np.abs(a - np.exp(log_z + w) + c * special.expit(w))
+        reach = 1.0 + np.maximum(gap, 0.0) / slope
+        left = np.minimum(reach[0], np.maximum(peak - log(1e-17) + np.log(zf - c), 0.0))
+        # right of the peak, phi - phi(peak) <= a d - z e^peak (e^d - 1)
+        d = np.log1p(_KUMMER_DROP / zt)
+        for _ in range(3):
+            d = np.log1p((_KUMMER_DROP + a * d) / zt)
+        right = np.minimum(reach[1], d)
+        curv = zt - c * special.expit(peak) * special.expit(-peak)
+        h = min(0.2, 0.6 / sqrt(curv.max()))
+        j = np.arange(-math.ceil(left.max() / h), math.ceil(right.max() / h) + 1.0)[:, None]
+        total = np.empty_like(top)
+        chunk = max(1, _KUMMER_CELLS // j.size)
+        for i in range(0, zf.size, chunk):
+            cols = slice(i, i + chunk)
+            terms = np.exp(phi(peak[cols] + h * j, log_z[cols]) - top[cols])
+            total[cols] = terms.sum(axis=0) + terms[0] / math.expm1(a * h)
+    out = (top + np.log(h * total)).reshape(z_arr.shape)
+    return float(out) if out.ndim == 0 else out
 
-    def f(t):
-        return exp(-z * t + (a - 1.0) * log(t) + (b - a - 1.0) * math.log1p(t))
 
-    head, _ = integrate.quad(f, 0.0, 1.0, **_QUAD_OPTS)
-    # tail via t = 1/w: integrand e^{-z/w} (1+w)^{b-a-1} w^{-b} on (0, 1]
-    def g(w):
-        return exp(-z / w + (b - a - 1.0) * math.log1p(w) - b * log(w))
-
-    tail, _ = integrate.quad(g, 0.0, 1.0, **_QUAD_OPTS)
-    return head + tail
+def kummer_u_integral(a: float, b: float, z):
+    """The raw Kummer integral itself, exp(log_kummer_u_integral(a, b, z))."""
+    out = np.exp(log_kummer_u_integral(a, b, z))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def exp_scaled_e1(z: float) -> float:

@@ -1,8 +1,10 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from riskmix.aggregate import (
     AggregateModel,
@@ -35,6 +37,8 @@ FIVE_MODELS = {
     "weibull": lambda n: weibull_model(0.5, n),
     "invgauss": lambda n: inverse_gaussian_model(2.0, 1.0, n),
 }
+
+SIX_MODELS = dict(FIVE_MODELS, lindley=lambda n: lindley_model(1.5, n))
 
 
 def integrate_density(f):
@@ -327,6 +331,39 @@ class TestBoundaryBehavior:
             assert pdf(m, 1e-4) == pytest.approx(limit, rel=3e-3)
         assert pdf(AggregateModel(DependentVector(BetaSecondKindMixing(2.0, 1.0), 1)),
                    0.0) == math.inf
+
+    def test_beta2_pdf_near_zero_against_mpmath(self):
+        # f(x) = x^{n-1}/Gamma(n) * Gamma(b+n) U(b+n, n+1-g, x) / B(b, g); the
+        # Kummer quadrature used to miss its peak here and return -3.8e-5
+        b, g = 2.0, 1.0
+        for n in (2, 3):
+            m = AggregateModel(DependentVector(BetaSecondKindMixing(b, g), n))
+            for x in (1e-6, 1e-3):
+                with mp.workdps(30):
+                    want = float(mp.mpf(x) ** (n - 1) / mp.gamma(n) * mp.gamma(b + n)
+                                 * mp.hyperu(b + n, n + 1 - g, x) / mp.beta(b, g))
+                assert pdf(m, x) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("name", SIX_MODELS)
+    def test_huge_x_is_finite(self, name):
+        m = SIX_MODELS[name](5)
+        xs = np.array([1e100, 1e200, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surv = survival(m, xs)
+            dens = pdf(m, xs)
+            scalar = [survival(m, float(x)) for x in xs]
+        assert np.all(np.isfinite(surv)) and np.all((surv >= 0) & (surv <= 1))
+        assert np.all(np.isfinite(dens)) and np.all(dens >= 0)
+        assert np.allclose(surv, scalar, rtol=1e-14, atol=0)
+
+    def test_huge_x_pareto_against_betainc(self):
+        # S_n is second-kind beta B2(n, alpha, beta): Pr(S_n > x) = I_{beta/(beta+x)}(alpha, n)
+        for alpha, beta in ((0.5, 1.0), (0.25, 3.0), (1.5, 2.0)):
+            m = pareto_model(alpha, beta, 5)
+            for x in (1e2, 1e100, 1e200, 1e300):
+                want = special.betainc(alpha, 5, beta / (beta + x))
+                assert survival(m, x) == pytest.approx(want, rel=1e-10, abs=1e-300)
 
     def test_pdf_negative_is_zero(self):
         m = pareto_model(3.0, 1.0, 2)

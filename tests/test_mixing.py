@@ -17,6 +17,7 @@ from riskmix.mixing import (
     LevyMixing,
     LindleyMixing,
     PositiveStableMixing,
+    _log_sum_exp,
     faa_di_bruno,
 )
 from riskmix.specfun import falling_factorial
@@ -49,6 +50,10 @@ def central_diff(f, s, order, h):
 class TestEveryKind:
     def test_laplace_at_zero_is_one(self, m):
         assert m.laplace(0.0) == pytest.approx(1.0, abs=1e-12)
+        with np.errstate(all="raise"):
+            at_zero = m.laplace(np.array([0.0, 0.5]))
+        assert at_zero[0] == pytest.approx(1.0, abs=1e-12)
+        assert at_zero[1] == pytest.approx(m.laplace(0.5), rel=1e-14)
 
     def test_laplace_decreasing_into_unit_interval(self, m):
         vals = np.array([m.laplace(s) for s in S_GRID])
@@ -98,6 +103,12 @@ class TestEveryKind:
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - m.laplace(s)) < 4 * se + 1e-12
 
+    def test_log_kernel_order_domain(self, m):
+        with pytest.raises(ValueError):
+            m.log_abs_laplace_derivative(-1, S_GRID)
+        with pytest.raises(DerivativeCapError):
+            m.log_abs_laplace_derivative(65, S_GRID)
+
     def test_array_evaluation_matches_scalar(self, m):
         arr = m.laplace(S_GRID)
         assert arr.shape == S_GRID.shape
@@ -106,6 +117,33 @@ class TestEveryKind:
         darr = m.laplace_derivative(3, S_GRID)
         for i, s in enumerate(S_GRID):
             assert darr[i] == pytest.approx(m.laplace_derivative(3, float(s)), rel=1e-13)
+
+
+class TestLogSumExp:
+    """The numpy max-shift reducer against scipy's logsumexp, used as an oracle."""
+
+    def test_random_arrays(self):
+        rng = np.random.default_rng(3)
+        for shape in ((1, 4), (10, 1), (32, 7), (5, 2, 3)):
+            a = rng.normal(scale=300.0, size=shape)
+            assert np.allclose(_log_sum_exp(a), special.logsumexp(a, axis=0),
+                               rtol=1e-14, atol=1e-12)
+
+    def test_list_input(self):
+        terms = [np.array([0.0, -800.0, 700.0]), np.array([1.0, -801.0, 705.0])]
+        assert np.allclose(_log_sum_exp(terms), special.logsumexp(np.array(terms), axis=0),
+                           rtol=1e-15, atol=0)
+
+    def test_nonfinite_columns(self):
+        a = np.array([[-np.inf, np.inf, -np.inf, 2.0, np.nan],
+                      [-np.inf, 1.0, np.inf, -np.inf, 0.0]])
+        with np.errstate(all="raise"):
+            got = _log_sum_exp(a)
+        assert got[0] == -np.inf and got[1] == np.inf and got[2] == np.inf
+        assert got[3] == 2.0 and np.isnan(got[4])
+        with np.errstate(all="ignore"):
+            want = special.logsumexp(a, axis=0)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestClosedFormLaplace:

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from riskmix.aggregate import (
+    AggregateModel,
     gamma_claims_model,
     inverse_gaussian_model,
     lindley_model,
@@ -15,9 +16,23 @@ from riskmix.aggregate import (
     weibull_half_model,
     weibull_model,
 )
-from riskmix.errors import NonexistentMomentError, TailUnderflowError
+from riskmix.dependence import DependentVector
+from riskmix.errors import NonexistentMomentError, RiskmixError, TailUnderflowError
+from riskmix.mixing import BetaSecondKindMixing
+from riskmix import riskmeasures
 from riskmix.riskmeasures import risk_report, tail_moment, tvar, value_at_risk
 from riskmix.simulate import SimulationPlan, sample_sums
+
+
+SIX_MODELS = {
+    "pareto": lambda n: pareto_model(3.0, 1.0, n),
+    "gamma_claims": lambda n: gamma_claims_model(0.5, 1.0, n),
+    "weibull_half": lambda n: weibull_half_model(1.0, n),
+    "weibull": lambda n: weibull_model(0.5, n),
+    "invgauss": lambda n: inverse_gaussian_model(2.0, 1.0, n),
+    "lindley": lambda n: lindley_model(1.5, n),
+}
+LEVELS = (0.9, 0.95, 0.99, 0.995, 0.999)
 
 
 class TestValueAtRisk:
@@ -46,6 +61,45 @@ class TestValueAtRisk:
                 x = value_at_risk(m, lv)
                 assert survival(m, x) == pytest.approx(1.0 - lv, rel=1e-9)
 
+    @pytest.mark.parametrize("name", SIX_MODELS)
+    @pytest.mark.parametrize("n", [2, 10, 32])
+    def test_survival_round_trip_every_law(self, name, n):
+        m = SIX_MODELS[name](n)
+        for lv in LEVELS:
+            assert survival(m, value_at_risk(m, lv)) == pytest.approx(1.0 - lv, rel=1e-9)
+
+    @pytest.mark.parametrize("name", SIX_MODELS)
+    def test_few_survival_calls(self, name, monkeypatch):
+        # one call on the bracketing grid plus a few Newton steps
+        calls = []
+
+        def counted(model, x):
+            calls.append(x)
+            return survival(model, x)
+
+        monkeypatch.setattr(riskmeasures, "survival", counted)
+        for n in (2, 10, 32):
+            m = SIX_MODELS[name](n)
+            for lv in LEVELS:
+                calls.clear()
+                value_at_risk(m, lv)
+                assert 1 <= len(calls) <= 8
+
+    def test_quantile_below_the_grid(self):
+        # the root lies below the grid's first point 2^-40; the bracket starts at 0
+        m = pareto_model(3.0, 1.0, 1)
+        x = value_at_risk(m, 1e-13)
+        assert 0.0 < x < 2.0 ** -40
+        assert x == pytest.approx((1.0 - 1e-13) ** (-1.0 / 3.0) - 1.0, rel=1e-2)
+
+    def test_far_quantile_inside_the_grid(self):
+        # Pareto(0.05) tail: the quantile lies near 1e120, far beyond any
+        # bracket a short doubling would reach
+        m = pareto_model(0.05, 1.0, 2)
+        x = value_at_risk(m, 0.999999)
+        assert x == pytest.approx(2.6533e120, rel=1e-4)
+        assert survival(m, x) == pytest.approx(1e-6, rel=1e-9)
+
     def test_level_domain(self):
         m = pareto_model(3.0, 1.0, 2)
         with pytest.raises(ValueError):
@@ -57,6 +111,20 @@ class TestValueAtRisk:
         m = pareto_model(3.0, 1.0, 2)
         with pytest.raises(TailUnderflowError):
             value_at_risk(m, 1.0 - 1e-13)
+
+    def test_no_convergence_is_a_numerical_failure(self, monkeypatch):
+        # nothing underflows when the iteration runs out of steps
+        monkeypatch.setattr(riskmeasures, "_VAR_MAXITER", 1)
+        with pytest.raises(RiskmixError) as err:
+            value_at_risk(gamma_claims_model(0.5, 1.0, 10), 0.99)
+        assert not isinstance(err.value, TailUnderflowError)
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_beta2_round_trip(self, n):
+        # the law whose kernel is a Kummer integral at every point
+        m = AggregateModel(DependentVector(BetaSecondKindMixing(2.0, 3.0), n))
+        for lv in (0.5, 0.9, 0.99):
+            assert survival(m, value_at_risk(m, lv)) == pytest.approx(1.0 - lv, rel=1e-9)
 
 
 class TestTailMoment:

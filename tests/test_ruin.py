@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -41,6 +43,23 @@ class TestLindleySumPdf:
         v1, _ = integrate.quad(lambda x: lindley_sum_pdf(lam, n, x), 0, 1)
         v2, _ = integrate.quad(lambda x: lindley_sum_pdf(lam, n, x), 1, np.inf, limit=300)
         assert v1 + v2 == pytest.approx(1.0, abs=1e-9)
+
+    def test_huge_x_against_mpmath(self):
+        # x^{n-1} alone overflows for x = 1e300 and n >= 3
+        for lam, n in ((1.5, 5), (0.4, 32)):
+            xs = np.array([1e100, 1e200, 1e300])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = lindley_sum_pdf(lam, n, xs)
+            for x, g in zip(xs, got):
+                x = mp.mpf(x)
+                want = (n * lam ** 2 / (1 + mp.mpf(lam)) * x ** (n - 1) * (x + lam + n + 1)
+                        / (x + lam) ** (n + 2))
+                assert g == pytest.approx(float(want), rel=1e-12, abs=1e-300)
+
+    def test_negative_x_is_zero(self):
+        assert np.array_equal(lindley_sum_pdf(1.0, 3, np.array([-5.0, -1e-3, 0.0])),
+                              np.zeros(3))
 
     def test_domain(self):
         with pytest.raises(ValueError):

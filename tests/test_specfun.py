@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from riskmix.specfun import (
     gamma_quantile,
     kummer_u_integral,
     log_bell_partial,
+    log_kummer_u_integral,
     upper_incomplete_gamma,
 )
 
@@ -250,11 +252,57 @@ class TestKummerU:
         # and the scipy-normalized U carries the 1/Gamma(a) factor
         assert got == pytest.approx(special.gamma(a) * special.hyperu(a, b, z), rel=1e-10)
 
+    def test_small_z_against_mpmath(self):
+        # the tail's peak sits near t = (b-1)/z; a quadrature that misses it
+        # returned relative errors of 1 and 1.9e-3 at z = 1e-6
+        with mp.workdps(30):
+            for a, b in ((3.0, 2.0), (4.0, 3.0), (2.0, 1.0), (2.5, 0.5), (2.0, -1.0)):
+                for z in (1e-12, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5):
+                    want = float(mp.gamma(a) * mp.hyperu(a, b, z))
+                    assert kummer_u_integral(a, b, z) == pytest.approx(want, rel=1e-11)
+
+    def test_log_form_beyond_double_range(self):
+        # the value itself overflows (z -> 0, large b) or underflows (huge z)
+        with mp.workdps(30):
+            for a, b, z in ((34.0, 33.0, 1e-12), (66.0, 65.5, 1e-8), (3.0, 2.0, 1e300),
+                            (66.0, 1.0, 1e200), (0.5, 0.5, 1e-12)):
+                want = float(mp.log(mp.gamma(a) * mp.hyperu(a, b, z)))
+                assert log_kummer_u_integral(a, b, z) == pytest.approx(want, rel=1e-13, abs=1e-12)
+
+    def test_random_parameters_against_mpmath(self):
+        # a in 0.05..70, b from a + 1 down to a - 79, z in 1e-13..1e300
+        rng = np.random.default_rng(11)
+        with mp.workdps(30):
+            for _ in range(40):
+                a = math.exp(rng.uniform(math.log(0.05), math.log(70.0)))
+                b = a + 1.0 - math.exp(rng.uniform(math.log(1e-3), math.log(80.0)))
+                z = math.exp(rng.uniform(math.log(1e-13), math.log(1e300)))
+                want = float(mp.log(mp.gamma(a) * mp.hyperu(a, b, z)))
+                assert log_kummer_u_integral(a, b, z) == pytest.approx(
+                    want, rel=1e-13, abs=1e-13)
+
+    def test_array_matches_scalar(self):
+        # one pass over z spanning the VaR grid, with the value at each z
+        z = 2.0 ** np.arange(-40.0, 41.0, 4.0).reshape(3, 7)
+        for a, b in ((2.0, 0.0), (12.0, 10.0), (0.5, 0.2)):
+            got = log_kummer_u_integral(a, b, z)
+            assert got.shape == z.shape
+            want = [log_kummer_u_integral(a, b, float(zi)) for zi in z.ravel()]
+            assert np.allclose(got.ravel(), want, rtol=1e-14, atol=1e-14)
+        assert isinstance(kummer_u_integral(2.0, 1.0, 0.5), float)
+
     def test_divergent_parameter(self):
         with pytest.raises(ValueError):
             kummer_u_integral(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             kummer_u_integral(-1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            log_kummer_u_integral(2.0, 1.0, np.array([1.0, 0.0]))
+
+    def test_log_concave_domain_only(self):
+        # b > a + 1 leaves the integrand's log non-concave; no caller needs it
+        with pytest.raises(ValueError):
+            kummer_u_integral(1.0, 2.5, 1.0)
 
 
 class TestExpScaledE1:
