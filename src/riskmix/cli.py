@@ -10,10 +10,13 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
 import sys
+from contextlib import nullcontext
+from itertools import chain
 
 import numpy as np
 
@@ -35,25 +38,70 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_table(path, fmt, columns, rows, meta):
-    """Emit the result table; CSV uses '.' decimals and 17 significant digits."""
+_BLOCK_ROWS = 1 << 15
+_ROW_SEP = {"csv": "\n", "json": ",\n"}
+
+
+def _cells(column, fmt):
+    """One column of a block as (conversion, values) for the row template.
+
+    A float column goes through one C-level call: '%.17g' in CSV, which is
+    f"{v:.17g}", and one json.dumps of the whole list in JSON, whose items
+    are float.__repr__, NaN and Infinity as the indent=2 encoder writes them
+    (no JSON number contains ", ").  Other columns go value by value.
+    """
+    if all(issubclass(t, float) for t in set(map(type, column))):
+        if fmt == "csv":
+            return "%.17g", column
+        return "%s", json.dumps(column)[1:-1].split(", ")
+    return "%s", list(map(_fmt if fmt == "csv" else json.dumps, column))
+
+
+def _block_text(block, fmt, keys):
+    """Rows of one block, formatted by a single %-template over all values."""
+    columns = block.T.tolist() if isinstance(block, np.ndarray) else list(zip(*block))
+    specs, cells = zip(*(_cells(c, fmt) for c in columns))
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        row = ",".join(specs)
+    else:
+        row = "    {\n" + ",\n".join(f"      {k}: {c}" for k, c in zip(keys, specs)) + "\n    }"
+    return _ROW_SEP[fmt].join([row] * len(block)) % tuple(chain.from_iterable(zip(*cells)))
+
+
+def write_table(path, fmt, columns, rows, meta):
+    """Emit the result table; CSV uses '.' decimals and 17 significant digits.
+
+    `rows` is a sequence of rows or a 2-D array.  The output is byte for byte
+    what ",".join(_fmt(v) for v in row) per CSV line, or
+    json.dumps(payload, indent=2), writes.  It is formatted and written in
+    blocks of _BLOCK_ROWS rows with one formatting pass per block, so a
+    million-row table is never held as text or as Python objects at once.
+    """
+    if fmt == "csv":
+        keys, opening, closing = None, ",".join(columns) + "\n", "\n"
+        empty = opening
     else:
         payload = {
             "model": meta.get("model"),
             "command": meta.get("command"),
-            "results": [dict(zip(columns, row)) for row in rows],
+            "results": [],
             "meta": {k: v for k, v in meta.items() if k not in ("model", "command")},
         }
-        text = json.dumps(payload, indent=2) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        empty = json.dumps(payload, indent=2) + "\n"
+        # only a top-level key sits at a two-space indent
+        head, _, tail = empty.partition('\n  "results": []')
+        keys = [json.dumps(c).replace("%", "%%") for c in columns]
+        opening, closing = head + '\n  "results": [\n', "\n  ]" + tail
+    with (nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")) as out:
+        if not len(rows):
+            out.write(empty)
+            return
+        out.write(opening)
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            if start:
+                out.write(_ROW_SEP[fmt])
+            out.write(_block_text(rows[start:start + _BLOCK_ROWS], fmt, keys))
+        out.write(closing)
 
 
 def parse_grid(spec: str):
@@ -143,7 +191,15 @@ def model_meta(cfg):
     return out
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    parse_args leaves the parser unchanged and returns a fresh Namespace, so
+    no state carries over between commands; in-process callers (tests,
+    notebooks, a benchmark loop) skip rebuilding about 160 arguments per
+    command.  A one-shot console command builds it once either way.
+    """
     top = argparse.ArgumentParser(
         prog="riskmix",
         description="Aggregate dependent exponential-mixture risks: densities, "
@@ -291,9 +347,7 @@ def run_grid_command(cfg, command):
     if errors:
         return errors, None, None
     fn = {"pdf": aggregate.pdf, "cdf": aggregate.cdf, "survival": aggregate.survival}[command]
-    ys = fn(model, xs)
-    rows = [(float(x), float(y)) for x, y in zip(xs, ys)]
-    return [], ("x", command), rows
+    return [], ("x", command), np.column_stack((xs, fn(model, xs)))
 
 
 def run_risk_command(cfg):
@@ -362,8 +416,7 @@ def run_simulate(cfg):
     if cfg.get("binary"):
         simulate.save_samples(cfg["binary"], mat, cfg["seed"])
     cols = tuple(f"x{i + 1}" for i in range(mat.shape[1]))
-    rows = [tuple(float(v) for v in row) for row in mat]
-    return [], cols, rows
+    return [], cols, mat
 
 
 def run_ruin(cfg):
@@ -518,9 +571,9 @@ def run_verify(cfg):
 
     if model.mixing.has_density:
         pts = (0.3, 1.0, 4.0)
-        qerr = max(abs(simulate.quadrature_mixture_pdf(model.mixing, n, x)
-                       - aggregate.pdf(model, x)) / aggregate.pdf(model, x)
-                   for x in pts)
+        ps = [aggregate.pdf(model, x) for x in pts]
+        qerr = max(abs(simulate.quadrature_mixture_pdf(model.mixing, n, x) - p) / p
+                   for x, p in zip(pts, ps))
         checks.append(("quadrature_vs_pdf", qerr, 1e-8))
 
     total, _ = integrate.quad(lambda x: aggregate.pdf(model, x), 0, np.inf,
@@ -593,7 +646,8 @@ def main(argv=None) -> int:
         return 2
 
     meta = {"model": model_meta(cfg), "command": command, "seed": cfg.get("seed"),
-            "tolerances": {"var_rtol": 1e-12, "quad_epsabs": 1e-12}}
+            "tolerances": {"var_rtol": riskmeasures._VAR_RTOL,
+                           "quad_epsabs": riskmeasures._QUAD_OPTS["epsabs"]}}
     write_table(cfg.get("output"), cfg["fmt"], cols, rows, meta)
     if command == "verify" and any(row[-1] == "FAIL" for row in rows):
         return 3

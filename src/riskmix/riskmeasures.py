@@ -13,7 +13,10 @@ quantile lies beyond (the log-space survival is finite on all of it).  It
 starts from the log-log interpolation between the bracketing grid points and
 runs a safeguarded Newton iteration in u = log x on g = log S - log(1 - level),
 dg/du = -x f / S (S' = -f), bisecting whenever a step leaves the bracket.
-It stops on brentq's tolerances, xtol = 1e-14 and rtol = 1e-12.
+Below level 0.5 it iterates on g = log F - log(level) instead, with F = 1 - S
+from the same survival call and dg/du = x f / F: there log S is strongly
+concave in log x and a first Newton step on it overshoots.  It stops on
+brentq's tolerances, xtol = 1e-14 and rtol = 1e-12.
 """
 
 from dataclasses import dataclass
@@ -69,20 +72,24 @@ def value_at_risk(model: AggregateModel, level: float) -> float:
         drop = log_grid[j - 1] - log_grid[j]
         frac = (log_grid[j - 1] - log_target) / drop if np.isfinite(drop) else 0.5
         x = lo * (hi / lo) ** frac
+    # P is the smaller tail: S from the median up, F = 1 - S below it
+    lower = level < 0.5
+    sign, log_p_target = (-1.0, log(level)) if lower else (1.0, log_target)
     for _ in range(_VAR_MAXITER):
-        # Newton in u = log x: g(u) = log S - log(1 - level), dg/du = -x f / S
+        # Newton in u = log x: h = +-(log P - log P*) > 0 below the root, dh/du = -x f / P
         s = survival(model, x)
-        g = log(s) - log_target if s > 0.0 else -inf
-        if g == 0.0:
+        p = 1.0 - s if lower else s
+        h = sign * ((log(p) if p > 0.0 else -inf) - log_p_target)
+        if h == 0.0:
             return x
-        if g > 0.0:
+        if h > 0.0:
             lo = x
         else:
             hi = x
         if hi - lo <= _VAR_XTOL + _VAR_RTOL * hi:
             return 0.5 * (lo + hi)
-        slope = x * pdf(model, x) / s if s > 0.0 else 0.0
-        new = x * exp(min(g / slope, 700.0)) if slope > 0.0 else 0.0
+        slope = x * pdf(model, x) / p if p > 0.0 else 0.0
+        new = x * exp(min(h / slope, 700.0)) if slope > 0.0 else 0.0
         if not (lo <= new <= hi and new > 0.0):
             new = sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
         if abs(new - x) <= _VAR_XTOL + _VAR_RTOL * new:

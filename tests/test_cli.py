@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from riskmix.cli import main, parse_grid, parse_levels
-from riskmix.simulate import load_samples
+from riskmix import cli
+from riskmix.aggregate import weibull_model
+from riskmix.cli import main, make_parser, parse_grid, parse_levels, write_table
+from riskmix.simulate import SimulationPlan, load_samples, sample_vector
 
 
 def run(capsys, argv):
@@ -264,3 +270,148 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(out)
         assert all(r["status"] == "PASS" for r in doc["results"])
+
+
+def _reference_table(fmt, columns, rows, meta):
+    """The per-value writer that the one-pass write_table replaced, kept as
+    its oracle: it shares no code with the writer under test."""
+    def fmt_value(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, float):
+            return f"{v:.17g}"
+        return str(v)
+
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(fmt_value(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = {
+        "model": meta.get("model"),
+        "command": meta.get("command"),
+        "results": [dict(zip(columns, row)) for row in rows],
+        "meta": {k: v for k, v in meta.items() if k not in ("model", "command")},
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+_META = {"model": {"name": "pareto", "alpha": 3.0, "beta": 1.0, "n": 2},
+         "command": "test", "seed": 7,
+         "tolerances": {"var_rtol": 1e-12, "quad_epsabs": 1e-12}}
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1,
+                np.float64(0.1), -2.5e-310, 1.0]
+_TEXT = ["a, b", 'quote " and \\', "π ≈ 3.14 ü", "100% %s", "", "x", "y, z",
+         "naïve", "tab\tend", "€"]
+
+
+def _mixed_rows():
+    # float, bool, int, str and a column that mixes int and float
+    return [(f, i % 2 == 0, i - 3, t, i if i % 3 else f)
+            for i, (f, t) in enumerate(zip(_EDGE_FLOATS, _TEXT))]
+
+
+class TestWriteTableOracle:
+    COLUMNS = ("value", "flag", "count", "label, 100%", "mixed")
+
+    def _written(self, tmp_path, fmt, columns, rows):
+        path = tmp_path / f"t.{fmt}"
+        write_table(str(path), fmt, columns, rows, _META)
+        return path.read_text()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_edge_values_and_column_types(self, tmp_path, fmt):
+        rows = _mixed_rows()
+        assert self._written(tmp_path, fmt, self.COLUMNS, rows) == \
+            _reference_table(fmt, self.COLUMNS, rows, _META)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_row_and_no_rows(self, tmp_path, fmt):
+        for rows in (_mixed_rows()[:1], [(-0.0, True, 0, "π", 2)], []):
+            assert self._written(tmp_path, fmt, self.COLUMNS, rows) == \
+                _reference_table(fmt, self.COLUMNS, rows, _META)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matrix_as_array_and_as_rows(self, tmp_path, fmt):
+        mat = np.random.default_rng(3).pareto(1.5, (20000, 5))
+        mat[5, 2], mat[7, 0], mat[9, 4] = np.nan, np.inf, -0.0
+        cols = tuple(f"x{i + 1}" for i in range(5))
+        want = _reference_table(fmt, cols, [tuple(float(v) for v in r) for r in mat], _META)
+        assert self._written(tmp_path, fmt, cols, mat) == want
+        assert self._written(tmp_path, fmt, cols, [tuple(r) for r in mat]) == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_block_boundaries(self, tmp_path, fmt, monkeypatch):
+        # tables that end on, just past and just short of a block boundary
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+        rows = _mixed_rows()
+        for k in (3, 4, 5, 6, 10):
+            assert self._written(tmp_path, fmt, self.COLUMNS, rows[:k]) == \
+                _reference_table(fmt, self.COLUMNS, rows[:k], _META)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_output_matches_reference(self, capsys, fmt):
+        code, out, _ = run(capsys, ["simulate", "--model", "weibull", "--alpha", "0.5",
+                                    "--n", "3", "--samples", "3000", "--streams", "2",
+                                    "--seed", "5", "--format", fmt, "--output", "-"])
+        assert code == 0
+        mat = sample_vector(SimulationPlan(weibull_model(0.5, 3), 3000, 5, 2))
+        meta = {"model": {"name": "weibull", "alpha": 0.5, "n": 3}, "command": "simulate",
+                "seed": 5, "tolerances": {"var_rtol": 1e-12, "quad_epsabs": 1e-12}}
+        rows = [tuple(float(v) for v in row) for row in mat]
+        assert out == _reference_table(fmt, ("x1", "x2", "x3"), rows, meta)
+
+
+class TestParserReuse:
+    SIM = ["simulate", "--model", "pareto", "--alpha", "3", "--beta", "1", "--n", "2",
+           "--samples", "20"]
+
+    def _sequence(self, capsys, cfg_path, fresh):
+        outputs = []
+        for argv in (self.SIM + ["--seed", "5", "--format", "json"],
+                     self.SIM,
+                     ["pdf", "--model", "pareto", "--alpha", "3", "--beta", "1", "--n", "2"],
+                     ["pdf", "--model", "cauchy", "--grid", "0.1:1:5"],
+                     ["pdf", "--config", str(cfg_path)]):
+            if fresh:
+                make_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out, captured.err))
+        return outputs
+
+    def test_reused_parser_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("RISKMIX_SEED", raising=False)
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("[pdf]\nmodel = pareto\nalpha = 3\nbeta = 1\nn = 2\n"
+                       "grid = 0.5:2:4\n")
+        make_parser.cache_clear()
+        reused = self._sequence(capsys, cfg, fresh=False)
+        assert make_parser() is make_parser()
+        fresh = self._sequence(capsys, cfg, fresh=True)
+        assert reused == fresh
+        codes = [o[0] for o in reused]
+        assert codes == [0, 0, 2, ("exit", 2), 0]
+        assert json.loads(reused[0][1])["meta"]["seed"] == 5
+        assert reused[1][1].startswith("x1,x2\n")       # no --format: CSV
+        assert reused[1][1] != reused[0][1]
+
+
+class TestConsoleEntryPoint:
+    PDF = ["pdf", "--model", "pareto", "--alpha", "3", "--beta", "1", "--n", "2"]
+
+    @pytest.mark.parametrize("extra,want", [(["--grid", "0.01:10:50:log"], 0), ([], 2)],
+                             ids=["ok", "missing-grid"])
+    def test_module_run_matches_in_process(self, capsys, extra, want):
+        argv = self.PDF + extra + ["--output", "-"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "riskmix.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        code, out, err = run(capsys, argv)
+        assert proc.returncode == code == want
+        assert proc.stdout == out
+        assert proc.stderr == err

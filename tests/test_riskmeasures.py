@@ -85,6 +85,25 @@ class TestValueAtRisk:
                 value_at_risk(m, lv)
                 assert 1 <= len(calls) <= 8
 
+    @pytest.mark.parametrize("name", SIX_MODELS)
+    def test_few_survival_calls_at_low_levels(self, name, monkeypatch):
+        # below the median the iteration runs on log F, which stays near-linear
+        # in log x where log S bends; on log S these took up to 9 calls
+        calls = []
+
+        def counted(model, x):
+            calls.append(x)
+            return survival(model, x)
+
+        monkeypatch.setattr(riskmeasures, "survival", counted)
+        for n in (2, 10, 32):
+            m = SIX_MODELS[name](n)
+            for lv in (0.001, 0.01, 0.1):
+                calls.clear()
+                x = value_at_risk(m, lv)
+                assert 1 <= len(calls) <= 6
+                assert abs(survival(m, x) - (1.0 - lv)) / lv < 1e-9
+
     def test_quantile_below_the_grid(self):
         # the root lies below the grid's first point 2^-40; the bracket starts at 0
         m = pareto_model(3.0, 1.0, 1)
