@@ -4,8 +4,8 @@ formulas for sums of dependent risks built from mixtures of exponential
 
 from .aggregate import (
     AggregateModel,
-    ComponentFamily,
-    MixtureComponent,
+    Beta2Component,
+    GammaPowerComponent,
     MixtureRepresentation,
     cdf,
     gamma_claims_model,

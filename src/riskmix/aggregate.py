@@ -29,14 +29,14 @@ import numpy as np
 from .dependence import DependentVector
 from .errors import UnsupportedModelError
 from .mixing import (
-    ComponentFamily,
+    Beta2Component,
     GammaMixing,
+    GammaPowerComponent,
     GleserGammaMixing,
     InverseGaussianMixing,
     LevyMixing,
     LindleyMixing,
     MixingDistribution,
-    MixtureComponent,
     MixtureRepresentation,
     PositiveStableMixing,
     _log_sum_exp,
@@ -59,8 +59,8 @@ __all__ = [
     "moment",
     "mean",
     "variance",
-    "ComponentFamily",
-    "MixtureComponent",
+    "GammaPowerComponent",
+    "Beta2Component",
     "MixtureRepresentation",
     "mixture_representation",
     "moment_from_mixture",

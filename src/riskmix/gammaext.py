@@ -47,17 +47,16 @@ def gm_sum_pdf(model: GammaMixtureModel, x: float) -> float:
     """Density of S_n: x^{at-1}/Gamma(at) * int theta^at e^{-theta x} dF(theta),
     at = sum of the shapes.
 
-    Integer total shape reuses the exact Laplace derivatives (works for every
-    catalog law); otherwise the mixing density is integrated directly.
+    Integer total shape is the law's derivative-route sum density at n = at,
+    evaluated in log space (works for every catalog law and every x);
+    otherwise the mixing density is integrated directly.
     """
     if x <= 0:
         raise ValueError("x must be positive")
     at = model.total_shape
     m = model.mixing
     if float(at).is_integer():
-        k = int(round(at))
-        return exp((at - 1.0) * log(x) - lgamma(at)) \
-            * (-1.0) ** k * m.laplace_derivative(k, x)
+        return float(m.sum_pdf_derivative(int(round(at)), np.asarray(x, dtype=float)))
     if not m.has_density:
         raise UnsupportedModelError(
             "fractional total shape needs a mixing density; "

@@ -22,15 +22,20 @@ whole array s at once (specfun.log_kummer_u_integral).
 
 Laplace derivatives of the exp-of-composition laws (Levy, positive stable,
 inverse Gaussian) are assembled from partial Bell polynomials whose
-coefficient polynomials are accumulated in log space, so orders up to
-DERIVATIVE_CAP stay accurate.  The sqrt sequence (Levy, inverse Gaussian)
-has a Bessel-polynomial closed form for its coefficients; the power sequence
-(stable) is built by recurrence.
+coefficients are kept in log space, so orders up to DERIVATIVE_CAP stay
+accurate.  The sqrt sequence (Levy, inverse Gaussian) has a Bessel-polynomial
+closed form for its coefficients; the power sequence (stable) is one triangle
+per index, filled by a recurrence of positive terms (_power_bell).
+
+Finite mixture representations are built from two component laws:
+GammaPowerComponent, X = (G/rate)^(1/power) with G ~ Gamma(shape, 1), which
+is the gamma (power 1, Gleser), square-gamma (power 1/2, Levy) and
+generalized gamma (power alpha, stable) law; and Beta2Component, the
+second-kind beta of Pareto claims.
 """
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import exp, inf, lgamma, log
 
@@ -47,7 +52,6 @@ from .specfun import (
     bell_partial,
     log_abs_falling_factorial,
     log_kummer_u_integral,
-    log_bell_partial,
     upper_incomplete_gamma,
 )
 
@@ -61,8 +65,8 @@ __all__ = [
     "LindleyMixing",
     "GleserGammaMixing",
     "BetaSecondKindMixing",
-    "ComponentFamily",
-    "MixtureComponent",
+    "GammaPowerComponent",
+    "Beta2Component",
     "MixtureRepresentation",
     "faa_di_bruno",
 ]
@@ -113,94 +117,106 @@ def _sqrt_bell(n: int, ndim: int):
 
 
 @lru_cache(maxsize=None)
-def _log_bell_power(n: int, k: int, alpha: float) -> float:
-    """log |B_{n,k}((alpha)_1,...)| for the power-function coefficient sequence."""
-    return log_bell_partial(
-        n, k, [log_abs_falling_factorial(alpha, j)[1] for j in range(1, n - k + 2)]
-    )
+def _power_bell(alpha: float) -> np.ndarray:
+    """log |B_{m,k}((alpha)_1, (alpha)_2, ...)| for 0 <= m, k <= DERIVATIVE_CAP,
+    the partial Bell polynomials of the power sequence (alpha)_j =
+    alpha (alpha-1) ... (alpha-j+1), as one read-only (m, k) array; exact
+    zeros (k > m, k = 0 < m, and k < m at alpha = 1) are -inf.
+
+    B_{m,k} has the sign (-1)^(m-k), and from (1+t) d/dt ((1+t)^alpha - 1)^k / k!
+    the magnitudes obey
+        |B_{m+1,k}| = (m - k alpha) |B_{m,k}| + alpha |B_{m,k-1}|,
+    a sum of nonnegative terms, so each row is one logaddexp of the row above
+    and nothing cancels.
+    """
+    size = DERIVATIVE_CAP + 1
+    k = np.arange(size)
+    table = np.full((size, size), -inf)
+    table[0, 0] = 0.0
+    with np.errstate(divide="ignore"):
+        for m in range(size - 1):
+            stay = np.log(np.maximum(m - k * alpha, 0.0)) + table[m]
+            table[m + 1, 1:] = np.logaddexp(stay[1:], log(alpha) + table[m, :-1])
+    table.flags.writeable = False
+    return table
 
 
-class ComponentFamily(str, Enum):
-    GAMMA = "gamma"
-    SQUARE_GAMMA = "square-gamma"
-    GENERALIZED_GAMMA = "gen-gamma"
-    BETA2 = "beta2"
+def _density(log_pdf, x):
+    """exp(log_pdf(x)) where x > 0 and 0 elsewhere; a scalar x gives a float."""
+    x_arr = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(x_arr > 0, np.exp(log_pdf(x_arr)), 0.0)
+    return _ret(out, np.isscalar(x))
 
 
 @dataclass(frozen=True)
-class MixtureComponent:
-    """One mixture component; `scale` is the rate-style lambda for the gamma
-    and square-gamma families and the genuine scale for beta2."""
+class GammaPowerComponent:
+    """X = (G/rate)^(1/power) with G ~ Gamma(shape, 1), weighted in a mixture.
 
-    family: ComponentFamily
+    power = 1 is the gamma law Ga(shape, rate) (Gleser mixtures), power = 1/2
+    the square-gamma law of the Levy mixture, and rate = 1 the generalized
+    gamma law of the stable mixture.
+    """
+
     shape: float
+    power: float
+    rate: float
+    weight: float
+
+    def pdf(self, x):
+        a, p, lam = self.shape, self.power, self.rate
+        return _density(lambda t: (log(p) + a * log(lam) + (p * a - 1.0) * np.log(t)
+                                   - lam * t ** p - lgamma(a)), x)
+
+    def cdf(self, x: float) -> float:
+        return self.incomplete_moment_cdf(0, x)
+
+    def moment(self, r: float) -> float:
+        a, p = self.shape, self.power
+        return exp(lgamma(a + r / p) - lgamma(a) - r / p * log(self.rate))
+
+    def incomplete_moment_cdf(self, r: float, x: float) -> float:
+        """F^(r)(x) = int_0^x t^r f(t) dt / E(X^r), the r-th incomplete moment cdf."""
+        if x <= 0:
+            return 0.0
+        return float(special.gammainc(self.shape + r / self.power, self.rate * x ** self.power))
+
+
+@dataclass(frozen=True)
+class Beta2Component:
+    """Second-kind beta law B2(shape1, shape2) with a scale, weighted in a mixture:
+    X = scale * G1 / G2 with independent G1 ~ Gamma(shape1), G2 ~ Gamma(shape2)."""
+
+    shape1: float
     shape2: float
     scale: float
     weight: float
 
     def pdf(self, x):
-        scalar_in = np.isscalar(x)
-        x_arr = np.asarray(x, dtype=float)
-        f, a, b, s = self.family, self.shape, self.shape2, self.scale
-        with np.errstate(divide="ignore"):
-            log_x = np.log(x_arr)
-            if f is ComponentFamily.GAMMA:
-                logv = a * log(s) + (a - 1.0) * log_x - s * x_arr - lgamma(a)
-            elif f is ComponentFamily.SQUARE_GAMMA:
-                logv = (2 * a * log(s) + (a - 1.0) * log_x - s * np.sqrt(x_arr)
-                        - log(2.0) - lgamma(2 * a))
-            elif f is ComponentFamily.GENERALIZED_GAMMA:
-                logv = log(a) + (a * b - 1.0) * log_x - x_arr ** a - lgamma(b)
-            else:
-                logv = ((a - 1.0) * log_x - a * log(s) - special.betaln(a, b)
-                        - (a + b) * np.log1p(x_arr / s))
-        out = np.where(x_arr > 0, np.exp(logv), 0.0)
-        return _ret(out, scalar_in)
+        a, b, s = self.shape1, self.shape2, self.scale
+        return _density(lambda t: ((a - 1.0) * np.log(t) - a * log(s) - special.betaln(a, b)
+                                   - (a + b) * np.log1p(t / s)), x)
 
     def cdf(self, x: float) -> float:
-        f, a, b, s = self.family, self.shape, self.shape2, self.scale
-        if x <= 0:
-            return 0.0
-        if f is ComponentFamily.GAMMA:
-            return float(special.gammainc(a, s * x))
-        if f is ComponentFamily.SQUARE_GAMMA:
-            return float(special.gammainc(2 * a, s * math.sqrt(x)))
-        if f is ComponentFamily.GENERALIZED_GAMMA:
-            return float(special.gammainc(b, x ** a))
-        return float(special.betainc(a, b, x / (x + s)))
+        return self.incomplete_moment_cdf(0, x)
+
+    def _check_moment(self, r):
+        if r >= self.shape2:
+            raise NonexistentMomentError(
+                f"beta2 moment of order {r} needs second shape > {r}, got {self.shape2}"
+            )
 
     def moment(self, r: float) -> float:
-        f, a, b, s = self.family, self.shape, self.shape2, self.scale
-        if r == 0:
-            return 1.0
-        if f is ComponentFamily.GAMMA:
-            return exp(lgamma(a + r) - lgamma(a) - r * log(s))
-        if f is ComponentFamily.SQUARE_GAMMA:
-            return exp(lgamma(2 * (a + r)) - lgamma(2 * a) - 2 * r * log(s))
-        if f is ComponentFamily.GENERALIZED_GAMMA:
-            return exp(lgamma(b + r / a) - lgamma(b))
-        if r >= b:
-            raise NonexistentMomentError(
-                f"beta2 moment of order {r} needs second shape > {r}, got {b}"
-            )
-        return exp(r * log(s) + lgamma(a + r) + lgamma(b - r) - lgamma(a) - lgamma(b))
+        self._check_moment(r)
+        a, b = self.shape1, self.shape2
+        return exp(r * log(self.scale) + lgamma(a + r) + lgamma(b - r) - lgamma(a) - lgamma(b))
 
     def incomplete_moment_cdf(self, r: float, x: float) -> float:
         """F^(r)(x) = int_0^x t^r f(t) dt / E(X^r), the r-th incomplete moment cdf."""
-        f, a, b, s = self.family, self.shape, self.shape2, self.scale
+        self._check_moment(r)
         if x <= 0:
             return 0.0
-        if f is ComponentFamily.GAMMA:
-            return float(special.gammainc(a + r, s * x))
-        if f is ComponentFamily.SQUARE_GAMMA:
-            return float(special.gammainc(2 * (a + r), s * math.sqrt(x)))
-        if f is ComponentFamily.GENERALIZED_GAMMA:
-            return float(special.gammainc(b + r / a, x ** a))
-        if r >= b:
-            raise NonexistentMomentError(
-                f"beta2 moment of order {r} needs second shape > {r}, got {b}"
-            )
-        return float(special.betainc(a + r, b - r, x / (x + s)))
+        return float(special.betainc(self.shape1 + r, self.shape2 - r, x / (x + self.scale)))
 
 
 @dataclass(frozen=True)
@@ -349,8 +365,7 @@ class GammaMixing(MixingDistribution):
         return self.alpha / self.beta if n == 1 else 0.0
 
     def sum_mixture(self, n):
-        return MixtureRepresentation((MixtureComponent(ComponentFamily.BETA2,
-                                                       float(n), self.alpha, self.beta, 1.0),))
+        return MixtureRepresentation((Beta2Component(float(n), self.alpha, self.beta, 1.0),))
 
 
 @dataclass(frozen=True)
@@ -414,7 +429,7 @@ class LevyMixing(MixingDistribution):
         k, log_bell = _sqrt_bell(n, 0)
         weights = np.exp(log_bell + special.gammaln(k) - lgamma(n) + log(2.0))
         return MixtureRepresentation(tuple(
-            MixtureComponent(ComponentFamily.SQUARE_GAMMA, kj / 2.0, 0.0, self.lam, wj)
+            GammaPowerComponent(kj, 0.5, self.lam, wj)
             for kj, wj in zip(k.tolist(), weights.tolist())))
 
 
@@ -440,14 +455,9 @@ class PositiveStableMixing(MixingDistribution):
         expo = -s ** self.alpha
         if n == 0:
             return expo
-        log_s = np.log(s)
-        terms = []
-        for k in range(1, n + 1):
-            lb = _log_bell_power(n, k, self.alpha)
-            if lb == -inf:
-                continue
-            terms.append(expo + (k * self.alpha - n) * log_s + lb)
-        return _log_sum_exp(terms)
+        k = np.arange(1.0, n + 1.0).reshape((-1,) + (1,) * s.ndim)
+        log_bell = _power_bell(self.alpha)[n, 1:n + 1].reshape(k.shape)
+        return _log_sum_exp(expo + (k * self.alpha - n) * np.log(s) + log_bell)
 
     def _generator(self, t, scalar_in):
         return _ret((-np.log(t)) ** (1.0 / self.alpha), scalar_in)
@@ -458,14 +468,13 @@ class PositiveStableMixing(MixingDistribution):
         return inf
 
     def sum_mixture(self, n):
+        # generalized gamma components; the Bell triangle stops at DERIVATIVE_CAP
+        _check_order(n)
         a = self.alpha
-        comps = []
-        for k in range(1, n + 1):
-            lb = _log_bell_power(n, k, a)
-            w = 0.0 if lb == -inf else exp(lb + lgamma(k) - lgamma(n) - log(a))
-            comps.append(MixtureComponent(ComponentFamily.GENERALIZED_GAMMA,
-                                          a, float(k), 1.0, w))
-        return MixtureRepresentation(tuple(comps))
+        k = np.arange(1.0, n + 1.0)
+        weights = np.exp(_power_bell(a)[n, 1:n + 1] + special.gammaln(k) - lgamma(n) - log(a))
+        return MixtureRepresentation(tuple(
+            GammaPowerComponent(kj, a, 1.0, wj) for kj, wj in zip(k.tolist(), weights.tolist())))
 
     def kendall_tau(self):
         return 1.0 - self.alpha
@@ -671,16 +680,13 @@ class GleserGammaMixing(MixingDistribution):
         return inf
 
     def sum_mixture(self, n):
-        a, lam = self.alpha, self.lam
-        comps = []
-        for k in range(n):
-            sign_p, logp = log_abs_falling_factorial(a - 1.0, k)
-            w = 0.0 if sign_p == 0 else (-1.0) ** k * sign_p * exp(
-                logp + lgamma(n + a - k - 1.0) - lgamma(a)
-                - lgamma(k + 1) - lgamma(n - k))
-            comps.append(MixtureComponent(ComponentFamily.GAMMA,
-                                          n + a - k - 1.0, 0.0, lam, w))
-        return MixtureRepresentation(tuple(comps))
+        # gamma components Ga(n + alpha - k - 1, lam), k = 0..n-1, nonnegative weights
+        a = self.alpha
+        return MixtureRepresentation(tuple(
+            GammaPowerComponent(n + a - k - 1.0, 1.0, self.lam,
+                                exp(lf + lgamma(n + a - k - 1.0) - lgamma(a)
+                                    - lgamma(k + 1) - lgamma(n - k)))
+            for k, lf in enumerate(self._log_falling(n).tolist())))
 
     def neg_moment(self, r):
         # E(Theta^-r) = Gamma(alpha + r) / (lam^r r! Gamma(alpha)), by the

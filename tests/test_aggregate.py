@@ -8,7 +8,7 @@ from scipy import integrate, special
 
 from riskmix.aggregate import (
     AggregateModel,
-    ComponentFamily,
+    Beta2Component,
     gamma_claims_model,
     inverse_gaussian_model,
     lindley_model,
@@ -214,8 +214,7 @@ class TestMixtureRepresentation:
     def test_pareto_single_beta2(self):
         rep = mixture_representation(pareto_model(3.0, 1.0, 2))
         (c,) = rep.components
-        assert c.family is ComponentFamily.BETA2
-        assert (c.shape, c.shape2, c.scale, c.weight) == (2.0, 3.0, 1.0, 1.0)
+        assert c == Beta2Component(2, 3, 1, 1)
 
     def test_gamma_claims_shapes_and_weights(self):
         rep = mixture_representation(gamma_claims_model(0.5, 1.0, 2))
@@ -227,7 +226,7 @@ class TestMixtureRepresentation:
         alpha = 0.5
         rep2 = mixture_representation(weibull_model(alpha, 2))
         assert [c.weight for c in rep2.components] == pytest.approx([1 - alpha, alpha])
-        assert [c.shape2 for c in rep2.components] == [1.0, 2.0]
+        assert [c.shape for c in rep2.components] == [1.0, 2.0]
         rep3 = mixture_representation(weibull_model(alpha, 3))
         want = [(1 - alpha) * (2 - alpha) / 2, 3 * alpha * (1 - alpha) / 2, alpha ** 2]
         assert [c.weight for c in rep3.components] == pytest.approx(want)
@@ -235,7 +234,9 @@ class TestMixtureRepresentation:
     def test_weibull_half_weights(self):
         rep = mixture_representation(weibull_half_model(1.0, 3))
         assert [c.weight for c in rep.components] == pytest.approx([0.375, 0.375, 0.25])
-        assert [c.shape for c in rep.components] == pytest.approx([0.5, 1.0, 1.5])
+        # square-gamma a = 0.5, 1, 1.5: shapes 2a at power 1/2
+        assert [c.shape for c in rep.components] == pytest.approx([1.0, 2.0, 3.0])
+        assert [c.power for c in rep.components] == [0.5, 0.5, 0.5]
 
     @pytest.mark.parametrize("name", ["pareto", "gamma_claims", "weibull_half", "weibull"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -309,11 +310,11 @@ class TestMomentFromMixture:
         seen = set()
         for rep in reps:
             for c in rep.components:
-                seen.add(c.family)
+                seen.add((type(c), getattr(c, "power", None)))
                 total = integrate_density(c.pdf)
                 assert total == pytest.approx(1.0, abs=1e-9)
                 assert c.cdf(1e9) == pytest.approx(1.0, abs=1e-7)
-        assert len(seen) == 4  # every family exercised
+        assert len(seen) == 4  # beta2, and gamma powers 1, 1/2 and 0.4
 
 
 class TestBoundaryBehavior:
@@ -391,3 +392,8 @@ class TestBoundaryBehavior:
             pdf_generic(m, 1.0)
         with pytest.raises(DerivativeCapError):
             survival(pareto_model(3.0, 1.0, 80), 1.0)
+        # the stable mixture weights come from the Bell triangle, which stops
+        # at the cap: E(S_64) = 64 Gamma(1 + 1/alpha), and n = 65 is refused
+        assert moment(weibull_model(0.5, 64), 1) == pytest.approx(128.0, rel=1e-12)
+        with pytest.raises(DerivativeCapError):
+            mixture_representation(weibull_model(0.5, 65))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riskmix import cli
+from riskmix import aggregate, cli
 from riskmix.aggregate import weibull_model
 from riskmix.cli import main, make_parser, parse_grid, parse_levels, write_table
 from riskmix.simulate import SimulationPlan, load_samples, sample_vector
@@ -270,6 +270,28 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(out)
         assert all(r["status"] == "PASS" for r in doc["results"])
+
+
+    # the injected nan also reaches the quad integrals, which warn about it
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_nan_error_fails_its_row(self, capsys, monkeypatch):
+        # a nan density at x = 1 (the second quadrature point and the middle
+        # slope point) must FAIL both rows, not be dropped by the reduction
+        real_pdf = aggregate.pdf
+
+        def pdf_nan_at_one(model, x):
+            return math.nan if np.isscalar(x) and x == 1.0 else real_pdf(model, x)
+
+        monkeypatch.setattr(aggregate, "pdf", pdf_nan_at_one)
+        code, out, _ = run(capsys, ["verify", "--model", "pareto", "--alpha", "3",
+                                    "--beta", "1", "--n", "2", "--samples", "5000"])
+        assert code == 3
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        status = {name: st for name, _, _, st in rows}
+        assert status["quadrature_vs_pdf"] == "FAIL"
+        assert status["survival_slope_vs_pdf"] == "FAIL"
+        assert all(st == "FAIL" for _, err, _, st in rows if err == "nan")
+        assert status["closed_vs_generic"] == "PASS"
 
 
 def _reference_table(fmt, columns, rows, meta):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from riskmix.aggregate import pareto_model, pdf_closed
+from riskmix.aggregate import pareto_model, pdf, pdf_closed
 from riskmix.errors import NonexistentMomentError, UnsupportedModelError
 from riskmix.gammaext import (
     GammaMixtureModel,
@@ -54,6 +54,14 @@ class TestGammaMixtureSum:
         quad, _ = integrate.quad(f, 0, np.inf, limit=300)
         want = x ** (at - 1.0) / special.gamma(at) * quad
         assert gm_sum_pdf(gm, x) == pytest.approx(want, rel=1e-9)
+
+    def test_integer_path_at_huge_x(self):
+        # shapes summing to 5 under Ga(3, 1) give the Pareto(3, 1) sum of 5 claims
+        gm = GammaMixtureModel((1.0, 2.0, 2.0), GammaMixing(3.0, 1.0))
+        for x in (1.0, 1e50, 1e100, 1e300):
+            got = gm_sum_pdf(gm, x)
+            assert math.isfinite(got)
+            assert got == pytest.approx(pdf(pareto_model(3.0, 1.0, 5), x), rel=1e-12)
 
     def test_fractional_shapes_by_quadrature(self):
         gm = GammaMixtureModel((1.5, 1.2), GammaMixing(3.0, 1.0))

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -9,18 +10,24 @@ from riskmix.errors import (
     NonexistentMomentError,
     UnsupportedModelError,
 )
+from riskmix.aggregate import pdf, survival, weibull_model
 from riskmix.mixing import (
+    DERIVATIVE_CAP,
+    Beta2Component,
     BetaSecondKindMixing,
     GammaMixing,
+    GammaPowerComponent,
     GleserGammaMixing,
     InverseGaussianMixing,
     LevyMixing,
     LindleyMixing,
     PositiveStableMixing,
     _log_sum_exp,
+    _power_bell,
+    _sqrt_bell,
     faa_di_bruno,
 )
-from riskmix.specfun import falling_factorial
+from riskmix.specfun import falling_factorial, log_abs_falling_factorial, log_bell_partial
 
 ALL_KINDS = [
     GammaMixing(3.0, 1.0),
@@ -276,6 +283,114 @@ class TestLevyBesselIdentity:
                         * bessel_k_half(n - 1, m.lam * math.sqrt(x)))
                 got = (-1.0) ** n * m.laplace_derivative(n, x)
                 assert got == pytest.approx(want, rel=1e-12)
+
+
+def stable_leibniz_log_d(alpha, s, kmax, dps=50):
+    """log D_k, k = 0..kmax, with D_k = (-1)^k L^(k)(s) for L(s) = exp(-s^alpha):
+    with p_j = |(alpha)_j| s^(alpha-j), Leibniz on L' = -g' L gives the
+    positive recurrence D_(m+1) = sum_j C(m, j) p_(j+1) D_(m-j)."""
+    with mp.workdps(dps):
+        a, x = mp.mpf(alpha), mp.mpf(s)
+        p = [mp.mpf(0)]
+        ff = mp.mpf(1)
+        for j in range(1, kmax + 1):
+            ff *= a - (j - 1)
+            p.append(abs(ff) * x ** (a - j))
+        d = [mp.exp(-x ** a)]
+        for m in range(kmax):
+            d.append(mp.fsum(math.comb(m, j) * p[j + 1] * d[m - j] for j in range(m + 1)))
+        return [float(mp.log(v)) for v in d]
+
+
+class TestPowerBellTriangle:
+    def test_half_equals_sqrt_closed_form(self):
+        # two derivations of the same coefficients: recurrence and Bessel form
+        table = _power_bell(0.5)
+        for n in range(1, DERIVATIVE_CAP + 1):
+            _, want = _sqrt_bell(n, 0)
+            assert np.max(np.abs(table[n, 1:n + 1] - want)) <= 3e-13
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.9])
+    def test_matches_log_bell_partial(self, alpha):
+        table = _power_bell(alpha)
+        for n in range(1, 25):
+            for k in range(1, n + 1):
+                logs = [log_abs_falling_factorial(alpha, j)[1] for j in range(1, n - k + 2)]
+                assert table[n, k] == pytest.approx(log_bell_partial(n, k, logs), abs=3e-13)
+            assert np.all(table[n, n + 1:] == -np.inf) and table[n, 0] == -np.inf
+
+    def test_alpha_one_zero_pattern(self):
+        # (1)_1 = 1 and (1)_j = 0 for j >= 2: B_{n,k} = 1 if k = n, else 0
+        table = _power_bell(1.0)
+        assert np.array_equal(table == -np.inf, ~np.eye(DERIVATIVE_CAP + 1, dtype=bool))
+        assert np.all(np.diag(table) == 0.0)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            _power_bell(0.5)[1, 1] = 0.0
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.9, 1.0])
+    def test_stable_kernel_against_mpmath(self, alpha):
+        m = PositiveStableMixing(alpha)
+        for s in (1e-3, 0.5, 3.0, 50.0, 1e4):
+            want = stable_leibniz_log_d(alpha, s, DERIVATIVE_CAP)
+            for k in range(DERIVATIVE_CAP + 1):
+                got = float(m.log_abs_laplace_derivative(k, np.asarray(s)))
+                assert got == pytest.approx(want[k], rel=1e-14, abs=1e-14)
+
+    def test_one_cache_entry_per_alpha(self):
+        alpha = 0.4321
+        before = _power_bell.cache_info().currsize
+        xs = np.logspace(-2, 2, 7)
+        for n in range(2, DERIVATIVE_CAP + 1):
+            m = weibull_model(alpha, n)
+            survival(m, xs)
+            pdf(m, xs)
+        assert _power_bell.cache_info().currsize == before + 1
+
+
+def integrate_density(f):
+    v1, _ = integrate.quad(f, 0, 1, limit=400)
+    v2, _ = integrate.quad(f, 1, np.inf, limit=400)
+    return v1 + v2
+
+
+COMPONENTS = [
+    GammaPowerComponent(2.5, 1.0, 1.5, 1.0),   # gamma
+    GammaPowerComponent(3.0, 0.5, 1.2, 1.0),   # square-gamma a = 1.5
+    GammaPowerComponent(2.0, 0.7, 1.0, 1.0),   # generalized gamma
+    Beta2Component(2.0, 4.0, 1.5, 1.0),
+]
+
+
+class TestMixtureComponents:
+    @pytest.mark.parametrize("c", COMPONENTS)
+    def test_is_a_distribution(self, c):
+        assert integrate_density(c.pdf) == pytest.approx(1.0, abs=1e-9)
+        assert c.cdf(1e9) == pytest.approx(1.0, abs=1e-7)
+        assert c.cdf(0.0) == 0.0 and c.pdf(0.0) == 0.0 and c.pdf(-1.0) == 0.0
+        assert c.moment(0) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("c", COMPONENTS)
+    def test_moments_against_quadrature(self, c):
+        for r in (1, 2, 2.5):
+            want = integrate_density(lambda x: x ** r * c.pdf(x))
+            assert c.moment(r) == pytest.approx(want, rel=1e-8)
+            for x in (0.5, 2.0):
+                part, _ = integrate.quad(lambda t: t ** r * c.pdf(t), 0, x, limit=400)
+                assert c.incomplete_moment_cdf(r, x) == pytest.approx(part / want, rel=1e-8)
+
+    def test_cdf_is_integrated_pdf(self):
+        for c in COMPONENTS:
+            for x in (0.3, 1.0, 5.0):
+                want, _ = integrate.quad(c.pdf, 0, x, limit=400)
+                assert c.cdf(x) == pytest.approx(want, rel=1e-9)
+
+    def test_beta2_moment_divergence(self):
+        c = Beta2Component(2.0, 3.0, 1.0, 1.0)
+        for fn in (c.moment, lambda r: c.incomplete_moment_cdf(r, 1.0)):
+            with pytest.raises(NonexistentMomentError):
+                fn(3)
 
 
 class TestNegativeMoments:
