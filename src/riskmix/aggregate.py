@@ -16,9 +16,9 @@ boundary x <= 0.  The density has two entry points:
 
 The survival sums the law's log-space derivative kernel
 (MixingDistribution.log_abs_laplace_derivative) in one log-space reduction,
-so it is finite for every x.  Cdf, moments and the finite mixture
-representation (with the moments of a mixture) are built on the same law
-methods.
+so it is finite for every x; the tail moments reuse its terms.  Cdf, moments
+and the finite mixture representation (with the moments of a mixture) are
+built on the same law methods.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,6 @@ from math import exp, lgamma
 import numpy as np
 
 from .dependence import DependentVector
-from .errors import UnsupportedModelError
 from .mixing import (
     Beta2Component,
     GammaMixing,
@@ -162,12 +161,16 @@ def survival(model: AggregateModel, x):
     out = np.ones_like(x_arr, dtype=float)
     pos = x_arr > 0
     if np.any(pos):
-        xs = x_arr[pos]
-        m, log_x = model.mixing, np.log(xs)
-        out[pos] = np.exp(_log_sum_exp([k * log_x - lgamma(k + 1.0)
-                                        + m.log_abs_laplace_derivative(k, xs)
-                                        for k in range(model.n)]))
+        out[pos] = np.exp(_log_sum_exp(_log_survival_terms(model, x_arr[pos])))
     return _ret(out, scalar_in)
+
+
+def _log_survival_terms(model: AggregateModel, xs):
+    """The n log-space terms k log x - log k! + log|L^(k)(x)|, k = 0..n-1, of
+    the survival sum on an array xs > 0, as a list of arrays shaped like xs."""
+    m, log_x = model.mixing, np.log(xs)
+    return [k * log_x - lgamma(k + 1.0) + m.log_abs_laplace_derivative(k, xs)
+            for k in range(model.n)]
 
 
 def cdf(model: AggregateModel, x):
@@ -175,16 +178,10 @@ def cdf(model: AggregateModel, x):
 
 
 def moment(model: AggregateModel, r: int) -> float:
-    """E(S_n^r) = Gamma(n+r)/Gamma(n) * E(Theta^-r); frailties without
-    negative moments (stable laws) route through the mixture representation."""
+    """E(S_n^r) = Gamma(n+r)/Gamma(n) * E(Theta^-r)."""
     if r < 1:
         raise ValueError("moment order must be >= 1")
-    try:
-        neg = model.mixing.neg_moment(r)
-    except UnsupportedModelError:
-        rep = mixture_representation(model)
-        return moment_from_mixture(rep, r)
-    return exp(lgamma(model.n + r) - lgamma(model.n)) * neg
+    return exp(lgamma(model.n + r) - lgamma(model.n)) * model.mixing.neg_moment(r)
 
 
 def mean(model: AggregateModel) -> float:

@@ -639,8 +639,7 @@ def main(argv=None) -> int:
         return 2
 
     meta = {"model": model_meta(cfg), "command": command, "seed": cfg.get("seed"),
-            "tolerances": {"var_rtol": riskmeasures._VAR_RTOL,
-                           "quad_epsabs": riskmeasures._QUAD_OPTS["epsabs"]}}
+            "tolerances": {"var_rtol": riskmeasures._VAR_RTOL}}
     write_table(cfg.get("output"), cfg["fmt"], cols, rows, meta)
     if command == "verify" and any(row[-1] == "FAIL" for row in rows):
         return 3

@@ -20,6 +20,10 @@ Multi-term kernels reduce with _log_sum_exp, a numpy max-shift.  The
 second-kind beta kernel is the log of a Kummer integral, evaluated for a
 whole array s at once (specfun.log_kummer_u_integral).
 
+Negative orders k = -j give the j-fold integrated transform
+log E(Theta^-j e^{-s Theta}) that the tail moments of S_n sum (each law's
+_log_integrated); an array of them is evaluated in one pass.
+
 Laplace derivatives of the exp-of-composition laws (Levy, positive stable,
 inverse Gaussian) are assembled from partial Bell polynomials whose
 coefficients are kept in log space, so orders up to DERIVATIVE_CAP stay
@@ -88,6 +92,13 @@ def _check_order(n: int, lowest: int = 1):
             f"derivative order {n} exceeds cap {DERIVATIVE_CAP}; "
             "higher orders would silently lose precision"
         )
+
+
+def _require_above(j, name, value):
+    """E(Theta^-j e^{-s Theta}) diverges unless the shape `name` exceeds every order j."""
+    if value <= np.max(j):
+        raise NonexistentMomentError(
+            f"E(Theta^-{np.max(j)} e^(-s Theta)) requires {name} > {np.max(j)}, got {value}")
 
 
 def _ret(value, scalar_in):
@@ -168,18 +179,9 @@ class GammaPowerComponent:
         return _density(lambda t: (log(p) + a * log(lam) + (p * a - 1.0) * np.log(t)
                                    - lam * t ** p - lgamma(a)), x)
 
-    def cdf(self, x: float) -> float:
-        return self.incomplete_moment_cdf(0, x)
-
     def moment(self, r: float) -> float:
         a, p = self.shape, self.power
         return exp(lgamma(a + r / p) - lgamma(a) - r / p * log(self.rate))
-
-    def incomplete_moment_cdf(self, r: float, x: float) -> float:
-        """F^(r)(x) = int_0^x t^r f(t) dt / E(X^r), the r-th incomplete moment cdf."""
-        if x <= 0:
-            return 0.0
-        return float(special.gammainc(self.shape + r / self.power, self.rate * x ** self.power))
 
 
 @dataclass(frozen=True)
@@ -197,26 +199,13 @@ class Beta2Component:
         return _density(lambda t: ((a - 1.0) * np.log(t) - a * log(s) - special.betaln(a, b)
                                    - (a + b) * np.log1p(t / s)), x)
 
-    def cdf(self, x: float) -> float:
-        return self.incomplete_moment_cdf(0, x)
-
-    def _check_moment(self, r):
+    def moment(self, r: float) -> float:
         if r >= self.shape2:
             raise NonexistentMomentError(
                 f"beta2 moment of order {r} needs second shape > {r}, got {self.shape2}"
             )
-
-    def moment(self, r: float) -> float:
-        self._check_moment(r)
         a, b = self.shape1, self.shape2
         return exp(r * log(self.scale) + lgamma(a + r) + lgamma(b - r) - lgamma(a) - lgamma(b))
-
-    def incomplete_moment_cdf(self, r: float, x: float) -> float:
-        """F^(r)(x) = int_0^x t^r f(t) dt / E(X^r), the r-th incomplete moment cdf."""
-        self._check_moment(r)
-        if x <= 0:
-            return 0.0
-        return float(special.betainc(self.shape1 + r, self.shape2 - r, x / (x + self.scale)))
 
 
 @dataclass(frozen=True)
@@ -240,9 +229,6 @@ class MixtureRepresentation:
                   for c in self.components)
         return _ret(out, scalar_in)
 
-    def cdf(self, x: float) -> float:
-        return sum(c.weight * c.cdf(x) for c in self.components)
-
 
 class MixingDistribution:
     """Base interface for frailty laws; instances are immutable."""
@@ -251,11 +237,18 @@ class MixingDistribution:
     has_density = True
     support = (0.0, inf)
 
-    def log_abs_laplace_derivative(self, k: int, s):
+    def log_abs_laplace_derivative(self, k, s):
         """log|L^(k)(s)| on an array s > 0, for 0 <= k <= DERIVATIVE_CAP; k = 0
         is log L and also takes s = 0.  (-1)^k L^(k) >= 0 for every law in
-        the catalog."""
-        raise NotImplementedError
+        the catalog.
+
+        A negative order k = -j (or an integer array of them that broadcasts
+        against s) is log E(Theta^-j e^{-s Theta}) on s > 0, the j-fold
+        integrated transform; NonexistentMomentError where it diverges."""
+        if isinstance(k, np.ndarray) or k < 0:
+            return self._log_integrated(-np.asarray(k), s)
+        _check_order(k, 0)
+        return self._log_derivative(k, s)
 
     def laplace(self, s):
         """L(s) = E(e^{-s Theta}) = exp(log L(s)), s >= 0."""
@@ -282,7 +275,9 @@ class MixingDistribution:
         raise NotImplementedError
 
     def neg_moment(self, r: int) -> float:
-        raise NotImplementedError
+        """E(Theta^-r), the integrated transform at s = 0; laws whose transform
+        needs s > 0 override it."""
+        return float(np.exp(self._log_integrated(r, np.array(0.0))))
 
     def sample(self, size, rng) -> np.ndarray:
         raise NotImplementedError
@@ -330,20 +325,17 @@ class GammaMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(alpha=self.alpha, beta=self.beta)
 
-    def log_abs_laplace_derivative(self, k, s):
-        _check_order(k, 0)
+    def _log_derivative(self, k, s):
         a, b = self.alpha, self.beta
-        return lgamma(a + k) - lgamma(a) - k * log(b) - (a + k) * np.log1p(s / b)
+        return special.gammaln(a + k) - lgamma(a) - k * log(b) - (a + k) * np.log1p(s / b)
+
+    def _log_integrated(self, j, s):
+        # the closed form at k = -j
+        _require_above(j, "alpha", self.alpha)
+        return self._log_derivative(-j, s)
 
     def _generator(self, t, scalar_in):
         return _ret(self.beta * np.expm1(-np.log(t) / self.alpha), scalar_in)
-
-    def neg_moment(self, r):
-        if r >= self.alpha:
-            raise NonexistentMomentError(
-                f"E(Theta^-{r}) requires alpha > {r}, got alpha={self.alpha}"
-            )
-        return self.beta ** r * exp(lgamma(self.alpha - r) - lgamma(self.alpha))
 
     def sample(self, size, rng):
         return rng.gamma(shape=self.alpha, scale=1.0 / self.beta, size=size)
@@ -382,22 +374,25 @@ class LevyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def log_abs_laplace_derivative(self, n, s):
-        _check_order(n, 0)
+    def _log_derivative(self, n, s):
         expo = -self.lam * np.sqrt(s)
         if n == 0:
             return expo
         k, log_bell = _sqrt_bell(n, s.ndim)
         return _log_sum_exp(k * log(self.lam) + expo + (0.5 * k - n) * np.log(s) + log_bell)
 
+    def _log_integrated(self, j, s):
+        # (lam/sqrt(pi)) (2z/lam^2)^(j+1/2) K_{j+1/2}(z), z = lam sqrt(s)
+        z = self.lam * np.sqrt(s)
+        return (log(self.lam / math.sqrt(math.pi)) + (j + 0.5) * np.log(2.0 * z / self.lam ** 2)
+                + np.log(special.kve(j + 0.5, z)) - z)
+
     def _generator(self, t, scalar_in):
         return _ret((-np.log(t) / self.lam) ** 2, scalar_in)
 
     def neg_moment(self, r):
-        raise UnsupportedModelError(
-            "negative moments of stable frailties are not implemented; "
-            "route aggregate moments through the mixture representation"
-        )
+        # Theta = lam^2 / (2 N^2): E(Theta^-r) = (2r)! / (r! lam^(2r))
+        return exp(lgamma(1.0 + 2.0 * r) - lgamma(1.0 + r) - 2.0 * r * log(self.lam))
 
     def sample(self, size, rng):
         n = rng.standard_normal(size)
@@ -450,14 +445,33 @@ class PositiveStableMixing(MixingDistribution):
         if not (0 < self.alpha <= 1):
             raise ValueError(f"stable index must lie in (0, 1], got {self.alpha}")
 
-    def log_abs_laplace_derivative(self, n, s):
-        _check_order(n, 0)
+    def _log_derivative(self, n, s):
         expo = -s ** self.alpha
         if n == 0:
             return expo
         k = np.arange(1.0, n + 1.0).reshape((-1,) + (1,) * s.ndim)
         log_bell = _power_bell(self.alpha)[n, 1:n + 1].reshape(k.shape)
         return _log_sum_exp(expo + (k * self.alpha - n) * np.log(s) + log_bell)
+
+    def _log_integrated(self, j, s):
+        # int_s^inf (t-s)^(j-1)/(j-1)! e^{-t^alpha} dt = (1/alpha) sum_i C(j-1, i) (-s)^(j-1-i)
+        # Gamma((i+1)/alpha, s^alpha) / (j-1)!; from j = 2 on the signed terms cancel about
+        # log10(alpha s^alpha) digits per order
+        a = self.alpha
+        i = np.arange(np.max(j)).reshape((-1,) + (1,) * max(np.ndim(j), np.ndim(s)))
+        p, x = (i + 1.0) / a, s ** a
+        q = special.gammaincc(p, x)
+        log_upper = np.log(np.maximum(q, 1e-300)) + special.gammaln(p)
+        if q.min() <= 1e-300:
+            # log Gamma(p, x) = p log x - x + log U(1, 1+p, x) where gammaincc underflows
+            far = np.maximum(x, 600.0)
+            u = p * np.log(far) - far + np.log(special.hyperu(1.0, 1.0 + p, far))
+            log_upper = np.where(q > 1e-300, log_upper, u)
+        log_terms = np.where(i < j, (j - 1 - i) * np.log(s) + log_upper - special.gammaln(i + 1.0)
+                             - special.gammaln(np.maximum(j - i, 1.0)), -inf)
+        shift = log_terms.max(axis=0)  # finite: the i = 0 term always is
+        signed = np.sum((-1.0) ** (j - 1 - i) * np.exp(log_terms - shift), axis=0)
+        return shift + np.log(signed) - log(a)
 
     def _generator(self, t, scalar_in):
         return _ret((-np.log(t)) ** (1.0 / self.alpha), scalar_in)
@@ -480,10 +494,7 @@ class PositiveStableMixing(MixingDistribution):
         return 1.0 - self.alpha
 
     def neg_moment(self, r):
-        raise UnsupportedModelError(
-            "negative moments of stable frailties are not implemented; "
-            "route aggregate moments through the mixture representation"
-        )
+        return exp(lgamma(1.0 + r / self.alpha) - lgamma(1.0 + r))
 
     def sample(self, size, rng):
         # Chambers-Mallows-Stuck restricted to the one-sided case
@@ -513,8 +524,7 @@ class InverseGaussianMixing(MixingDistribution):
     def _b(self):
         return 2.0 * self.mu ** 2 / self.lam
 
-    def log_abs_laplace_derivative(self, n, s):
-        _check_order(n, 0)
+    def _log_derivative(self, n, s):
         b = self._b
         c = 1.0 + b * s
         expo = -self.lam / self.mu * (np.sqrt(c) - 1.0)
@@ -524,23 +534,17 @@ class InverseGaussianMixing(MixingDistribution):
         return _log_sum_exp(k * log(self.lam / self.mu) + expo + n * log(b)
                             + (0.5 * k - n) * np.log(c) + log_bell)
 
+    def _log_integrated(self, j, s):
+        # sqrt(2 lam/pi) (sqrt(c)/mu)^(j+1/2) e^{lam/mu} K_{j+1/2}(z), c = 1 + b s,
+        # z = (lam/mu) sqrt(c)
+        c = 1.0 + self._b * s
+        z = self.lam / self.mu * np.sqrt(c)
+        return (0.5 * log(2.0 * self.lam / math.pi) + (j + 0.5) * (0.5 * np.log(c) - log(self.mu))
+                + np.log(special.kve(j + 0.5, z)) - self.lam / self.mu * (np.sqrt(c) - 1.0))
+
     def _generator(self, t, scalar_in):
         lam, mu = self.lam, self.mu
         return _ret(lam / (2 * mu ** 2) * ((1.0 - mu / lam * np.log(t)) ** 2 - 1.0), scalar_in)
-
-    def pos_moment(self, r: int) -> float:
-        """E(Theta^r) for integer r >= 1 via the finite Bessel-type sum."""
-        if r < 1:
-            raise ValueError("positive moment order must be >= 1")
-        acc = 0.0
-        for s_ in range(r):
-            acc += (math.factorial(r - 1 + s_)
-                    / (math.factorial(s_) * math.factorial(r - 1 - s_))
-                    * (2.0 * self.lam / self.mu) ** (-s_))
-        return self.mu ** r * acc
-
-    def neg_moment(self, r):
-        return self.pos_moment(r + 1) / self.mu ** (2 * r + 1)
 
     def sum_pdf_at_zero(self, n):
         return self.mu if n == 1 else 0.0
@@ -579,13 +583,15 @@ class LindleyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def log_abs_laplace_derivative(self, k, s):
+    def _log_derivative(self, k, s):
         # lam^2/(1+lam) * (k! y^-(k+1) + (k+1)! y^-(k+2)), y = lam + s
-        _check_order(k, 0)
         lam = self.lam
         y = lam + s
         return (2.0 * log(lam) - math.log1p(lam) + lgamma(k + 1.0)
                 - (k + 1.0) * np.log(y) + np.log1p((k + 1.0) / y))
+
+    def _log_integrated(self, j, s):
+        raise NonexistentMomentError("E(Theta^-j e^(-s Theta)) diverges for the Lindley law")
 
     def _generator(self, t, scalar_in):
         lam = self.lam
@@ -593,11 +599,6 @@ class LindleyMixing(MixingDistribution):
         disc = np.sqrt(lam ** 4 + 4.0 * t * (1.0 + lam) * lam ** 2)
         y = (lam ** 2 + disc) / (2.0 * t * (1.0 + lam))
         return _ret(y - lam, scalar_in)
-
-    def neg_moment(self, r):
-        raise NonexistentMomentError(
-            "E(Theta^-r) diverges for the Lindley law (density positive at 0)"
-        )
 
     def sum_pdf(self, n, x):
         return lindley_sum_pdf(self.lam, n, x)
@@ -639,8 +640,7 @@ class GleserGammaMixing(MixingDistribution):
             raise ValueError(f"shape must lie in (0, 1], got {self.alpha}")
         _require_positive(lam=self.lam)
 
-    def log_abs_laplace_derivative(self, n, s):
-        _check_order(n, 0)
+    def _log_derivative(self, n, s):
         a, lam = self.alpha, self.lam
         if n == 0:
             with np.errstate(divide="ignore"):
@@ -650,6 +650,16 @@ class GleserGammaMixing(MixingDistribution):
         return _log_sum_exp(lgamma(n) - special.gammaln(k + 1) - special.gammaln(n - k)
                             + (n - 1 - k) * log(lam) + self._log_falling(n).reshape(col)
                             + (a - 1.0 - k) * np.log(s) - lam * s + a * log(lam) - lgamma(a))
+
+    def _log_integrated(self, j, s):
+        # e^{-lam s} lam^-j / B(alpha, 1-alpha) * I(1-alpha, 1-alpha-j, lam s), every j
+        # in one Kummer integral; alpha = 1 is the point mass at lam
+        a, lam = self.alpha, self.lam
+        base = -j * log(lam) - lam * s
+        if a == 1.0:
+            return base
+        return (base + log_kummer_u_integral(1.0 - a, 1.0 - a - j, lam * s)
+                - lgamma(a) - lgamma(1.0 - a))
 
     def _log_falling(self, n):
         """log|(alpha-1)_k| for k = 0..n-1, -inf where the product vanishes
@@ -727,16 +737,19 @@ class BetaSecondKindMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(beta=self.beta, gam=self.gam)
 
-    def log_abs_laplace_derivative(self, n, s):
-        # E(Theta^n e^{-s Theta}) = Gamma(beta+n) U(beta+n, n+1-gam, s) / B(beta, gam)
-        _check_order(n, 0)
-        lb = special.betaln(self.beta, self.gam)
+    def _log_derivative(self, n, s):
         if n == 0:
             # L(0) = 1; the Kummer integral needs s > 0
             zero = s == 0.0
-            return np.where(zero, 0.0, log_kummer_u_integral(
-                self.beta, 1.0 - self.gam, np.where(zero, 1.0, s)) - lb)
-        return log_kummer_u_integral(self.beta + n, n + 1.0 - self.gam, s) - lb
+            return np.where(zero, 0.0, self._log_integrated(0, np.where(zero, 1.0, s)))
+        return self._log_integrated(-n, s)
+
+    def _log_integrated(self, j, s):
+        # E(Theta^-j e^{-s Theta}) = Gamma(beta-j) U(beta-j, 1-j-gam, s) / B(beta, gam),
+        # for every order k = -j
+        _require_above(j, "beta", self.beta)
+        return (log_kummer_u_integral(self.beta - j, 1.0 - j - self.gam, s)
+                - special.betaln(self.beta, self.gam))
 
     def _generator(self, t, scalar_in):
         t_arr = np.atleast_1d(t)

@@ -1,7 +1,6 @@
 """Risk measures on the aggregate distribution: VaR by a safeguarded Newton
-iteration on the log survival function, TVaR, and conditional upper tail
-moments, including the finite-mixture decomposition
-    E(X^r | X > a) = sum_k pi_k (1 - F_k(a)) / (1 - F(a)) * E(X_k^r | X_k > a).
+iteration on the log survival function, and TVaR and conditional upper tail
+moments as one log-space kernel sum.
 
 Level convention: value_at_risk(model, level) returns the x with
 F(x) = level, i.e. level is the probability of NOT exceeding the returned
@@ -16,38 +15,39 @@ dg/du = -x f / S (S' = -f), bisecting whenever a step leaves the bracket.
 Below level 0.5 it iterates on g = log F - log(level) instead, with F = 1 - S
 from the same survival call and dg/du = x f / F: there log S is strongly
 concave in log x and a first Newton step on it overshoots.  It stops on
-brentq's tolerances, xtol = 1e-14 and rtol = 1e-12.
+brentq's tolerances, xtol = 1e-14 and rtol = 1e-12, and returns the point of
+its last survival evaluation, which already lies within them of the root.
+
+Tail moments.  Given Theta, S_n is Gamma(n, Theta), so
+    E(S^r 1{S > a}) = Gamma(n+r)/Gamma(n) sum_{k=0}^{n+r-1} a^k/k! E(Theta^(k-r) e^(-Theta a)),
+a sum of positive terms: for k >= r the survival terms at a, shifted by
+r log a + log (k-r)! - log k!; for k < r the law's kernel at the negative
+order r - k.  It is one log-space reduction, divided by S(a).  risk_report
+takes the survival terms of VaR's last evaluation, so S(a) and the k >= r
+block cost no kernel call.
 """
 
 from dataclasses import dataclass
-from math import exp, inf, log, log1p, sqrt
+from math import exp, inf, lgamma, log, log1p, sqrt
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
-from .aggregate import (
-    AggregateModel,
-    MixtureRepresentation,
-    mixture_representation,
-    moment,
-    moment_from_mixture,
-    pdf,
-    survival,
-)
-from .errors import RiskmixError, TailUnderflowError, UnsupportedModelError
+from .aggregate import AggregateModel, _log_survival_terms, moment, pdf, survival
+from .errors import RiskmixError, TailUnderflowError
 
 __all__ = ["RiskReport", "value_at_risk", "tail_moment", "tvar", "risk_report"]
 
 _DEEPEST_LEVEL = 1.0 - 1e-12
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=300)
 # bracketing grid 2^-40 .. 2^996, a factor 2 apart, in two parts that share
 # 2^40: the far part is evaluated only for a quantile beyond the near one
 _VAR_GRIDS = (2.0 ** np.arange(-40, 41), 2.0 ** np.arange(40, 997))
 _VAR_XTOL, _VAR_RTOL, _VAR_MAXITER = 1e-14, 1e-12, 100
 
 
-def value_at_risk(model: AggregateModel, level: float) -> float:
-    """Quantile of S_n: the unique x with survival(x) = 1 - level."""
+def _value_at_risk(model: AggregateModel, level: float):
+    """VaR and the survival terms (_log_survival_terms, as one array) of the
+    last evaluation there."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie strictly between 0 and 1")
     if level >= _DEEPEST_LEVEL:
@@ -77,69 +77,63 @@ def value_at_risk(model: AggregateModel, level: float) -> float:
     sign, log_p_target = (-1.0, log(level)) if lower else (1.0, log_target)
     for _ in range(_VAR_MAXITER):
         # Newton in u = log x: h = +-(log P - log P*) > 0 below the root, dh/du = -x f / P
-        s = survival(model, x)
+        terms = np.concatenate(_log_survival_terms(model, np.array([x])))
+        s = exp(np.logaddexp.reduce(terms))
         p = 1.0 - s if lower else s
         h = sign * ((log(p) if p > 0.0 else -inf) - log_p_target)
         if h == 0.0:
-            return x
+            return x, terms
         if h > 0.0:
             lo = x
         else:
             hi = x
         if hi - lo <= _VAR_XTOL + _VAR_RTOL * hi:
-            return 0.5 * (lo + hi)
+            return x, terms
         slope = x * pdf(model, x) / p if p > 0.0 else 0.0
         new = x * exp(min(h / slope, 700.0)) if slope > 0.0 else 0.0
         if not (lo <= new <= hi and new > 0.0):
             new = sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
         if abs(new - x) <= _VAR_XTOL + _VAR_RTOL * new:
-            return new
+            return x, terms
         x = new
     raise RiskmixError(f"VaR iteration did not converge in {_VAR_MAXITER} steps")
 
 
-def _tail_moment_quadrature(model: AggregateModel, r: int, a: float) -> float:
-    denom = survival(model, a)
-    if denom <= 1e-300:
+def value_at_risk(model: AggregateModel, level: float) -> float:
+    """Quantile of S_n: the unique x with survival(x) = 1 - level."""
+    return _value_at_risk(model, level)[0]
+
+
+def _tail_moments(model: AggregateModel, a: float, terms, orders) -> dict:
+    """{r: E(S^r | S > a)} for a > 0, from the survival terms at a."""
+    log_surv = np.logaddexp.reduce(terms)
+    if exp(log_surv) <= 1e-300:
         raise TailUnderflowError(f"survival({a}) underflows; tail moment is noise")
-    num, _ = integrate.quad(lambda x: x ** r * pdf(model, x), a, np.inf, **_QUAD_OPTS)
-    return num / denom
+    n, top = model.n, max(orders)
+    # E(Theta^-j e^(-Theta a)) for j = 1..top in one kernel call, and log k! - k log a
+    neg = model.mixing.log_abs_laplace_derivative(-np.arange(1, top + 1), np.array([a]))
+    lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log(a)
+    out = {}
+    for r in orders:
+        # k >= r: the survival term of order k - r times a^r (k-r)!/k!;
+        # k < r: a^k/k! E(Theta^(k-r) e^(-Theta a))
+        log_num = np.logaddexp.reduce(np.concatenate((terms + lf[:n] - lf[r:n + r],
+                                                      neg[r - 1::-1] - lf[:r])))
+        out[r] = exp(lgamma(n + r) - lgamma(n) + log_num - log_surv)
+    return out
 
 
-def _tail_moment_mixture(rep: MixtureRepresentation, r: int, a: float) -> float:
-    total = moment_from_mixture(rep, r)
-    surv = 1.0 - rep.cdf(a)
-    if surv <= 1e-300:
-        raise TailUnderflowError(f"mixture survival at {a} underflows")
-    # E(X^r) (1 - F^(r)(a)) / (1 - F(a)) applied componentwise
-    num = sum(c.weight * c.moment(r) * (1.0 - c.incomplete_moment_cdf(r, a))
-              for c in rep.components)
-    if total <= 0:
-        raise ValueError("mixture has nonpositive total moment")
-    return num / surv
-
-
-def tail_moment(target, r: int, a: float) -> float:
-    """Conditional upper tail moment E(X^r | X > a); a = 0 gives E(X^r).
-
-    Accepts an AggregateModel (quadrature against the exact pdf) or a
-    MixtureRepresentation (componentwise incomplete-moment formula).
-    """
+def tail_moment(model: AggregateModel, r: int, a: float) -> float:
+    """Conditional upper tail moment E(S_n^r | S_n > a); a = 0 gives E(S_n^r)."""
     if r < 1:
         raise ValueError("moment order must be >= 1")
     if a < 0:
         raise ValueError("threshold must be nonnegative")
-    if isinstance(target, MixtureRepresentation):
-        if a == 0.0:
-            return moment_from_mixture(target, r)
-        return _tail_moment_mixture(target, r, a)
-    if isinstance(target, AggregateModel):
-        # existence check up front so divergent tails fail loudly
-        moment(target, r)
-        if a == 0.0:
-            return moment(target, r)
-        return _tail_moment_quadrature(target, r, a)
-    raise TypeError("target must be an AggregateModel or MixtureRepresentation")
+    plain = moment(model, r)  # a divergent moment raises here
+    if a == 0.0:
+        return plain
+    terms = np.concatenate(_log_survival_terms(model, np.array([float(a)])))
+    return _tail_moments(model, a, terms, (r,))[r]
 
 
 def tvar(model: AggregateModel, level: float) -> float:
@@ -159,19 +153,13 @@ def risk_report(model: AggregateModel, level: float, orders=(1, 2)) -> RiskRepor
     """VaR/TVaR bundle with tail moments of the requested orders.
 
     Every moment the report needs must exist; a divergent one raises
-    NonexistentMomentError before the VaR search.  Tail moments use the
-    mixture decomposition when the model has one (it is exact and fast) and
-    quadrature on the density otherwise.
+    NonexistentMomentError before the VaR search.  The tail moments are one
+    kernel sum at VaR, on the survival terms of its last evaluation.
     """
-    needed = dict.fromkeys((1, *orders))
+    needed = tuple(dict.fromkeys((1, *orders)))
     for r in needed:
         moment(model, r)
-    a = value_at_risk(model, level)
-    try:
-        rep = mixture_representation(model)
-    except UnsupportedModelError:
-        tail = {r: _tail_moment_quadrature(model, r, a) for r in needed}
-    else:
-        tail = {r: _tail_moment_mixture(rep, r, a) for r in needed}
+    a, terms = _value_at_risk(model, level)
+    tail = _tail_moments(model, a, terms, needed)
     return RiskReport(level=level, var=a, tvar=tail[1],
                       tail_moments=tuple((r, tail[r]) for r in orders))

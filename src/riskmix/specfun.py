@@ -171,10 +171,10 @@ def bessel_k_half(n: int, x: float) -> float:
     return exp(0.5 * (log(math.pi) - l2x) - x + mx) * s
 
 
-def log_kummer_u_integral(a: float, b: float, z):
+def log_kummer_u_integral(a, b, z):
     """log of the raw confluent hypergeometric integral
     int_0^inf e^{-zt} t^{a-1} (1+t)^{b-a-1} dt, for a > 0, b <= a + 1 and
-    every z > 0 (a float or an array; arrays are evaluated in one pass).
+    every z > 0 (floats or arrays that broadcast; arrays in one pass).
 
     Note this carries no 1/Gamma(a) prefactor: the integral equals
     Gamma(a) * U(a, b, z) in the standard normalization.  In v = log t the
@@ -189,30 +189,31 @@ def log_kummer_u_integral(a: float, b: float, z):
     tangent, or where e^v < 1e-17 / (z + a + 1 - b), below which
     phi = a v + const and the rest of the sum is a geometric series.
     """
-    if a <= 0:
+    a, b, zf = (np.asarray(v, dtype=float) for v in (a, b, z))
+    zero = np.zeros(np.broadcast_shapes(a.shape, b.shape, zf.shape))
+    a, b, zf = (a + zero).ravel(), (b + zero).ravel(), (zf + zero).ravel()
+    if a.min() <= 0:
         raise ValueError("integral diverges for a <= 0")
-    if b > a + 1.0:
+    if (b - a).max() > 1.0:
         raise ValueError("the integrand is log-concave only for b <= a + 1")
-    z_arr = np.asarray(z, dtype=float)
-    zf = z_arr.ravel()
-    if np.any(zf <= 0):
+    if zf.min() <= 0:
         raise ValueError("z must be positive")
     c = b - a - 1.0
     log_z = np.log(zf)
 
-    def phi(v, log_z):
-        return a * v - np.exp(log_z + v) + c * np.logaddexp(0.0, v)
+    def phi(v, cols=slice(None)):
+        return a[cols] * v - np.exp(log_z[cols] + v) + c[cols] * np.logaddexp(0.0, v)
 
     with np.errstate(over="ignore", divide="ignore"):
         # peak: t = e^v is the positive root of z t^2 - (b - 1 - z) t - a = 0
         m = b - 1.0 - zf
         r = np.hypot(m, 2.0 * np.sqrt(a * zf))
         peak = np.where(m >= 0, np.log(m + r) - log(2.0) - log_z,
-                        log(2.0 * a) - np.log(r - m))
-        top = phi(peak, log_z)
+                        np.log(2.0 * a) - np.log(r - m))
+        top = phi(peak)
         zt = np.exp(log_z + peak)
         w = peak + np.array([[-1.0], [1.0]])
-        gap = phi(w, log_z) - top + _KUMMER_DROP
+        gap = phi(w) - top + _KUMMER_DROP
         slope = np.abs(a - np.exp(log_z + w) + c * special.expit(w))
         reach = 1.0 + np.maximum(gap, 0.0) / slope
         left = np.minimum(reach[0], np.maximum(peak - log(1e-17) + np.log(zf - c), 0.0))
@@ -228,9 +229,9 @@ def log_kummer_u_integral(a: float, b: float, z):
         chunk = max(1, _KUMMER_CELLS // j.size)
         for i in range(0, zf.size, chunk):
             cols = slice(i, i + chunk)
-            terms = np.exp(phi(peak[cols] + h * j, log_z[cols]) - top[cols])
-            total[cols] = terms.sum(axis=0) + terms[0] / math.expm1(a * h)
-    out = (top + np.log(h * total)).reshape(z_arr.shape)
+            terms = np.exp(phi(peak[cols] + h * j, cols) - top[cols])
+            total[cols] = terms.sum(axis=0) + terms[0] / np.expm1(a[cols] * h)
+    out = (top + np.log(h * total)).reshape(zero.shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -313,7 +313,6 @@ class TestMomentFromMixture:
                 seen.add((type(c), getattr(c, "power", None)))
                 total = integrate_density(c.pdf)
                 assert total == pytest.approx(1.0, abs=1e-9)
-                assert c.cdf(1e9) == pytest.approx(1.0, abs=1e-7)
         assert len(seen) == 4  # beta2, and gamma powers 1, 1/2 and 0.4
 
 

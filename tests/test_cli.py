@@ -132,6 +132,14 @@ class TestRiskCommands:
                                     "--mu", "1", "--n", "2"])
         assert float(out.strip().split("\n")[1]) == pytest.approx(0.3, rel=1e-12)
 
+    def test_rho_weibull(self, capsys):
+        # W = 1/Theta has E(W^r) = Gamma(1 + r/alpha)/r!: rho = (E W^2 - E^2 W)/(2 E W^2 - E^2 W)
+        code, out, _ = run(capsys, ["rho", "--model", "weibull", "--alpha", "0.5", "--n", "2"])
+        assert code == 0
+        w1, w2 = math.gamma(3.0), math.gamma(5.0) / 2.0
+        want = (w2 - w1 ** 2) / (2.0 * w2 - w1 ** 2)
+        assert float(out.strip().split("\n")[1]) == pytest.approx(want, rel=1e-12)
+
 
 class TestCompoundAndRuin:
     def test_atom_printed(self, capsys):
@@ -319,7 +327,7 @@ def _reference_table(fmt, columns, rows, meta):
 
 _META = {"model": {"name": "pareto", "alpha": 3.0, "beta": 1.0, "n": 2},
          "command": "test", "seed": 7,
-         "tolerances": {"var_rtol": 1e-12, "quad_epsabs": 1e-12}}
+         "tolerances": {"var_rtol": 1e-12}}
 _EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1,
                 np.float64(0.1), -2.5e-310, 1.0]
 _TEXT = ["a, b", 'quote " and \\', "π ≈ 3.14 ü", "100% %s", "", "x", "y, z",
@@ -378,7 +386,7 @@ class TestWriteTableOracle:
         assert code == 0
         mat = sample_vector(SimulationPlan(weibull_model(0.5, 3), 3000, 5, 2))
         meta = {"model": {"name": "weibull", "alpha": 0.5, "n": 3}, "command": "simulate",
-                "seed": 5, "tolerances": {"var_rtol": 1e-12, "quad_epsabs": 1e-12}}
+                "seed": 5, "tolerances": {"var_rtol": 1e-12}}
         rows = [tuple(float(v) for v in row) for row in mat]
         assert out == _reference_table(fmt, ("x1", "x2", "x3"), rows, meta)
 

@@ -10,7 +10,7 @@ from riskmix.errors import (
     NonexistentMomentError,
     UnsupportedModelError,
 )
-from riskmix.aggregate import pdf, survival, weibull_model
+from riskmix.aggregate import moment_from_mixture, pdf, survival, weibull_model
 from riskmix.mixing import (
     DERIVATIVE_CAP,
     Beta2Component,
@@ -28,6 +28,8 @@ from riskmix.mixing import (
     faa_di_bruno,
 )
 from riskmix.specfun import falling_factorial, log_abs_falling_factorial, log_bell_partial
+
+import mp_reference
 
 ALL_KINDS = [
     GammaMixing(3.0, 1.0),
@@ -111,8 +113,14 @@ class TestEveryKind:
             assert abs(vals.mean() - m.laplace(s)) < 4 * se + 1e-12
 
     def test_log_kernel_order_domain(self, m):
-        with pytest.raises(ValueError):
-            m.log_abs_laplace_derivative(-1, S_GRID)
+        # order -1 is the integrated transform, which exists exactly where E(1/Theta) does
+        try:
+            m.neg_moment(1)
+        except NonexistentMomentError:
+            with pytest.raises(NonexistentMomentError):
+                m.log_abs_laplace_derivative(-1, S_GRID)
+        else:
+            assert np.all(np.isfinite(m.log_abs_laplace_derivative(-1, S_GRID)))
         with pytest.raises(DerivativeCapError):
             m.log_abs_laplace_derivative(65, S_GRID)
 
@@ -367,8 +375,7 @@ class TestMixtureComponents:
     @pytest.mark.parametrize("c", COMPONENTS)
     def test_is_a_distribution(self, c):
         assert integrate_density(c.pdf) == pytest.approx(1.0, abs=1e-9)
-        assert c.cdf(1e9) == pytest.approx(1.0, abs=1e-7)
-        assert c.cdf(0.0) == 0.0 and c.pdf(0.0) == 0.0 and c.pdf(-1.0) == 0.0
+        assert c.pdf(0.0) == 0.0 and c.pdf(-1.0) == 0.0
         assert c.moment(0) == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("c", COMPONENTS)
@@ -376,21 +383,11 @@ class TestMixtureComponents:
         for r in (1, 2, 2.5):
             want = integrate_density(lambda x: x ** r * c.pdf(x))
             assert c.moment(r) == pytest.approx(want, rel=1e-8)
-            for x in (0.5, 2.0):
-                part, _ = integrate.quad(lambda t: t ** r * c.pdf(t), 0, x, limit=400)
-                assert c.incomplete_moment_cdf(r, x) == pytest.approx(part / want, rel=1e-8)
-
-    def test_cdf_is_integrated_pdf(self):
-        for c in COMPONENTS:
-            for x in (0.3, 1.0, 5.0):
-                want, _ = integrate.quad(c.pdf, 0, x, limit=400)
-                assert c.cdf(x) == pytest.approx(want, rel=1e-9)
 
     def test_beta2_moment_divergence(self):
         c = Beta2Component(2.0, 3.0, 1.0, 1.0)
-        for fn in (c.moment, lambda r: c.incomplete_moment_cdf(r, 1.0)):
-            with pytest.raises(NonexistentMomentError):
-                fn(3)
+        with pytest.raises(NonexistentMomentError):
+            c.moment(3)
 
 
 class TestNegativeMoments:
@@ -429,11 +426,75 @@ class TestNegativeMoments:
         with pytest.raises(NonexistentMomentError):
             LindleyMixing(1.0).neg_moment(1)
 
-    def test_stable_kinds_unsupported(self):
-        with pytest.raises(UnsupportedModelError):
-            LevyMixing(1.0).neg_moment(1)
-        with pytest.raises(UnsupportedModelError):
-            PositiveStableMixing(0.5).neg_moment(2)
+    def test_stable_kinds_closed_form(self):
+        # E(Theta^-r) = E(X^r) / r! for one claim X, whose law is the mixture of one
+        # component; and E(Theta^-r) = int_0^inf s^(r-1) L(s) ds / Gamma(r) by quadrature
+        for m in (LevyMixing(1.0), LevyMixing(2.2), PositiveStableMixing(0.5),
+                  PositiveStableMixing(0.35), PositiveStableMixing(0.85), PositiveStableMixing(1.0)):
+            rep = m.sum_mixture(1)
+            for r in (1, 2, 3):
+                assert m.neg_moment(r) == pytest.approx(
+                    moment_from_mixture(rep, r) / math.factorial(r), rel=1e-13)
+                want = integrate_density(lambda s: s ** (r - 1) * m.laplace(s)) / math.gamma(r)
+                assert m.neg_moment(r) == pytest.approx(want, rel=1e-8)
+            if isinstance(m, LevyMixing):
+                for r in (1, 2):
+                    want = integrate_density(lambda th: th ** -r * m.pdf(th))
+                    assert m.neg_moment(r) == pytest.approx(want, rel=1e-8)
+
+
+NEGATIVE_ORDER_LAWS = [GammaMixing(2.5, 0.4), BetaSecondKindMixing(2.5, 0.6),
+                       GleserGammaMixing(0.4, 1.5), GleserGammaMixing(0.85, 0.3),
+                       InverseGaussianMixing(0.4, 2.5), LevyMixing(1.2), PositiveStableMixing(0.3),
+                       PositiveStableMixing(0.85), PositiveStableMixing(1.0)]
+
+
+class TestNegativeOrders:
+    """log_abs_laplace_derivative(-j, s) = log E(Theta^-j e^(-s Theta))."""
+
+    @pytest.mark.parametrize("m", NEGATIVE_ORDER_LAWS, ids=lambda m: repr(m))
+    def test_against_mpmath(self, m):
+        s = np.array([1e-2, 1.0, 10.0, 1e3])
+        both = m.log_abs_laplace_derivative(-np.array([[1], [2]]), s)
+        for j in (1, 2):
+            got = m.log_abs_laplace_derivative(-j, s)
+            assert np.allclose(got, both[j - 1], rtol=1e-14, atol=1e-14)
+            for sv, g in zip(s, got):
+                want = mp_reference.integrated_transform(m, j, sv, dps=25)
+                # relative 1e-13 in the value, or the rounding of a log near -1e3
+                assert abs(g - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_gleser_point_mass(self):
+        m = GleserGammaMixing(1.0, 2.0)
+        s = np.array([1e-2, 1.0, 10.0])
+        for j in (1, 2):
+            assert np.allclose(m.log_abs_laplace_derivative(-j, s), -j * math.log(2.0) - 2.0 * s,
+                               rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("m", ALL_KINDS, ids=lambda m: f"{m.kind}-{hash(m) % 997}")
+    def test_small_s_is_the_negative_moment(self, m):
+        for j in (1, 2):
+            try:
+                want = m.neg_moment(j)
+            except NonexistentMomentError:
+                with pytest.raises(NonexistentMomentError):
+                    m.log_abs_laplace_derivative(-j, np.array([1e-9]))
+                continue
+            got = math.exp(m.log_abs_laplace_derivative(-j, np.array([1e-9]))[0])
+            assert got == pytest.approx(want, rel=1e-6)
+
+    def test_existence_limits(self):
+        # gamma needs alpha > j, beta2 beta > j; Lindley diverges at every order
+        s = np.array([0.5, 2.0])
+        for m in (GammaMixing(2.0, 1.0), BetaSecondKindMixing(2.0, 3.0)):
+            assert np.all(np.isfinite(m.log_abs_laplace_derivative(-1, s)))
+            for k in (-2, -np.array([[1], [2]])):
+                with pytest.raises(NonexistentMomentError):
+                    m.log_abs_laplace_derivative(k, s)
+        for m in (GammaMixing(0.7, 1.0), BetaSecondKindMixing(1.0, 3.0), LindleyMixing(0.4),
+                  LindleyMixing(1.0)):
+            with pytest.raises(NonexistentMomentError):
+                m.log_abs_laplace_derivative(-1, s)
 
 
 class TestSamplers:

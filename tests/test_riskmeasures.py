@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from riskmix.aggregate import (
     gamma_claims_model,
     inverse_gaussian_model,
     lindley_model,
-    mixture_representation,
     pareto_model,
     pdf,
     survival,
@@ -22,6 +22,8 @@ from riskmix.mixing import BetaSecondKindMixing
 from riskmix import riskmeasures
 from riskmix.riskmeasures import risk_report, tail_moment, tvar, value_at_risk
 from riskmix.simulate import SimulationPlan, sample_sums
+
+import mp_reference
 
 
 SIX_MODELS = {
@@ -146,6 +148,11 @@ class TestValueAtRisk:
             assert survival(m, value_at_risk(m, lv)) == pytest.approx(1.0 - lv, rel=1e-9)
 
 
+def quadrature_tail_moment(m, r, a):
+    num, _ = integrate.quad(lambda x: x ** r * pdf(m, x), a, np.inf, limit=300)
+    return num / survival(m, a)
+
+
 class TestTailMoment:
     def test_threshold_zero_is_plain_moment(self):
         m = pareto_model(3.0, 1.0, 2)
@@ -167,26 +174,19 @@ class TestTailMoment:
                 assert tail_moment(m, 1, a) >= a
 
     def test_mixture_path_matches_quadrature(self):
+        # the kernel sum against quadrature of x f(x) on the laws with a mixture form
         models = [pareto_model(4.0, 1.0, 2), gamma_claims_model(0.5, 1.0, 2),
                   weibull_half_model(1.0, 2), weibull_model(0.5, 2)]
         for m in models:
-            rep = mixture_representation(m)
             for lv in (0.5, 0.9, 0.99):
                 a = value_at_risk(m, lv)
-                try:
-                    direct = tail_moment(m, 1, a)
-                except NonexistentMomentError:
-                    continue
-                mixed = tail_moment(rep, 1, a)
-                assert mixed == pytest.approx(direct, rel=1e-7)
+                assert tail_moment(m, 1, a) == pytest.approx(quadrature_tail_moment(m, 1, a),
+                                                             rel=1e-7)
 
     def test_second_order_mixture_path(self):
         m = pareto_model(4.0, 1.0, 2)
-        rep = mixture_representation(m)
         a = value_at_risk(m, 0.9)
-        num, _ = integrate.quad(lambda x: x ** 2 * pdf(m, x), a, np.inf, limit=300)
-        want = num / survival(m, a)
-        assert tail_moment(rep, 2, a) == pytest.approx(want, rel=1e-7)
+        assert tail_moment(m, 2, a) == pytest.approx(quadrature_tail_moment(m, 2, a), rel=1e-7)
 
     def test_nonexistent_moment(self):
         m = pareto_model(2.0, 1.0, 2)
@@ -198,6 +198,49 @@ class TestTailMoment:
         m = weibull_half_model(1.0, 2)
         with pytest.raises(TailUnderflowError):
             tail_moment(m, 1, 1e9)
+
+
+class TestTailKernelSum:
+    """Tail moments at the returned VaR against 40-digit mpmath references."""
+
+    def test_beta2_deep_level(self):
+        # quadrature of x f(x) returned TVaR = -2.0 here, with an IntegrationWarning
+        m = AggregateModel(DependentVector(BetaSecondKindMixing(2.0, 3.0), 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = risk_report(m, 1.0 - 1e-10, orders=(1,))
+        assert rep.tvar == pytest.approx(5.138e6, rel=1e-3)
+        want = mp_reference.conditional_tail_moment(m.mixing, 10, 1, rep.var)
+        assert rep.tvar == pytest.approx(want, rel=1e-13)
+
+    def test_pareto_levels(self):
+        # the finite-mixture route lost about -log10(1 - level) digits to 1 - cdf
+        m = pareto_model(3.0, 1.0, 10)
+        for lv in (0.99, 1.0 - 1e-6, 1.0 - 1e-10):
+            rep = risk_report(m, lv, orders=(1,))
+            want = mp_reference.conditional_tail_moment(m.mixing, 10, 1, rep.var)
+            assert rep.tvar == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("m", [
+        pareto_model(3.0, 1.0, 10), gamma_claims_model(0.5, 1.3, 10),
+        weibull_half_model(1.2, 10), weibull_model(0.45, 10),
+        inverse_gaussian_model(1.3, 0.7, 10),
+        AggregateModel(DependentVector(BetaSecondKindMixing(3.5, 2.0), 10))],
+        ids=lambda m: m.mixing.kind)
+    def test_orders_one_and_two(self, m):
+        # the finite-mixture route was off by up to 4e-5 relative here
+        rep = risk_report(m, 1.0 - 1e-10, orders=(1, 2))
+        for r, got in rep.tail_moments:
+            want = mp_reference.conditional_tail_moment(m.mixing, m.n, r, rep.var)
+            assert got == pytest.approx(want, rel=1e-11)
+
+    def test_var_is_its_last_evaluation(self):
+        # the returned VaR is the last point the iteration evaluated, within its tolerances
+        for m in (pareto_model(3.0, 1.0, 10), weibull_model(0.45, 5)):
+            for lv in (0.3, 0.9, 0.999):
+                a, terms = riskmeasures._value_at_risk(m, lv)
+                assert np.exp(np.logaddexp.reduce(terms)) == pytest.approx(survival(m, a), rel=1e-14)
+                assert survival(m, a) == pytest.approx(1.0 - lv, rel=1e-9)
 
 
 class TestTVaR:
