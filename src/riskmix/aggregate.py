@@ -15,16 +15,21 @@ boundary x <= 0.  The density has two entry points:
   route, so for them the two entry points are one computation.
 
 The survival sums the law's log-space derivative kernel
-(MixingDistribution.log_abs_laplace_derivative) in one log-space reduction,
-so it is finite for every x; the tail moments reuse its terms.  Cdf, moments
-and the finite mixture representation (with the moments of a mixture) are
-built on the same law methods.
+(MixingDistribution.log_abs_laplace_derivative) over the orders 0..n-1,
+which it gets from one kernel call as an (n, len x) array (per block of
+2^16 terms on very long inputs), in one log-space reduction along the
+orders, so it is finite for every x; the tail moments
+reuse its terms, and the VaR iteration asks the same call for order n too,
+whose row is the density.  Cdf, moments and the finite mixture
+representation (with the moments of a mixture) are built on the same law
+methods.
 """
 
 from dataclasses import dataclass
 from math import exp, lgamma
 
 import numpy as np
+from scipy import special
 
 from .dependence import DependentVector
 from .mixing import (
@@ -64,6 +69,9 @@ __all__ = [
     "mixture_representation",
     "moment_from_mixture",
 ]
+
+# survival terms (orders x points) evaluated per kernel call
+_SURVIVAL_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -154,23 +162,35 @@ def survival(model: AggregateModel, x):
     gamma-cdf identity requires and what makes survival(0) = 1 exact.  Every
     term is nonnegative, so the sum is one log-space reduction of
     k log x - log k! + log|L^(k)(x)|: no term is formed in linear space, and
-    no x is too large for it.
+    no x is too large for it.  The terms of all orders come from one kernel
+    call per block of at most _SURVIVAL_CELLS terms (one call unless n times
+    the number of points exceeds it), which bounds the temporaries.
     """
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     out = np.ones_like(x_arr, dtype=float)
     pos = x_arr > 0
     if np.any(pos):
-        out[pos] = np.exp(_log_sum_exp(_log_survival_terms(model, x_arr[pos])))
+        xs = x_arr[pos]
+        vals = np.empty_like(xs)
+        block = max(1, _SURVIVAL_CELLS // model.n)
+        for i in range(0, xs.size, block):
+            vals[i:i + block] = np.exp(_log_sum_exp(_log_survival_terms(model, xs[i:i + block])))
+        out[pos] = vals
     return _ret(out, scalar_in)
 
 
-def _log_survival_terms(model: AggregateModel, xs):
-    """The n log-space terms k log x - log k! + log|L^(k)(x)|, k = 0..n-1, of
-    the survival sum on an array xs > 0, as a list of arrays shaped like xs."""
-    m, log_x = model.mixing, np.log(xs)
-    return [k * log_x - lgamma(k + 1.0) + m.log_abs_laplace_derivative(k, xs)
-            for k in range(model.n)]
+def _log_survival_terms(model: AggregateModel, xs, count=None):
+    """The log-space terms k log x - log k! + log|L^(k)(x)| = log E(Pr(N = k)),
+    N ~ Poisson(Theta x), for k = 0..count-1 on an array xs > 0, as one
+    (count, *xs.shape) array from one kernel call.  The default count = n
+    gives the terms of the survival sum; with count = n + 1 the last row is
+    log(x f(x) / n)."""
+    k = np.arange(model.n if count is None else count)
+    col = k.reshape((-1,) + (1,) * xs.ndim)
+    terms = col * np.log(xs) - special.gammaln(col + 1.0)
+    terms += model.mixing.log_abs_laplace_derivative(k, xs)
+    return terms
 
 
 def cdf(model: AggregateModel, x):

@@ -10,26 +10,46 @@ modules (aggregate densities, copulas, risk measures) call these and never
 branch on the law's type.
 
 Each law implements one derivative kernel, log_abs_laplace_derivative(k, s)
-= log|L^(k)(s)| for every order k >= 0 (k = 0 is log L), on an array s > 0
-(and s = 0 at k = 0).  Every term of it stays in log space, so it neither
-overflows nor underflows where the derivative itself is representable only
-as a logarithm (huge s, high k).  laplace and laplace_derivative are written
-once on the base class, as exp and (-1)^k exp of the kernel, and the
-aggregate survival sums the kernel's terms in one log-space reduction.
-Multi-term kernels reduce with _log_sum_exp, a numpy max-shift.  The
-second-kind beta kernel is the log of a Kummer integral, evaluated for a
-whole array s at once (specfun.log_kummer_u_integral).
+= log|L^(k)(s)| = log E(Theta^k e^{-s Theta}) for every order k >= 0 (k = 0
+is log L), on an array s > 0 (and s = 0 at k = 0).  Given a 1-D array of
+orders it returns one row per order from one pass (each law's
+_log_derivative), so the aggregate survival, sum_{k<n} of the orders
+0..n-1, is one kernel call.  Every term stays in log space, so the kernel
+neither overflows nor underflows where the derivative itself is
+representable only as a logarithm (huge s, high k).  laplace and
+laplace_derivative are written once on the base class, as exp and
+(-1)^k exp of the kernel.
+
+* Gamma and Lindley: closed forms, broadcast over the orders.
+* Levy and inverse Gaussian: E(Theta^k e^{-s Theta}) is a prefactor times
+  K_{k-1/2}(z), z = lam sqrt(s) (Levy) or (lam/mu) sqrt(1 + b s) (IG).  The
+  ratios K_{k+1/2}/K_{k-1/2} follow the upward recurrence of DLMF 10.29.1,
+  r_k = 1/r_{k-1} + (2k-1)/z from r_0 = 1, a sum of positive terms
+  (_log_bessel_ratios).  The rows are partial sums of log r_k
+  (_partial_sums: one sum for a single order, one cumsum for several).
+* Gleser: for k >= 1 the moment is c e^{-lam s} I_{k-1}, I_m = int_0^inf
+  (lam+u)^m u^-alpha e^{-us} du, whose ratios q_m = I_m / I_{m-1} obey a
+  forward three-term recurrence on its dominant solution, run on the
+  excess q_m - lam as a sum of positive terms; k = 0 is the log of the
+  regularized upper incomplete gamma (specfun.log_gammaincc), evaluated only
+  when that order is asked for.
+* Positive stable: partial Bell polynomials of the power sequence, one
+  log-space triangle per index filled by a recurrence of positive terms
+  (_power_bell), reduced one requested row at a time.
+* Second-kind beta: the log of a Kummer integral, one call per order for
+  every s at once (specfun.log_kummer_u_integral).
+
+No temporary exceeds O(orders x len s).  Multi-term sums reduce with
+_log_sum_exp: pairwise logaddexp for small arrays, a numpy max-shift for
+large ones.
 
 Negative orders k = -j give the j-fold integrated transform
 log E(Theta^-j e^{-s Theta}) that the tail moments of S_n sum (each law's
-_log_integrated); an array of them is evaluated in one pass.
+_log_integrated); an array of them is evaluated in one pass and broadcasts
+against s.  An array of orders with both signs is rejected.
 
-Laplace derivatives of the exp-of-composition laws (Levy, positive stable,
-inverse Gaussian) are assembled from partial Bell polynomials whose
-coefficients are kept in log space, so orders up to DERIVATIVE_CAP stay
-accurate.  The sqrt sequence (Levy, inverse Gaussian) has a Bessel-polynomial
-closed form for its coefficients; the power sequence (stable) is one triangle
-per index, filled by a recurrence of positive terms (_power_bell).
+The Bessel-polynomial closed form of the sqrt-sequence Bell coefficients
+(_sqrt_bell) builds the Levy mixture representation.
 
 Finite mixture representations are built from two component laws:
 GammaPowerComponent, X = (G/rate)^(1/power) with G ~ Gamma(shape, 1), which
@@ -55,6 +75,7 @@ from .ruin import lindley_sum_pdf
 from .specfun import (
     bell_partial,
     log_abs_falling_factorial,
+    log_gammaincc,
     log_kummer_u_integral,
     upper_incomplete_gamma,
 )
@@ -76,6 +97,11 @@ __all__ = [
 ]
 
 DERIVATIVE_CAP = 64
+# arrays of at most this many terms reduce by pairwise logaddexp: measured,
+# pairwise is cheaper for every shape up to 64 terms and the max-shift for
+# every shape from 512; between them the crossover is about 100 terms for a
+# 1-D array and 300-400 for the (n, 81) survivals of the VaR bracket
+_SMALL_REDUCTION = 256
 
 
 def _require_positive(**params):
@@ -108,12 +134,58 @@ def _ret(value, scalar_in):
 
 def _log_sum_exp(log_terms):
     """log sum_k exp(log_terms[k]): log_terms is a (k, ...) array or a list of
-    equally shaped arrays.  A column of -inf gives -inf; +inf and nan propagate."""
+    equally shaped arrays.  A column of -inf gives -inf; +inf and nan propagate.
+
+    A column whose largest term is finite holds no nan and no +inf, so
+    np.logaddexp.reduce is exact on it and raises no warning (it is the
+    cheaper reduction for a few hundred terms or fewer); larger arrays take
+    the max-shift, one exp per term."""
     a = np.asarray(log_terms, dtype=float)
     top = a.max(axis=0)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        return shift + np.log(np.exp(a - shift).sum(axis=0))
+    if not np.isfinite(top).all():
+        # some column is all -inf, or holds +inf or nan: pairwise logaddexp
+        # keeps -inf and +inf, and only nan needs its warning silenced
+        with np.errstate(invalid="ignore"):
+            return np.logaddexp.reduce(a, axis=0)
+    if a.size <= _SMALL_REDUCTION:
+        return np.logaddexp.reduce(a, axis=0)
+    shifted = a - top
+    return top + np.log(np.exp(shifted, out=shifted).sum(axis=0))
+
+
+def _log_bessel_ratios(k, z):
+    """log(K_{k-1/2}(z) / K_{1/2}(z)) for the orders k (a 1-D integer array)
+    on an array z > 0, one row per order.
+
+    The ratios r_i = K_{i+1/2}(z) / K_{i-1/2}(z) obey r_0 = 1 and
+    r_i = 1/r_{i-1} + (2i-1)/z (DLMF 10.29.1), a sum of positive terms, so
+    nothing cancels; the rows are partial sums of log r_i."""
+    top = int(k.max())
+    ratios = np.ones((top,) + z.shape)
+    step = 1.0 / z
+    for i in range(1, top):
+        np.divide(1.0, ratios[i - 1], out=ratios[i])
+        ratios[i] += (2 * i - 1) * step
+    return _partial_sums(np.log(ratios, out=ratios), k)
+
+
+def _partial_sums(terms, k):
+    """The rows sum_{i<j} terms[i] for the orders j in k (a 1-D integer array,
+    0 <= j <= len(terms)), one row per order.  A single order is one sum;
+    several are one cumsum (along axis 0 it costs about 15 sums on 1000
+    columns), returned without a copy when k is 0, 1, ..., len(terms)."""
+    if k.size == 1:
+        return terms[:k[0]].sum(axis=0)[None]
+    rows = np.zeros((len(terms) + 1,) + terms.shape[1:])
+    np.cumsum(terms, axis=0, out=rows[1:])
+    if k.size == len(rows) and np.array_equal(k, np.arange(k.size)):
+        return rows
+    return rows[k]
+
+
+def _column(k, ndim):
+    """The orders k as a float column that broadcasts over ndim more axes."""
+    return np.asarray(k, dtype=float).reshape((-1,) + (1,) * ndim)
 
 
 def _sqrt_bell(n: int, ndim: int):
@@ -240,15 +312,30 @@ class MixingDistribution:
     def log_abs_laplace_derivative(self, k, s):
         """log|L^(k)(s)| on an array s > 0, for 0 <= k <= DERIVATIVE_CAP; k = 0
         is log L and also takes s = 0.  (-1)^k L^(k) >= 0 for every law in
-        the catalog.
+        the catalog.  A 1-D integer array of such orders gives one row per
+        order, shaped (len(k), *s.shape), from one pass.
 
         A negative order k = -j (or an integer array of them that broadcasts
         against s) is log E(Theta^-j e^{-s Theta}) on s > 0, the j-fold
-        integrated transform; NonexistentMomentError where it diverges."""
-        if isinstance(k, np.ndarray) or k < 0:
-            return self._log_integrated(-np.asarray(k), s)
-        _check_order(k, 0)
-        return self._log_derivative(k, s)
+        integrated transform; NonexistentMomentError where it diverges.  An
+        array that mixes both signs is a ValueError."""
+        s = np.asarray(s, dtype=float)
+        if np.ndim(k) == 0:
+            if k < 0:
+                return self._log_integrated(-np.asarray(k), s)
+            _check_order(k, 0)
+            k = np.array([k])
+            shape = s.shape
+        else:
+            k = np.asarray(k)
+            if k.min() < 0:
+                if k.max() >= 0:
+                    raise ValueError("an array of orders must be all negative or all nonnegative")
+                return self._log_integrated(-k, s)
+            _check_order(k.max(), 0)
+            shape = k.shape + s.shape
+        # the kernels take s flat, so each of their rows is an array they can write into
+        return self._log_derivative(k, s.reshape(-1)).reshape(shape)
 
     def laplace(self, s):
         """L(s) = E(e^{-s Theta}) = exp(log L(s)), s >= 0."""
@@ -326,13 +413,16 @@ class GammaMixing(MixingDistribution):
         _require_positive(alpha=self.alpha, beta=self.beta)
 
     def _log_derivative(self, k, s):
-        a, b = self.alpha, self.beta
-        return special.gammaln(a + k) - lgamma(a) - k * log(b) - (a + k) * np.log1p(s / b)
+        return self._log_moment(_column(k, s.ndim), s)
 
     def _log_integrated(self, j, s):
-        # the closed form at k = -j
         _require_above(j, "alpha", self.alpha)
-        return self._log_derivative(-j, s)
+        return self._log_moment(-j, s)
+
+    def _log_moment(self, k, s):
+        # log E(Theta^k e^{-s Theta}), k and s broadcast
+        a, b = self.alpha, self.beta
+        return special.gammaln(a + k) - lgamma(a) - k * log(b) - (a + k) * np.log1p(s / b)
 
     def _generator(self, t, scalar_in):
         return _ret(self.beta * np.expm1(-np.log(t) / self.alpha), scalar_in)
@@ -374,12 +464,16 @@ class LevyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def _log_derivative(self, n, s):
-        expo = -self.lam * np.sqrt(s)
-        if n == 0:
-            return expo
-        k, log_bell = _sqrt_bell(n, s.ndim)
-        return _log_sum_exp(k * log(self.lam) + expo + (0.5 * k - n) * np.log(s) + log_bell)
+    def _log_derivative(self, k, s):
+        # (lam/sqrt(pi)) (2z/lam^2)^(1/2-k) K_{k-1/2}(z), z = lam sqrt(s)
+        z = self.lam * np.sqrt(s)
+        if not k.any():
+            # order 0 alone also takes s = 0, where log z below is -inf
+            return np.zeros((k.size,) + z.shape) - z
+        rows = _log_bessel_ratios(k, z)
+        rows -= z
+        rows -= _column(k, z.ndim) * np.log(2.0 * z / self.lam ** 2)
+        return rows
 
     def _log_integrated(self, j, s):
         # (lam/sqrt(pi)) (2z/lam^2)^(j+1/2) K_{j+1/2}(z), z = lam sqrt(s)
@@ -445,13 +539,20 @@ class PositiveStableMixing(MixingDistribution):
         if not (0 < self.alpha <= 1):
             raise ValueError(f"stable index must lie in (0, 1], got {self.alpha}")
 
-    def _log_derivative(self, n, s):
-        expo = -s ** self.alpha
-        if n == 0:
-            return expo
-        k = np.arange(1.0, n + 1.0).reshape((-1,) + (1,) * s.ndim)
-        log_bell = _power_bell(self.alpha)[n, 1:n + 1].reshape(k.shape)
-        return _log_sum_exp(expo + (k * self.alpha - n) * np.log(s) + log_bell)
+    def _log_derivative(self, k, s):
+        # row n: sum_{j=1..n} |B_{n,j}| s^(j alpha - n) e^{-s^alpha}
+        a = self.alpha
+        expo = -s ** a
+        out = np.empty((k.size,) + s.shape)
+        out[:] = expo
+        if k.any():
+            log_s, table = np.log(s), _power_bell(a)
+            ja = _column(np.arange(1, k.max() + 1), s.ndim) * a
+            for i, n in enumerate(k.tolist()):
+                if n:
+                    out[i] = _log_sum_exp(expo + (ja[:n] - n) * log_s
+                                            + table[n, 1:n + 1].reshape(ja[:n].shape))
+        return out
 
     def _log_integrated(self, j, s):
         # int_s^inf (t-s)^(j-1)/(j-1)! e^{-t^alpha} dt = (1/alpha) sum_i C(j-1, i) (-s)^(j-1-i)
@@ -460,13 +561,7 @@ class PositiveStableMixing(MixingDistribution):
         a = self.alpha
         i = np.arange(np.max(j)).reshape((-1,) + (1,) * max(np.ndim(j), np.ndim(s)))
         p, x = (i + 1.0) / a, s ** a
-        q = special.gammaincc(p, x)
-        log_upper = np.log(np.maximum(q, 1e-300)) + special.gammaln(p)
-        if q.min() <= 1e-300:
-            # log Gamma(p, x) = p log x - x + log U(1, 1+p, x) where gammaincc underflows
-            far = np.maximum(x, 600.0)
-            u = p * np.log(far) - far + np.log(special.hyperu(1.0, 1.0 + p, far))
-            log_upper = np.where(q > 1e-300, log_upper, u)
+        log_upper = log_gammaincc(p, x) + special.gammaln(p)
         log_terms = np.where(i < j, (j - 1 - i) * np.log(s) + log_upper - special.gammaln(i + 1.0)
                              - special.gammaln(np.maximum(j - i, 1.0)), -inf)
         shift = log_terms.max(axis=0)  # finite: the i = 0 term always is
@@ -524,15 +619,15 @@ class InverseGaussianMixing(MixingDistribution):
     def _b(self):
         return 2.0 * self.mu ** 2 / self.lam
 
-    def _log_derivative(self, n, s):
-        b = self._b
-        c = 1.0 + b * s
-        expo = -self.lam / self.mu * (np.sqrt(c) - 1.0)
-        if n == 0:
-            return expo
-        k, log_bell = _sqrt_bell(n, s.ndim)
-        return _log_sum_exp(k * log(self.lam / self.mu) + expo + n * log(b)
-                            + (0.5 * k - n) * np.log(c) + log_bell)
+    def _log_derivative(self, k, s):
+        # sqrt(2 lam/pi) (sqrt(c)/mu)^(1/2-k) e^{lam/mu} K_{k-1/2}(z), c = 1 + b s,
+        # z = (lam/mu) sqrt(c)
+        root = np.sqrt(1.0 + self._b * s)
+        expo = -self.lam / self.mu * (root - 1.0)
+        rows = _log_bessel_ratios(k, self.lam / self.mu * root)
+        rows += expo
+        rows -= _column(k, s.ndim) * np.log(root / self.mu)
+        return rows
 
     def _log_integrated(self, j, s):
         # sqrt(2 lam/pi) (sqrt(c)/mu)^(j+1/2) e^{lam/mu} K_{j+1/2}(z), c = 1 + b s,
@@ -585,9 +680,9 @@ class LindleyMixing(MixingDistribution):
 
     def _log_derivative(self, k, s):
         # lam^2/(1+lam) * (k! y^-(k+1) + (k+1)! y^-(k+2)), y = lam + s
-        lam = self.lam
+        lam, k = self.lam, _column(k, s.ndim)
         y = lam + s
-        return (2.0 * log(lam) - math.log1p(lam) + lgamma(k + 1.0)
+        return (2.0 * log(lam) - math.log1p(lam) + special.gammaln(k + 1.0)
                 - (k + 1.0) * np.log(y) + np.log1p((k + 1.0) / y))
 
     def _log_integrated(self, j, s):
@@ -640,16 +735,36 @@ class GleserGammaMixing(MixingDistribution):
             raise ValueError(f"shape must lie in (0, 1], got {self.alpha}")
         _require_positive(lam=self.lam)
 
-    def _log_derivative(self, n, s):
+    def _log_derivative(self, k, s):
+        # k = 0: log Q(alpha, lam s).  k >= 1: c e^{-lam s} I_{k-1}, c = lam^alpha /
+        # (Gamma(1-alpha) Gamma(alpha)), I_m = int_0^inf (lam+u)^m u^-alpha e^{-us} du,
+        # c I_0 = lam^alpha s^(alpha-1) / Gamma(alpha).  The ratios q_m = I_m / I_{m-1}
+        # obey q_m = lam + (m-alpha)/s - ((m-1) lam/s) / q_{m-1} from q_1 = lam + (1-alpha)/s;
+        # that difference loses up to m/(1-alpha) ulps, so the recurrence runs on the
+        # excess d_m = q_m - lam = ((1-alpha) + (m-1) d_{m-1}/q_{m-1}) / s, a sum of
+        # positive terms.  alpha = 1 (the point mass at lam) gives d_m = 0: lam^k e^{-lam s}.
         a, lam = self.alpha, self.lam
-        if n == 0:
-            with np.errstate(divide="ignore"):
-                return np.log(special.gammaincc(a, lam * s))
-        col = (-1,) + (1,) * s.ndim
-        k = np.arange(n).reshape(col)
-        return _log_sum_exp(lgamma(n) - special.gammaln(k + 1) - special.gammaln(n - k)
-                            + (n - 1 - k) * log(lam) + self._log_falling(n).reshape(col)
-                            + (a - 1.0 - k) * np.log(s) - lam * s + a * log(lam) - lgamma(a))
+        top = int(k.max())
+        rows = np.empty((k.size,) + s.shape)
+        if top:
+            # ratios[m] = q_m and ratios[0] = 1: row j >= 1 is log(c e^{-lam s} I_0)
+            # plus the sum of the log ratios below j
+            ratios = np.ones((top,) + s.shape)
+            step = 1.0 / s
+            d = (1.0 - a) * step
+            for m in range(1, top):
+                if m > 1:
+                    # in place: d = ((1-a) + (m-1) d / q_{m-1}) / s
+                    np.divide(d, ratios[m - 1], out=d)
+                    d *= m - 1
+                    d += 1.0 - a
+                    d *= step
+                np.add(d, lam, out=ratios[m])
+            rows = _partial_sums(np.log(ratios, out=ratios), k)
+            rows += a * log(lam) - lgamma(a) - lam * s + (a - 1.0) * np.log(s)
+        if k.min() == 0:  # log Q(alpha, lam s), only when an order asks for it
+            rows[k == 0] = log_gammaincc(a, lam * s)
+        return rows
 
     def _log_integrated(self, j, s):
         # e^{-lam s} lam^-j / B(alpha, 1-alpha) * I(1-alpha, 1-alpha-j, lam s), every j
@@ -737,12 +852,18 @@ class BetaSecondKindMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(beta=self.beta, gam=self.gam)
 
-    def _log_derivative(self, n, s):
-        if n == 0:
-            # L(0) = 1; the Kummer integral needs s > 0
-            zero = s == 0.0
-            return np.where(zero, 0.0, self._log_integrated(0, np.where(zero, 1.0, s)))
-        return self._log_integrated(-n, s)
+    def _log_derivative(self, k, s):
+        # one Kummer integral per order: in one call for every order the grid
+        # would be as long as the widest order's and as fine as the sharpest's
+        # (3-7x the time on 1000 points); L(0) = 1, and the integral needs s > 0
+        zero = s == 0.0
+        out = np.empty((k.size,) + s.shape)
+        for i, n in enumerate(k.tolist()):
+            if n:
+                out[i] = self._log_integrated(-n, s)
+            else:
+                out[i] = np.where(zero, 0.0, self._log_integrated(0, np.where(zero, 1.0, s)))
+        return out
 
     def _log_integrated(self, j, s):
         # E(Theta^-j e^{-s Theta}) = Gamma(beta-j) U(beta-j, 1-j-gam, s) / B(beta, gam),

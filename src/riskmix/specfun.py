@@ -1,6 +1,6 @@
 """Special-function kernel: partial Bell polynomials, falling factorials,
-incomplete gamma, gamma quantiles, half-integer Bessel K and the raw Kummer
-integral.
+incomplete gamma and the log of its regularized form, gamma quantiles,
+half-integer Bessel K and the raw Kummer integral.
 
 Everything here is a pure function of its arguments and safe to call from
 any thread.
@@ -18,6 +18,7 @@ __all__ = [
     "bell_partial",
     "log_bell_partial",
     "upper_incomplete_gamma",
+    "log_gammaincc",
     "gamma_quantile",
     "bessel_k_half",
     "kummer_u_integral",
@@ -138,6 +139,25 @@ def upper_incomplete_gamma(s: float, x: float) -> float:
         si = top - 1 - i
         val = (val - x ** (si) * exp(-x)) / si
     return val
+
+
+def log_gammaincc(a, z):
+    """log Q(a, z) = log(Gamma(a, z) / Gamma(a)) for a > 0 and z >= 0, arrays
+    that broadcast.  Where gammaincc falls below 1e-300 (from z near 690 for
+    a near 1) it would lose digits and then underflow to 0; there it uses
+    Gamma(a, z) = z^a e^-z U(1, 1+a, z), finite for every z.  scipy's hyperu
+    returns nan at some z beyond 1e100; from z = 1e20 on,
+    U(1, 1+a, z) = (1 - (1-a)/z) / z to double precision."""
+    a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(z, dtype=float))
+    q = special.gammaincc(a, z)
+    out = np.asarray(np.log(np.maximum(q, 1e-300)))
+    far = q <= 1e-300
+    if far.any():
+        af, zf = a[far], z[far]
+        log_u = np.where(zf < 1e20, np.log(special.hyperu(1.0, 1.0 + af, np.minimum(zf, 1e20))),
+                         -np.log(zf) - (1.0 - af) / zf)
+        out[far] = af * np.log(zf) - zf + log_u - special.gammaln(af)
+    return out
 
 
 def gamma_quantile(alpha: float, p: float) -> float:

@@ -41,6 +41,48 @@ FIVE_MODELS = {
 SIX_MODELS = dict(FIVE_MODELS, lindley=lambda n: lindley_model(1.5, n))
 
 
+class TestOneKernelCall:
+    @pytest.mark.parametrize("name", SIX_MODELS)
+    @pytest.mark.parametrize("n", [2, 10, 64])
+    def test_survival_is_one_kernel_call(self, name, n, monkeypatch):
+        # the orders 0..n-1 come from one call as an (n, len x) array
+        m = SIX_MODELS[name](n)
+        law = type(m.mixing)
+        kernel = law.log_abs_laplace_derivative
+        calls = []
+
+        def counted(self, k, s):
+            calls.append(np.array(k))
+            return kernel(self, k, s)
+
+        monkeypatch.setattr(law, "log_abs_laplace_derivative", counted)
+        survival(m, np.geomspace(1e-2, 1e3, 50))
+        assert len(calls) == 1 and np.array_equal(calls[0], np.arange(n))
+        survival(m, 2.5)
+        assert len(calls) == 2
+
+    def test_long_input_in_blocks(self, monkeypatch):
+        # 2 x 70000 terms: three kernel calls of at most 2^16 terms, and the
+        # values of short calls
+        m = SIX_MODELS["invgauss"](2)
+        xs = np.geomspace(1e-2, 1e3, 70000)
+        law = type(m.mixing)
+        kernel = law.log_abs_laplace_derivative
+        sizes = []
+
+        def counted(self, k, s):
+            sizes.append(np.size(k) * np.size(s))
+            return kernel(self, k, s)
+
+        monkeypatch.setattr(law, "log_abs_laplace_derivative", counted)
+        surv = survival(m, xs)
+        assert len(sizes) == 3 and max(sizes) <= 1 << 16
+        monkeypatch.undo()
+        picks = np.arange(0, xs.size, 997)
+        # the short call reduces by pairwise logaddexp, the long one by a max-shift
+        assert np.allclose(surv[picks], survival(m, xs[picks]), rtol=1e-14, atol=0.0)
+
+
 def integrate_density(f):
     v1, _ = integrate.quad(f, 0, 1, limit=400)
     v2, _ = integrate.quad(f, 1, np.inf, limit=400)

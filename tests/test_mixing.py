@@ -357,6 +357,115 @@ class TestPowerBellTriangle:
         assert _power_bell.cache_info().currsize == before + 1
 
 
+KERNEL_LAWS = [
+    GammaMixing(0.7, 2.5),
+    GammaMixing(3.0, 1.0),
+    LevyMixing(1.3),
+    InverseGaussianMixing(2.0, 0.7),
+    LindleyMixing(0.4),
+    GleserGammaMixing(0.5, 1.0),
+    GleserGammaMixing(0.999, 1.0),
+    BetaSecondKindMixing(2.0, 3.0),
+]
+KERNEL_S = np.array([1e-3, 1.0, 1e2, 1e4, 1e6])
+EVERY_ORDER = np.arange(DERIVATIVE_CAP + 1)
+
+
+def log_error(got, want):
+    """Error relative to the value, or to the log where it is far from 0
+    (the rounding of a log near -1e3 is 1e-13)."""
+    return np.abs(np.asarray(got) - want) / np.maximum(1.0, np.abs(want))
+
+
+def sqrt_bell_log_derivative(m, n, s):
+    """log|L^(n)(s)| of the Levy or inverse Gaussian law as the Bessel-polynomial
+    sum of partial Bell polynomials of the sqrt sequence (_sqrt_bell)."""
+    k, log_bell = _sqrt_bell(n, s.ndim)
+    if isinstance(m, LevyMixing):
+        return _log_sum_exp(k * math.log(m.lam) - m.lam * np.sqrt(s)
+                            + (0.5 * k - n) * np.log(s) + log_bell)
+    b = 2.0 * m.mu ** 2 / m.lam
+    c = 1.0 + b * s
+    return _log_sum_exp(k * math.log(m.lam / m.mu) - m.lam / m.mu * (np.sqrt(c) - 1.0)
+                        + n * math.log(b) + (0.5 * k - n) * np.log(c) + log_bell)
+
+
+class TestKernelRows:
+    """log_abs_laplace_derivative over an array of orders: one row per order."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", KERNEL_LAWS, ids=repr)
+    def test_every_order_against_mpmath(self, m):
+        rows = m.log_abs_laplace_derivative(EVERY_ORDER, KERNEL_S)
+        for i, s in enumerate(KERNEL_S):
+            err = log_error(rows[:, i], mp_reference.laplace_derivatives(m, s, DERIVATIVE_CAP))
+            assert err.max() <= 1e-13, (s, int(err.argmax()), err.max())
+
+    def test_reference_against_adaptive_quadrature(self):
+        # the shared-node trapezoid rule of the reference against _expect's
+        # adaptive quadrature, order by order
+        for m in (GammaMixing(0.7, 2.5), LevyMixing(1.3), GleserGammaMixing(0.999, 1.0)):
+            for s in (1e-2, 10.0):
+                rows = mp_reference.laplace_derivatives(m, s, 6)
+                for k in (0, 6):
+                    want = mp_reference.integrated_transform(m, -k, s, dps=25)
+                    assert abs(rows[k] - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_gleser_point_mass(self):
+        # alpha = 1 is the point mass at lam: L^(k)(s) = (-lam)^k e^{-lam s}; the
+        # kernel adds k - 1 rounded logs of lam
+        m = GleserGammaMixing(1.0, 1.7)
+        rows = m.log_abs_laplace_derivative(EVERY_ORDER, KERNEL_S)
+        want = EVERY_ORDER[:, None] * math.log(1.7) - 1.7 * KERNEL_S
+        assert log_error(rows, want).max() <= 1e-14
+
+    def test_gleser_order_zero_far_tail(self):
+        # log Q(alpha, lam s): gammaincc underflows past lam s of about 745
+        m = GleserGammaMixing(0.55, 1.0)
+        s = np.array([800.0, 1e3, 1e5])
+        got = m.log_abs_laplace_derivative(0, s)
+        with mp.workdps(30):
+            want = [float(mp.log(mp.gammainc(0.55, sv, mp.inf, regularized=True))) for sv in s]
+        assert want[0] == pytest.approx(-803.4887, abs=1e-4)
+        assert log_error(got, want).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", ALL_KINDS, ids=lambda m: f"{m.kind}-{hash(m) % 997}")
+    def test_rows_equal_scalar_calls(self, m):
+        orders = np.array([5, 0, DERIVATIVE_CAP, 1, 17])
+        rows = m.log_abs_laplace_derivative(orders, S_GRID)
+        assert rows.shape == (orders.size,) + S_GRID.shape
+        for row, k in zip(rows, orders):
+            assert log_error(row, m.log_abs_laplace_derivative(int(k), S_GRID)).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", ALL_KINDS, ids=lambda m: f"{m.kind}-{hash(m) % 997}")
+    def test_row_shapes(self, m):
+        orders = np.array([0, 2, 3])
+        assert m.log_abs_laplace_derivative(orders, np.array(1.5)).shape == (3,)
+        grid = S_GRID[:4].reshape(2, 2)
+        rows = m.log_abs_laplace_derivative(orders, grid)
+        assert rows.shape == (3, 2, 2)
+        assert log_error(rows[2], m.log_abs_laplace_derivative(3, grid)).max() <= 1e-15
+        with pytest.raises(DerivativeCapError):
+            m.log_abs_laplace_derivative(np.array([0, DERIVATIVE_CAP + 1]), S_GRID)
+
+    @pytest.mark.parametrize("m", ALL_KINDS, ids=lambda m: f"{m.kind}-{hash(m) % 997}")
+    def test_mixed_sign_orders_rejected(self, m):
+        # nonnegative orders give rows, negative ones broadcast against s:
+        # an array of both has no meaning
+        for orders in (np.array([-1, 0, 2]), np.array([[-2], [1]])):
+            with pytest.raises(ValueError, match="all negative or all nonnegative"):
+                m.log_abs_laplace_derivative(orders, S_GRID)
+
+    @pytest.mark.parametrize("m", [LevyMixing(1.3), LevyMixing(0.4),
+                                   InverseGaussianMixing(2.0, 0.7),
+                                   InverseGaussianMixing(0.9, 3.0)], ids=repr)
+    def test_bessel_recurrence_matches_sqrt_bell(self, m):
+        s = np.geomspace(1e-3, 1e6, 19)
+        rows = m.log_abs_laplace_derivative(EVERY_ORDER, s)
+        for n in range(1, DERIVATIVE_CAP + 1):
+            assert log_error(rows[n], sqrt_bell_log_derivative(m, n, s)).max() <= 1e-13
+
+
 def integrate_density(f):
     v1, _ = integrate.quad(f, 0, 1, limit=400)
     v2, _ = integrate.quad(f, 1, np.inf, limit=400)

@@ -18,8 +18,8 @@ from riskmix.aggregate import (
 )
 from riskmix.dependence import DependentVector
 from riskmix.errors import NonexistentMomentError, RiskmixError, TailUnderflowError
-from riskmix.mixing import BetaSecondKindMixing
-from riskmix import riskmeasures
+from riskmix.mixing import DERIVATIVE_CAP, BetaSecondKindMixing
+from riskmix import aggregate, riskmeasures
 from riskmix.riskmeasures import risk_report, tail_moment, tvar, value_at_risk
 from riskmix.simulate import SimulationPlan, sample_sums
 
@@ -241,6 +241,102 @@ class TestTailKernelSum:
                 a, terms = riskmeasures._value_at_risk(m, lv)
                 assert np.exp(np.logaddexp.reduce(terms)) == pytest.approx(survival(m, a), rel=1e-14)
                 assert survival(m, a) == pytest.approx(1.0 - lv, rel=1e-9)
+
+
+# VaR, TVaR and E(S^2 | S > VaR) at level 0.99 (VaR alone for the Lindley law,
+# whose tail moments diverge), computed with one kernel call per order and a
+# Newton slope from the printed density
+PINNED_REPORTS = {
+    ("pareto", 2): (6.098867353485234, 9.788067443633626, 136.5587175953081),
+    ("pareto", 10): (24.652772971079365, 38.69456788231447, 2086.969311428103),
+    ("pareto", 32): (75.15563699726806, 117.38714507794711, 19113.40673090749),
+    ("gamma_claims", 2): (5.0070566116185455, 6.073889237101285, 38.01419282695843),
+    ("gamma_claims", 10): (15.587742198293272, 17.353930515077238, 303.97756173847324),
+    ("gamma_claims", 32): (40.8895258450791, 43.71240391721156, 1917.6215209640725),
+    ("weibull_half", 2): (35.88302732773707, 51.86351602022983, 3027.1247094927244),
+    ("weibull_half", 10): (144.05903905264992, 191.42773137516662, 39220.97581232482),
+    ("weibull_half", 32): (436.478441742375, 564.6376043419632, 336518.9134812642),
+    ("weibull", 2): (35.88302732773707, 51.86351602022983, 3027.1247094927244),
+    ("weibull", 10): (144.05903905264992, 191.42773137516662, 39220.97581232482),
+    ("weibull", 32): (436.4784417423752, 564.6376043419632, 336518.9134812642),
+    ("invgauss", 2): (15.742893740814678, 20.885118556144565, 468.82052530594484),
+    ("invgauss", 10): (57.07710222849128, 70.73435968147629, 5210.6240357849865),
+    ("invgauss", 32): (167.0535218849441, 202.07267826477187, 42125.598782373214),
+    ("lindley", 2): (179.23866943272319,),
+    ("lindley", 10): (897.2233408841424,),
+    ("lindley", 32): (2871.677778037613,),
+}
+
+
+class TestOneKernelCallPerStep:
+    @pytest.mark.parametrize("name", SIX_MODELS)
+    def test_newton_never_calls_pdf(self, name, monkeypatch):
+        # each Newton step reads the density from the kernel's row n
+        def refuse(*args, **kwargs):
+            raise AssertionError("the VaR iteration evaluated a density")
+
+        assert not hasattr(riskmeasures, "pdf")
+        monkeypatch.setattr(aggregate, "pdf", refuse)
+        for n in (2, 10, 32):
+            m = SIX_MODELS[name](n)
+            for method in ("sum_pdf", "sum_pdf_derivative"):
+                monkeypatch.setattr(type(m.mixing), method, refuse)
+            for lv in (0.3, 0.99):
+                a, _ = riskmeasures._value_at_risk(m, lv)
+                assert a > 0
+
+    @pytest.mark.parametrize("key", PINNED_REPORTS, ids=lambda key: f"{key[0]}-{key[1]}")
+    def test_reports_match_pinned_values(self, key):
+        name, n = key
+        m = SIX_MODELS[name](n)
+        want = PINNED_REPORTS[key]
+        if name == "lindley":
+            assert value_at_risk(m, 0.99) == pytest.approx(want[0], rel=1e-12)
+            with pytest.raises(NonexistentMomentError):
+                risk_report(m, 0.99)
+            return
+        rep = risk_report(m, 0.99)
+        got = (rep.var, rep.tvar, dict(rep.tail_moments)[2])
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+# n = DERIVATIVE_CAP + 1: the survival sum needs orders 0..64 only, and the
+# Newton slope takes the law's sum density; (VaR, TVaR, E(S^2 | S > VaR)) at
+# levels 0.3 and 0.99, VaR alone for the Lindley law
+PINNED_AT_CAP_PLUS_ONE = {
+    ("pareto", 0.3): (17.756300747837038, 40.78751788701624, 2986.2875006529625),
+    ("pareto", 0.99): (150.84817188228982, 235.33103267603622, 76725.22911697203),
+    ("gamma_claims", 0.3): (10.176050924993675, 34.215445484952184, 1350.6153202347468),
+    ("gamma_claims", 0.99): (59.097512314572086, 62.08474183856841, 3861.9917938363387),
+    ("weibull_half", 0.3): (19.089933521260964, 183.04138673658554, 73512.50551769474),
+    ("weibull_half", 0.99): (874.4921412096904, 1122.6838735658318, 1325392.316470414),
+    ("lindley", 0.3): (78.5403406205914,),
+    ("lindley", 0.99): (8633.540719930425,),
+}
+
+
+CAP_PLUS_ONE_MODELS = {
+    "pareto": lambda n: pareto_model(3.0, 1.0, n),
+    "gamma_claims": lambda n: gamma_claims_model(0.5, 1.3, n),
+    "weibull_half": lambda n: weibull_half_model(1.0, n),
+    "lindley": lambda n: lindley_model(2.0, n),
+}
+
+
+class TestVaRAtCapPlusOne:
+    @pytest.mark.parametrize("key", PINNED_AT_CAP_PLUS_ONE, ids=lambda key: f"{key[0]}-{key[1]}")
+    def test_matches_pinned_values(self, key):
+        name, lv = key
+        m = CAP_PLUS_ONE_MODELS[name](DERIVATIVE_CAP + 1)
+        want = PINNED_AT_CAP_PLUS_ONE[key]
+        assert value_at_risk(m, lv) == pytest.approx(want[0], rel=1e-12)
+        if name == "lindley":
+            with pytest.raises(NonexistentMomentError):
+                risk_report(m, lv)
+            return
+        rep = risk_report(m, lv)
+        got = (rep.var, rep.tvar, dict(rep.tail_moments)[2])
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestTVaR:

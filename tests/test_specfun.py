@@ -15,6 +15,7 @@ from riskmix.specfun import (
     gamma_quantile,
     kummer_u_integral,
     log_bell_partial,
+    log_gammaincc,
     log_kummer_u_integral,
     upper_incomplete_gamma,
 )
@@ -179,6 +180,25 @@ class TestUpperIncompleteGamma:
             upper_incomplete_gamma(0.0, 0.0)
         with pytest.raises(ValueError):
             upper_incomplete_gamma(-1.0, 0.0)
+
+
+class TestLogGammaincc:
+    def test_against_mpmath(self):
+        # gammaincc below 1e-300 (z past about 690), scipy's hyperu nan at
+        # z = 1e200 for a = 0.3, and the asymptotic form from z = 1e20 on
+        a = np.array([0.3, 0.55, 0.999, 5.0, 142.0])[:, None]
+        z = np.array([0.0, 1.0, 50.0, 700.0, 800.0, 1e3, 1e5, 1e8, 1e19, 1e21, 1e200, 1e300])
+        got = log_gammaincc(a, z)
+        assert got.shape == (5, 12)
+        with mp.workdps(30):
+            for i, ai in enumerate(a[:, 0]):
+                for j, zj in enumerate(z):
+                    want = float(mp.log(mp.gammainc(ai, zj, mp.inf, regularized=True)))
+                    assert abs(got[i, j] - want) <= 1e-15 * max(1.0, abs(want))
+
+    def test_scalar(self):
+        assert log_gammaincc(0.55, 800.0) == pytest.approx(-803.48866777483, rel=1e-13)
+        assert log_gammaincc(0.55, 0.0) == 0.0
 
 
 class TestGammaQuantile:
