@@ -21,8 +21,11 @@ from itertools import chain
 import numpy as np
 
 from . import aggregate, asymptotics, dependence, riskmeasures, ruin, simulate
+from ._lazy import lazy_import
 from .errors import RiskmixError
 from .mixing import GammaMixing, InverseGaussianMixing
+
+integrate = lazy_import("scipy.integrate")
 
 # model name -> (factory, parameter names); factory(**params, n=n)
 _MODELS = {
@@ -550,7 +553,6 @@ def run_verify(cfg):
     samples = cfg.get("samples") or 200000
     streams = cfg.get("streams") or 4
     threads = cfg.get("threads") or 1
-    from scipy import integrate
 
     n = model.n
     checks = []

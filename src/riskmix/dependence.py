@@ -7,10 +7,13 @@ All pairwise measures collapse to scalars because the vector is exchangeable.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
+from ._lazy import lazy_import
 from .errors import UnsupportedModelError
 from .mixing import MixingDistribution
+
+integrate = lazy_import("scipy.integrate")
 
 __all__ = [
     "DependentVector",

@@ -14,7 +14,8 @@ class DerivativeCapError(RiskmixError, ValueError):
 
 
 class TailUnderflowError(RiskmixError, ArithmeticError):
-    """Survival probability underflows double precision at the requested point."""
+    """A tail value (a survival probability, a transform level) lies beyond
+    double precision at the requested point."""
 
 
 class UnsupportedModelError(RiskmixError, ValueError):

@@ -8,11 +8,13 @@ from dataclasses import dataclass
 from math import exp, lgamma, log
 
 import numpy as np
-from scipy import integrate
 
+from ._lazy import lazy_import
 from .errors import NonexistentMomentError, UnsupportedModelError
 from .mixing import BetaSecondKindMixing, MixingDistribution
 from .specfun import kummer_u_integral
+
+integrate = lazy_import("scipy.integrate")
 
 __all__ = [
     "GammaMixtureModel",

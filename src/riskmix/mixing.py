@@ -64,11 +64,13 @@ from functools import lru_cache
 from math import exp, inf, lgamma, log
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
+from ._lazy import lazy_import
 from .errors import (
     DerivativeCapError,
     NonexistentMomentError,
+    TailUnderflowError,
     UnsupportedModelError,
 )
 from .ruin import lindley_sum_pdf
@@ -79,6 +81,8 @@ from .specfun import (
     log_kummer_u_integral,
     upper_incomplete_gamma,
 )
+
+optimize = lazy_import("scipy.optimize")
 
 __all__ = [
     "DERIVATIVE_CAP",
@@ -876,14 +880,18 @@ class BetaSecondKindMixing(MixingDistribution):
         t_arr = np.atleast_1d(t)
 
         def invert(ti):
+            # L(s) decays like s^-beta, so a small t needs a bracket far out;
+            # it stops at 1e300, short of where the Kummer kernel breaks down
             if ti == 1.0:
                 return 0.0
-            hi = 1.0
+            lo, hi = 0.0, 1.0
             while self.laplace(hi) > ti:
-                hi *= 2.0
-                if hi > 1e12:
-                    raise ArithmeticError("generator bracket expansion failed")
-            return optimize.brentq(lambda s: self.laplace(s) - ti, 0.0, hi,
+                if hi > 1e300:
+                    raise TailUnderflowError(
+                        f"L(s) > {ti} for every s up to 1e300; the generator "
+                        "lies beyond double precision")
+                lo, hi = hi, 2.0 * hi
+            return optimize.brentq(lambda s: self.laplace(s) - ti, lo, hi,
                                    xtol=1e-14, rtol=8.9e-16)
 
         out = np.array([invert(ti) for ti in t_arr])

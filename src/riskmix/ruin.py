@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import exp, log
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .specfun import exp_scaled_e1
 
@@ -99,7 +99,9 @@ class PoissonCounts:
         return exp(-self.phi)
 
     def tail_mass(self, n_max: int) -> float:
-        return float(stats.poisson.sf(n_max, self.phi))
+        """P(N > n_max) = P(n_max + 1, phi), the regularized lower incomplete
+        gamma function (`pdtrc`)."""
+        return float(special.pdtrc(n_max, self.phi))
 
 
 @dataclass(frozen=True)
@@ -122,12 +124,18 @@ class NegativeBinomialCounts:
         return self.p ** self.r
 
     def tail_mass(self, n_max: int) -> float:
-        return float(stats.nbinom.sf(n_max, self.r, self.p))
+        """P(N > n_max) = I_{1-p}(n_max + 1, r), the regularized incomplete
+        beta function; it takes a non-integer r as it is."""
+        return float(special.betainc(n_max + 1.0, self.r, 1.0 - self.p))
 
 
 def geometric_counts(p: float) -> NegativeBinomialCounts:
     """Geometric counting law; the r = 1 negative binomial."""
     return NegativeBinomialCounts(1.0, p)
+
+
+# the vanishing negative binomial index whose limit is the logarithmic law
+_LOGARITHMIC_R = 1e-20
 
 
 @dataclass(frozen=True)
@@ -147,7 +155,29 @@ class LogarithmicCounts:
         return 0.0
 
     def tail_mass(self, n_max: int) -> float:
-        return float(stats.logser.sf(n_max, self.phi))
+        """P(N > n_max) = sum_{k > n} phi^k / (k L), L = -log(1 - phi), n = n_max.
+
+        For phi <= 1/2 this is the series of positive terms
+
+            phi^{n+1} / ((n+1) L) * 2F1(1, n+1; n+2; phi),
+
+        2F1(1, n+1; n+2; phi) = sum_j (n+1) phi^j / (n+1+j).  Past 1/2 scipy
+        evaluates that 2F1 as nan (n >= 100 once phi >= 0.95), and the tail
+        comes from the logarithmic law as the r -> 0 limit of the negative
+        binomial law with success probability 1 - phi, conditioned on N > 0:
+
+            P(N > n) = lim_{r -> 0} I_phi(n+1, r) / (1 - (1 - phi)^r).
+
+        At r = 1e-20 the ratio is that limit to a relative O(r (L + log n)),
+        far below rounding; both factors are about r L, which is why the
+        limit is not used for small phi, where they would underflow."""
+        phi, n1 = self.phi, n_max + 1.0
+        log_q = math.log1p(-phi)
+        if phi <= 0.5:
+            return float(phi ** n_max / n1 * (phi / -log_q)
+                         * special.hyp2f1(1.0, n1, n1 + 1.0, phi))
+        r = _LOGARITHMIC_R
+        return float(special.betainc(n1, r, phi) / -math.expm1(r * log_q))
 
 
 @dataclass(frozen=True)
@@ -172,30 +202,42 @@ class CompoundDensityValue:
 
 
 def compound_pdf(m: CompoundModel, x: float) -> CompoundDensityValue:
-    """Closed-form total-claim density (x > 0) or the atom mass (x = 0)."""
+    """Closed-form total-claim density (x > 0) or the atom mass (x = 0).
+
+    With y = lam + x, each closed form is rewritten as a sum of positive
+    terms over powers of y (and of lam + p x or lam + (1 - phi) x), divided
+    out one factor at a time, so it is finite for every x and underflows
+    only where the density does:
+
+        Poisson:   phi lam^2 e^{-lam phi/y} (y (y + 2) + phi x) / ((1+lam) y^4)
+        neg. bin.: lam^2 q r p^r (z y + z + y + r q x) y^{r-2} / ((1+lam) z^{r+2}),
+                   z = lam + p x
+        log.:      lam^2 phi (y w + y + w) / ((1+lam) L (y w)^2),
+                   w = lam + (1 - phi) x,  L = -log(1 - phi)
+    """
     if x < 0:
         raise ValueError("x must be nonnegative")
     lam = m.lam
     cnt = m.counting
     if x == 0.0:
         return CompoundDensityValue(cnt.atom(), True)
+    y = lam + x
+    c = lam ** 2 / (1.0 + lam)
     if isinstance(cnt, PoissonCounts):
         phi = cnt.phi
-        val = ((lam * (lam + 2.0) + x * (2.0 * (lam + 1.0) + phi + x))
-               / ((lam + 1.0) * (lam + x) ** 4)
-               * phi * lam ** 2 * exp(-lam * phi / (lam + x)))
+        val = (c * phi * exp(-lam * phi / y)
+               * (1.0 + (2.0 + phi * (x / y)) / y) / y / y)
     elif isinstance(cnt, NegativeBinomialCounts):
         r, p = cnt.r, cnt.p
         q = 1.0 - p
-        val = ((lam * (lam + 2.0) + x * (p * (x + lam - r + 1.0) + lam + r + 1.0))
-               / ((lam + 1.0) * (lam + p * x) ** (2.0 + r))
-               * (x + lam) ** (r - 2.0) * lam ** 2 * q * r * p ** r)
+        z = lam + p * x
+        val = (c * q * r * p ** r * (y / z) ** (r - 1.0)
+               * (1.0 + 1.0 / y + (1.0 + r * q * (x / y)) / z) / z / z)
     elif isinstance(cnt, LogarithmicCounts):
         phi = cnt.phi
-        val = (lam ** 2 * phi
-               * (x * phi * (lam + x + 1.0) - (lam + x) * (lam + x + 2.0))
-               / ((lam + 1.0) * ((lam + x) * (lam + x * (1.0 - phi))) ** 2
-                  * math.log1p(-phi)))
+        w = lam + (1.0 - phi) * x
+        val = (c * phi / -math.log1p(-phi)
+               * (1.0 + 1.0 / w + 1.0 / y) / y / w)
     else:
         raise TypeError(f"unknown counting law {type(cnt).__name__}")
     return CompoundDensityValue(val, False)

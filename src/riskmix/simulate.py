@@ -15,12 +15,14 @@ from dataclasses import dataclass
 from math import exp, lgamma, log
 
 import numpy as np
-from scipy import integrate
 
+from ._lazy import lazy_import
 from .aggregate import AggregateModel
 from .errors import UnsupportedModelError
 from .gammaext import SibuyaModel
 from .mixing import MixingDistribution
+
+integrate = lazy_import("scipy.integrate")
 
 __all__ = [
     "SimulationPlan",

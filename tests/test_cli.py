@@ -159,6 +159,18 @@ class TestCompoundAndRuin:
         assert atom == "0"
         assert float(val) == pytest.approx(0.12962962962962962, rel=1e-10)
 
+    @pytest.mark.parametrize("argv", [
+        ["--primary", "poisson", "--phi", "1", "--x", "1e100"],
+        ["--primary", "negbinomial", "--r", "3.7", "--p", "0.3", "--x", "1e60"],
+        ["--primary", "logarithmic", "--phi", "0.5", "--x", "1e200"],
+    ], ids=["poisson", "negbinomial", "logarithmic"])
+    def test_compound_at_huge_x(self, capsys, argv):
+        code, out, err = run(capsys, ["compound", "--lambda", "1", *argv])
+        assert code == 0, err
+        x, val, atom = out.strip().split("\n")[1].split(",")
+        assert atom == "0"
+        assert math.isfinite(float(val)) and 0.0 <= float(val) < 1e-100
+
     def test_ruin_curve_monotone(self, capsys):
         code, out, _ = run(capsys, ["ruin", "--lambda", "1", "--phi", "1", "--c", "1.5",
                                     "--grid", "0:40:9"])

@@ -1,0 +1,57 @@
+"""What `import riskmix` executes.
+
+scipy.stats is never imported, and scipy.integrate and scipy.optimize are
+bound but run only when an oracle or a cold path first uses them.  The
+check runs in a fresh interpreter: this suite's warning filter names
+scipy.integrate.IntegrationWarning, so pytest has imported scipy.integrate
+before any test starts.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SCRIPT = textwrap.dedent("""
+    import sys
+
+    import riskmix
+    import riskmix.cli
+
+    def executed(name):
+        return type(sys.modules[name]).__name__ != "_LazyModule" or any(
+            m.startswith(name + ".") for m in sys.modules)
+
+    assert not [m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"]]
+    assert not executed("scipy.integrate") and not executed("scipy.optimize")
+    assert riskmix.dependence.integrate is sys.modules["scipy.integrate"]
+    assert riskmix.mixing.optimize is sys.modules["scipy.optimize"]
+
+    from riskmix.dependence import DependentVector, kendall_tau_numeric
+    from riskmix.mixing import BetaSecondKindMixing, PositiveStableMixing
+
+    tau = kendall_tau_numeric(DependentVector(PositiveStableMixing(0.5), 2))
+    assert abs(tau - 0.5) < 1e-9, tau
+    model = riskmix.pareto_model(3.0, 1.0, n=2)
+    got = riskmix.quadrature_mixture_pdf(model.mixing, 2, 1.0)
+    want = riskmix.pdf(model, 1.0)
+    assert abs(got - want) < 1e-10 * want, (got, want)
+    assert executed("scipy.integrate")
+
+    m = BetaSecondKindMixing(3.0, 1.0)
+    assert abs(m.laplace(m.generator(0.25)) - 0.25) < 1e-14
+    assert executed("scipy.optimize")
+    assert not [m for m in sys.modules if m.split(".")[:2] == ["scipy", "stats"]]
+    print("ok")
+""")
+
+
+def test_import_executes_no_stats_and_defers_quadrature():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

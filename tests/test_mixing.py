@@ -8,6 +8,8 @@ from scipy import integrate, special
 from riskmix.errors import (
     DerivativeCapError,
     NonexistentMomentError,
+    RiskmixError,
+    TailUnderflowError,
     UnsupportedModelError,
 )
 from riskmix.aggregate import moment_from_mixture, pdf, survival, weibull_model
@@ -196,6 +198,30 @@ class TestClosedFormLaplace:
             quad, _ = integrate.quad(lambda t: math.exp(-s * t) * m.pdf(t), 0, np.inf,
                                      limit=300)
             assert m.laplace(s) == pytest.approx(quad, rel=1e-9)
+
+
+class TestBeta2GeneratorTail:
+    """The beta2 generator is a numeric inverse of L(s) ~ s^-beta; a small t
+    puts its root far beyond any fixed bracket."""
+
+    @pytest.mark.parametrize("beta, gam", [(3.0, 1.0), (1.5, 2.5), (20.0, 0.5)])
+    @pytest.mark.parametrize("t", [1e-36, 1e-60, 1e-200])
+    def test_round_trip_at_tiny_t(self, beta, gam, t):
+        m = BetaSecondKindMixing(beta, gam)
+        s = m.generator(t)
+        assert math.isfinite(s) and s > 0
+        assert m.laplace(s) == pytest.approx(t, rel=1e-13)
+
+    def test_generator_matches_power_tail(self):
+        # L(s) = Gamma(beta+gam)/Gamma(gam) s^-beta (1 + O(1/s)) as s -> inf
+        m = BetaSecondKindMixing(3.0, 1.0)
+        assert m.generator(1e-60) == pytest.approx((6.0 / 1e-60) ** (1 / 3), rel=1e-12)
+
+    def test_no_bracket_is_typed(self):
+        # beta = 1/2: L(1e300) is about 1e-150, so t = 1e-200 has no root in range
+        with pytest.raises(TailUnderflowError) as err:
+            BetaSecondKindMixing(0.5, 1.0).generator(1e-200)
+        assert isinstance(err.value, RiskmixError)
 
 
 class TestFaaDiBrunoAgainstClosedForms:

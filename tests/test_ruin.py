@@ -4,7 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from riskmix.aggregate import lindley_model, pdf_generic
 from riskmix.ruin import (
@@ -146,7 +146,118 @@ class TestCountingLaws:
             LogarithmicCounts(1.0)
 
 
+def _mp_poisson_sf(c, n):
+    # P(N > n) = P(n + 1, phi), the regularized lower incomplete gamma
+    return mp.gammainc(n + 1, 0, mp.mpf(c.phi), regularized=True)
+
+
+def _mp_negbin_sf(c, n):
+    # direct sum of the pmf beyond n; the terms fall off like (1 - p)^k
+    r, p = mp.mpf(c.r), mp.mpf(c.p)
+    k = n + 1
+    term = mp.exp(mp.loggamma(k + r) - mp.loggamma(r) - mp.loggamma(k + 1)
+                  + r * mp.log(p) + k * mp.log1p(-p))
+    total = mp.mpf(0)
+    while True:
+        total += term
+        nxt = term * (1 - p) * (k + r) / (k + 1)
+        if nxt < term and nxt < total * mp.mpf(10) ** -45:
+            return total
+        term, k = nxt, k + 1
+
+
+def _mp_logser_sf(c, n):
+    phi = mp.mpf(c.phi)
+    if phi > 0.5:
+        # sum_{k > n} phi^k / k = phi^{n+1} Phi(phi, 1, n+1), the Lerch transcendent
+        tail = phi ** (n + 1) * mp.lerchphi(phi, 1, n + 1)
+    else:
+        # mpmath's lerchphi is off for tiny phi; the direct sum is quick there
+        k, term, tail = n + 1, phi ** (n + 1) / (n + 1), mp.mpf(0)
+        while term > tail * mp.mpf(10) ** -45:
+            tail += term
+            term = term * phi * k / (k + 1)
+            k += 1
+    return tail / -mp.log1p(-phi)
+
+
+TAIL_N = (0, 1, 2, 5, 50, 1000, 100_000)
+TAIL_COUNTS = (
+    [PoissonCounts(phi) for phi in (1e-6, 0.5, 3.0, 100.0, 1e4)]
+    + [NegativeBinomialCounts(r, p) for r in (0.5, 1.0, 3.7, 20.0) for p in (0.1, 0.5, 0.999)]
+    + [LogarithmicCounts(phi)
+       for phi in (1e-300, 1e-100, 1e-6, 0.1, 0.5, 0.5000001, 0.9, 0.999, 0.999999)]
+)
+MPMATH_SF = {PoissonCounts: _mp_poisson_sf, NegativeBinomialCounts: _mp_negbin_sf,
+             LogarithmicCounts: _mp_logser_sf}
+SCIPY_SF = {PoissonCounts: lambda c, n: stats.poisson.sf(n, c.phi),
+            NegativeBinomialCounts: lambda c, n: stats.nbinom.sf(n, c.r, c.p),
+            LogarithmicCounts: lambda c, n: stats.logser.sf(n, c.phi)}
+
+
+class TestTailMasses:
+    """The counting laws' tail masses in closed form (pdtrc, betainc, hyp2f1)."""
+
+    @pytest.mark.parametrize("cnt", TAIL_COUNTS, ids=str)
+    def test_matches_mpmath(self, cnt):
+        with mp.workdps(40):
+            for n in TAIL_N:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = cnt.tail_mass(n)
+                want = MPMATH_SF[type(cnt)](cnt, n)
+                assert 0.0 <= got <= 1.0
+                if want > 1e-290:
+                    assert abs(got - want) <= 1e-13 * want, (n, got, float(want))
+                else:
+                    assert got <= 1e-289, (n, got)
+
+    @pytest.mark.parametrize("cnt", TAIL_COUNTS, ids=str)
+    def test_matches_scipy_stats(self, cnt):
+        # scipy's logser.sf is 1 - cdf, a cancelling difference: it reads 0 for
+        # small tails and is off by 8e-11 at phi = 0.999999, n = 1e5 (mpmath
+        # sides with tail_mass there)
+        rel = 1e-9 if isinstance(cnt, LogarithmicCounts) else 1e-12
+        for n in TAIL_N:
+            want = float(SCIPY_SF[type(cnt)](cnt, n))
+            if want > 1e-200:
+                assert cnt.tail_mass(n) == pytest.approx(want, rel=rel)
+
+
+def _mp_compound(cnt, lam, x):
+    """The printed closed forms, evaluated at 50 digits."""
+    lam, x = mp.mpf(lam), mp.mpf(x)
+    if isinstance(cnt, PoissonCounts):
+        phi = mp.mpf(cnt.phi)
+        return ((lam * (lam + 2) + x * (2 * (lam + 1) + phi + x))
+                / ((lam + 1) * (lam + x) ** 4) * phi * lam ** 2 * mp.exp(-lam * phi / (lam + x)))
+    if isinstance(cnt, NegativeBinomialCounts):
+        r, p = mp.mpf(cnt.r), mp.mpf(cnt.p)
+        return ((lam * (lam + 2) + x * (p * (x + lam - r + 1) + lam + r + 1))
+                / ((lam + 1) * (lam + p * x) ** (2 + r))
+                * (x + lam) ** (r - 2) * lam ** 2 * (1 - p) * r * p ** r)
+    phi = mp.mpf(cnt.phi)
+    return (lam ** 2 * phi * (x * phi * (lam + x + 1) - (lam + x) * (lam + x + 2))
+            / ((lam + 1) * ((lam + x) * (lam + x * (1 - phi))) ** 2 * mp.log1p(-phi)))
+
+
 class TestCompoundPdf:
+    @pytest.mark.parametrize("cnt", [PoissonCounts(1.0), PoissonCounts(40.0),
+                                     NegativeBinomialCounts(3.7, 0.3),
+                                     NegativeBinomialCounts(1.0, 0.5),
+                                     NegativeBinomialCounts(0.4, 0.9),
+                                     LogarithmicCounts(0.5), LogarithmicCounts(0.999)],
+                             ids=str)
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 7.0])
+    def test_matches_mpmath_at_every_scale(self, cnt, lam):
+        m = CompoundModel(cnt, lam)
+        for x in (1e-8, 0.2, 3.0, 1e10, 1e60, 1e100, 1e200, 1e300):
+            with mp.workdps(50):
+                want = float(_mp_compound(cnt, lam, x))
+            got = compound_pdf(m, x).value
+            # past about x = 1e154 the density itself underflows
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-300), x
+
     def test_atoms(self):
         assert compound_pdf(CompoundModel(PoissonCounts(1.0), 1.0), 0.0).value == \
             pytest.approx(math.exp(-1.0), rel=1e-14)
