@@ -27,7 +27,7 @@ from .mixing import GammaMixing, InverseGaussianMixing
 
 integrate = lazy_import("scipy.integrate")
 
-# model name -> (factory, parameter names); factory(**params, n=n)
+# law name -> (factory, parameter keys); factory(*params, **extra)
 _MODELS = {
     "pareto": (aggregate.pareto_model, ("alpha", "beta")),
     "gamma": (aggregate.gamma_claims_model, ("alpha", "lam")),
@@ -36,9 +36,16 @@ _MODELS = {
     "invgauss": (aggregate.inverse_gaussian_model, ("lam", "mu")),
     "lindley": (aggregate.lindley_model, ("lam",)),
 }
-MODELS = tuple(_MODELS)
-COMMANDS = ("pdf", "cdf", "survival", "var", "tvar", "moments", "tau", "rho",
-            "simulate", "ruin", "compound", "asymptotic", "verify")
+_PRIMARIES = {
+    "poisson": (ruin.PoissonCounts, ("phi",)),
+    "negbinomial": (ruin.NegativeBinomialCounts, ("r", "p")),
+    "geometric": (ruin.geometric_counts, ("p",)),
+    "logarithmic": (ruin.LogarithmicCounts, ("phi",)),
+}
+_MIXINGS = {
+    "gamma": (GammaMixing, ("alpha", "lam")),
+    "invgauss": (InverseGaussianMixing, ("lam", "mu")),
+}
 DEFAULT_SEED = 202508
 
 
@@ -116,6 +123,17 @@ def write_table(path, fmt, columns, rows, meta):
         out.write(closing)
 
 
+def _finite_float(text: str) -> float:
+    """The type of every float flag (and config value): a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 def parse_grid(spec: str):
     parts = spec.split(":")
     if len(parts) not in (3, 4):
@@ -124,6 +142,8 @@ def parse_grid(spec: str):
     spacing = parts[3] if len(parts) == 4 else "linear"
     if spacing not in ("linear", "log"):
         raise ValueError(f"grid spacing must be linear or log, got {spacing}")
+    if not math.isfinite(hi - lo):
+        raise ValueError("grid min and max must be finite numbers a finite distance apart")
     if not lo < hi:
         raise ValueError("grid min must be below grid max")
     if pts < 2:
@@ -143,33 +163,39 @@ def parse_levels(spec: str):
     return levels
 
 
-_FLAG_OF = {"alpha": "--alpha", "beta": "--beta", "lam": "--lambda", "mu": "--mu"}
+def _flag(key):
+    return "--" + {"lam": "lambda", "fmt": "format"}.get(key, key)
+
+
+def _build(cfg, errors, kind, table, **extra):
+    """The law named by cfg[kind] ("model", "primary" or "mixing"), made by
+    its table's factory from the configured parameters; None, with the
+    reasons appended to errors, if it is unnamed, a parameter is missing or
+    an earlier check failed."""
+    name = cfg.get(kind)
+    if name is None:
+        errors.append(f"missing --{kind}")
+        return None
+    factory, params = table[name]
+    missing = [_flag(p) for p in params if cfg.get(p) is None]
+    if missing:
+        errors.append(f"{kind} {name} needs {', '.join(missing)}")
+    if errors:
+        return None
+    try:
+        return factory(*(cfg[p] for p in params), **extra)
+    except ValueError as exc:
+        errors.append(str(exc))
+        return None
 
 
 def build_model(cfg, errors):
-    name = cfg.get("model")
-    if name is None:
-        errors.append("missing --model")
-        return None
-    if name not in MODELS:
-        errors.append(f"unknown model '{name}' (choose from {', '.join(MODELS)})")
-        return None
     n = cfg.get("n")
     if n is None:
         errors.append("missing --n (number of summed risks)")
     elif n < 1:
         errors.append("n must be a positive integer")
-    factory, params = _MODELS[name]
-    missing = [p for p in params if cfg.get(p) is None]
-    if missing:
-        errors.append(f"model {name} needs {', '.join(_FLAG_OF[p] for p in missing)}")
-    if errors:
-        return None
-    try:
-        return factory(**{p: cfg[p] for p in params}, n=n)
-    except ValueError as exc:
-        errors.append(str(exc))
-        return None
+    return _build(cfg, errors, "model", _MODELS, n=n)
 
 
 def model_meta(cfg):
@@ -179,7 +205,7 @@ def model_meta(cfg):
                 "alpha", "beta", "mu", "m")
         return {k: cfg[k] for k in keys if cfg.get(k) is not None}
     out = {"name": name}
-    for p in _MODELS[name][1] if name in _MODELS else ():
+    for p in _MODELS[name][1]:
         out[p] = cfg.get(p)
     if cfg.get("n") is not None:
         out["n"] = cfg["n"]
@@ -187,20 +213,24 @@ def model_meta(cfg):
 
 
 @functools.cache
-def make_parser():
+def make_parser(exit_on_error=True):
     """The argument parser, built on the first call and shared after it.
 
     parse_args leaves the parser unchanged and returns a fresh Namespace, so
     no state carries over between commands; in-process callers (tests,
     notebooks, a benchmark loop) skip rebuilding about 160 arguments per
-    command.  A one-shot console command builds it once either way.
+    command.  A one-shot console command builds it once either way.  With
+    exit_on_error=False a bad value raises argparse.ArgumentError instead of
+    exiting; config files are read through that copy.
     """
     top = argparse.ArgumentParser(
         prog="riskmix",
         description="Aggregate dependent exponential-mixture risks: densities, "
                     "risk measures, ruin and collective-risk curves.",
+        exit_on_error=exit_on_error,
     )
     sub = top.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, exit_on_error=exit_on_error)
 
     def add_common(p, model=True):
         p.add_argument("--config", help="key=value config file, one section per command")
@@ -209,68 +239,67 @@ def make_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: RISKMIX_SEED env var)")
         if model:
-            p.add_argument("--model", choices=MODELS, default=None)
-            p.add_argument("--alpha", type=float, default=None)
-            p.add_argument("--beta", type=float, default=None)
-            p.add_argument("--lambda", dest="lam", type=float, default=None)
-            p.add_argument("--mu", type=float, default=None)
+            p.add_argument("--model", choices=_MODELS, default=None)
+            p.add_argument("--alpha", type=_finite_float, default=None)
+            p.add_argument("--beta", type=_finite_float, default=None)
+            p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
+            p.add_argument("--mu", type=_finite_float, default=None)
             p.add_argument("--n", type=int, default=None)
 
     for cmd in ("pdf", "cdf", "survival"):
-        p = sub.add_parser(cmd, help=f"evaluate the aggregate {cmd} on a grid")
+        p = add_parser(cmd, help=f"evaluate the aggregate {cmd} on a grid")
         add_common(p)
         p.add_argument("--grid", default=None, help="min:max:points[:linear|log]")
 
     for cmd in ("var", "tvar"):
-        p = sub.add_parser(cmd, help="VaR/TVaR report at the requested levels")
+        p = add_parser(cmd, help="VaR/TVaR report at the requested levels")
         add_common(p)
         p.add_argument("--levels", default=None, help="comma-separated levels in (0,1)")
 
-    p = sub.add_parser("moments", help="raw moments of the aggregate")
+    p = add_parser("moments", help="raw moments of the aggregate")
     add_common(p)
     p.add_argument("--orders", default=None, help="comma-separated positive integers")
 
     for cmd in ("tau", "rho"):
-        p = sub.add_parser(cmd, help="pairwise Kendall tau / Pearson rho")
+        p = add_parser(cmd, help="pairwise Kendall tau / Pearson rho")
         add_common(p)
 
-    p = sub.add_parser("simulate", help="draw the claim matrix and export it")
+    p = add_parser("simulate", help="draw the claim matrix and export it")
     add_common(p)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--streams", type=int, default=None)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--binary", default=None, help="also dump the binary sample file here")
 
-    p = sub.add_parser("ruin", help="ruin probability curve for the Lindley frailty")
+    p = add_parser("ruin", help="ruin probability curve for the Lindley frailty")
     add_common(p, model=False)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--phi", type=float, default=None, help="Poisson claim intensity")
-    p.add_argument("--c", type=float, default=None, help="premium intensity")
-    p.add_argument("--u", type=float, default=None, help="single initial capital")
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
+    p.add_argument("--phi", type=_finite_float, default=None, help="Poisson claim intensity")
+    p.add_argument("--c", type=_finite_float, default=None, help="premium intensity")
+    p.add_argument("--u", type=_finite_float, default=None, help="single initial capital")
     p.add_argument("--grid", default=None, help="u grid min:max:points[:spacing]")
 
-    p = sub.add_parser("compound", help="collective-risk total claim density")
+    p = add_parser("compound", help="collective-risk total claim density")
     add_common(p, model=False)
-    p.add_argument("--primary", choices=("poisson", "negbinomial", "geometric",
-                                         "logarithmic"), default=None)
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--x", type=float, default=None)
+    p.add_argument("--primary", choices=_PRIMARIES, default=None)
+    p.add_argument("--phi", type=_finite_float, default=None)
+    p.add_argument("--r", type=_finite_float, default=None)
+    p.add_argument("--p", type=_finite_float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
+    p.add_argument("--x", type=_finite_float, default=None)
     p.add_argument("--grid", default=None)
 
-    p = sub.add_parser("asymptotic", help="Pareto-mixture tail approximation")
+    p = add_parser("asymptotic", help="Pareto-mixture tail approximation")
     add_common(p, model=False)
-    p.add_argument("--mixing", choices=("gamma", "invgauss"), default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None, help="Pareto precision parameter")
+    p.add_argument("--mixing", choices=_MIXINGS, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
+    p.add_argument("--mu", type=_finite_float, default=None)
+    p.add_argument("--beta", type=_finite_float, default=None, help="Pareto precision parameter")
     p.add_argument("--m", type=int, default=None, help="index of the smallest shape")
     p.add_argument("--grid", default=None)
 
-    p = sub.add_parser("verify", help="oracle cross-check suite for one model")
+    p = add_parser("verify", help="oracle cross-check suite for one model")
     add_common(p)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--streams", type=int, default=None)
@@ -279,54 +308,55 @@ def make_parser():
     return top
 
 
-_FILE_TYPES = {
-    "alpha": float, "beta": float, "lam": float, "mu": float, "phi": float,
-    "c": float, "p": float, "r": float, "u": float, "x": float,
-    "n": int, "samples": int, "streams": int, "threads": int, "seed": int,
-    "m": int,
-}
-_FILE_KEYS = {"lambda": "lam", "format": "fmt"}
-
-
 def load_config_file(path, command):
-    """Flat key=value sections, one per command; values typed per key."""
+    """The command's section of a flat key=value file, one section per
+    command.  Each key is a flag name, parsed and typed by the command's own
+    parser; a bad value or a key that is not a flag is a ValueError."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ValueError(f"config file not found: {path}")
     if not parser.has_section(command):
         return {}
-    out = {}
-    for key, raw in parser.items(command):
-        dest = _FILE_KEYS.get(key, key)
-        conv = _FILE_TYPES.get(dest)
-        out[dest] = conv(raw) if conv else raw
-    return out
+    tokens = [f"--{key}={raw}" for key, raw in parser.items(command)]
+    try:
+        args, unknown = make_parser(exit_on_error=False).parse_known_args([command, *tokens])
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
+    if unknown:
+        raise ValueError(f"config file {path}: not a {command} flag: {' '.join(unknown)}")
+    return {k: v for k, v in vars(args).items() if v is not None}
 
 
 def merge_config(args):
     """Flags override file values; overrides are noted on stderr."""
-    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    cfg = dict(vars(args))
     if args.config:
-        fileval = load_config_file(args.config, args.command)
-        for key, val in fileval.items():
-            if key not in cfg:
-                cfg[key] = val
-            elif cfg[key] is None:
+        for key, val in load_config_file(args.config, args.command).items():
+            if cfg[key] is None:
                 cfg[key] = val
             elif cfg[key] != val:
-                print(f"note: flag --{key.replace('lam', 'lambda')} = {cfg[key]} "
+                print(f"note: flag {_flag(key)} = {cfg[key]} "
                       f"overrides config value {val}", file=sys.stderr)
-    if cfg.get("seed") is None:
+    del cfg["command"], cfg["config"]
+    if cfg["seed"] is None:
         cfg["seed"] = int(os.environ.get("RISKMIX_SEED", DEFAULT_SEED))
-    if cfg.get("fmt") is None:
+    if cfg["fmt"] is None:
         cfg["fmt"] = "csv"
     return cfg
 
 
-def _require_grid(cfg, errors):
+def _points(cfg, errors, single=None):
+    """The points to evaluate: the one nonnegative --u/--x value where the
+    command has one and it is given, else the --grid."""
+    if single and cfg.get(single) is not None:
+        if cfg[single] < 0:
+            errors.append(f"{single} must be nonnegative")
+            return None
+        return np.array([cfg[single]])
     if not cfg.get("grid"):
-        errors.append("missing --grid (no silent default)")
+        errors.append(f"missing --{single} or --grid" if single
+                      else "missing --grid (no silent default)")
         return None
     try:
         return parse_grid(cfg["grid"])
@@ -338,14 +368,13 @@ def _require_grid(cfg, errors):
 def run_grid_command(cfg, command):
     errors = []
     model = build_model(cfg, errors)
-    xs = _require_grid(cfg, errors)
+    xs = _points(cfg, errors)
     if errors:
         return errors, None, None
-    fn = {"pdf": aggregate.pdf, "cdf": aggregate.cdf, "survival": aggregate.survival}[command]
-    return [], ("x", command), np.column_stack((xs, fn(model, xs)))
+    return [], ("x", command), np.column_stack((xs, getattr(aggregate, command)(model, xs)))
 
 
-def run_risk_command(cfg):
+def run_risk_command(cfg, command):
     errors = []
     model = build_model(cfg, errors)
     if not cfg.get("levels"):
@@ -363,7 +392,7 @@ def run_risk_command(cfg):
     return [], ("level", "var", "tvar"), [(r.level, r.var, r.tvar) for r in reports]
 
 
-def run_moments(cfg):
+def run_moments(cfg, command):
     errors = []
     model = build_model(cfg, errors)
     raw = cfg.get("orders") or "1,2"
@@ -387,14 +416,11 @@ def run_dependence(cfg, command):
         errors.append(f"{command} needs n >= 2")
     if errors:
         return errors, None, None
-    if command == "tau":
-        val = dependence.kendall_tau(model.vector)
-    else:
-        val = dependence.pearson_rho(model.vector)
-    return [], (command,), [(val,)]
+    measure = {"tau": dependence.kendall_tau, "rho": dependence.pearson_rho}[command]
+    return [], (command,), [(measure(model.vector),)]
 
 
-def run_simulate(cfg):
+def run_simulate(cfg, command):
     errors = []
     model = build_model(cfg, errors)
     samples = cfg.get("samples") or 10000
@@ -414,27 +440,15 @@ def run_simulate(cfg):
     return [], cols, mat
 
 
-def run_ruin(cfg):
+def run_ruin(cfg, command):
     errors = []
     for key in ("lam", "phi", "c"):
         v = cfg.get(key)
         if v is None:
-            errors.append(f"missing --{'lambda' if key == 'lam' else key}")
+            errors.append(f"missing {_flag(key)}")
         elif v <= 0:
-            errors.append(f"{'lambda' if key == 'lam' else key} must be positive")
-    us = None
-    if cfg.get("u") is not None:
-        if cfg["u"] < 0:
-            errors.append("u must be nonnegative")
-        else:
-            us = np.array([cfg["u"]])
-    elif cfg.get("grid"):
-        try:
-            us = parse_grid(cfg["grid"])
-        except ValueError as exc:
-            errors.append(str(exc))
-    else:
-        errors.append("missing --u or --grid")
+            errors.append(f"{_flag(key)[2:]} must be positive")
+    us = _points(cfg, errors, "u")
     if errors:
         return errors, None, None
     rows = [(float(u), ruin.ruin_probability(cfg["lam"], cfg["phi"], cfg["c"], float(u)))
@@ -442,57 +456,14 @@ def run_ruin(cfg):
     return [], ("u", "psi"), rows
 
 
-def _build_counting(cfg, errors):
-    primary = cfg.get("primary")
-    if primary is None:
-        errors.append("missing --primary")
-        return None
-    try:
-        if primary == "poisson":
-            if cfg.get("phi") is None:
-                errors.append("poisson primary needs --phi")
-                return None
-            return ruin.PoissonCounts(cfg["phi"])
-        if primary == "negbinomial":
-            missing = [k for k in ("r", "p") if cfg.get(k) is None]
-            if missing:
-                errors.append(f"negbinomial primary needs --{' --'.join(missing)}")
-                return None
-            return ruin.NegativeBinomialCounts(cfg["r"], cfg["p"])
-        if primary == "geometric":
-            if cfg.get("p") is None:
-                errors.append("geometric primary needs --p")
-                return None
-            return ruin.geometric_counts(cfg["p"])
-        if cfg.get("phi") is None:
-            errors.append("logarithmic primary needs --phi")
-            return None
-        return ruin.LogarithmicCounts(cfg["phi"])
-    except ValueError as exc:
-        errors.append(str(exc))
-        return None
-
-
-def run_compound(cfg):
+def run_compound(cfg, command):
     errors = []
-    counting = _build_counting(cfg, errors)
+    counting = _build(cfg, errors, "primary", _PRIMARIES)
     if cfg.get("lam") is None:
         errors.append("missing --lambda (Lindley severity parameter)")
     elif cfg["lam"] <= 0:
         errors.append("lambda must be positive")
-    xs = None
-    if cfg.get("x") is not None:
-        if cfg["x"] < 0:
-            errors.append("x must be nonnegative")
-        else:
-            xs = np.array([cfg["x"]])
-    elif cfg.get("grid"):
-        try:
-            xs = parse_grid(cfg["grid"])
-        except ValueError as exc:
-            errors.append(str(exc))
-    else:
-        errors.append("missing --x or --grid")
+    xs = _points(cfg, errors, "x")
     if errors:
         return errors, None, None
     m = ruin.CompoundModel(counting, cfg["lam"])
@@ -503,48 +474,23 @@ def run_compound(cfg):
     return [], ("x", "value", "atom"), rows
 
 
-def run_asymptotic(cfg):
+def run_asymptotic(cfg, command):
     errors = []
-    mix_name = cfg.get("mixing")
-    mix = None
-    if mix_name is None:
-        errors.append("missing --mixing (gamma or invgauss)")
-    elif mix_name == "gamma":
-        missing = [k for k in ("alpha", "lam") if cfg.get(k) is None]
-        if missing:
-            errors.append("gamma mixing needs --alpha and --lambda")
-        else:
-            try:
-                mix = GammaMixing(cfg["alpha"], cfg["lam"])
-            except ValueError as exc:
-                errors.append(str(exc))
-    else:
-        missing = [k for k in ("lam", "mu") if cfg.get(k) is None]
-        if missing:
-            errors.append("invgauss mixing needs --lambda and --mu")
-        else:
-            try:
-                mix = InverseGaussianMixing(cfg["lam"], cfg["mu"])
-            except ValueError as exc:
-                errors.append(str(exc))
-    beta = cfg.get("beta")
-    m_idx = cfg.get("m") or 1
-    if beta is None:
+    mix = _build(cfg, errors, "mixing", _MIXINGS)
+    if cfg.get("beta") is None:
         errors.append("missing --beta (precision parameter)")
-    xs = _require_grid(cfg, errors)
-    spec = None
-    if not errors:
-        try:
-            spec = asymptotics.ParetoTailSpec(beta, m_idx, mix)
-        except ValueError as exc:
-            errors.append(str(exc))
+    xs = _points(cfg, errors)
     if errors:
         return errors, None, None
+    try:
+        spec = asymptotics.ParetoTailSpec(cfg["beta"], cfg.get("m") or 1, mix)
+    except ValueError as exc:
+        return [str(exc)], None, None
     rows = [(float(x), asymptotics.tail_pdf_generic(spec, float(x))) for x in xs]
     return [], ("x", "tail_pdf"), rows
 
 
-def run_verify(cfg):
+def run_verify(cfg, command):
     """Oracle cross-check suite for the configured model; returns the table."""
     errors = []
     model = build_model(cfg, errors)
@@ -603,6 +549,16 @@ def run_verify(cfg):
     return [], ("check", "max_error", "tolerance", "status"), rows
 
 
+# command -> runner(cfg, command) returning (errors, columns, rows)
+_RUNNERS = {
+    "pdf": run_grid_command, "cdf": run_grid_command, "survival": run_grid_command,
+    "var": run_risk_command, "tvar": run_risk_command, "moments": run_moments,
+    "tau": run_dependence, "rho": run_dependence, "simulate": run_simulate,
+    "ruin": run_ruin, "compound": run_compound, "asymptotic": run_asymptotic,
+    "verify": run_verify,
+}
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
@@ -613,24 +569,7 @@ def main(argv=None) -> int:
 
     command = args.command
     try:
-        if command in ("pdf", "cdf", "survival"):
-            errors, cols, rows = run_grid_command(cfg, command)
-        elif command in ("var", "tvar"):
-            errors, cols, rows = run_risk_command(cfg)
-        elif command == "moments":
-            errors, cols, rows = run_moments(cfg)
-        elif command in ("tau", "rho"):
-            errors, cols, rows = run_dependence(cfg, command)
-        elif command == "simulate":
-            errors, cols, rows = run_simulate(cfg)
-        elif command == "ruin":
-            errors, cols, rows = run_ruin(cfg)
-        elif command == "compound":
-            errors, cols, rows = run_compound(cfg)
-        elif command == "asymptotic":
-            errors, cols, rows = run_asymptotic(cfg)
-        else:
-            errors, cols, rows = run_verify(cfg)
+        errors, cols, rows = _RUNNERS[command](cfg, command)
     except RiskmixError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

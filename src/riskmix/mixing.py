@@ -76,10 +76,10 @@ from .errors import (
 from .ruin import lindley_sum_pdf
 from .specfun import (
     bell_partial,
+    exp_scaled_expn,
     log_abs_falling_factorial,
     log_gammaincc,
     log_kummer_u_integral,
-    upper_incomplete_gamma,
 )
 
 optimize = lazy_import("scipy.optimize")
@@ -649,10 +649,9 @@ class InverseGaussianMixing(MixingDistribution):
         return self.mu if n == 1 else 0.0
 
     def kendall_tau(self):
-        a = self.mu / self.lam
-        return 1.0 - (a * (2.0 + a)
-                      - 4.0 * exp(2.0 / a) * upper_incomplete_gamma(0.0, 2.0 / a)) \
-            / (2.0 * a ** 2)
+        # the printed 1 - (a (2 + a) - 4 e^{2/a} Gamma(0, 2/a)) / (2 a^2), a = mu/lam,
+        # is e^z E_3(z) at z = 2/a, which neither cancels nor overflows
+        return exp_scaled_expn(3, 2.0 * self.lam / self.mu)
 
     def sample(self, size, rng):
         return rng.wald(self.mu, self.lam, size=size)
@@ -881,7 +880,7 @@ class BetaSecondKindMixing(MixingDistribution):
 
         def invert(ti):
             # L(s) decays like s^-beta, so a small t needs a bracket far out;
-            # it stops at 1e300, short of where the Kummer kernel breaks down
+            # it stops at 1e300, a few doublings short of the float maximum
             if ti == 1.0:
                 return 0.0
             lo, hi = 0.0, 1.0

@@ -1,7 +1,7 @@
 """Lindley-frailty results: the closed sum density, the explicit ruin
 probability for the compound Poisson surplus, and the compound (collective
 risk) total-claim densities with Poisson, negative binomial / geometric and
-logarithmic counting laws.
+logarithmic counting laws; each counting law holds its own closed density.
 """
 
 import math
@@ -11,7 +11,7 @@ from math import exp, log
 import numpy as np
 from scipy import special
 
-from .specfun import exp_scaled_e1
+from .specfun import exp_scaled_expn
 
 __all__ = [
     "lindley_sum_pdf",
@@ -78,7 +78,7 @@ def ruin_probability(lam: float, phi: float, c: float, u: float) -> float:
         raise ValueError("initial capital must be nonnegative")
     theta0 = phi / c
     z = theta0 * (u + lam)
-    bracket = 1.0 + (u + lam) * exp_scaled_e1(z)
+    bracket = 1.0 + (u + lam) * exp_scaled_expn(1, z)
     correction = (lam ** 2 * phi * exp(-theta0 * lam)
                   / (c * (1.0 + lam) * (u + lam)) * bracket)
     return ruin_probability_limit(lam, phi, c) + correction
@@ -97,6 +97,15 @@ class PoissonCounts:
 
     def atom(self) -> float:
         return exp(-self.phi)
+
+    def compound_density(self, lam: float, x: float) -> float:
+        """Total-claim density at x > 0 under Lindley(lam) severities; with
+        y = lam + x,
+
+            phi lam^2 e^{-lam phi/y} (y (y + 2) + phi x) / ((1+lam) y^4)."""
+        phi, y = self.phi, lam + x
+        return (lam ** 2 / (1.0 + lam) * phi * exp(-lam * phi / y)
+                * (1.0 + (2.0 + phi * (x / y)) / y) / y / y)
 
     def tail_mass(self, n_max: int) -> float:
         """P(N > n_max) = P(n_max + 1, phi), the regularized lower incomplete
@@ -122,6 +131,16 @@ class NegativeBinomialCounts:
 
     def atom(self) -> float:
         return self.p ** self.r
+
+    def compound_density(self, lam: float, x: float) -> float:
+        """Total-claim density at x > 0 under Lindley(lam) severities; with
+        y = lam + x, z = lam + p x and q = 1 - p,
+
+            lam^2 q r p^r (z y + z + y + r q x) y^{r-2} / ((1+lam) z^{r+2})."""
+        r, p, y = self.r, self.p, lam + x
+        q, z = 1.0 - p, lam + p * x
+        return (lam ** 2 / (1.0 + lam) * q * r * p ** r * (y / z) ** (r - 1.0)
+                * (1.0 + 1.0 / y + (1.0 + r * q * (x / y)) / z) / z / z)
 
     def tail_mass(self, n_max: int) -> float:
         """P(N > n_max) = I_{1-p}(n_max + 1, r), the regularized incomplete
@@ -153,6 +172,16 @@ class LogarithmicCounts:
 
     def atom(self) -> float:
         return 0.0
+
+    def compound_density(self, lam: float, x: float) -> float:
+        """Total-claim density at x > 0 under Lindley(lam) severities; with
+        y = lam + x, w = lam + (1 - phi) x and L = -log(1 - phi),
+
+            lam^2 phi (y w + y + w) / ((1+lam) L (y w)^2)."""
+        phi, y = self.phi, lam + x
+        w = lam + (1.0 - phi) * x
+        return (lam ** 2 / (1.0 + lam) * phi / -math.log1p(-phi)
+                * (1.0 + 1.0 / w + 1.0 / y) / y / w)
 
     def tail_mass(self, n_max: int) -> float:
         """P(N > n_max) = sum_{k > n} phi^k / (k L), L = -log(1 - phi), n = n_max.
@@ -204,43 +233,16 @@ class CompoundDensityValue:
 def compound_pdf(m: CompoundModel, x: float) -> CompoundDensityValue:
     """Closed-form total-claim density (x > 0) or the atom mass (x = 0).
 
-    With y = lam + x, each closed form is rewritten as a sum of positive
-    terms over powers of y (and of lam + p x or lam + (1 - phi) x), divided
-    out one factor at a time, so it is finite for every x and underflows
-    only where the density does:
-
-        Poisson:   phi lam^2 e^{-lam phi/y} (y (y + 2) + phi x) / ((1+lam) y^4)
-        neg. bin.: lam^2 q r p^r (z y + z + y + r q x) y^{r-2} / ((1+lam) z^{r+2}),
-                   z = lam + p x
-        log.:      lam^2 phi (y w + y + w) / ((1+lam) L (y w)^2),
-                   w = lam + (1 - phi) x,  L = -log(1 - phi)
+    The density is the counting law's `compound_density`: each closed form is
+    written as a sum of positive terms over powers of lam + x (and of a
+    second linear term), divided out one factor at a time, so it is finite
+    for every x and underflows only where the density does.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    lam = m.lam
-    cnt = m.counting
     if x == 0.0:
-        return CompoundDensityValue(cnt.atom(), True)
-    y = lam + x
-    c = lam ** 2 / (1.0 + lam)
-    if isinstance(cnt, PoissonCounts):
-        phi = cnt.phi
-        val = (c * phi * exp(-lam * phi / y)
-               * (1.0 + (2.0 + phi * (x / y)) / y) / y / y)
-    elif isinstance(cnt, NegativeBinomialCounts):
-        r, p = cnt.r, cnt.p
-        q = 1.0 - p
-        z = lam + p * x
-        val = (c * q * r * p ** r * (y / z) ** (r - 1.0)
-               * (1.0 + 1.0 / y + (1.0 + r * q * (x / y)) / z) / z / z)
-    elif isinstance(cnt, LogarithmicCounts):
-        phi = cnt.phi
-        w = lam + (1.0 - phi) * x
-        val = (c * phi / -math.log1p(-phi)
-               * (1.0 + 1.0 / w + 1.0 / y) / y / w)
-    else:
-        raise TypeError(f"unknown counting law {type(cnt).__name__}")
-    return CompoundDensityValue(val, False)
+        return CompoundDensityValue(m.counting.atom(), True)
+    return CompoundDensityValue(m.counting.compound_density(m.lam, x), False)
 
 
 def compound_pdf_series(m: CompoundModel, x: float, n_max: int) -> float:

@@ -1,6 +1,7 @@
 """Special-function kernel: partial Bell polynomials, falling factorials,
 incomplete gamma and the log of its regularized form, gamma quantiles,
-half-integer Bessel K and the raw Kummer integral.
+half-integer Bessel K, the raw Kummer integral and the scaled exponential
+integral.
 
 Everything here is a pure function of its arguments and safe to call from
 any thread.
@@ -23,7 +24,7 @@ __all__ = [
     "bessel_k_half",
     "kummer_u_integral",
     "log_kummer_u_integral",
-    "exp_scaled_e1",
+    "exp_scaled_expn",
 ]
 
 # log-height below its peak at which the Kummer integrand is cut, and the
@@ -225,11 +226,12 @@ def log_kummer_u_integral(a, b, z):
         return a[cols] * v - np.exp(log_z[cols] + v) + c[cols] * np.logaddexp(0.0, v)
 
     with np.errstate(over="ignore", divide="ignore"):
-        # peak: t = e^v is the positive root of z t^2 - (b - 1 - z) t - a = 0
-        m = b - 1.0 - zf
-        r = np.hypot(m, 2.0 * np.sqrt(a * zf))
-        peak = np.where(m >= 0, np.log(m + r) - log(2.0) - log_z,
-                        np.log(2.0 * a) - np.log(r - m))
+        # peak: t = e^v is the positive root of z t^2 - (b - 1 - z) t - a = 0,
+        # from the halves m = (b - 1 - z)/2 and r = sqrt(m^2 + a z), which stay
+        # finite for every z up to the float maximum
+        m = 0.5 * (b - 1.0) - 0.5 * zf
+        r = np.hypot(m, np.sqrt(a) * np.sqrt(zf))
+        peak = np.where(m >= 0, np.log(m + r) - log_z, np.log(a) - np.log(r - m))
         top = phi(peak)
         zt = np.exp(log_z + peak)
         w = peak + np.array([[-1.0], [1.0]])
@@ -261,23 +263,29 @@ def kummer_u_integral(a: float, b: float, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def exp_scaled_e1(z: float) -> float:
-    """exp(z) * E1(z) = exp(z) * Gamma(0, z), stable for arbitrarily large z.
+def exp_scaled_expn(n: int, z: float) -> float:
+    """exp(z) * E_n(z), the scaled generalized exponential integral of order
+    n >= 1 (E_1 = Gamma(0, .)), stable for arbitrarily large z.
 
-    Small arguments go through scipy's E1 directly; past that a modified
-    Lentz continued fraction avoids the exp overflow / E1 underflow pair.
+    Small arguments go through scipy directly (`exp1` at n = 1, `expn`
+    above); past that the modified Lentz evaluation of the continued fraction
+        E_n(z) = e^-z (1/(z+n-) 1 n/(z+n+2-) 2(n+1)/(z+n+4-) ...),
+    partial numerators a_i = -i (n - 1 + i), avoids the exp overflow / E_n
+    underflow pair, and the cancellation of writing E_n through E_1.
     """
     if z <= 0:
         raise ValueError("argument must be positive")
+    if n < 1:
+        raise ValueError("order must be >= 1")
     if z <= 1.0:
-        return float(exp(z) * special.exp1(z))
+        return float(exp(z) * (special.exp1(z) if n == 1 else special.expn(n, z)))
     tiny = 1e-300
-    b = z + 1.0
+    b = z + n
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
     for i in range(1, 500):
-        an = -float(i * i)
+        an = -float(i * (n - 1 + i))
         b += 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c

@@ -28,7 +28,8 @@ class TestParsers:
         assert lg[66] == pytest.approx(1.0, rel=1e-15)
 
     def test_grid_validation(self):
-        for bad in ("1:0:10", "1:2:1", "0:1:10:cubic", "-1:1:5:log", "junk"):
+        for bad in ("1:0:10", "1:2:1", "0:1:10:cubic", "-1:1:5:log", "junk",
+                    "0:inf:3", "nan:1:3", "0.1:1e400:3:log", "-1e308:1e308:3"):
             with pytest.raises(ValueError):
                 parse_grid(bad)
 
@@ -69,6 +70,39 @@ class TestPdfCommand:
 
 
 class TestValidation:
+    PARETO = ["--model", "pareto", "--alpha", "3", "--beta", "1", "--n", "2"]
+    RUIN = ["ruin", "--lambda", "1", "--phi", "1", "--c", "1.5"]
+
+    @pytest.mark.parametrize("argv", [
+        ["pdf", "--model", "pareto", "--alpha", "inf", "--beta", "1", "--n", "2",
+         "--grid", "1:2:2"],
+        ["ruin", "--lambda", "nan", "--phi", "1", "--c", "1.5", "--u", "1"],
+        RUIN + ["--u", "nan"],
+        ["compound", "--primary", "poisson", "--phi", "1", "--lambda", "1", "--x", "nan"],
+        ["asymptotic", "--mixing", "gamma", "--alpha", "2", "--lambda", "1",
+         "--beta", "nan", "--grid", "100:1000:3"],
+        ["pdf", *PARETO, "--grid", "0:inf:3"],
+        ["pdf", *PARETO, "--grid", "0.1:1e400:3:log"],
+        RUIN + ["--grid=-1e308:1e308:3"],
+    ], ids=["alpha-inf", "lambda-nan", "u-nan", "x-nan", "beta-nan", "grid-inf",
+            "grid-overflow", "grid-span"])
+    def test_non_finite_input_exits_2(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a flag's type check exits through argparse
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "error:" in captured.err
+
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text("[pdf]\nmodel = pareto\nalpha = inf\nbeta = 1\nn = 2\n"
+                       "grid = 0.5:2:4\n")
+        code, out, err = run(capsys, ["pdf", "--config", str(cfg)])
+        assert code == 2 and out == ""
+        assert "error:" in err
+
     def test_negative_shape_names_the_invariant(self, capsys):
         code, _, err = run(capsys, ["pdf", "--model", "pareto", "--alpha", "-1",
                                     "--beta", "1", "--n", "2", "--grid", "0.1:1:5"])
@@ -132,6 +166,14 @@ class TestRiskCommands:
                                     "--mu", "1", "--n", "2"])
         assert float(out.strip().split("\n")[1]) == pytest.approx(0.3, rel=1e-12)
 
+    def test_tau_invgauss_far_from_independence(self, capsys):
+        # the printed form overflowed here; tau = e^z E_3(z), z = 2000
+        code, out, err = run(capsys, ["tau", "--model", "invgauss", "--lambda", "1000",
+                                      "--mu", "1", "--n", "2"])
+        assert code == 0, err
+        assert float(out.strip().split("\n")[1]) == pytest.approx(4.992514962612109e-4,
+                                                                    rel=1e-13)
+
     def test_rho_weibull(self, capsys):
         # W = 1/Theta has E(W^r) = Gamma(1 + r/alpha)/r!: rho = (E W^2 - E^2 W)/(2 E W^2 - E^2 W)
         code, out, _ = run(capsys, ["rho", "--model", "weibull", "--alpha", "0.5", "--n", "2"])
@@ -186,6 +228,40 @@ class TestCompoundAndRuin:
         rows = [l.split(",") for l in out.strip().split("\n")[1:]]
         assert len(rows) == 10
         assert all(r[2] == "0" for r in rows)
+
+
+class TestBuilderPaths:
+    COMPOUND = ["compound", "--lambda", "1", "--x", "1"]
+    ASYMPTOTIC = ["asymptotic", "--beta", "1", "--grid", "100:1000:3"]
+
+    @pytest.mark.parametrize("argv,flag", [
+        (COMPOUND + ["--primary", "poisson"], "--phi"),
+        (COMPOUND + ["--primary", "negbinomial", "--p", "0.5"], "--r"),
+        (COMPOUND + ["--primary", "negbinomial", "--r", "2"], "--p"),
+        (COMPOUND + ["--primary", "geometric"], "--p"),
+        (COMPOUND + ["--primary", "logarithmic"], "--phi"),
+        (ASYMPTOTIC + ["--mixing", "gamma", "--lambda", "1"], "--alpha"),
+        (ASYMPTOTIC + ["--mixing", "gamma", "--alpha", "2"], "--lambda"),
+        (ASYMPTOTIC + ["--mixing", "invgauss", "--mu", "1"], "--lambda"),
+        (ASYMPTOTIC + ["--mixing", "invgauss", "--lambda", "1"], "--mu"),
+        (COMPOUND + ["--primary", "negbinomial", "--r", "2", "--p", "1.5"],
+         "p must lie in (0, 1)"),
+    ], ids=["poisson-phi", "negbinomial-r", "negbinomial-p", "geometric-p",
+            "logarithmic-phi", "gamma-alpha", "gamma-lambda", "invgauss-lambda",
+            "invgauss-mu", "negbinomial-bad-p"])
+    def test_missing_or_invalid_parameter(self, capsys, argv, flag):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert any(flag in line for line in err.splitlines() if line.startswith("error:"))
+
+    @pytest.mark.parametrize("line", ["alpha = abc", "no_such_flag = 1"],
+                             ids=["bad-value", "unknown-key"])
+    def test_bad_config_section(self, tmp_path, capsys, line):
+        cfg = tmp_path / "job.cfg"
+        cfg.write_text(f"[pdf]\nmodel = pareto\nbeta = 1\nn = 2\ngrid = 0.5:2:4\n{line}\n")
+        code, out, err = run(capsys, ["pdf", "--config", str(cfg), "--alpha", "3"])
+        assert code == 2 and out == ""
+        assert "error:" in err
 
 
 class TestAsymptoticCommand:
@@ -444,14 +520,17 @@ class TestParserReuse:
 class TestConsoleEntryPoint:
     PDF = ["pdf", "--model", "pareto", "--alpha", "3", "--beta", "1", "--n", "2"]
 
-    @pytest.mark.parametrize("extra,want", [(["--grid", "0.01:10:50:log"], 0), ([], 2)],
-                             ids=["ok", "missing-grid"])
+    @pytest.mark.parametrize("extra,want", [(["--grid", "0.01:10:50:log"], 0), ([], 2),
+                                            (["--grid", "0:inf:3"], 2)],
+                             ids=["ok", "missing-grid", "infinite-grid"])
     def test_module_run_matches_in_process(self, capsys, extra, want):
         argv = self.PDF + extra + ["--output", "-"]
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "riskmix.cli", *argv],
+        # a console run that warns fails, as an in-process run does under the suite
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-m", "riskmix.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=120)
         code, out, err = run(capsys, argv)
         assert proc.returncode == code == want

@@ -124,6 +124,16 @@ class TestKendallTau:
             assert kendall_tau_closed(v) == pytest.approx(closed, rel=1e-12)
             assert kendall_tau_numeric(v) == pytest.approx(closed, abs=1e-8)
 
+    @pytest.mark.parametrize("ratio", [0.01, 1.0, 100.0, 1e3, 1e6])
+    def test_inverse_gaussian_against_mpmath(self, ratio):
+        # the printed form equals e^z E_3(z) at z = 2 lam/mu; it cancels
+        # for large lam/mu and overflows past lam/mu of about 355
+        import mpmath as mp
+        with mp.workdps(50):
+            want = float(mp.e ** (2 * ratio) * mp.expint(3, 2 * ratio))
+        tau = kendall_tau(DependentVector(InverseGaussianMixing(ratio, 1.0), 2))
+        assert tau == pytest.approx(want, rel=1e-13)
+
     def test_inverse_gaussian_pinned_value(self):
         v = DependentVector(InverseGaussianMixing(1.0, 1.0), 2)
         assert kendall_tau(v) == pytest.approx(0.2226572337764453, abs=1e-6)

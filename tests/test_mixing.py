@@ -224,6 +224,19 @@ class TestBeta2GeneratorTail:
         assert isinstance(err.value, RiskmixError)
 
 
+class TestBeta2KernelAtFloatMax:
+    """L(s) = Gamma(beta+gam)/Gamma(gam) s^-beta (1 + O(1/s)): up to the float
+    maximum the log kernel is that leading term, computed without overflow
+    (the suite turns every RuntimeWarning into an error)."""
+
+    @pytest.mark.parametrize("beta, gam", [(3.0, 1.0), (20.0, 0.5)])
+    @pytest.mark.parametrize("s", [1e307, 8.9e307, 1.7e308])
+    def test_log_laplace_is_leading_term(self, beta, gam, s):
+        got = BetaSecondKindMixing(beta, gam).log_abs_laplace_derivative(0, s)
+        want = math.lgamma(beta + gam) - math.lgamma(gam) - beta * math.log(s)
+        assert got == pytest.approx(want, rel=1e-13)
+
+
 class TestFaaDiBrunoAgainstClosedForms:
     """The generic composition path must reproduce each closed-form derivative."""
 

@@ -10,7 +10,7 @@ from scipy import integrate, special
 from riskmix.specfun import (
     bell_partial,
     bessel_k_half,
-    exp_scaled_e1,
+    exp_scaled_expn,
     falling_factorial,
     gamma_quantile,
     kummer_u_integral,
@@ -329,10 +329,25 @@ class TestExpScaledE1:
     def test_matches_direct_product(self):
         for z in (0.2, 1.0, 5.0, 50.0, 500.0):
             want = math.exp(z) * special.exp1(z)
-            assert exp_scaled_e1(z) == pytest.approx(want, rel=1e-12)
+            assert exp_scaled_expn(1, z) == pytest.approx(want, rel=1e-12)
 
     def test_huge_argument_asymptotics(self):
         z = 1e8
-        got = exp_scaled_e1(z)
+        got = exp_scaled_expn(1, z)
         # e^z E1(z) = 1/z (1 - 1/z + 2/z^2 - ...)
         assert got == pytest.approx(1 / z * (1 - 1 / z + 2 / z ** 2), rel=1e-12)
+
+
+class TestExpScaledExpn:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_against_mpmath(self, n):
+        for z in (1e-3, 0.5, 1.0, 1.5, 2.0, 7.5, 60.0, 1e4, 1e12):
+            with mp.workdps(50):
+                want = float(mp.e ** mp.mpf(z) * mp.expint(n, mp.mpf(z)))
+            assert exp_scaled_expn(n, z) == pytest.approx(want, rel=1e-14)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            exp_scaled_expn(3, 0.0)
+        with pytest.raises(ValueError):
+            exp_scaled_expn(0, 1.0)
