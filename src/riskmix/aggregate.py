@@ -88,6 +88,16 @@ class AggregateModel:
     def n(self) -> int:
         return self.vector.n
 
+    # the claim law given Theta, as SibuyaModel states it: X_i = G_i / Theta,
+    # G_i ~ Gamma(shape_i, 1), here with every shape 1 (exponential claims)
+    @property
+    def frailty(self) -> MixingDistribution:
+        return self.vector.mixing
+
+    @property
+    def shapes(self) -> tuple:
+        return (1.0,) * self.n
+
 
 def pareto_model(alpha: float, beta: float, n: int) -> AggregateModel:
     """Pareto(alpha, beta) claims, Clayton survival copula (gamma frailty)."""

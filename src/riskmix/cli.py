@@ -451,8 +451,11 @@ def run_ruin(cfg, command):
     us = _points(cfg, errors, "u")
     if errors:
         return errors, None, None
-    rows = [(float(u), ruin.ruin_probability(cfg["lam"], cfg["phi"], cfg["c"], float(u)))
-            for u in us]
+    try:
+        rows = [(float(u), ruin.ruin_probability(cfg["lam"], cfg["phi"], cfg["c"], float(u)))
+                for u in us]
+    except ValueError as exc:
+        return [str(exc)], None, None
     return [], ("u", "psi"), rows
 
 

@@ -102,6 +102,11 @@ class SibuyaModel:
         """The frailty law Theta = 1/H (for the mixture-integral cross-check)."""
         return BetaSecondKindMixing(self.gam, self.beta)
 
+    @property
+    def frailty(self) -> BetaSecondKindMixing:
+        """Theta = 1/H, so that X_i = G_{a_i} / Theta (the simulator's draw)."""
+        return self.mixing()
+
 
 def _sibuya_pdf(shape: float, beta: float, gam: float, x: float) -> float:
     # Normalizing constant for the RAW Kummer integral is

@@ -9,44 +9,49 @@ finite mixture representation and the closed-form Kendall tau.  Downstream
 modules (aggregate densities, copulas, risk measures) call these and never
 branch on the law's type.
 
-Each law implements one derivative kernel, log_abs_laplace_derivative(k, s)
-= log|L^(k)(s)| = log E(Theta^k e^{-s Theta}) for every order k >= 0 (k = 0
-is log L), on an array s > 0 (and s = 0 at k = 0).  Given a 1-D array of
-orders it returns one row per order from one pass (each law's
-_log_derivative), so the aggregate survival, sum_{k<n} of the orders
-0..n-1, is one kernel call.  Every term stays in log space, so the kernel
-neither overflows nor underflows where the derivative itself is
-representable only as a logarithm (huge s, high k).  laplace and
-laplace_derivative are written once on the base class, as exp and
-(-1)^k exp of the kernel.
+Each law implements one kernel, log_abs_laplace_derivative(k, s) =
+log E(Theta^k e^{-s Theta}) for every integer order k, on an array s > 0
+(and s = 0 at k = 0).  An order k >= 0 is log|L^(k)(s)| (k = 0 is log L); a
+negative order k = -j is the j-fold integrated transform that the tail
+moments of S_n sum, and raises NonexistentMomentError where it diverges.
+Given a 1-D array of orders it returns one row per order from one pass
+(each law's _log_kernel), so the aggregate survival, sum_{k<n} of the
+orders 0..n-1, is one kernel call, and so are the tail moments' orders
+-1..-r.  Every term stays in log space, so the kernel neither overflows nor
+underflows where the derivative itself is representable only as a
+logarithm (huge s, high k).  laplace and laplace_derivative are written
+once on the base class, as exp and (-1)^k exp of the kernel.
 
-* Gamma and Lindley: closed forms, broadcast over the orders.
+* Gamma and Lindley: closed forms, broadcast over the orders; Lindley has
+  no negative order.
 * Levy and inverse Gaussian: E(Theta^k e^{-s Theta}) is a prefactor times
   K_{k-1/2}(z), z = lam sqrt(s) (Levy) or (lam/mu) sqrt(1 + b s) (IG).  The
   ratios K_{k+1/2}/K_{k-1/2} follow the upward recurrence of DLMF 10.29.1,
   r_k = 1/r_{k-1} + (2k-1)/z from r_0 = 1, a sum of positive terms
   (_log_bessel_ratios).  The rows are partial sums of log r_k
-  (_partial_sums: one sum for a single order, one cumsum for several).
+  (_partial_sums: one sum for a single order, one cumsum for several); a
+  negative order reads index 1 - k, since K_{k-1/2} = K_{1/2-k} (DLMF
+  10.27.3).
 * Gleser: for k >= 1 the moment is c e^{-lam s} I_{k-1}, I_m = int_0^inf
   (lam+u)^m u^-alpha e^{-us} du, whose ratios q_m = I_m / I_{m-1} obey a
   forward three-term recurrence on its dominant solution, run on the
   excess q_m - lam as a sum of positive terms; k = 0 is the log of the
   regularized upper incomplete gamma (specfun.log_gammaincc), evaluated only
-  when that order is asked for.
+  when that order is asked for; negative orders are one Kummer integral.
 * Positive stable: partial Bell polynomials of the power sequence, one
   log-space triangle per index filled by a recurrence of positive terms
-  (_power_bell), reduced one requested row at a time.
-* Second-kind beta: the log of a Kummer integral, one call per order for
-  every s at once (specfun.log_kummer_u_integral).
+  (_power_bell), reduced one requested row at a time; negative orders are
+  a signed sum of upper incomplete gammas.
+* Second-kind beta: the log of a Kummer integral, one call per order of
+  either sign for every s at once (specfun.log_kummer_u_integral).
 
 No temporary exceeds O(orders x len s).  Multi-term sums reduce with
 _log_sum_exp: pairwise logaddexp for small arrays, a numpy max-shift for
-large ones.
+large ones.  An array of orders with both signs is rejected.
 
-Negative orders k = -j give the j-fold integrated transform
-log E(Theta^-j e^{-s Theta}) that the tail moments of S_n sum (each law's
-_log_integrated); an array of them is evaluated in one pass and broadcasts
-against s.  An array of orders with both signs is rejected.
+Each law also supplies its log density on its support (_log_pdf) and its
+generator on an array (_generator); the base class's pdf and generator
+handle scalars, arrays and the points off the support once for every law.
 
 The Bessel-polynomial closed form of the sqrt-sequence Bell coefficients
 (_sqrt_bell) builds the Levy mixture representation.
@@ -77,7 +82,6 @@ from .ruin import lindley_sum_pdf
 from .specfun import (
     bell_partial,
     exp_scaled_expn,
-    log_abs_falling_factorial,
     log_gammaincc,
     log_kummer_u_integral,
 )
@@ -124,11 +128,13 @@ def _check_order(n: int, lowest: int = 1):
         )
 
 
-def _require_above(j, name, value):
-    """E(Theta^-j e^{-s Theta}) diverges unless the shape `name` exceeds every order j."""
-    if value <= np.max(j):
+def _require_above(k, name, value):
+    """E(Theta^k e^{-s Theta}) diverges unless the shape `name` exceeds -k for
+    every order k."""
+    j = -min(k.tolist())
+    if value <= j:
         raise NonexistentMomentError(
-            f"E(Theta^-{np.max(j)} e^(-s Theta)) requires {name} > {np.max(j)}, got {value}")
+            f"E(Theta^-{j} e^(-s Theta)) requires {name} > {j}, got {value}")
 
 
 def _ret(value, scalar_in):
@@ -158,12 +164,15 @@ def _log_sum_exp(log_terms):
 
 
 def _log_bessel_ratios(k, z):
-    """log(K_{k-1/2}(z) / K_{1/2}(z)) for the orders k (a 1-D integer array)
-    on an array z > 0, one row per order.
+    """log(K_{k-1/2}(z) / K_{1/2}(z)) for the orders k (a 1-D integer array,
+    all of one sign) on an array z > 0, one row per order.
 
     The ratios r_i = K_{i+1/2}(z) / K_{i-1/2}(z) obey r_0 = 1 and
     r_i = 1/r_{i-1} + (2i-1)/z (DLMF 10.29.1), a sum of positive terms, so
-    nothing cancels; the rows are partial sums of log r_i."""
+    nothing cancels; the rows are partial sums of log r_i.  K_{k-1/2} =
+    K_{1/2-k} (DLMF 10.27.3), so an order k < 0 is the row of order 1 - k."""
+    if k[0] < 0:
+        k = 1 - k
     top = int(k.max())
     ratios = np.ones((top,) + z.shape)
     step = 1.0 / z
@@ -228,11 +237,11 @@ def _power_bell(alpha: float) -> np.ndarray:
     return table
 
 
-def _density(log_pdf, x):
-    """exp(log_pdf(x)) where x > 0 and 0 elsewhere; a scalar x gives a float."""
+def _density(log_pdf, x, lower=0.0):
+    """exp(log_pdf(x)) where x > lower and 0 elsewhere; a scalar x gives a float."""
     x_arr = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(x_arr > 0, np.exp(log_pdf(x_arr)), 0.0)
+        out = np.where(x_arr > lower, np.exp(log_pdf(x_arr)), 0.0)
     return _ret(out, np.isscalar(x))
 
 
@@ -314,32 +323,24 @@ class MixingDistribution:
     support = (0.0, inf)
 
     def log_abs_laplace_derivative(self, k, s):
-        """log|L^(k)(s)| on an array s > 0, for 0 <= k <= DERIVATIVE_CAP; k = 0
-        is log L and also takes s = 0.  (-1)^k L^(k) >= 0 for every law in
-        the catalog.  A 1-D integer array of such orders gives one row per
-        order, shaped (len(k), *s.shape), from one pass.
-
-        A negative order k = -j (or an integer array of them that broadcasts
-        against s) is log E(Theta^-j e^{-s Theta}) on s > 0, the j-fold
-        integrated transform; NonexistentMomentError where it diverges.  An
-        array that mixes both signs is a ValueError."""
-        s = np.asarray(s, dtype=float)
-        if np.ndim(k) == 0:
-            if k < 0:
-                return self._log_integrated(-np.asarray(k), s)
-            _check_order(k, 0)
-            k = np.array([k])
-            shape = s.shape
-        else:
-            k = np.asarray(k)
-            if k.min() < 0:
-                if k.max() >= 0:
-                    raise ValueError("an array of orders must be all negative or all nonnegative")
-                return self._log_integrated(-k, s)
-            _check_order(k.max(), 0)
-            shape = k.shape + s.shape
-        # the kernels take s flat, so each of their rows is an array they can write into
-        return self._log_derivative(k, s.reshape(-1)).reshape(shape)
+        """log E(Theta^k e^{-s Theta}) on an array s > 0, for every integer order
+        k <= DERIVATIVE_CAP.  An order k >= 0 is log|L^(k)(s)| ((-1)^k L^(k) >= 0
+        for every law in the catalog); k = 0 is log L and also takes s = 0.  A
+        negative order k = -j is the j-fold integrated transform, and
+        NonexistentMomentError where it diverges.  An array of orders gives one
+        row per order, shaped (*k.shape, *s.shape), from one pass; an array
+        that mixes both signs is a ValueError."""
+        s, k = np.asarray(s, dtype=float), np.asarray(k)
+        orders = k.reshape(-1)
+        listed = orders.tolist()
+        low, top = min(listed), max(listed)
+        if low < 0 <= top:
+            raise ValueError("an array of orders must be all negative or all nonnegative")
+        if top > DERIVATIVE_CAP:
+            _check_order(top)
+        # the kernels take orders of one sign and s flat, so each of their rows
+        # is an array they can write into
+        return self._log_kernel(orders, s.reshape(-1)).reshape(k.shape + s.shape)
 
     def laplace(self, s):
         """L(s) = E(e^{-s Theta}) = exp(log L(s)), s >= 0."""
@@ -360,20 +361,21 @@ class MixingDistribution:
             raise ValueError("generator argument must lie in (0, 1]")
         if np.any(t_arr <= 0.0):
             raise ValueError("generator diverges at t = 0")
-        return self._generator(t_arr, np.isscalar(t) or t_arr.ndim == 0)
-
-    def _generator(self, t, scalar_in):
-        raise NotImplementedError
+        return _ret(self._generator(t_arr), np.isscalar(t) or t_arr.ndim == 0)
 
     def neg_moment(self, r: int) -> float:
-        """E(Theta^-r), the integrated transform at s = 0; laws whose transform
+        """E(Theta^-r), the kernel of order -r at s = 0; laws whose kernel
         needs s > 0 override it."""
-        return float(np.exp(self._log_integrated(r, np.array(0.0))))
+        return float(np.exp(self.log_abs_laplace_derivative(-r, 0.0)))
 
     def sample(self, size, rng) -> np.ndarray:
         raise NotImplementedError
 
     def pdf(self, theta):
+        """Density of Theta: exp(_log_pdf) on the support, 0 below it."""
+        return _density(self._log_pdf, theta, self.support[0])
+
+    def _log_pdf(self, theta):
         raise UnsupportedModelError(f"{self.kind} mixing has no usable density")
 
     # -- formulas of the sum S_n of n claims driven by this law
@@ -416,36 +418,24 @@ class GammaMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(alpha=self.alpha, beta=self.beta)
 
-    def _log_derivative(self, k, s):
-        return self._log_moment(_column(k, s.ndim), s)
-
-    def _log_integrated(self, j, s):
-        _require_above(j, "alpha", self.alpha)
-        return self._log_moment(-j, s)
-
-    def _log_moment(self, k, s):
-        # log E(Theta^k e^{-s Theta}), k and s broadcast
-        a, b = self.alpha, self.beta
+    def _log_kernel(self, k, s):
+        _require_above(k, "alpha", self.alpha)
+        a, b, k = self.alpha, self.beta, _column(k, s.ndim)
         return special.gammaln(a + k) - lgamma(a) - k * log(b) - (a + k) * np.log1p(s / b)
 
-    def _generator(self, t, scalar_in):
-        return _ret(self.beta * np.expm1(-np.log(t) / self.alpha), scalar_in)
+    def _generator(self, t):
+        return self.beta * np.expm1(-np.log(t) / self.alpha)
 
     def sample(self, size, rng):
         return rng.gamma(shape=self.alpha, scale=1.0 / self.beta, size=size)
 
-    def pdf(self, theta):
-        th = np.asarray(theta, dtype=float)
+    def _log_pdf(self, th):
         a, b = self.alpha, self.beta
-        with np.errstate(divide="ignore"):
-            logv = a * log(b) + (a - 1) * np.log(th) - b * th - lgamma(a)
-        return _ret(np.where(th > 0, np.exp(logv), 0.0), np.isscalar(theta))
+        return a * log(b) + (a - 1) * np.log(th) - b * th - lgamma(a)
 
     def sum_pdf(self, n, x):
-        # second-kind beta B2(shape1=n, shape2=alpha, scale=beta)
-        a, b = self.alpha, self.beta
-        return np.exp((n - 1.0) * np.log(x) - n * log(b) - special.betaln(n, a)
-                      - (n + a) * np.log1p(x / b))
+        # the density of the one B2 component of sum_mixture
+        return self.sum_mixture(n).components[0].pdf(x)
 
     def sum_pdf_at_zero(self, n):
         return self.alpha / self.beta if n == 1 else 0.0
@@ -468,7 +458,7 @@ class LevyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def _log_derivative(self, k, s):
+    def _log_kernel(self, k, s):
         # (lam/sqrt(pi)) (2z/lam^2)^(1/2-k) K_{k-1/2}(z), z = lam sqrt(s)
         z = self.lam * np.sqrt(s)
         if not k.any():
@@ -479,14 +469,8 @@ class LevyMixing(MixingDistribution):
         rows -= _column(k, z.ndim) * np.log(2.0 * z / self.lam ** 2)
         return rows
 
-    def _log_integrated(self, j, s):
-        # (lam/sqrt(pi)) (2z/lam^2)^(j+1/2) K_{j+1/2}(z), z = lam sqrt(s)
-        z = self.lam * np.sqrt(s)
-        return (log(self.lam / math.sqrt(math.pi)) + (j + 0.5) * np.log(2.0 * z / self.lam ** 2)
-                + np.log(special.kve(j + 0.5, z)) - z)
-
-    def _generator(self, t, scalar_in):
-        return _ret((-np.log(t) / self.lam) ** 2, scalar_in)
+    def _generator(self, t):
+        return (-np.log(t) / self.lam) ** 2
 
     def neg_moment(self, r):
         # Theta = lam^2 / (2 N^2): E(Theta^-r) = (2r)! / (r! lam^(2r))
@@ -496,12 +480,9 @@ class LevyMixing(MixingDistribution):
         n = rng.standard_normal(size)
         return self.lam ** 2 / (2.0 * n ** 2)
 
-    def pdf(self, theta):
-        th = np.asarray(theta, dtype=float)
+    def _log_pdf(self, th):
         lam = self.lam
-        with np.errstate(divide="ignore"):
-            logv = log(lam / 2) - 0.5 * (log(math.pi) + 3 * np.log(th)) - lam ** 2 / (4 * th)
-        return _ret(np.where(th > 0, np.exp(logv), 0.0), np.isscalar(theta))
+        return log(lam / 2) - 0.5 * (log(math.pi) + 3 * np.log(th)) - lam ** 2 / (4 * th)
 
     def sum_pdf(self, n, x):
         # printed factorial sum, typed independently of the Bell coefficients
@@ -543,9 +524,23 @@ class PositiveStableMixing(MixingDistribution):
         if not (0 < self.alpha <= 1):
             raise ValueError(f"stable index must lie in (0, 1], got {self.alpha}")
 
-    def _log_derivative(self, k, s):
-        # row n: sum_{j=1..n} |B_{n,j}| s^(j alpha - n) e^{-s^alpha}
+    def _log_kernel(self, k, s):
         a = self.alpha
+        if k[0] < 0:
+            # order -j: int_s^inf (t-s)^(j-1)/(j-1)! e^{-t^alpha} dt = (1/alpha) sum_i C(j-1, i)
+            # (-s)^(j-1-i) Gamma((i+1)/alpha, s^alpha) / (j-1)!; from j = 2 on the signed terms
+            # cancel about log10(alpha s^alpha) digits per order
+            j = -k.reshape((-1,) + (1,) * s.ndim)
+            i = np.arange(j.max()).reshape((-1,) + (1,) * j.ndim)
+            p, x = (i + 1.0) / a, s ** a
+            log_upper = log_gammaincc(p, x) + special.gammaln(p)
+            log_terms = np.where(i < j, (j - 1 - i) * np.log(s) + log_upper
+                                 - special.gammaln(i + 1.0)
+                                 - special.gammaln(np.maximum(j - i, 1.0)), -inf)
+            shift = log_terms.max(axis=0)  # finite: the i = 0 term always is
+            signed = np.sum((-1.0) ** (j - 1 - i) * np.exp(log_terms - shift), axis=0)
+            return shift + np.log(signed) - log(a)
+        # row n: sum_{j=1..n} |B_{n,j}| s^(j alpha - n) e^{-s^alpha}
         expo = -s ** a
         out = np.empty((k.size,) + s.shape)
         out[:] = expo
@@ -558,22 +553,8 @@ class PositiveStableMixing(MixingDistribution):
                                             + table[n, 1:n + 1].reshape(ja[:n].shape))
         return out
 
-    def _log_integrated(self, j, s):
-        # int_s^inf (t-s)^(j-1)/(j-1)! e^{-t^alpha} dt = (1/alpha) sum_i C(j-1, i) (-s)^(j-1-i)
-        # Gamma((i+1)/alpha, s^alpha) / (j-1)!; from j = 2 on the signed terms cancel about
-        # log10(alpha s^alpha) digits per order
-        a = self.alpha
-        i = np.arange(np.max(j)).reshape((-1,) + (1,) * max(np.ndim(j), np.ndim(s)))
-        p, x = (i + 1.0) / a, s ** a
-        log_upper = log_gammaincc(p, x) + special.gammaln(p)
-        log_terms = np.where(i < j, (j - 1 - i) * np.log(s) + log_upper - special.gammaln(i + 1.0)
-                             - special.gammaln(np.maximum(j - i, 1.0)), -inf)
-        shift = log_terms.max(axis=0)  # finite: the i = 0 term always is
-        signed = np.sum((-1.0) ** (j - 1 - i) * np.exp(log_terms - shift), axis=0)
-        return shift + np.log(signed) - log(a)
-
-    def _generator(self, t, scalar_in):
-        return _ret((-np.log(t)) ** (1.0 / self.alpha), scalar_in)
+    def _generator(self, t):
+        return (-np.log(t)) ** (1.0 / self.alpha)
 
     def sum_pdf_at_zero(self, n):
         if self.alpha == 1.0:
@@ -623,7 +604,7 @@ class InverseGaussianMixing(MixingDistribution):
     def _b(self):
         return 2.0 * self.mu ** 2 / self.lam
 
-    def _log_derivative(self, k, s):
+    def _log_kernel(self, k, s):
         # sqrt(2 lam/pi) (sqrt(c)/mu)^(1/2-k) e^{lam/mu} K_{k-1/2}(z), c = 1 + b s,
         # z = (lam/mu) sqrt(c)
         root = np.sqrt(1.0 + self._b * s)
@@ -633,17 +614,9 @@ class InverseGaussianMixing(MixingDistribution):
         rows -= _column(k, s.ndim) * np.log(root / self.mu)
         return rows
 
-    def _log_integrated(self, j, s):
-        # sqrt(2 lam/pi) (sqrt(c)/mu)^(j+1/2) e^{lam/mu} K_{j+1/2}(z), c = 1 + b s,
-        # z = (lam/mu) sqrt(c)
-        c = 1.0 + self._b * s
-        z = self.lam / self.mu * np.sqrt(c)
-        return (0.5 * log(2.0 * self.lam / math.pi) + (j + 0.5) * (0.5 * np.log(c) - log(self.mu))
-                + np.log(special.kve(j + 0.5, z)) - self.lam / self.mu * (np.sqrt(c) - 1.0))
-
-    def _generator(self, t, scalar_in):
+    def _generator(self, t):
         lam, mu = self.lam, self.mu
-        return _ret(lam / (2 * mu ** 2) * ((1.0 - mu / lam * np.log(t)) ** 2 - 1.0), scalar_in)
+        return lam / (2 * mu ** 2) * ((1.0 - mu / lam * np.log(t)) ** 2 - 1.0)
 
     def sum_pdf_at_zero(self, n):
         return self.mu if n == 1 else 0.0
@@ -656,13 +629,10 @@ class InverseGaussianMixing(MixingDistribution):
     def sample(self, size, rng):
         return rng.wald(self.mu, self.lam, size=size)
 
-    def pdf(self, theta):
-        th = np.asarray(theta, dtype=float)
+    def _log_pdf(self, th):
         lam, mu = self.lam, self.mu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logv = (0.5 * log(lam / (2 * math.pi)) - 1.5 * np.log(th)
-                    - lam * (th - mu) ** 2 / (2 * mu ** 2 * th))
-        return _ret(np.where(th > 0, np.exp(logv), 0.0), np.isscalar(theta))
+        return (0.5 * log(lam / (2 * math.pi)) - 1.5 * np.log(th)
+                - lam * (th - mu) ** 2 / (2 * mu ** 2 * th))
 
 
 @dataclass(frozen=True)
@@ -681,22 +651,22 @@ class LindleyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def _log_derivative(self, k, s):
-        # lam^2/(1+lam) * (k! y^-(k+1) + (k+1)! y^-(k+2)), y = lam + s
+    def _log_kernel(self, k, s):
+        # lam^2/(1+lam) * (k! y^-(k+1) + (k+1)! y^-(k+2)), y = lam + s; the density
+        # is positive at 0, so no negative order exists
+        if k[0] < 0:
+            raise NonexistentMomentError("E(Theta^-j e^(-s Theta)) diverges for the Lindley law")
         lam, k = self.lam, _column(k, s.ndim)
         y = lam + s
         return (2.0 * log(lam) - math.log1p(lam) + special.gammaln(k + 1.0)
                 - (k + 1.0) * np.log(y) + np.log1p((k + 1.0) / y))
 
-    def _log_integrated(self, j, s):
-        raise NonexistentMomentError("E(Theta^-j e^(-s Theta)) diverges for the Lindley law")
-
-    def _generator(self, t, scalar_in):
+    def _generator(self, t):
         lam = self.lam
         # solve t (1+lam) y^2 - lam^2 y - lam^2 = 0 for y = lam + s
         disc = np.sqrt(lam ** 4 + 4.0 * t * (1.0 + lam) * lam ** 2)
         y = (lam ** 2 + disc) / (2.0 * t * (1.0 + lam))
-        return _ret(y - lam, scalar_in)
+        return y - lam
 
     def sum_pdf(self, n, x):
         return lindley_sum_pdf(self.lam, n, x)
@@ -711,11 +681,9 @@ class LindleyMixing(MixingDistribution):
         gam = rng.gamma(2.0, 1.0 / lam, size=size)
         return np.where(pick, expo, gam)
 
-    def pdf(self, theta):
-        th = np.asarray(theta, dtype=float)
+    def _log_pdf(self, th):
         lam = self.lam
-        val = lam ** 2 / (1.0 + lam) * (1.0 + th) * np.exp(-lam * th)
-        return _ret(np.where(th > 0, val, 0.0), np.isscalar(theta))
+        return 2.0 * log(lam) - math.log1p(lam) + np.log1p(th) - lam * th
 
 
 @dataclass(frozen=True)
@@ -738,7 +706,17 @@ class GleserGammaMixing(MixingDistribution):
             raise ValueError(f"shape must lie in (0, 1], got {self.alpha}")
         _require_positive(lam=self.lam)
 
-    def _log_derivative(self, k, s):
+    def _log_kernel(self, k, s):
+        a, lam = self.alpha, self.lam
+        if k[0] < 0:
+            # e^{-lam s} lam^k / B(alpha, 1-alpha) * I(1-alpha, 1-alpha+k, lam s), every
+            # order in one Kummer integral; alpha = 1 is the point mass at lam
+            k = _column(k, s.ndim)
+            base = k * log(lam) - lam * s
+            if a == 1.0:
+                return base
+            return (base + log_kummer_u_integral(1.0 - a, 1.0 - a + k, lam * s)
+                    - lgamma(a) - lgamma(1.0 - a))
         # k = 0: log Q(alpha, lam s).  k >= 1: c e^{-lam s} I_{k-1}, c = lam^alpha /
         # (Gamma(1-alpha) Gamma(alpha)), I_m = int_0^inf (lam+u)^m u^-alpha e^{-us} du,
         # c I_0 = lam^alpha s^(alpha-1) / Gamma(alpha).  The ratios q_m = I_m / I_{m-1}
@@ -746,7 +724,6 @@ class GleserGammaMixing(MixingDistribution):
         # that difference loses up to m/(1-alpha) ulps, so the recurrence runs on the
         # excess d_m = q_m - lam = ((1-alpha) + (m-1) d_{m-1}/q_{m-1}) / s, a sum of
         # positive terms.  alpha = 1 (the point mass at lam) gives d_m = 0: lam^k e^{-lam s}.
-        a, lam = self.alpha, self.lam
         top = int(k.max())
         rows = np.empty((k.size,) + s.shape)
         if top:
@@ -769,38 +746,26 @@ class GleserGammaMixing(MixingDistribution):
             rows[k == 0] = log_gammaincc(a, lam * s)
         return rows
 
-    def _log_integrated(self, j, s):
-        # e^{-lam s} lam^-j / B(alpha, 1-alpha) * I(1-alpha, 1-alpha-j, lam s), every j
-        # in one Kummer integral; alpha = 1 is the point mass at lam
-        a, lam = self.alpha, self.lam
-        base = -j * log(lam) - lam * s
-        if a == 1.0:
-            return base
-        return (base + log_kummer_u_integral(1.0 - a, 1.0 - a - j, lam * s)
-                - lgamma(a) - lgamma(1.0 - a))
-
-    def _log_falling(self, n):
-        """log|(alpha-1)_k| for k = 0..n-1, -inf where the product vanishes
-        (alpha = 1, k >= 1); (-1)^k (alpha-1)_k >= 0 throughout alpha in (0, 1]."""
+    def _sum_terms(self, n):
+        """The density of S_n is sum_k c_k lam^a_k x^(a_k-1) e^{-lam x}, k = 0..n-1:
+        the shapes a_k = n + alpha - k - 1 and log c_k, c_k = (-1)^k (alpha-1)_k /
+        (Gamma(alpha) k! (n-k-1)!), as two arrays.  (-1)^k (alpha-1)_k >= 0
+        throughout alpha in (0, 1]; its log is -inf where it vanishes (alpha = 1,
+        k >= 1)."""
+        k = np.arange(n)
         with np.errstate(divide="ignore"):
-            return np.cumsum(np.log(np.r_[1.0, 1.0 - self.alpha + np.arange(n - 1.0)]))
+            log_falling = np.cumsum(np.log(np.r_[1.0, 1.0 - self.alpha + np.arange(n - 1.0)]))
+        return n + self.alpha - k - 1.0, (log_falling - lgamma(self.alpha)
+                                          - special.gammaln(k + 1.0) - special.gammaln(n - k))
 
-    def _generator(self, t, scalar_in):
-        return _ret(special.gammainccinv(self.alpha, t) / self.lam, scalar_in)
+    def _generator(self, t):
+        return special.gammainccinv(self.alpha, t) / self.lam
 
     def sum_pdf(self, n, x):
-        a, lam = self.alpha, self.lam
-        log_x = np.log(x)
-        terms = []
-        for k in range(n):
-            sign_p, logp = log_abs_falling_factorial(a - 1.0, k)
-            if sign_p == 0:
-                continue
-            # (-1)^k (alpha-1)_k >= 0 throughout alpha in (0,1]
-            terms.append(logp - lgamma(a) - lgamma(k + 1) - lgamma(n - k)
-                         + (n + a - k - 1.0) * log(lam)
-                         + (n + a - k - 2.0) * log_x - lam * x)
-        return np.exp(_log_sum_exp(terms))
+        lam, col = self.lam, (-1,) + (1,) * np.ndim(x)
+        shapes, log_c = (v.reshape(col) for v in self._sum_terms(n))
+        return np.exp(_log_sum_exp(log_c + shapes * log(lam) + (shapes - 1.0) * np.log(x)
+                                   - lam * x))
 
     def sum_pdf_at_zero(self, n):
         if self.alpha == 1.0:
@@ -808,13 +773,12 @@ class GleserGammaMixing(MixingDistribution):
         return inf
 
     def sum_mixture(self, n):
-        # gamma components Ga(n + alpha - k - 1, lam), k = 0..n-1, nonnegative weights
-        a = self.alpha
+        # gamma components Ga(a_k, lam), weights c_k Gamma(a_k)
+        shapes, log_c = self._sum_terms(n)
+        weights = np.exp(log_c + special.gammaln(shapes))
         return MixtureRepresentation(tuple(
-            GammaPowerComponent(n + a - k - 1.0, 1.0, self.lam,
-                                exp(lf + lgamma(n + a - k - 1.0) - lgamma(a)
-                                    - lgamma(k + 1) - lgamma(n - k)))
-            for k, lf in enumerate(self._log_falling(n).tolist())))
+            GammaPowerComponent(a, 1.0, self.lam, w)
+            for a, w in zip(shapes.tolist(), weights.tolist())))
 
     def neg_moment(self, r):
         # E(Theta^-r) = Gamma(alpha + r) / (lam^r r! Gamma(alpha)), by the
@@ -828,15 +792,12 @@ class GleserGammaMixing(MixingDistribution):
         u = rng.beta(self.alpha, 1.0 - self.alpha, size=size)
         return self.lam / u
 
-    def pdf(self, theta):
+    def _log_pdf(self, th):
         if self.alpha == 1.0:
             raise UnsupportedModelError("alpha = 1 is a point mass at lam; no density")
-        th = np.asarray(theta, dtype=float)
         a, lam = self.alpha, self.lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logv = (a * log(lam) - a * np.log(th - lam) - np.log(th)
-                    - lgamma(1.0 - a) - lgamma(a))
-        return _ret(np.where(th > lam, np.exp(logv), 0.0), np.isscalar(theta))
+        return (a * log(lam) - a * np.log(th - lam) - np.log(th)
+                - lgamma(1.0 - a) - lgamma(a))
 
     @property
     def support(self):
@@ -855,29 +816,23 @@ class BetaSecondKindMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(beta=self.beta, gam=self.gam)
 
-    def _log_derivative(self, k, s):
-        # one Kummer integral per order: in one call for every order the grid
-        # would be as long as the widest order's and as fine as the sharpest's
-        # (3-7x the time on 1000 points); L(0) = 1, and the integral needs s > 0
+    def _log_kernel(self, k, s):
+        # E(Theta^k e^{-s Theta}) = Gamma(beta+k) U(beta+k, 1+k-gam, s) / B(beta, gam), one
+        # Kummer integral per order: in one call for every order the grid would be as long
+        # as the widest order's and as fine as the sharpest's (3-7x the time on 1000
+        # points); L(0) = 1, and the integral needs s > 0
+        _require_above(k, "beta", self.beta)
         zero = s == 0.0
         out = np.empty((k.size,) + s.shape)
         for i, n in enumerate(k.tolist()):
-            if n:
-                out[i] = self._log_integrated(-n, s)
-            else:
-                out[i] = np.where(zero, 0.0, self._log_integrated(0, np.where(zero, 1.0, s)))
+            out[i] = log_kummer_u_integral(self.beta + n, 1.0 + n - self.gam,
+                                           s if n else np.where(zero, 1.0, s))
+            out[i] -= special.betaln(self.beta, self.gam)
+            if not n:
+                out[i, zero] = 0.0
         return out
 
-    def _log_integrated(self, j, s):
-        # E(Theta^-j e^{-s Theta}) = Gamma(beta-j) U(beta-j, 1-j-gam, s) / B(beta, gam),
-        # for every order k = -j
-        _require_above(j, "beta", self.beta)
-        return (log_kummer_u_integral(self.beta - j, 1.0 - j - self.gam, s)
-                - special.betaln(self.beta, self.gam))
-
-    def _generator(self, t, scalar_in):
-        t_arr = np.atleast_1d(t)
-
+    def _generator(self, t):
         def invert(ti):
             # L(s) decays like s^-beta, so a small t needs a bracket far out;
             # it stops at 1e300, a few doublings short of the float maximum
@@ -893,8 +848,7 @@ class BetaSecondKindMixing(MixingDistribution):
             return optimize.brentq(lambda s: self.laplace(s) - ti, lo, hi,
                                    xtol=1e-14, rtol=8.9e-16)
 
-        out = np.array([invert(ti) for ti in t_arr])
-        return _ret(out[0] if scalar_in else out, scalar_in)
+        return np.array([invert(ti) for ti in t.ravel().tolist()]).reshape(t.shape)
 
     def neg_moment(self, r):
         if r >= self.beta:
@@ -917,12 +871,9 @@ class BetaSecondKindMixing(MixingDistribution):
     def sample(self, size, rng):
         return rng.gamma(self.beta, 1.0, size=size) / rng.gamma(self.gam, 1.0, size=size)
 
-    def pdf(self, theta):
-        th = np.asarray(theta, dtype=float)
+    def _log_pdf(self, th):
         b, g = self.beta, self.gam
-        with np.errstate(divide="ignore"):
-            logv = (b - 1.0) * np.log(th) - (b + g) * np.log1p(th) - special.betaln(b, g)
-        return _ret(np.where(th > 0, np.exp(logv), 0.0), np.isscalar(theta))
+        return (b - 1.0) * np.log(th) - (b + g) * np.log1p(th) - special.betaln(b, g)
 
 
 def faa_di_bruno(f_deriv, g_deriv, n: int, s: float) -> float:

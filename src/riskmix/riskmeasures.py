@@ -121,7 +121,7 @@ def _tail_moments(model: AggregateModel, a: float, terms, orders) -> dict:
         raise TailUnderflowError(f"survival({a}) underflows; tail moment is noise")
     n, top = model.n, max(orders)
     # E(Theta^-j e^(-Theta a)) for j = 1..top in one kernel call, and log k! - k log a
-    neg = model.mixing.log_abs_laplace_derivative(-np.arange(1, top + 1), np.array([a]))
+    neg = model.mixing.log_abs_laplace_derivative(-np.arange(1, top + 1), np.array(a))
     lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log(a)
     out = {}
     for r in orders:

@@ -6,7 +6,7 @@ logarithmic counting laws; each counting law holds its own closed density.
 
 import math
 from dataclasses import dataclass
-from math import exp, log
+from math import exp, inf, log
 
 import numpy as np
 from scipy import special
@@ -50,15 +50,23 @@ def lindley_sum_pdf(lam: float, n: int, x):
 
 
 def lindley_survival(lam: float, x: float) -> float:
-    """Survival function of the Lindley(lam) law itself."""
-    return (1.0 + lam * (1.0 + x)) * exp(-lam * x) / (1.0 + lam)
+    """Survival function of the Lindley(lam) law itself,
+    (1 + lam (1 + x)) e^{-lam x} / (1 + lam) = (1 + x lam/(1+lam)) e^{-lam x},
+    the second form finite for every finite lam and x."""
+    return (1.0 + x * (lam / (1.0 + lam))) * exp(-lam * x)
+
+
+def _theta0(phi: float, c: float) -> float:
+    theta0 = phi / c
+    if not 0.0 < theta0 < inf:
+        raise ValueError(f"theta0 = phi/c must be positive and finite, got {phi}/{c} = {theta0}")
+    return theta0
 
 
 def ruin_probability_limit(lam: float, phi: float, c: float) -> float:
-    """u -> infinity limit of the ruin probability; equals the Lindley
-    survival function evaluated at theta_0 = phi/c."""
-    theta0 = phi / c
-    return 1.0 - (1.0 + lam * (1.0 + theta0)) / (1.0 + lam) * exp(-theta0 * lam)
+    """u -> infinity limit of the ruin probability: the Lindley cdf at
+    theta_0 = phi/c."""
+    return 1.0 - lindley_survival(lam, _theta0(phi, c))
 
 
 def ruin_probability(lam: float, phi: float, c: float, u: float) -> float:
@@ -69,18 +77,22 @@ def ruin_probability(lam: float, phi: float, c: float, u: float) -> float:
     exponential integral exp(z) Gamma(0, z), the only numerically viable path:
 
         psi(u) = limit + lam^2 phi e^{-theta0 lam} / (c (1+lam)(u+lam))
-                 * [1 + (u+lam) e^z E1(z)],   z = theta0 (u + lam).
+                 * [1 + (u+lam) e^z E1(z)],   z = theta0 (u + lam),
+
+    with lam^2 / ((1+lam)(u+lam)) taken as the product of the ratios
+    lam/(1+lam) and lam/(u+lam), so that no finite lam overflows.  A theta0
+    that is not a positive finite float is a ValueError.
     """
     for name, val in (("lam", lam), ("phi", phi), ("c", c)):
         if val <= 0:
             raise ValueError(f"{name} must be positive")
     if u < 0:
         raise ValueError("initial capital must be nonnegative")
-    theta0 = phi / c
+    theta0 = _theta0(phi, c)
     z = theta0 * (u + lam)
     bracket = 1.0 + (u + lam) * exp_scaled_expn(1, z)
-    correction = (lam ** 2 * phi * exp(-theta0 * lam)
-                  / (c * (1.0 + lam) * (u + lam)) * bracket)
+    correction = (lam / (1.0 + lam) * (lam / (u + lam))
+                  * (theta0 * exp(-theta0 * lam)) * bracket)
     return ruin_probability_limit(lam, phi, c) + correction
 
 
@@ -104,8 +116,8 @@ class PoissonCounts:
 
             phi lam^2 e^{-lam phi/y} (y (y + 2) + phi x) / ((1+lam) y^4)."""
         phi, y = self.phi, lam + x
-        return (lam ** 2 / (1.0 + lam) * phi * exp(-lam * phi / y)
-                * (1.0 + (2.0 + phi * (x / y)) / y) / y / y)
+        return (lam / (1.0 + lam) * phi * exp(-phi * (lam / y))
+                * (1.0 + (2.0 + phi * (x / y)) / y) * (lam / y) / y)
 
     def tail_mass(self, n_max: int) -> float:
         """P(N > n_max) = P(n_max + 1, phi), the regularized lower incomplete
@@ -136,11 +148,16 @@ class NegativeBinomialCounts:
         """Total-claim density at x > 0 under Lindley(lam) severities; with
         y = lam + x, z = lam + p x and q = 1 - p,
 
-            lam^2 q r p^r (z y + z + y + r q x) y^{r-2} / ((1+lam) z^{r+2})."""
+            lam^2 q r p^r (z y + z + y + r q x) y^{r-2} / ((1+lam) z^{r+2}).
+
+        p^r (y/z)^(r-1) is one exp of r log(p y/z) - log(y/z), p y/z =
+        1 - lam q/z: the first term is never positive, so a large r
+        underflows to 0 instead of overflowing, and log1p keeps it exact
+        where p y/z rounds to 1."""
         r, p, y = self.r, self.p, lam + x
         q, z = 1.0 - p, lam + p * x
-        return (lam ** 2 / (1.0 + lam) * q * r * p ** r * (y / z) ** (r - 1.0)
-                * (1.0 + 1.0 / y + (1.0 + r * q * (x / y)) / z) / z / z)
+        return (lam / (1.0 + lam) * q * r * exp(r * math.log1p(-lam * q / z) - log(y / z))
+                * (1.0 + 1.0 / y + (1.0 + r * q * (x / y)) / z) * (lam / z) / z)
 
     def tail_mass(self, n_max: int) -> float:
         """P(N > n_max) = I_{1-p}(n_max + 1, r), the regularized incomplete
@@ -180,8 +197,8 @@ class LogarithmicCounts:
             lam^2 phi (y w + y + w) / ((1+lam) L (y w)^2)."""
         phi, y = self.phi, lam + x
         w = lam + (1.0 - phi) * x
-        return (lam ** 2 / (1.0 + lam) * phi / -math.log1p(-phi)
-                * (1.0 + 1.0 / w + 1.0 / y) / y / w)
+        return (lam / (1.0 + lam) * phi / -math.log1p(-phi)
+                * (1.0 + 1.0 / w + 1.0 / y) * (lam / y) / w)
 
     def tail_mass(self, n_max: int) -> float:
         """P(N > n_max) = sum_{k > n} phi^k / (k L), L = -log(1 - phi), n = n_max.
@@ -235,8 +252,10 @@ def compound_pdf(m: CompoundModel, x: float) -> CompoundDensityValue:
 
     The density is the counting law's `compound_density`: each closed form is
     written as a sum of positive terms over powers of lam + x (and of a
-    second linear term), divided out one factor at a time, so it is finite
-    for every x and underflows only where the density does.
+    second linear term), divided out one factor at a time, with the factor
+    lam^2/(1+lam) split into the ratios lam/(1+lam) and lam/(lam + ...), so
+    it is finite for every finite x, lam and counting parameter and
+    underflows only where the density does.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")

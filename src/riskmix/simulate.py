@@ -1,5 +1,6 @@
 """Independent verification engine: exact samplers through the stochastic
-representation X_i = Y_i / Theta (one frailty draw per row), empirical
+representation X_i = G_i / Theta, G_i ~ Gamma(shape_i, 1) (one frailty draw
+per row; exponential claims have shape 1), empirical
 cdf / Kolmogorov-Smirnov machinery, and direct quadrature of the mixture
 integral.
 
@@ -57,21 +58,14 @@ class SimulationPlan:
 
     @property
     def n(self) -> int:
-        if isinstance(self.model, AggregateModel):
-            return self.model.n
         return len(self.model.shapes)
 
 
 def _fill_block(model, out, rng):
-    rows = out.shape[0]
-    if isinstance(model, AggregateModel):
-        theta = model.mixing.sample(rows, rng)
-        y = rng.exponential(1.0, size=out.shape)
-        out[:] = y / theta[:, None]
-    else:
-        h = rng.gamma(model.beta, 1.0, size=rows) / rng.gamma(model.gam, 1.0, size=rows)
-        g = rng.gamma(np.asarray(model.shapes), 1.0, size=out.shape)
-        out[:] = g * h[:, None]
+    # X_ij = G_ij / Theta_i with G_ij ~ Gamma(shape_j, 1); at shape 1 numpy's
+    # gamma draws are its exponential ones, bit for bit
+    theta = model.frailty.sample(out.shape[0], rng)
+    out[:] = rng.gamma(np.asarray(model.shapes), 1.0, size=out.shape) / theta[:, None]
 
 
 def sample_vector(plan: SimulationPlan, threads: int = 1) -> np.ndarray:

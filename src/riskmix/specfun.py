@@ -277,6 +277,8 @@ def exp_scaled_expn(n: int, z: float) -> float:
         raise ValueError("argument must be positive")
     if n < 1:
         raise ValueError("order must be >= 1")
+    if z == inf:
+        return 0.0  # the limit of a quantity about 1/z
     if z <= 1.0:
         return float(exp(z) * (special.exp1(z) if n == 1 else special.expn(n, z)))
     tiny = 1e-300

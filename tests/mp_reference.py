@@ -11,6 +11,11 @@ Laws with a density integrate over Theta, with S_n | Theta = t ~ Gamma(n, t):
 The positive stable law has no usable density.  Its derivatives come from
 Leibniz's rule on L = exp(-s^alpha), a recurrence of positive terms, and its
 integrated transforms from a quadrature in t = s^alpha - a^alpha.
+
+The Levy and inverse Gaussian integrated transforms are the closed form
+prefactor * K_{j+1/2}(z) through mp.besselk: quadrature against their
+densities, whose e^(-c/Theta) factor meets Theta^-j near 0, misses by up
+to a few percent on the log at large s.
 """
 
 import math
@@ -99,11 +104,29 @@ def _stable_integrated(alpha, j, s):
     return mp.exp(-x) * mp.quad(f, [0, 0.01, 0.1, 1, 5, 20, 60, mp.inf]) / mp.factorial(j - 1)
 
 
+def _bessel_integrated(law, j, s):
+    """E[Theta^-j e^(-s Theta)] of the Levy or inverse Gaussian law:
+    Levy:  (lam/sqrt(pi)) (2z/lam^2)^(j+1/2) K_{j+1/2}(z),  z = lam sqrt(s);
+    IG:    sqrt(2 lam/pi) (sqrt(c)/mu)^(j+1/2) e^(lam/mu) K_{j+1/2}(z),
+           c = 1 + 2 mu^2 s/lam,  z = (lam/mu) sqrt(c)."""
+    sm, nu = mp.mpf(s), j + mp.mpf(1) / 2
+    lam = mp.mpf(law.lam)
+    if isinstance(law, LevyMixing):
+        z = lam * mp.sqrt(sm)
+        return lam / mp.sqrt(mp.pi) * (2 * z / lam ** 2) ** nu * mp.besselk(nu, z)
+    mu = mp.mpf(law.mu)
+    root = mp.sqrt(1 + 2 * mu ** 2 * sm / lam)
+    return (mp.sqrt(2 * lam / mp.pi) * (root / mu) ** nu * mp.exp(lam / mu)
+            * mp.besselk(nu, lam / mu * root))
+
+
 def integrated_transform(law, j, s, dps=DPS):
     """log E[Theta^-j e^(-s Theta)] as a float."""
     with mp.workdps(dps):
         if isinstance(law, PositiveStableMixing):
             return float(mp.log(_stable_integrated(mp.mpf(law.alpha), j, s)))
+        if j >= 1 and isinstance(law, (LevyMixing, InverseGaussianMixing)):
+            return float(mp.log(_bessel_integrated(law, j, s)))
         # e^(-s lo) is taken out, so that the quadrature sees numbers near 1
         sm, lo = mp.mpf(s), mp.mpf(_density(law)[0])
         return float(mp.log(_expect(law, lambda t: t ** -j * mp.exp(-sm * (t - lo)), 1 / sm)) - sm * lo)

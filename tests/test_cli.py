@@ -230,6 +230,34 @@ class TestCompoundAndRuin:
         assert all(r[2] == "0" for r in rows)
 
 
+class TestLindleyExtremes:
+    """Lindley closed forms at a large finite lambda or r: no overflow."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ruin", "--lambda", "1e200", "--phi", "1", "--c", "1.5", "--u", "1"],
+        ["compound", "--lambda", "1e300", "--x", "1", "--primary", "poisson", "--phi", "1"],
+        ["compound", "--lambda", "1e300", "--x", "1", "--primary", "logarithmic",
+         "--phi", "0.5"],
+        ["compound", "--lambda", "1e300", "--x", "1", "--primary", "geometric", "--p", "0.5"],
+        ["compound", "--primary", "negbinomial", "--r", "1e300", "--p", "0.5",
+         "--lambda", "1", "--x", "1"],
+    ], ids=["ruin", "poisson", "logarithmic", "geometric", "negbinomial"])
+    def test_exits_0_with_a_value_in_range(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        value = float(out.strip().split("\n")[1].split(",")[1])
+        top = 1.0 if argv[0] == "ruin" else math.inf
+        assert math.isfinite(value) and 0.0 <= value <= top
+
+    @pytest.mark.parametrize("phi,c", [("1e300", "1e-300"), ("1e-300", "1e300")],
+                             ids=["overflow", "underflow"])
+    def test_theta0_out_of_range_exits_2(self, capsys, phi, c):
+        code, out, err = run(capsys, ["ruin", "--lambda", "1", "--phi", phi, "--c", c,
+                                      "--u", "1"])
+        assert code == 2 and out == ""
+        assert "error: theta0 = phi/c must be positive and finite" in err
+
+
 class TestBuilderPaths:
     COMPOUND = ["compound", "--lambda", "1", "--x", "1"]
     ASYMPTOTIC = ["asymptotic", "--beta", "1", "--grid", "100:1000:3"]

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from riskmix.errors import (
@@ -643,6 +645,56 @@ class TestNegativeOrders:
                   LindleyMixing(1.0)):
             with pytest.raises(NonexistentMomentError):
                 m.log_abs_laplace_derivative(-1, s)
+
+
+BESSEL_NEGATIVE_LAWS = [LevyMixing(0.05), LevyMixing(1.2), LevyMixing(30.0),
+                        InverseGaussianMixing(0.05, 1.0), InverseGaussianMixing(0.4, 2.5),
+                        InverseGaussianMixing(6.0, 0.2), InverseGaussianMixing(30.0, 1.0)]
+
+
+class TestBesselNegativeOrders:
+    """Levy and inverse Gaussian negative orders, read from the Bessel ratio
+    recurrence at index 1 - k, against the closed form through mp.besselk,
+    over lam (Levy) or lam/mu (IG) from 0.05 to 30."""
+
+    @pytest.mark.parametrize("m", BESSEL_NEGATIVE_LAWS, ids=repr)
+    def test_against_besselk(self, m):
+        s = np.geomspace(1e-6, 1e6, 13)
+        rows = m.log_abs_laplace_derivative(-np.arange(1, 5), s)
+        assert rows.shape == (4, s.size)
+        for j in range(1, 5):
+            want = [mp_reference.integrated_transform(m, j, sv) for sv in s]
+            assert log_error(rows[j - 1], want).max() <= 1e-14, j
+
+
+SEVEN_LAWS = [GammaMixing(5.5, 1.3), LevyMixing(0.8), PositiveStableMixing(0.6),
+              InverseGaussianMixing(1.5, 0.9), LindleyMixing(0.7), GleserGammaMixing(0.45, 1.2),
+              BetaSecondKindMixing(6.5, 0.8)]
+POINTS = st.floats(min_value=1e-3, max_value=1e3)
+
+
+class TestOrderRows:
+    """Every integer order through one kernel: an array of orders of one sign
+    gives one row per order, each the scalar-order call."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(SEVEN_LAWS), st.sampled_from([1, -1]),
+           st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),
+           st.one_of(POINTS.map(np.array),
+                     st.lists(POINTS, min_size=1, max_size=6).map(np.array)))
+    def test_rows_are_the_scalar_calls(self, m, sign, magnitudes, s):
+        # positive orders also take 0; negative ones stop at -5, where every
+        # law but Lindley has its moment
+        k = -np.array(magnitudes) if sign < 0 else np.array(magnitudes) - 1
+        if sign < 0 and isinstance(m, LindleyMixing):
+            for order in (k, int(k[0])):
+                with pytest.raises(NonexistentMomentError):
+                    m.log_abs_laplace_derivative(order, s)
+            return
+        rows = m.log_abs_laplace_derivative(k, s)
+        assert rows.shape == (k.size,) + s.shape
+        for row, order in zip(rows, k.tolist()):
+            assert log_error(row, m.log_abs_laplace_derivative(order, s)).max() <= 1e-15
 
 
 class TestSamplers:

@@ -339,6 +339,56 @@ class TestVaRAtCapPlusOne:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+# (VaR, TVaR, E(S^2 | S > VaR)) of risk_report for the six command-line laws,
+# computed before the negative orders moved into the one kernel
+PINNED_CLI_REPORTS = {
+    ("pareto", 2, 0.9): (2.120508576705548, 3.8453113404029193, 23.60294822265267),
+    ("pareto", 2, 0.999): (14.61569424111759, 22.55484782799266, 697.7426740194954),
+    ("pareto", 10, 0.9): (9.4544654870184, 16.047442485230437, 385.4171947303993),
+    ("pareto", 10, 0.999): (57.06703398698934, 87.26426684545886, 10349.062359269197),
+    ("gamma", 2, 0.9): (1.9106651218998145, 2.757056169217849, 8.297349558114792),
+    ("gamma", 2, 0.999): (5.737841697467855, 6.545797315969118, 43.494732789206985),
+    ("gamma", 10, 0.9): (8.156514142020553, 9.880807658228525, 100.0283796630468),
+    ("gamma", 10, 0.999): (15.077716495055043, 16.289323852774217, 266.7213176554842),
+    ("weibull-half", 2, 0.9): (10.704754158292904, 21.248378279005493, 623.8710951291121),
+    ("weibull-half", 2, 0.999): (73.49465648915334, 94.6404613975445, 9506.05852092429),
+    ("weibull-half", 10, 0.9): (53.83011430555965, 92.2262911332643, 10317.46262704572),
+    ("weibull-half", 10, 0.999): (254.4300827491148, 309.29524094040767, 99019.96119128783),
+    ("weibull", 2, 0.9): (7.755631803335014, 13.225022714232418, 213.2962933628026),
+    ("weibull", 2, 0.999): (37.07904777920085, 45.449945439667694, 2145.133468995639),
+    ("weibull", 10, 0.9): (36.81013209198552, 54.06168068619745, 3230.147604123417),
+    ("weibull", 10, 0.999): (117.98293965880679, 136.75908136003235, 19070.191173615236),
+    ("invgauss", 2, 0.9): (8.315306651292174, 12.710348090727377, 186.16432135527668),
+    ("invgauss", 2, 0.999): (31.780713236749826, 38.65062359419497, 1548.953450451452),
+    ("invgauss", 10, 0.9): (35.76121682402532, 48.71451947069232, 2558.227733577555),
+    ("invgauss", 10, 0.999): (99.28145537046555, 115.29717810040282, 13572.343908500941),
+}
+CLI_REPORT_MODELS = {
+    "pareto": lambda n: pareto_model(3.0, 1.0, n),
+    "gamma": lambda n: gamma_claims_model(0.5, 1.3, n),
+    "weibull-half": lambda n: weibull_half_model(1.0, n),
+    "weibull": lambda n: weibull_model(0.6, n),
+    "invgauss": lambda n: inverse_gaussian_model(2.0, 0.7, n),
+    "lindley": lambda n: lindley_model(2.0, n),
+}
+
+
+class TestCliLawReports:
+    @pytest.mark.parametrize("key", PINNED_CLI_REPORTS, ids=lambda key: "-".join(map(str, key)))
+    def test_matches_pinned_values(self, key):
+        name, n, lv = key
+        rep = risk_report(CLI_REPORT_MODELS[name](n), lv)
+        got = (rep.var, rep.tvar, dict(rep.tail_moments)[2])
+        assert got == pytest.approx(PINNED_CLI_REPORTS[key], rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_lindley_has_no_report(self, n):
+        # E(1/Theta) diverges: no tail moment exists at any level
+        for lv in (0.9, 0.999):
+            with pytest.raises(NonexistentMomentError):
+                risk_report(CLI_REPORT_MODELS["lindley"](n), lv)
+
+
 class TestTVaR:
     def test_pareto_pinned(self):
         m = pareto_model(3.0, 1.0, 2)

@@ -116,6 +116,27 @@ class TestRuinProbability:
         with pytest.raises(ValueError):
             ruin_probability(1.0, 1.0, 1.0, -0.5)
 
+    @pytest.mark.parametrize("lam,phi,c,u", [(1.0, 1.0, 1.5, 1.0), (0.3, 2.0, 1.0, 7.0),
+                                             (1e200, 1.0, 1.5, 1.0), (1e300, 1e10, 1.0, 1.0),
+                                             (1.0, 1e300, 1e-8, 1.0), (3.0, 0.2, 1.0, 1e300)])
+    def test_against_mpmath_printed_form(self, lam, phi, c, u):
+        # the printed bracket, exp(u phi/c) times Gamma(0, theta0 (u + lam)), at 50 digits
+        with mp.workdps(50):
+            lm, ph, cm, um = (mp.mpf(v) for v in (lam, phi, c, u))
+            t0 = ph / cm
+            z = t0 * (um + lm)
+            limit = 1 - (1 + lm * (1 + t0)) / (1 + lm) * mp.exp(-t0 * lm)
+            want = float(limit + lm ** 2 * ph * mp.exp(um * t0) / (cm * (1 + lm) * (um + lm))
+                         * (mp.exp(-z) + (um + lm) * mp.e1(z)))
+        assert ruin_probability(lam, phi, c, u) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("phi,c", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_theta0_must_be_a_positive_float(self, phi, c):
+        with pytest.raises(ValueError, match="theta0"):
+            ruin_probability(1.0, phi, c, 1.0)
+        with pytest.raises(ValueError, match="theta0"):
+            ruin_probability_limit(1.0, phi, c)
+
 
 class TestCountingLaws:
     def test_pmf_normalization(self):
@@ -257,6 +278,26 @@ class TestCompoundPdf:
             got = compound_pdf(m, x).value
             # past about x = 1e154 the density itself underflows
             assert got == pytest.approx(want, rel=1e-13, abs=1e-300), x
+
+    @pytest.mark.parametrize("cnt,lam,xs", [
+        (PoissonCounts(1.0), 1e300, (1e-8, 1.0, 1e10, 1e300)),
+        (PoissonCounts(1e10), 1e300, (1e-8, 1.0, 1e10, 1e300)),
+        (LogarithmicCounts(0.5), 1e300, (1e-8, 1.0, 1e10, 1e300)),
+        (NegativeBinomialCounts(1.0, 0.5), 1e300, (1e-8, 1.0, 1e10, 1e300)),
+        (NegativeBinomialCounts(40.0, 0.2), 3.0, (1e-8, 1.0, 1e10, 1e300)),
+        # 50 digits resolve (1 - lam q/z)^r only while lam q/z >> 1e-50
+        (NegativeBinomialCounts(1e300, 0.5), 1.0, (1e-8, 1.0, 1e10)),
+        (NegativeBinomialCounts(1e5, 0.9999), 1.0, (1e-8, 1.0, 1e3, 1e10)),
+    ], ids=str)
+    def test_large_parameters_against_mpmath(self, cnt, lam, xs):
+        # no overflow for a large finite lam or r: the value is the printed
+        # form's, to rounding, or 0 where that underflows
+        m = CompoundModel(cnt, lam)
+        for x in xs:
+            with mp.workdps(50):
+                want = float(_mp_compound(cnt, lam, x))
+            got = compound_pdf(m, x).value
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), x
 
     def test_atoms(self):
         assert compound_pdf(CompoundModel(PoissonCounts(1.0), 1.0), 0.0).value == \

@@ -69,6 +69,15 @@ class TestStatisticalProperties:
         x = sample_vector(plan)
         assert np.corrcoef(x[:, 0], x[:, 1])[0, 1] > 0.05
 
+    def test_exponential_claims_keep_their_stream(self):
+        # the shape-1 gamma draw of X = G / Theta is numpy's exponential draw,
+        # so exponential-claims samples are those of Y / Theta, Y ~ Exp(1)
+        plan = SimulationPlan(pareto_model(3.0, 1.0, 4), 700, seed=9)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(9).spawn(1)[0]))
+        theta = GammaMixing(3.0, 1.0).sample(700, rng)
+        want = rng.exponential(1.0, size=(700, 4)) / theta[:, None]
+        assert np.array_equal(sample_vector(plan), want)
+
     def test_sibuya_product_representation(self):
         m = SibuyaModel((1.5, 0.7), 2.0, 4.0)
         x = sample_vector(SimulationPlan(m, 500_000, seed=17))
