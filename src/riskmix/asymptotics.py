@@ -3,14 +3,18 @@ frailty: the generic Laplace-of-log form
 
     f(x) ~ -d/dx L[log(x / beta^m)] = -L'(log(x/beta^m)) / x,
 
-plus its gamma and inverse-Gaussian specializations.  beta is the Pareto
-precision parameter and m the index of the smallest conditional shape.
+which holds for every frailty law, plus its gamma and inverse-Gaussian
+specializations.  beta is the Pareto precision parameter and m the index of
+the smallest conditional shape.  tail_pdf_generic takes a scalar or an array
+of x and makes one Laplace-derivative call for all of them.
 """
 
 import math
 from dataclasses import dataclass
 
-from .mixing import GammaMixing, InverseGaussianMixing, MixingDistribution
+import numpy as np
+
+from .mixing import MixingDistribution
 
 __all__ = ["ParetoTailSpec", "tail_pdf_generic", "tail_pdf_gamma", "tail_pdf_ig"]
 
@@ -26,23 +30,25 @@ class ParetoTailSpec:
             raise ValueError("precision parameter must be positive")
         if self.m < 1:
             raise ValueError("index m must be >= 1")
-        if not isinstance(self.mixing, (GammaMixing, InverseGaussianMixing)):
-            raise ValueError(
-                "tail specializations exist for gamma and inverse-Gaussian mixing only"
-            )
 
 
-def _log_arg(spec: ParetoTailSpec, x: float) -> float:
-    s = math.log(x) - spec.m * math.log(spec.beta)
-    if s <= 0:
-        raise ValueError(f"x must exceed beta^m = {spec.beta ** spec.m}")
+def _log_arg(spec: ParetoTailSpec, x: np.ndarray) -> np.ndarray:
+    """s = log(x / beta^m) on an array x; a ValueError unless every s > 0.
+    The message gives m log beta, since beta^m itself may overflow."""
+    log_floor = spec.m * math.log(spec.beta)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x <= 0 fails the check
+        s = np.log(x) - log_floor
+    if not np.all(s > 0):
+        raise ValueError(f"x must exceed beta^m (m log beta = {log_floor!r})")
     return s
 
 
-def tail_pdf_generic(spec: ParetoTailSpec, x: float) -> float:
-    """Chain-rule evaluation -L'(log(x/beta^m))/x via the exact derivative."""
-    s = _log_arg(spec, x)
-    return -spec.mixing.laplace_derivative(1, s) / x
+def tail_pdf_generic(spec: ParetoTailSpec, x):
+    """Chain-rule evaluation -L'(log(x/beta^m))/x via the exact derivative, on
+    a scalar (a float) or an array of x."""
+    x_arr = np.asarray(x, dtype=float)
+    out = -spec.mixing.laplace_derivative(1, _log_arg(spec, x_arr)) / x_arr
+    return float(out) if out.ndim == 0 else out
 
 
 def tail_pdf_gamma(alpha: float, lam: float, beta: float, m: int, x: float) -> float:

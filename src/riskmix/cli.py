@@ -487,10 +487,10 @@ def run_asymptotic(cfg, command):
         return errors, None, None
     try:
         spec = asymptotics.ParetoTailSpec(cfg["beta"], cfg.get("m") or 1, mix)
+        tail = asymptotics.tail_pdf_generic(spec, xs)
     except ValueError as exc:
         return [str(exc)], None, None
-    rows = [(float(x), asymptotics.tail_pdf_generic(spec, float(x))) for x in xs]
-    return [], ("x", "tail_pdf"), rows
+    return [], ("x", "tail_pdf"), np.column_stack((xs, tail))
 
 
 def run_verify(cfg, command):

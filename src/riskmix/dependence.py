@@ -69,7 +69,9 @@ def kendall_tau_numeric(v: DependentVector) -> float:
 
     tau = 1 + 4 int_0^1 phi/phi' dt; substituting t = L(s) turns it into
     1 - 4 int_0^inf s L'(s)^2 ds, which needs only the first Laplace
-    derivative and is well behaved at both endpoints.
+    derivative and is well behaved at both endpoints.  kendall_tau takes
+    this route only for a law without a closed form (second-kind beta); it
+    is also the oracle the closed forms are tested against.
     """
     if v.n < 2:
         raise ValueError("tau needs at least two components")
@@ -88,7 +90,8 @@ def kendall_tau_numeric(v: DependentVector) -> float:
 
 
 def kendall_tau_closed(v: DependentVector) -> float:
-    """Closed-form tau where the law has one (stable and IG frailties)."""
+    """Closed-form tau where the law has one: every law but the second-kind
+    beta (UnsupportedModelError there)."""
     return v.mixing.kendall_tau()
 
 

@@ -443,6 +443,11 @@ class GammaMixing(MixingDistribution):
     def sum_mixture(self, n):
         return MixtureRepresentation((Beta2Component(float(n), self.alpha, self.beta, 1.0),))
 
+    def kendall_tau(self):
+        # Clayton copula of parameter 1/alpha: 1/(1 + 2 alpha), written so 2 alpha
+        # cannot overflow
+        return 0.5 / (0.5 + self.alpha)
+
 
 @dataclass(frozen=True)
 class LevyMixing(MixingDistribution):
@@ -505,6 +510,10 @@ class LevyMixing(MixingDistribution):
         return MixtureRepresentation(tuple(
             GammaPowerComponent(kj, 0.5, self.lam, wj)
             for kj, wj in zip(k.tolist(), weights.tolist())))
+
+    def kendall_tau(self):
+        # the stable value at index 1/2: rescaling Theta leaves the copula alone
+        return 0.5
 
 
 @dataclass(frozen=True)
@@ -623,8 +632,10 @@ class InverseGaussianMixing(MixingDistribution):
 
     def kendall_tau(self):
         # the printed 1 - (a (2 + a) - 4 e^{2/a} Gamma(0, 2/a)) / (2 a^2), a = mu/lam,
-        # is e^z E_3(z) at z = 2/a, which neither cancels nor overflows
-        return exp_scaled_expn(3, 2.0 * self.lam / self.mu)
+        # is e^z E_3(z) at z = 2/a, which neither cancels nor overflows; a z that
+        # underflows to 0 takes the limit E_3(0) = 1/2
+        z = 2.0 * self.lam / self.mu
+        return exp_scaled_expn(3, z) if z > 0 else 0.5
 
     def sample(self, size, rng):
         return rng.wald(self.mu, self.lam, size=size)
@@ -673,6 +684,13 @@ class LindleyMixing(MixingDistribution):
 
     def sum_pdf_at_zero(self, n):
         return lindley_sum_pdf(self.lam, n, 0.0)
+
+    def kendall_tau(self):
+        # 1 - 4 int s L'(s)^2 ds = 1 - 4 (u^2/6 + u v/3 + v^2/5), u = lam/(1+lam),
+        # v = 1/(1+lam); as u + v = 1 that is u (1 + v)/3 + v^2/5, a sum of
+        # positive terms that no lam overflows, from 1/5 (lam -> 0) to 1/3
+        u, v = self.lam / (1.0 + self.lam), 1.0 / (1.0 + self.lam)
+        return u * (1.0 + v) / 3.0 + v * v / 5.0
 
     def sample(self, size, rng):
         lam = self.lam
@@ -779,6 +797,13 @@ class GleserGammaMixing(MixingDistribution):
         return MixtureRepresentation(tuple(
             GammaPowerComponent(a, 1.0, self.lam, w)
             for a, w in zip(shapes.tolist(), weights.tolist())))
+
+    def kendall_tau(self):
+        # int s L'(s)^2 ds = Gamma(2 alpha) / (4^alpha Gamma(alpha)^2), so tau =
+        # 1 - 2 Gamma(alpha + 1/2) / (sqrt(pi) Gamma(alpha)) = 1 - (alpha)_{1/2} / (1)_{1/2}
+        # with the Pochhammer symbol (a)_{1/2} = Gamma(a + 1/2) / Gamma(a): exactly 0 at
+        # the point mass alpha = 1, and within 5e-16 absolute as tau -> 0 there
+        return float(1.0 - special.poch(self.alpha, 0.5) / special.poch(1.0, 0.5))
 
     def neg_moment(self, r):
         # E(Theta^-r) = Gamma(alpha + r) / (lam^r r! Gamma(alpha)), by the

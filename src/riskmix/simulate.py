@@ -63,9 +63,16 @@ class SimulationPlan:
 
 def _fill_block(model, out, rng):
     # X_ij = G_ij / Theta_i with G_ij ~ Gamma(shape_j, 1); at shape 1 numpy's
-    # gamma draws are its exponential ones, bit for bit
+    # gamma draws are its exponential ones, bit for bit.  One shape for every
+    # claim (always so for AggregateModel) takes numpy's scalar-shape path,
+    # which draws the same values as the array path at about half the cost
     theta = model.frailty.sample(out.shape[0], rng)
-    out[:] = rng.gamma(np.asarray(model.shapes), 1.0, size=out.shape) / theta[:, None]
+    shapes = model.shapes
+    if len(set(shapes)) == 1:
+        draws = rng.standard_gamma(shapes[0], size=out.shape)
+    else:
+        draws = rng.gamma(np.asarray(shapes), 1.0, size=out.shape)
+    np.divide(draws, theta[:, None], out=out)
 
 
 def sample_vector(plan: SimulationPlan, threads: int = 1) -> np.ndarray:

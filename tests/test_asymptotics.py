@@ -9,7 +9,15 @@ from riskmix.asymptotics import (
     tail_pdf_generic,
     tail_pdf_ig,
 )
-from riskmix.mixing import GammaMixing, InverseGaussianMixing, LevyMixing
+from riskmix.mixing import (
+    BetaSecondKindMixing,
+    GammaMixing,
+    GleserGammaMixing,
+    InverseGaussianMixing,
+    LevyMixing,
+    LindleyMixing,
+    PositiveStableMixing,
+)
 
 X_GRID = np.logspace(2, 6, 15)
 
@@ -62,7 +70,44 @@ class TestStructuralProperties:
         spec = ParetoTailSpec(2.0, 2, GammaMixing(2.0, 1.0))
         with pytest.raises(ValueError):
             tail_pdf_generic(spec, 3.9)  # below beta^m = 4
-        with pytest.raises(ValueError):
-            ParetoTailSpec(1.0, 1, LevyMixing(1.0))
+        # the generic form holds for every law: Levy gives lam e^{-lam sqrt s} / (2 sqrt(s) x)
+        lam, beta, m = 1.3, 1.5, 2
+        levy = ParetoTailSpec(beta, m, LevyMixing(lam))
+        for x in (1e2, 1e4, 1e7):
+            s = math.log(x / beta ** m)
+            want = lam * math.exp(-lam * math.sqrt(s)) / (2.0 * math.sqrt(s) * x)
+            assert tail_pdf_generic(levy, x) == pytest.approx(want, rel=1e-13)
         with pytest.raises(ValueError):
             ParetoTailSpec(-1.0, 1, GammaMixing(2.0, 1.0))
+
+
+class TestArrayArgument:
+    # kernels that act point by point; beta2's Kummer integral shares one grid
+    # across the points of a call (test_beta2_array_matches_scalar_calls)
+    LAWS = [GammaMixing(2.0, 1.0), InverseGaussianMixing(1.3, 0.7), LevyMixing(0.8),
+            PositiveStableMixing(0.6), LindleyMixing(1.7), GleserGammaMixing(0.4, 2.0)]
+
+    @pytest.mark.parametrize("mixing", LAWS, ids=lambda m: m.kind)
+    def test_array_equals_scalar_calls_bit_for_bit(self, mixing):
+        spec = ParetoTailSpec(1.3, 2, mixing)
+        xs = np.logspace(0.3, 8, 37)
+        got = tail_pdf_generic(spec, xs)
+        assert got.shape == xs.shape
+        want = [tail_pdf_generic(spec, float(x)) for x in xs]
+        assert all(type(w) is float for w in want)
+        assert got.tolist() == want
+
+    def test_beta2_array_matches_scalar_calls(self):
+        spec = ParetoTailSpec(1.3, 2, BetaSecondKindMixing(2.5, 3.0))
+        xs = np.logspace(0.3, 8, 37)
+        want = [tail_pdf_generic(spec, float(x)) for x in xs]
+        np.testing.assert_allclose(tail_pdf_generic(spec, xs), want, rtol=1e-13, atol=0)
+
+    def test_one_bad_point_rejects_the_grid(self):
+        # the message gives m log beta: beta^m itself overflows here
+        spec = ParetoTailSpec(1e200, 2, GammaMixing(2.0, 1.0))
+        with pytest.raises(ValueError, match="m log beta = 921.03"):
+            tail_pdf_generic(spec, np.array([1e300, 1.0]))
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                tail_pdf_generic(ParetoTailSpec(1.0, 1, GammaMixing(2.0, 1.0)), bad)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,13 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_strict(capsys, argv):
+    """run with every warning an error, as `python -W error` runs it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, argv)
 
 
 class TestParsers:
@@ -249,6 +257,20 @@ class TestLindleyExtremes:
         top = 1.0 if argv[0] == "ruin" else math.inf
         assert math.isfinite(value) and 0.0 <= value <= top
 
+    @pytest.mark.parametrize("argv,want", [
+        # r log(p y/z) underflows while r q x/(y z) overflows: 0, not nan
+        (["--r", "1e300", "--p", "1e-300", "--lambda", "1e-300", "--x", "1e-8"], 0.0),
+        # q = 1 - p and z round so that lam q/z is 1: log p + log(y/z), not log1p(-1)
+        (["--r", "2", "--p", "1e-17", "--lambda", "1", "--x", "1"], 7e-34),
+    ], ids=["underflow", "tiny-p"])
+    def test_negbinomial_extremes(self, capsys, argv, want):
+        code, out, err = run_strict(capsys, ["compound", "--primary", "negbinomial", *argv,
+                                             "--output", "-"])
+        assert code == 0, err
+        x, val, atom = out.strip().split("\n")[1].split(",")
+        # one exp of a log sum of size 76: a few ulps of 76 relative
+        assert atom == "0" and float(val) == pytest.approx(want, rel=5e-14, abs=0)
+
     @pytest.mark.parametrize("phi,c", [("1e300", "1e-300"), ("1e-300", "1e300")],
                              ids=["overflow", "underflow"])
     def test_theta0_out_of_range_exits_2(self, capsys, phi, c):
@@ -302,6 +324,70 @@ class TestAsymptoticCommand:
         for line in out.strip().split("\n")[1:]:
             x, v = (float(t) for t in line.split(","))
             assert v == pytest.approx(tail_pdf_gamma(2.0, 1.0, 1.0, 1, x), rel=1e-12)
+
+    @pytest.mark.parametrize("beta,m,log_floor", [("2", "1", "0.6931471805599453"),
+                                                  ("1e200", "2", "921.0340371976183")],
+                             ids=["below-beta", "beta-m-overflows"])
+    def test_grid_below_the_domain_exits_2(self, capsys, beta, m, log_floor):
+        code, out, err = run_strict(capsys, ["asymptotic", "--mixing", "gamma", "--alpha", "2",
+                                             "--lambda", "1", "--beta", beta, "--m", m,
+                                             "--grid", "1:10:5", "--output", "-"])
+        assert code == 2 and out == ""
+        assert err == f"error: x must exceed beta^m (m log beta = {log_floor})\n"
+
+
+class TestClosedFormTau:
+    @pytest.mark.parametrize("argv,want", [
+        (["--model", "pareto", "--alpha", "3", "--beta", "1e300"], 1 / 7),
+        (["--model", "lindley", "--lambda", "1e-300"], 1 / 5),
+        (["--model", "lindley", "--lambda", "1e300"], 1 / 3),
+        (["--model", "weibull-half", "--lambda", "1e300"], 0.5),
+        # 2 lam/mu underflows to 0: the limit E_3(0) = 1/2
+        (["--model", "invgauss", "--lambda", "1e-300", "--mu", "1e300"], 0.5),
+    ], ids=["pareto-huge-beta", "lindley-tiny", "lindley-huge", "weibull-half-huge",
+            "invgauss-independence-limit"])
+    def test_extreme_parameters(self, capsys, argv, want):
+        code, out, err = run_strict(capsys, ["tau", *argv, "--n", "2", "--output", "-"])
+        assert code == 0, err
+        assert out.split("\n")[0] == "tau"
+        assert float(out.split("\n")[1]) == pytest.approx(want, rel=1e-15)
+
+
+class TestNoScalarPaths:
+    """The closed forms and the one-call tail grid stay in place."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "pareto", "--alpha", "2", "--beta", "1"],
+        ["--model", "gamma", "--alpha", "0.4", "--lambda", "2"],
+        ["--model", "weibull-half", "--lambda", "1.5"],
+        ["--model", "weibull", "--alpha", "0.3"],
+        ["--model", "invgauss", "--lambda", "1", "--mu", "2"],
+        ["--model", "lindley", "--lambda", "0.7"],
+    ], ids=lambda argv: argv[1])
+    def test_tau_makes_no_quadrature_call(self, capsys, monkeypatch, argv):
+        import scipy.integrate
+        calls = []
+        quad = scipy.integrate.quad
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            lambda *a, **k: calls.append(1) or quad(*a, **k))
+        code, out, err = run(capsys, ["tau", *argv, "--n", "3"])
+        assert code == 0, err
+        assert calls == []
+
+    @pytest.mark.parametrize("mixing", [["gamma", "--alpha", "2"], ["invgauss", "--mu", "1.5"]],
+                             ids=lambda m: m[0])
+    @pytest.mark.parametrize("points", [2, 50, 1000])
+    def test_asymptotic_makes_one_derivative_call(self, capsys, monkeypatch, mixing, points):
+        from riskmix.mixing import MixingDistribution
+        calls = []
+        derivative = MixingDistribution.laplace_derivative
+        monkeypatch.setattr(MixingDistribution, "laplace_derivative",
+                            lambda self, n, s: calls.append(n) or derivative(self, n, s))
+        code, out, err = run(capsys, ["asymptotic", "--mixing", *mixing, "--lambda", "1.2",
+                                      "--beta", "1.1", "--grid", f"100:1e5:{points}:log"])
+        assert code == 0, err
+        assert len(out.strip().split("\n")) == points + 1
+        assert calls == [1]
 
 
 class TestSimulateCommand:

@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from riskmix.dependence import (
@@ -14,7 +17,7 @@ from riskmix.dependence import (
     pearson_rho,
     survival_copula,
 )
-from riskmix.errors import NonexistentMomentError
+from riskmix.errors import NonexistentMomentError, UnsupportedModelError
 from riskmix.mixing import (
     BetaSecondKindMixing,
     GammaMixing,
@@ -165,6 +168,67 @@ class TestKendallTau:
     def test_needs_two_components(self):
         with pytest.raises(ValueError):
             kendall_tau_numeric(DependentVector(GammaMixing(1, 1), 1))
+
+
+def _mp_tau(law, p):
+    """The printed closed-form tau of each law, at 50 digits."""
+    with mp.workdps(50):
+        if law == "gamma":
+            return float(1 / (1 + 2 * mp.mpf(p)))
+        if law == "gleser":
+            a = mp.mpf(p)
+            return float(1 - 2 * mp.gamma(a + mp.mpf(1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(a)))
+        lam = mp.mpf(p)
+        u, v = lam / (1 + lam), 1 / (1 + lam)
+        return float(1 - 4 * (u ** 2 / 6 + u * v / 3 + v ** 2 / 5))
+
+
+_positive = st.floats(0.05, 20.0)
+
+
+class TestClosedFormTau:
+    """Every CLI law's tau is closed form; the quadrature is the oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(
+        st.builds(GammaMixing, _positive, _positive),
+        st.builds(GleserGammaMixing, st.floats(0.05, 1.0), _positive),
+        st.builds(LevyMixing, _positive),
+        st.builds(LindleyMixing, _positive),
+    ))
+    def test_matches_quadrature(self, mixing):
+        v = DependentVector(mixing, 2)
+        assert kendall_tau(v) == pytest.approx(kendall_tau_numeric(v), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("law,p", [("gamma", a) for a in
+                                       (1e-300, 1e-8, 0.3, 1.0, 3.0, 1e5, 1e300)]
+                             + [("gleser", a) for a in (1e-300, 1e-8, 0.1, 0.5, 0.75, 0.9)]
+                             + [("lindley", lam) for lam in
+                                (1e-300, 1e-8, 0.3, 1.0, 7.0, 1e8, 1e300)])
+    def test_against_mpmath(self, law, p):
+        mixing = {"gamma": lambda a: GammaMixing(a, 2.0),
+                  "gleser": lambda a: GleserGammaMixing(a, 2.0),
+                  "lindley": LindleyMixing}[law](p)
+        assert mixing.kendall_tau() == pytest.approx(_mp_tau(law, p), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.9001, 0.95, 0.99, 0.999, 1 - 1e-6, 1.0])
+    def test_gleser_near_independence(self, alpha):
+        # tau -> 0 as alpha -> 1, so the error is held in absolute terms
+        tau = GleserGammaMixing(alpha, 0.5).kendall_tau()
+        assert tau == pytest.approx(_mp_tau("gleser", alpha), rel=0, abs=1e-15)
+        if alpha == 1.0:
+            assert tau == 0.0
+
+    @pytest.mark.parametrize("lam", [1e-300, 1.0, 1e300])
+    def test_levy_is_the_stable_value(self, lam):
+        assert LevyMixing(lam).kendall_tau() == PositiveStableMixing(0.5).kendall_tau() == 0.5
+
+    def test_beta2_falls_back_to_quadrature(self):
+        v = DependentVector(BetaSecondKindMixing(2.0, 3.0), 2)
+        with pytest.raises(UnsupportedModelError):
+            kendall_tau_closed(v)
+        assert kendall_tau(v) == kendall_tau_numeric(v)
+        assert 0.0 < kendall_tau(v) < 1.0
 
 
 class TestPearsonRho:

@@ -78,6 +78,18 @@ class TestStatisticalProperties:
         want = rng.exponential(1.0, size=(700, 4)) / theta[:, None]
         assert np.array_equal(sample_vector(plan), want)
 
+    @pytest.mark.parametrize("shapes", [(0.5, 0.5, 0.5), (2.7, 2.7), (1.5, 0.7)],
+                             ids=["equal-half", "equal-2.7", "unequal"])
+    def test_gamma_claims_draw_as_numpy_array_shapes_do(self, shapes):
+        # one shared shape takes numpy's scalar-shape gamma path, whose draws
+        # are those of the array-shape path bit for bit
+        model = SibuyaModel(shapes, 2.0, 4.0)
+        plan = SimulationPlan(model, 900, seed=21)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21).spawn(1)[0]))
+        theta = model.frailty.sample(900, rng)
+        want = rng.gamma(np.asarray(shapes), 1.0, size=(900, len(shapes))) / theta[:, None]
+        assert np.array_equal(sample_vector(plan), want)
+
     def test_sibuya_product_representation(self):
         m = SibuyaModel((1.5, 0.7), 2.0, 4.0)
         x = sample_vector(SimulationPlan(m, 500_000, seed=17))
