@@ -38,6 +38,7 @@ from .dependence import (
 from .errors import (
     DerivativeCapError,
     NonexistentMomentError,
+    PrecisionError,
     RiskmixError,
     TailUnderflowError,
     UnsupportedModelError,
@@ -52,7 +53,6 @@ from .gammaext import (
     sibuya_sum_pdf,
 )
 from .mixing import (
-    DERIVATIVE_CAP,
     BetaSecondKindMixing,
     GammaMixing,
     GleserGammaMixing,

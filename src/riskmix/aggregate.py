@@ -16,17 +16,17 @@ boundary x <= 0.  The density has two entry points:
 
 The survival sums the law's log-space derivative kernel
 (MixingDistribution.log_abs_laplace_derivative) over the orders 0..n-1,
-which it gets from one kernel call as an (n, len x) array (per block of
-2^16 terms on very long inputs), in one log-space reduction along the
-orders, so it is finite for every x; the tail moments
-reuse its terms, and the VaR iteration asks the same call for order n too,
-whose row is the density.  Cdf, moments and the finite mixture
-representation (with the moments of a mixture) are built on the same law
-methods.
+which it gets from one kernel call as an (n, len x) array (per block of the
+kernel's memory budget on long inputs), in one log-space reduction along
+the orders, so it is finite for every x and every n; the tail moments reuse
+its terms, and the VaR iteration asks the same call for order n too, whose
+row is the density.  Cdf, moments (in log space, PrecisionError where one
+overflows a double) and the finite mixture representation (with the
+moments of a mixture) are built on the same law methods.
 """
 
 from dataclasses import dataclass
-from math import exp, lgamma
+from math import lgamma
 
 import numpy as np
 from scipy import special
@@ -43,6 +43,8 @@ from .mixing import (
     MixingDistribution,
     MixtureRepresentation,
     PositiveStableMixing,
+    _KERNEL_CELLS,
+    _finite_exp,
     _log_sum_exp,
     _ret,
 )
@@ -69,10 +71,6 @@ __all__ = [
     "mixture_representation",
     "moment_from_mixture",
 ]
-
-# survival terms (orders x points) evaluated per kernel call
-_SURVIVAL_CELLS = 1 << 16
-
 
 @dataclass(frozen=True)
 class AggregateModel:
@@ -173,7 +171,7 @@ def survival(model: AggregateModel, x):
     term is nonnegative, so the sum is one log-space reduction of
     k log x - log k! + log|L^(k)(x)|: no term is formed in linear space, and
     no x is too large for it.  The terms of all orders come from one kernel
-    call per block of at most _SURVIVAL_CELLS terms (one call unless n times
+    call per block of at most _KERNEL_CELLS terms (one call unless n times
     the number of points exceeds it), which bounds the temporaries.
     """
     scalar_in = np.isscalar(x)
@@ -183,7 +181,7 @@ def survival(model: AggregateModel, x):
     if np.any(pos):
         xs = x_arr[pos]
         vals = np.empty_like(xs)
-        block = max(1, _SURVIVAL_CELLS // model.n)
+        block = max(1, _KERNEL_CELLS // model.n)
         for i in range(0, xs.size, block):
             vals[i:i + block] = np.exp(_log_sum_exp(_log_survival_terms(model, xs[i:i + block])))
         out[pos] = vals
@@ -208,10 +206,12 @@ def cdf(model: AggregateModel, x):
 
 
 def moment(model: AggregateModel, r: int) -> float:
-    """E(S_n^r) = Gamma(n+r)/Gamma(n) * E(Theta^-r)."""
+    """E(S_n^r) = Gamma(n+r)/Gamma(n) * E(Theta^-r), formed in log space;
+    PrecisionError where it overflows a double."""
     if r < 1:
         raise ValueError("moment order must be >= 1")
-    return exp(lgamma(model.n + r) - lgamma(model.n)) * model.mixing.neg_moment(r)
+    return _finite_exp(lgamma(model.n + r) - lgamma(model.n) + model.mixing.log_neg_moment(r),
+                       f"E(S^{r})")
 
 
 def mean(model: AggregateModel) -> float:

@@ -5,13 +5,13 @@ All pairwise measures collapse to scalars because the vector is exchangeable.
 """
 
 from dataclasses import dataclass
+from math import expm1, lgamma
 
 import numpy as np
-from scipy import special
 
 from ._lazy import lazy_import
 from .errors import UnsupportedModelError
-from .mixing import MixingDistribution
+from .mixing import MixingDistribution, _finite_exp
 
 integrate = lazy_import("scipy.integrate")
 
@@ -104,16 +104,21 @@ def kendall_tau(v: DependentVector) -> float:
 
 
 def pearson_rho(v: DependentVector) -> float:
-    """Pairwise linear correlation (E W^2 - E^2 W) / (2 E W^2 - E^2 W), W = 1/Theta."""
+    """Pairwise linear correlation (E W^2 - E^2 W) / (2 E W^2 - E^2 W), W = 1/Theta.
+
+    That is (q - 1)/(2q - 1) = u/(1 + u) with q = E W^2 / E^2 W >= 1 and
+    u = 1 - 1/q, which is formed from log q, so no scale of Theta overflows
+    or underflows it."""
     if v.n < 2:
         raise ValueError("rho needs at least two components")
-    w1 = v.mixing.neg_moment(1)
-    w2 = v.mixing.neg_moment(2)
-    return (w2 - w1 ** 2) / (2.0 * w2 - w1 ** 2)
+    log_q = v.mixing.log_neg_moment(2) - 2.0 * v.mixing.log_neg_moment(1)
+    u = -expm1(-log_q)
+    return u / (1.0 + u)
 
 
 def joint_moment(v: DependentVector, r) -> float:
-    """E(X_1^r_1 ... X_n^r_n) = prod_j Gamma(r_j + 1) * E(Theta^-(sum r))."""
+    """E(X_1^r_1 ... X_n^r_n) = prod_j Gamma(r_j + 1) * E(Theta^-(sum r)),
+    formed in log space; PrecisionError where it overflows a double."""
     orders = [int(k) for k in r]
     if len(orders) != v.n:
         raise ValueError(f"expected {v.n} orders, got {len(orders)}")
@@ -122,5 +127,5 @@ def joint_moment(v: DependentVector, r) -> float:
     total = sum(orders)
     if total == 0:
         return 1.0
-    neg = v.mixing.neg_moment(total)
-    return float(np.prod([special.gamma(k + 1.0) for k in orders]) * neg)
+    return _finite_exp(sum(lgamma(k + 1.0) for k in orders) + v.mixing.log_neg_moment(total),
+                       "the joint moment")

@@ -19,8 +19,19 @@ Given a 1-D array of orders it returns one row per order from one pass
 orders 0..n-1, is one kernel call, and so are the tail moments' orders
 -1..-r.  Every term stays in log space, so the kernel neither overflows nor
 underflows where the derivative itself is representable only as a
-logarithm (huge s, high k).  laplace and laplace_derivative are written
-once on the base class, as exp and (-1)^k exp of the kernel.
+logarithm (huge s, high k).  laplace, laplace_derivative and neg_moment
+are written once on the base class, as exp and (-1)^k exp of the kernel
+and exp of the law's log_neg_moment.
+
+Memory budget.  The base class runs _log_kernel on blocks of
+_KERNEL_CELLS // (1 + max|k|) points of s (all of s when they fit), so an
+array with a row per order (a recurrence, its partial sums, the rows) has
+at most _KERNEL_CELLS = 2^16 cells (512 kB), whatever the order and the
+length of s; a Kummer integral (beta2, Gleser negative orders) adds a few
+dozen arrays of one cell per point (25 MB at 2^16 points).  An order past
+the budget for one point (|k| >= 2^16), or a stable row past the largest
+Bell triangle (order 2047, 32 MB per index), raises DerivativeCapError
+before anything is allocated.
 
 * Gamma and Lindley: closed forms, broadcast over the orders; Lindley has
   no negative order.
@@ -38,16 +49,18 @@ once on the base class, as exp and (-1)^k exp of the kernel.
   excess q_m - lam as a sum of positive terms; k = 0 is the log of the
   regularized upper incomplete gamma (specfun.log_gammaincc), evaluated only
   when that order is asked for; negative orders are one Kummer integral.
-* Positive stable: partial Bell polynomials of the power sequence, one
-  log-space triangle per index filled by a recurrence of positive terms
-  (_power_bell), reduced one requested row at a time; negative orders are
-  a signed sum of upper incomplete gammas.
+* Positive stable: partial Bell polynomials of the power sequence, a
+  log-space triangle filled by a recurrence of positive terms and cached
+  per index in sizes of a power of two rows (_power_bell), reduced one
+  requested row at a time; negative orders are a signed sum of upper
+  incomplete gammas, which raises PrecisionError where it cancels more than
+  six digits.
 * Second-kind beta: the log of a Kummer integral, one call per order of
   either sign for every s at once (specfun.log_kummer_u_integral).
 
-No temporary exceeds O(orders x len s).  Multi-term sums reduce with
-_log_sum_exp: pairwise logaddexp for small arrays, a numpy max-shift for
-large ones.  An array of orders with both signs is rejected.
+Multi-term sums reduce with _log_sum_exp: pairwise logaddexp for small
+arrays, a numpy max-shift for large ones.  An array of orders with both
+signs is rejected.
 
 Each law also supplies its log density on its support (_log_pdf) and its
 generator on an array (_generator); the base class's pdf and generator
@@ -75,6 +88,7 @@ from ._lazy import lazy_import
 from .errors import (
     DerivativeCapError,
     NonexistentMomentError,
+    PrecisionError,
     TailUnderflowError,
     UnsupportedModelError,
 )
@@ -89,7 +103,6 @@ from .specfun import (
 optimize = lazy_import("scipy.optimize")
 
 __all__ = [
-    "DERIVATIVE_CAP",
     "MixingDistribution",
     "GammaMixing",
     "LevyMixing",
@@ -104,7 +117,10 @@ __all__ = [
     "faa_di_bruno",
 ]
 
-DERIVATIVE_CAP = 64
+_KERNEL_CELLS = 1 << 16  # the memory budget of the module docstring
+_BELL_ROWS = 2048  # the stable law's largest Bell triangle, 32 MB per index
+# the stable negative orders' largest accepted sum |terms| / |signed sum|
+_CANCELLATION_LIMIT = 1e6
 # arrays of at most this many terms reduce by pairwise logaddexp: measured,
 # pairwise is cheaper for every shape up to 64 terms and the max-shift for
 # every shape from 512; between them the crossover is about 100 terms for a
@@ -116,16 +132,6 @@ def _require_positive(**params):
     for name, value in params.items():
         if not (value > 0):
             raise ValueError(f"{name} must be positive, got {value}")
-
-
-def _check_order(n: int, lowest: int = 1):
-    if n < lowest:
-        raise ValueError(f"derivative order must be >= {lowest}")
-    if n > DERIVATIVE_CAP:
-        raise DerivativeCapError(
-            f"derivative order {n} exceeds cap {DERIVATIVE_CAP}; "
-            "higher orders would silently lose precision"
-        )
 
 
 def _require_above(k, name, value):
@@ -140,6 +146,14 @@ def _require_above(k, name, value):
 def _ret(value, scalar_in):
     value = np.asarray(value, dtype=float)
     return float(value) if scalar_in else value
+
+
+def _finite_exp(log_value: float, what: str) -> float:
+    """exp(log_value), or PrecisionError where that overflows a double."""
+    try:
+        return exp(log_value)
+    except OverflowError:
+        raise PrecisionError(f"{what} = exp({log_value:.6g}) overflows a double") from None
 
 
 def _log_sum_exp(log_terms):
@@ -212,12 +226,22 @@ def _sqrt_bell(n: int, ndim: int):
                - special.gammaln(n - k + 1) - (2 * n - k) * log(2.0))
 
 
-@lru_cache(maxsize=None)
-def _power_bell(alpha: float) -> np.ndarray:
-    """log |B_{m,k}((alpha)_1, (alpha)_2, ...)| for 0 <= m, k <= DERIVATIVE_CAP,
+def _power_bell(alpha: float, top: int) -> np.ndarray:
+    """log |B_{m,k}((alpha)_1, (alpha)_2, ...)| for 0 <= m, k <= top at least,
     the partial Bell polynomials of the power sequence (alpha)_j =
     alpha (alpha-1) ... (alpha-j+1), as one read-only (m, k) array; exact
-    zeros (k > m, k = 0 < m, and k < m at alpha = 1) are -inf.
+    zeros (k > m, k = 0 < m, and k < m at alpha = 1) are -inf.  The table
+    has a power of two rows, at least 128, so a few cached tables per alpha
+    serve every order; past order _BELL_ROWS - 1 it is DerivativeCapError."""
+    if top >= _BELL_ROWS:
+        raise DerivativeCapError(f"stable derivative order {top} lies past the Bell "
+                                 f"triangle's last order {_BELL_ROWS - 1}")
+    return _bell_triangle(alpha, max(128, 1 << int(top).bit_length()))
+
+
+@lru_cache(maxsize=None)
+def _bell_triangle(alpha: float, size: int) -> np.ndarray:
+    """The (size, size) table of _power_bell.
 
     B_{m,k} has the sign (-1)^(m-k), and from (1+t) d/dt ((1+t)^alpha - 1)^k / k!
     the magnitudes obey
@@ -225,7 +249,6 @@ def _power_bell(alpha: float) -> np.ndarray:
     a sum of nonnegative terms, so each row is one logaddexp of the row above
     and nothing cancels.
     """
-    size = DERIVATIVE_CAP + 1
     k = np.arange(size)
     table = np.full((size, size), -inf)
     table[0, 0] = 0.0
@@ -324,23 +347,35 @@ class MixingDistribution:
 
     def log_abs_laplace_derivative(self, k, s):
         """log E(Theta^k e^{-s Theta}) on an array s > 0, for every integer order
-        k <= DERIVATIVE_CAP.  An order k >= 0 is log|L^(k)(s)| ((-1)^k L^(k) >= 0
-        for every law in the catalog); k = 0 is log L and also takes s = 0.  A
-        negative order k = -j is the j-fold integrated transform, and
-        NonexistentMomentError where it diverges.  An array of orders gives one
-        row per order, shaped (*k.shape, *s.shape), from one pass; an array
-        that mixes both signs is a ValueError."""
+        k.  An order k >= 0 is log|L^(k)(s)| ((-1)^k L^(k) >= 0 for every law
+        in the catalog); k = 0 is log L and also takes s = 0.  A negative order
+        k = -j is the j-fold integrated transform, and NonexistentMomentError
+        where it diverges.  An array of orders gives one row per order, shaped
+        (*k.shape, *s.shape), from one pass; an array that mixes both signs is
+        a ValueError.  s runs in blocks of the memory budget (see the module
+        docstring); DerivativeCapError where one point exceeds it."""
         s, k = np.asarray(s, dtype=float), np.asarray(k)
         orders = k.reshape(-1)
         listed = orders.tolist()
         low, top = min(listed), max(listed)
         if low < 0 <= top:
             raise ValueError("an array of orders must be all negative or all nonnegative")
-        if top > DERIVATIVE_CAP:
-            _check_order(top)
+        deepest = max(top, -low)
+        block = _KERNEL_CELLS // (deepest + 1)
+        if not block:
+            raise DerivativeCapError(
+                f"derivative order {deepest} needs {deepest + 1} rows per point, "
+                f"more than the kernel's budget of {_KERNEL_CELLS} cells")
         # the kernels take orders of one sign and s flat, so each of their rows
         # is an array they can write into
-        return self._log_kernel(orders, s.reshape(-1)).reshape(k.shape + s.shape)
+        flat = s.reshape(-1)
+        if flat.size <= block:
+            rows = self._log_kernel(orders, flat)
+        else:
+            rows = np.empty((orders.size, flat.size))
+            for i in range(0, flat.size, block):
+                rows[:, i:i + block] = self._log_kernel(orders, flat[i:i + block])
+        return rows.reshape(k.shape + s.shape)
 
     def laplace(self, s):
         """L(s) = E(e^{-s Theta}) = exp(log L(s)), s >= 0."""
@@ -349,7 +384,8 @@ class MixingDistribution:
 
     def laplace_derivative(self, n: int, s):
         """L^(n)(s) = (-1)^n exp(log|L^(n)(s)|), n >= 1."""
-        _check_order(n)
+        if n < 1:
+            raise ValueError("derivative order must be >= 1")
         s_arr = np.asarray(s, dtype=float)
         return _ret((-1.0) ** n * np.exp(self.log_abs_laplace_derivative(n, s_arr)),
                     np.isscalar(s))
@@ -364,9 +400,14 @@ class MixingDistribution:
         return _ret(self._generator(t_arr), np.isscalar(t) or t_arr.ndim == 0)
 
     def neg_moment(self, r: int) -> float:
-        """E(Theta^-r), the kernel of order -r at s = 0; laws whose kernel
+        """E(Theta^-r) = exp(log_neg_moment(r)); PrecisionError where it
+        overflows a double."""
+        return _finite_exp(self.log_neg_moment(r), f"E(Theta^-{r})")
+
+    def log_neg_moment(self, r: int) -> float:
+        """log E(Theta^-r), the kernel of order -r at s = 0; laws whose kernel
         needs s > 0 override it."""
-        return float(np.exp(self.log_abs_laplace_derivative(-r, 0.0)))
+        return float(self.log_abs_laplace_derivative(-r, 0.0))
 
     def sample(self, size, rng) -> np.ndarray:
         raise NotImplementedError
@@ -477,9 +518,9 @@ class LevyMixing(MixingDistribution):
     def _generator(self, t):
         return (-np.log(t) / self.lam) ** 2
 
-    def neg_moment(self, r):
+    def log_neg_moment(self, r):
         # Theta = lam^2 / (2 N^2): E(Theta^-r) = (2r)! / (r! lam^(2r))
-        return exp(lgamma(1.0 + 2.0 * r) - lgamma(1.0 + r) - 2.0 * r * log(self.lam))
+        return lgamma(1.0 + 2.0 * r) - lgamma(1.0 + r) - 2.0 * r * log(self.lam)
 
     def sample(self, size, rng):
         n = rng.standard_normal(size)
@@ -536,25 +577,35 @@ class PositiveStableMixing(MixingDistribution):
     def _log_kernel(self, k, s):
         a = self.alpha
         if k[0] < 0:
-            # order -j: int_s^inf (t-s)^(j-1)/(j-1)! e^{-t^alpha} dt = (1/alpha) sum_i C(j-1, i)
-            # (-s)^(j-1-i) Gamma((i+1)/alpha, s^alpha) / (j-1)!; from j = 2 on the signed terms
-            # cancel about log10(alpha s^alpha) digits per order
-            j = -k.reshape((-1,) + (1,) * s.ndim)
-            i = np.arange(j.max()).reshape((-1,) + (1,) * j.ndim)
-            p, x = (i + 1.0) / a, s ** a
-            log_upper = log_gammaincc(p, x) + special.gammaln(p)
-            log_terms = np.where(i < j, (j - 1 - i) * np.log(s) + log_upper
-                                 - special.gammaln(i + 1.0)
-                                 - special.gammaln(np.maximum(j - i, 1.0)), -inf)
-            shift = log_terms.max(axis=0)  # finite: the i = 0 term always is
-            signed = np.sum((-1.0) ** (j - 1 - i) * np.exp(log_terms - shift), axis=0)
-            return shift + np.log(signed) - log(a)
+            # order -j: int_s^inf (t-s)^(j-1)/(j-1)! e^{-t^alpha} dt = (1/alpha) sum_{i+m=j-1}
+            # Gamma((i+1)/alpha, s^alpha)/i! (-s)^m/m!, rows 0..j-1 of `upper` plus rows
+            # j-1..0 of `power`, weighted (-1)^m (signed) and 1 (total).  From j = 2 on the
+            # terms cancel about log10(alpha s^alpha) digits per order, so a total past
+            # _CANCELLATION_LIMIT times the signed sum is PrecisionError
+            i = np.arange(-k.min())
+            p = (i + 1.0) / a
+            log_fact = special.gammaln(i + 1.0)[:, None]
+            upper = log_gammaincc(p[:, None], s ** a) + special.gammaln(p)[:, None] - log_fact
+            power = i[:, None] * np.log(s) - log_fact
+            weights = np.array([(-1.0) ** i, np.ones(i.size)])
+            out = np.empty((k.size,) + s.shape)
+            for row, j in enumerate((-k).tolist()):
+                log_terms = upper[:j] + power[j - 1::-1]
+                shift = log_terms.max(axis=0)  # finite: the i = 0 term always is
+                signed, total = weights[:, j - 1::-1] @ np.exp(log_terms - shift)
+                lost = total > _CANCELLATION_LIMIT * signed
+                if lost.any():
+                    raise PrecisionError(
+                        f"E(Theta^-{j} e^(-s Theta)) of the stable law cancels more than "
+                        f"{_CANCELLATION_LIMIT:.0e}-fold at s = {s[lost][0]:.6g}")
+                out[row] = shift + np.log(signed) - log(a)
+            return out
         # row n: sum_{j=1..n} |B_{n,j}| s^(j alpha - n) e^{-s^alpha}
         expo = -s ** a
         out = np.empty((k.size,) + s.shape)
         out[:] = expo
         if k.any():
-            log_s, table = np.log(s), _power_bell(a)
+            log_s, table = np.log(s), _power_bell(a, int(k.max()))
             ja = _column(np.arange(1, k.max() + 1), s.ndim) * a
             for i, n in enumerate(k.tolist()):
                 if n:
@@ -571,19 +622,18 @@ class PositiveStableMixing(MixingDistribution):
         return inf
 
     def sum_mixture(self, n):
-        # generalized gamma components; the Bell triangle stops at DERIVATIVE_CAP
-        _check_order(n)
+        # generalized gamma components, weighted by row n of the Bell triangle
         a = self.alpha
         k = np.arange(1.0, n + 1.0)
-        weights = np.exp(_power_bell(a)[n, 1:n + 1] + special.gammaln(k) - lgamma(n) - log(a))
+        weights = np.exp(_power_bell(a, n)[n, 1:n + 1] + special.gammaln(k) - lgamma(n) - log(a))
         return MixtureRepresentation(tuple(
             GammaPowerComponent(kj, a, 1.0, wj) for kj, wj in zip(k.tolist(), weights.tolist())))
 
     def kendall_tau(self):
         return 1.0 - self.alpha
 
-    def neg_moment(self, r):
-        return exp(lgamma(1.0 + r / self.alpha) - lgamma(1.0 + r))
+    def log_neg_moment(self, r):
+        return lgamma(1.0 + r / self.alpha) - lgamma(1.0 + r)
 
     def sample(self, size, rng):
         # Chambers-Mallows-Stuck restricted to the one-sided case
@@ -743,8 +793,9 @@ class GleserGammaMixing(MixingDistribution):
         # excess d_m = q_m - lam = ((1-alpha) + (m-1) d_{m-1}/q_{m-1}) / s, a sum of
         # positive terms.  alpha = 1 (the point mass at lam) gives d_m = 0: lam^k e^{-lam s}.
         top = int(k.max())
-        rows = np.empty((k.size,) + s.shape)
-        if top:
+        if not top:
+            rows = np.empty((k.size,) + s.shape)
+        else:
             # ratios[m] = q_m and ratios[0] = 1: row j >= 1 is log(c e^{-lam s} I_0)
             # plus the sum of the log ratios below j
             ratios = np.ones((top,) + s.shape)
@@ -805,11 +856,11 @@ class GleserGammaMixing(MixingDistribution):
         # the point mass alpha = 1, and within 5e-16 absolute as tau -> 0 there
         return float(1.0 - special.poch(self.alpha, 0.5) / special.poch(1.0, 0.5))
 
-    def neg_moment(self, r):
+    def log_neg_moment(self, r):
         # E(Theta^-r) = Gamma(alpha + r) / (lam^r r! Gamma(alpha)), by the
         # change of variables theta = lam/u against the Beta(alpha, 1-alpha) law
         a, lam = self.alpha, self.lam
-        return exp(lgamma(a + r) - lgamma(a) - lgamma(r + 1) - r * log(lam))
+        return lgamma(a + r) - lgamma(a) - lgamma(r + 1) - r * log(lam)
 
     def sample(self, size, rng):
         if self.alpha == 1.0:
@@ -875,13 +926,13 @@ class BetaSecondKindMixing(MixingDistribution):
 
         return np.array([invert(ti) for ti in t.ravel().tolist()]).reshape(t.shape)
 
-    def neg_moment(self, r):
+    def log_neg_moment(self, r):
         if r >= self.beta:
             raise NonexistentMomentError(
                 f"E(Theta^-{r}) requires beta > {r}, got beta={self.beta}"
             )
-        return exp(lgamma(self.beta - r) - lgamma(self.beta)
-                   + lgamma(self.gam + r) - lgamma(self.gam))
+        return (lgamma(self.beta - r) - lgamma(self.beta)
+                + lgamma(self.gam + r) - lgamma(self.gam))
 
     def sum_pdf_at_zero(self, n):
         # Theta's density decays like theta^{-gam-1}/B(beta, gam); for gam = 1

@@ -13,9 +13,7 @@ starts from the log-log interpolation between the bracketing grid points and
 runs a safeguarded Newton iteration in u = log x on g = log S - log(1 - level),
 dg/du = -x f / S (S' = -f), bisecting whenever a step leaves the bracket.
 Each step is one kernel call for the orders 0..n at x: rows 0..n-1 are the
-survival terms and row n gives the density, x f = n x^n/n! |L^(n)(x)|.  At
-n = DERIVATIVE_CAP + 1 order n is past the cap, so the call covers the
-survival orders only and the law's sum density gives f.
+survival terms and row n gives the density, x f = n x^n/n! |L^(n)(x)|.
 Below level 0.5 it iterates on g = log F - log(level) instead, with F = 1 - S
 from the same survival call and dg/du = x f / F: there log S is strongly
 concave in log x and a first Newton step on it overshoots.  It stops on
@@ -39,7 +37,6 @@ from scipy import special
 
 from .aggregate import AggregateModel, _log_survival_terms, moment, survival
 from .errors import RiskmixError, TailUnderflowError
-from .mixing import DERIVATIVE_CAP
 
 __all__ = ["RiskReport", "value_at_risk", "tail_moment", "tvar", "risk_report"]
 
@@ -81,11 +78,10 @@ def _value_at_risk(model: AggregateModel, level: float):
     lower = level < 0.5
     sign, log_p_target = (-1.0, log(level)) if lower else (1.0, log_target)
     n = model.n
-    # row n, the density, while order n is within the kernel's cap
-    count = n + 1 if n <= DERIVATIVE_CAP else n
     for _ in range(_VAR_MAXITER):
-        # Newton in u = log x: h = +-(log P - log P*) > 0 below the root, dh/du = -x f / P
-        rows = _log_survival_terms(model, np.array([x]), count)[:, 0]
+        # Newton in u = log x: h = +-(log P - log P*) > 0 below the root, dh/du = -x f / P;
+        # rows 0..n-1 are the survival terms and row n is log(x f / n)
+        rows = _log_survival_terms(model, np.array([x]), n + 1)[:, 0]
         terms = rows[:n]
         s = exp(np.logaddexp.reduce(terms))
         p = 1.0 - s if lower else s
@@ -98,8 +94,7 @@ def _value_at_risk(model: AggregateModel, level: float):
             hi = x
         if hi - lo <= _VAR_XTOL + _VAR_RTOL * hi:
             return x, terms
-        x_density = n * exp(rows[n]) if count > n else x * model.mixing.sum_pdf(n, x)
-        slope = x_density / p if p > 0.0 else 0.0
+        slope = n * exp(rows[n]) / p if p > 0.0 else 0.0
         new = x * exp(min(h / slope, 700.0)) if slope > 0.0 else 0.0
         if not (lo <= new <= hi and new > 0.0):
             new = sqrt(lo * hi) if lo > 0.0 else 0.5 * hi

@@ -177,8 +177,8 @@ def bessel_k_half(n: int, x: float) -> float:
 
     Uses the closed finite sum
         K_{n+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_k (n+k)!/((n-k)! k!) (2x)^{-k},
-    with the coefficients accumulated in log space so that orders up to the
-    derivative cap stay accurate.
+    with the coefficients accumulated in log space so that high orders stay
+    accurate.
     """
     if n < 0:
         raise ValueError("order index n must be nonnegative")

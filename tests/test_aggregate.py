@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -241,6 +242,18 @@ class TestMoments:
                 got = integrate_density(lambda x: x ** r * pdf(m, x))
                 assert got == pytest.approx(want, rel=1e-6)
 
+    def test_overflow_is_a_typed_error(self):
+        # E(S^2) = 3 beta^2 overflows at beta = 1e300, E(S) = beta does not
+        from riskmix.errors import PrecisionError
+        m = pareto_model(3.0, 1e300, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert moment(m, 1) == pytest.approx(1e300, rel=1e-12)
+            with pytest.raises(PrecisionError):
+                moment(m, 2)
+            with pytest.raises(PrecisionError):
+                m.mixing.neg_moment(2)
+
     def test_stable_models_route_through_mixture(self):
         m = weibull_half_model(1.0, 1)
         assert moment(m, 1) == pytest.approx(2.0, rel=1e-12)
@@ -427,14 +440,67 @@ class TestBoundaryBehavior:
             assert np.isfinite(val) and val > 0
 
     def test_derivative_cap_surfaces(self):
+        # no order cap: n = 65 and 80 run the same kernel as n = 2
         from riskmix.errors import DerivativeCapError
         m = pareto_model(3.0, 1.0, 65)
+        assert pdf_generic(m, 1.0) == pytest.approx(pdf(m, 1.0), rel=1e-12)
+        assert survival(pareto_model(3.0, 1.0, 80), 1.0) == pytest.approx(
+            special.betainc(3.0, 80.0, 0.5), rel=1e-12)
+        # the stable mixture weights are row n of the Bell triangle:
+        # E(S_n) = n Gamma(1 + 1/alpha) = 2n at alpha = 1/2
+        for n in (64, 65, 200):
+            rep = mixture_representation(weibull_model(0.5, n))
+            assert moment_from_mixture(rep, 1) == pytest.approx(2.0 * n, rel=1e-12)
+        # the memory budget is the one cap: the triangle stops at order 2047
         with pytest.raises(DerivativeCapError):
-            pdf_generic(m, 1.0)
+            mixture_representation(weibull_model(0.5, 2048))
         with pytest.raises(DerivativeCapError):
-            survival(pareto_model(3.0, 1.0, 80), 1.0)
-        # the stable mixture weights come from the Bell triangle, which stops
-        # at the cap: E(S_64) = 64 Gamma(1 + 1/alpha), and n = 65 is refused
-        assert moment(weibull_model(0.5, 64), 1) == pytest.approx(128.0, rel=1e-12)
-        with pytest.raises(DerivativeCapError):
-            mixture_representation(weibull_model(0.5, 65))
+            survival(weibull_model(0.5, 3000), np.geomspace(0.1, 10.0, 200))
+
+
+PRINTED_LAWS = {
+    "pareto": lambda n: pareto_model(3.0, 1.0, n),
+    "gamma_claims": lambda n: gamma_claims_model(0.5, 1.3, n),
+    "weibull_half": lambda n: weibull_half_model(1.0, n),
+    "lindley": lambda n: lindley_model(2.0, n),
+}
+
+
+class TestHighOrders:
+    """n past 64 runs the one kernel path: survival, density and the printed
+    sum densities agree at n = 65 to 500."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [200, 500])
+    def test_pareto_survival_is_the_beta_tail(self, n):
+        # S_n of Pareto(3, 1) claims is B2(n, 3): Pr(S > x) = I_{1/(1+x)}(3, n)
+        x = np.geomspace(1e-2, 1e4, 1000)
+        got = survival(pareto_model(3.0, 1.0, n), x)
+        want = special.betainc(3.0, n, 1.0 / (1.0 + x))
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", PRINTED_LAWS)
+    @pytest.mark.parametrize("n", [65, 200])
+    def test_generic_equals_printed_density(self, name, n):
+        m = PRINTED_LAWS[name](n)
+        # where every density is positive: the gamma claims' underflows past 2n
+        x = np.geomspace(n / 20.0, 2.0 * n, 41)
+        want = pdf(m, x)
+        assert np.all(want > 0)
+        assert pdf_generic(m, x) == pytest.approx(want, rel=2e-12)
+
+
+class TestMemoryBudget:
+    def test_inverse_gaussian_density_at_n_50000(self):
+        # 50001 rows per point fit the 2^16-cell budget: one point per block
+        m = inverse_gaussian_model(2.0, 1.0, 50_000)
+        tracemalloc.start()
+        try:
+            got = pdf(m, np.array([2e4, 1e5]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        assert peak < 64 << 20
+

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -133,6 +134,39 @@ class TestValidation:
         code, _, err = run(capsys, ["moments", "--model", "pareto", "--alpha", "3",
                                     "--beta", "1", "--n", "2", "--orders", "1,3"])
         assert code == 3
+        assert "numerical failure" in err
+
+    def test_moment_overflow_exits_3(self, capsys):
+        # E(S^2) = 3 beta^2 overflows a double at beta = 1e300
+        code, out, err = run_strict(capsys, ["moments", "--model", "pareto", "--alpha", "3",
+                                             "--beta", "1e300", "--n", "2", "--orders", "1,2"])
+        assert code == 3 and out == ""
+        assert "overflows" in err
+
+    @pytest.mark.parametrize("argv, scale_one", [
+        (["--model", "pareto", "--alpha", "3", "--beta", "1e300"],
+         ["--model", "pareto", "--alpha", "3", "--beta", "1"]),
+        (["--model", "gamma", "--alpha", "0.5", "--lambda", "1e300"],
+         ["--model", "gamma", "--alpha", "0.5", "--lambda", "1"]),
+    ])
+    def test_rho_is_scale_free(self, capsys, argv, scale_one):
+        # rho is a ratio of moments: an extreme scale changes nothing
+        got, want = (run_strict(capsys, ["rho", *a, "--n", "2", "--format", "json"])
+                     for a in (argv, scale_one))
+        assert got[0] == want[0] == 0
+        rho = json.loads(got[1])["results"][0]["rho"]
+        assert rho == pytest.approx(json.loads(want[1])["results"][0]["rho"], rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["survival", "--model", "weibull", "--alpha", "0.5", "--n", "3000"],
+        ["pdf", "--model", "invgauss", "--lambda", "1", "--mu", "1", "--n", "10000000"],
+    ])
+    def test_order_past_the_memory_budget_exits_3(self, capsys, argv):
+        # refused before the kernel allocates: no time goes into the order
+        start = time.perf_counter()
+        code, out, err = run_strict(capsys, [*argv, "--grid", "0.01:100:200:log"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
         assert "numerical failure" in err
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -264,6 +265,19 @@ class TestPearsonRho:
         with pytest.raises(NonexistentMomentError):
             pearson_rho(DependentVector(GammaMixing(1.5, 1.0), 2))
 
+    @pytest.mark.parametrize("m, want", [
+        (GammaMixing(3.0, 1e300), 1.0 / 3.0),
+        (GammaMixing(3.0, 1e-300), 1.0 / 3.0),
+        (GleserGammaMixing(0.5, 1e300), 0.25),
+        (GleserGammaMixing(0.5, 1e-300), 0.25),
+    ], ids=repr)
+    def test_extreme_scales(self, m, want):
+        # q = E W^2 / E^2 W in log space: beta^2 overflowed and lam^-2
+        # underflowed when the moments were formed first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pearson_rho(DependentVector(m, 2)) == pytest.approx(want, rel=1e-12)
+
 
 class TestJointMoments:
     def test_pareto_cross_moment(self):
@@ -287,6 +301,18 @@ class TestJointMoments:
         prod = x[:, 0] * x[:, 1]
         se = prod.std(ddof=1) / math.sqrt(prod.size)
         assert abs(prod.mean() - joint_moment(v, [1, 1])) < 4 * se
+
+    def test_log_space_past_the_factorials(self):
+        # E(X1^100 X2^100) = (100!)^2 E(Theta^-200) = (100!)^2 Gamma(205)/Gamma(5):
+        # each factor alone is near or past the double range, the product 2.8e-58
+        v = DependentVector(GammaMixing(205.0, 1.0), 2)
+        want = math.exp(2.0 * math.lgamma(101.0) + math.lgamma(5.0) - math.lgamma(205.0))
+        assert joint_moment(v, [100, 100]) == pytest.approx(want, rel=1e-12)
+
+    def test_overflow_is_a_typed_error(self):
+        from riskmix.errors import PrecisionError
+        with pytest.raises(PrecisionError):
+            joint_moment(DependentVector(GammaMixing(3.0, 1e300), 2), [1, 1])
 
     def test_moment_error_propagates(self):
         v = DependentVector(GammaMixing(2.0, 1.0), 2)

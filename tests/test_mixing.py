@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -10,13 +11,13 @@ from scipy import integrate, special
 from riskmix.errors import (
     DerivativeCapError,
     NonexistentMomentError,
+    PrecisionError,
     RiskmixError,
     TailUnderflowError,
     UnsupportedModelError,
 )
 from riskmix.aggregate import moment_from_mixture, pdf, survival, weibull_model
 from riskmix.mixing import (
-    DERIVATIVE_CAP,
     Beta2Component,
     BetaSecondKindMixing,
     GammaMixing,
@@ -26,6 +27,8 @@ from riskmix.mixing import (
     LevyMixing,
     LindleyMixing,
     PositiveStableMixing,
+    _KERNEL_CELLS,
+    _bell_triangle,
     _log_sum_exp,
     _power_bell,
     _sqrt_bell,
@@ -52,6 +55,9 @@ ALL_KINDS = [
 ]
 
 S_GRID = np.array([0.1, 0.5, 1.0, 2.0, 5.0])
+# the orders the fast sweeps cover; the slow ones go to HIGH_ORDERS
+ORDERS = 64
+HIGH_ORDERS = 200
 
 
 def central_diff(f, s, order, h):
@@ -102,8 +108,14 @@ class TestEveryKind:
             m.generator(1.5)
 
     def test_derivative_order_cap(self, m):
+        # no precision cap: order 65 is the row of a many-order call; the only
+        # cap is the memory budget, 2^16 rows for one point, refused at once
+        row = m.log_abs_laplace_derivative(np.arange(66), np.array([1.0]))[65, 0]
+        assert m.laplace_derivative(65, 1.0) == pytest.approx(-math.exp(row), rel=1e-13)
         with pytest.raises(DerivativeCapError):
-            m.laplace_derivative(65, 1.0)
+            m.laplace_derivative(1 << 16, 1.0)
+        with pytest.raises(DerivativeCapError):
+            m.log_abs_laplace_derivative(-(1 << 16), S_GRID)
         with pytest.raises(ValueError):
             m.laplace_derivative(0, 1.0)
 
@@ -125,8 +137,7 @@ class TestEveryKind:
                 m.log_abs_laplace_derivative(-1, S_GRID)
         else:
             assert np.all(np.isfinite(m.log_abs_laplace_derivative(-1, S_GRID)))
-        with pytest.raises(DerivativeCapError):
-            m.log_abs_laplace_derivative(65, S_GRID)
+        assert np.all(np.isfinite(m.log_abs_laplace_derivative(65, S_GRID)))
 
     def test_array_evaluation_matches_scalar(self, m):
         arr = m.laplace(S_GRID)
@@ -308,10 +319,10 @@ class TestFaaDiBrunoAgainstClosedForms:
 class TestLevyBesselIdentity:
     def test_sqrt_bell_closed_form_matches_recurrences(self):
         # production coefficients of the Levy and inverse Gaussian derivatives
-        from riskmix.mixing import DERIVATIVE_CAP, _sqrt_bell
+        from riskmix.mixing import _sqrt_bell
         from riskmix.specfun import bell_partial, log_bell_partial
-        abs_a = [abs(falling_factorial(0.5, j)) for j in range(1, DERIVATIVE_CAP + 1)]
-        for n in range(1, DERIVATIVE_CAP + 1):
+        abs_a = [abs(falling_factorial(0.5, j)) for j in range(1, ORDERS + 1)]
+        for n in range(1, ORDERS + 1):
             _, got = _sqrt_bell(n, 0)
             for k in range(1, n + 1):
                 args = abs_a[: n - k + 1]
@@ -354,14 +365,14 @@ def stable_leibniz_log_d(alpha, s, kmax, dps=50):
 class TestPowerBellTriangle:
     def test_half_equals_sqrt_closed_form(self):
         # two derivations of the same coefficients: recurrence and Bessel form
-        table = _power_bell(0.5)
-        for n in range(1, DERIVATIVE_CAP + 1):
+        table = _power_bell(0.5, ORDERS)
+        for n in range(1, ORDERS + 1):
             _, want = _sqrt_bell(n, 0)
             assert np.max(np.abs(table[n, 1:n + 1] - want)) <= 3e-13
 
     @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.9])
     def test_matches_log_bell_partial(self, alpha):
-        table = _power_bell(alpha)
+        table = _power_bell(alpha, 24)
         for n in range(1, 25):
             for k in range(1, n + 1):
                 logs = [log_abs_falling_factorial(alpha, j)[1] for j in range(1, n - k + 2)]
@@ -370,32 +381,42 @@ class TestPowerBellTriangle:
 
     def test_alpha_one_zero_pattern(self):
         # (1)_1 = 1 and (1)_j = 0 for j >= 2: B_{n,k} = 1 if k = n, else 0
-        table = _power_bell(1.0)
-        assert np.array_equal(table == -np.inf, ~np.eye(DERIVATIVE_CAP + 1, dtype=bool))
+        table = _power_bell(1.0, ORDERS)
+        assert np.array_equal(table == -np.inf, ~np.eye(len(table), dtype=bool))
         assert np.all(np.diag(table) == 0.0)
 
     def test_read_only(self):
         with pytest.raises(ValueError):
-            _power_bell(0.5)[1, 1] = 0.0
+            _power_bell(0.5, ORDERS)[1, 1] = 0.0
 
     @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.9, 1.0])
     def test_stable_kernel_against_mpmath(self, alpha):
         m = PositiveStableMixing(alpha)
         for s in (1e-3, 0.5, 3.0, 50.0, 1e4):
-            want = stable_leibniz_log_d(alpha, s, DERIVATIVE_CAP)
-            for k in range(DERIVATIVE_CAP + 1):
+            want = stable_leibniz_log_d(alpha, s, ORDERS)
+            for k in range(ORDERS + 1):
                 got = float(m.log_abs_laplace_derivative(k, np.asarray(s)))
                 assert got == pytest.approx(want[k], rel=1e-14, abs=1e-14)
 
     def test_one_cache_entry_per_alpha(self):
         alpha = 0.4321
-        before = _power_bell.cache_info().currsize
+        before = _bell_triangle.cache_info().currsize
         xs = np.logspace(-2, 2, 7)
-        for n in range(2, DERIVATIVE_CAP + 1):
+        for n in range(2, ORDERS + 1):
             m = weibull_model(alpha, n)
             survival(m, xs)
             pdf(m, xs)
-        assert _power_bell.cache_info().currsize == before + 1
+        assert _bell_triangle.cache_info().currsize == before + 1
+        # orders 128..255 take the next power of two: one more table
+        survival(weibull_model(alpha, 200), xs)
+        assert _bell_triangle.cache_info().currsize == before + 2
+
+    def test_larger_tables_extend_the_smaller(self):
+        small, large = _power_bell(0.55, ORDERS), _power_bell(0.55, HIGH_ORDERS)
+        assert small.shape == (128, 128) and large.shape == (256, 256)
+        assert np.array_equal(large[:128, :128], small)
+        with pytest.raises(DerivativeCapError):
+            _power_bell(0.55, 2048)
 
 
 KERNEL_LAWS = [
@@ -409,7 +430,7 @@ KERNEL_LAWS = [
     BetaSecondKindMixing(2.0, 3.0),
 ]
 KERNEL_S = np.array([1e-3, 1.0, 1e2, 1e4, 1e6])
-EVERY_ORDER = np.arange(DERIVATIVE_CAP + 1)
+EVERY_ORDER = np.arange(ORDERS + 1)
 
 
 def log_error(got, want):
@@ -439,7 +460,7 @@ class TestKernelRows:
     def test_every_order_against_mpmath(self, m):
         rows = m.log_abs_laplace_derivative(EVERY_ORDER, KERNEL_S)
         for i, s in enumerate(KERNEL_S):
-            err = log_error(rows[:, i], mp_reference.laplace_derivatives(m, s, DERIVATIVE_CAP))
+            err = log_error(rows[:, i], mp_reference.laplace_derivatives(m, s, ORDERS))
             assert err.max() <= 1e-13, (s, int(err.argmax()), err.max())
 
     def test_reference_against_adaptive_quadrature(self):
@@ -472,7 +493,7 @@ class TestKernelRows:
 
     @pytest.mark.parametrize("m", ALL_KINDS, ids=lambda m: f"{m.kind}-{hash(m) % 997}")
     def test_rows_equal_scalar_calls(self, m):
-        orders = np.array([5, 0, DERIVATIVE_CAP, 1, 17])
+        orders = np.array([5, 0, ORDERS, 1, 17])
         rows = m.log_abs_laplace_derivative(orders, S_GRID)
         assert rows.shape == (orders.size,) + S_GRID.shape
         for row, k in zip(rows, orders):
@@ -486,8 +507,9 @@ class TestKernelRows:
         rows = m.log_abs_laplace_derivative(orders, grid)
         assert rows.shape == (3, 2, 2)
         assert log_error(rows[2], m.log_abs_laplace_derivative(3, grid)).max() <= 1e-15
-        with pytest.raises(DerivativeCapError):
-            m.log_abs_laplace_derivative(np.array([0, DERIVATIVE_CAP + 1]), S_GRID)
+        past = m.log_abs_laplace_derivative(np.array([0, ORDERS + 1]), grid)
+        assert past.shape == (2, 2, 2)
+        assert log_error(past[1], m.log_abs_laplace_derivative(ORDERS + 1, grid)).max() <= 1e-15
 
     @pytest.mark.parametrize("m", ALL_KINDS, ids=lambda m: f"{m.kind}-{hash(m) % 997}")
     def test_mixed_sign_orders_rejected(self, m):
@@ -503,7 +525,7 @@ class TestKernelRows:
     def test_bessel_recurrence_matches_sqrt_bell(self, m):
         s = np.geomspace(1e-3, 1e6, 19)
         rows = m.log_abs_laplace_derivative(EVERY_ORDER, s)
-        for n in range(1, DERIVATIVE_CAP + 1):
+        for n in range(1, ORDERS + 1):
             assert log_error(rows[n], sqrt_bell_log_derivative(m, n, s)).max() <= 1e-13
 
 
@@ -646,6 +668,19 @@ class TestNegativeOrders:
             with pytest.raises(NonexistentMomentError):
                 m.log_abs_laplace_derivative(-1, s)
 
+    def test_stable_cancellation_raises(self):
+        # the signed sum of the stable law cancels about log10(alpha s^alpha)
+        # digits per order: at s = 1e6 orders -6..-8 lose 1e9 to 1e13, and
+        # are refused rather than returned wrong
+        m = PositiveStableMixing(0.5)
+        for k in (-6, -7, -8, -np.arange(1, 9)):
+            with pytest.raises(PrecisionError):
+                m.log_abs_laplace_derivative(k, np.array([1e6]))
+        got = m.log_abs_laplace_derivative(-np.arange(1, 3), np.array([1e4]))
+        for j in (1, 2):
+            want = mp_reference.integrated_transform(m, j, 1e4)
+            assert abs(got[j - 1, 0] - want) <= 1e-13 * max(1.0, abs(want))
+
 
 BESSEL_NEGATIVE_LAWS = [LevyMixing(0.05), LevyMixing(1.2), LevyMixing(30.0),
                         InverseGaussianMixing(0.05, 1.0), InverseGaussianMixing(0.4, 2.5),
@@ -691,10 +726,96 @@ class TestOrderRows:
                 with pytest.raises(NonexistentMomentError):
                     m.log_abs_laplace_derivative(order, s)
             return
-        rows = m.log_abs_laplace_derivative(k, s)
+        try:
+            rows = m.log_abs_laplace_derivative(k, s)
+        except PrecisionError:
+            # the stable law's order -5 cancels past the limit near s = 1e3;
+            # the scalar call of the deepest order refuses too
+            assert isinstance(m, PositiveStableMixing)
+            with pytest.raises(PrecisionError):
+                m.log_abs_laplace_derivative(int(k.min()), s)
+            return
         assert rows.shape == (k.size,) + s.shape
         for row, order in zip(rows, k.tolist()):
             assert log_error(row, m.log_abs_laplace_derivative(order, s)).max() <= 1e-15
+
+
+HIGH_ORDER_LAWS = [GammaMixing(3.0, 1.0), LevyMixing(1.2), InverseGaussianMixing(1.3, 0.7),
+                   GleserGammaMixing(0.55, 1.3), LindleyMixing(0.8), BetaSecondKindMixing(3.5, 2.0)]
+HIGH_ORDER_S = np.array([1e-2, 1.0, 1e2])
+
+
+class TestHighOrders:
+    """No order cap: every kernel sums positive terms, at order 200 as at 2."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", HIGH_ORDER_LAWS, ids=repr)
+    def test_rows_against_mpmath(self, m):
+        rows = m.log_abs_laplace_derivative(np.arange(HIGH_ORDERS + 1), HIGH_ORDER_S)
+        for i, s in enumerate(HIGH_ORDER_S.tolist()):
+            err = log_error(rows[:, i], mp_reference.laplace_derivatives(m, s, HIGH_ORDERS))
+            assert err.max() <= 1e-14, (s, int(err.argmax()), err.max())
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.9])
+    def test_stable_rows_against_mpmath(self, alpha):
+        m = PositiveStableMixing(alpha)
+        rows = m.log_abs_laplace_derivative(np.arange(HIGH_ORDERS + 1), HIGH_ORDER_S)
+        for i, s in enumerate(HIGH_ORDER_S.tolist()):
+            err = log_error(rows[:, i], stable_leibniz_log_d(alpha, s, HIGH_ORDERS))
+            assert err.max() <= 1e-14, (s, int(err.argmax()), err.max())
+
+
+class TestMemoryBudget:
+    """A kernel call runs s in blocks of _KERNEL_CELLS // (1 + order) points,
+    so each of its arrays has at most _KERNEL_CELLS cells, and it holds at
+    most four of them beyond its output."""
+
+    def test_blocks_are_the_one_point_calls(self):
+        # order 1000 on 300 points: 5 blocks of 65 points, where one block
+        # would be 1000 x 300 cells (2.4 MB)
+        m = InverseGaussianMixing(2.0, 0.7)
+        s = np.geomspace(1e-2, 1e4, 300)
+        tracemalloc.start()
+        try:
+            rows = m.log_abs_laplace_derivative(1000, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * _KERNEL_CELLS
+        for i in (0, 64, 65, 200, 299):
+            # the sum along the orders adds in another sequence on one column
+            one = m.log_abs_laplace_derivative(1000, s[i:i + 1])
+            assert log_error(rows[i], one[0]) <= 1e-14
+
+    @pytest.mark.parametrize("m", [GammaMixing(3.0, 1.0), LevyMixing(1.2),
+                                   GleserGammaMixing(0.55, 1.3), PositiveStableMixing(0.5)],
+                             ids=repr)
+    def test_many_orders_stay_within_budget(self, m):
+        # orders 0..300 on 600 points: 3 blocks of 217 points
+        s = np.geomspace(1e-2, 1e4, 600)
+        orders = np.arange(301)
+        # one point first, which also builds the stable law's cached triangle
+        one = m.log_abs_laplace_derivative(orders, s[-1:])
+        tracemalloc.start()
+        try:
+            rows = m.log_abs_laplace_derivative(orders, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 4 * 8 * _KERNEL_CELLS
+        assert log_error(rows[:, -1], one[:, 0]).max() <= 1e-14
+
+    def test_orders_past_the_budget_are_refused(self):
+        # 2^16 rows for one point exceed the budget: refused before any kernel runs
+        for m in (GammaMixing(3.0, 1.0), InverseGaussianMixing(2.0, 0.7)):
+            with pytest.raises(DerivativeCapError):
+                m.log_abs_laplace_derivative(_KERNEL_CELLS, np.array([1.0]))
+        # the stable triangle stops at order 2047 (32 MB per index)
+        m = PositiveStableMixing(0.5)
+        assert np.isfinite(m.log_abs_laplace_derivative(300, np.array([1.0]))).all()
+        with pytest.raises(DerivativeCapError):
+            m.log_abs_laplace_derivative(2048, np.array([1.0]))
 
 
 class TestSamplers:

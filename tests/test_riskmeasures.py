@@ -18,7 +18,7 @@ from riskmix.aggregate import (
 )
 from riskmix.dependence import DependentVector
 from riskmix.errors import NonexistentMomentError, RiskmixError, TailUnderflowError
-from riskmix.mixing import DERIVATIVE_CAP, BetaSecondKindMixing
+from riskmix.mixing import BetaSecondKindMixing
 from riskmix import aggregate, riskmeasures
 from riskmix.riskmeasures import risk_report, tail_moment, tvar, value_at_risk
 from riskmix.simulate import SimulationPlan, sample_sums
@@ -68,6 +68,14 @@ class TestValueAtRisk:
     def test_survival_round_trip_every_law(self, name, n):
         m = SIX_MODELS[name](n)
         for lv in LEVELS:
+            assert survival(m, value_at_risk(m, lv)) == pytest.approx(1.0 - lv, rel=1e-9)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", SIX_MODELS)
+    def test_survival_round_trip_at_n_200(self, name):
+        # the Newton slope is kernel row n at n = 200 as at n = 2
+        m = SIX_MODELS[name](200)
+        for lv in (0.3, 0.9, 0.99):
             assert survival(m, value_at_risk(m, lv)) == pytest.approx(1.0 - lv, rel=1e-9)
 
     @pytest.mark.parametrize("name", SIX_MODELS)
@@ -300,9 +308,11 @@ class TestOneKernelCallPerStep:
         assert got == pytest.approx(want, rel=1e-12)
 
 
-# n = DERIVATIVE_CAP + 1: the survival sum needs orders 0..64 only, and the
-# Newton slope takes the law's sum density; (VaR, TVaR, E(S^2 | S > VaR)) at
-# levels 0.3 and 0.99, VaR alone for the Lindley law
+# n = ORDERS + 1 = 65, pinned when order 65 lay past a derivative cap of 64 and
+# the Newton slope took the law's sum density; the slope now reads kernel row
+# n at every n.  (VaR, TVaR, E(S^2 | S > VaR)) at levels 0.3 and 0.99, VaR
+# alone for the Lindley law
+ORDERS = 64
 PINNED_AT_CAP_PLUS_ONE = {
     ("pareto", 0.3): (17.756300747837038, 40.78751788701624, 2986.2875006529625),
     ("pareto", 0.99): (150.84817188228982, 235.33103267603622, 76725.22911697203),
@@ -327,7 +337,7 @@ class TestVaRAtCapPlusOne:
     @pytest.mark.parametrize("key", PINNED_AT_CAP_PLUS_ONE, ids=lambda key: f"{key[0]}-{key[1]}")
     def test_matches_pinned_values(self, key):
         name, lv = key
-        m = CAP_PLUS_ONE_MODELS[name](DERIVATIVE_CAP + 1)
+        m = CAP_PLUS_ONE_MODELS[name](ORDERS + 1)
         want = PINNED_AT_CAP_PLUS_ONE[key]
         assert value_at_risk(m, lv) == pytest.approx(want[0], rel=1e-12)
         if name == "lindley":
