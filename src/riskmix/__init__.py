@@ -1,6 +1,6 @@
 """riskmix: exact distributions, dependence measures, risk measures and ruin
 formulas for sums of dependent risks built from mixtures of exponential
-(and gamma) distributions."""
+and gamma distributions: one claim model, AggregateModel(mixing, shapes)."""
 
 from .aggregate import (
     AggregateModel,
@@ -19,6 +19,7 @@ from .aggregate import (
     pdf,
     pdf_closed,
     pdf_generic,
+    sibuya_model,
     survival,
     variance,
     weibull_half_model,
@@ -26,7 +27,6 @@ from .aggregate import (
 )
 from .asymptotics import ParetoTailSpec, tail_pdf_gamma, tail_pdf_generic, tail_pdf_ig
 from .dependence import (
-    DependentVector,
     joint_moment,
     joint_survival,
     kendall_tau,
@@ -43,15 +43,6 @@ from .errors import (
     TailUnderflowError,
     UnsupportedModelError,
 )
-from .gammaext import (
-    GammaMixtureModel,
-    SibuyaModel,
-    gm_sum_pdf,
-    sibuya_marginal_pdf,
-    sibuya_moments,
-    sibuya_sum_moment,
-    sibuya_sum_pdf,
-)
 from .mixing import (
     BetaSecondKindMixing,
     GammaMixing,
@@ -61,7 +52,6 @@ from .mixing import (
     LindleyMixing,
     MixingDistribution,
     PositiveStableMixing,
-    faa_di_bruno,
 )
 from .riskmeasures import RiskReport, risk_report, tail_moment, tvar, value_at_risk
 from .ruin import (

@@ -1,11 +1,13 @@
-"""Distribution of the aggregate claim S_n = X_1 + ... + X_n.
+"""Distribution of the aggregate claim S = X_1 + ... + X_n.
 
-Every formula comes from the frailty law (mixing.py), which owns the
-formulas of its sums; this module validates arguments and handles the
-boundary x <= 0.  The density has two entry points:
+The claims are X_i = G_i / Theta, G_i ~ Gamma(a_i, 1), independent given one
+frailty Theta (mixing.py), which owns the formulas of their sums; a_i = 1 is
+the paper's basic model.  Given Theta, S is Gamma(a, Theta), a = sum a_i, so
+the basic model's formulas hold with n replaced by a.  This module validates
+arguments and handles the boundary x <= 0.  The density has two entry points:
 
 * pdf_generic: the derivative route
-      f(x) = x^{n-1}/Gamma(n) * (-1)^n L^(n)(x)
+      f(x) = x^{a-1}/Gamma(a) * (-1)^a L^(a)(x)
   valid for every frailty law in the catalog, and
 
 * pdf_closed: the law's printed sum density (second-kind beta for Pareto
@@ -14,26 +16,33 @@ boundary x <= 0.  The density has two entry points:
   (inverse Gaussian, positive stable, second-kind beta) take the derivative
   route, so for them the two entry points are one computation.
 
+A fractional a takes the derivative route at the real order a (mixing.py):
+pdf at x > 0, pdf_generic, pdf_closed and moment accept it; what sums the
+integer orders below a (survival, cdf, the density at 0, the mixture
+representation, the risk measures) raises UnsupportedModelError through one
+check, _integral_shape.
+
 The survival sums the law's log-space derivative kernel
-(MixingDistribution.log_abs_laplace_derivative) over the orders 0..n-1,
-which it gets from one kernel call as an (n, len x) array (per block of the
+(MixingDistribution.log_abs_laplace_derivative) over the orders 0..a-1,
+which it gets from one kernel call as an (a, len x) array (per block of the
 kernel's memory budget on long inputs), in one log-space reduction along
-the orders, so it is finite for every x and every n; the tail moments reuse
-its terms, and the VaR iteration asks the same call for order n too, whose
+the orders, so it is finite for every x and every a; the tail moments reuse
+its terms, and the VaR iteration asks the same call for order a too, whose
 row is the density.  Cdf, moments (in log space, PrecisionError where one
 overflows a double) and the finite mixture representation (with the
 moments of a mixture) are built on the same law methods.
 """
 
-from dataclasses import dataclass
-from math import lgamma
+from dataclasses import dataclass, field
+from math import fsum, isfinite, lgamma
 
 import numpy as np
 from scipy import special
 
-from .dependence import DependentVector
+from .errors import UnsupportedModelError
 from .mixing import (
     Beta2Component,
+    BetaSecondKindMixing,
     GammaMixing,
     GammaPowerComponent,
     GleserGammaMixing,
@@ -57,6 +66,7 @@ __all__ = [
     "weibull_model",
     "inverse_gaussian_model",
     "lindley_model",
+    "sibuya_model",
     "pdf",
     "pdf_generic",
     "pdf_closed",
@@ -72,68 +82,96 @@ __all__ = [
     "moment_from_mixture",
 ]
 
+
 @dataclass(frozen=True)
 class AggregateModel:
-    """Sum S_n of an exchangeable dependent claim vector."""
+    """Sum S of the claims X_i = G_i / Theta, G_i ~ Gamma(shapes[i], 1),
+    independent given the frailty Theta ~ mixing.  total_shape = sum(shapes)
+    is computed once, an int where it is integral."""
 
-    vector: DependentVector
+    mixing: MixingDistribution
+    shapes: tuple
+    total_shape: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def mixing(self) -> MixingDistribution:
-        return self.vector.mixing
+    def __post_init__(self):
+        shapes = tuple(self.shapes)
+        if not shapes:
+            raise ValueError("shapes must be a nonempty tuple of positive reals")
+        low, total = min(shapes), fsum(shapes)
+        if not low > 0:
+            raise ValueError("shapes must be a nonempty tuple of positive reals")
+        if not isfinite(total):
+            raise ValueError(f"the total shape must be finite, got {total}")
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "total_shape", int(total) if total.is_integer() else total)
 
     @property
     def n(self) -> int:
-        return self.vector.n
-
-    # the claim law given Theta, as SibuyaModel states it: X_i = G_i / Theta,
-    # G_i ~ Gamma(shape_i, 1), here with every shape 1 (exponential claims)
-    @property
-    def frailty(self) -> MixingDistribution:
-        return self.vector.mixing
-
-    @property
-    def shapes(self) -> tuple:
-        return (1.0,) * self.n
+        return len(self.shapes)
 
 
 def pareto_model(alpha: float, beta: float, n: int) -> AggregateModel:
     """Pareto(alpha, beta) claims, Clayton survival copula (gamma frailty)."""
-    return AggregateModel(DependentVector(GammaMixing(alpha, beta), n))
+    return AggregateModel(GammaMixing(alpha, beta), (1.0,) * n)
 
 
 def gamma_claims_model(alpha: float, lam: float, n: int) -> AggregateModel:
     """Gamma(alpha, lam) claims, alpha in (0, 1]; alpha = 1 is plain exponential."""
-    return AggregateModel(DependentVector(GleserGammaMixing(alpha, lam), n))
+    return AggregateModel(GleserGammaMixing(alpha, lam), (1.0,) * n)
 
 
 def weibull_half_model(lam: float, n: int) -> AggregateModel:
     """Weibull(1/2) claims with Gumbel copula (Levy frailty)."""
-    return AggregateModel(DependentVector(LevyMixing(lam), n))
+    return AggregateModel(LevyMixing(lam), (1.0,) * n)
 
 
 def weibull_model(alpha: float, n: int) -> AggregateModel:
     """Weibull(alpha) claims with Gumbel copula (positive stable frailty)."""
-    return AggregateModel(DependentVector(PositiveStableMixing(alpha), n))
+    return AggregateModel(PositiveStableMixing(alpha), (1.0,) * n)
 
 
 def inverse_gaussian_model(lam: float, mu: float, n: int) -> AggregateModel:
     """Inverse-Gaussian-mixed exponential claims."""
-    return AggregateModel(DependentVector(InverseGaussianMixing(lam, mu), n))
+    return AggregateModel(InverseGaussianMixing(lam, mu), (1.0,) * n)
 
 
 def lindley_model(lam: float, n: int) -> AggregateModel:
     """Lindley-frailty exponential claims (ruin / collective-risk severity)."""
-    return AggregateModel(DependentVector(LindleyMixing(lam), n))
+    return AggregateModel(LindleyMixing(lam), (1.0,) * n)
+
+
+def sibuya_model(shapes, beta: float, gam: float) -> AggregateModel:
+    """The gamma product-ratio (Sibuya) vector X_i = G_i H with the shared
+    factor H ~ B2(beta, gam): the frailty Theta = 1/H is B2(gam, beta)."""
+    return AggregateModel(BetaSecondKindMixing(gam, beta), tuple(shapes))
+
+
+def _integral_shape(model: AggregateModel) -> int:
+    """The total shape, for a formula that sums the integer orders below it;
+    UnsupportedModelError where it is fractional."""
+    a = model.total_shape
+    if not isinstance(a, int):
+        raise UnsupportedModelError(
+            f"the total shape {a} is fractional: only the density and the moments "
+            "take a real order")
+    return a
+
+
+def _sum_pdf(model: AggregateModel, x):
+    """The law's printed sum density on x > 0; the derivative route at a fractional a."""
+    a = model.total_shape
+    if isinstance(a, int):
+        return model.mixing.sum_pdf(a, x)
+    return model.mixing.sum_pdf_derivative(a, x)
 
 
 def pdf_generic(model: AggregateModel, x):
-    """Theorem route: f(x) = x^{n-1}/Gamma(n) * (-1)^n L^(n)(x), x > 0."""
+    """Theorem route: f(x) = x^{a-1}/Gamma(a) * (-1)^a L^(a)(x), x > 0."""
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise ValueError("pdf_generic requires x > 0; use pdf() for boundary points")
-    return _ret(model.mixing.sum_pdf_derivative(model.n, x_arr), scalar_in)
+    return _ret(model.mixing.sum_pdf_derivative(model.total_shape, x_arr), scalar_in)
 
 
 def pdf_closed(model: AggregateModel, x):
@@ -143,28 +181,29 @@ def pdf_closed(model: AggregateModel, x):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise ValueError("pdf_closed requires x > 0; use pdf() for boundary points")
-    return _ret(model.mixing.sum_pdf(model.n, x_arr), scalar_in)
+    return _ret(_sum_pdf(model, x_arr), scalar_in)
 
 
 def pdf(model: AggregateModel, x):
-    """Density of S_n; printed form where the law has one, derivative route otherwise.
+    """Density of S; printed form where the law has one, derivative route otherwise.
 
-    x = 0 returns the mathematical limit (inf signals an unbounded density),
-    x < 0 returns 0.
+    x = 0 returns the mathematical limit (inf signals an unbounded density;
+    UnsupportedModelError at a fractional total shape), x < 0 returns 0.
     """
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     out = np.zeros_like(x_arr, dtype=float)
     pos = x_arr > 0
     if np.any(pos):
-        out[pos] = model.mixing.sum_pdf(model.n, x_arr[pos])
+        out[pos] = _sum_pdf(model, x_arr[pos])
     if np.any(x_arr == 0):
-        out[x_arr == 0] = model.mixing.sum_pdf_at_zero(model.n)
+        out[x_arr == 0] = model.mixing.sum_pdf_at_zero(_integral_shape(model))
     return _ret(out, scalar_in)
 
 
 def survival(model: AggregateModel, x):
-    """Pr(S_n > x) = sum_{k=0}^{n-1} x^k/k! * (-1)^k L^(k)(x).
+    """Pr(S > x) = sum_{k=0}^{a-1} x^k/k! * (-1)^k L^(k)(x), a the integral
+    total shape.
 
     The sum starts at k = 0 (the k = 0 term is L itself), which is what the
     gamma-cdf identity requires and what makes survival(0) = 1 exact.  Every
@@ -174,6 +213,7 @@ def survival(model: AggregateModel, x):
     call per block of at most _KERNEL_CELLS terms (one call unless n times
     the number of points exceeds it), which bounds the temporaries.
     """
+    a = _integral_shape(model)
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     out = np.ones_like(x_arr, dtype=float)
@@ -181,7 +221,7 @@ def survival(model: AggregateModel, x):
     if np.any(pos):
         xs = x_arr[pos]
         vals = np.empty_like(xs)
-        block = max(1, _KERNEL_CELLS // model.n)
+        block = max(1, _KERNEL_CELLS // a)
         for i in range(0, xs.size, block):
             vals[i:i + block] = np.exp(_log_sum_exp(_log_survival_terms(model, xs[i:i + block])))
         out[pos] = vals
@@ -191,13 +231,16 @@ def survival(model: AggregateModel, x):
 def _log_survival_terms(model: AggregateModel, xs, count=None):
     """The log-space terms k log x - log k! + log|L^(k)(x)| = log E(Pr(N = k)),
     N ~ Poisson(Theta x), for k = 0..count-1 on an array xs > 0, as one
-    (count, *xs.shape) array from one kernel call.  The default count = n
-    gives the terms of the survival sum; with count = n + 1 the last row is
-    log(x f(x) / n)."""
-    k = np.arange(model.n if count is None else count)
+    (count, *xs.shape) array from one kernel call.  The default count = a,
+    the integral total shape, gives the terms of the survival sum; with
+    count = a + 1 the last row is log(x f(x) / a)."""
+    a = _integral_shape(model)
+    k = np.arange(a if count is None else count)
     col = k.reshape((-1,) + (1,) * xs.ndim)
-    terms = col * np.log(xs) - special.gammaln(col + 1.0)
-    terms += model.mixing.log_abs_laplace_derivative(k, xs)
+    # the kernel first: it refuses an order past its budget before the other
+    # (count, *xs.shape) terms are formed
+    terms = model.mixing.log_abs_laplace_derivative(k, xs)
+    terms += col * np.log(xs) - special.gammaln(col + 1.0)
     return terms
 
 
@@ -205,12 +248,13 @@ def cdf(model: AggregateModel, x):
     return 1.0 - survival(model, x)
 
 
-def moment(model: AggregateModel, r: int) -> float:
-    """E(S_n^r) = Gamma(n+r)/Gamma(n) * E(Theta^-r), formed in log space;
-    PrecisionError where it overflows a double."""
+def moment(model: AggregateModel, r: float) -> float:
+    """E(S^r) = Gamma(a+r)/Gamma(a) * E(Theta^-r) for a real r >= 1, formed in
+    log space; PrecisionError where it overflows a double."""
     if r < 1:
         raise ValueError("moment order must be >= 1")
-    return _finite_exp(lgamma(model.n + r) - lgamma(model.n) + model.mixing.log_neg_moment(r),
+    a = model.total_shape
+    return _finite_exp(lgamma(a + r) - lgamma(a) + model.mixing.log_neg_moment(r),
                        f"E(S^{r})")
 
 
@@ -225,7 +269,7 @@ def variance(model: AggregateModel) -> float:
 
 def mixture_representation(model: AggregateModel) -> MixtureRepresentation:
     """Finite mixture form of the aggregate density, where one exists."""
-    return model.mixing.sum_mixture(model.n)
+    return model.mixing.sum_mixture(_integral_shape(model))
 
 
 def moment_from_mixture(rep: MixtureRepresentation, r: float) -> float:

@@ -47,6 +47,10 @@ _MIXINGS = {
     "invgauss": (InverseGaussianMixing, ("lam", "mu")),
 }
 DEFAULT_SEED = 202508
+# the largest --n: a model holds one shape per claim (80 MB of them here), and
+# every command whose work grows with n refuses orders past the kernel's
+# budget of 2^16 rows long before it
+_MAX_CLAIMS = 10 ** 7
 
 
 def _fmt(v) -> str:
@@ -193,8 +197,8 @@ def build_model(cfg, errors):
     n = cfg.get("n")
     if n is None:
         errors.append("missing --n (number of summed risks)")
-    elif n < 1:
-        errors.append("n must be a positive integer")
+    elif not 1 <= n <= _MAX_CLAIMS:
+        errors.append(f"n must be an integer from 1 to {_MAX_CLAIMS}")
     return _build(cfg, errors, "model", _MODELS, n=n)
 
 
@@ -417,7 +421,7 @@ def run_dependence(cfg, command):
     if errors:
         return errors, None, None
     measure = {"tau": dependence.kendall_tau, "rho": dependence.pearson_rho}[command]
-    return [], (command,), [(measure(model.vector),)]
+    return [], (command,), [(measure(model),)]
 
 
 def run_simulate(cfg, command):
@@ -503,7 +507,7 @@ def run_verify(cfg, command):
     streams = cfg.get("streams") or 4
     threads = cfg.get("threads") or 1
 
-    n = model.n
+    n = model.total_shape
     checks = []
     xs = np.logspace(-2, 1.5, 40)
 

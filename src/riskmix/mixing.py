@@ -58,6 +58,17 @@ before anything is allocated.
 * Second-kind beta: the log of a Kummer integral, one call per order of
   either sign for every s at once (specfun.log_kummer_u_integral).
 
+Real orders (the density of gamma claims of fractional total shape).  Every
+law but the stable one takes them (real_orders); the stable kernel raises
+UnsupportedModelError.  Integral float orders are cast to int, so the
+integer formulas above run unchanged.  Gamma, Lindley and second-kind beta
+take a real order as written.  Levy and inverse Gaussian start the ratio
+recurrence from K_{nu0} and K_{1-nu0}, 0 <= nu0 < 1, through
+special.kve (_log_real_bessel_ratio).  Gleser reaches a real order k > 1
+from the Kummer integral of order k - ceil(k) + 1 in (0, 1], climbing by the
+recurrence of its integer orders.  The mixture quadrature of the density
+(quadrature_transform) serves as the kernels' oracle, and no kernel calls it.
+
 Multi-term sums reduce with _log_sum_exp: pairwise logaddexp for small
 arrays, a numpy max-shift for large ones.  An array of orders with both
 signs is rejected.
@@ -93,13 +104,9 @@ from .errors import (
     UnsupportedModelError,
 )
 from .ruin import lindley_sum_pdf
-from .specfun import (
-    bell_partial,
-    exp_scaled_expn,
-    log_gammaincc,
-    log_kummer_u_integral,
-)
+from .specfun import exp_scaled_expn, log_gammaincc, log_kummer_u_integral
 
+integrate = lazy_import("scipy.integrate")
 optimize = lazy_import("scipy.optimize")
 
 __all__ = [
@@ -114,7 +121,6 @@ __all__ = [
     "GammaPowerComponent",
     "Beta2Component",
     "MixtureRepresentation",
-    "faa_di_bruno",
 ]
 
 _KERNEL_CELLS = 1 << 16  # the memory budget of the module docstring
@@ -126,6 +132,7 @@ _CANCELLATION_LIMIT = 1e6
 # every shape from 512; between them the crossover is about 100 terms for a
 # 1-D array and 300-400 for the (n, 81) survivals of the VaR bracket
 _SMALL_REDUCTION = 256
+_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
 
 
 def _require_positive(**params):
@@ -184,7 +191,10 @@ def _log_bessel_ratios(k, z):
     The ratios r_i = K_{i+1/2}(z) / K_{i-1/2}(z) obey r_0 = 1 and
     r_i = 1/r_{i-1} + (2i-1)/z (DLMF 10.29.1), a sum of positive terms, so
     nothing cancels; the rows are partial sums of log r_i.  K_{k-1/2} =
-    K_{1/2-k} (DLMF 10.27.3), so an order k < 0 is the row of order 1 - k."""
+    K_{1/2-k} (DLMF 10.27.3), so an order k < 0 is the row of order 1 - k.
+    An array of real orders takes _log_real_bessel_ratio, one order at a time."""
+    if k.dtype.kind == "f":
+        return np.stack([_log_real_bessel_ratio(kj, z) for kj in k.tolist()])
     if k[0] < 0:
         k = 1 - k
     top = int(k.max())
@@ -194,6 +204,43 @@ def _log_bessel_ratios(k, z):
         np.divide(1.0, ratios[i - 1], out=ratios[i])
         ratios[i] += (2 * i - 1) * step
     return _partial_sums(np.log(ratios, out=ratios), k)
+
+
+def _log_real_bessel_ratio(k: float, z):
+    """log(K_{k-1/2}(z) / K_{1/2}(z)) at one real order k on an array z > 0.
+
+    With nu = |k - 1/2| = nu0 + m, 0 <= nu0 < 1, the row climbs from K_{nu0}
+    by the ratios rho_i = K_{nu0+i+1}/K_{nu0+i} = 1/rho_{i-1} + 2(nu0+i)/z
+    (DLMF 10.29.1), from rho_0 = K_{1-nu0}/K_{nu0} + 2 nu0/z: every term is
+    positive."""
+    nu = abs(k - 0.5)
+    m = int(nu)
+    nu0 = nu - m
+    base = _bessel_k_over_half(nu0, z)
+    row = np.log(base)
+    if m:
+        step = 2.0 / z
+        rho = _bessel_k_over_half(1.0 - nu0, z) / base + nu0 * step
+        row += np.log(rho)
+        for i in range(1, m):
+            rho = 1.0 / rho + (nu0 + i) * step
+            row += np.log(rho)
+    return row
+
+
+def _bessel_k_over_half(nu: float, z):
+    """K_nu(z) / K_{1/2}(z) = sqrt(2z/pi) e^z K_nu(z) for 0 <= nu <= 1 on an
+    array z > 0: special.kve (whose e^z scaling cancels; it overflows only
+    where 1/z does) up to z = 1e8, and Hankel's expansion (DLMF 10.40.2)
+    past it, where kve returns nan from about 1e9 and the expansion's third
+    term is below 1e-24."""
+    far = z > 1e8
+    out = np.empty_like(z)
+    near = ~far
+    out[near] = special.kve(nu, z[near]) * np.sqrt(2.0 / math.pi * z[near])
+    mu, zf = 4.0 * nu * nu, z[far]
+    out[far] = 1.0 + (mu - 1.0) / (8.0 * zf) * (1.0 + (mu - 9.0) / (16.0 * zf))
+    return out
 
 
 def _partial_sums(terms, k):
@@ -343,12 +390,14 @@ class MixingDistribution:
 
     kind = "abstract"
     has_density = True
+    real_orders = False  # whether _log_kernel takes real orders as written
     support = (0.0, inf)
 
     def log_abs_laplace_derivative(self, k, s):
         """log E(Theta^k e^{-s Theta}) on an array s > 0, for every integer order
-        k.  An order k >= 0 is log|L^(k)(s)| ((-1)^k L^(k) >= 0 for every law
-        in the catalog); k = 0 is log L and also takes s = 0.  A negative order
+        k, and every real one where the law has real_orders.  An order k >= 0
+        is log|L^(k)(s)| ((-1)^k L^(k) >= 0 for every law in the catalog);
+        k = 0 is log L and also takes s = 0.  A negative order
         k = -j is the j-fold integrated transform, and NonexistentMomentError
         where it diverges.  An array of orders gives one row per order, shaped
         (*k.shape, *s.shape), from one pass; an array that mixes both signs is
@@ -356,11 +405,15 @@ class MixingDistribution:
         docstring); DerivativeCapError where one point exceeds it."""
         s, k = np.asarray(s, dtype=float), np.asarray(k)
         orders = k.reshape(-1)
-        listed = orders.tolist()
-        low, top = min(listed), max(listed)
+        if orders.dtype.kind == "f":
+            if (orders % 1 == 0).all():
+                orders = orders.astype(int)
+            elif not self.real_orders:
+                raise UnsupportedModelError(f"{self.kind} mixing has no kernel of real order")
+        low, top = orders.min().item(), orders.max().item()
         if low < 0 <= top:
             raise ValueError("an array of orders must be all negative or all nonnegative")
-        deepest = max(top, -low)
+        deepest = int(max(top, -low))
         block = _KERNEL_CELLS // (deepest + 1)
         if not block:
             raise DerivativeCapError(
@@ -376,6 +429,24 @@ class MixingDistribution:
             for i in range(0, flat.size, block):
                 rows[:, i:i + block] = self._log_kernel(orders, flat[i:i + block])
         return rows.reshape(k.shape + s.shape)
+
+    def quadrature_transform(self, k: float, s: float) -> float:
+        """E(Theta^k e^{-s Theta}) by adaptive quadrature of the density, split at
+        one past the lower end of its support: the kernel's independent oracle.
+        It misses the integrand's peak at large s (past s of a few hundred for
+        Levy, a few tens for Gleser), so it checks the kernel at moderate s only."""
+        if not self.has_density:
+            raise UnsupportedModelError(
+                f"{self.kind} mixing has no usable density; use the Monte Carlo oracle")
+        lo, _ = self.support
+
+        def f(th):
+            return exp(k * log(th) - th * s) * self.pdf(th)
+
+        mid = lo + 1.0
+        v1, _ = integrate.quad(f, lo, mid, **_QUAD_OPTS)
+        v2, _ = integrate.quad(f, mid, inf, **_QUAD_OPTS)
+        return v1 + v2
 
     def laplace(self, s):
         """L(s) = E(e^{-s Theta}) = exp(log L(s)), s >= 0."""
@@ -455,6 +526,7 @@ class GammaMixing(MixingDistribution):
     beta: float
 
     kind = "gamma"
+    real_orders = True
 
     def __post_init__(self):
         _require_positive(alpha=self.alpha, beta=self.beta)
@@ -500,6 +572,7 @@ class LevyMixing(MixingDistribution):
     lam: float
 
     kind = "levy"
+    real_orders = True
 
     def __post_init__(self):
         _require_positive(lam=self.lam)
@@ -655,6 +728,7 @@ class InverseGaussianMixing(MixingDistribution):
     mu: float
 
     kind = "inverse-gaussian"
+    real_orders = True
 
     def __post_init__(self):
         _require_positive(lam=self.lam, mu=self.mu)
@@ -708,6 +782,7 @@ class LindleyMixing(MixingDistribution):
     lam: float
 
     kind = "lindley"
+    real_orders = True
 
     def __post_init__(self):
         _require_positive(lam=self.lam)
@@ -768,6 +843,7 @@ class GleserGammaMixing(MixingDistribution):
     lam: float
 
     kind = "gleser-gamma"
+    real_orders = True
 
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
@@ -776,6 +852,8 @@ class GleserGammaMixing(MixingDistribution):
 
     def _log_kernel(self, k, s):
         a, lam = self.alpha, self.lam
+        if k.dtype.kind == "f":
+            return np.stack([self._log_real_row(kj, s) for kj in k.tolist()])
         if k[0] < 0:
             # e^{-lam s} lam^k / B(alpha, 1-alpha) * I(1-alpha, 1-alpha+k, lam s), every
             # order in one Kummer integral; alpha = 1 is the point mass at lam
@@ -814,6 +892,32 @@ class GleserGammaMixing(MixingDistribution):
         if k.min() == 0:  # log Q(alpha, lam s), only when an order asks for it
             rows[k == 0] = log_gammaincc(a, lam * s)
         return rows
+
+    def _log_real_row(self, k: float, s):
+        """The row of one real order k.  Up to k = 1 it is the Kummer integral of
+        the negative orders; past it, the order m = k + 1 - ceil(k) in (0, 1]
+        is, and the ratios q_j = I_j / I_{j-1} of the integer orders climb from
+        m to k.  The first excess d_m = q_m - lam is a ratio of two Kummer
+        integrals, lam int_0^inf (1+t)^(m-1) t^(1-alpha) e^{-lam s t} dt over
+        I(1-alpha, 1-alpha+m, lam s), so nothing cancels; the recurrence on
+        from it adds positive terms."""
+        a, lam = self.alpha, self.lam
+        if a == 1.0:
+            return k * log(lam) - lam * s
+        climb = max(math.ceil(k) - 1, 0)
+        m = k - climb
+        log_i = log_kummer_u_integral(1.0 - a, 1.0 - a + m, lam * s)
+        row = m * log(lam) - lam * s + log_i - lgamma(a) - lgamma(1.0 - a)
+        if climb:
+            step = 1.0 / s
+            d = lam * np.exp(log_kummer_u_integral(2.0 - a, 2.0 - a + m, lam * s) - log_i)
+            for j in range(climb):
+                if j:
+                    # d_{m+j} = ((1-alpha) + (m+j-1) d_{m+j-1} / q_{m+j-1}) / s
+                    d = ((1.0 - a) + (m + j - 1.0) * d / q) * step
+                q = lam + d
+                row += np.log(q)
+        return row
 
     def _sum_terms(self, n):
         """The density of S_n is sum_k c_k lam^a_k x^(a_k-1) e^{-lam x}, k = 0..n-1:
@@ -888,6 +992,7 @@ class BetaSecondKindMixing(MixingDistribution):
     gam: float
 
     kind = "beta2"
+    real_orders = True
 
     def __post_init__(self):
         _require_positive(beta=self.beta, gam=self.gam)
@@ -951,19 +1056,3 @@ class BetaSecondKindMixing(MixingDistribution):
         b, g = self.beta, self.gam
         return (b - 1.0) * np.log(th) - (b + g) * np.log1p(th) - special.betaln(b, g)
 
-
-def faa_di_bruno(f_deriv, g_deriv, n: int, s: float) -> float:
-    """n-th derivative of f(g(s)) via partial Bell polynomials.
-
-    f_deriv(k, u) must return f^(k)(u) (k = 0 allowed), g_deriv(j, s) must
-    return g^(j)(s) with g_deriv(0, s) = g(s).  Reference path used by the
-    tests to validate the per-law closed-form derivatives.
-    """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    u = g_deriv(0, s)
-    total = 0.0
-    for k in range(1, n + 1):
-        args = [g_deriv(j, s) for j in range(1, n - k + 2)]
-        total += f_deriv(k, u) * bell_partial(n, k, args)
-    return total

@@ -6,6 +6,9 @@ Level convention: value_at_risk(model, level) returns the x with
 F(x) = level, i.e. level is the probability of NOT exceeding the returned
 threshold.
 
+n is the model's total shape; every risk measure sums the orders below it,
+so a fractional one raises UnsupportedModelError.
+
 VaR brackets its root with one survival call on a geometric grid from 2^-40
 to 2^40, and a second one from there to 2^996 (about 1e300) only when the
 quantile lies beyond (the log-space survival is finite on all of it).  It
@@ -77,7 +80,7 @@ def _value_at_risk(model: AggregateModel, level: float):
     # P is the smaller tail: S from the median up, F = 1 - S below it
     lower = level < 0.5
     sign, log_p_target = (-1.0, log(level)) if lower else (1.0, log_target)
-    n = model.n
+    n = model.total_shape  # integral: the survival above has checked it
     for _ in range(_VAR_MAXITER):
         # Newton in u = log x: h = +-(log P - log P*) > 0 below the root, dh/du = -x f / P;
         # rows 0..n-1 are the survival terms and row n is log(x f / n)
@@ -114,7 +117,7 @@ def _tail_moments(model: AggregateModel, a: float, terms, orders) -> dict:
     log_surv = np.logaddexp.reduce(terms)
     if exp(log_surv) <= 1e-300:
         raise TailUnderflowError(f"survival({a}) underflows; tail moment is noise")
-    n, top = model.n, max(orders)
+    n, top = model.total_shape, max(orders)
     # E(Theta^-j e^(-Theta a)) for j = 1..top in one kernel call, and log k! - k log a
     neg = model.mixing.log_abs_laplace_derivative(-np.arange(1, top + 1), np.array(a))
     lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log(a)

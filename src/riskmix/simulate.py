@@ -2,7 +2,7 @@
 representation X_i = G_i / Theta, G_i ~ Gamma(shape_i, 1) (one frailty draw
 per row; exponential claims have shape 1), empirical
 cdf / Kolmogorov-Smirnov machinery, and direct quadrature of the mixture
-integral.
+integral (MixingDistribution.quadrature_transform).
 
 Reproducibility contract: a plan with a fixed seed produces bit-identical
 samples no matter how many worker threads execute it.  Each stream owns a
@@ -17,13 +17,8 @@ from math import exp, lgamma, log
 
 import numpy as np
 
-from ._lazy import lazy_import
 from .aggregate import AggregateModel
-from .errors import UnsupportedModelError
-from .gammaext import SibuyaModel
 from .mixing import MixingDistribution
-
-integrate = lazy_import("scipy.integrate")
 
 __all__ = [
     "SimulationPlan",
@@ -36,14 +31,13 @@ __all__ = [
 ]
 
 _MAGIC = b"RMIXSMP1"
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
 
 
 @dataclass(frozen=True)
 class SimulationPlan:
     """Batch description: which model, how many rows, seed and stream count."""
 
-    model: object
+    model: AggregateModel
     samples: int
     seed: int
     streams: int = 1
@@ -53,20 +47,20 @@ class SimulationPlan:
             raise ValueError("samples must be >= 1")
         if self.streams < 1:
             raise ValueError("streams must be >= 1")
-        if not isinstance(self.model, (AggregateModel, SibuyaModel)):
-            raise TypeError("plan model must be an AggregateModel or SibuyaModel")
+        if not isinstance(self.model, AggregateModel):
+            raise TypeError("plan model must be an AggregateModel")
 
     @property
     def n(self) -> int:
-        return len(self.model.shapes)
+        return self.model.n
 
 
 def _fill_block(model, out, rng):
     # X_ij = G_ij / Theta_i with G_ij ~ Gamma(shape_j, 1); at shape 1 numpy's
     # gamma draws are its exponential ones, bit for bit.  One shape for every
-    # claim (always so for AggregateModel) takes numpy's scalar-shape path,
+    # claim (always so for exponential claims) takes numpy's scalar-shape path,
     # which draws the same values as the array path at about half the cost
-    theta = model.frailty.sample(out.shape[0], rng)
+    theta = model.mixing.sample(out.shape[0], rng)
     shapes = model.shapes
     if len(set(shapes)) == 1:
         draws = rng.standard_gamma(shapes[0], size=out.shape)
@@ -116,25 +110,13 @@ def empirical_ks(sums: np.ndarray, cdf) -> float:
     return float(max(np.max(f - i / n), np.max((i + 1) / n - f)))
 
 
-def quadrature_mixture_pdf(mixing: MixingDistribution, n: int, x: float) -> float:
+def quadrature_mixture_pdf(mixing: MixingDistribution, n: float, x: float) -> float:
     """Direct quadrature of the mixture integral
-    f(x) = x^{n-1}/Gamma(n) int theta^n e^{-theta x} f_Theta(theta) dtheta;
-    the primary oracle for the derivative route."""
-    if not mixing.has_density:
-        raise UnsupportedModelError(
-            f"{mixing.kind} mixing has no usable density; use the Monte Carlo oracle"
-        )
+    f(x) = x^{n-1}/Gamma(n) int theta^n e^{-theta x} f_Theta(theta) dtheta,
+    n a real total shape; the primary oracle for the derivative route."""
     if x <= 0:
         raise ValueError("x must be positive")
-    lo, _ = mixing.support
-
-    def f(th):
-        return exp(n * log(th) - th * x) * mixing.pdf(th)
-
-    mid = lo + 1.0
-    v1, _ = integrate.quad(f, lo, mid, **_QUAD_OPTS)
-    v2, _ = integrate.quad(f, mid, np.inf, **_QUAD_OPTS)
-    return exp((n - 1.0) * log(x) - lgamma(n)) * (v1 + v2)
+    return exp((n - 1.0) * log(x) - lgamma(n)) * mixing.quadrature_transform(n, x)
 
 
 def save_samples(path, samples: np.ndarray, seed: int):

@@ -1,6 +1,5 @@
-"""Special-function kernel: partial Bell polynomials, falling factorials,
-incomplete gamma and the log of its regularized form, gamma quantiles,
-half-integer Bessel K, the raw Kummer integral and the scaled exponential
+"""Special-function kernel: the log of the regularized upper incomplete
+gamma, the log of the raw Kummer integral and the scaled exponential
 integral.
 
 Everything here is a pure function of its arguments and safe to call from
@@ -8,21 +7,13 @@ any thread.
 """
 
 import math
-from math import exp, inf, lgamma, log, sqrt
+from math import exp, inf, log, sqrt
 
 import numpy as np
 from scipy import special
 
 __all__ = [
-    "falling_factorial",
-    "log_abs_falling_factorial",
-    "bell_partial",
-    "log_bell_partial",
-    "upper_incomplete_gamma",
     "log_gammaincc",
-    "gamma_quantile",
-    "bessel_k_half",
-    "kummer_u_integral",
     "log_kummer_u_integral",
     "exp_scaled_expn",
 ]
@@ -31,115 +22,6 @@ __all__ = [
 # most grid cells evaluated at once
 _KUMMER_DROP = 50.0
 _KUMMER_CELLS = 1 << 18
-
-
-def falling_factorial(a: float, k: int) -> float:
-    """Falling factorial (a)_k = a (a-1) ... (a-k+1); (a)_0 = 1.
-
-    This is the descending convention, not the usual rising Pochhammer.
-    """
-    if k < 0:
-        raise ValueError("order k must be a nonnegative integer")
-    out = 1.0
-    for i in range(k):
-        out *= a - i
-    return out
-
-
-def log_abs_falling_factorial(a: float, k: int):
-    """Return (sign, log|(a)_k|); sign is 0 when the product vanishes."""
-    sign = 1
-    acc = 0.0
-    for i in range(k):
-        t = a - i
-        if t == 0.0:
-            return 0, -inf
-        if t < 0.0:
-            sign = -sign
-        acc += log(abs(t))
-    return sign, acc
-
-
-def bell_partial(n: int, k: int, values) -> float:
-    """Partial (incomplete) exponential Bell polynomial B_{n,k}(x_1,...,x_{n-k+1}).
-
-    Evaluated by the convolution recurrence
-        B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1},
-    which costs O(n^2 k) instead of enumerating multi-indices.
-    """
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    xs = [float(v) for v in values]
-    if len(xs) != n - k + 1:
-        raise ValueError(f"B_{{{n},{k}}} takes {n - k + 1} arguments, got {len(xs)}")
-    # table[m][j] = B_{m,j} for the same argument list
-    table = [[0.0] * (k + 1) for _ in range(n + 1)]
-    table[0][0] = 1.0
-    for j in range(1, k + 1):
-        for m in range(j, n + 1):
-            acc = 0.0
-            for i in range(1, m - j + 2):
-                if i - 1 < len(xs):
-                    acc += math.comb(m - 1, i - 1) * xs[i - 1] * table[m - i][j - 1]
-            table[m][j] = acc
-    return table[n][k]
-
-
-def log_bell_partial(n: int, k: int, log_values) -> float:
-    """log B_{n,k} for a nonnegative argument sequence given as logs.
-
-    Accepts -inf entries for zero arguments.  Used to accumulate the huge
-    coefficient polynomials of high-order Laplace derivatives without
-    overflow; the caller tracks signs separately.
-    """
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    lx = list(log_values)
-    if len(lx) != n - k + 1:
-        raise ValueError(f"B_{{{n},{k}}} takes {n - k + 1} arguments, got {len(lx)}")
-    table = [[-inf] * (k + 1) for _ in range(n + 1)]
-    table[0][0] = 0.0
-    for j in range(1, k + 1):
-        for m in range(j, n + 1):
-            terms = []
-            for i in range(1, m - j + 2):
-                if i - 1 >= len(lx):
-                    continue
-                prev = table[m - i][j - 1]
-                if prev == -inf or lx[i - 1] == -inf:
-                    continue
-                terms.append(log(math.comb(m - 1, i - 1)) + lx[i - 1] + prev)
-            if terms:
-                mx = max(terms)
-                table[m][j] = mx + log(sum(exp(t - mx) for t in terms))
-    return table[n][k]
-
-
-def upper_incomplete_gamma(s: float, x: float) -> float:
-    """Upper incomplete gamma Gamma(s, x) = int_x^inf t^{s-1} e^{-t} dt.
-
-    Supports s = 0 (exponential integral E1) and negative s via the downward
-    recurrence Gamma(s,x) = (Gamma(s+1,x) - x^s e^{-x}) / s, both needed with
-    x > 0 only.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        if s <= 0:
-            raise ValueError("Gamma(s, 0) diverges for s <= 0")
-        return float(special.gamma(s))
-    if s > 0:
-        return float(special.gammaincc(s, x) * special.gamma(s))
-    if s == 0.0:
-        return float(special.exp1(x))
-    # s < 0: recurse down from s + m with m chosen so s + m lands in (0,1] or at 0
-    m = math.ceil(-s)
-    top = s + m
-    val = float(special.exp1(x)) if top == 0.0 else float(special.gammaincc(top, x) * special.gamma(top))
-    for i in range(m):
-        si = top - 1 - i
-        val = (val - x ** (si) * exp(-x)) / si
-    return val
 
 
 def log_gammaincc(a, z):
@@ -159,37 +41,6 @@ def log_gammaincc(a, z):
                          -np.log(zf) - (1.0 - af) / zf)
         out[far] = af * np.log(zf) - zf + log_u - special.gammaln(af)
     return out
-
-
-def gamma_quantile(alpha: float, p: float) -> float:
-    """Quantile of the unit-scale gamma distribution with shape alpha."""
-    if alpha <= 0:
-        raise ValueError("shape must be positive")
-    if not (0 <= p < 1):
-        raise ValueError("p must lie in [0, 1)")
-    if p == 0.0:
-        return 0.0
-    return float(special.gammaincinv(alpha, p))
-
-
-def bessel_k_half(n: int, x: float) -> float:
-    """Modified Bessel K of half-integer order, K_{n+1/2}(x), x > 0.
-
-    Uses the closed finite sum
-        K_{n+1/2}(x) = sqrt(pi/(2x)) e^{-x} sum_k (n+k)!/((n-k)! k!) (2x)^{-k},
-    with the coefficients accumulated in log space so that high orders stay
-    accurate.
-    """
-    if n < 0:
-        raise ValueError("order index n must be nonnegative")
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    l2x = log(2.0 * x)
-    terms = [lgamma(n + k + 1) - lgamma(n - k + 1) - lgamma(k + 1) - k * l2x
-             for k in range(n + 1)]
-    mx = max(terms)
-    s = sum(exp(t - mx) for t in terms)
-    return exp(0.5 * (log(math.pi) - l2x) - x + mx) * s
 
 
 def log_kummer_u_integral(a, b, z):
@@ -255,12 +106,6 @@ def log_kummer_u_integral(a, b, z):
             total[cols] = terms.sum(axis=0) + terms[0] / np.expm1(a[cols] * h)
     out = (top + np.log(h * total)).reshape(zero.shape)
     return float(out) if out.ndim == 0 else out
-
-
-def kummer_u_integral(a: float, b: float, z):
-    """The raw Kummer integral itself, exp(log_kummer_u_integral(a, b, z))."""
-    out = np.exp(log_kummer_u_integral(a, b, z))
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def exp_scaled_expn(n: int, z: float) -> float:

@@ -132,6 +132,17 @@ def integrated_transform(law, j, s, dps=DPS):
         return float(mp.log(_expect(law, lambda t: t ** -j * mp.exp(-sm * (t - lo)), 1 / sm)) - sm * lo)
 
 
+def real_order_transform(law, k, s, dps=DPS):
+    """log E[Theta^k e^(-s Theta)] as a float at a real order k of either sign:
+    the Bessel closed form for the Levy and inverse Gaussian laws (K_nu =
+    K_{-nu}, so it holds at every real order), integrated_transform's
+    quadrature for the others."""
+    if isinstance(law, (LevyMixing, InverseGaussianMixing)):
+        with mp.workdps(dps):
+            return float(mp.log(_bessel_integrated(law, -mp.mpf(k), s)))
+    return integrated_transform(law, -k, s, dps)
+
+
 def conditional_tail_moment(law, n, r, a):
     """E[S_n^r | S_n > a] as a float."""
     with mp.workdps(DPS):

@@ -26,8 +26,7 @@ from riskmix.aggregate import (
     weibull_half_model,
     weibull_model,
 )
-from riskmix.dependence import DependentVector
-from riskmix.errors import NonexistentMomentError, UnsupportedModelError
+from riskmix.errors import NonexistentMomentError, RiskmixError, UnsupportedModelError
 from riskmix.mixing import BetaSecondKindMixing
 from riskmix.simulate import SimulationPlan, quadrature_mixture_pdf, sample_sums
 
@@ -197,7 +196,7 @@ class TestNormalization:
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_beta2_mixing_through_generic_route(self):
-        m = AggregateModel(DependentVector(BetaSecondKindMixing(2.0, 3.0), 2))
+        m = AggregateModel(BetaSecondKindMixing(2.0, 3.0), (1.0,) * 2)
         total = integrate_density(lambda x: pdf(m, x))
         assert total == pytest.approx(1.0, abs=1e-7)
 
@@ -253,6 +252,17 @@ class TestMoments:
                 moment(m, 2)
             with pytest.raises(PrecisionError):
                 m.mixing.neg_moment(2)
+
+    def test_real_orders(self):
+        # E(S^1.5) = Gamma(n + 1.5)/Gamma(n) E(Theta^-1.5): a value where the law
+        # has E(Theta^-r) for a real r, a RiskmixError where it has not
+        for m in (pareto_model(5.0, 1.0, 2), gamma_claims_model(0.5, 1.0, 2),
+                  weibull_half_model(1.0, 2), weibull_model(0.5, 2),
+                  inverse_gaussian_model(1.0, 1.0, 2)):
+            got = integrate_density(lambda x: x ** 1.5 * pdf(m, x))
+            assert moment(m, 1.5) == pytest.approx(got, rel=1e-6)
+        with pytest.raises(RiskmixError):
+            moment(lindley_model(1.0, 2), 1.5)
 
     def test_stable_models_route_through_mixture(self):
         m = weibull_half_model(1.0, 1)
@@ -381,10 +391,10 @@ class TestBoundaryBehavior:
         assert pdf(lindley_model(1.0, 1), 0.0) == pytest.approx(1.5)
         # beta2 with gam = 1: Theta's tail 2 theta^-2 gives the limit beta/(n-1)
         for n, limit in ((2, 2.0), (3, 1.0)):
-            m = AggregateModel(DependentVector(BetaSecondKindMixing(2.0, 1.0), n))
+            m = AggregateModel(BetaSecondKindMixing(2.0, 1.0), (1.0,) * n)
             assert pdf(m, 0.0) == pytest.approx(limit, rel=1e-15)
             assert pdf(m, 1e-4) == pytest.approx(limit, rel=3e-3)
-        assert pdf(AggregateModel(DependentVector(BetaSecondKindMixing(2.0, 1.0), 1)),
+        assert pdf(AggregateModel(BetaSecondKindMixing(2.0, 1.0), (1.0,) * 1),
                    0.0) == math.inf
 
     def test_beta2_pdf_near_zero_against_mpmath(self):
@@ -392,7 +402,7 @@ class TestBoundaryBehavior:
         # Kummer quadrature used to miss its peak here and return -3.8e-5
         b, g = 2.0, 1.0
         for n in (2, 3):
-            m = AggregateModel(DependentVector(BetaSecondKindMixing(b, g), n))
+            m = AggregateModel(BetaSecondKindMixing(b, g), (1.0,) * n)
             for x in (1e-6, 1e-3):
                 with mp.workdps(30):
                     want = float(mp.mpf(x) ** (n - 1) / mp.gamma(n) * mp.gamma(b + n)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -168,6 +169,22 @@ class TestValidation:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and out == ""
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("n", ["10000001", "1000000000", "10000000000"])
+    def test_n_past_the_claim_limit_exits_2(self, capsys, n):
+        # refused before the model holds a shape per claim: nothing grows with n
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run_strict(capsys, ["pdf", "--model", "invgauss", "--lambda", "1",
+                                                 "--mu", "1", "--n", n, "--grid", "0.01:100:200:log"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
+        assert code == 2 and out == ""
+        assert f"from 1 to {cli._MAX_CLAIMS}" in err
 
 
 class TestRiskCommands:

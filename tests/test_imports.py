@@ -28,10 +28,10 @@ SCRIPT = textwrap.dedent("""
     assert riskmix.dependence.integrate is sys.modules["scipy.integrate"]
     assert riskmix.mixing.optimize is sys.modules["scipy.optimize"]
 
-    from riskmix.dependence import DependentVector, kendall_tau_numeric
-    from riskmix.mixing import BetaSecondKindMixing, PositiveStableMixing
+    from riskmix.dependence import kendall_tau_numeric
+    from riskmix.mixing import BetaSecondKindMixing
 
-    tau = kendall_tau_numeric(DependentVector(PositiveStableMixing(0.5), 2))
+    tau = kendall_tau_numeric(riskmix.weibull_model(0.5, 2))
     assert abs(tau - 0.5) < 1e-9, tau
     model = riskmix.pareto_model(3.0, 1.0, n=2)
     got = riskmix.quadrature_mixture_pdf(model.mixing, 2, 1.0)

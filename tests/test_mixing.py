@@ -32,11 +32,17 @@ from riskmix.mixing import (
     _log_sum_exp,
     _power_bell,
     _sqrt_bell,
-    faa_di_bruno,
 )
-from riskmix.specfun import falling_factorial, log_abs_falling_factorial, log_bell_partial
 
 import mp_reference
+from reference_formulas import (
+    bell_partial,
+    bessel_k_half,
+    faa_di_bruno,
+    falling_factorial,
+    log_abs_falling_factorial,
+    log_bell_partial,
+)
 
 ALL_KINDS = [
     GammaMixing(3.0, 1.0),
@@ -320,7 +326,6 @@ class TestLevyBesselIdentity:
     def test_sqrt_bell_closed_form_matches_recurrences(self):
         # production coefficients of the Levy and inverse Gaussian derivatives
         from riskmix.mixing import _sqrt_bell
-        from riskmix.specfun import bell_partial, log_bell_partial
         abs_a = [abs(falling_factorial(0.5, j)) for j in range(1, ORDERS + 1)]
         for n in range(1, ORDERS + 1):
             _, got = _sqrt_bell(n, 0)
@@ -334,7 +339,6 @@ class TestLevyBesselIdentity:
 
     def test_derivative_equals_bessel_form(self):
         # (-1)^n L^(n)(x) = lam/sqrt(pi) (lam/(2 sqrt x))^{n-1/2} K_{n-1/2}(lam sqrt x)
-        from riskmix.specfun import bessel_k_half
         m = LevyMixing(1.3)
         for n in (1, 2, 5, 9):
             for x in (0.5, 1.0, 4.0):
@@ -816,6 +820,73 @@ class TestMemoryBudget:
         assert np.isfinite(m.log_abs_laplace_derivative(300, np.array([1.0]))).all()
         with pytest.raises(DerivativeCapError):
             m.log_abs_laplace_derivative(2048, np.array([1.0]))
+
+    def test_real_order_runs_in_whole_blocks(self):
+        # order 2.5 on 30000 points: blocks of 65536 // 3 = 21845 points
+        m = GammaMixing(3.0, 1.0)
+        s = np.linspace(0.1, 5.0, 30000)
+        rows = m.log_abs_laplace_derivative(np.array([2.5]), s)
+        want = special.gammaln(5.5) - special.gammaln(3.0) - 5.5 * np.log1p(s)
+        assert rows.shape == (1, 30000)
+        assert log_error(rows[0], want).max() <= 1e-14
+
+
+class TestRealOrders:
+    def test_integral_float_orders_take_the_integer_kernel(self):
+        s = np.geomspace(1e-2, 1e2, 7)
+        for m in ALL_KINDS:
+            for k in (np.array([0.0, 1.0, 4.0]), np.array([-2.0, -1.0])):
+                try:
+                    want = m.log_abs_laplace_derivative(k.astype(int), s)
+                except RiskmixError:
+                    continue
+                assert np.array_equal(m.log_abs_laplace_derivative(k, s), want)
+
+    def test_quadrature_oracle_matches_the_kernel_at_integer_orders(self):
+        # the mixture quadrature, the kernels' oracle at moderate s
+        for m in (LevyMixing(1.3), InverseGaussianMixing(2.0, 0.7), LindleyMixing(1.5),
+                  GleserGammaMixing(0.55, 1.3)):
+            for k, s in ((2, 0.7), (5, 3.0)):
+                want = float(m.log_abs_laplace_derivative(k, s))
+                assert math.log(m.quadrature_transform(k, s)) == pytest.approx(want, abs=1e-9)
+
+    def test_real_order_kernels(self):
+        # gamma: Gamma(a + k)/Gamma(a) b^-k (1 + s/b)^-(a+k) at k = 1.5; the
+        # quadrature agrees, and the stable law refuses a real order
+        m = GammaMixing(3.0, 2.0)
+        got = float(m.log_abs_laplace_derivative(1.5, 0.8))
+        want = math.lgamma(4.5) - math.lgamma(3.0) - 1.5 * math.log(2.0) - 4.5 * math.log1p(0.4)
+        assert got == pytest.approx(want, abs=1e-14)
+        assert math.log(m.quadrature_transform(1.5, 0.8)) == pytest.approx(want, abs=1e-9)
+        for law in (LevyMixing(1.3), InverseGaussianMixing(2.0, 0.7), GleserGammaMixing(0.55, 1.3)):
+            assert float(law.log_abs_laplace_derivative(1.5, 0.8)) == pytest.approx(
+                math.log(law.quadrature_transform(1.5, 0.8)), abs=1e-12)
+        with pytest.raises(UnsupportedModelError):
+            PositiveStableMixing(0.5).log_abs_laplace_derivative(1.5, 0.8)
+
+    @pytest.mark.parametrize("law", [LevyMixing(1.0), LevyMixing(5.0),
+                                     InverseGaussianMixing(1.0, 1.0),
+                                     InverseGaussianMixing(0.3, 3.0)], ids=repr)
+    def test_bessel_real_orders_against_mpmath(self, law):
+        # K_{k-1/2} at real orders of either sign over the whole range of s,
+        # across z = 1e8, where the start leaves special.kve for Hankel's expansion
+        s = np.array([1e-12, 1e-3, 0.3, 4.0, 1e2, 1e3, 1e4, 1e8, 0.99e16, 1.01e16, 1e100])
+        for k in (0.3, 0.5, 2.7, 20.25, 200.5, -0.4, -2.5):
+            want = [mp_reference.real_order_transform(law, k, sv) for sv in s]
+            assert log_error(law.log_abs_laplace_derivative(k, s), want).max() <= 1e-13, k
+
+    @pytest.mark.parametrize("law", [GleserGammaMixing(0.5, 1.0), GleserGammaMixing(0.9, 3.0),
+                                     GleserGammaMixing(0.2, 0.3)], ids=repr)
+    def test_gleser_real_orders_against_mpmath(self, law):
+        # the Kummer start and the climb past order 1, far past the s where
+        # the mixture quadrature misses the integrand's peak
+        s = np.array([1e-8, 0.3, 4.0, 30.0, 1e3, 1e100])
+        for k in (0.3, 1.0 - 1e-9, 2.7, 20.25, -0.4):
+            want = [mp_reference.real_order_transform(law, k, sv, dps=20) for sv in s]
+            assert log_error(law.log_abs_laplace_derivative(k, s), want).max() <= 1e-13, k
+        # alpha = 1, the point mass at lam: k log lam - lam s
+        m = GleserGammaMixing(1.0, 1.7)
+        assert np.array_equal(m.log_abs_laplace_derivative(2.7, s), 2.7 * math.log(1.7) - 1.7 * s)
 
 
 class TestSamplers:

@@ -16,7 +16,6 @@ from riskmix.aggregate import (
     weibull_half_model,
     weibull_model,
 )
-from riskmix.dependence import DependentVector
 from riskmix.errors import NonexistentMomentError, RiskmixError, TailUnderflowError
 from riskmix.mixing import BetaSecondKindMixing
 from riskmix import aggregate, riskmeasures
@@ -151,7 +150,7 @@ class TestValueAtRisk:
     @pytest.mark.parametrize("n", [2, 10])
     def test_beta2_round_trip(self, n):
         # the law whose kernel is a Kummer integral at every point
-        m = AggregateModel(DependentVector(BetaSecondKindMixing(2.0, 3.0), n))
+        m = AggregateModel(BetaSecondKindMixing(2.0, 3.0), (1.0,) * n)
         for lv in (0.5, 0.9, 0.99):
             assert survival(m, value_at_risk(m, lv)) == pytest.approx(1.0 - lv, rel=1e-9)
 
@@ -213,7 +212,7 @@ class TestTailKernelSum:
 
     def test_beta2_deep_level(self):
         # quadrature of x f(x) returned TVaR = -2.0 here, with an IntegrationWarning
-        m = AggregateModel(DependentVector(BetaSecondKindMixing(2.0, 3.0), 10))
+        m = AggregateModel(BetaSecondKindMixing(2.0, 3.0), (1.0,) * 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = risk_report(m, 1.0 - 1e-10, orders=(1,))
@@ -233,7 +232,7 @@ class TestTailKernelSum:
         pareto_model(3.0, 1.0, 10), gamma_claims_model(0.5, 1.3, 10),
         weibull_half_model(1.2, 10), weibull_model(0.45, 10),
         inverse_gaussian_model(1.3, 0.7, 10),
-        AggregateModel(DependentVector(BetaSecondKindMixing(3.5, 2.0), 10))],
+        AggregateModel(BetaSecondKindMixing(3.5, 2.0), (1.0,) * 10)],
         ids=lambda m: m.mixing.kind)
     def test_orders_one_and_two(self, m):
         # the finite-mixture route was off by up to 4e-5 relative here

@@ -8,10 +8,10 @@ from riskmix.aggregate import (
     gamma_claims_model,
     lindley_model,
     pareto_model,
+    sibuya_model,
     weibull_model,
 )
 from riskmix.errors import UnsupportedModelError
-from riskmix.gammaext import SibuyaModel
 from riskmix.mixing import GammaMixing, GleserGammaMixing, PositiveStableMixing
 from riskmix.simulate import (
     SimulationPlan,
@@ -83,18 +83,19 @@ class TestStatisticalProperties:
     def test_gamma_claims_draw_as_numpy_array_shapes_do(self, shapes):
         # one shared shape takes numpy's scalar-shape gamma path, whose draws
         # are those of the array-shape path bit for bit
-        model = SibuyaModel(shapes, 2.0, 4.0)
+        model = sibuya_model(shapes, 2.0, 4.0)
         plan = SimulationPlan(model, 900, seed=21)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21).spawn(1)[0]))
-        theta = model.frailty.sample(900, rng)
+        theta = model.mixing.sample(900, rng)
         want = rng.gamma(np.asarray(shapes), 1.0, size=(900, len(shapes))) / theta[:, None]
         assert np.array_equal(sample_vector(plan), want)
 
     def test_sibuya_product_representation(self):
-        m = SibuyaModel((1.5, 0.7), 2.0, 4.0)
+        beta, gam = 2.0, 4.0
+        m = sibuya_model((1.5, 0.7), beta, gam)
         x = sample_vector(SimulationPlan(m, 500_000, seed=17))
         for i in (0, 1):
-            want = m.shapes[i] * m.beta / (m.gam - 1.0)
+            want = m.shapes[i] * beta / (gam - 1.0)
             se = x[:, i].std(ddof=1) / math.sqrt(x.shape[0])
             assert abs(x[:, i].mean() - want) < 4 * se
 
