@@ -51,6 +51,14 @@ DEFAULT_SEED = 202508
 # every command whose work grows with n refuses orders past the kernel's
 # budget of 2^16 rows long before it
 _MAX_CLAIMS = 10 ** 7
+# the largest simulate table, refused before sampling: the command holds the
+# claim matrix (8 B a cell) and formats up to _BLOCK_ROWS rows of it at once
+# (about 90 B a cell in CSV, 190 B in JSON, and more per column in a wide
+# table).  Measured peaks (ru_maxrss, Python 3.11) at these bounds: 340 MB for
+# JSON at 32 x 312500, 230 MB for CSV at 5 x 2000000; --n 1000000 --samples 2,
+# now refused, took 450 MB
+_MAX_SIM_WIDTH = 32
+_MAX_SIM_CELLS = 10 ** 7
 
 
 def _fmt(v) -> str:
@@ -191,6 +199,17 @@ def _build(cfg, errors, kind, table, **extra):
     except ValueError as exc:
         errors.append(str(exc))
         return None
+
+
+def _count(cfg, errors, key, default):
+    """The count cfg[key], or the default where it is not given; an error
+    unless it is at least 1."""
+    value = cfg.get(key)
+    if value is None:
+        return default
+    if value < 1:
+        errors.append(f"{key} must be >= 1")
+    return value
 
 
 def build_model(cfg, errors):
@@ -426,14 +445,14 @@ def run_dependence(cfg, command):
 
 def run_simulate(cfg, command):
     errors = []
+    samples = _count(cfg, errors, "samples", 10000)
+    streams = _count(cfg, errors, "streams", 1)
+    threads = _count(cfg, errors, "threads", 1)
+    n = cfg.get("n")
+    if n is not None and (n > _MAX_SIM_WIDTH or n * samples > _MAX_SIM_CELLS):
+        errors.append(f"simulate writes at most {_MAX_SIM_WIDTH} columns (--n) and "
+                      f"{_MAX_SIM_CELLS} cells (--n times --samples)")
     model = build_model(cfg, errors)
-    samples = cfg.get("samples") or 10000
-    streams = cfg.get("streams") or 1
-    threads = cfg.get("threads") or 1
-    if samples < 1:
-        errors.append("samples must be >= 1")
-    if streams < 1:
-        errors.append("streams must be >= 1")
     if errors:
         return errors, None, None
     plan = simulate.SimulationPlan(model, samples, cfg["seed"], streams)
@@ -483,6 +502,7 @@ def run_compound(cfg, command):
 
 def run_asymptotic(cfg, command):
     errors = []
+    m = _count(cfg, errors, "m", 1)
     mix = _build(cfg, errors, "mixing", _MIXINGS)
     if cfg.get("beta") is None:
         errors.append("missing --beta (precision parameter)")
@@ -490,7 +510,7 @@ def run_asymptotic(cfg, command):
     if errors:
         return errors, None, None
     try:
-        spec = asymptotics.ParetoTailSpec(cfg["beta"], cfg.get("m") or 1, mix)
+        spec = asymptotics.ParetoTailSpec(cfg["beta"], m, mix)
         tail = asymptotics.tail_pdf_generic(spec, xs)
     except ValueError as exc:
         return [str(exc)], None, None
@@ -500,12 +520,12 @@ def run_asymptotic(cfg, command):
 def run_verify(cfg, command):
     """Oracle cross-check suite for the configured model; returns the table."""
     errors = []
+    samples = _count(cfg, errors, "samples", 200000)
+    streams = _count(cfg, errors, "streams", 4)
+    threads = _count(cfg, errors, "threads", 1)
     model = build_model(cfg, errors)
     if errors:
         return errors, None, None
-    samples = cfg.get("samples") or 200000
-    streams = cfg.get("streams") or 4
-    threads = cfg.get("threads") or 1
 
     n = model.total_shape
     checks = []

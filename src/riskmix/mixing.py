@@ -27,28 +27,24 @@ Memory budget.  The base class runs _log_kernel on blocks of
 _KERNEL_CELLS // (1 + max|k|) points of s (all of s when they fit), so an
 array with a row per order (a recurrence, its partial sums, the rows) has
 at most _KERNEL_CELLS = 2^16 cells (512 kB), whatever the order and the
-length of s; a Kummer integral (beta2, Gleser negative orders) adds a few
-dozen arrays of one cell per point (25 MB at 2^16 points).  An order past
-the budget for one point (|k| >= 2^16), or a stable row past the largest
-Bell triangle (order 2047, 32 MB per index), raises DerivativeCapError
-before anything is allocated.
+length of s; a Kummer integral (beta2, Gleser) adds a few dozen arrays
+of one cell per point (25 MB at 2^16 points).  An order past the budget
+for one point (|k| >= 2^16), or a stable row past the largest Bell
+triangle (order 2047, 32 MB per index), raises DerivativeCapError before
+anything is allocated.
 
 * Gamma and Lindley: closed forms, broadcast over the orders; Lindley has
   no negative order.
 * Levy and inverse Gaussian: E(Theta^k e^{-s Theta}) is a prefactor times
-  K_{k-1/2}(z), z = lam sqrt(s) (Levy) or (lam/mu) sqrt(1 + b s) (IG).  The
-  ratios K_{k+1/2}/K_{k-1/2} follow the upward recurrence of DLMF 10.29.1,
-  r_k = 1/r_{k-1} + (2k-1)/z from r_0 = 1, a sum of positive terms
-  (_log_bessel_ratios).  The rows are partial sums of log r_k
-  (_partial_sums: one sum for a single order, one cumsum for several); a
-  negative order reads index 1 - k, since K_{k-1/2} = K_{1/2-k} (DLMF
-  10.27.3).
-* Gleser: for k >= 1 the moment is c e^{-lam s} I_{k-1}, I_m = int_0^inf
-  (lam+u)^m u^-alpha e^{-us} du, whose ratios q_m = I_m / I_{m-1} obey a
-  forward three-term recurrence on its dominant solution, run on the
-  excess q_m - lam as a sum of positive terms; k = 0 is the log of the
-  regularized upper incomplete gamma (specfun.log_gammaincc), evaluated only
-  when that order is asked for; negative orders are one Kummer integral.
+  K_{k-1/2}(z), z = lam sqrt(s) (Levy) or (lam/mu) sqrt(1 + b s) (IG): the
+  partial sums (_partial_sums) of the log ratios of the upward recurrence of
+  DLMF 10.29.1, a sum of positive terms (_log_bessel_ratios), which starts
+  from 1 at an integer order and from special.kve at a real one.
+* Gleser: the moment of order k is c e^{-lam s} I_{k-1}, I_m = int_0^inf
+  (lam+u)^m u^-alpha e^{-us} du.  The ratios I_m / I_{m-1} climb by a
+  recurrence of positive terms (_climb) from the closed form c I_0 at the
+  integer orders (k = 0 is specfun.log_gammaincc, evaluated only when asked
+  for) and from one Kummer integral at every other order.
 * Positive stable: partial Bell polynomials of the power sequence, a
   log-space triangle filled by a recurrence of positive terms and cached
   per index in sizes of a power of two rows (_power_bell), reduced one
@@ -58,16 +54,10 @@ before anything is allocated.
 * Second-kind beta: the log of a Kummer integral, one call per order of
   either sign for every s at once (specfun.log_kummer_u_integral).
 
-Real orders (the density of gamma claims of fractional total shape).  Every
-law but the stable one takes them (real_orders); the stable kernel raises
-UnsupportedModelError.  Integral float orders are cast to int, so the
-integer formulas above run unchanged.  Gamma, Lindley and second-kind beta
-take a real order as written.  Levy and inverse Gaussian start the ratio
-recurrence from K_{nu0} and K_{1-nu0}, 0 <= nu0 < 1, through
-special.kve (_log_real_bessel_ratio).  Gleser reaches a real order k > 1
-from the Kummer integral of order k - ceil(k) + 1 in (0, 1], climbing by the
-recurrence of its integer orders.  The mixture quadrature of the density
-(quadrature_transform) serves as the kernels' oracle, and no kernel calls it.
+Real orders (the density of gamma claims of fractional total shape) take
+each law's one kernel path; the stable kernel alone raises
+UnsupportedModelError.  The mixture quadrature of the density
+(quadrature_transform) is the kernels' oracle, and no kernel calls it.
 
 Multi-term sums reduce with _log_sum_exp: pairwise logaddexp for small
 arrays, a numpy max-shift for large ones.  An array of orders with both
@@ -77,8 +67,9 @@ Each law also supplies its log density on its support (_log_pdf) and its
 generator on an array (_generator); the base class's pdf and generator
 handle scalars, arrays and the points off the support once for every law.
 
-The Bessel-polynomial closed form of the sqrt-sequence Bell coefficients
-(_sqrt_bell) builds the Levy mixture representation.
+The Levy and stable mixture representations are one generalized gamma
+mixture (_generalized_gamma_mixture) over a row of Bell coefficients (the
+closed form _sqrt_bell for Levy).
 
 Finite mixture representations are built from two component laws:
 GammaPowerComponent, X = (G/rate)^(1/power) with G ~ Gamma(shape, 1), which
@@ -185,47 +176,40 @@ def _log_sum_exp(log_terms):
 
 
 def _log_bessel_ratios(k, z):
-    """log(K_{k-1/2}(z) / K_{1/2}(z)) for the orders k (a 1-D integer array,
-    all of one sign) on an array z > 0, one row per order.
+    """log(K_{k-1/2}(z) / K_{1/2}(z)) for the orders k (a 1-D array of integer
+    or real orders, all of one sign) on an array z > 0, one row per order.
 
-    The ratios r_i = K_{i+1/2}(z) / K_{i-1/2}(z) obey r_0 = 1 and
-    r_i = 1/r_{i-1} + (2i-1)/z (DLMF 10.29.1), a sum of positive terms, so
-    nothing cancels; the rows are partial sums of log r_i.  K_{k-1/2} =
-    K_{1/2-k} (DLMF 10.27.3), so an order k < 0 is the row of order 1 - k.
-    An array of real orders takes _log_real_bessel_ratio, one order at a time."""
-    if k.dtype.kind == "f":
-        return np.stack([_log_real_bessel_ratio(kj, z) for kj in k.tolist()])
-    if k[0] < 0:
-        k = 1 - k
-    top = int(k.max())
-    ratios = np.ones((top,) + z.shape)
-    step = 1.0 / z
-    for i in range(1, top):
-        np.divide(1.0, ratios[i - 1], out=ratios[i])
-        ratios[i] += (2 * i - 1) * step
-    return _partial_sums(np.log(ratios, out=ratios), k)
-
-
-def _log_real_bessel_ratio(k: float, z):
-    """log(K_{k-1/2}(z) / K_{1/2}(z)) at one real order k on an array z > 0.
-
-    With nu = |k - 1/2| = nu0 + m, 0 <= nu0 < 1, the row climbs from K_{nu0}
-    by the ratios rho_i = K_{nu0+i+1}/K_{nu0+i} = 1/rho_{i-1} + 2(nu0+i)/z
-    (DLMF 10.29.1), from rho_0 = K_{1-nu0}/K_{nu0} + 2 nu0/z: every term is
-    positive."""
-    nu = abs(k - 0.5)
-    m = int(nu)
+    K_{k-1/2} = K_{|k-1/2|} (DLMF 10.27.3); write |k - 1/2| = nu0 + m, 0 <=
+    nu0 < 1.  The ratios r_i = K_{nu0+i}(z) / K_{nu0+i-1}(z) obey r_i =
+    1/r_{i-1} + 2(nu0+i-1)/z (DLMF 10.29.1) from r_0 = K_{nu0}/K_{1-nu0}, a
+    sum of positive terms, so nothing cancels; the row is log(K_{1-nu0}/K_{1/2})
+    plus the partial sum of log r_i over i <= m.  An integer order has nu0 =
+    1/2, where both start terms are 1 and no Bessel function is evaluated;
+    order 0 reads the empty sum, so the orders 0..n-1 read the partial sums
+    in place.  Each fractional part runs its own recurrence."""
+    nu = np.abs(k - 0.5)
+    m = nu.astype(int)
     nu0 = nu - m
-    base = _bessel_k_over_half(nu0, z)
-    row = np.log(base)
-    if m:
-        step = 2.0 / z
-        rho = _bessel_k_over_half(1.0 - nu0, z) / base + nu0 * step
-        row += np.log(rho)
-        for i in range(1, m):
-            rho = 1.0 / rho + (nu0 + i) * step
-            row += np.log(rho)
-    return row
+    parts = set(nu0.tolist())
+    if len(parts) > 1:
+        out = np.empty((k.size,) + z.shape)
+        for part in parts:
+            out[nu0 == part] = _log_bessel_ratios(k[nu0 == part], z)
+        return out
+    nu0 = parts.pop()
+    index = m + (k != 0)
+    ratios = np.ones((int(index.max()),) + z.shape)
+    if nu0 != 0.5:
+        base = _bessel_k_over_half(1.0 - nu0, z)
+        ratios[0] = _bessel_k_over_half(nu0, z) / base
+    step = 1.0 / z
+    for i in range(1, len(ratios)):
+        np.divide(1.0, ratios[i - 1], out=ratios[i])
+        ratios[i] += 2 * (nu0 + i - 1) * step
+    rows = _partial_sums(np.log(ratios, out=ratios), index)
+    if nu0 != 0.5:
+        rows += np.log(base)
+    return rows
 
 
 def _bessel_k_over_half(nu: float, z):
@@ -385,17 +369,28 @@ class MixtureRepresentation:
         return _ret(out, scalar_in)
 
 
+def _generalized_gamma_mixture(log_bell, alpha, rate):
+    """The mixture form of the density of S_n under L(s) = exp(-rate s^alpha),
+    from log |B_{n,k}|, k = 1..n, of the power sequence (alpha)_j: components
+    (G_k/rate)^(1/alpha), G_k ~ Gamma(k, 1), weighted |B_{n,k}| Gamma(k) /
+    (Gamma(n) alpha)."""
+    n = log_bell.size
+    k = np.arange(1.0, n + 1.0)
+    weights = np.exp(log_bell + special.gammaln(k) - lgamma(n) - log(alpha))
+    return MixtureRepresentation(tuple(
+        GammaPowerComponent(kj, alpha, rate, wj) for kj, wj in zip(k.tolist(), weights.tolist())))
+
+
 class MixingDistribution:
     """Base interface for frailty laws; instances are immutable."""
 
     kind = "abstract"
     has_density = True
-    real_orders = False  # whether _log_kernel takes real orders as written
     support = (0.0, inf)
 
     def log_abs_laplace_derivative(self, k, s):
         """log E(Theta^k e^{-s Theta}) on an array s > 0, for every integer order
-        k, and every real one where the law has real_orders.  An order k >= 0
+        k and, for every law but the stable one, every real one.  An order k >= 0
         is log|L^(k)(s)| ((-1)^k L^(k) >= 0 for every law in the catalog);
         k = 0 is log L and also takes s = 0.  A negative order
         k = -j is the j-fold integrated transform, and NonexistentMomentError
@@ -408,8 +403,6 @@ class MixingDistribution:
         if orders.dtype.kind == "f":
             if (orders % 1 == 0).all():
                 orders = orders.astype(int)
-            elif not self.real_orders:
-                raise UnsupportedModelError(f"{self.kind} mixing has no kernel of real order")
         low, top = orders.min().item(), orders.max().item()
         if low < 0 <= top:
             raise ValueError("an array of orders must be all negative or all nonnegative")
@@ -526,7 +519,6 @@ class GammaMixing(MixingDistribution):
     beta: float
 
     kind = "gamma"
-    real_orders = True
 
     def __post_init__(self):
         _require_positive(alpha=self.alpha, beta=self.beta)
@@ -572,7 +564,6 @@ class LevyMixing(MixingDistribution):
     lam: float
 
     kind = "levy"
-    real_orders = True
 
     def __post_init__(self):
         _require_positive(lam=self.lam)
@@ -618,12 +609,8 @@ class LevyMixing(MixingDistribution):
         return inf
 
     def sum_mixture(self, n):
-        # square-gamma components, weights those of the stable law at alpha = 1/2
-        k, log_bell = _sqrt_bell(n, 0)
-        weights = np.exp(log_bell + special.gammaln(k) - lgamma(n) + log(2.0))
-        return MixtureRepresentation(tuple(
-            GammaPowerComponent(kj, 0.5, self.lam, wj)
-            for kj, wj in zip(k.tolist(), weights.tolist())))
+        # the stable law's mixture at alpha = 1/2 with rate lam: square-gamma components
+        return _generalized_gamma_mixture(_sqrt_bell(n, 0)[1], 0.5, self.lam)
 
     def kendall_tau(self):
         # the stable value at index 1/2: rescaling Theta leaves the copula alone
@@ -649,6 +636,8 @@ class PositiveStableMixing(MixingDistribution):
 
     def _log_kernel(self, k, s):
         a = self.alpha
+        if k.dtype.kind == "f":
+            raise UnsupportedModelError(f"{self.kind} mixing has no kernel of real order")
         if k[0] < 0:
             # order -j: int_s^inf (t-s)^(j-1)/(j-1)! e^{-t^alpha} dt = (1/alpha) sum_{i+m=j-1}
             # Gamma((i+1)/alpha, s^alpha)/i! (-s)^m/m!, rows 0..j-1 of `upper` plus rows
@@ -695,12 +684,7 @@ class PositiveStableMixing(MixingDistribution):
         return inf
 
     def sum_mixture(self, n):
-        # generalized gamma components, weighted by row n of the Bell triangle
-        a = self.alpha
-        k = np.arange(1.0, n + 1.0)
-        weights = np.exp(_power_bell(a, n)[n, 1:n + 1] + special.gammaln(k) - lgamma(n) - log(a))
-        return MixtureRepresentation(tuple(
-            GammaPowerComponent(kj, a, 1.0, wj) for kj, wj in zip(k.tolist(), weights.tolist())))
+        return _generalized_gamma_mixture(_power_bell(self.alpha, n)[n, 1:n + 1], self.alpha, 1.0)
 
     def kendall_tau(self):
         return 1.0 - self.alpha
@@ -728,7 +712,6 @@ class InverseGaussianMixing(MixingDistribution):
     mu: float
 
     kind = "inverse-gaussian"
-    real_orders = True
 
     def __post_init__(self):
         _require_positive(lam=self.lam, mu=self.mu)
@@ -782,7 +765,6 @@ class LindleyMixing(MixingDistribution):
     lam: float
 
     kind = "lindley"
-    real_orders = True
 
     def __post_init__(self):
         _require_positive(lam=self.lam)
@@ -843,7 +825,6 @@ class GleserGammaMixing(MixingDistribution):
     lam: float
 
     kind = "gleser-gamma"
-    real_orders = True
 
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
@@ -852,72 +833,55 @@ class GleserGammaMixing(MixingDistribution):
 
     def _log_kernel(self, k, s):
         a, lam = self.alpha, self.lam
-        if k.dtype.kind == "f":
-            return np.stack([self._log_real_row(kj, s) for kj in k.tolist()])
-        if k[0] < 0:
-            # e^{-lam s} lam^k / B(alpha, 1-alpha) * I(1-alpha, 1-alpha+k, lam s), every
-            # order in one Kummer integral; alpha = 1 is the point mass at lam
-            k = _column(k, s.ndim)
-            base = k * log(lam) - lam * s
-            if a == 1.0:
-                return base
-            return (base + log_kummer_u_integral(1.0 - a, 1.0 - a + k, lam * s)
-                    - lgamma(a) - lgamma(1.0 - a))
-        # k = 0: log Q(alpha, lam s).  k >= 1: c e^{-lam s} I_{k-1}, c = lam^alpha /
-        # (Gamma(1-alpha) Gamma(alpha)), I_m = int_0^inf (lam+u)^m u^-alpha e^{-us} du,
-        # c I_0 = lam^alpha s^(alpha-1) / Gamma(alpha).  The ratios q_m = I_m / I_{m-1}
-        # obey q_m = lam + (m-alpha)/s - ((m-1) lam/s) / q_{m-1} from q_1 = lam + (1-alpha)/s;
-        # that difference loses up to m/(1-alpha) ulps, so the recurrence runs on the
-        # excess d_m = q_m - lam = ((1-alpha) + (m-1) d_{m-1}/q_{m-1}) / s, a sum of
-        # positive terms.  alpha = 1 (the point mass at lam) gives d_m = 0: lam^k e^{-lam s}.
-        top = int(k.max())
-        if not top:
-            rows = np.empty((k.size,) + s.shape)
-        else:
-            # ratios[m] = q_m and ratios[0] = 1: row j >= 1 is log(c e^{-lam s} I_0)
-            # plus the sum of the log ratios below j
-            ratios = np.ones((top,) + s.shape)
-            step = 1.0 / s
-            d = (1.0 - a) * step
-            for m in range(1, top):
-                if m > 1:
-                    # in place: d = ((1-a) + (m-1) d / q_{m-1}) / s
-                    np.divide(d, ratios[m - 1], out=d)
-                    d *= m - 1
-                    d += 1.0 - a
-                    d *= step
-                np.add(d, lam, out=ratios[m])
-            rows = _partial_sums(np.log(ratios, out=ratios), k)
-            rows += a * log(lam) - lgamma(a) - lam * s + (a - 1.0) * np.log(s)
-        if k.min() == 0:  # log Q(alpha, lam s), only when an order asks for it
-            rows[k == 0] = log_gammaincc(a, lam * s)
+        if a == 1.0:  # the point mass at lam
+            return _column(k, s.ndim) * log(lam) - lam * s
+        if k.dtype.kind == "i" and k[0] >= 0:
+            # c = lam^alpha / (Gamma(1-alpha) Gamma(alpha)) and c I_0 = lam^alpha s^(alpha-1) /
+            # Gamma(alpha), from which the orders climb with q_1 = lam + (1-alpha)/s
+            top = int(k.max())
+            if not top:
+                rows = np.empty((k.size,) + s.shape)
+            else:
+                step = 1.0 / s
+                rows = self._climb(0, (1.0 - a) * step, step, k)
+                rows += a * log(lam) - lgamma(a) - lam * s + (a - 1.0) * np.log(s)
+            if k.min() == 0:  # log Q(alpha, lam s), only when an order asks for it
+                rows[k == 0] = log_gammaincc(a, lam * s)
+            return rows
+        # every other order: e^{-lam s} lam^m / B(alpha, 1-alpha) I(1-alpha, 1-alpha+m, lam s)
+        # in one Kummer integral, at m = k up to order 1 and past it at m = k + 1 - ceil(k)
+        # in (0, 1], from which the order climbs to k
+        climb = np.maximum(np.ceil(k) - 1.0, 0.0)
+        start = k - climb
+        m = _column(start, s.ndim)
+        log_i = log_kummer_u_integral(1.0 - a, 1.0 - a + m, lam * s)
+        rows = m * log(lam) - lam * s + log_i - lgamma(a) - lgamma(1.0 - a)
+        for m0 in set(start[climb > 0].tolist()):
+            pick = start == m0
+            # the first excess q_m0 - lam is a ratio of two Kummer integrals: lam times
+            # int_0^inf (1+t)^(m0-1) t^(1-alpha) e^{-lam s t} dt over the one above
+            d = lam * np.exp(log_kummer_u_integral(2.0 - a, 2.0 - a + m0, lam * s)
+                             - log_i[pick][0])
+            rows[pick] += self._climb(m0 - 1.0, d, 1.0 / s, climb[pick].astype(int) + 1)
         return rows
 
-    def _log_real_row(self, k: float, s):
-        """The row of one real order k.  Up to k = 1 it is the Kummer integral of
-        the negative orders; past it, the order m = k + 1 - ceil(k) in (0, 1]
-        is, and the ratios q_j = I_j / I_{j-1} of the integer orders climb from
-        m to k.  The first excess d_m = q_m - lam is a ratio of two Kummer
-        integrals, lam int_0^inf (1+t)^(m-1) t^(1-alpha) e^{-lam s t} dt over
-        I(1-alpha, 1-alpha+m, lam s), so nothing cancels; the recurrence on
-        from it adds positive terms."""
+    def _climb(self, start, d, step, index):
+        """The partial sums, at the indices `index`, of log q_{start+j}, j >= 1 (the
+        sum at index i runs over j < i), where q_m = I_m / I_{m-1} = lam + d_m.
+        The excess d_m, first d_{start+1} = d, obeys d_{m+1} = ((1-alpha) +
+        m d_m / q_m) / s, a sum of positive terms: q_{m+1} = lam + (m+1-alpha)/s
+        - (m lam/s) / q_m itself would lose up to m/(1-alpha) ulps."""
         a, lam = self.alpha, self.lam
-        if a == 1.0:
-            return k * log(lam) - lam * s
-        climb = max(math.ceil(k) - 1, 0)
-        m = k - climb
-        log_i = log_kummer_u_integral(1.0 - a, 1.0 - a + m, lam * s)
-        row = m * log(lam) - lam * s + log_i - lgamma(a) - lgamma(1.0 - a)
-        if climb:
-            step = 1.0 / s
-            d = lam * np.exp(log_kummer_u_integral(2.0 - a, 2.0 - a + m, lam * s) - log_i)
-            for j in range(climb):
-                if j:
-                    # d_{m+j} = ((1-alpha) + (m+j-1) d_{m+j-1} / q_{m+j-1}) / s
-                    d = ((1.0 - a) + (m + j - 1.0) * d / q) * step
-                q = lam + d
-                row += np.log(q)
-        return row
+        ratios = np.ones((int(index.max()),) + step.shape)
+        for j in range(1, len(ratios)):
+            if j > 1:
+                # in place: d = ((1-a) + (start+j-1) d / q_{start+j-1}) / s
+                np.divide(d, ratios[j - 1], out=d)
+                d *= start + j - 1
+                d += 1.0 - a
+                d *= step
+            np.add(d, lam, out=ratios[j])
+        return _partial_sums(np.log(ratios, out=ratios), index)
 
     def _sum_terms(self, n):
         """The density of S_n is sum_k c_k lam^a_k x^(a_k-1) e^{-lam x}, k = 0..n-1:
@@ -992,7 +956,6 @@ class BetaSecondKindMixing(MixingDistribution):
     gam: float
 
     kind = "beta2"
-    real_orders = True
 
     def __post_init__(self):
         _require_positive(beta=self.beta, gam=self.gam)

@@ -462,6 +462,41 @@ class TestSimulateCommand:
         _, out2, _ = run(capsys, argv + ["--threads", "4"])
         assert out1 == out2
 
+    @pytest.mark.parametrize("n,samples", [("10000000", "2"), ("33", "2"), ("5", "2000001")])
+    def test_table_past_the_bound_exits_2(self, capsys, n, samples):
+        # refused before the model is built or a claim drawn
+        start = time.perf_counter()
+        code, out, err = run_strict(capsys, ["simulate", "--model", "pareto", "--alpha", "3",
+                                             "--beta", "1", "--n", n, "--samples", samples])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"at most {cli._MAX_SIM_WIDTH} columns" in err
+
+    def test_widest_table_is_written(self, capsys):
+        code, out, _ = run_strict(capsys, ["simulate", "--model", "pareto", "--alpha", "3",
+                                           "--beta", "1", "--n", str(cli._MAX_SIM_WIDTH),
+                                           "--samples", "2"])
+        assert code == 0
+        assert out.split("\n")[0].split(",")[-1] == f"x{cli._MAX_SIM_WIDTH}"
+
+
+class TestCountFlags:
+    PARETO = ["--model", "pareto", "--alpha", "3", "--beta", "1", "--n", "2"]
+    ASYMPTOTIC = ["asymptotic", "--mixing", "gamma", "--alpha", "2", "--lambda", "1",
+                  "--beta", "1", "--grid", "100:1000:5"]
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("simulate", "samples", "0"), ("simulate", "streams", "0"), ("simulate", "threads", "0"),
+        ("simulate", "threads", "-2"), ("verify", "samples", "0"), ("verify", "streams", "0"),
+        ("verify", "threads", "0"), ("asymptotic", "m", "0"),
+    ])
+    def test_counts_below_one_exit_2(self, capsys, command, flag, value):
+        # an explicit 0 is refused, not replaced by the default
+        argv = self.ASYMPTOTIC if command == "asymptotic" else [command, *self.PARETO]
+        code, out, err = run_strict(capsys, [*argv, f"--{flag}", value])
+        assert code == 2 and out == ""
+        assert f"{flag} must be >= 1" in err
+
 
 class TestConfigFile:
     def test_file_supplies_values(self, tmp_path, capsys):

@@ -821,6 +821,22 @@ class TestMemoryBudget:
         with pytest.raises(DerivativeCapError):
             m.log_abs_laplace_derivative(2048, np.array([1.0]))
 
+    @pytest.mark.parametrize("m", [LevyMixing(1.2), GleserGammaMixing(0.55, 1.3)], ids=repr)
+    def test_real_order_stays_within_budget(self, m):
+        # order 300.5 on 600 points: 3 blocks of 217 points, each one recurrence
+        # from special.kve (Levy) or one Kummer start and its climb (Gleser)
+        s = np.geomspace(1e-2, 1e4, 600)
+        order = np.array([300.5])
+        one = m.log_abs_laplace_derivative(order, s[-1:])
+        tracemalloc.start()
+        try:
+            rows = m.log_abs_laplace_derivative(order, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 4 * 8 * _KERNEL_CELLS
+        assert log_error(rows[:, -1], one[:, 0]).max() <= 1e-14
+
     def test_real_order_runs_in_whole_blocks(self):
         # order 2.5 on 30000 points: blocks of 65536 // 3 = 21845 points
         m = GammaMixing(3.0, 1.0)
@@ -829,6 +845,10 @@ class TestMemoryBudget:
         want = special.gammaln(5.5) - special.gammaln(3.0) - 5.5 * np.log1p(s)
         assert rows.shape == (1, 30000)
         assert log_error(rows[0], want).max() <= 1e-14
+
+
+# the laws whose real orders share the recurrence of their integer ones
+FOLDED_LAWS = [LevyMixing(1.3), InverseGaussianMixing(2.0, 0.7), GleserGammaMixing(0.55, 1.3)]
 
 
 class TestRealOrders:
@@ -887,6 +907,38 @@ class TestRealOrders:
         # alpha = 1, the point mass at lam: k log lam - lam s
         m = GleserGammaMixing(1.0, 1.7)
         assert np.array_equal(m.log_abs_laplace_derivative(2.7, s), 2.7 * math.log(1.7) - 1.7 * s)
+
+
+    @pytest.mark.parametrize("law", FOLDED_LAWS, ids=repr)
+    def test_real_order_array_is_the_row_calls(self, law):
+        # four fractional parts in one call: one recurrence (Levy, IG) or one
+        # Kummer start (Gleser) per part
+        s = np.geomspace(1e-3, 1e3, 9)
+        k = np.array([0.3, 1.5, 2.7, 20.25])
+        rows = law.log_abs_laplace_derivative(k, s)
+        assert rows.shape == (k.size, s.size)
+        for row, order in zip(rows, k.tolist()):
+            assert log_error(row, law.log_abs_laplace_derivative(order, s)).max() <= 1e-14, order
+
+    @pytest.mark.parametrize("law", FOLDED_LAWS, ids=repr)
+    def test_real_orders_meet_the_integer_starts(self, law):
+        # j -+ 1e-9 start from special.kve or a Kummer integral, the integer j from 1
+        # or the closed form c I_0 (log Q at j = 0); the first-order terms cancel in
+        # the mean of the two sides
+        s = np.geomspace(1e-3, 1e3, 13)
+        for j in (-2, 0, 1, 3):
+            want = law.log_abs_laplace_derivative(j, s)
+            below, above = (law.log_abs_laplace_derivative(j + e, s) for e in (-1e-9, 1e-9))
+            assert max(log_error(below, want).max(), log_error(above, want).max()) <= 1e-8, j
+            assert log_error((below + above) / 2, want).max() <= 1e-13, j
+
+    def test_gleser_point_mass_at_every_order(self):
+        # alpha = 1: k log lam - lam s, one line for integer, negative and real orders
+        m = GleserGammaMixing(1.0, 1.7)
+        s = np.geomspace(1e-8, 1e100, 9)
+        for k in (np.arange(6), -np.arange(1, 4), np.array([0.3, 2.7, 20.25]), np.array([-0.4])):
+            want = k.astype(float)[:, None] * math.log(1.7) - 1.7 * s
+            assert np.array_equal(m.log_abs_laplace_derivative(k, s), want), k
 
 
 class TestSamplers:
