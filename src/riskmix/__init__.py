@@ -17,7 +17,6 @@ from .aggregate import (
     moment_from_mixture,
     pareto_model,
     pdf,
-    pdf_closed,
     pdf_generic,
     sibuya_model,
     survival,

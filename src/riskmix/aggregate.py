@@ -6,31 +6,29 @@ the paper's basic model.  Given Theta, S is Gamma(a, Theta), a = sum a_i, so
 the basic model's formulas hold with n replaced by a.  This module validates
 arguments and handles the boundary x <= 0.  The density has two entry points:
 
+* pdf: the law's printed sum density (MixingDistribution.sum_pdf, listed
+  in mixing.py; the derivative route for a law without one), its limit at
+  x = 0 and 0 below it, and
+
 * pdf_generic: the derivative route
       f(x) = x^{a-1}/Gamma(a) * (-1)^a L^(a)(x)
-  valid for every frailty law in the catalog, and
-
-* pdf_closed: the law's printed sum density (second-kind beta for Pareto
-  claims, signed gamma mixture for gamma claims, factorial sum for
-  Weibull-1/2, rational form for Lindley).  Laws without a printed form
-  (inverse Gaussian, positive stable, second-kind beta) take the derivative
-  route, so for them the two entry points are one computation.
+  on x > 0, valid for every frailty law in the catalog.
 
 A fractional a takes the derivative route at the real order a (mixing.py):
-pdf at x > 0, pdf_generic, pdf_closed and moment accept it; what sums the
-integer orders below a (survival, cdf, the density at 0, the mixture
+pdf at x > 0, pdf_generic and moment accept it; what sums the integer
+orders below a (survival, cdf, the density at 0, the mixture
 representation, the risk measures) raises UnsupportedModelError through one
 check, _integral_shape.
 
 The survival sums the law's log-space derivative kernel
 (MixingDistribution.log_abs_laplace_derivative) over the orders 0..a-1,
-which it gets from one kernel call as an (a, len x) array (per block of the
-kernel's memory budget on long inputs), in one log-space reduction along
-the orders, so it is finite for every x and every a; the tail moments reuse
-its terms, and the VaR iteration asks the same call for order a too, whose
-row is the density.  Cdf, moments (in log space, PrecisionError where one
-overflows a double) and the finite mixture representation (with the
-moments of a mixture) are built on the same law methods.
+which it gets from one kernel call as an (a, len x) array, in one log-space
+reduction along the orders, so it is finite for every x and every a; the
+tail moments reuse its terms, and the VaR iteration asks the same call for
+order a too, whose row is the density.  Cdf, moments (in log space,
+PrecisionError where one overflows a double) and the finite mixture
+representation (with the moments of a mixture) are built on the same law
+methods.
 """
 
 from dataclasses import dataclass, field
@@ -69,7 +67,6 @@ __all__ = [
     "sibuya_model",
     "pdf",
     "pdf_generic",
-    "pdf_closed",
     "survival",
     "cdf",
     "moment",
@@ -157,14 +154,6 @@ def _integral_shape(model: AggregateModel) -> int:
     return a
 
 
-def _sum_pdf(model: AggregateModel, x):
-    """The law's printed sum density on x > 0; the derivative route at a fractional a."""
-    a = model.total_shape
-    if isinstance(a, int):
-        return model.mixing.sum_pdf(a, x)
-    return model.mixing.sum_pdf_derivative(a, x)
-
-
 def pdf_generic(model: AggregateModel, x):
     """Theorem route: f(x) = x^{a-1}/Gamma(a) * (-1)^a L^(a)(x), x > 0."""
     scalar_in = np.isscalar(x)
@@ -174,31 +163,35 @@ def pdf_generic(model: AggregateModel, x):
     return _ret(model.mixing.sum_pdf_derivative(model.total_shape, x_arr), scalar_in)
 
 
-def pdf_closed(model: AggregateModel, x):
-    """The law's printed sum density, or the derivative route for a law without
-    one; matches pdf_generic to ~1e-9 relative."""
-    scalar_in = np.isscalar(x)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise ValueError("pdf_closed requires x > 0; use pdf() for boundary points")
-    return _ret(_sum_pdf(model, x_arr), scalar_in)
-
-
 def pdf(model: AggregateModel, x):
-    """Density of S; printed form where the law has one, derivative route otherwise.
+    """Density of S; the law's printed sum density where it has one (at an
+    integral total shape), the derivative route otherwise.
 
     x = 0 returns the mathematical limit (inf signals an unbounded density;
     UnsupportedModelError at a fractional total shape), x < 0 returns 0.
     """
+    law, a = model.mixing, model.total_shape
+    sum_pdf = law.sum_pdf if isinstance(a, int) else law.sum_pdf_derivative
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     out = np.zeros_like(x_arr, dtype=float)
     pos = x_arr > 0
     if np.any(pos):
-        out[pos] = _sum_pdf(model, x_arr[pos])
+        out[pos] = _by_blocks(a, x_arr[pos], lambda xs: sum_pdf(a, xs))
     if np.any(x_arr == 0):
-        out[x_arr == 0] = model.mixing.sum_pdf_at_zero(_integral_shape(model))
+        out[x_arr == 0] = law.sum_pdf_at_zero(_integral_shape(model))
     return _ret(out, scalar_in)
+
+
+def _by_blocks(a, xs, fn):
+    """fn over a 1-D array xs in blocks of _KERNEL_CELLS // a points (one block
+    unless a times the number of points exceeds it), so a sum of a terms per
+    point holds at most _KERNEL_CELLS of them at once."""
+    out = np.empty_like(xs)
+    block = max(1, int(_KERNEL_CELLS // a))
+    for i in range(0, xs.size, block):
+        out[i:i + block] = fn(xs[i:i + block])
+    return out
 
 
 def survival(model: AggregateModel, x):
@@ -219,12 +212,8 @@ def survival(model: AggregateModel, x):
     out = np.ones_like(x_arr, dtype=float)
     pos = x_arr > 0
     if np.any(pos):
-        xs = x_arr[pos]
-        vals = np.empty_like(xs)
-        block = max(1, _KERNEL_CELLS // a)
-        for i in range(0, xs.size, block):
-            vals[i:i + block] = np.exp(_log_sum_exp(_log_survival_terms(model, xs[i:i + block])))
-        out[pos] = vals
+        out[pos] = _by_blocks(a, x_arr[pos],
+                              lambda xs: np.exp(_log_sum_exp(_log_survival_terms(model, xs))))
     return _ret(out, scalar_in)
 
 

@@ -67,9 +67,13 @@ Each law also supplies its log density on its support (_log_pdf) and its
 generator on an array (_generator); the base class's pdf and generator
 handle scalars, arrays and the points off the support once for every law.
 
-The Levy and stable mixture representations are one generalized gamma
-mixture (_generalized_gamma_mixture) over a row of Bell coefficients (the
-closed form _sqrt_bell for Levy).
+Each printed sum density (sum_pdf) is written once, as the law's mixture
+representation (sum_mixture) summed: gamma (Pareto claims) one B2(n, alpha)
+of scale beta; Lindley, whose Theta is Ga(1, lam) with weight lam/(1+lam)
+and Ga(2, lam) otherwise, B2(n, 1) and B2(n, 2) of scale lam; Levy the
+square-gamma components over the closed Bell row _sqrt_bell, in log space;
+Gleser the signed gamma sum of _sum_terms.  The stable mixture is the one
+generalized gamma mixture (_generalized_gamma_mixture) over its Bell row.
 
 Finite mixture representations are built from two component laws:
 GammaPowerComponent, X = (G/rate)^(1/power) with G ~ Gamma(shape, 1), which
@@ -94,7 +98,6 @@ from .errors import (
     TailUnderflowError,
     UnsupportedModelError,
 )
-from .ruin import lindley_sum_pdf
 from .specfun import exp_scaled_expn, log_gammaincc, log_kummer_u_integral
 
 integrate = lazy_import("scipy.integrate")
@@ -385,7 +388,6 @@ class MixingDistribution:
     """Base interface for frailty laws; instances are immutable."""
 
     kind = "abstract"
-    has_density = True
     support = (0.0, inf)
 
     def log_abs_laplace_derivative(self, k, s):
@@ -427,10 +429,8 @@ class MixingDistribution:
         """E(Theta^k e^{-s Theta}) by adaptive quadrature of the density, split at
         one past the lower end of its support: the kernel's independent oracle.
         It misses the integrand's peak at large s (past s of a few hundred for
-        Levy, a few tens for Gleser), so it checks the kernel at moderate s only."""
-        if not self.has_density:
-            raise UnsupportedModelError(
-                f"{self.kind} mixing has no usable density; use the Monte Carlo oracle")
+        Levy, a few tens for Gleser), so it checks the kernel at moderate s only.
+        UnsupportedModelError from pdf for a law without a density."""
         lo, _ = self.support
 
         def f(th):
@@ -595,15 +595,11 @@ class LevyMixing(MixingDistribution):
         return log(lam / 2) - 0.5 * (log(math.pi) + 3 * np.log(th)) - lam ** 2 / (4 * th)
 
     def sum_pdf(self, n, x):
-        # printed factorial sum, typed independently of the Bell coefficients
-        lam = self.lam
-        log_x = np.log(x)
-        base = log(lam) - (2 * n - 1) * log(2.0) - lgamma(n)
-        terms = [base + lgamma(2 * n - 1 - k) - lgamma(n - k) - lgamma(k + 1)
-                 + k * (log(2.0) + log(lam)) + 0.5 * (k - 1.0) * log_x
-                 - lam * np.sqrt(x)
-                 for k in range(n)]
-        return np.exp(_log_sum_exp(terms))
+        # the weighted square-gamma components of sum_mixture in one log-space sum:
+        # x^-1 e^{-lam sqrt(x)} / Gamma(n) sum_k |B_{n,k}| (lam sqrt(x))^k
+        k, log_bell = _sqrt_bell(n, np.ndim(x))
+        return np.exp(_log_sum_exp(log_bell + k * log(self.lam) + (0.5 * k - 1.0) * np.log(x))
+                      - lgamma(n) - self.lam * np.sqrt(x))
 
     def sum_pdf_at_zero(self, n):
         return inf
@@ -628,7 +624,6 @@ class PositiveStableMixing(MixingDistribution):
     alpha: float
 
     kind = "stable"
-    has_density = False
 
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
@@ -787,10 +782,18 @@ class LindleyMixing(MixingDistribution):
         return y - lam
 
     def sum_pdf(self, n, x):
-        return lindley_sum_pdf(self.lam, n, x)
+        return self.sum_mixture(n).pdf(x)
 
     def sum_pdf_at_zero(self, n):
-        return lindley_sum_pdf(self.lam, n, 0.0)
+        # the n = 1 density at 0 is E(Theta) = lam/(1+lam) * 1/lam + 1/(1+lam) * 2/lam
+        return (1.0 + 2.0 / self.lam) / (1.0 + self.lam) if n == 1 else 0.0
+
+    def sum_mixture(self, n):
+        # Theta is Ga(1, lam) with weight lam/(1+lam) and Ga(2, lam) otherwise, and a
+        # gamma frailty Ga(a, lam) makes S_n second-kind beta B2(n, a) of scale lam
+        lam = self.lam
+        return MixtureRepresentation((Beta2Component(float(n), 1.0, lam, lam / (1.0 + lam)),
+                                      Beta2Component(float(n), 2.0, lam, 1.0 / (1.0 + lam))))
 
     def kendall_tau(self):
         # 1 - 4 int s L'(s)^2 ds = 1 - 4 (u^2/6 + u v/3 + v^2/5), u = lam/(1+lam),

@@ -1,7 +1,10 @@
-"""Lindley-frailty results: the closed sum density, the explicit ruin
+"""Lindley-frailty results: the printed sum density, the explicit ruin
 probability for the compound Poisson surplus, and the compound (collective
 risk) total-claim densities with Poisson, negative binomial / geometric and
 logarithmic counting laws; each counting law holds its own closed density.
+lindley_sum_pdf, the source's rational form, is a reference for
+compound_pdf_series and the tests; aggregate.pdf takes LindleyMixing's own
+sum density, so mixing does not import this module.
 """
 
 import math

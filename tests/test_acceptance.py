@@ -24,7 +24,6 @@ from riskmix.aggregate import (
     moment_from_mixture,
     pareto_model,
     pdf,
-    pdf_closed,
     pdf_generic,
     sibuya_model,
     survival,
@@ -89,7 +88,7 @@ def test_criterion_1_closed_vs_generic():
     for name, make in FIVE_MODELS.items():
         for n in (2, 3, 6):
             m = make(n)
-            a = pdf_closed(m, xs)
+            a = pdf(m, xs)
             b = pdf_generic(m, xs)
             worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
     elapsed = time.monotonic() - t0
@@ -185,14 +184,14 @@ def test_criterion_5_mixture_representations():
     cases = [gamma_claims_model(0.5, 1.0, 2), gamma_claims_model(0.3, 1.5, 3),
              weibull_half_model(1.0, 2), weibull_half_model(2.0, 3),
              weibull_model(0.5, 2), weibull_model(0.5, 3),
-             pareto_model(3.0, 1.0, 2)]
+             pareto_model(3.0, 1.0, 2), lindley_model(1.0, 2), lindley_model(0.01, 5)]
     xs = np.logspace(-1.5, 1.0, 30)
     for m in cases:
         rep = mixture_representation(m)
         worst_wsum = max(worst_wsum, abs(sum(c.weight for c in rep.components) - 1.0))
-        scale = np.max(np.abs(pdf_closed(m, xs)))
+        scale = np.max(np.abs(pdf(m, xs)))
         worst_rec = max(worst_rec, float(
-            np.max(np.abs(rep.pdf(xs) - pdf_closed(m, xs))) / scale))
+            np.max(np.abs(rep.pdf(xs) - pdf(m, xs))) / scale))
     alpha = 0.5
     w2 = [c.weight for c in mixture_representation(weibull_model(alpha, 2)).components]
     w3 = [c.weight for c in mixture_representation(weibull_model(alpha, 3)).components]
@@ -325,8 +324,8 @@ def test_criterion_9_gamma_extension():
     basic = pareto_model(3.0, 1.0, 3)
     for x in np.logspace(-1, 1, 9):
         red_err = max(red_err, abs(pdf_generic(gm, float(x))
-                                   - pdf_closed(basic, float(x)))
-                      / pdf_closed(basic, float(x)))
+                                   - pdf(basic, float(x)))
+                      / pdf(basic, float(x)))
     ok = norm_err <= 1e-7 and mom_err <= 1e-5 and mc_ok and red_err <= 1e-8
     report(9, ok, f"sum-pdf norm err {norm_err:.2e} (tol 1e-7), moment vs quad "
            f"{mom_err:.2e} (tol 1e-5), MC within 4 s.e.: {mc_ok}, "

@@ -19,7 +19,6 @@ from riskmix.aggregate import (
     moment_from_mixture,
     pareto_model,
     pdf,
-    pdf_closed,
     pdf_generic,
     survival,
     variance,
@@ -28,6 +27,7 @@ from riskmix.aggregate import (
 )
 from riskmix.errors import NonexistentMomentError, RiskmixError, UnsupportedModelError
 from riskmix.mixing import BetaSecondKindMixing
+from riskmix.ruin import lindley_sum_pdf
 from riskmix.simulate import SimulationPlan, quadrature_mixture_pdf, sample_sums
 
 FIVE_MODELS = {
@@ -98,7 +98,7 @@ class TestPinnedDensities:
     def test_gamma_claims(self):
         m = gamma_claims_model(0.5, 1.0, 2)
         want = math.exp(-1.0) * 1.5 / math.sqrt(math.pi)
-        assert pdf_closed(m, 1.0) == pytest.approx(want, rel=1e-12)
+        assert pdf(m, 1.0) == pytest.approx(want, rel=1e-12)
 
     def test_weibull_half_marginal(self):
         m = weibull_half_model(1.0, 1)
@@ -115,17 +115,17 @@ class TestPinnedDensities:
         b = lam / mu * a
         f2 = (mu ** 3 * x * math.exp(-b) / (lam * (a + 1) ** 3)
               + mu ** 2 * x * math.exp(-b) / (a + 1) ** 2)
-        assert pdf_closed(inverse_gaussian_model(lam, mu, 2), x) == pytest.approx(f2, rel=1e-12)
+        assert pdf(inverse_gaussian_model(lam, mu, 2), x) == pytest.approx(f2, rel=1e-12)
         f3 = (3 * mu ** 5 * x ** 2 * math.exp(-b) / (2 * lam ** 2 * (a + 1) ** 5)
               + 3 * mu ** 4 * x ** 2 * math.exp(-b) / (2 * lam * (a + 1) ** 4)
               + mu ** 3 * x ** 2 * math.exp(-b) / (2 * (a + 1) ** 3))
-        assert pdf_closed(inverse_gaussian_model(lam, mu, 3), x) == pytest.approx(f3, rel=1e-12)
+        assert pdf(inverse_gaussian_model(lam, mu, 3), x) == pytest.approx(f3, rel=1e-12)
         # last term carries the 1/Gamma(4) factor like the first three
         f4 = (15 * mu ** 7 * x ** 3 * math.exp(-b) / (6 * lam ** 3 * (a + 1) ** 7)
               + 15 * mu ** 6 * x ** 3 * math.exp(-b) / (6 * lam ** 2 * (a + 1) ** 6)
               + 6 * mu ** 5 * x ** 3 * math.exp(-b) / (6 * lam * (a + 1) ** 5)
               + mu ** 4 * x ** 3 * math.exp(-b) / (6 * (a + 1) ** 4))
-        assert pdf_closed(inverse_gaussian_model(lam, mu, 4), x) == pytest.approx(f4, rel=1e-12)
+        assert pdf(inverse_gaussian_model(lam, mu, 4), x) == pytest.approx(f4, rel=1e-12)
 
     def test_lindley(self):
         m = lindley_model(1.0, 2)
@@ -138,7 +138,7 @@ class TestClosedEqualsGeneric:
         for n in (1, 2, 4, 5):
             m = FIVE_MODELS[name](n)
             xs = np.logspace(-2, 1.2, 25)
-            a = pdf_closed(m, xs)
+            a = pdf(m, xs)
             b = pdf_generic(m, xs)
             assert np.max(np.abs(a - b) / np.abs(b)) < 1e-9
 
@@ -316,7 +316,7 @@ class TestMixtureRepresentation:
             rep = mixture_representation(m)
             xs = np.logspace(-1.5, 1.0, 20)
             got = rep.pdf(xs)
-            want = pdf_closed(m, xs)
+            want = pdf(m, xs)
             assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
     def test_gamma_claims_sign_pattern_record(self):
@@ -330,8 +330,41 @@ class TestMixtureRepresentation:
     def test_unsupported_kinds(self):
         with pytest.raises(UnsupportedModelError):
             mixture_representation(inverse_gaussian_model(1.0, 1.0, 2))
-        with pytest.raises(UnsupportedModelError):
-            mixture_representation(lindley_model(1.0, 2))
+
+
+class TestLindleyMixture:
+    """Theta ~ Lindley(lam) is Ga(1, lam) with weight lam/(1+lam) and Ga(2, lam)
+    otherwise, so S_n is the two-part mixture of B2(n, 1) and B2(n, 2) of
+    scale lam, the density pdf takes."""
+
+    def test_components(self):
+        rep = mixture_representation(lindley_model(3.0, 4))
+        assert rep.components == (Beta2Component(4.0, 1.0, 3.0, 0.75),
+                                   Beta2Component(4.0, 2.0, 3.0, 0.25))
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0, 10.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
+    def test_against_the_printed_form_and_mpmath(self, lam, n):
+        # n lam^2 x^(n-1) (x + lam + n + 1) / ((1+lam) (x + lam)^(n+2)) at 40 digits
+        x = np.r_[np.geomspace(1e-6, 1e6, 25), 7.6e5]
+        got = pdf(lindley_model(lam, n), x)
+        with mp.workdps(40):
+            lm = mp.mpf(lam)
+            want = np.array([float(n * lm ** 2 * xi ** (n - 1) * (xi + lm + n + 1)
+                                   / ((1 + lm) * (xi + lm) ** (n + 2)))
+                             for xi in map(mp.mpf, x.tolist())])
+        assert got == pytest.approx(want, rel=2e-12, abs=1e-300)
+        assert got == pytest.approx(lindley_sum_pdf(lam, n, x), rel=2e-12, abs=1e-300)
+        assert pdf(lindley_model(lam, n), 0.0) == pytest.approx(
+            lindley_sum_pdf(lam, n, 0.0), rel=1e-14)
+
+    def test_moments_do_not_exist(self):
+        # the B2(n, 1) component has no mean, and neither has S_n
+        m = lindley_model(1.0, 2)
+        with pytest.raises(NonexistentMomentError):
+            moment(m, 1)
+        with pytest.raises(NonexistentMomentError):
+            moment_from_mixture(mixture_representation(m), 1)
 
 
 class TestMomentFromMixture:
@@ -439,8 +472,6 @@ class TestBoundaryBehavior:
     def test_explicit_x_positive_contract(self):
         with pytest.raises(ValueError):
             pdf_generic(pareto_model(3.0, 1.0, 2), 0.0)
-        with pytest.raises(ValueError):
-            pdf_closed(pareto_model(3.0, 1.0, 2), -2.0)
 
     def test_high_order_derivative_path(self):
         # n up to the mid range stays finite and positive on the generic path
@@ -514,3 +545,19 @@ class TestMemoryBudget:
         assert np.all(np.isfinite(got)) and np.all(got > 0)
         assert peak < 64 << 20
 
+    @pytest.mark.parametrize("name", ["weibull_half", "gamma_claims"])
+    def test_printed_sum_density_at_n_100000(self, name):
+        # a printed sum of n terms per point runs one point per block at n = 10^5,
+        # where 20 points at once held 35-60 MB
+        m = PRINTED_LAWS[name](100_000)
+        x = np.geomspace(5e3, 5e4, 20)
+        tracemalloc.start()
+        try:
+            got = pdf(m, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        # each block is its own point
+        assert [got[i] for i in (0, 7, 19)] == [pdf(m, x[i]) for i in (0, 7, 19)]

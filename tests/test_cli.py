@@ -559,6 +559,15 @@ class TestVerifyCommand:
         assert "quadrature_vs_pdf" not in out
         assert "monte_carlo_ks" in out
 
+    def test_gleser_point_mass_skips_quadrature_check(self, capsys):
+        # gamma claims at alpha = 1 are exponential: the frailty is the point mass
+        # at lam, with no density to integrate
+        code, out, _ = run(capsys, ["verify", "--model", "gamma", "--alpha", "1",
+                                    "--lambda", "2", "--n", "3"])
+        assert code == 0
+        assert "quadrature_vs_pdf" not in out
+        assert "FAIL" not in out
+
     def test_json_output_serializes(self, capsys):
         code, out, _ = run(capsys, ["verify", "--model", "pareto", "--alpha", "3",
                                     "--beta", "1", "--n", "2", "--samples", "5000",

@@ -7,6 +7,7 @@ scipy.integrate.IntegrationWarning, so pytest has imported scipy.integrate
 before any test starts.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -55,3 +56,24 @@ def test_import_executes_no_stats_and_defers_quadrature():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def _riskmix_imports(path):
+    """The riskmix modules that a source file imports, by their names in the package."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import is within riskmix
+            module = ".".join((["riskmix"] if node.level else []) + [node.module or ""]).strip(".")
+            names += ([f"{module}.{a.name}" for a in node.names] if module == "riskmix"
+                      else [module])
+    return {name.split(".")[1] for name in names if name.startswith("riskmix.")}
+
+
+def test_mixing_imports_only_the_kernel_layer():
+    # the frailty catalog sits under every other layer: it must not import
+    # ruin (collective risk), aggregate or anything else built on it
+    path = Path(__file__).resolve().parents[1] / "src" / "riskmix" / "mixing.py"
+    assert _riskmix_imports(path) <= {"specfun", "errors", "_lazy"}

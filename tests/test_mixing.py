@@ -985,9 +985,10 @@ class TestValidation:
 
     def test_stable_has_no_density(self):
         m = PositiveStableMixing(0.5)
-        assert not m.has_density
         with pytest.raises(UnsupportedModelError):
             m.pdf(1.0)
+        with pytest.raises(UnsupportedModelError):
+            m.quadrature_transform(2, 1.0)
 
     def test_frozen(self):
         m = GammaMixing(3.0, 1.0)
