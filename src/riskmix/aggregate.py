@@ -6,9 +6,9 @@ the paper's basic model.  Given Theta, S is Gamma(a, Theta), a = sum a_i, so
 the basic model's formulas hold with n replaced by a.  This module validates
 arguments and handles the boundary x <= 0.  The density has two entry points:
 
-* pdf: the law's printed sum density (MixingDistribution.sum_pdf, listed
-  in mixing.py; the derivative route for a law without one), its limit at
-  x = 0 and 0 below it, and
+* pdf: the law's printed sum density or its mixture row
+  (MixingDistribution.sum_pdf, listed in mixing.py; the derivative route for
+  a law with neither), its limit at x = 0 and 0 below it, and
 
 * pdf_generic: the derivative route
       f(x) = x^{a-1}/Gamma(a) * (-1)^a L^(a)(x)
@@ -20,19 +20,21 @@ orders below a (survival, cdf, the density at 0, the mixture
 representation, the risk measures) raises UnsupportedModelError through one
 check, _integral_shape.
 
-The survival sums the law's log-space derivative kernel
-(MixingDistribution.log_abs_laplace_derivative) over the orders 0..a-1,
-which it gets from one kernel call as an (a, len x) array, in one log-space
-reduction along the orders, so it is finite for every x and every a; the
-tail moments reuse its terms, and the VaR iteration asks the same call for
-order a too, whose row is the density.  Cdf, moments (in log space,
+The survival is one log-space reduction of a positive terms per point, so
+it is finite for every x and every a.  It asks the law for its mixture row
+(MixingDistribution.sum_row: the stable, Levy and Gleser laws), whose
+survival terms and density need no kernel call; for every other law it sums
+the log-space derivative kernel (MixingDistribution.log_abs_laplace_derivative)
+over the orders 0..a-1, one kernel call as an (a, len x) array, and the VaR
+iteration asks the same call for order a too, whose row is the density.  The
+tail moments reuse the survival terms.  Cdf, moments (in log space,
 PrecisionError where one overflows a double) and the finite mixture
 representation (with the moments of a mixture) are built on the same law
 methods.
 """
 
 from dataclasses import dataclass, field
-from math import fsum, isfinite, lgamma
+from math import fsum, isfinite, lgamma, log
 
 import numpy as np
 from scipy import special
@@ -196,15 +198,15 @@ def _by_blocks(a, xs, fn):
 
 def survival(model: AggregateModel, x):
     """Pr(S > x) = sum_{k=0}^{a-1} x^k/k! * (-1)^k L^(k)(x), a the integral
-    total shape.
+    total shape, or the same sum gathered by the law's mixture row.
 
     The sum starts at k = 0 (the k = 0 term is L itself), which is what the
     gamma-cdf identity requires and what makes survival(0) = 1 exact.  Every
-    term is nonnegative, so the sum is one log-space reduction of
-    k log x - log k! + log|L^(k)(x)|: no term is formed in linear space, and
-    no x is too large for it.  The terms of all orders come from one kernel
-    call per block of at most _KERNEL_CELLS terms (one call unless n times
-    the number of points exceeds it), which bounds the temporaries.
+    term is nonnegative, so the sum is one log-space reduction of the a terms
+    of _log_survival_terms: no term is formed in linear space, and no x is
+    too large for it.  The terms come in blocks of at most _KERNEL_CELLS
+    (one block unless a times the number of points exceeds it), which bounds
+    the temporaries.
     """
     a = _integral_shape(model)
     scalar_in = np.isscalar(x)
@@ -217,20 +219,27 @@ def survival(model: AggregateModel, x):
     return _ret(out, scalar_in)
 
 
-def _log_survival_terms(model: AggregateModel, xs, count=None):
-    """The log-space terms k log x - log k! + log|L^(k)(x)| = log E(Pr(N = k)),
-    N ~ Poisson(Theta x), for k = 0..count-1 on an array xs > 0, as one
-    (count, *xs.shape) array from one kernel call.  The default count = a,
-    the integral total shape, gives the terms of the survival sum; with
-    count = a + 1 the last row is log(x f(x) / a)."""
+def _log_survival_terms(model: AggregateModel, xs, density=False):
+    """The (a, *xs.shape) log-space terms of the survival sum on an array
+    xs > 0, a the integral total shape; with density=True the pair (terms,
+    log(x f(x))).
+
+    A law with a mixture row (MixingDistribution.sum_row) gives both from it.
+    Otherwise the terms are k log x - log k! + log|L^(k)(x)| = log E(Pr(N = k)),
+    N ~ Poisson(Theta x), k = 0..a-1, from one kernel call, which with
+    density=True also takes order a: x f(x) = a x^a/a! |L^(a)(x)|."""
     a = _integral_shape(model)
-    k = np.arange(a if count is None else count)
+    row = model.mixing.sum_row(a)
+    if row is not None:
+        terms = row.log_survival_terms(xs)
+        return (terms, row.log_x_density(xs)) if density else terms
+    k = np.arange(a + density)
     col = k.reshape((-1,) + (1,) * xs.ndim)
     # the kernel first: it refuses an order past its budget before the other
-    # (count, *xs.shape) terms are formed
+    # terms are formed
     terms = model.mixing.log_abs_laplace_derivative(k, xs)
     terms += col * np.log(xs) - special.gammaln(col + 1.0)
-    return terms
+    return (terms[:a], terms[a] + log(a)) if density else terms
 
 
 def cdf(model: AggregateModel, x):

@@ -107,12 +107,13 @@ def pearson_rho(model: AggregateModel) -> float:
     """Pairwise linear correlation (E W^2 - E^2 W) / (2 E W^2 - E^2 W), W = 1/Theta.
 
     That is (q - 1)/(2q - 1) = u/(1 + u) with q = E W^2 / E^2 W >= 1 and
-    u = 1 - 1/q, which is formed from log q, so no scale of Theta overflows
-    or underflows it."""
+    u = 1 - 1/q, which is formed from log q.  q is free of the scale of Theta,
+    so it is taken from the unit-scale moments (log_unit_neg_moment): the scale
+    neither overflows it nor costs it digits."""
     m = _exponential_claims(model)
     if model.n < 2:
         raise ValueError("rho needs at least two components")
-    log_q = m.log_neg_moment(2) - 2.0 * m.log_neg_moment(1)
+    log_q = m.log_unit_neg_moment(2) - 2.0 * m.log_unit_neg_moment(1)
     u = -expm1(-log_q)
     return u / (1.0 + u)
 

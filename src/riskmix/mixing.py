@@ -13,7 +13,8 @@ Each law implements one kernel, log_abs_laplace_derivative(k, s) =
 log E(Theta^k e^{-s Theta}) for every integer order k, on an array s > 0
 (and s = 0 at k = 0).  An order k >= 0 is log|L^(k)(s)| (k = 0 is log L); a
 negative order k = -j is the j-fold integrated transform that the tail
-moments of S_n sum, and raises NonexistentMomentError where it diverges.
+moments of S_n sum where the law has no mixture row (below), and raises
+NonexistentMomentError where it diverges.
 Given a 1-D array of orders it returns one row per order from one pass
 (each law's _log_kernel), so the aggregate survival, sum_{k<n} of the
 orders 0..n-1, is one kernel call, and so are the tail moments' orders
@@ -46,18 +47,18 @@ anything is allocated.
   integer orders (k = 0 is specfun.log_gammaincc, evaluated only when asked
   for) and from one Kummer integral at every other order.
 * Positive stable: partial Bell polynomials of the power sequence, a
-  log-space triangle filled by a recurrence of positive terms and cached
-  per index in sizes of a power of two rows (_power_bell), reduced one
-  requested row at a time; negative orders are a signed sum of upper
-  incomplete gammas, which raises PrecisionError where it cancels more than
-  six digits.
+  log-space triangle filled by a recurrence of positive terms (in 80-bit
+  long double, rounded once) and cached per index in sizes of a power of two
+  rows (_power_bell), reduced one requested row at a time.  It has no
+  negative order: UnsupportedModelError.
 * Second-kind beta: the log of a Kummer integral, one call per order of
   either sign for every s at once (specfun.log_kummer_u_integral).
 
 Real orders (the density of gamma claims of fractional total shape) take
 each law's one kernel path; the stable kernel alone raises
-UnsupportedModelError.  The mixture quadrature of the density
-(quadrature_transform) is the kernels' oracle, and no kernel calls it.
+UnsupportedModelError, at real orders as at negative ones.  The mixture
+quadrature of the density (quadrature_transform) is the kernels' oracle, and
+no kernel calls it.
 
 Multi-term sums reduce with _log_sum_exp: pairwise logaddexp for small
 arrays, a numpy max-shift for large ones.  An array of orders with both
@@ -67,13 +68,30 @@ Each law also supplies its log density on its support (_log_pdf) and its
 generator on an array (_generator); the base class's pdf and generator
 handle scalars, arrays and the points off the support once for every law.
 
-Each printed sum density (sum_pdf) is written once, as the law's mixture
+Mixture rows.  Under the stable, Levy and Gleser laws S_n is a finite
+mixture of gamma-power laws X_k = (G_k/rate)^(1/power), G_k ~ Gamma(shape0
++ k, 1), k = 1..n, with positive weights; sum_row(n) returns it as a
+MixtureRow, built on first use and kept in one bounded lru_cache per (law,
+n) (_mixture_row, _ROW_CACHE rows).  Its density, survival and tail
+moments are sums of positive terms (MixtureRow), so the aggregate survival,
+the VaR iteration and the tail moments of these laws call no kernel, and
+sum_pdf and sum_mixture read the same row:
+* stable: shape0 0, power alpha, rate 1, weights from row n of the Bell
+  triangle and survival coefficients summed down its columns;
+* Levy: shape0 0, power 1/2, rate lam, weights from the closed Bell row
+  _sqrt_bell;
+* Gleser: shape0 alpha - 1, power 1, rate lam, the printed gamma sum.
+The other laws return None and keep the kernel sums.
+
+Each other printed sum density (sum_pdf) is the law's mixture
 representation (sum_mixture) summed: gamma (Pareto claims) one B2(n, alpha)
 of scale beta; Lindley, whose Theta is Ga(1, lam) with weight lam/(1+lam)
-and Ga(2, lam) otherwise, B2(n, 1) and B2(n, 2) of scale lam; Levy the
-square-gamma components over the closed Bell row _sqrt_bell, in log space;
-Gleser the signed gamma sum of _sum_terms.  The stable mixture is the one
-generalized gamma mixture (_generalized_gamma_mixture) over its Bell row.
+and Ga(2, lam) otherwise, B2(n, 1) and B2(n, 2) of scale lam, in one
+log-space expression.
+
+Negative moments split into a unit part and the scale: log_neg_moment(r) =
+log_unit_neg_moment(r) - r log c, Theta / c free of c, so a ratio of them
+(pearson_rho) cancels the scale exactly.
 
 Finite mixture representations are built from two component laws:
 GammaPowerComponent, X = (G/rate)^(1/power) with G ~ Gamma(shape, 1), which
@@ -119,14 +137,15 @@ __all__ = [
 
 _KERNEL_CELLS = 1 << 16  # the memory budget of the module docstring
 _BELL_ROWS = 2048  # the stable law's largest Bell triangle, 32 MB per index
-# the stable negative orders' largest accepted sum |terms| / |signed sum|
-_CANCELLATION_LIMIT = 1e6
+# the MixtureRows kept (rows of n cells: 16 n bytes each, built on first use)
+_ROW_CACHE = 64
 # arrays of at most this many terms reduce by pairwise logaddexp: measured,
 # pairwise is cheaper for every shape up to 64 terms and the max-shift for
 # every shape from 512; between them the crossover is about 100 terms for a
 # 1-D array and 300-400 for the (n, 81) survivals of the VaR bracket
 _SMALL_REDUCTION = 256
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
+_FLOAT_MAX = np.finfo(float).max
 
 
 def _require_positive(**params):
@@ -142,6 +161,16 @@ def _require_above(k, name, value):
     if value <= j:
         raise NonexistentMomentError(
             f"E(Theta^-{j} e^(-s Theta)) requires {name} > {j}, got {value}")
+
+
+def _log_poch(a: float, r: float) -> float:
+    """log Gamma(a + r) / Gamma(a) for a > 0 and a + r > 0: the log of
+    special.poch, which multiplies out a whole r, where that is a normal double,
+    and a difference of gammaln past it."""
+    p = special.poch(a, r)
+    if 1e-300 < p < 1e300:
+        return log(p)
+    return float(special.gammaln(a + r) - special.gammaln(a))
 
 
 def _ret(value, scalar_in):
@@ -249,15 +278,15 @@ def _column(k, ndim):
     return np.asarray(k, dtype=float).reshape((-1,) + (1,) * ndim)
 
 
-def _sqrt_bell(n: int, ndim: int):
-    """k = 1..n and log |B_{n,k}(a_1,...,a_{n-k+1})| for the sqrt coefficient
-    sequence a_j = (1/2)_j, as columns that broadcast over ndim more axes.
+def _sqrt_bell(n: int) -> np.ndarray:
+    """log |B_{n,k}(a_1,...,a_{n-k+1})|, k = 1..n, for the sqrt coefficient
+    sequence a_j = (1/2)_j.
 
     Bessel-polynomial closed form: |B_{n,k}| = (2n-k-1)! / ((k-1)! (n-k)! 2^{2n-k}).
     """
-    k = np.arange(1.0, n + 1.0).reshape((-1,) + (1,) * ndim)
-    return k, (special.gammaln(2 * n - k) - special.gammaln(k)
-               - special.gammaln(n - k + 1) - (2 * n - k) * log(2.0))
+    k = np.arange(1.0, n + 1.0)
+    return (special.gammaln(2 * n - k) - special.gammaln(k)
+            - special.gammaln(n - k + 1) - (2 * n - k) * log(2.0))
 
 
 def _power_bell(alpha: float, top: int) -> np.ndarray:
@@ -281,15 +310,24 @@ def _bell_triangle(alpha: float, size: int) -> np.ndarray:
     the magnitudes obey
         |B_{m+1,k}| = (m - k alpha) |B_{m,k}| + alpha |B_{m,k-1}|,
     a sum of nonnegative terms, so each row is one logaddexp of the row above
-    and nothing cancels.
+    and nothing cancels.  The rows run in 80-bit long double and only the table
+    is rounded to double: each row adds a rounding of the size of its logs
+    (1e-13 at a log near 1e3), which in double precision accumulated to 2e-11 by
+    row 1000.
     """
-    k = np.arange(size)
+    k = np.arange(size, dtype=np.longdouble)
+    a = np.longdouble(alpha)
+    row = np.full(size, -np.inf, dtype=np.longdouble)  # row m, nonzero up to k = m
+    row[0] = 0.0
     table = np.full((size, size), -inf)
     table[0, 0] = 0.0
     with np.errstate(divide="ignore"):
         for m in range(size - 1):
-            stay = np.log(np.maximum(m - k * alpha, 0.0)) + table[m]
-            table[m + 1, 1:] = np.logaddexp(stay[1:], log(alpha) + table[m, :-1])
+            j = m + 2
+            stay = np.log(np.maximum(m - k[1:j] * a, 0.0)) + row[1:j]
+            row[1:j] = np.logaddexp(stay, np.log(a) + row[:j - 1])
+            row[0] = -np.inf
+            table[m + 1, :j] = row[:j]
     table.flags.writeable = False
     return table
 
@@ -372,16 +410,88 @@ class MixtureRepresentation:
         return _ret(out, scalar_in)
 
 
-def _generalized_gamma_mixture(log_bell, alpha, rate):
-    """The mixture form of the density of S_n under L(s) = exp(-rate s^alpha),
-    from log |B_{n,k}|, k = 1..n, of the power sequence (alpha)_j: components
-    (G_k/rate)^(1/alpha), G_k ~ Gamma(k, 1), weighted |B_{n,k}| Gamma(k) /
-    (Gamma(n) alpha)."""
-    n = log_bell.size
-    k = np.arange(1.0, n + 1.0)
-    weights = np.exp(log_bell + special.gammaln(k) - lgamma(n) - log(alpha))
-    return MixtureRepresentation(tuple(
-        GammaPowerComponent(kj, alpha, rate, wj) for kj, wj in zip(k.tolist(), weights.tolist())))
+@dataclass(frozen=True, eq=False)
+class MixtureRow:
+    """S_n as the finite mixture sum_k w_k X_k, X_k = (G_k/rate)^(1/power), G_k ~
+    Gamma(shape0 + k, 1), k = 1..n, with weights w_k >= 0 (a weight of 0 has the
+    log -inf).  With y = rate x^power every quantity is a sum of positive terms:
+
+        x f(x)          = power e^{-y} sum_k d_k y^(shape0+k),    d_k = w_k / Gamma(shape0+k)
+        S(x)            = Q(shape0+1, y) + e^{-y} sum_{i=1}^{n-1} c_i y^(shape0+i),
+                          c_i = T_i / Gamma(shape0+i+1),  T_i = sum_{k>i} w_k
+        E(S^r 1{S > a}) = rate^(-r/power) sum_k d_k Gamma(shape0+k+r/power, rate a^power)
+
+    from Q(b+1, y) = Q(b, y) + e^{-y} y^b / Gamma(b+1); at shape0 = 0 the first
+    term Q(1, y) = e^{-y} is the i = 0 term with c_0 = 1.  The law gives log d_k
+    (log_d, k = 1..n) and, where it has a more accurate form than the partial sums
+    of the weights, log c_i (log_c, i = 0..n-1)."""
+
+    shape0: float
+    power: float
+    rate: float
+    log_d: np.ndarray
+    log_c: np.ndarray = None
+
+    def __post_init__(self):
+        # shape0 + i + 1 for i = 0..n-1, which is also shape0 + k for k = 1..n
+        shapes = self.shape0 + np.arange(1.0, self.log_d.size + 1.0)
+        log_gamma = special.gammaln(shapes)
+        if self.log_c is None:
+            # log T_i, the tail sums of the weights, from the last one down
+            tails = np.logaddexp.accumulate((self.log_d + log_gamma)[::-1])[::-1]
+            log_c = tails - log_gamma
+            log_c[0] = -log_gamma[0]  # T_0 = 1
+            object.__setattr__(self, "log_c", log_c)
+        object.__setattr__(self, "_shapes", shapes)
+        for values in (self.log_d, self.log_c, shapes):
+            values.flags.writeable = False
+
+    def _log_y(self, x):
+        """(log y, y) on an array x > 0; log y is finite wherever y under- or
+        overflows, and y stops at the largest double, where every term is 0."""
+        with np.errstate(over="ignore"):
+            y = np.minimum(self.rate * x ** self.power, _FLOAT_MAX)
+        return self.power * np.log(x) + log(self.rate), y
+
+    def log_survival_terms(self, x):
+        """The (n, *x.shape) log terms on x > 0 whose log-sum is log S(x)."""
+        log_y, y = self._log_y(x)
+        col = (-1,) + (1,) * x.ndim
+        terms = self.log_c.reshape(col) + (self._shapes.reshape(col) - 1.0) * log_y - y
+        if self.shape0:
+            terms[0] = log_gammaincc(self.shape0 + 1.0, y)
+        return terms
+
+    def log_x_density(self, x):
+        """log(x f(x)) on x > 0."""
+        log_y, y = self._log_y(x)
+        col = (-1,) + (1,) * x.ndim
+        return (log(self.power) - y
+                + _log_sum_exp(self.log_d.reshape(col) + self._shapes.reshape(col) * log_y))
+
+    def pdf(self, x):
+        """f(x) on x > 0."""
+        return np.exp(self.log_x_density(x) - np.log(x))
+
+    def log_tail_moments(self, a: float, orders) -> np.ndarray:
+        """log E(S^r 1{S > a}) for each order r of a 1-D array, a > 0, from one
+        log_gammaincc call."""
+        shift = np.asarray(orders, dtype=float)[:, None] / self.power
+        b = self._shapes + shift
+        terms = self.log_d + special.gammaln(b) + log_gammaincc(b, self.rate * a ** self.power)
+        return np.logaddexp.reduce(terms, axis=1) - shift[:, 0] * log(self.rate)
+
+    def mixture(self) -> MixtureRepresentation:
+        weights = np.exp(self.log_d + special.gammaln(self._shapes))
+        return MixtureRepresentation(tuple(
+            GammaPowerComponent(a, self.power, self.rate, w)
+            for a, w in zip(self._shapes.tolist(), weights.tolist())))
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _mixture_row(law, n: int) -> MixtureRow:
+    """The law's MixtureRow of S_n, built on first use."""
+    return law._row(n)
 
 
 class MixingDistribution:
@@ -392,8 +502,8 @@ class MixingDistribution:
 
     def log_abs_laplace_derivative(self, k, s):
         """log E(Theta^k e^{-s Theta}) on an array s > 0, for every integer order
-        k and, for every law but the stable one, every real one.  An order k >= 0
-        is log|L^(k)(s)| ((-1)^k L^(k) >= 0 for every law in the catalog);
+        k and every real one (the stable law: the integer orders k >= 0 only).
+        An order k >= 0 is log|L^(k)(s)| ((-1)^k L^(k) >= 0 for every law in the catalog);
         k = 0 is log L and also takes s = 0.  A negative order
         k = -j is the j-fold integrated transform, and NonexistentMomentError
         where it diverges.  An array of orders gives one row per order, shaped
@@ -469,8 +579,18 @@ class MixingDistribution:
         return _finite_exp(self.log_neg_moment(r), f"E(Theta^-{r})")
 
     def log_neg_moment(self, r: int) -> float:
-        """log E(Theta^-r), the kernel of order -r at s = 0; laws whose kernel
-        needs s > 0 override it."""
+        """log E(Theta^-r) = log_unit_neg_moment(r) - r log c, c the law's scale."""
+        return self.log_unit_neg_moment(r) - r * self.log_scale
+
+    @property
+    def log_scale(self) -> float:
+        """log c, where Theta / c has a law free of c; 0 for a law without a scale."""
+        return 0.0
+
+    def log_unit_neg_moment(self, r: int) -> float:
+        """log E((Theta/c)^-r), the part of log_neg_moment that the scale c does
+        not touch: the kernel of order -r at s = 0 for a law without a scale;
+        laws with one, or whose kernel needs s > 0, override it."""
         return float(self.log_abs_laplace_derivative(-r, 0.0))
 
     def sample(self, size, rng) -> np.ndarray:
@@ -491,9 +611,10 @@ class MixingDistribution:
         return np.exp((n - 1.0) * np.log(x) - lgamma(n) + self.log_abs_laplace_derivative(n, x))
 
     def sum_pdf(self, n: int, x):
-        """Density of S_n on an array x > 0 by the law's printed sum formula;
-        laws without one take the derivative route."""
-        return self.sum_pdf_derivative(n, x)
+        """Density of S_n on an array x > 0 by the law's printed sum formula or
+        its mixture row; laws with neither take the derivative route."""
+        row = self.sum_row(n)
+        return self.sum_pdf_derivative(n, x) if row is None else row.pdf(x)
 
     def sum_pdf_at_zero(self, n: int) -> float:
         """Limit of the density of S_n at x = 0+ (may be inf; never a float overflow)."""
@@ -501,7 +622,16 @@ class MixingDistribution:
 
     def sum_mixture(self, n: int) -> MixtureRepresentation:
         """Finite mixture form of the density of S_n, where one exists."""
-        raise UnsupportedModelError(f"no finite mixture representation for {self.kind} mixing")
+        row = self.sum_row(n)
+        if row is None:
+            raise UnsupportedModelError(
+                f"no finite mixture representation for {self.kind} mixing")
+        return row.mixture()
+
+    def sum_row(self, n: int):
+        """The cached MixtureRow of S_n (positive gamma-power weights), or None
+        for a law without one."""
+        return None
 
     def kendall_tau(self) -> float:
         """Closed-form pairwise Kendall tau of the copula, where one exists."""
@@ -527,6 +657,16 @@ class GammaMixing(MixingDistribution):
         _require_above(k, "alpha", self.alpha)
         a, b, k = self.alpha, self.beta, _column(k, s.ndim)
         return special.gammaln(a + k) - lgamma(a) - k * log(b) - (a + k) * np.log1p(s / b)
+
+    @property
+    def log_scale(self):
+        return -log(self.beta)
+
+    def log_unit_neg_moment(self, r):
+        # Theta beta ~ Ga(alpha, 1)
+        if self.alpha <= r:
+            raise NonexistentMomentError(f"E(Theta^-{r}) requires alpha > {r}, got {self.alpha}")
+        return -_log_poch(self.alpha - r, r)
 
     def _generator(self, t):
         return self.beta * np.expm1(-np.log(t) / self.alpha)
@@ -582,9 +722,13 @@ class LevyMixing(MixingDistribution):
     def _generator(self, t):
         return (-np.log(t) / self.lam) ** 2
 
-    def log_neg_moment(self, r):
-        # Theta = lam^2 / (2 N^2): E(Theta^-r) = (2r)! / (r! lam^(2r))
-        return lgamma(1.0 + 2.0 * r) - lgamma(1.0 + r) - 2.0 * r * log(self.lam)
+    @property
+    def log_scale(self):
+        return 2.0 * log(self.lam)
+
+    def log_unit_neg_moment(self, r):
+        # Theta = lam^2 / (2 N^2): E((Theta/lam^2)^-r) = (2r)! / r!
+        return _log_poch(1.0 + r, r)
 
     def sample(self, size, rng):
         n = rng.standard_normal(size)
@@ -594,19 +738,16 @@ class LevyMixing(MixingDistribution):
         lam = self.lam
         return log(lam / 2) - 0.5 * (log(math.pi) + 3 * np.log(th)) - lam ** 2 / (4 * th)
 
-    def sum_pdf(self, n, x):
-        # the weighted square-gamma components of sum_mixture in one log-space sum:
-        # x^-1 e^{-lam sqrt(x)} / Gamma(n) sum_k |B_{n,k}| (lam sqrt(x))^k
-        k, log_bell = _sqrt_bell(n, np.ndim(x))
-        return np.exp(_log_sum_exp(log_bell + k * log(self.lam) + (0.5 * k - 1.0) * np.log(x))
-                      - lgamma(n) - self.lam * np.sqrt(x))
-
     def sum_pdf_at_zero(self, n):
         return inf
 
-    def sum_mixture(self, n):
-        # the stable law's mixture at alpha = 1/2 with rate lam: square-gamma components
-        return _generalized_gamma_mixture(_sqrt_bell(n, 0)[1], 0.5, self.lam)
+    def sum_row(self, n):
+        return _mixture_row(self, n)
+
+    def _row(self, n):
+        # the stable law's mixture at alpha = 1/2 with rate lam, square-gamma components
+        # weighted |B_{n,k}| Gamma(k) / (Gamma(n) / 2) over the closed Bell row
+        return MixtureRow(0.0, 0.5, self.lam, _sqrt_bell(n) + log(2.0) - lgamma(n))
 
     def kendall_tau(self):
         # the stable value at index 1/2: rescaling Theta leaves the copula alone
@@ -631,32 +772,11 @@ class PositiveStableMixing(MixingDistribution):
 
     def _log_kernel(self, k, s):
         a = self.alpha
-        if k.dtype.kind == "f":
-            raise UnsupportedModelError(f"{self.kind} mixing has no kernel of real order")
-        if k[0] < 0:
-            # order -j: int_s^inf (t-s)^(j-1)/(j-1)! e^{-t^alpha} dt = (1/alpha) sum_{i+m=j-1}
-            # Gamma((i+1)/alpha, s^alpha)/i! (-s)^m/m!, rows 0..j-1 of `upper` plus rows
-            # j-1..0 of `power`, weighted (-1)^m (signed) and 1 (total).  From j = 2 on the
-            # terms cancel about log10(alpha s^alpha) digits per order, so a total past
-            # _CANCELLATION_LIMIT times the signed sum is PrecisionError
-            i = np.arange(-k.min())
-            p = (i + 1.0) / a
-            log_fact = special.gammaln(i + 1.0)[:, None]
-            upper = log_gammaincc(p[:, None], s ** a) + special.gammaln(p)[:, None] - log_fact
-            power = i[:, None] * np.log(s) - log_fact
-            weights = np.array([(-1.0) ** i, np.ones(i.size)])
-            out = np.empty((k.size,) + s.shape)
-            for row, j in enumerate((-k).tolist()):
-                log_terms = upper[:j] + power[j - 1::-1]
-                shift = log_terms.max(axis=0)  # finite: the i = 0 term always is
-                signed, total = weights[:, j - 1::-1] @ np.exp(log_terms - shift)
-                lost = total > _CANCELLATION_LIMIT * signed
-                if lost.any():
-                    raise PrecisionError(
-                        f"E(Theta^-{j} e^(-s Theta)) of the stable law cancels more than "
-                        f"{_CANCELLATION_LIMIT:.0e}-fold at s = {s[lost][0]:.6g}")
-                out[row] = shift + np.log(signed) - log(a)
-            return out
+        if k.dtype.kind == "f" or k[0] < 0:
+            # its tail moments and survival are sums of positive terms over the mixture
+            # row instead (sum_row)
+            raise UnsupportedModelError(
+                f"{self.kind} mixing has no kernel of real or negative order")
         # row n: sum_{j=1..n} |B_{n,j}| s^(j alpha - n) e^{-s^alpha}
         expo = -s ** a
         out = np.empty((k.size,) + s.shape)
@@ -678,14 +798,27 @@ class PositiveStableMixing(MixingDistribution):
             return 1.0 if n == 1 else 0.0
         return inf
 
-    def sum_mixture(self, n):
-        return _generalized_gamma_mixture(_power_bell(self.alpha, n)[n, 1:n + 1], self.alpha, 1.0)
+    def sum_row(self, n):
+        return _mixture_row(self, n)
+
+    def _row(self, n):
+        # generalized gamma components G_k^(1/alpha), k = 1..n, weighted |B_{n,k}| Gamma(k) /
+        # (Gamma(n) alpha) from row n of the triangle.  The survival coefficients
+        # c_j = sum_{k=j}^{n-1} |B_{k,j}| / k! are the kernel's survival sum over its rows
+        # 0..n-1, S = sum_{k<n} x^k/k! |L^(k)(x)|, gathered by powers of y = x^alpha: one
+        # logaddexp per row down the columns
+        a, lf = self.alpha, special.gammaln(np.arange(1.0, n + 1.0))
+        table = _power_bell(a, n)
+        log_c = np.full(n, -inf)
+        for k in range(n):
+            np.logaddexp(log_c[:k + 1], table[k, :k + 1] - lf[k], out=log_c[:k + 1])
+        return MixtureRow(0.0, a, 1.0, table[n, 1:n + 1] - lgamma(n) - log(a), log_c)
 
     def kendall_tau(self):
         return 1.0 - self.alpha
 
-    def log_neg_moment(self, r):
-        return lgamma(1.0 + r / self.alpha) - lgamma(1.0 + r)
+    def log_unit_neg_moment(self, r):
+        return _log_poch(1.0, r / self.alpha) - _log_poch(1.0, r)
 
     def sample(self, size, rng):
         # Chambers-Mallows-Stuck restricted to the one-sided case
@@ -728,6 +861,15 @@ class InverseGaussianMixing(MixingDistribution):
     def _generator(self, t):
         lam, mu = self.lam, self.mu
         return lam / (2 * mu ** 2) * ((1.0 - mu / lam * np.log(t)) ** 2 - 1.0)
+
+    @property
+    def log_scale(self):
+        return log(self.mu)
+
+    def log_unit_neg_moment(self, r):
+        # Theta / mu ~ IG(lam/mu, 1)
+        unit = InverseGaussianMixing(self.lam / self.mu, 1.0)
+        return float(unit.log_abs_laplace_derivative(-r, 0.0))
 
     def sum_pdf_at_zero(self, n):
         return self.mu if n == 1 else 0.0
@@ -782,7 +924,13 @@ class LindleyMixing(MixingDistribution):
         return y - lam
 
     def sum_pdf(self, n, x):
-        return self.sum_mixture(n).pdf(x)
+        # the B2(n, 1) and B2(n, 2) densities of sum_mixture, scale lam, weights lam/(1+lam)
+        # and 1/(1+lam), in one log-space sum: with t = x/lam,
+        # n x^(n-1) lam^-n (1+t)^-(n+1) (lam + (n+1)/(1+t)) / (1+lam)
+        lam = self.lam
+        log1p_t = np.log1p(x / lam)
+        return np.exp(log(n) + (n - 1.0) * np.log(x) - n * log(lam) - (n + 1.0) * log1p_t
+                      + np.log(lam + (n + 1.0) / (1.0 + x / lam)) - math.log1p(lam))
 
     def sum_pdf_at_zero(self, n):
         # the n = 1 density at 0 is E(Theta) = lam/(1+lam) * 1/lam + 1/(1+lam) * 2/lam
@@ -855,16 +1003,18 @@ class GleserGammaMixing(MixingDistribution):
         # in one Kummer integral, at m = k up to order 1 and past it at m = k + 1 - ceil(k)
         # in (0, 1], from which the order climbs to k
         climb = np.maximum(np.ceil(k) - 1.0, 0.0)
-        start = k - climb
-        m = _column(start, s.ndim)
+        # one Kummer integral per distinct start: orders a whole number apart share it
+        starts, which = np.unique(k - climb, return_inverse=True)
+        m = _column(starts, s.ndim)
         log_i = log_kummer_u_integral(1.0 - a, 1.0 - a + m, lam * s)
-        rows = m * log(lam) - lam * s + log_i - lgamma(a) - lgamma(1.0 - a)
-        for m0 in set(start[climb > 0].tolist()):
-            pick = start == m0
+        rows = (m * log(lam) - lam * s + log_i - lgamma(a) - lgamma(1.0 - a))[which]
+        for i, m0 in enumerate(starts.tolist()):
+            pick = (which == i) & (climb > 0)
+            if not pick.any():
+                continue
             # the first excess q_m0 - lam is a ratio of two Kummer integrals: lam times
             # int_0^inf (1+t)^(m0-1) t^(1-alpha) e^{-lam s t} dt over the one above
-            d = lam * np.exp(log_kummer_u_integral(2.0 - a, 2.0 - a + m0, lam * s)
-                             - log_i[pick][0])
+            d = lam * np.exp(log_kummer_u_integral(2.0 - a, 2.0 - a + m0, lam * s) - log_i[i])
             rows[pick] += self._climb(m0 - 1.0, d, 1.0 / s, climb[pick].astype(int) + 1)
         return rows
 
@@ -886,39 +1036,29 @@ class GleserGammaMixing(MixingDistribution):
             np.add(d, lam, out=ratios[j])
         return _partial_sums(np.log(ratios, out=ratios), index)
 
-    def _sum_terms(self, n):
-        """The density of S_n is sum_k c_k lam^a_k x^(a_k-1) e^{-lam x}, k = 0..n-1:
-        the shapes a_k = n + alpha - k - 1 and log c_k, c_k = (-1)^k (alpha-1)_k /
-        (Gamma(alpha) k! (n-k-1)!), as two arrays.  (-1)^k (alpha-1)_k >= 0
-        throughout alpha in (0, 1]; its log is -inf where it vanishes (alpha = 1,
-        k >= 1)."""
-        k = np.arange(n)
+    def sum_row(self, n):
+        return _mixture_row(self, n)
+
+    def _row(self, n):
+        """The printed density of S_n, sum_j c_j lam^a_j x^(a_j-1) e^{-lam x}, j = 0..n-1,
+        a_j = n + alpha - j - 1, c_j = (-1)^j (alpha-1)_j / (Gamma(alpha) j! (n-j-1)!):
+        gamma components Ga(alpha - 1 + k, lam), k = n - j, with d_k = c_j.
+        (-1)^j (alpha-1)_j >= 0 throughout alpha in (0, 1]; its log is -inf where it
+        vanishes (alpha = 1, j >= 1)."""
+        j = np.arange(n)
         with np.errstate(divide="ignore"):
             log_falling = np.cumsum(np.log(np.r_[1.0, 1.0 - self.alpha + np.arange(n - 1.0)]))
-        return n + self.alpha - k - 1.0, (log_falling - lgamma(self.alpha)
-                                          - special.gammaln(k + 1.0) - special.gammaln(n - k))
+        log_d = (log_falling - lgamma(self.alpha) - special.gammaln(j + 1.0)
+                 - special.gammaln(n - j))
+        return MixtureRow(self.alpha - 1.0, 1.0, self.lam, log_d[::-1])
 
     def _generator(self, t):
         return special.gammainccinv(self.alpha, t) / self.lam
-
-    def sum_pdf(self, n, x):
-        lam, col = self.lam, (-1,) + (1,) * np.ndim(x)
-        shapes, log_c = (v.reshape(col) for v in self._sum_terms(n))
-        return np.exp(_log_sum_exp(log_c + shapes * log(lam) + (shapes - 1.0) * np.log(x)
-                                   - lam * x))
 
     def sum_pdf_at_zero(self, n):
         if self.alpha == 1.0:
             return self.lam if n == 1 else 0.0
         return inf
-
-    def sum_mixture(self, n):
-        # gamma components Ga(a_k, lam), weights c_k Gamma(a_k)
-        shapes, log_c = self._sum_terms(n)
-        weights = np.exp(log_c + special.gammaln(shapes))
-        return MixtureRepresentation(tuple(
-            GammaPowerComponent(a, 1.0, self.lam, w)
-            for a, w in zip(shapes.tolist(), weights.tolist())))
 
     def kendall_tau(self):
         # int s L'(s)^2 ds = Gamma(2 alpha) / (4^alpha Gamma(alpha)^2), so tau =
@@ -927,11 +1067,14 @@ class GleserGammaMixing(MixingDistribution):
         # the point mass alpha = 1, and within 5e-16 absolute as tau -> 0 there
         return float(1.0 - special.poch(self.alpha, 0.5) / special.poch(1.0, 0.5))
 
-    def log_neg_moment(self, r):
+    @property
+    def log_scale(self):
+        return log(self.lam)
+
+    def log_unit_neg_moment(self, r):
         # E(Theta^-r) = Gamma(alpha + r) / (lam^r r! Gamma(alpha)), by the
         # change of variables theta = lam/u against the Beta(alpha, 1-alpha) law
-        a, lam = self.alpha, self.lam
-        return lgamma(a + r) - lgamma(a) - lgamma(r + 1) - r * log(lam)
+        return _log_poch(self.alpha, r) - _log_poch(1.0, r)
 
     def sample(self, size, rng):
         if self.alpha == 1.0:
@@ -997,13 +1140,12 @@ class BetaSecondKindMixing(MixingDistribution):
 
         return np.array([invert(ti) for ti in t.ravel().tolist()]).reshape(t.shape)
 
-    def log_neg_moment(self, r):
+    def log_unit_neg_moment(self, r):
         if r >= self.beta:
             raise NonexistentMomentError(
                 f"E(Theta^-{r}) requires beta > {r}, got beta={self.beta}"
             )
-        return (lgamma(self.beta - r) - lgamma(self.beta)
-                + lgamma(self.gam + r) - lgamma(self.gam))
+        return _log_poch(self.gam, r) - _log_poch(self.beta - r, r)
 
     def sum_pdf_at_zero(self, n):
         # Theta's density decays like theta^{-gam-1}/B(beta, gam); for gam = 1

@@ -1,6 +1,6 @@
 """Risk measures on the aggregate distribution: VaR by a safeguarded Newton
 iteration on the log survival function, and TVaR and conditional upper tail
-moments as one log-space kernel sum.
+moments as one log-space sum of positive terms.
 
 Level convention: value_at_risk(model, level) returns the x with
 F(x) = level, i.e. level is the probability of NOT exceeding the returned
@@ -15,21 +15,27 @@ quantile lies beyond (the log-space survival is finite on all of it).  It
 starts from the log-log interpolation between the bracketing grid points and
 runs a safeguarded Newton iteration in u = log x on g = log S - log(1 - level),
 dg/du = -x f / S (S' = -f), bisecting whenever a step leaves the bracket.
-Each step is one kernel call for the orders 0..n at x: rows 0..n-1 are the
-survival terms and row n gives the density, x f = n x^n/n! |L^(n)(x)|.
-Below level 0.5 it iterates on g = log F - log(level) instead, with F = 1 - S
-from the same survival call and dg/du = x f / F: there log S is strongly
-concave in log x and a first Newton step on it overshoots.  It stops on
-brentq's tolerances, xtol = 1e-14 and rtol = 1e-12, and returns the point of
-its last survival evaluation, which already lies within them of the root.
+Each step takes the survival terms and x f at x together
+(aggregate._log_survival_terms): from the law's mixture row where it has one
+(stable, Levy, Gleser), else from one kernel call for the orders 0..n, whose
+rows 0..n-1 are the survival terms and row n the density,
+x f = n x^n/n! |L^(n)(x)|.  Below level 0.5 it iterates on g = log F -
+log(level) instead, with F = 1 - S from the same survival call and dg/du =
+x f / F: there log S is strongly concave in log x and a first Newton step on
+it overshoots.  It stops once the bracket or the step is within rtol = 1e-12
+of x, relative at every scale, and returns the point of its last survival
+evaluation.
 
-Tail moments.  Given Theta, S_n is Gamma(n, Theta), so
+Tail moments.  A law with a mixture row sums it: E(S^r 1{S > a}) is a sum
+of upper incomplete gammas of positive weight (mixing.MixtureRow), one
+vectorised log_gammaincc call for every order.  For the other laws, given
+Theta, S_n is Gamma(n, Theta), so
     E(S^r 1{S > a}) = Gamma(n+r)/Gamma(n) sum_{k=0}^{n+r-1} a^k/k! E(Theta^(k-r) e^(-Theta a)),
 a sum of positive terms: for k >= r the survival terms at a, shifted by
 r log a + log (k-r)! - log k!; for k < r the law's kernel at the negative
-order r - k.  It is one log-space reduction, divided by S(a).  risk_report
-takes the survival terms of VaR's last evaluation, so S(a) and the k >= r
-block cost no kernel call.
+order r - k.  Either is one log-space reduction, divided by S(a).
+risk_report takes the survival terms of VaR's last evaluation, so S(a) costs
+no further call.
 """
 
 from dataclasses import dataclass
@@ -47,7 +53,7 @@ _DEEPEST_LEVEL = 1.0 - 1e-12
 # bracketing grid 2^-40 .. 2^996, a factor 2 apart, in two parts that share
 # 2^40: the far part is evaluated only for a quantile beyond the near one
 _VAR_GRIDS = (2.0 ** np.arange(-40, 41), 2.0 ** np.arange(40, 997))
-_VAR_XTOL, _VAR_RTOL, _VAR_MAXITER = 1e-14, 1e-12, 100
+_VAR_RTOL, _VAR_MAXITER = 1e-12, 100
 
 
 def _value_at_risk(model: AggregateModel, level: float):
@@ -80,12 +86,10 @@ def _value_at_risk(model: AggregateModel, level: float):
     # P is the smaller tail: S from the median up, F = 1 - S below it
     lower = level < 0.5
     sign, log_p_target = (-1.0, log(level)) if lower else (1.0, log_target)
-    n = model.total_shape  # integral: the survival above has checked it
     for _ in range(_VAR_MAXITER):
-        # Newton in u = log x: h = +-(log P - log P*) > 0 below the root, dh/du = -x f / P;
-        # rows 0..n-1 are the survival terms and row n is log(x f / n)
-        rows = _log_survival_terms(model, np.array([x]), n + 1)[:, 0]
-        terms = rows[:n]
+        # Newton in u = log x: h = +-(log P - log P*) > 0 below the root, dh/du = -x f / P
+        terms, log_xf = _log_survival_terms(model, np.array([x]), density=True)
+        terms = terms[:, 0]
         s = exp(np.logaddexp.reduce(terms))
         p = 1.0 - s if lower else s
         h = sign * ((log(p) if p > 0.0 else -inf) - log_p_target)
@@ -95,13 +99,13 @@ def _value_at_risk(model: AggregateModel, level: float):
             lo = x
         else:
             hi = x
-        if hi - lo <= _VAR_XTOL + _VAR_RTOL * hi:
+        if hi - lo <= _VAR_RTOL * hi:
             return x, terms
-        slope = n * exp(rows[n]) / p if p > 0.0 else 0.0
+        slope = exp(log_xf[0]) / p if p > 0.0 else 0.0
         new = x * exp(min(h / slope, 700.0)) if slope > 0.0 else 0.0
         if not (lo <= new <= hi and new > 0.0):
             new = sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-        if abs(new - x) <= _VAR_XTOL + _VAR_RTOL * new:
+        if abs(new - x) <= _VAR_RTOL * new:
             return x, terms
         x = new
     raise RiskmixError(f"VaR iteration did not converge in {_VAR_MAXITER} steps")
@@ -117,18 +121,22 @@ def _tail_moments(model: AggregateModel, a: float, terms, orders) -> dict:
     log_surv = np.logaddexp.reduce(terms)
     if exp(log_surv) <= 1e-300:
         raise TailUnderflowError(f"survival({a}) underflows; tail moment is noise")
-    n, top = model.total_shape, max(orders)
-    # E(Theta^-j e^(-Theta a)) for j = 1..top in one kernel call, and log k! - k log a
-    neg = model.mixing.log_abs_laplace_derivative(-np.arange(1, top + 1), np.array(a))
-    lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log(a)
-    out = {}
-    for r in orders:
+    n = model.total_shape
+    row = model.mixing.sum_row(n)
+    if row is not None:
+        log_num = row.log_tail_moments(a, orders)
+    else:
+        # E(Theta^-j e^(-Theta a)) for j = 1..top in one kernel call, and log k! - k log a
+        top = max(orders)
+        neg = model.mixing.log_abs_laplace_derivative(-np.arange(1, top + 1), np.array(a))
+        lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log(a)
         # k >= r: the survival term of order k - r times a^r (k-r)!/k!;
         # k < r: a^k/k! E(Theta^(k-r) e^(-Theta a))
-        log_num = np.logaddexp.reduce(np.concatenate((terms + lf[:n] - lf[r:n + r],
-                                                      neg[r - 1::-1] - lf[:r])))
-        out[r] = exp(lgamma(n + r) - lgamma(n) + log_num - log_surv)
-    return out
+        log_num = [lgamma(n + r) - lgamma(n)
+                   + np.logaddexp.reduce(np.concatenate((terms + lf[:n] - lf[r:n + r],
+                                                         neg[r - 1::-1] - lf[:r])))
+                   for r in orders]
+    return {r: exp(v - log_surv) for r, v in zip(orders, log_num)}
 
 
 def tail_moment(model: AggregateModel, r: int, a: float) -> float:

@@ -21,6 +21,7 @@ to a few percent on the log at large s.
 import math
 
 import mpmath as mp
+import numpy as np
 
 from riskmix.mixing import (
     BetaSecondKindMixing,
@@ -143,9 +144,9 @@ def real_order_transform(law, k, s, dps=DPS):
     return integrated_transform(law, -k, s, dps)
 
 
-def conditional_tail_moment(law, n, r, a):
+def conditional_tail_moment(law, n, r, a, dps=DPS):
     """E[S_n^r | S_n > a] as a float."""
-    with mp.workdps(DPS):
+    with mp.workdps(dps):
         am = mp.mpf(a)
         if isinstance(law, PositiveStableMixing):
             alpha = mp.mpf(law.alpha)
@@ -257,3 +258,76 @@ def laplace_derivatives(law, s, kmax, dps=24, drop=60, tol=1e-18):
                 return [float(mp.log(v) - sm * lo) for v in new]
             est = new
         raise ArithmeticError("trapezoid rule did not converge")
+
+
+def _stable_bell_row(alpha, n):
+    """|B_{n,k}| of the power sequence (alpha)_j, k = 1..n, by the recurrence of
+    positive terms |B_{m+1,k}| = (m - k alpha) |B_{m,k}| + alpha |B_{m,k-1}| in
+    numpy's 80-bit long double, row by row in linear space: its exponent range
+    holds every entry up to n = 2047 and its rounding stays near 1e-16 relative
+    at n = 1000, where a 50-digit mpmath triangle takes seconds per index."""
+    a = np.longdouble(alpha)
+    k = np.arange(n + 1, dtype=np.longdouble)
+    row = np.zeros(n + 1, dtype=np.longdouble)
+    row[0] = 1
+    for m in range(n):
+        row[1:] = np.maximum(m - k[1:] * a, 0) * row[1:] + a * row[:-1]
+        row[0] = 0
+    return row[1:]
+
+
+def _mpf_long(v):
+    """A long double as an mpf, exactly: its mantissa in two doubles."""
+    m, e = np.frexp(v)
+    hi = float(m)
+    return mp.ldexp(mp.mpf(hi) + mp.mpf(float(m - np.longdouble(hi))), int(e))
+
+
+def mixture_survival(law, n, xs, dps=50):
+    """S_n(x) = sum_k w_k Q(shape0 + k, rate x^power) for the laws whose S_n is
+    a finite mixture of gamma-power components, as floats, at `dps` digits.
+
+    Weights: the stable law's |B_{n,k}| Gamma(k) / (Gamma(n) alpha) (shape0 = 0,
+    power alpha, rate 1); the Levy law's 2 (2n-k-1)! / ((n-k)! 2^(2n-k) (n-1)!)
+    (shape0 = 0, power 1/2, rate lam); Gleser's c_j Gamma(a_j) at the shapes
+    a_j = n + alpha - j - 1, c_j = (1-alpha)^(j rising) / (Gamma(alpha) j! (n-j-1)!)
+    (shape0 = alpha - 1, power 1, rate lam).  Q(b, y) climbs from
+    mp.gammainc by Q(b+1, y) = Q(b, y) + e^-y y^b / Gamma(b+1)."""
+    with mp.workdps(dps):
+        if isinstance(law, PositiveStableMixing):
+            alpha = mp.mpf(law.alpha)
+            s0, power, rate = mp.mpf(0), alpha, mp.mpf(1)
+            bell = _stable_bell_row(law.alpha, n)
+            w = [_mpf_long(b) * mp.factorial(k - 1) / (mp.factorial(n - 1) * alpha)
+                 for k, b in enumerate(bell, start=1)]
+        elif isinstance(law, LevyMixing):
+            s0, power, rate = mp.mpf(0), mp.mpf(1) / 2, mp.mpf(law.lam)
+            w = [2 * mp.factorial(2 * n - k - 1)
+                 / (mp.factorial(n - k) * mp.mpf(2) ** (2 * n - k) * mp.factorial(n - 1))
+                 for k in range(1, n + 1)]
+        elif isinstance(law, GleserGammaMixing):
+            alpha = mp.mpf(law.alpha)
+            s0, power, rate = alpha - 1, mp.mpf(1), mp.mpf(law.lam)
+            w = [mp.mpf(0)] * n
+            rising = mp.mpf(1)
+            for j in range(n):
+                # component k = n - j has the shape s0 + k = a_j
+                w[n - j - 1] = (rising * mp.gamma(n + alpha - j - 1)
+                                / (mp.gamma(alpha) * mp.factorial(j) * mp.factorial(n - j - 1)))
+                rising *= 1 - alpha + j
+        else:
+            raise ValueError(f"no gamma-power mixture for {law.kind}")
+        out = []
+        for x in xs:
+            y = rate * mp.mpf(float(x)) ** power
+            b = s0 + 1
+            q = mp.gammainc(b, y, mp.inf, regularized=True)
+            step = mp.exp(-y) * y ** b / mp.gamma(b + 1)
+            total = mp.mpf(0)
+            for wk in w:
+                total += wk * q
+                q += step
+                b += 1
+                step *= y / b
+            out.append(float(total))
+        return out

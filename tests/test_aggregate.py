@@ -9,6 +9,7 @@ from scipy import integrate, special
 
 from riskmix.aggregate import (
     AggregateModel,
+    _log_survival_terms,
     Beta2Component,
     gamma_claims_model,
     inverse_gaussian_model,
@@ -41,12 +42,19 @@ FIVE_MODELS = {
 SIX_MODELS = dict(FIVE_MODELS, lindley=lambda n: lindley_model(1.5, n))
 
 
+SEVEN_MODELS = dict(SIX_MODELS,
+                    beta2=lambda n: AggregateModel(BetaSecondKindMixing(2.0, 3.0), (1.0,) * n))
+
+
 class TestOneKernelCall:
-    @pytest.mark.parametrize("name", SIX_MODELS)
+    @pytest.mark.parametrize("name", SEVEN_MODELS)
     @pytest.mark.parametrize("n", [2, 10, 64])
     def test_survival_is_one_kernel_call(self, name, n, monkeypatch):
-        # the orders 0..n-1 come from one call as an (n, len x) array
-        m = SIX_MODELS[name](n)
+        # the route pin: the three laws with a mixture row (stable, Levy, gamma claims)
+        # sum it and call no kernel, in survival and in each Newton step of VaR; the
+        # other laws take the orders 0..n-1 from one call as an (n, len x) array, and
+        # each Newton step the orders 0..n from one call
+        m = SEVEN_MODELS[name](n)
         law = type(m.mixing)
         kernel = law.log_abs_laplace_derivative
         calls = []
@@ -56,10 +64,22 @@ class TestOneKernelCall:
             return kernel(self, k, s)
 
         monkeypatch.setattr(law, "log_abs_laplace_derivative", counted)
+        has_row = m.mixing.sum_row(n) is not None
+        assert has_row == (name in ("weibull", "weibull_half", "gamma_claims"))
         survival(m, np.geomspace(1e-2, 1e3, 50))
-        assert len(calls) == 1 and np.array_equal(calls[0], np.arange(n))
+        if has_row:
+            assert not calls
+        else:
+            assert len(calls) == 1 and np.array_equal(calls[0], np.arange(n))
         survival(m, 2.5)
-        assert len(calls) == 2
+        assert len(calls) == (0 if has_row else 2)
+        calls.clear()
+        terms, _ = _log_survival_terms(m, np.array([2.5]), density=True)
+        assert terms.shape == (n, 1)
+        if has_row:
+            assert not calls
+        else:
+            assert len(calls) == 1 and np.array_equal(calls[0], np.arange(n + 1))
 
     def test_long_input_in_blocks(self, monkeypatch):
         # 2 x 70000 terms: three kernel calls of at most 2^16 terms, and the
@@ -284,7 +304,7 @@ class TestMixtureRepresentation:
     def test_gamma_claims_shapes_and_weights(self):
         rep = mixture_representation(gamma_claims_model(0.5, 1.0, 2))
         shapes = [c.shape for c in rep.components]
-        assert shapes == pytest.approx([1.5, 0.5])
+        assert shapes == pytest.approx([0.5, 1.5])
         assert sum(c.weight for c in rep.components) == pytest.approx(1.0, abs=1e-12)
 
     def test_weibull_small_n_weights(self):

@@ -283,6 +283,17 @@ class TestPearsonRho:
             warnings.simplefilter("error")
             assert pearson_rho(vector(m, 2)) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("law, want", [
+        (lambda scale: GammaMixing(3.0, scale), 1.0 / 3.0),
+        (lambda scale: GleserGammaMixing(0.5, scale), 0.25),
+        (lambda scale: LevyMixing(scale), 0.4),
+    ])
+    def test_scale_cancels_exactly(self, law, want):
+        # q is formed from the unit-scale moments, so the scale costs no digit:
+        # 1e300 gave 0.24999999999995579 when r log(scale) was added to each moment
+        for scale in (1e-300, 1.0, 1e300):
+            assert pearson_rho(vector(law(scale), 2)) == want
+
 
 class TestJointMoments:
     def test_pareto_cross_moment(self):

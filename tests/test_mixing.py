@@ -11,12 +11,12 @@ from scipy import integrate, special
 from riskmix.errors import (
     DerivativeCapError,
     NonexistentMomentError,
-    PrecisionError,
     RiskmixError,
     TailUnderflowError,
     UnsupportedModelError,
 )
 from riskmix.aggregate import moment_from_mixture, pdf, survival, weibull_model
+from riskmix.riskmeasures import tail_moment
 from riskmix.mixing import (
     Beta2Component,
     BetaSecondKindMixing,
@@ -135,14 +135,20 @@ class TestEveryKind:
             assert abs(vals.mean() - m.laplace(s)) < 4 * se + 1e-12
 
     def test_log_kernel_order_domain(self, m):
-        # order -1 is the integrated transform, which exists exactly where E(1/Theta) does
+        # order -1 is the integrated transform, which exists exactly where E(1/Theta)
+        # does; the stable kernel has no negative order (its tail moments sum its
+        # mixture row) and refuses it
         try:
             m.neg_moment(1)
         except NonexistentMomentError:
             with pytest.raises(NonexistentMomentError):
                 m.log_abs_laplace_derivative(-1, S_GRID)
         else:
-            assert np.all(np.isfinite(m.log_abs_laplace_derivative(-1, S_GRID)))
+            if isinstance(m, PositiveStableMixing):
+                with pytest.raises(UnsupportedModelError):
+                    m.log_abs_laplace_derivative(-1, S_GRID)
+            else:
+                assert np.all(np.isfinite(m.log_abs_laplace_derivative(-1, S_GRID)))
         assert np.all(np.isfinite(m.log_abs_laplace_derivative(65, S_GRID)))
 
     def test_array_evaluation_matches_scalar(self, m):
@@ -328,7 +334,7 @@ class TestLevyBesselIdentity:
         from riskmix.mixing import _sqrt_bell
         abs_a = [abs(falling_factorial(0.5, j)) for j in range(1, ORDERS + 1)]
         for n in range(1, ORDERS + 1):
-            _, got = _sqrt_bell(n, 0)
+            got = _sqrt_bell(n)
             for k in range(1, n + 1):
                 args = abs_a[: n - k + 1]
                 want = log_bell_partial(n, k, np.log(args))
@@ -371,7 +377,7 @@ class TestPowerBellTriangle:
         # two derivations of the same coefficients: recurrence and Bessel form
         table = _power_bell(0.5, ORDERS)
         for n in range(1, ORDERS + 1):
-            _, want = _sqrt_bell(n, 0)
+            want = _sqrt_bell(n)
             assert np.max(np.abs(table[n, 1:n + 1] - want)) <= 3e-13
 
     @pytest.mark.parametrize("alpha", [0.3, 0.55, 0.9])
@@ -446,7 +452,8 @@ def log_error(got, want):
 def sqrt_bell_log_derivative(m, n, s):
     """log|L^(n)(s)| of the Levy or inverse Gaussian law as the Bessel-polynomial
     sum of partial Bell polynomials of the sqrt sequence (_sqrt_bell)."""
-    k, log_bell = _sqrt_bell(n, s.ndim)
+    log_bell = _sqrt_bell(n).reshape((-1,) + (1,) * s.ndim)
+    k = np.arange(1.0, n + 1.0).reshape(log_bell.shape)
     if isinstance(m, LevyMixing):
         return _log_sum_exp(k * math.log(m.lam) - m.lam * np.sqrt(s)
                             + (0.5 * k - n) * np.log(s) + log_bell)
@@ -621,8 +628,7 @@ class TestNegativeMoments:
 
 NEGATIVE_ORDER_LAWS = [GammaMixing(2.5, 0.4), BetaSecondKindMixing(2.5, 0.6),
                        GleserGammaMixing(0.4, 1.5), GleserGammaMixing(0.85, 0.3),
-                       InverseGaussianMixing(0.4, 2.5), LevyMixing(1.2), PositiveStableMixing(0.3),
-                       PositiveStableMixing(0.85), PositiveStableMixing(1.0)]
+                       InverseGaussianMixing(0.4, 2.5), LevyMixing(1.2)]
 
 
 class TestNegativeOrders:
@@ -656,6 +662,13 @@ class TestNegativeOrders:
                 with pytest.raises(NonexistentMomentError):
                     m.log_abs_laplace_derivative(-j, np.array([1e-9]))
                 continue
+            if isinstance(m, PositiveStableMixing):
+                # the moment is a closed form; the kernel has no negative order
+                assert want == pytest.approx(math.gamma(1.0 + j / m.alpha) / math.factorial(j),
+                                             rel=1e-14)
+                with pytest.raises(UnsupportedModelError):
+                    m.log_abs_laplace_derivative(-j, np.array([1e-9]))
+                continue
             got = math.exp(m.log_abs_laplace_derivative(-j, np.array([1e-9]))[0])
             assert got == pytest.approx(want, rel=1e-6)
 
@@ -672,18 +685,20 @@ class TestNegativeOrders:
             with pytest.raises(NonexistentMomentError):
                 m.log_abs_laplace_derivative(-1, s)
 
-    def test_stable_cancellation_raises(self):
-        # the signed sum of the stable law cancels about log10(alpha s^alpha)
-        # digits per order: at s = 1e6 orders -6..-8 lose 1e9 to 1e13, and
-        # are refused rather than returned wrong
+    def test_stable_tail_moments_are_finite(self):
+        # the stable kernel refuses every negative order, and the tail moments that its
+        # signed sum refused with PrecisionError (orders -5..-8 from s = 1e4) are sums of
+        # positive terms over the mixture row
         m = PositiveStableMixing(0.5)
-        for k in (-6, -7, -8, -np.arange(1, 9)):
-            with pytest.raises(PrecisionError):
-                m.log_abs_laplace_derivative(k, np.array([1e6]))
-        got = m.log_abs_laplace_derivative(-np.arange(1, 3), np.array([1e4]))
-        for j in (1, 2):
-            want = mp_reference.integrated_transform(m, j, 1e4)
-            assert abs(got[j - 1, 0] - want) <= 1e-13 * max(1.0, abs(want))
+        for k in (-1, -6, -np.arange(1, 9)):
+            with pytest.raises(UnsupportedModelError):
+                m.log_abs_laplace_derivative(k, np.array([1e4]))
+        model = weibull_model(0.5, 3)
+        got = tail_moment(model, 6, 1e4)
+        assert got == pytest.approx(1.13762479810868e24, rel=1e-12)
+        assert got == pytest.approx(mp_reference.conditional_tail_moment(m, 3, 6, 1e4), rel=1e-12)
+        for r in (5, 8):
+            assert np.isfinite(tail_moment(model, r, 1e4))
 
 
 BESSEL_NEGATIVE_LAWS = [LevyMixing(0.05), LevyMixing(1.2), LevyMixing(30.0),
@@ -730,15 +745,13 @@ class TestOrderRows:
                 with pytest.raises(NonexistentMomentError):
                     m.log_abs_laplace_derivative(order, s)
             return
-        try:
-            rows = m.log_abs_laplace_derivative(k, s)
-        except PrecisionError:
-            # the stable law's order -5 cancels past the limit near s = 1e3;
-            # the scalar call of the deepest order refuses too
-            assert isinstance(m, PositiveStableMixing)
-            with pytest.raises(PrecisionError):
-                m.log_abs_laplace_derivative(int(k.min()), s)
+        if sign < 0 and isinstance(m, PositiveStableMixing):
+            # the stable kernel has no negative order
+            for order in (k, int(k[0])):
+                with pytest.raises(UnsupportedModelError):
+                    m.log_abs_laplace_derivative(order, s)
             return
+        rows = m.log_abs_laplace_derivative(k, s)
         assert rows.shape == (k.size,) + s.shape
         for row, order in zip(rows, k.tolist()):
             assert log_error(row, m.log_abs_laplace_derivative(order, s)).max() <= 1e-15
@@ -836,6 +849,25 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert peak < rows.nbytes + 4 * 8 * _KERNEL_CELLS
         assert log_error(rows[:, -1], one[:, 0]).max() <= 1e-14
+
+    def test_gleser_orders_share_their_kummer_start(self):
+        # 300.5, 299.5 and 100.5 all start at m = 0.5: one Kummer integral per block
+        # for the three, which held 5.1 MB beyond the output as one per order
+        m = GleserGammaMixing(0.55, 1.3)
+        s = np.geomspace(1e-2, 1e4, 600)
+        orders = np.array([300.5, 299.5, 100.5])
+        one = m.log_abs_laplace_derivative(orders, s[-1:])
+        tracemalloc.start()
+        try:
+            rows = m.log_abs_laplace_derivative(orders, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + (2 << 20)
+        assert log_error(rows[:, -1], one[:, 0]).max() <= 1e-14
+        for i, k in enumerate(orders.tolist()):
+            # a call of one order runs bigger blocks, whose Kummer steps differ
+            assert log_error(rows[i], m.log_abs_laplace_derivative(k, s)).max() <= 1e-14
 
     def test_real_order_runs_in_whole_blocks(self):
         # order 2.5 on 30000 points: blocks of 65536 // 3 = 21845 points

@@ -1,0 +1,115 @@
+"""The stable, Levy and gamma-claims (Gleser) laws through their mixture rows
+(MixingDistribution.sum_row): survival against a 50-digit mpmath sum of the
+mixture, tail moments against mp_reference, the route that takes no kernel
+call, and properties of S, F and VaR."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from riskmix import mixing
+from riskmix.aggregate import AggregateModel, cdf, gamma_claims_model, pdf, survival
+from riskmix.mixing import GleserGammaMixing, LevyMixing, PositiveStableMixing
+from riskmix.riskmeasures import risk_report, value_at_risk
+
+import mp_reference
+
+ROW_LAWS = [PositiveStableMixing(0.45), PositiveStableMixing(0.9), PositiveStableMixing(1.0),
+            LevyMixing(0.05), LevyMixing(30.0), GleserGammaMixing(0.05, 1.0),
+            GleserGammaMixing(0.55, 1e-3), GleserGammaMixing(1.0, 2.0)]
+TAIL_LAWS = [PositiveStableMixing(0.45), LevyMixing(1.2), GleserGammaMixing(0.55, 1.3)]
+
+
+def model(law, n):
+    return AggregateModel(law, (1.0,) * n)
+
+
+def survival_error(law, n):
+    """The largest relative error of survival against the 50-digit mixture sum
+    where 1e-290 < S < 1 - 1e-3, on y = rate x^power from 1e-3 through the bulk
+    of S_n and past the double range of its tail."""
+    row = law.sum_row(n)
+    y = np.r_[np.geomspace(1e-3, 1e3, 20), np.linspace(1.0, 2.0 * n + 800.0, 20)]
+    x = (y / row.rate) ** (1.0 / row.power)
+    want = np.array(mp_reference.mixture_survival(law, n, x))
+    keep = (want > 1e-290) & (want < 1.0 - 1e-3)
+    assert keep.sum() >= 5
+    return np.max(np.abs(survival(model(law, n), x[keep]) / want[keep] - 1.0))
+
+
+class TestSurvivalAgainstMpmath:
+    @pytest.mark.parametrize("n", [2, 32, 200])
+    @pytest.mark.parametrize("law", ROW_LAWS, ids=repr)
+    def test_within_1e_12(self, law, n):
+        assert survival_error(law, n) <= 1e-12
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("law", ROW_LAWS, ids=repr)
+    def test_n_1000_within_5e_12(self, law):
+        assert survival_error(law, 1000) <= 5e-12
+
+    def test_y_past_the_double_range(self):
+        # y = rate x^power overflows: S and f are 0, with no RuntimeWarning (an
+        # error under the test settings), where the Gleser S was nan
+        for law in (GleserGammaMixing(0.5, 1e10), LevyMixing(1e300)):
+            x = np.array([1e300])
+            assert survival(model(law, 3), x)[0] == 0.0
+            assert pdf(model(law, 3), x)[0] == 0.0
+
+
+class TestTailMoments:
+    @pytest.mark.parametrize("n", [2, 32, 200])
+    @pytest.mark.parametrize("law", TAIL_LAWS, ids=repr)
+    def test_against_mpmath_at_var(self, law, n):
+        for level in (0.5, 0.99, 1.0 - 1e-10):
+            rep = risk_report(model(law, n), level, orders=(2,))
+            ((r, got),) = rep.tail_moments
+            want = mp_reference.conditional_tail_moment(law, n, r, rep.var, dps=20)
+            assert got == pytest.approx(want, rel=1e-11), level
+
+    @pytest.mark.parametrize("law", TAIL_LAWS, ids=repr)
+    def test_no_kernel_call(self, law, monkeypatch):
+        # VaR, its Newton steps and the tail moments all sum the mixture row; the
+        # Gleser tail moments no longer take a Kummer integral
+        def refuse(*args, **kwargs):
+            raise AssertionError("the mixture route called a kernel")
+
+        monkeypatch.setattr(type(law), "log_abs_laplace_derivative", refuse)
+        monkeypatch.setattr(mixing, "log_kummer_u_integral", refuse)
+        rep = risk_report(model(law, 10), 0.99, orders=(1, 2, 3))
+        assert all(np.isfinite(v) for _, v in rep.tail_moments)
+
+    def test_rows_are_cached(self):
+        m = gamma_claims_model(0.55, 1.3, 17)
+        assert m.mixing.sum_row(17) is m.mixing.sum_row(17)
+        assert mixing._mixture_row.cache_info().maxsize == mixing._ROW_CACHE
+
+
+ROW_MIXINGS = st.one_of(
+    st.builds(PositiveStableMixing, st.floats(0.3, 1.0)),
+    st.builds(LevyMixing, st.floats(0.05, 30.0)),
+    st.builds(GleserGammaMixing, st.floats(0.05, 1.0), st.floats(1e-3, 10.0)))
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(ROW_MIXINGS, st.integers(min_value=1, max_value=64),
+           st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=2, max_size=20))
+    def test_survival_and_cdf(self, law, n, xs):
+        m, x = model(law, n), np.sort(xs)
+        s, f = survival(m, x), cdf(m, x)
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        assert np.all(np.abs(s + f - 1.0) <= 2.3e-16)
+        # nonincreasing, up to the rounding of equal or neighbouring points
+        assert np.all(s[1:] <= s[:-1] * (1.0 + 1e-13))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ROW_MIXINGS, st.integers(min_value=1, max_value=64),
+           st.floats(min_value=1e-3, max_value=1.0 - 1e-9))
+    def test_var_round_trips(self, law, n, level):
+        m = model(law, n)
+        x = value_at_risk(m, level)
+        assert survival(m, x) == pytest.approx(1.0 - level, rel=1e-9)
+        if level < 0.5:
+            assert cdf(m, x) == pytest.approx(level, rel=1e-9)
