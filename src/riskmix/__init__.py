@@ -62,7 +62,6 @@ from .ruin import (
     compound_pdf,
     compound_pdf_series,
     geometric_counts,
-    lindley_sum_pdf,
     primary_tail_mass,
     ruin_probability,
     ruin_probability_limit,

@@ -6,9 +6,8 @@ the paper's basic model.  Given Theta, S is Gamma(a, Theta), a = sum a_i, so
 the basic model's formulas hold with n replaced by a.  This module validates
 arguments and handles the boundary x <= 0.  The density has two entry points:
 
-* pdf: the law's printed sum density or its mixture row
-  (MixingDistribution.sum_pdf, listed in mixing.py; the derivative route for
-  a law with neither), its limit at x = 0 and 0 below it, and
+* pdf: the density of the law's row (MixingDistribution.sum_row, the route
+  of survival), its limit at x = 0 and 0 below it, and
 
 * pdf_generic: the derivative route
       f(x) = x^{a-1}/Gamma(a) * (-1)^a L^(a)(x)
@@ -21,23 +20,19 @@ representation, the risk measures) raises UnsupportedModelError through one
 check, _integral_shape.
 
 The survival is one log-space reduction of a positive terms per point, so
-it is finite for every x and every a.  It asks the law for its mixture row
-(MixingDistribution.sum_row: the stable, Levy and Gleser laws), whose
-survival terms and density need no kernel call; for every other law it sums
-the log-space derivative kernel (MixingDistribution.log_abs_laplace_derivative)
-over the orders 0..a-1, one kernel call as an (a, len x) array, and the VaR
-iteration asks the same call for order a too, whose row is the density.  The
-tail moments reuse the survival terms.  Cdf, moments (in log space,
+it is finite for every x and every a.  Its terms come from the law's row,
+with no branch here: a mixture row (stable, Levy, Gleser) calls no kernel,
+a KernelRow one for the orders 0..a-1 as an (a, len x) array.  The tail
+moments reuse the survival terms.  Cdf, moments (in log space,
 PrecisionError where one overflows a double) and the finite mixture
 representation (with the moments of a mixture) are built on the same law
 methods.
 """
 
 from dataclasses import dataclass, field
-from math import fsum, isfinite, lgamma, log
+from math import fsum, isfinite, lgamma
 
 import numpy as np
-from scipy import special
 
 from .errors import UnsupportedModelError
 from .mixing import (
@@ -166,8 +161,8 @@ def pdf_generic(model: AggregateModel, x):
 
 
 def pdf(model: AggregateModel, x):
-    """Density of S; the law's printed sum density where it has one (at an
-    integral total shape), the derivative route otherwise.
+    """Density of S: its row's density at an integral total shape (the route
+    of survival), the derivative route at a fractional one.
 
     x = 0 returns the mathematical limit (inf signals an unbounded density;
     UnsupportedModelError at a fractional total shape), x < 0 returns 0.
@@ -198,48 +193,25 @@ def _by_blocks(a, xs, fn):
 
 def survival(model: AggregateModel, x):
     """Pr(S > x) = sum_{k=0}^{a-1} x^k/k! * (-1)^k L^(k)(x), a the integral
-    total shape, or the same sum gathered by the law's mixture row.
+    total shape: the log-sum of the law's row's survival terms.
 
     The sum starts at k = 0 (the k = 0 term is L itself), which is what the
     gamma-cdf identity requires and what makes survival(0) = 1 exact.  Every
-    term is nonnegative, so the sum is one log-space reduction of the a terms
-    of _log_survival_terms: no term is formed in linear space, and no x is
-    too large for it.  The terms come in blocks of at most _KERNEL_CELLS
-    (one block unless a times the number of points exceeds it), which bounds
-    the temporaries.
+    term is nonnegative, so the sum is one log-space reduction of a terms:
+    no term is formed in linear space, and no x is too large for it.  The
+    terms come in blocks of at most _KERNEL_CELLS (one block unless a times
+    the number of points exceeds it), which bounds the temporaries.
     """
     a = _integral_shape(model)
+    row = model.mixing.sum_row(a)
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     out = np.ones_like(x_arr, dtype=float)
     pos = x_arr > 0
     if np.any(pos):
         out[pos] = _by_blocks(a, x_arr[pos],
-                              lambda xs: np.exp(_log_sum_exp(_log_survival_terms(model, xs))))
+                              lambda xs: np.exp(_log_sum_exp(row.log_survival_terms(xs))))
     return _ret(out, scalar_in)
-
-
-def _log_survival_terms(model: AggregateModel, xs, density=False):
-    """The (a, *xs.shape) log-space terms of the survival sum on an array
-    xs > 0, a the integral total shape; with density=True the pair (terms,
-    log(x f(x))).
-
-    A law with a mixture row (MixingDistribution.sum_row) gives both from it.
-    Otherwise the terms are k log x - log k! + log|L^(k)(x)| = log E(Pr(N = k)),
-    N ~ Poisson(Theta x), k = 0..a-1, from one kernel call, which with
-    density=True also takes order a: x f(x) = a x^a/a! |L^(a)(x)|."""
-    a = _integral_shape(model)
-    row = model.mixing.sum_row(a)
-    if row is not None:
-        terms = row.log_survival_terms(xs)
-        return (terms, row.log_x_density(xs)) if density else terms
-    k = np.arange(a + density)
-    col = k.reshape((-1,) + (1,) * xs.ndim)
-    # the kernel first: it refuses an order past its budget before the other
-    # terms are formed
-    terms = model.mixing.log_abs_laplace_derivative(k, xs)
-    terms += col * np.log(xs) - special.gammaln(col + 1.0)
-    return (terms[:a], terms[a] + log(a)) if density else terms
 
 
 def cdf(model: AggregateModel, x):

@@ -3,18 +3,19 @@
 Each law knows its Laplace transform, exact n-th Laplace derivatives, the
 Archimedean generator (the exact functional inverse of the transform),
 negative moments and an exact sampler.  It also owns the formulas of the sum
-S_n of n claims it drives: the sum density (the law's printed form where the
-source has one, the derivative route otherwise), the density limit at 0, the
-finite mixture representation and the closed-form Kendall tau.  Downstream
-modules (aggregate densities, copulas, risk measures) call these and never
-branch on the law's type.
+S_n of n claims it drives, through one row per n (below): the survival terms,
+the density and its limit at 0, the tail moments and the finite mixture
+representation; and the closed-form Kendall tau.  Downstream modules
+(aggregate densities, copulas, risk measures) call these and never branch on
+the law's type.
 
 Each law implements one kernel, log_abs_laplace_derivative(k, s) =
 log E(Theta^k e^{-s Theta}) for every integer order k, on an array s > 0
 (and s = 0 at k = 0).  An order k >= 0 is log|L^(k)(s)| (k = 0 is log L); a
 negative order k = -j is the j-fold integrated transform that the tail
-moments of S_n sum where the law has no mixture row (below), and raises
-NonexistentMomentError where it diverges.
+moments of a KernelRow sum (below), and raises NonexistentMomentError where
+it diverges.  Every order is -inf at s = inf, and where the law's log lies
+below -FLOAT_MAX (_vanishing); no kernel warns on overflow.
 Given a 1-D array of orders it returns one row per order from one pass
 (each law's _log_kernel), so the aggregate survival, sum_{k<n} of the
 orders 0..n-1, is one kernel call, and so are the tail moments' orders
@@ -68,26 +69,26 @@ Each law also supplies its log density on its support (_log_pdf) and its
 generator on an array (_generator); the base class's pdf and generator
 handle scalars, arrays and the points off the support once for every law.
 
-Mixture rows.  Under the stable, Levy and Gleser laws S_n is a finite
-mixture of gamma-power laws X_k = (G_k/rate)^(1/power), G_k ~ Gamma(shape0
-+ k, 1), k = 1..n, with positive weights; sum_row(n) returns it as a
-MixtureRow, built on first use and kept in one bounded lru_cache per (law,
-n) (_mixture_row, _ROW_CACHE rows).  Its density, survival and tail
-moments are sums of positive terms (MixtureRow), so the aggregate survival,
-the VaR iteration and the tail moments of these laws call no kernel, and
-sum_pdf and sum_mixture read the same row:
+Rows.  sum_row(n) answers for S_n through one of two row classes with the
+same five calls (log_survival_terms, pdf, pdf_at_zero, log_tail_moments,
+mixture), which sum_pdf, sum_pdf_at_zero and sum_mixture read.  Under the
+stable, Levy and Gleser laws S_n is a finite mixture of gamma-power laws
+X_k = (G_k/rate)^(1/power), G_k ~ Gamma(shape0 + k, 1), k = 1..n, with
+positive weights: a MixtureRow, built on first use and kept in one bounded
+lru_cache per (law, n) (_mixture_row, _ROW_CACHE rows), whose sums of
+positive terms call no kernel:
 * stable: shape0 0, power alpha, rate 1, weights from row n of the Bell
   triangle and survival coefficients summed down its columns;
 * Levy: shape0 0, power 1/2, rate lam, weights from the closed Bell row
   _sqrt_bell;
 * Gleser: shape0 alpha - 1, power 1, rate lam, the printed gamma sum.
-The other laws return None and keep the kernel sums.
-
-Each other printed sum density (sum_pdf) is the law's mixture
-representation (sum_mixture) summed: gamma (Pareto claims) one B2(n, alpha)
-of scale beta; Lindley, whose Theta is Ga(1, lam) with weight lam/(1+lam)
-and Ga(2, lam) otherwise, B2(n, 1) and B2(n, 2) of scale lam, in one
-log-space expression.
+Every other law returns a KernelRow, which sums the kernel, and gives its
+own density limit at 0 and finite mixture (_sum_pdf_at_zero, _sum_mixture):
+gamma (Pareto claims) one B2(n, alpha) of scale beta; Lindley, whose Theta
+is Ga(1, lam) with weight lam/(1+lam) and Ga(2, lam) otherwise, B2(n, 1)
+and B2(n, 2) of scale lam; the inverse Gaussian and second-kind beta none.
+These printed forms share no code with the kernel, so they check it (cli
+verify's closed_vs_generic).
 
 Negative moments split into a unit part and the scale: log_neg_moment(r) =
 log_unit_neg_moment(r) - r log c, Theta / c free of c, so a ratio of them
@@ -273,6 +274,14 @@ def _partial_sums(terms, k):
     return rows[k]
 
 
+def _vanishing(kernel, k, s, far):
+    """kernel(k, s) on a 1-D array s with every order -inf at the points `far`,
+    where it runs at s = 1 instead, so it still refuses an order it cannot take."""
+    rows = kernel(k, np.where(far, 1.0, s))
+    rows[:, far] = -inf
+    return rows
+
+
 def _column(k, ndim):
     """The orders k as a float column that broadcasts over ndim more axes."""
     return np.asarray(k, dtype=float).reshape((-1,) + (1,) * ndim)
@@ -453,14 +462,15 @@ class MixtureRow:
             y = np.minimum(self.rate * x ** self.power, _FLOAT_MAX)
         return self.power * np.log(x) + log(self.rate), y
 
-    def log_survival_terms(self, x):
-        """The (n, *x.shape) log terms on x > 0 whose log-sum is log S(x)."""
+    def log_survival_terms(self, x, density=False):
+        """The (n, *x.shape) log terms on an array x > 0 whose log-sum is log
+        S(x); with density=True the pair (terms, log(x f(x)))."""
         log_y, y = self._log_y(x)
         col = (-1,) + (1,) * x.ndim
         terms = self.log_c.reshape(col) + (self._shapes.reshape(col) - 1.0) * log_y - y
         if self.shape0:
             terms[0] = log_gammaincc(self.shape0 + 1.0, y)
-        return terms
+        return (terms, self.log_x_density(x)) if density else terms
 
     def log_x_density(self, x):
         """log(x f(x)) on x > 0."""
@@ -473,9 +483,19 @@ class MixtureRow:
         """f(x) on x > 0."""
         return np.exp(self.log_x_density(x) - np.log(x))
 
-    def log_tail_moments(self, a: float, orders) -> np.ndarray:
+    def pdf_at_zero(self) -> float:
+        """f(0+), from the first term of positive weight, power d_k rate^b x^e with
+        b = shape0 + k and e = power b - 1: inf below e = 0, 0 above it."""
+        k = int(np.argmax(self.log_d > -inf))
+        b = float(self._shapes[k])
+        e = self.power * b - 1.0
+        if e:
+            return inf if e < 0 else 0.0
+        return self.power * exp(self.log_d[k]) * self.rate ** b
+
+    def log_tail_moments(self, a: float, orders, terms=None) -> np.ndarray:
         """log E(S^r 1{S > a}) for each order r of a 1-D array, a > 0, from one
-        log_gammaincc call."""
+        log_gammaincc call (KernelRow's survival terms are not needed)."""
         shift = np.asarray(orders, dtype=float)[:, None] / self.power
         b = self._shapes + shift
         terms = self.log_d + special.gammaln(b) + log_gammaincc(b, self.rate * a ** self.power)
@@ -492,6 +512,54 @@ class MixtureRow:
 def _mixture_row(law, n: int) -> MixtureRow:
     """The law's MixtureRow of S_n, built on first use."""
     return law._row(n)
+
+
+@dataclass(frozen=True)
+class KernelRow:
+    """S_n through the law's kernel, built per call (it holds no arrays).  Given
+    Theta, S_n is Gamma(n, Theta), so each of these is a sum of positive terms:
+
+        S(x)            = sum_{k<n} x^k/k! |L^(k)(x)|,    x f(x) = n x^n/n! |L^(n)(x)|,
+        E(S^r 1{S > a}) = Gamma(n+r)/Gamma(n) sum_{k<n+r} a^k/k! E(Theta^(k-r) e^(-Theta a))."""
+
+    law: "MixingDistribution"
+    n: int
+
+    def log_survival_terms(self, x, density=False):
+        """The (n, *x.shape) log terms on an array x > 0 whose log-sum is log
+        S(x); with density=True the pair (terms, log(x f(x))), one kernel call."""
+        n = self.n
+        k = np.arange(n + density)
+        col = k.reshape((-1,) + (1,) * x.ndim)
+        # the kernel first: it refuses an order past its budget before the other
+        # terms are formed
+        terms = self.law.log_abs_laplace_derivative(k, x)
+        terms += col * np.log(x) - special.gammaln(col + 1.0)
+        return (terms[:n], terms[n] + log(n)) if density else terms
+
+    def pdf(self, x):
+        """f(x) on an array x > 0: the derivative route."""
+        return self.law.sum_pdf_derivative(self.n, x)
+
+    def pdf_at_zero(self) -> float:
+        return self.law._sum_pdf_at_zero(self.n)
+
+    def log_tail_moments(self, a: float, orders, terms) -> np.ndarray:
+        """log E(S^r 1{S > a}) for each order r of a 1-D array, a > 0, from the
+        survival terms at a (a 1-D array) and one kernel call for the orders
+        -1..-max(orders): for k >= r the survival term of order k - r times
+        a^r (k-r)!/k!, for k < r a^k/k! E(Theta^(k-r) e^(-Theta a))."""
+        n, top = self.n, max(orders)
+        neg = self.law.log_abs_laplace_derivative(-np.arange(1, top + 1), np.array(a))
+        # log k! - k log a
+        lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log(a)
+        return np.array([lgamma(n + r) - lgamma(n)
+                         + np.logaddexp.reduce(np.concatenate((terms + lf[:n] - lf[r:n + r],
+                                                               neg[r - 1::-1] - lf[:r])))
+                         for r in orders])
+
+    def mixture(self) -> MixtureRepresentation:
+        return self.law._sum_mixture(self.n)
 
 
 class MixingDistribution:
@@ -527,6 +595,11 @@ class MixingDistribution:
         # the kernels take orders of one sign and s flat, so each of their rows
         # is an array they can write into
         flat = s.reshape(-1)
+        far = np.isinf(flat)
+        if far.any():
+            # Theta > 0, so every order tends to 0 as s -> inf
+            rows = _vanishing(self.log_abs_laplace_derivative, orders, flat, far)
+            return rows.reshape(k.shape + s.shape)
         if flat.size <= block:
             rows = self._log_kernel(orders, flat)
         else:
@@ -611,27 +684,29 @@ class MixingDistribution:
         return np.exp((n - 1.0) * np.log(x) - lgamma(n) + self.log_abs_laplace_derivative(n, x))
 
     def sum_pdf(self, n: int, x):
-        """Density of S_n on an array x > 0 by the law's printed sum formula or
-        its mixture row; laws with neither take the derivative route."""
-        row = self.sum_row(n)
-        return self.sum_pdf_derivative(n, x) if row is None else row.pdf(x)
+        """Density of S_n on an array x > 0, from its row."""
+        return self.sum_row(n).pdf(x)
 
     def sum_pdf_at_zero(self, n: int) -> float:
         """Limit of the density of S_n at x = 0+ (may be inf; never a float overflow)."""
-        raise UnsupportedModelError(f"unknown mixing law {self.kind}")
+        return self.sum_row(n).pdf_at_zero()
 
     def sum_mixture(self, n: int) -> MixtureRepresentation:
         """Finite mixture form of the density of S_n, where one exists."""
-        row = self.sum_row(n)
-        if row is None:
-            raise UnsupportedModelError(
-                f"no finite mixture representation for {self.kind} mixing")
-        return row.mixture()
+        return self.sum_row(n).mixture()
 
     def sum_row(self, n: int):
-        """The cached MixtureRow of S_n (positive gamma-power weights), or None
-        for a law without one."""
-        return None
+        """The row that answers for S_n: the law's cached MixtureRow where it has
+        one (stable, Levy, Gleser), a KernelRow otherwise."""
+        return KernelRow(self, n)
+
+    def _sum_pdf_at_zero(self, n: int) -> float:
+        """f(0+) of S_n for a law whose row is a KernelRow."""
+        raise UnsupportedModelError(f"unknown mixing law {self.kind}")
+
+    def _sum_mixture(self, n: int) -> MixtureRepresentation:
+        """The finite mixture of S_n for a law whose row is a KernelRow."""
+        raise UnsupportedModelError(f"no finite mixture representation for {self.kind} mixing")
 
     def kendall_tau(self) -> float:
         """Closed-form pairwise Kendall tau of the copula, where one exists."""
@@ -656,7 +731,12 @@ class GammaMixing(MixingDistribution):
     def _log_kernel(self, k, s):
         _require_above(k, "alpha", self.alpha)
         a, b, k = self.alpha, self.beta, _column(k, s.ndim)
-        return special.gammaln(a + k) - lgamma(a) - k * log(b) - (a + k) * np.log1p(s / b)
+        with np.errstate(over="ignore"):
+            log1p_t = np.log1p(s / b)
+        # where s / b overflows, log(1 + s/b) is log s - log b to double precision
+        far = np.isinf(log1p_t)
+        log1p_t[far] = np.log(s[far]) - log(b)
+        return special.gammaln(a + k) - lgamma(a) - k * log(b) - (a + k) * log1p_t
 
     @property
     def log_scale(self):
@@ -678,14 +758,10 @@ class GammaMixing(MixingDistribution):
         a, b = self.alpha, self.beta
         return a * log(b) + (a - 1) * np.log(th) - b * th - lgamma(a)
 
-    def sum_pdf(self, n, x):
-        # the density of the one B2 component of sum_mixture
-        return self.sum_mixture(n).components[0].pdf(x)
-
-    def sum_pdf_at_zero(self, n):
+    def _sum_pdf_at_zero(self, n):
         return self.alpha / self.beta if n == 1 else 0.0
 
-    def sum_mixture(self, n):
+    def _sum_mixture(self, n):
         return MixtureRepresentation((Beta2Component(float(n), self.alpha, self.beta, 1.0),))
 
     def kendall_tau(self):
@@ -709,14 +785,17 @@ class LevyMixing(MixingDistribution):
         _require_positive(lam=self.lam)
 
     def _log_kernel(self, k, s):
-        # (lam/sqrt(pi)) (2z/lam^2)^(1/2-k) K_{k-1/2}(z), z = lam sqrt(s)
-        z = self.lam * np.sqrt(s)
+        # (lam/sqrt(pi)) (2z/lam^2)^(1/2-k) K_{k-1/2}(z), z = lam sqrt(s), 2z/lam^2 = 2 sqrt(s)/lam
+        with np.errstate(over="ignore"):
+            z = self.lam * np.sqrt(s)
+        if np.isinf(z).any():  # there the log, -z + O(log z), is below -FLOAT_MAX
+            return _vanishing(self._log_kernel, k, s, np.isinf(z))
         if not k.any():
-            # order 0 alone also takes s = 0, where log z below is -inf
+            # order 0 alone also takes s = 0, where log s below is -inf
             return np.zeros((k.size,) + z.shape) - z
         rows = _log_bessel_ratios(k, z)
         rows -= z
-        rows -= _column(k, z.ndim) * np.log(2.0 * z / self.lam ** 2)
+        rows -= _column(k, z.ndim) * (0.5 * np.log(s) + log(2.0) - log(self.lam))
         return rows
 
     def _generator(self, t):
@@ -737,9 +816,6 @@ class LevyMixing(MixingDistribution):
     def _log_pdf(self, th):
         lam = self.lam
         return log(lam / 2) - 0.5 * (log(math.pi) + 3 * np.log(th)) - lam ** 2 / (4 * th)
-
-    def sum_pdf_at_zero(self, n):
-        return inf
 
     def sum_row(self, n):
         return _mixture_row(self, n)
@@ -793,11 +869,6 @@ class PositiveStableMixing(MixingDistribution):
     def _generator(self, t):
         return (-np.log(t)) ** (1.0 / self.alpha)
 
-    def sum_pdf_at_zero(self, n):
-        if self.alpha == 1.0:
-            return 1.0 if n == 1 else 0.0
-        return inf
-
     def sum_row(self, n):
         return _mixture_row(self, n)
 
@@ -844,23 +915,22 @@ class InverseGaussianMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam, mu=self.mu)
 
-    @property
-    def _b(self):
-        return 2.0 * self.mu ** 2 / self.lam
-
     def _log_kernel(self, k, s):
-        # sqrt(2 lam/pi) (sqrt(c)/mu)^(1/2-k) e^{lam/mu} K_{k-1/2}(z), c = 1 + b s,
-        # z = (lam/mu) sqrt(c)
-        root = np.sqrt(1.0 + self._b * s)
-        expo = -self.lam / self.mu * (root - 1.0)
-        rows = _log_bessel_ratios(k, self.lam / self.mu * root)
-        rows += expo
-        rows -= _column(k, s.ndim) * np.log(root / self.mu)
+        # sqrt(2 lam/pi) (z/lam)^(1/2-k) e^{lam/mu} K_{k-1/2}(z) with z = (lam/mu) sqrt(1 +
+        # 2 mu^2 s/lam) = hypot(c, w), c = lam/mu, w = sqrt(2 lam s); the exponent
+        # c - z = -w^2 / (z + c) neither overflows nor cancels
+        c = self.lam / self.mu
+        w = math.sqrt(2.0 * self.lam) * np.sqrt(s)
+        z = np.hypot(c, w)
+        rows = _log_bessel_ratios(k, z)
+        rows -= w * (w / (z + c))
+        rows -= _column(k, s.ndim) * np.log(z / self.lam)
         return rows
 
     def _generator(self, t):
-        lam, mu = self.lam, self.mu
-        return lam / (2 * mu ** 2) * ((1.0 - mu / lam * np.log(t)) ** 2 - 1.0)
+        # L(s) = exp(c - z) solved for s: with u = -log t, s = u/mu + u^2/(2 lam)
+        u = -np.log(t)
+        return u / self.mu + u * u / (2.0 * self.lam)
 
     @property
     def log_scale(self):
@@ -871,7 +941,7 @@ class InverseGaussianMixing(MixingDistribution):
         unit = InverseGaussianMixing(self.lam / self.mu, 1.0)
         return float(unit.log_abs_laplace_derivative(-r, 0.0))
 
-    def sum_pdf_at_zero(self, n):
+    def _sum_pdf_at_zero(self, n):
         return self.mu if n == 1 else 0.0
 
     def kendall_tau(self):
@@ -887,7 +957,7 @@ class InverseGaussianMixing(MixingDistribution):
     def _log_pdf(self, th):
         lam, mu = self.lam, self.mu
         return (0.5 * log(lam / (2 * math.pi)) - 1.5 * np.log(th)
-                - lam * (th - mu) ** 2 / (2 * mu ** 2 * th))
+                - lam * (th / mu - 1.0) ** 2 / (2.0 * th))
 
 
 @dataclass(frozen=True)
@@ -923,20 +993,11 @@ class LindleyMixing(MixingDistribution):
         y = (lam ** 2 + disc) / (2.0 * t * (1.0 + lam))
         return y - lam
 
-    def sum_pdf(self, n, x):
-        # the B2(n, 1) and B2(n, 2) densities of sum_mixture, scale lam, weights lam/(1+lam)
-        # and 1/(1+lam), in one log-space sum: with t = x/lam,
-        # n x^(n-1) lam^-n (1+t)^-(n+1) (lam + (n+1)/(1+t)) / (1+lam)
-        lam = self.lam
-        log1p_t = np.log1p(x / lam)
-        return np.exp(log(n) + (n - 1.0) * np.log(x) - n * log(lam) - (n + 1.0) * log1p_t
-                      + np.log(lam + (n + 1.0) / (1.0 + x / lam)) - math.log1p(lam))
-
-    def sum_pdf_at_zero(self, n):
+    def _sum_pdf_at_zero(self, n):
         # the n = 1 density at 0 is E(Theta) = lam/(1+lam) * 1/lam + 1/(1+lam) * 2/lam
         return (1.0 + 2.0 / self.lam) / (1.0 + self.lam) if n == 1 else 0.0
 
-    def sum_mixture(self, n):
+    def _sum_mixture(self, n):
         # Theta is Ga(1, lam) with weight lam/(1+lam) and Ga(2, lam) otherwise, and a
         # gamma frailty Ga(a, lam) makes S_n second-kind beta B2(n, a) of scale lam
         lam = self.lam
@@ -984,8 +1045,12 @@ class GleserGammaMixing(MixingDistribution):
 
     def _log_kernel(self, k, s):
         a, lam = self.alpha, self.lam
+        with np.errstate(over="ignore"):
+            ls = lam * s
+        if np.isinf(ls).any():  # there the log, -lam s + O(log s), is below -FLOAT_MAX
+            return _vanishing(self._log_kernel, k, s, np.isinf(ls))
         if a == 1.0:  # the point mass at lam
-            return _column(k, s.ndim) * log(lam) - lam * s
+            return _column(k, s.ndim) * log(lam) - ls
         if k.dtype.kind == "i" and k[0] >= 0:
             # c = lam^alpha / (Gamma(1-alpha) Gamma(alpha)) and c I_0 = lam^alpha s^(alpha-1) /
             # Gamma(alpha), from which the orders climb with q_1 = lam + (1-alpha)/s
@@ -995,9 +1060,9 @@ class GleserGammaMixing(MixingDistribution):
             else:
                 step = 1.0 / s
                 rows = self._climb(0, (1.0 - a) * step, step, k)
-                rows += a * log(lam) - lgamma(a) - lam * s + (a - 1.0) * np.log(s)
+                rows += a * log(lam) - lgamma(a) - ls + (a - 1.0) * np.log(s)
             if k.min() == 0:  # log Q(alpha, lam s), only when an order asks for it
-                rows[k == 0] = log_gammaincc(a, lam * s)
+                rows[k == 0] = log_gammaincc(a, ls)
             return rows
         # every other order: e^{-lam s} lam^m / B(alpha, 1-alpha) I(1-alpha, 1-alpha+m, lam s)
         # in one Kummer integral, at m = k up to order 1 and past it at m = k + 1 - ceil(k)
@@ -1006,15 +1071,15 @@ class GleserGammaMixing(MixingDistribution):
         # one Kummer integral per distinct start: orders a whole number apart share it
         starts, which = np.unique(k - climb, return_inverse=True)
         m = _column(starts, s.ndim)
-        log_i = log_kummer_u_integral(1.0 - a, 1.0 - a + m, lam * s)
-        rows = (m * log(lam) - lam * s + log_i - lgamma(a) - lgamma(1.0 - a))[which]
+        log_i = log_kummer_u_integral(1.0 - a, 1.0 - a + m, ls)
+        rows = (m * log(lam) - ls + log_i - lgamma(a) - lgamma(1.0 - a))[which]
         for i, m0 in enumerate(starts.tolist()):
             pick = (which == i) & (climb > 0)
             if not pick.any():
                 continue
             # the first excess q_m0 - lam is a ratio of two Kummer integrals: lam times
             # int_0^inf (1+t)^(m0-1) t^(1-alpha) e^{-lam s t} dt over the one above
-            d = lam * np.exp(log_kummer_u_integral(2.0 - a, 2.0 - a + m0, lam * s) - log_i[i])
+            d = lam * np.exp(log_kummer_u_integral(2.0 - a, 2.0 - a + m0, ls) - log_i[i])
             rows[pick] += self._climb(m0 - 1.0, d, 1.0 / s, climb[pick].astype(int) + 1)
         return rows
 
@@ -1054,11 +1119,6 @@ class GleserGammaMixing(MixingDistribution):
 
     def _generator(self, t):
         return special.gammainccinv(self.alpha, t) / self.lam
-
-    def sum_pdf_at_zero(self, n):
-        if self.alpha == 1.0:
-            return self.lam if n == 1 else 0.0
-        return inf
 
     def kendall_tau(self):
         # int s L'(s)^2 ds = Gamma(2 alpha) / (4^alpha Gamma(alpha)^2), so tau =
@@ -1147,7 +1207,7 @@ class BetaSecondKindMixing(MixingDistribution):
             )
         return _log_poch(self.gam, r) - _log_poch(self.beta - r, r)
 
-    def sum_pdf_at_zero(self, n):
+    def _sum_pdf_at_zero(self, n):
         # Theta's density decays like theta^{-gam-1}/B(beta, gam); for gam = 1
         # that is beta theta^{-2}, so x^{n-1} E(Theta^n e^{-Theta x})/Gamma(n)
         # tends to beta Gamma(n-1)/Gamma(n) when n > 1

@@ -10,85 +10,76 @@ n is the model's total shape; every risk measure sums the orders below it,
 so a fractional one raises UnsupportedModelError.
 
 VaR brackets its root with one survival call on a geometric grid from 2^-40
-to 2^40, and a second one from there to 2^996 (about 1e300) only when the
-quantile lies beyond (the log-space survival is finite on all of it).  It
-starts from the log-log interpolation between the bracketing grid points and
-runs a safeguarded Newton iteration in u = log x on g = log S - log(1 - level),
-dg/du = -x f / S (S' = -f), bisecting whenever a step leaves the bracket.
-Each step takes the survival terms and x f at x together
-(aggregate._log_survival_terms): from the law's mixture row where it has one
-(stable, Levy, Gleser), else from one kernel call for the orders 0..n, whose
-rows 0..n-1 are the survival terms and row n the density,
-x f = n x^n/n! |L^(n)(x)|.  Below level 0.5 it iterates on g = log F -
+to 2^40, and a second one only for a quantile outside it: on to 2^996
+(about 1e300), or from 2^-1074, the smallest positive double (below it,
+TailUnderflowError).  It starts from the log-log interpolation between the
+bracketing grid points and runs a safeguarded Newton iteration in u = log x
+on g = log S - log(1 - level), dg/du = -x f / S (S' = -f), bisecting
+whenever a step leaves the bracket.  Each step takes the survival terms and
+x f at x together from the law's row (mixing.MixtureRow or KernelRow).
+Below level 0.5 it iterates on g = log F -
 log(level) instead, with F = 1 - S from the same survival call and dg/du =
 x f / F: there log S is strongly concave in log x and a first Newton step on
 it overshoots.  It stops once the bracket or the step is within rtol = 1e-12
 of x, relative at every scale, and returns the point of its last survival
 evaluation.
 
-Tail moments.  A law with a mixture row sums it: E(S^r 1{S > a}) is a sum
-of upper incomplete gammas of positive weight (mixing.MixtureRow), one
-vectorised log_gammaincc call for every order.  For the other laws, given
-Theta, S_n is Gamma(n, Theta), so
-    E(S^r 1{S > a}) = Gamma(n+r)/Gamma(n) sum_{k=0}^{n+r-1} a^k/k! E(Theta^(k-r) e^(-Theta a)),
-a sum of positive terms: for k >= r the survival terms at a, shifted by
-r log a + log (k-r)! - log k!; for k < r the law's kernel at the negative
-order r - k.  Either is one log-space reduction, divided by S(a).
-risk_report takes the survival terms of VaR's last evaluation, so S(a) costs
-no further call.
+Tail moments.  The law's row gives log E(S^r 1{S > a}) from the survival
+terms at a, one log-space reduction, divided by S(a).  risk_report takes
+the survival terms of VaR's last evaluation, so S(a) costs no further call.
 """
 
 from dataclasses import dataclass
-from math import exp, inf, lgamma, log, log1p, sqrt
+from math import exp, inf, log, log1p, sqrt
 
 import numpy as np
-from scipy import special
 
-from .aggregate import AggregateModel, _log_survival_terms, moment, survival
+from .aggregate import AggregateModel, _integral_shape, moment, survival
 from .errors import RiskmixError, TailUnderflowError
 
 __all__ = ["RiskReport", "value_at_risk", "tail_moment", "tvar", "risk_report"]
 
 _DEEPEST_LEVEL = 1.0 - 1e-12
-# bracketing grid 2^-40 .. 2^996, a factor 2 apart, in two parts that share
-# 2^40: the far part is evaluated only for a quantile beyond the near one
-_VAR_GRIDS = (2.0 ** np.arange(-40, 41), 2.0 ** np.arange(40, 997))
+# the bracketing grids, a factor 2 apart; the far and the low one share the near one's ends
+_VAR_NEAR, _VAR_FAR, _VAR_LOW = (2.0 ** np.arange(*ends)
+                                 for ends in ((-40, 41), (40, 997), (-1074, -39)))
 _VAR_RTOL, _VAR_MAXITER = 1e-12, 100
 
 
 def _value_at_risk(model: AggregateModel, level: float):
-    """VaR and the survival terms (_log_survival_terms, a 1-D array) of the
-    last evaluation there."""
+    """VaR and the survival terms (the row's log_survival_terms, a 1-D array)
+    of the last evaluation there."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie strictly between 0 and 1")
     if level >= _DEEPEST_LEVEL:
         raise TailUnderflowError(
             "survival evaluation underflows double precision this deep in the tail"
         )
+    row = model.mixing.sum_row(_integral_shape(model))
     log_target = log1p(-level)
-    for grid in _VAR_GRIDS:
+    grid = _VAR_NEAR
+    for _ in range(2):
         with np.errstate(divide="ignore"):
             log_grid = np.log(survival(model, grid))
         below = np.flatnonzero(log_grid <= log_target)
-        if below.size:
+        if grid is not _VAR_NEAR or (below.size and below[0]):
             break
-    else:
+        grid = _VAR_LOW if below.size else _VAR_FAR  # the quantile lies below or beyond it
+    if not below.size:
         raise TailUnderflowError("VaR bracket expansion ran away")
     j = below[0]
-    if j == 0:
-        lo, hi = 0.0, grid[0]
-        x = 0.5 * hi
-    else:
-        lo, hi = grid[j - 1], grid[j]
-        drop = log_grid[j - 1] - log_grid[j]
-        frac = (log_grid[j - 1] - log_target) / drop if np.isfinite(drop) else 0.5
-        x = lo * (hi / lo) ** frac
+    if not j:
+        raise TailUnderflowError("the quantile lies below the smallest positive double")
+    lo, hi = grid[j - 1], grid[j]
+    drop = log_grid[j - 1] - log_grid[j]
+    frac = (log_grid[j - 1] - log_target) / drop if np.isfinite(drop) else 0.5
+    x = lo * (hi / lo) ** frac
     # P is the smaller tail: S from the median up, F = 1 - S below it
     lower = level < 0.5
     sign, log_p_target = (-1.0, log(level)) if lower else (1.0, log_target)
     for _ in range(_VAR_MAXITER):
         # Newton in u = log x: h = +-(log P - log P*) > 0 below the root, dh/du = -x f / P
-        terms, log_xf = _log_survival_terms(model, np.array([x]), density=True)
+        terms, log_xf = row.log_survival_terms(np.array([x]), density=True)
         terms = terms[:, 0]
         s = exp(np.logaddexp.reduce(terms))
         p = 1.0 - s if lower else s
@@ -104,7 +95,8 @@ def _value_at_risk(model: AggregateModel, level: float):
         slope = exp(log_xf[0]) / p if p > 0.0 else 0.0
         new = x * exp(min(h / slope, 700.0)) if slope > 0.0 else 0.0
         if not (lo <= new <= hi and new > 0.0):
-            new = sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+            # the geometric mean, whose product lo hi may underflow
+            new = sqrt(lo * hi) or sqrt(lo) * sqrt(hi)
         if abs(new - x) <= _VAR_RTOL * new:
             return x, terms
         x = new
@@ -116,26 +108,13 @@ def value_at_risk(model: AggregateModel, level: float) -> float:
     return _value_at_risk(model, level)[0]
 
 
-def _tail_moments(model: AggregateModel, a: float, terms, orders) -> dict:
-    """{r: E(S^r | S > a)} for a > 0, from the survival terms at a."""
+def _tail_moments(row, a: float, terms, orders) -> dict:
+    """{r: E(S^r | S > a)} for a > 0, from the law's row and its survival
+    terms at a."""
     log_surv = np.logaddexp.reduce(terms)
     if exp(log_surv) <= 1e-300:
         raise TailUnderflowError(f"survival({a}) underflows; tail moment is noise")
-    n = model.total_shape
-    row = model.mixing.sum_row(n)
-    if row is not None:
-        log_num = row.log_tail_moments(a, orders)
-    else:
-        # E(Theta^-j e^(-Theta a)) for j = 1..top in one kernel call, and log k! - k log a
-        top = max(orders)
-        neg = model.mixing.log_abs_laplace_derivative(-np.arange(1, top + 1), np.array(a))
-        lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log(a)
-        # k >= r: the survival term of order k - r times a^r (k-r)!/k!;
-        # k < r: a^k/k! E(Theta^(k-r) e^(-Theta a))
-        log_num = [lgamma(n + r) - lgamma(n)
-                   + np.logaddexp.reduce(np.concatenate((terms + lf[:n] - lf[r:n + r],
-                                                         neg[r - 1::-1] - lf[:r])))
-                   for r in orders]
+    log_num = row.log_tail_moments(a, orders, terms)
     return {r: exp(v - log_surv) for r, v in zip(orders, log_num)}
 
 
@@ -148,8 +127,9 @@ def tail_moment(model: AggregateModel, r: int, a: float) -> float:
     plain = moment(model, r)  # a divergent moment raises here
     if a == 0.0:
         return plain
-    terms = _log_survival_terms(model, np.array([float(a)]))[:, 0]
-    return _tail_moments(model, a, terms, (r,))[r]
+    row = model.mixing.sum_row(_integral_shape(model))
+    terms = row.log_survival_terms(np.array([float(a)]))[:, 0]
+    return _tail_moments(row, a, terms, (r,))[r]
 
 
 def tvar(model: AggregateModel, level: float) -> float:
@@ -176,6 +156,6 @@ def risk_report(model: AggregateModel, level: float, orders=(1, 2)) -> RiskRepor
     for r in needed:
         moment(model, r)
     a, terms = _value_at_risk(model, level)
-    tail = _tail_moments(model, a, terms, needed)
+    tail = _tail_moments(model.mixing.sum_row(model.total_shape), a, terms, needed)
     return RiskReport(level=level, var=a, tvar=tail[1],
                       tail_moments=tuple((r, tail[r]) for r in orders))

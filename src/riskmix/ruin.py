@@ -1,10 +1,10 @@
-"""Lindley-frailty results: the printed sum density, the explicit ruin
-probability for the compound Poisson surplus, and the compound (collective
-risk) total-claim densities with Poisson, negative binomial / geometric and
-logarithmic counting laws; each counting law holds its own closed density.
-lindley_sum_pdf, the source's rational form, is a reference for
-compound_pdf_series and the tests; aggregate.pdf takes LindleyMixing's own
-sum density, so mixing does not import this module.
+"""Lindley-frailty results: the explicit ruin probability for the compound
+Poisson surplus, and the compound (collective risk) total-claim densities
+with Poisson, negative binomial / geometric and logarithmic counting laws;
+each counting law holds its own closed density.  compound_pdf_series, their
+oracle, sums the densities of S_n that LindleyMixing's row gives (the
+source's rational form of them is a reference in the tests); mixing does
+not import this module.
 """
 
 import math
@@ -14,10 +14,10 @@ from math import exp, inf, log
 import numpy as np
 from scipy import special
 
+from .mixing import LindleyMixing
 from .specfun import exp_scaled_expn
 
 __all__ = [
-    "lindley_sum_pdf",
     "ruin_probability",
     "ruin_probability_limit",
     "lindley_survival",
@@ -31,25 +31,6 @@ __all__ = [
     "compound_pdf_series",
     "primary_tail_mass",
 ]
-
-
-def lindley_sum_pdf(lam: float, n: int, x):
-    """Density of S_n under Lindley(lam) frailty:
-
-        f(x) = n lam^2 x^{n-1} (x + lam + n + 1) / ((1+lam)(x + lam)^{n+2}),
-
-    evaluated in log space, so it is finite for every x >= 0.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x_arr = np.asarray(x, dtype=float)
-    xp = np.where(x_arr >= 0, x_arr, 0.0)
-    log_val = (log(n) + 2.0 * log(lam) - math.log1p(lam) + special.xlogy(n - 1.0, xp)
-               + np.log(xp + lam + n + 1.0) - (n + 2.0) * np.log(xp + lam))
-    out = np.where(x_arr >= 0, np.exp(log_val), 0.0)
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
 def lindley_survival(lam: float, x: float) -> float:
@@ -281,8 +262,8 @@ def compound_pdf_series(m: CompoundModel, x: float, n_max: int) -> float:
         raise ValueError("series form is for x > 0; the atom is p_0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return sum(m.counting.pmf(n) * lindley_sum_pdf(m.lam, n, x)
-               for n in range(1, n_max + 1))
+    law = LindleyMixing(m.lam)
+    return sum(m.counting.pmf(n) * law.sum_pdf(n, x) for n in range(1, n_max + 1))
 
 
 def primary_tail_mass(m: CompoundModel, n_max: int) -> float:

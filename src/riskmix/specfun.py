@@ -30,11 +30,13 @@ def log_gammaincc(a, z):
     a near 1) it would lose digits and then underflow to 0; there it uses
     Gamma(a, z) = z^a e^-z U(1, 1+a, z), finite for every z.  scipy's hyperu
     returns nan at some z beyond 1e100; from z = 1e20 on,
-    U(1, 1+a, z) = (1 - (1-a)/z) / z to double precision."""
+    U(1, 1+a, z) = (1 - (1-a)/z) / z to double precision.  z = inf gives
+    the limit, -inf."""
     a, z = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(z, dtype=float))
     q = special.gammaincc(a, z)
     out = np.asarray(np.log(np.maximum(q, 1e-300)))
-    far = q <= 1e-300
+    out[z == inf] = -inf
+    far = (q <= 1e-300) & (z < inf)
     if far.any():
         af, zf = a[far], z[far]
         log_u = np.where(zf < 1e20, np.log(special.hyperu(1.0, 1.0 + af, np.minimum(zf, 1e20))),

@@ -1,11 +1,13 @@
 """Reference formulas that only the tests use: falling factorials, partial
 Bell polynomials in linear and log space, Faa di Bruno's formula, the upper
-incomplete gamma of every real order, gamma quantiles and half-integer
-Bessel K.  They share no code with riskmix and check its kernels."""
+incomplete gamma of every real order, gamma quantiles, half-integer
+Bessel K and the source's printed Lindley sum density.  They share no code
+with riskmix and check its kernels."""
 
 import math
 from math import exp, inf, lgamma, log
 
+import numpy as np
 from scipy import special
 
 
@@ -164,3 +166,22 @@ def faa_di_bruno(f_deriv, g_deriv, n: int, s: float) -> float:
         args = [g_deriv(j, s) for j in range(1, n - k + 2)]
         total += f_deriv(k, u) * bell_partial(n, k, args)
     return total
+
+
+def lindley_sum_pdf(lam: float, n: int, x):
+    """Density of S_n under Lindley(lam) frailty:
+
+        f(x) = n lam^2 x^{n-1} (x + lam + n + 1) / ((1+lam)(x + lam)^{n+2}),
+
+    evaluated in log space, so it is finite for every x >= 0.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    x_arr = np.asarray(x, dtype=float)
+    xp = np.where(x_arr >= 0, x_arr, 0.0)
+    log_val = (log(n) + 2.0 * log(lam) - math.log1p(lam) + special.xlogy(n - 1.0, xp)
+               + np.log(xp + lam + n + 1.0) - (n + 2.0) * np.log(xp + lam))
+    out = np.where(x_arr >= 0, np.exp(log_val), 0.0)
+    return float(out) if np.isscalar(x) or out.ndim == 0 else out

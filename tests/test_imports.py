@@ -77,3 +77,39 @@ def test_mixing_imports_only_the_kernel_layer():
     # ruin (collective risk), aggregate or anything else built on it
     path = Path(__file__).resolve().parents[1] / "src" / "riskmix" / "mixing.py"
     assert _riskmix_imports(path) <= {"specfun", "errors", "_lazy"}
+
+
+def _row_is_tested_for_none(tree):
+    """Whether a comparison with None takes a sum_row(...) call, or a name bound
+    to one, as an operand."""
+    def is_row_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "sum_row")
+
+    rows = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and is_row_call(node.value) for t in node.targets if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Constant) and o.value is None for o in operands) and any(
+                    is_row_call(o) or (isinstance(o, ast.Name) and o.id in rows)
+                    for o in operands):
+                return True
+    return False
+
+
+def test_sums_of_claims_go_through_the_row():
+    # every law answers S_n through its row (mixing.MixtureRow or KernelRow), so the
+    # aggregate and risk-measure layers call no kernel, never ask whether a law has
+    # a row, and need no special functions
+    root = Path(__file__).resolve().parents[1] / "src" / "riskmix"
+    for name in ("aggregate.py", "riskmeasures.py"):
+        tree = ast.parse((root / name).read_text())
+        names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                  for a in n.names}
+        assert "log_abs_laplace_derivative" not in names, name
+        assert not _row_is_tested_for_none(tree), name
+        modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert not {"scipy.special"} & modules and "special" not in names, name

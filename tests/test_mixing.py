@@ -262,6 +262,68 @@ class TestBeta2KernelAtFloatMax:
         assert got == pytest.approx(want, rel=1e-13)
 
 
+# parameters near 1e+-200, where the kernels' intermediate products over- or underflow
+EXTREME_LAWS = [
+    GammaMixing(3.0, 1e-200), GammaMixing(3.0, 1e200), GammaMixing(1e-200, 1.0),
+    GammaMixing(1e200, 1.0), LevyMixing(1e-200), LevyMixing(1e200),
+    PositiveStableMixing(1e-200), PositiveStableMixing(0.5),
+    InverseGaussianMixing(1e-200, 1.0), InverseGaussianMixing(1e200, 1.0),
+    InverseGaussianMixing(1.0, 1e-200), InverseGaussianMixing(1.0, 1e200),
+    InverseGaussianMixing(1e200, 1e200), LindleyMixing(1e-200), LindleyMixing(1e200),
+    GleserGammaMixing(0.5, 1e-200), GleserGammaMixing(0.5, 1e200), GleserGammaMixing(1.0, 1e200),
+    BetaSecondKindMixing(1e-200, 3.0), BetaSecondKindMixing(3.0, 1e-200),
+    BetaSecondKindMixing(3.0, 1e200),
+]
+
+
+def log_laplace_mp(m, s):
+    """log L(s) from the law's closed transform at 40 digits (None for beta2)."""
+    with mp.workdps(40):
+        s = mp.mpf(s)
+        if isinstance(m, GammaMixing):
+            v = -m.alpha * mp.log1p(s / m.beta)
+        elif isinstance(m, LevyMixing):
+            v = -m.lam * mp.sqrt(s)
+        elif isinstance(m, PositiveStableMixing):
+            v = -s ** m.alpha
+        elif isinstance(m, InverseGaussianMixing):
+            # (lam/mu)(1 - r) with r = sqrt(1 + 2 mu^2 s/lam), written without cancellation
+            lam, mu = mp.mpf(m.lam), mp.mpf(m.mu)
+            v = -2 * mu * s / (1 + mp.sqrt(1 + 2 * mu ** 2 * s / lam))
+        elif isinstance(m, LindleyMixing):
+            lam = mp.mpf(m.lam)
+            v = mp.log(lam ** 2 * (lam + 1 + s) / ((1 + lam) * (lam + s) ** 2))
+        elif isinstance(m, GleserGammaMixing):
+            v = mp.log(mp.gammainc(m.alpha, m.lam * s, mp.inf, regularized=True))
+        else:
+            return None
+        return float(v)
+
+
+class TestKernelsAtOverflowingArguments:
+    """At s = 1e300 and s = inf, with parameters near 1e+-200, every kernel
+    returns its value or its limit -inf, with no RuntimeWarning (an error
+    under the test settings) and no OverflowError."""
+
+    @pytest.mark.parametrize("m", EXTREME_LAWS, ids=repr)
+    def test_limits(self, m):
+        s = np.array([1e300, 1e299, math.inf])
+        assert m.laplace(math.inf) == 0.0
+        want = log_laplace_mp(m, 1e300)
+        if want is not None:
+            assert float(m.log_abs_laplace_derivative(0, 1e300)) == pytest.approx(
+                want, rel=1e-13)
+        for k in (np.array([0, 1, 2]), np.array([-1, -2])):
+            try:
+                rows = m.log_abs_laplace_derivative(k, s)
+            except (NonexistentMomentError, UnsupportedModelError):
+                continue  # the law has no such order
+            assert not np.isnan(rows).any() and (rows < math.inf).all()
+            # E(Theta^k e^(-s Theta)) decreases in s, to 0 at s = inf
+            assert (rows[:, 0] <= rows[:, 1]).all()
+            assert (rows[:, 2] == -math.inf).all()
+
+
 class TestFaaDiBrunoAgainstClosedForms:
     """The generic composition path must reproduce each closed-form derivative."""
 

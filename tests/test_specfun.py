@@ -198,6 +198,13 @@ class TestLogGammaincc:
         assert log_gammaincc(0.55, 800.0) == pytest.approx(-803.48866777483, rel=1e-13)
         assert log_gammaincc(0.55, 0.0) == 0.0
 
+    def test_infinite_argument_is_the_limit(self):
+        # Q(a, inf) = 0, with no RuntimeWarning (an error under the test settings)
+        assert log_gammaincc(0.5, np.inf) == -np.inf
+        got = log_gammaincc(np.array([0.5, 0.5, 3.0]), np.array([np.inf, 800.0, np.inf]))
+        assert got[0] == got[2] == -np.inf
+        assert got[1] == log_gammaincc(0.5, 800.0)
+
 
 class TestGammaQuantile:
     def test_exponential_case(self):
