@@ -11,19 +11,18 @@ arguments and handles the boundary x <= 0.  The density has two entry points:
 
 * pdf_generic: the derivative route
       f(x) = x^{a-1}/Gamma(a) * (-1)^a L^(a)(x)
-  on x > 0, valid for every frailty law in the catalog.
+  on x > 0, valid for every frailty law in the catalog (a KernelRow's pdf).
 
-A fractional a takes the derivative route at the real order a (mixing.py):
-pdf at x > 0, pdf_generic and moment accept it; what sums the integer
-orders below a (survival, cdf, the density at 0, the mixture
-representation, the risk measures) raises UnsupportedModelError through one
-check, _integral_shape.
+Every quantity of S reads the row sum_row(a), with no branch here.  At a
+fractional a, pdf at x > 0, pdf_generic and moment take the kernel at the
+real order a; the row raises UnsupportedModelError, at every x, for what
+sums the integer orders below a (survival, cdf, the density at 0, the
+mixture representation, the risk measures).
 
-The survival is one log-space reduction of a positive terms per point, so
-it is finite for every x and every a.  Its terms come from the law's row,
-with no branch here: a mixture row (stable, Levy, Gleser) calls no kernel,
-a KernelRow one for the orders 0..a-1 as an (a, len x) array.  The tail
-moments reuse the survival terms.  Cdf, moments (in log space,
+The survival is exp of the row's log-survival, one log-space reduction of a
+positive terms per point, so it is finite for every x: a mixture row
+(stable, Levy, Gleser) calls no kernel, a KernelRow one for the orders
+0..a-1 as an (a, len x) array.  Cdf, moments (in log space,
 PrecisionError where one overflows a double) and the finite mixture
 representation (with the moments of a mixture) are built on the same law
 methods.
@@ -34,7 +33,6 @@ from math import fsum, isfinite, lgamma
 
 import numpy as np
 
-from .errors import UnsupportedModelError
 from .mixing import (
     Beta2Component,
     BetaSecondKindMixing,
@@ -46,10 +44,9 @@ from .mixing import (
     LindleyMixing,
     MixingDistribution,
     MixtureRepresentation,
+    KernelRow,
     PositiveStableMixing,
-    _KERNEL_CELLS,
     _finite_exp,
-    _log_sum_exp,
     _ret,
 )
 
@@ -140,77 +137,50 @@ def sibuya_model(shapes, beta: float, gam: float) -> AggregateModel:
     return AggregateModel(BetaSecondKindMixing(gam, beta), tuple(shapes))
 
 
-def _integral_shape(model: AggregateModel) -> int:
-    """The total shape, for a formula that sums the integer orders below it;
-    UnsupportedModelError where it is fractional."""
-    a = model.total_shape
-    if not isinstance(a, int):
-        raise UnsupportedModelError(
-            f"the total shape {a} is fractional: only the density and the moments "
-            "take a real order")
-    return a
-
-
 def pdf_generic(model: AggregateModel, x):
     """Theorem route: f(x) = x^{a-1}/Gamma(a) * (-1)^a L^(a)(x), x > 0."""
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise ValueError("pdf_generic requires x > 0; use pdf() for boundary points")
-    return _ret(model.mixing.sum_pdf_derivative(model.total_shape, x_arr), scalar_in)
+    return _ret(KernelRow(model.mixing, model.total_shape).pdf(x_arr), scalar_in)
 
 
 def pdf(model: AggregateModel, x):
-    """Density of S: its row's density at an integral total shape (the route
-    of survival), the derivative route at a fractional one.
+    """Density of S: its row's density (the route of survival at an integral
+    total shape, the derivative route at a fractional one).
 
     x = 0 returns the mathematical limit (inf signals an unbounded density;
     UnsupportedModelError at a fractional total shape), x < 0 returns 0.
     """
-    law, a = model.mixing, model.total_shape
-    sum_pdf = law.sum_pdf if isinstance(a, int) else law.sum_pdf_derivative
+    row = model.mixing.sum_row(model.total_shape)
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     out = np.zeros_like(x_arr, dtype=float)
     pos = x_arr > 0
-    if np.any(pos):
-        out[pos] = _by_blocks(a, x_arr[pos], lambda xs: sum_pdf(a, xs))
+    out[pos] = row.pdf(x_arr[pos])
     if np.any(x_arr == 0):
-        out[x_arr == 0] = law.sum_pdf_at_zero(_integral_shape(model))
+        out[x_arr == 0] = row.pdf_at_zero()
     return _ret(out, scalar_in)
-
-
-def _by_blocks(a, xs, fn):
-    """fn over a 1-D array xs in blocks of _KERNEL_CELLS // a points (one block
-    unless a times the number of points exceeds it), so a sum of a terms per
-    point holds at most _KERNEL_CELLS of them at once."""
-    out = np.empty_like(xs)
-    block = max(1, int(_KERNEL_CELLS // a))
-    for i in range(0, xs.size, block):
-        out[i:i + block] = fn(xs[i:i + block])
-    return out
 
 
 def survival(model: AggregateModel, x):
     """Pr(S > x) = sum_{k=0}^{a-1} x^k/k! * (-1)^k L^(k)(x), a the integral
-    total shape: the log-sum of the law's row's survival terms.
+    total shape: exp of the row's log-survival.
 
     The sum starts at k = 0 (the k = 0 term is L itself), which is what the
     gamma-cdf identity requires and what makes survival(0) = 1 exact.  Every
     term is nonnegative, so the sum is one log-space reduction of a terms:
     no term is formed in linear space, and no x is too large for it.  The
-    terms come in blocks of at most _KERNEL_CELLS (one block unless a times
-    the number of points exceeds it), which bounds the temporaries.
+    row asks for the terms in blocks of at most _KERNEL_CELLS, which bounds
+    the temporaries.
     """
-    a = _integral_shape(model)
-    row = model.mixing.sum_row(a)
+    row = model.mixing.sum_row(model.total_shape)
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     out = np.ones_like(x_arr, dtype=float)
     pos = x_arr > 0
-    if np.any(pos):
-        out[pos] = _by_blocks(a, x_arr[pos],
-                              lambda xs: np.exp(_log_sum_exp(row.log_survival_terms(xs))))
+    out[pos] = np.exp(row.log_survival(x_arr[pos]))
     return _ret(out, scalar_in)
 
 
@@ -239,7 +209,7 @@ def variance(model: AggregateModel) -> float:
 
 def mixture_representation(model: AggregateModel) -> MixtureRepresentation:
     """Finite mixture form of the aggregate density, where one exists."""
-    return model.mixing.sum_mixture(_integral_shape(model))
+    return model.mixing.sum_row(model.total_shape).mixture()
 
 
 def moment_from_mixture(rep: MixtureRepresentation, r: float) -> float:

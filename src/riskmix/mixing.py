@@ -3,9 +3,9 @@
 Each law knows its Laplace transform, exact n-th Laplace derivatives, the
 Archimedean generator (the exact functional inverse of the transform),
 negative moments and an exact sampler.  It also owns the formulas of the sum
-S_n of n claims it drives, through one row per n (below): the survival terms,
-the density and its limit at 0, the tail moments and the finite mixture
-representation; and the closed-form Kendall tau.  Downstream modules
+S of the claims it drives, through one row per total shape (below): the
+survival, the density and its limit at 0, the tail moments and the finite
+mixture representation; and the closed-form Kendall tau.  Downstream modules
 (aggregate densities, copulas, risk measures) call these and never branch on
 the law's type.
 
@@ -69,9 +69,10 @@ Each law also supplies its log density on its support (_log_pdf) and its
 generator on an array (_generator); the base class's pdf and generator
 handle scalars, arrays and the points off the support once for every law.
 
-Rows.  sum_row(n) answers for S_n through one of two row classes with the
-same five calls (log_survival_terms, pdf, pdf_at_zero, log_tail_moments,
-mixture), which sum_pdf, sum_pdf_at_zero and sum_mixture read.  Under the
+Rows.  sum_row(a), for every total shape a, answers for S through one of two
+row classes with the same calls (log_survival, log_survival_terms, pdf,
+pdf_at_zero, log_tail_moments, mixture), the first and third in blocks of
+_KERNEL_CELLS // a points.  Under the
 stable, Levy and Gleser laws S_n is a finite mixture of gamma-power laws
 X_k = (G_k/rate)^(1/power), G_k ~ Gamma(shape0 + k, 1), k = 1..n, with
 positive weights: a MixtureRow, built on first use and kept in one bounded
@@ -82,8 +83,9 @@ positive terms call no kernel:
 * Levy: shape0 0, power 1/2, rate lam, weights from the closed Bell row
   _sqrt_bell;
 * Gleser: shape0 alpha - 1, power 1, rate lam, the printed gamma sum.
-Every other law returns a KernelRow, which sums the kernel, and gives its
-own density limit at 0 and finite mixture (_sum_pdf_at_zero, _sum_mixture):
+Every other law, and every fractional a, gets a KernelRow, which sums the
+kernel (at a fractional a only its pdf answers) and reads the law's own
+density limit at 0 and finite mixture (_sum_pdf_at_zero, _sum_mixture):
 gamma (Pareto claims) one B2(n, alpha) of scale beta; Lindley, whose Theta
 is Ga(1, lam) with weight lam/(1+lam) and Ga(2, lam) otherwise, B2(n, 1)
 and B2(n, 2) of scale lam; the inverse Gaussian and second-kind beta none.
@@ -419,8 +421,41 @@ class MixtureRepresentation:
         return _ret(out, scalar_in)
 
 
+def _by_blocks(n, x, fn):
+    """fn over the points of an array x of any shape in blocks of _KERNEL_CELLS // n,
+    so a sum of n terms per point holds at most _KERNEL_CELLS of them at once."""
+    flat = np.reshape(x, -1)
+    out = np.empty(flat.shape)
+    block = max(1, int(_KERNEL_CELLS // n))
+    for i in range(0, flat.size, block):
+        out[i:i + block] = fn(flat[i:i + block])
+    return out.reshape(np.shape(x))
+
+
+class _Row:
+    """What both rows share: the blocking, and the check of a fractional n."""
+
+    def _integer_n(self) -> int:
+        """n, for a sum of the integer orders below it."""
+        if self.n % 1:
+            raise UnsupportedModelError(
+                f"the total shape {self.n} is fractional: only the density and the "
+                "moments take a real order")
+        return int(self.n)
+
+    def log_survival(self, x):
+        """log S(x) on an array x > 0 of any shape: the log-sum of the survival
+        terms, in blocks of _KERNEL_CELLS // n points."""
+        return _by_blocks(self._integer_n(), x,
+                          lambda xs: _log_sum_exp(self.log_survival_terms(xs)))
+
+    def pdf(self, x):
+        """f(x) on an array x > 0 of any shape."""
+        return _by_blocks(self.n, x, self._pdf)
+
+
 @dataclass(frozen=True, eq=False)
-class MixtureRow:
+class MixtureRow(_Row):
     """S_n as the finite mixture sum_k w_k X_k, X_k = (G_k/rate)^(1/power), G_k ~
     Gamma(shape0 + k, 1), k = 1..n, with weights w_k >= 0 (a weight of 0 has the
     log -inf).  With y = rate x^power every quantity is a sum of positive terms:
@@ -452,6 +487,7 @@ class MixtureRow:
             log_c[0] = -log_gamma[0]  # T_0 = 1
             object.__setattr__(self, "log_c", log_c)
         object.__setattr__(self, "_shapes", shapes)
+        object.__setattr__(self, "n", self.log_d.size)
         for values in (self.log_d, self.log_c, shapes):
             values.flags.writeable = False
 
@@ -479,8 +515,7 @@ class MixtureRow:
         return (log(self.power) - y
                 + _log_sum_exp(self.log_d.reshape(col) + self._shapes.reshape(col) * log_y))
 
-    def pdf(self, x):
-        """f(x) on x > 0."""
+    def _pdf(self, x):
         return np.exp(self.log_x_density(x) - np.log(x))
 
     def pdf_at_zero(self) -> float:
@@ -493,7 +528,7 @@ class MixtureRow:
             return inf if e < 0 else 0.0
         return self.power * exp(self.log_d[k]) * self.rate ** b
 
-    def log_tail_moments(self, a: float, orders, terms=None) -> np.ndarray:
+    def log_tail_moments(self, a: float, orders, terms) -> np.ndarray:
         """log E(S^r 1{S > a}) for each order r of a 1-D array, a > 0, from one
         log_gammaincc call (KernelRow's survival terms are not needed)."""
         shift = np.asarray(orders, dtype=float)[:, None] / self.power
@@ -515,20 +550,22 @@ def _mixture_row(law, n: int) -> MixtureRow:
 
 
 @dataclass(frozen=True)
-class KernelRow:
-    """S_n through the law's kernel, built per call (it holds no arrays).  Given
-    Theta, S_n is Gamma(n, Theta), so each of these is a sum of positive terms:
+class KernelRow(_Row):
+    """S, of total shape n, through the law's kernel, built per call (it holds no
+    arrays).  Given Theta, S is Gamma(n, Theta), so x f(x) = x^n/Gamma(n) |L^(n)(x)|
+    at every n, and at an integral n (else UnsupportedModelError) these are sums
+    of positive terms:
 
-        S(x)            = sum_{k<n} x^k/k! |L^(k)(x)|,    x f(x) = n x^n/n! |L^(n)(x)|,
+        S(x)            = sum_{k<n} x^k/k! |L^(k)(x)|,
         E(S^r 1{S > a}) = Gamma(n+r)/Gamma(n) sum_{k<n+r} a^k/k! E(Theta^(k-r) e^(-Theta a))."""
 
     law: "MixingDistribution"
-    n: int
+    n: float
 
     def log_survival_terms(self, x, density=False):
         """The (n, *x.shape) log terms on an array x > 0 whose log-sum is log
         S(x); with density=True the pair (terms, log(x f(x))), one kernel call."""
-        n = self.n
+        n = self._integer_n()
         k = np.arange(n + density)
         col = k.reshape((-1,) + (1,) * x.ndim)
         # the kernel first: it refuses an order past its budget before the other
@@ -537,19 +574,21 @@ class KernelRow:
         terms += col * np.log(x) - special.gammaln(col + 1.0)
         return (terms[:n], terms[n] + log(n)) if density else terms
 
-    def pdf(self, x):
-        """f(x) on an array x > 0: the derivative route."""
-        return self.law.sum_pdf_derivative(self.n, x)
+    def _pdf(self, x):
+        # the derivative route f(x) = x^(n-1)/Gamma(n) |L^(n)(x)|
+        n = self.n
+        return np.exp((n - 1.0) * np.log(x) - lgamma(n)
+                      + self.law.log_abs_laplace_derivative(n, x))
 
     def pdf_at_zero(self) -> float:
-        return self.law._sum_pdf_at_zero(self.n)
+        return self.law._sum_pdf_at_zero(self._integer_n())
 
     def log_tail_moments(self, a: float, orders, terms) -> np.ndarray:
         """log E(S^r 1{S > a}) for each order r of a 1-D array, a > 0, from the
         survival terms at a (a 1-D array) and one kernel call for the orders
         -1..-max(orders): for k >= r the survival term of order k - r times
         a^r (k-r)!/k!, for k < r a^k/k! E(Theta^(k-r) e^(-Theta a))."""
-        n, top = self.n, max(orders)
+        n, top = self._integer_n(), max(orders)
         neg = self.law.log_abs_laplace_derivative(-np.arange(1, top + 1), np.array(a))
         # log k! - k log a
         lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log(a)
@@ -559,7 +598,7 @@ class KernelRow:
                          for r in orders])
 
     def mixture(self) -> MixtureRepresentation:
-        return self.law._sum_mixture(self.n)
+        return self.law._sum_mixture(self._integer_n())
 
 
 class MixingDistribution:
@@ -676,29 +715,16 @@ class MixingDistribution:
     def _log_pdf(self, theta):
         raise UnsupportedModelError(f"{self.kind} mixing has no usable density")
 
-    # -- formulas of the sum S_n of n claims driven by this law
+    # -- formulas of the sum S of claims of total shape a driven by this law
 
-    def sum_pdf_derivative(self, n: int, x):
-        """Density of S_n on an array x > 0 by the derivative route
-        f(x) = x^{n-1}/Gamma(n) * (-1)^n L^(n)(x)."""
-        return np.exp((n - 1.0) * np.log(x) - lgamma(n) + self.log_abs_laplace_derivative(n, x))
+    _row = None  # builds the MixtureRow of S_n (stable, Levy, Gleser)
 
-    def sum_pdf(self, n: int, x):
-        """Density of S_n on an array x > 0, from its row."""
-        return self.sum_row(n).pdf(x)
-
-    def sum_pdf_at_zero(self, n: int) -> float:
-        """Limit of the density of S_n at x = 0+ (may be inf; never a float overflow)."""
-        return self.sum_row(n).pdf_at_zero()
-
-    def sum_mixture(self, n: int) -> MixtureRepresentation:
-        """Finite mixture form of the density of S_n, where one exists."""
-        return self.sum_row(n).mixture()
-
-    def sum_row(self, n: int):
-        """The row that answers for S_n: the law's cached MixtureRow where it has
-        one (stable, Levy, Gleser), a KernelRow otherwise."""
-        return KernelRow(self, n)
+    def sum_row(self, a):
+        """The row of S: the law's cached MixtureRow at an integral a where it has
+        one, a KernelRow otherwise."""
+        if self._row is None or a % 1:
+            return KernelRow(self, a)
+        return _mixture_row(self, int(a))
 
     def _sum_pdf_at_zero(self, n: int) -> float:
         """f(0+) of S_n for a law whose row is a KernelRow."""
@@ -793,9 +819,18 @@ class LevyMixing(MixingDistribution):
         if not k.any():
             # order 0 alone also takes s = 0, where log s below is -inf
             return np.zeros((k.size,) + z.shape) - z
-        rows = _log_bessel_ratios(k, z)
+        half_log_s = 0.5 * np.log(s)
+        # an integer order where z underflows, or the recurrence's 2|k|/z overflows,
+        # takes the small-z limit log K_nu(z)/K_{1/2}(z) = log(Gamma(nu)/Gamma(1/2)) +
+        # (nu - 1/2) log(2/z), nu = |k - 1/2|, whose relative error is O(z)
+        tiny = (z < 2.0 * (np.abs(k).max() + 1.0) / _FLOAT_MAX) & (k.dtype.kind == "i")
+        rows = _log_bessel_ratios(k, np.where(tiny, 1.0, z))
+        if tiny.any():
+            nu = _column(np.abs(k - 0.5), 1)
+            rows[:, tiny] = (special.gammaln(nu) - special.gammaln(0.5) + (nu - 0.5)
+                             * (log(2.0) - log(self.lam) - half_log_s[tiny]))
         rows -= z
-        rows -= _column(k, z.ndim) * (0.5 * np.log(s) + log(2.0) - log(self.lam))
+        rows -= _column(k, z.ndim) * (half_log_s + log(2.0) - log(self.lam))
         return rows
 
     def _generator(self, t):
@@ -816,9 +851,6 @@ class LevyMixing(MixingDistribution):
     def _log_pdf(self, th):
         lam = self.lam
         return log(lam / 2) - 0.5 * (log(math.pi) + 3 * np.log(th)) - lam ** 2 / (4 * th)
-
-    def sum_row(self, n):
-        return _mixture_row(self, n)
 
     def _row(self, n):
         # the stable law's mixture at alpha = 1/2 with rate lam, square-gamma components
@@ -868,9 +900,6 @@ class PositiveStableMixing(MixingDistribution):
 
     def _generator(self, t):
         return (-np.log(t)) ** (1.0 / self.alpha)
-
-    def sum_row(self, n):
-        return _mixture_row(self, n)
 
     def _row(self, n):
         # generalized gamma components G_k^(1/alpha), k = 1..n, weighted |B_{n,k}| Gamma(k) /
@@ -1100,9 +1129,6 @@ class GleserGammaMixing(MixingDistribution):
                 d *= step
             np.add(d, lam, out=ratios[j])
         return _partial_sums(np.log(ratios, out=ratios), index)
-
-    def sum_row(self, n):
-        return _mixture_row(self, n)
 
     def _row(self, n):
         """The printed density of S_n, sum_j c_j lam^a_j x^(a_j-1) e^{-lam x}, j = 0..n-1,

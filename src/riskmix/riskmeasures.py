@@ -4,15 +4,15 @@ moments as one log-space sum of positive terms.
 
 Level convention: value_at_risk(model, level) returns the x with
 F(x) = level, i.e. level is the probability of NOT exceeding the returned
-threshold.
+threshold; every level a double holds in (0, 1) is accepted.
 
 n is the model's total shape; every risk measure sums the orders below it,
-so a fractional one raises UnsupportedModelError.
+so at a fractional one the model's row raises UnsupportedModelError.
 
-VaR brackets its root with one survival call on a geometric grid from 2^-40
-to 2^40, and a second one only for a quantile outside it: on to 2^996
-(about 1e300), or from 2^-1074, the smallest positive double (below it,
-TailUnderflowError).  It starts from the log-log interpolation between the
+VaR brackets its root with one log_survival call of the row on a geometric
+grid from 2^-40 to 2^40, and a second one only for a quantile outside it: on
+to 2^996 (about 1e300), or from 2^-1074, the smallest positive double (past
+either end, TailUnderflowError).  It starts from the log-log interpolation between the
 bracketing grid points and runs a safeguarded Newton iteration in u = log x
 on g = log S - log(1 - level), dg/du = -x f / S (S' = -f), bisecting
 whenever a step leaves the bracket.  Each step takes the survival terms and
@@ -26,7 +26,8 @@ evaluation.
 
 Tail moments.  The law's row gives log E(S^r 1{S > a}) from the survival
 terms at a, one log-space reduction, divided by S(a).  risk_report takes
-the survival terms of VaR's last evaluation, so S(a) costs no further call.
+the row and the survival terms of VaR's last evaluation, so S(a) costs no
+further call.
 """
 
 from dataclasses import dataclass
@@ -34,12 +35,11 @@ from math import exp, inf, log, log1p, sqrt
 
 import numpy as np
 
-from .aggregate import AggregateModel, _integral_shape, moment, survival
+from .aggregate import AggregateModel, moment
 from .errors import RiskmixError, TailUnderflowError
 
 __all__ = ["RiskReport", "value_at_risk", "tail_moment", "tvar", "risk_report"]
 
-_DEEPEST_LEVEL = 1.0 - 1e-12
 # the bracketing grids, a factor 2 apart; the far and the low one share the near one's ends
 _VAR_NEAR, _VAR_FAR, _VAR_LOW = (2.0 ** np.arange(*ends)
                                  for ends in ((-40, 41), (40, 997), (-1074, -39)))
@@ -47,20 +47,15 @@ _VAR_RTOL, _VAR_MAXITER = 1e-12, 100
 
 
 def _value_at_risk(model: AggregateModel, level: float):
-    """VaR and the survival terms (the row's log_survival_terms, a 1-D array)
-    of the last evaluation there."""
+    """VaR, the model's row and the survival terms (the row's
+    log_survival_terms, a 1-D array) of the last evaluation there."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie strictly between 0 and 1")
-    if level >= _DEEPEST_LEVEL:
-        raise TailUnderflowError(
-            "survival evaluation underflows double precision this deep in the tail"
-        )
-    row = model.mixing.sum_row(_integral_shape(model))
+    row = model.mixing.sum_row(model.total_shape)
     log_target = log1p(-level)
     grid = _VAR_NEAR
     for _ in range(2):
-        with np.errstate(divide="ignore"):
-            log_grid = np.log(survival(model, grid))
+        log_grid = row.log_survival(grid)
         below = np.flatnonzero(log_grid <= log_target)
         if grid is not _VAR_NEAR or (below.size and below[0]):
             break
@@ -85,20 +80,20 @@ def _value_at_risk(model: AggregateModel, level: float):
         p = 1.0 - s if lower else s
         h = sign * ((log(p) if p > 0.0 else -inf) - log_p_target)
         if h == 0.0:
-            return x, terms
+            return x, row, terms
         if h > 0.0:
             lo = x
         else:
             hi = x
         if hi - lo <= _VAR_RTOL * hi:
-            return x, terms
+            return x, row, terms
         slope = exp(log_xf[0]) / p if p > 0.0 else 0.0
         new = x * exp(min(h / slope, 700.0)) if slope > 0.0 else 0.0
         if not (lo <= new <= hi and new > 0.0):
             # the geometric mean, whose product lo hi may underflow
             new = sqrt(lo * hi) or sqrt(lo) * sqrt(hi)
         if abs(new - x) <= _VAR_RTOL * new:
-            return x, terms
+            return x, row, terms
         x = new
     raise RiskmixError(f"VaR iteration did not converge in {_VAR_MAXITER} steps")
 
@@ -127,7 +122,7 @@ def tail_moment(model: AggregateModel, r: int, a: float) -> float:
     plain = moment(model, r)  # a divergent moment raises here
     if a == 0.0:
         return plain
-    row = model.mixing.sum_row(_integral_shape(model))
+    row = model.mixing.sum_row(model.total_shape)
     terms = row.log_survival_terms(np.array([float(a)]))[:, 0]
     return _tail_moments(row, a, terms, (r,))[r]
 
@@ -150,12 +145,12 @@ def risk_report(model: AggregateModel, level: float, orders=(1, 2)) -> RiskRepor
 
     Every moment the report needs must exist; a divergent one raises
     NonexistentMomentError before the VaR search.  The tail moments are one
-    kernel sum at VaR, on the survival terms of its last evaluation.
+    sum of the VaR search's row at VaR, given its last survival terms.
     """
     needed = tuple(dict.fromkeys((1, *orders)))
     for r in needed:
         moment(model, r)
-    a, terms = _value_at_risk(model, level)
-    tail = _tail_moments(model.mixing.sum_row(model.total_shape), a, terms, needed)
+    a, row, terms = _value_at_risk(model, level)
+    tail = _tail_moments(row, a, terms, needed)
     return RiskReport(level=level, var=a, tvar=tail[1],
                       tail_moments=tuple((r, tail[r]) for r in orders))

@@ -263,7 +263,7 @@ def compound_pdf_series(m: CompoundModel, x: float, n_max: int) -> float:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     law = LindleyMixing(m.lam)
-    return sum(m.counting.pmf(n) * law.sum_pdf(n, x) for n in range(1, n_max + 1))
+    return sum(m.counting.pmf(n) * law.sum_row(n).pdf(x) for n in range(1, n_max + 1))
 
 
 def primary_tail_mass(m: CompoundModel, n_max: int) -> float:

@@ -14,6 +14,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+from riskmix.mixing import MixingDistribution
+
 SCRIPT = textwrap.dedent("""
     import sys
 
@@ -113,3 +115,12 @@ def test_sums_of_claims_go_through_the_row():
         assert not _row_is_tested_for_none(tree), name
         modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
         assert not {"scipy.special"} & modules and "special" not in names, name
+        # the row owns the blocking and the check of a fractional total shape, so
+        # neither layer tests the shape's type or sums the survival terms itself
+        assert not {"_integral_shape", "_KERNEL_CELLS", "_log_sum_exp", "isinstance"} & names, name
+        if name == "riskmeasures.py":
+            # VaR's bracket reads the row's log-survival, not exp then log of survival
+            assert "survival" not in names
+    # the row is the only way into S: the law keeps no forwarders to it
+    for attr in ("sum_pdf", "sum_pdf_at_zero", "sum_mixture", "sum_pdf_derivative"):
+        assert not hasattr(MixingDistribution, attr), attr

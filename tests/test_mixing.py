@@ -324,6 +324,37 @@ class TestKernelsAtOverflowingArguments:
             assert (rows[:, 2] == -math.inf).all()
 
 
+class TestLevyKernelAtVanishingZ:
+    """Where z = lam sqrt(s) underflows, or 1/z overflows, the Levy kernel takes
+    the small-z limit of its Bessel ratio, with no RuntimeWarning; every other
+    point of the same call keeps the recurrence."""
+
+    CASES = [(1e-200, 1e-300), (1e-310, 1.0), (1e-160, 1e-300), (1e-300, 1e-300)]
+
+    @pytest.mark.parametrize("lam, s", CASES)
+    def test_orders_against_the_bessel_closed_form(self, lam, s):
+        m = LevyMixing(lam)
+        for k in (np.arange(-2, 0), np.arange(0, 9)):
+            got = m.log_abs_laplace_derivative(k, np.array([s]))[:, 0]
+            for kk, g in zip(k.tolist(), got.tolist()):
+                want = mp_reference.real_order_transform(m, kk, s, dps=40)
+                assert g == pytest.approx(want, rel=4e-15, abs=1e-15), kk
+
+    def test_printed_values(self):
+        # L'(s) = -lam/(2 sqrt(s)) e^(-lam sqrt(s)), L''(s) = (lam/(4 s^1.5) + lam^2/(4 s)) e^(...)
+        for lam, s, k, want in ((1e-200, 1e-300, 1, -5e-51), (1e-310, 1.0, 1, -5e-311),
+                                (1e-200, 1e-300, 2, 2.5e249), (1e-310, 1.0, 2, 2.5e-311)):
+            got = LevyMixing(lam).laplace_derivative(k, s)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_other_points_keep_the_recurrence(self):
+        m = LevyMixing(1e-200)
+        s = np.array([1e-300, 1e-10, 1.0, 1e10])
+        k = np.arange(0, 9)
+        assert np.array_equal(m.log_abs_laplace_derivative(k, s)[:, 1:],
+                              m.log_abs_laplace_derivative(k, s[1:]))
+
+
 class TestFaaDiBrunoAgainstClosedForms:
     """The generic composition path must reproduce each closed-form derivative."""
 
@@ -676,7 +707,7 @@ class TestNegativeMoments:
         # component; and E(Theta^-r) = int_0^inf s^(r-1) L(s) ds / Gamma(r) by quadrature
         for m in (LevyMixing(1.0), LevyMixing(2.2), PositiveStableMixing(0.5),
                   PositiveStableMixing(0.35), PositiveStableMixing(0.85), PositiveStableMixing(1.0)):
-            rep = m.sum_mixture(1)
+            rep = m.sum_row(1).mixture()
             for r in (1, 2, 3):
                 assert m.neg_moment(r) == pytest.approx(
                     moment_from_mixture(rep, r) / math.factorial(r), rel=1e-13)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from riskmix import mixing
 from riskmix.aggregate import AggregateModel, cdf, gamma_claims_model, pdf, survival
-from riskmix.mixing import GleserGammaMixing, LevyMixing, PositiveStableMixing
+from riskmix.errors import UnsupportedModelError
+from riskmix.mixing import GammaMixing, GleserGammaMixing, LevyMixing, PositiveStableMixing
 from riskmix.riskmeasures import risk_report, value_at_risk
 
 import mp_reference
@@ -96,6 +97,25 @@ class TestTailMoments:
         m = gamma_claims_model(0.55, 1.3, 17)
         assert m.mixing.sum_row(17) is m.mixing.sum_row(17)
         assert mixing._mixture_row.cache_info().maxsize == mixing._ROW_CACHE
+
+
+class TestEveryTotalShape:
+    @pytest.mark.parametrize("law", TAIL_LAWS + [GammaMixing(3.0, 1.0)], ids=repr)
+    def test_one_row_per_total_shape(self, law):
+        # a fractional shape gets a KernelRow, and each of its sums of the integer
+        # orders below the shape raises at every x, none included
+        row = law.sum_row(2.7)
+        assert isinstance(row, mixing.KernelRow)
+        for call in (lambda: row.log_survival(np.array([])),
+                     lambda: row.log_survival_terms(np.array([1.0])), row.pdf_at_zero,
+                     lambda: row.log_tail_moments(1.0, (1,), np.zeros(2)), row.mixture):
+            with pytest.raises(UnsupportedModelError):
+                call()
+        # both rows take arrays of any shape, 0-d included
+        row, x = law.sum_row(3), np.geomspace(0.1, 10.0, 6)
+        for fn in (row.log_survival, row.pdf):
+            assert np.array_equal(fn(x.reshape(2, 3)), fn(x).reshape(2, 3))
+            assert fn(np.array(x[1])).shape == () and fn(np.array(x[1])) == fn(x)[1]
 
 
 ROW_MIXINGS = st.one_of(

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy import integrate
 
 from riskmix.aggregate import (
@@ -17,7 +18,7 @@ from riskmix.aggregate import (
     weibull_model,
 )
 from riskmix.errors import NonexistentMomentError, RiskmixError, TailUnderflowError
-from riskmix.mixing import BetaSecondKindMixing
+from riskmix.mixing import BetaSecondKindMixing, KernelRow, MixtureRow
 from riskmix import aggregate, riskmeasures
 from riskmix.riskmeasures import risk_report, tail_moment, tvar, value_at_risk
 from riskmix.simulate import SimulationPlan, sample_sums
@@ -34,6 +35,26 @@ SIX_MODELS = {
     "lindley": lambda n: lindley_model(1.5, n),
 }
 LEVELS = (0.9, 0.95, 0.99, 0.995, 0.999)
+
+
+def count_survival_evaluations(monkeypatch):
+    """The points at which VaR evaluates survival, one entry per call: the rows'
+    log_survival (the bracket) and log_survival_terms with the density (a
+    Newton step)."""
+    calls = []
+    for row in (MixtureRow, KernelRow):
+        def bracket(self, x, inner=row.log_survival):
+            calls.append(x)
+            return inner(self, x)
+
+        def step(self, x, density=False, inner=row.log_survival_terms):
+            if density:
+                calls.append(x)
+            return inner(self, x, density)
+
+        monkeypatch.setattr(row, "log_survival", bracket)
+        monkeypatch.setattr(row, "log_survival_terms", step)
+    return calls
 
 
 class TestValueAtRisk:
@@ -80,13 +101,7 @@ class TestValueAtRisk:
     @pytest.mark.parametrize("name", SIX_MODELS)
     def test_few_survival_calls(self, name, monkeypatch):
         # one call on the bracketing grid plus a few Newton steps
-        calls = []
-
-        def counted(model, x):
-            calls.append(x)
-            return survival(model, x)
-
-        monkeypatch.setattr(riskmeasures, "survival", counted)
+        calls = count_survival_evaluations(monkeypatch)
         for n in (2, 10, 32):
             m = SIX_MODELS[name](n)
             for lv in LEVELS:
@@ -98,13 +113,7 @@ class TestValueAtRisk:
     def test_few_survival_calls_at_low_levels(self, name, monkeypatch):
         # below the median the iteration runs on log F, which stays near-linear
         # in log x where log S bends; on log S these took up to 9 calls
-        calls = []
-
-        def counted(model, x):
-            calls.append(x)
-            return survival(model, x)
-
-        monkeypatch.setattr(riskmeasures, "survival", counted)
+        calls = count_survival_evaluations(monkeypatch)
         for n in (2, 10, 32):
             m = SIX_MODELS[name](n)
             for lv in (0.001, 0.01, 0.1):
@@ -150,10 +159,19 @@ class TestValueAtRisk:
         with pytest.raises(ValueError):
             value_at_risk(m, 1.0)
 
-    def test_deep_tail_rejected(self):
+    @pytest.mark.parametrize("tail", [1e-13, 1e-15, 2.0 ** -53])
+    def test_deep_tail(self, tail):
+        # every level a double holds below 1: S_2 of Pareto(3, 1) claims is
+        # B2(2, 3), so S(x) = I_{1/(1+x)}(3, 2) and E(S 1{S > x}) = I_{1/(1+x)}(2, 3)
         m = pareto_model(3.0, 1.0, 2)
-        with pytest.raises(TailUnderflowError):
-            value_at_risk(m, 1.0 - 1e-13)
+        level = 1.0 - tail
+        rep = risk_report(m, level, orders=(1,))
+        with mp.workdps(40):
+            u = 1 / (1 + mp.mpf(rep.var))
+            surv = mp.betainc(3, 2, 0, u, regularized=True)
+            want_tvar = mp.betainc(2, 3, 0, u, regularized=True) / surv
+        assert float(surv) == pytest.approx(1.0 - level, rel=1e-12, abs=0.0)
+        assert rep.tvar == pytest.approx(float(want_tvar), rel=1e-12)
 
     def test_no_convergence_is_a_numerical_failure(self, monkeypatch):
         # nothing underflows when the iteration runs out of steps
@@ -260,7 +278,7 @@ class TestTailKernelSum:
         # the returned VaR is the last point the iteration evaluated, within its tolerances
         for m in (pareto_model(3.0, 1.0, 10), weibull_model(0.45, 5)):
             for lv in (0.3, 0.9, 0.999):
-                a, terms = riskmeasures._value_at_risk(m, lv)
+                a, _, terms = riskmeasures._value_at_risk(m, lv)
                 assert np.exp(np.logaddexp.reduce(terms)) == pytest.approx(survival(m, a), rel=1e-14)
                 assert survival(m, a) == pytest.approx(1.0 - lv, rel=1e-9)
 
@@ -299,12 +317,12 @@ class TestOneKernelCallPerStep:
 
         assert not hasattr(riskmeasures, "pdf")
         monkeypatch.setattr(aggregate, "pdf", refuse)
+        for row in (MixtureRow, KernelRow):
+            monkeypatch.setattr(row, "pdf", refuse)
         for n in (2, 10, 32):
             m = SIX_MODELS[name](n)
-            for method in ("sum_pdf", "sum_pdf_derivative"):
-                monkeypatch.setattr(type(m.mixing), method, refuse)
             for lv in (0.3, 0.99):
-                a, _ = riskmeasures._value_at_risk(m, lv)
+                a, _, _ = riskmeasures._value_at_risk(m, lv)
                 assert a > 0
 
     @pytest.mark.parametrize("key", PINNED_REPORTS, ids=lambda key: f"{key[0]}-{key[1]}")
