@@ -574,7 +574,7 @@ def run_verify(cfg, command):
         pass  # infinite-mean frailties (Lindley) have no moment check
 
     plan = simulate.SimulationPlan(model, samples, cfg["seed"], streams)
-    sums = simulate.sample_vector(plan, threads=threads).sum(axis=1)
+    sums = simulate.sample_sums(plan, threads=threads)
     ks = simulate.empirical_ks(sums, lambda t: aggregate.cdf(model, t))
     checks.append(("monte_carlo_ks", ks, max(0.005, 4.0 / math.sqrt(samples))))
 

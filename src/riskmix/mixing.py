@@ -37,11 +37,17 @@ anything is allocated.
 
 * Gamma and Lindley: closed forms, broadcast over the orders; Lindley has
   no negative order.
-* Levy and inverse Gaussian: E(Theta^k e^{-s Theta}) is a prefactor times
-  K_{k-1/2}(z), z = lam sqrt(s) (Levy) or (lam/mu) sqrt(1 + b s) (IG): the
-  partial sums (_partial_sums) of the log ratios of the upward recurrence of
-  DLMF 10.29.1, a sum of positive terms (_log_bessel_ratios), which starts
-  from 1 at an integer order and from special.kve at a real one.
+* Levy and inverse Gaussian: one kernel (_log_bessel_kernel).  Under IG(lam,
+  mu), E(Theta^k e^{-s Theta}) is a prefactor times K_{k-1/2}(z), z =
+  hypot(lam/mu, sqrt(2 lam s)), and Levy(lam) is its limit IG(lam^2/2, mu ->
+  inf), z = lam sqrt(s).  The Bessel ratio is the partial sums
+  (_partial_sums) of the log ratios of the upward recurrence of DLMF 10.29.1,
+  a sum of positive terms (_log_bessel_ratios), which starts from 1 at an
+  integer order and from special.kve at a real one; where z underflows it is
+  the small-z limit, refused (PrecisionError) at a real order near 1/2.
+  The IG unit negative moments are the kernel at s = 0, or where lam >= mu
+  the same recurrence on r_i - 1, whose log1p keeps the digits of a moment
+  near 1.
 * Gleser: the moment of order k is c e^{-lam s} I_{k-1}, I_m = int_0^inf
   (lam+u)^m u^-alpha e^{-us} du.  The ratios I_m / I_{m-1} climb by a
   recurrence of positive terms (_climb) from the closed form c I_0 at the
@@ -106,7 +112,7 @@ second-kind beta of Pareto claims.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, inf, lgamma, log
+from math import exp, inf, lgamma, log, sqrt
 
 import numpy as np
 from scipy import special
@@ -148,7 +154,7 @@ _ROW_CACHE = 64
 # 1-D array and 300-400 for the (n, 81) survivals of the VaR bracket
 _SMALL_REDUCTION = 256
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
-_FLOAT_MAX = np.finfo(float).max
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _require_positive(**params):
@@ -260,6 +266,55 @@ def _bessel_k_over_half(nu: float, z):
     mu, zf = 4.0 * nu * nu, z[far]
     out[far] = 1.0 + (mu - 1.0) / (8.0 * zf) * (1.0 + (mu - 9.0) / (16.0 * zf))
     return out
+
+
+def _log_bessel_kernel(k, s, lam, mu, c, log_c, b):
+    """log E(Theta^k e^{-s Theta}) for Theta ~ IG(lam, mu) on a 1-D array s >= 0:
+    log(K_{k-1/2}(z)/K_{1/2}(z)) - (z - c) - k log(z/lam), z = hypot(c, w), c = lam/mu,
+    w = b sqrt(s), b = sqrt(2 lam); Levy(b) is its limit mu = inf, c = 0.  c comes
+    with its log and b = sqrt(2) sqrt(lam) as well as lam, since each can over- or
+    underflow where the others do not.  Where c, w and z/lam lie in the double range
+    the formula is computed as written.  Elsewhere (Levy, c past the double range, z +
+    c or z/lam overflowing, z underflowing) the terms come from the larger of c and w
+    and t = min(c, w)/max(c, w): z - c = w^2/(z + c) is w/(hypot(1, t) + t) where w >=
+    c and 2 mu s/(1 + hypot(1, t)) where w < c (exact in mu and s, so a point mass at
+    mu keeps its digits), and log(z/lam) is log hypot(1, t) plus log(s)/2 + log 2 -
+    log b or - log mu."""
+    top = _FLOAT_MAX / 8 * min(lam, 1.0)
+    if c > 1e-290 and max(c, lam, b * sqrt(s.max(initial=0.0))) < top:
+        w = sqrt(2.0 * lam) * np.sqrt(s)
+        z = np.hypot(c, w)
+        e, log_zl, tiny = w * (w / (z + c)), np.log(z / lam), None
+    else:
+        # (invalid: at the Levy point s = 0, t's log-ratio is nan, and np.where forms
+        # both branches, whose unused one may hold inf * 0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w = b * np.sqrt(s)
+            z = np.hypot(c, w)
+            half_log_s = 0.5 * np.log(s)
+            near = half_log_s - (log_c - log(b)) < 0.0
+            # t is 0 where c = w = 0; past the double range it comes from the logs
+            t = np.nan_to_num(np.where(near, w / c, c / w) if 0 < c < inf
+                              else np.exp(-np.abs(half_log_s - (log_c - log(b)))))
+            zt = np.hypot(1.0, t)
+            e = np.where(near, 2.0 / (1.0 + zt) * mu * s, w / (zt + t))
+            log_zl = np.where(near, -log(mu), half_log_s + log(2.0) - log(b)) + np.log(zt)
+            log_2z = np.where(near, log(2.0) - log_c, log(2.0) - log(b) - half_log_s) - np.log(zt)
+            tiny = z < 2.0 * (float(np.abs(k).max()) + 1.0) / _FLOAT_MAX
+    if k.size == 1 and k[0] == 0:
+        # order 0 alone also takes s = 0, where log(z/lam) is -inf at c = 0
+        return -e[None]
+    rows = _log_bessel_ratios(k, z if tiny is None else np.where(tiny, 1.0, z))
+    if tiny is not None and tiny.any():
+        # where z underflows, or the recurrence's 2|k|/z overflows: log K_nu(z)/K_{1/2}(z)
+        # = log(Gamma(nu)/Gamma(1/2)) + (nu - 1/2) log(2/z) + O(z) + O((z/2)^(2 nu))
+        nu, log_2z = _column(np.abs(k - 0.5), 1), log_2z[tiny]
+        if (nu * log_2z < 20.0).any():
+            raise PrecisionError(f"K_nu(z) at nu = {nu.min():.3g} and z near 0")
+        rows[:, tiny] = special.gammaln(nu) - special.gammaln(0.5) + (nu - 0.5) * log_2z
+    rows -= e
+    rows -= _column(k, 1) * log_zl
+    return rows
 
 
 def _partial_sums(terms, k):
@@ -811,27 +866,8 @@ class LevyMixing(MixingDistribution):
         _require_positive(lam=self.lam)
 
     def _log_kernel(self, k, s):
-        # (lam/sqrt(pi)) (2z/lam^2)^(1/2-k) K_{k-1/2}(z), z = lam sqrt(s), 2z/lam^2 = 2 sqrt(s)/lam
-        with np.errstate(over="ignore"):
-            z = self.lam * np.sqrt(s)
-        if np.isinf(z).any():  # there the log, -z + O(log z), is below -FLOAT_MAX
-            return _vanishing(self._log_kernel, k, s, np.isinf(z))
-        if not k.any():
-            # order 0 alone also takes s = 0, where log s below is -inf
-            return np.zeros((k.size,) + z.shape) - z
-        half_log_s = 0.5 * np.log(s)
-        # an integer order where z underflows, or the recurrence's 2|k|/z overflows,
-        # takes the small-z limit log K_nu(z)/K_{1/2}(z) = log(Gamma(nu)/Gamma(1/2)) +
-        # (nu - 1/2) log(2/z), nu = |k - 1/2|, whose relative error is O(z)
-        tiny = (z < 2.0 * (np.abs(k).max() + 1.0) / _FLOAT_MAX) & (k.dtype.kind == "i")
-        rows = _log_bessel_ratios(k, np.where(tiny, 1.0, z))
-        if tiny.any():
-            nu = _column(np.abs(k - 0.5), 1)
-            rows[:, tiny] = (special.gammaln(nu) - special.gammaln(0.5) + (nu - 0.5)
-                             * (log(2.0) - log(self.lam) - half_log_s[tiny]))
-        rows -= z
-        rows -= _column(k, z.ndim) * (half_log_s + log(2.0) - log(self.lam))
-        return rows
+        # IG(lam^2/2, mu = inf): c = 0, b = lam
+        return _log_bessel_kernel(k, s, 0.5 * self.lam * self.lam, inf, 0.0, -inf, self.lam)
 
     def _generator(self, t):
         return (-np.log(t) / self.lam) ** 2
@@ -945,16 +981,8 @@ class InverseGaussianMixing(MixingDistribution):
         _require_positive(lam=self.lam, mu=self.mu)
 
     def _log_kernel(self, k, s):
-        # sqrt(2 lam/pi) (z/lam)^(1/2-k) e^{lam/mu} K_{k-1/2}(z) with z = (lam/mu) sqrt(1 +
-        # 2 mu^2 s/lam) = hypot(c, w), c = lam/mu, w = sqrt(2 lam s); the exponent
-        # c - z = -w^2 / (z + c) neither overflows nor cancels
-        c = self.lam / self.mu
-        w = math.sqrt(2.0 * self.lam) * np.sqrt(s)
-        z = np.hypot(c, w)
-        rows = _log_bessel_ratios(k, z)
-        rows -= w * (w / (z + c))
-        rows -= _column(k, s.ndim) * np.log(z / self.lam)
-        return rows
+        return _log_bessel_kernel(k, s, self.lam, self.mu, self.lam / self.mu,
+                                  log(self.lam) - log(self.mu), sqrt(2.0) * sqrt(self.lam))
 
     def _generator(self, t):
         # L(s) = exp(c - z) solved for s: with u = -log t, s = u/mu + u^2/(2 lam)
@@ -966,9 +994,19 @@ class InverseGaussianMixing(MixingDistribution):
         return log(self.mu)
 
     def log_unit_neg_moment(self, r):
-        # Theta / mu ~ IG(lam/mu, 1)
-        unit = InverseGaussianMixing(self.lam / self.mu, 1.0)
-        return float(unit.log_abs_laplace_derivative(-r, 0.0))
+        # Theta / mu ~ IG(c, 1), c = lam/mu: the kernel of order -r at s = 0 (b is idle).
+        # At c >= 1 the moment is near 1, so at an integer r its ratios r_i = 1/r_{i-1} +
+        # (2i - 1)/c, r_0 = 1, run as d_i = r_i - 1: log1p keeps the digits rho = O(1/c) needs
+        y = self.mu / self.lam
+        if y > 1.0 or not float(r).is_integer():
+            c = self.lam / self.mu
+            return float(_log_bessel_kernel(np.array([-r]), np.zeros(1), c, 1.0, c,
+                                            log(self.lam) - log(self.mu), 1.0)[0, 0])
+        d = out = 0.0
+        for i in range(1, int(r) + 1):
+            d = (2 * i - 1) * y - d / (1.0 + d)
+            out += math.log1p(d)
+        return out
 
     def _sum_pdf_at_zero(self, n):
         return self.mu if n == 1 else 0.0

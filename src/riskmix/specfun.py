@@ -12,6 +12,8 @@ from math import exp, inf, log, sqrt
 import numpy as np
 from scipy import special
 
+from .errors import PrecisionError
+
 __all__ = [
     "log_gammaincc",
     "log_kummer_u_integral",
@@ -56,12 +58,15 @@ def log_kummer_u_integral(a, b, z):
     which is smooth and, for b <= a + 1, concave with one peak, whose
     position solves a quadratic in e^v.  The integral is the trapezoid rule
     on the infinite grid of step h through the peak, which converges
-    geometrically in 1/h for such integrands; h is set by the curvature at
-    the peak.  The grid is summed against exp(phi - phi(peak)) <= 1 and cut
-    where that has fallen below e^-50: to the right of the peak from a
-    tangent (phi is concave) or from the e^v term; to the left from a
+    geometrically in 1/h for such integrands; the h of each z is set by the
+    curvature at its peak.  The grid is summed against exp(phi - phi(peak))
+    <= 1 and cut where that has fallen below e^-50: to the right of the peak
+    from a tangent (phi is concave) or from the e^v term; to the left from a
     tangent, or where e^v < 1e-17 / (z + a + 1 - b), below which
-    phi = a v + const and the rest of the sum is a geometric series.
+    phi = a v + const and the rest of the sum is a geometric series.  The
+    tangents touch phi where a parabola of the peak's curvature has dropped
+    by 50, at most 1 away, so a sharp peak (a huge a) keeps a grid of a few
+    dozen points.
     """
     a, b, zf = (np.asarray(v, dtype=float) for v in (a, b, z))
     zero = np.zeros(np.broadcast_shapes(a.shape, b.shape, zf.shape))
@@ -75,37 +80,58 @@ def log_kummer_u_integral(a, b, z):
     c = b - a - 1.0
     log_z = np.log(zf)
 
+    b1 = b - 1.0
+
     def phi(v, cols=slice(None)):
-        return a[cols] * v - np.exp(log_z[cols] + v) + c[cols] * np.logaddexp(0.0, v)
+        # a v + c log(1 + e^v) as (b - 1) v or a v, by the sign of v, plus c log1p(e^-|v|),
+        # which does not cancel where a and -c are both large
+        return (np.where(v > 0.0, b1[cols], a[cols]) * v
+                + c[cols] * np.logaddexp(0.0, -np.abs(v)) - np.exp(log_z[cols] + v))
 
     with np.errstate(over="ignore", divide="ignore"):
         # peak: t = e^v is the positive root of z t^2 - (b - 1 - z) t - a = 0,
         # from the halves m = (b - 1 - z)/2 and r = sqrt(m^2 + a z), which stay
         # finite for every z up to the float maximum
-        m = 0.5 * (b - 1.0) - 0.5 * zf
+        m = 0.5 * b1 - 0.5 * zf
         r = np.hypot(m, np.sqrt(a) * np.sqrt(zf))
         peak = np.where(m >= 0, np.log(m + r) - log_z, np.log(a) - np.log(r - m))
         top = phi(peak)
         zt = np.exp(log_z + peak)
-        w = peak + np.array([[-1.0], [1.0]])
+        curv = zt - c * special.expit(peak) * special.expit(-peak)
+        width = 0.6 / np.sqrt(curv)
+        # past |phi(peak)| = 1e17 the rounding of phi - phi(peak) passes e^20, so there the
+        # grid is cut at span alone and its terms at 1: the sum is off by O(20) in a log
+        # past 1e17.  Only there may the peak be narrower than the spacing of v near it
+        # (res), which then serves as span and step.
+        coarse = np.abs(top) > 1e17
+        res = 1e-12 * np.maximum(1.0, np.abs(peak))
+        if (~coarse & (width < res)).any():
+            raise PrecisionError("a Kummer integrand peak narrower than the double spacing "
+                                 "near it, with a log-height below 1e17")
+        # tangents at peak -+ span, where a parabola of the peak's curvature has
+        # dropped by _KUMMER_DROP, and at most 1 away
+        span = np.minimum(np.maximum(sqrt(2.0 * _KUMMER_DROP) / 0.6 * width, res), 1.0)
+        w = peak + span * np.array([[-1.0], [1.0]])
         gap = phi(w) - top + _KUMMER_DROP
-        slope = np.abs(a - np.exp(log_z + w) + c * special.expit(w))
-        reach = 1.0 + np.maximum(gap, 0.0) / slope
+        # phi' = a + c expit(v) - z e^v, with a and c apart
+        slope = np.abs(a * special.expit(-w) + b1 * special.expit(w) - np.exp(log_z + w))
+        reach = np.where(coarse, span, span + np.maximum(gap, 0.0) / slope)
         left = np.minimum(reach[0], np.maximum(peak - log(1e-17) + np.log(zf - c), 0.0))
         # right of the peak, phi - phi(peak) <= a d - z e^peak (e^d - 1)
         d = np.log1p(_KUMMER_DROP / zt)
         for _ in range(3):
             d = np.log1p((_KUMMER_DROP + a * d) / zt)
         right = np.minimum(reach[1], d)
-        curv = zt - c * special.expit(peak) * special.expit(-peak)
-        h = min(0.2, 0.6 / sqrt(curv.max()))
-        j = np.arange(-math.ceil(left.max() / h), math.ceil(right.max() / h) + 1.0)[:, None]
+        h = np.minimum(0.2, np.maximum(width, res))
+        j = np.arange(-math.ceil((left / h).max()), math.ceil((right / h).max()) + 1.0)[:, None]
         total = np.empty_like(top)
         chunk = max(1, _KUMMER_CELLS // j.size)
         for i in range(0, zf.size, chunk):
             cols = slice(i, i + chunk)
-            terms = np.exp(phi(peak[cols] + h * j, cols) - top[cols])
-            total[cols] = terms.sum(axis=0) + terms[0] / np.expm1(a[cols] * h)
+            log_terms = phi(peak[cols] + h[cols] * j, cols) - top[cols]
+            np.minimum(log_terms, 0.0, out=log_terms, where=coarse[cols])
+            terms = np.exp(log_terms)
+            total[cols] = terms.sum(axis=0) + terms[0] / np.expm1(a[cols] * h[cols])
     out = (top + np.log(h * total)).reshape(zero.shape)
     return float(out) if out.ndim == 0 else out
 

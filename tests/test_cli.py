@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from riskmix import aggregate, cli
 from riskmix.aggregate import weibull_model
@@ -83,6 +84,51 @@ class TestPdfCommand:
         got = grid(["--model", "invgauss", "--lambda", "1", "--mu", "1e200"])
         want = grid(["--model", "weibull-half", "--lambda", repr(math.sqrt(2.0))])
         assert got[:, 1] == pytest.approx(want[:, 1], rel=1e-13)
+
+    # Gamma(2, 1), the sum at a point mass at mu = 1: its VaR and TVaR = 2 Q(3, v)/(1 - p)
+    _VAR = special.gammaincinv(2.0, [0.5, 0.99])
+    _TVAR = 2.0 * special.gammaincc(3.0, _VAR) / np.array([0.5, 0.01])
+
+    @pytest.mark.parametrize("case", [
+        # lam/mu = 1e308 and 1e600: a point mass at mu, S ~ Gamma(2, mu); rho =
+        # (c + 2)/(c^2 + 4c + 5) at c = lam/mu, 1/c to double precision
+        (["survival", "--lambda", "1e308", "--mu", "1", "--grid", "1e-300:1e-299:2"],
+         [1.0, 1.0], 1e-13),
+        (["survival", "--lambda", "1e300", "--mu", "1e-300", "--grid", "1e-300:1e-299:2"],
+         [1.0, 1.0], 1e-13),
+        (["survival", "--lambda", "1e300", "--mu", "1e-300", "--grid", "1e299:1e301:3"],
+         special.gammaincc(2.0, [0.1, 5.05, 10.0]), 1e-13),
+        (["moments", "--lambda", "1e308", "--mu", "1"], [2.0, 6.0], 1e-13),
+        (["var", "--lambda", "1e308", "--mu", "1", "--levels", "0.5,0.99"],
+         np.column_stack([_VAR, _TVAR]).ravel(), 1e-12),
+        (["rho", "--lambda", "1e308", "--mu", "1"], [1e-308], 1e-13),
+        (["rho", "--lambda", "1e300", "--mu", "1e-300"], [0.0], 0.0),
+        (["moments", "--lambda", "1e300", "--mu", "1e-300"], None, None),
+        # lam/mu = 1e-600 and 1e-310: Levy(sqrt(2 lam)) to 1e-310 relative, rho = 2/5;
+        # its quantiles lie past 2^996, and E(S) past the double range
+        (["rho", "--lambda", "1e-300", "--mu", "1e300"], [0.4], 1e-13),
+        (["rho", "--lambda", "1e-310", "--mu", "1"], [0.4], 1e-13),
+        (["var", "--lambda", "1e-300", "--mu", "1e300", "--levels", "0.5,0.99"], None, None),
+        (["tvar", "--lambda", "1e-300", "--mu", "1e300", "--levels", "0.5,0.99"], None, None),
+        (["moments", "--lambda", "1e-300", "--mu", "1e300"], None, None),
+        (["moments", "--lambda", "1e-310", "--mu", "1"], None, None),
+    ], ids=lambda case: " ".join(case[0]))
+    def test_inverse_gaussian_past_the_double_range(self, capsys, case):
+        # lam/mu over- or underflows: the limit's values, or a typed error (exit 3) where
+        # want is None; these printed nan with exit 0 or ended in a ValueError traceback
+        (cmd, *params), want, rel = case
+        code, out, _ = run_strict(capsys, [cmd, "--model", "invgauss", *params, "--n", "2"])
+        assert code == (3 if want is None else 0)
+        if want is not None:
+            rows = [[float(t) for t in line.split(",")] for line in out.strip().split("\n")[1:]]
+            got = [v for row in rows for v in (row[1:] or row)]
+            assert got == pytest.approx(list(want), rel=rel, abs=0.0)
+
+    def test_inverse_gaussian_mean_that_overflows(self, capsys):
+        # E(S) = 2 (1/mu + 1/lam) = 2e310: it printed inf with exit 0
+        code, _, err = run_strict(capsys, ["moments", "--model", "invgauss", "--lambda",
+                                           "1e-310", "--mu", "1", "--n", "2"])
+        assert code == 3 and "overflows" in err
 
     def test_missing_grid_is_an_error_not_a_default(self, capsys):
         code, _, err = run(capsys, ["pdf", "--model", "pareto", "--alpha", "3",

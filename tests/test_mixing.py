@@ -11,11 +11,13 @@ from scipy import integrate, special
 from riskmix.errors import (
     DerivativeCapError,
     NonexistentMomentError,
+    PrecisionError,
     RiskmixError,
     TailUnderflowError,
     UnsupportedModelError,
 )
-from riskmix.aggregate import moment_from_mixture, pdf, survival, weibull_model
+from riskmix.aggregate import AggregateModel, moment_from_mixture, pdf, survival, weibull_model
+from riskmix.dependence import pearson_rho
 from riskmix.riskmeasures import tail_moment
 from riskmix.mixing import (
     Beta2Component,
@@ -272,7 +274,9 @@ EXTREME_LAWS = [
     InverseGaussianMixing(1e200, 1e200), LindleyMixing(1e-200), LindleyMixing(1e200),
     GleserGammaMixing(0.5, 1e-200), GleserGammaMixing(0.5, 1e200), GleserGammaMixing(1.0, 1e200),
     BetaSecondKindMixing(1e-200, 3.0), BetaSecondKindMixing(3.0, 1e-200),
-    BetaSecondKindMixing(3.0, 1e200),
+    BetaSecondKindMixing(3.0, 1e200), BetaSecondKindMixing(1e200, 3.0),
+    InverseGaussianMixing(1e300, 1e-300), InverseGaussianMixing(1e308, 1.0),
+    InverseGaussianMixing(1e-310, 1.0), InverseGaussianMixing(1e-300, 1e300),
 ]
 
 
@@ -325,11 +329,17 @@ class TestKernelsAtOverflowingArguments:
 
 
 class TestLevyKernelAtVanishingZ:
-    """Where z = lam sqrt(s) underflows, or 1/z overflows, the Levy kernel takes
-    the small-z limit of its Bessel ratio, with no RuntimeWarning; every other
-    point of the same call keeps the recurrence."""
+    """Where z = hypot(lam/mu, sqrt(2 lam s)) underflows, or 1/z overflows, the
+    Bessel kernel of the Levy and inverse Gaussian laws takes the small-z limit of
+    its Bessel ratio, with no RuntimeWarning; every other point of the same call
+    keeps the recurrence."""
 
     CASES = [(1e-200, 1e-300), (1e-310, 1.0), (1e-160, 1e-300), (1e-300, 1e-300)]
+    # IG at c = lam/mu subnormal or below the double range, s = 0 included
+    IG_CASES = [(InverseGaussianMixing(1e-310, 1.0), 1e-306),
+                (InverseGaussianMixing(1e-300, 1e300), 1e-320),
+                (InverseGaussianMixing(1e-310, 1e10), 1e-310),
+                (InverseGaussianMixing(1e-300, 1e300), 0.0)]
 
     @pytest.mark.parametrize("lam, s", CASES)
     def test_orders_against_the_bessel_closed_form(self, lam, s):
@@ -339,6 +349,28 @@ class TestLevyKernelAtVanishingZ:
             for kk, g in zip(k.tolist(), got.tolist()):
                 want = mp_reference.real_order_transform(m, kk, s, dps=40)
                 assert g == pytest.approx(want, rel=4e-15, abs=1e-15), kk
+
+    @pytest.mark.parametrize("m, s", IG_CASES, ids=repr)
+    def test_inverse_gaussian_at_tiny_c(self, m, s):
+        # log(z/lam) sums logs of size 350-700 that cancel, exact to about 1e-13
+        for k in (np.arange(-2, 0), np.arange(0, 9) if s else np.arange(0, 1)):
+            got = m.log_abs_laplace_derivative(k, np.array([s]))[:, 0]
+            for kk, g in zip(k.tolist(), got.tolist()):
+                want = mp_reference.real_order_transform(m, kk, s, dps=40)
+                assert g == pytest.approx(want, rel=4e-15, abs=1e-13), kk
+
+    @pytest.mark.parametrize("m, s", [(LevyMixing(1e-200), 1e-300), IG_CASES[0], IG_CASES[1]],
+                             ids=repr)
+    def test_real_orders(self, m, s):
+        # the real-order start (special.kve at z = 0) returned nan with a RuntimeWarning
+        for k in (2.7, 0.6, -1.3, 5.5, 0.45):
+            want = mp_reference.real_order_transform(m, k, s, dps=60)
+            assert float(m.log_abs_laplace_derivative(k, s)) == pytest.approx(want, rel=1e-13)
+        # near order 1/2 the limit K_nu(z) ~ Gamma(nu) (2/z)^nu / 2 misses by
+        # (z/2)^(2 nu), so it is refused there
+        for k in (0.5, 0.52):
+            with pytest.raises(PrecisionError):
+                m.log_abs_laplace_derivative(k, s)
 
     def test_printed_values(self):
         # L'(s) = -lam/(2 sqrt(s)) e^(-lam sqrt(s)), L''(s) = (lam/(4 s^1.5) + lam^2/(4 s)) e^(...)
@@ -353,6 +385,57 @@ class TestLevyKernelAtVanishingZ:
         k = np.arange(0, 9)
         assert np.array_equal(m.log_abs_laplace_derivative(k, s)[:, 1:],
                               m.log_abs_laplace_derivative(k, s[1:]))
+
+
+class TestInverseGaussianLimits:
+    """The inverse Gaussian kernel against its two limits, at parameters where
+    lam/mu over- or underflows: IG(lam, mu) tends to a point mass at mu as
+    lam/mu -> inf, and to Levy(sqrt(2 lam)) as mu -> inf."""
+
+    @pytest.mark.parametrize("lam, mu, ns, rel", [
+        (1e308, 1.0, (2, 10), 1e-13),
+        # S sums x^k |L^(k)(x)| / k!, whose x^k mu^k is exp(k log x + k log mu) with
+        # |log mu| = 691, exact to about 3e-14 k
+        (1e300, 1e-300, (2,), 2e-13)])
+    def test_point_mass_at_mu(self, lam, mu, ns, rel):
+        # S_n given Theta = mu is Gamma(n, mu): S(x) = Q(n, mu x)
+        y = np.logspace(-2, 1.5, 36)
+        for n in ns:
+            got = survival(AggregateModel(InverseGaussianMixing(lam, mu), (1.0,) * n), y / mu)
+            assert got == pytest.approx(special.gammaincc(n, y), rel=rel, abs=0.0)
+
+    def test_levy_at_mu_past_the_double_range(self):
+        # lam/mu = 1e-600 underflows; the law is Levy(sqrt(2e-300)) to 1e-600 relative.
+        # Below s = 1e-308, z = sqrt(2 lam s) lies below the recurrence's range
+        ig, levy = InverseGaussianMixing(1e-300, 1e300), LevyMixing(math.sqrt(2e-300))
+        s = np.append([1e-320, 1e-312], np.logspace(-300, 300, 61))
+        for k in (np.arange(-2, 0), np.arange(0, 9)):
+            assert ig.log_abs_laplace_derivative(k, s) == pytest.approx(
+                levy.log_abs_laplace_derivative(k, s), rel=1e-13, abs=1e-13)
+        x = np.logspace(296.0, 303.0, 15)
+        assert survival(AggregateModel(ig, (1.0, 1.0)), x) == pytest.approx(
+            survival(AggregateModel(levy, (1.0, 1.0)), x), rel=1e-13)
+
+    def test_unit_moments_past_the_double_range(self):
+        # Theta / mu ~ IG(lam/mu, 1) with lam/mu = 1e-600: E(U^-1) ~ 1/c and E(U^-2) ~
+        # 3/c^2, so q = 3 and rho = 2/5 (building IG(lam/mu, 1) raised ValueError)
+        model = AggregateModel(InverseGaussianMixing(1e-300, 1e300), (1.0, 1.0))
+        assert pearson_rho(model) == pytest.approx(0.4, rel=1e-13)
+        # E(Theta^-1) = 1/mu + 1/lam = 1e310 overflows a double (it returned inf)
+        with pytest.raises(PrecisionError):
+            InverseGaussianMixing(1e-310, 1.0).neg_moment(1)
+        assert InverseGaussianMixing(1e300, 1e-300).log_neg_moment(2) == pytest.approx(
+            2 * math.log(1e300), rel=1e-15)
+
+    @pytest.mark.parametrize("lam, mu", [(7.3, 0.3), (1e10, 1.0), (3e14, 1.0),
+                                         (2.5e200, 3.7e-50), (1e308, 1.0), (1e308, 0.5)])
+    def test_rho_at_a_large_c(self, lam, mu):
+        # rho = (c + 2)/(c^2 + 4c + 5), c = lam/mu, is O(1/c): its unit moments are near 1
+        # and must keep their relative digits (rho was 8e-8 off at c = 1e10 and 0 at 1e308)
+        c = mp.mpf(lam) / mp.mpf(mu)
+        want = float((c + 2) / (c * c + 4 * c + 5))
+        model = AggregateModel(InverseGaussianMixing(lam, mu), (1.0, 1.0))
+        assert pearson_rho(model) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestFaaDiBrunoAgainstClosedForms:

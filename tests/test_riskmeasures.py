@@ -127,7 +127,10 @@ class TestValueAtRisk:
         m = pareto_model(3.0, 1.0, 1)
         x = value_at_risk(m, 1e-13)
         assert 0.0 < x < 2.0 ** -40
-        assert x == pytest.approx((1.0 - 1e-13) ** (-1.0 / 3.0) - 1.0, rel=1e-2)
+        # S(x) = (1 + x)^-3, so x = expm1(-log1p(-level) / 3); abs=0, since pytest's
+        # default absolute tolerance 1e-12 would swallow a quantile of 3e-14
+        want = math.expm1(-math.log1p(-1e-13) / 3.0)
+        assert x == pytest.approx(want, rel=1e-2, abs=0.0)
 
     @pytest.mark.parametrize("lam", [1e10, 1e30, 1e100, 1e150])
     def test_tiny_quantiles_scale(self, lam):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from riskmix.errors import PrecisionError
 from riskmix.specfun import exp_scaled_expn, log_gammaincc, log_kummer_u_integral
 
 from reference_formulas import (
@@ -305,6 +306,47 @@ class TestKummerU:
                 want = float(mp.log(mp.gamma(a) * mp.hyperu(a, b, z)))
                 assert log_kummer_u_integral(a, b, z) == pytest.approx(
                     want, rel=1e-13, abs=1e-13)
+
+    @staticmethod
+    def log_integral_around_peak(a, b, z, dps, quad=True):
+        """The log of the integral in u = v - peak, v = log t, over +-40 standard
+        deviations of its peak (quad=True), or Laplace's phi(peak) + log(sqrt(2 pi) sd)."""
+        with mp.workdps(dps):
+            a, b, z = mp.mpf(a), mp.mpf(b), mp.mpf(z)
+
+            def phi(v):
+                return a * v - z * mp.exp(v) + (b - a - 1) * mp.log1p(mp.exp(v))
+
+            m = (b - 1 - z) / 2
+            r = mp.sqrt(m * m + a * z)
+            peak = mp.log(m + r) - mp.log(z) if m >= 0 else mp.log(a) - mp.log(r - m)
+            e = mp.exp(peak)
+            sd = 1 / mp.sqrt(z * e - (b - a - 1) * e / (1 + e) ** 2)
+            top = phi(peak)
+            if not quad:
+                return float(top + mp.log(mp.sqrt(2 * mp.pi) * sd))
+            cuts = [sd * k for k in (-40, -10, -3, 0, 3, 10, 40)]
+            return float(top + mp.log(mp.quad(lambda u: mp.exp(phi(peak + u) - top), cuts)))
+
+    def test_huge_shape_against_mpmath(self):
+        # the peak in v = log t is about a^-1/2 wide: a grid cut at least 1 away from
+        # it asked np.arange for 1e101 points at a = 1e200, and a v + (b-a-1) log(1+e^v)
+        # cancelled (1.6e-10 at a = 1e8).  At a = 1e12 a 50-digit integral around the
+        # peak; at 1e200, where the peak is narrower than the spacing of doubles and
+        # its log-width is below the rounding of its log-height, Laplace's form
+        for a, b, z in ((1e12, -2.0, 1.0), (1e12, 1.0, 1e-3), (1e12, -2.0, 1e15)):
+            want = self.log_integral_around_peak(a, b, z, 50)
+            assert log_kummer_u_integral(a, b, z) == pytest.approx(want, rel=1e-13)
+        z = np.array([1e-10, 1.0, 1e300])
+        for b in (-2.0, 2.0):
+            want = [self.log_integral_around_peak(1e200, b, zi, 250, quad=False) for zi in z]
+            assert log_kummer_u_integral(1e200, b, z) == pytest.approx(want, rel=1e-13)
+
+    def test_narrow_peak_of_modest_height_is_refused(self):
+        # b = a + 1 is the gamma integral Gamma(a) z^-a, whose log at z = a/e is
+        # -log(a)/2 + O(1): a peak 1e-15 wide on a grid of doubles 1e-12 apart
+        with pytest.raises(PrecisionError):
+            log_kummer_u_integral(1e30, 1e30 + 1.0, 1e30 / math.e)
 
     def test_array_matches_scalar(self):
         # one pass over z spanning the VaR grid, with the value at each z
