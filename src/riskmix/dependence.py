@@ -8,7 +8,7 @@ and the pairwise measures are those of exponential claims (every shape 1) and
 raise UnsupportedModelError for other shapes.
 """
 
-from math import expm1, lgamma
+from math import lgamma
 
 import numpy as np
 
@@ -107,14 +107,12 @@ def pearson_rho(model: AggregateModel) -> float:
     """Pairwise linear correlation (E W^2 - E^2 W) / (2 E W^2 - E^2 W), W = 1/Theta.
 
     That is (q - 1)/(2q - 1) = u/(1 + u) with q = E W^2 / E^2 W >= 1 and
-    u = 1 - 1/q, which is formed from log q.  q is free of the scale of Theta,
-    so it is taken from the unit-scale moments (log_unit_neg_moment): the scale
-    neither overflows it nor costs it digits."""
+    u = 1 - 1/q, which the law supplies (inverse_variance_share): free of the
+    scale of Theta, which neither overflows it nor costs it digits."""
     m = _exponential_claims(model)
     if model.n < 2:
         raise ValueError("rho needs at least two components")
-    log_q = m.log_unit_neg_moment(2) - 2.0 * m.log_unit_neg_moment(1)
-    u = -expm1(-log_q)
+    u = m.inverse_variance_share()
     return u / (1.0 + u)
 
 

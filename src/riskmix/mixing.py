@@ -500,9 +500,10 @@ class _Row:
 
     def log_survival(self, x):
         """log S(x) on an array x > 0 of any shape: the log-sum of the survival
-        terms, in blocks of _KERNEL_CELLS // n points."""
-        return _by_blocks(self._integer_n(), x,
-                          lambda xs: _log_sum_exp(self.log_survival_terms(xs)))
+        terms, in blocks of _KERNEL_CELLS // n points, at most 0 (where S rounds
+        to 1, the sum can come out an ulp above it)."""
+        return _by_blocks(self._integer_n(), x, lambda xs: np.minimum(
+            _log_sum_exp(self.log_survival_terms(xs)), 0.0))
 
     def pdf(self, x):
         """f(x) on an array x > 0 of any shape."""
@@ -760,6 +761,15 @@ class MixingDistribution:
         laws with one, or whose kernel needs s > 0, override it."""
         return float(self.log_abs_laplace_derivative(-r, 0.0))
 
+    def inverse_variance_share(self) -> float:
+        """u = Var(W) / E(W^2) = 1 - E^2(W) / E(W^2), W = 1/Theta, from which
+        dependence.pearson_rho forms u / (1 + u).  It is free of the scale, so by
+        default it is -expm1(-log q) with log q = log E W^2 - 2 log E W from the
+        unit-scale moments; a law whose u has a closed form overrides it, since
+        log q is a difference that loses the digits of a u near 0."""
+        log_q = self.log_unit_neg_moment(2) - 2.0 * self.log_unit_neg_moment(1)
+        return -math.expm1(-log_q)
+
     def sample(self, size, rng) -> np.ndarray:
         raise NotImplementedError
 
@@ -828,6 +838,11 @@ class GammaMixing(MixingDistribution):
         if self.alpha <= r:
             raise NonexistentMomentError(f"E(Theta^-{r}) requires alpha > {r}, got {self.alpha}")
         return -_log_poch(self.alpha - r, r)
+
+    def inverse_variance_share(self):
+        # q = (alpha - 1)/(alpha - 2), whose logs of size 2 log alpha cancelled
+        self.log_unit_neg_moment(2)  # NonexistentMomentError unless alpha > 2
+        return 1.0 / (self.alpha - 1.0)
 
     def _generator(self, t):
         return self.beta * np.expm1(-np.log(t) / self.alpha)

@@ -39,18 +39,25 @@ def log_abs_falling_factorial(a: float, k: int):
 
 
 def bell_partial(n: int, k: int, values) -> float:
-    """Partial (incomplete) exponential Bell polynomial B_{n,k}(x_1,...,x_{n-k+1}).
-
-    Evaluated by the convolution recurrence
-        B_{n,k} = sum_i C(n-1, i-1) x_i B_{n-i,k-1},
-    which costs O(n^2 k) instead of enumerating multi-indices.
-    """
+    """Partial (incomplete) exponential Bell polynomial B_{n,k}(x_1,...,x_{n-k+1}),
+    from bell_table."""
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     xs = [float(v) for v in values]
     if len(xs) != n - k + 1:
         raise ValueError(f"B_{{{n},{k}}} takes {n - k + 1} arguments, got {len(xs)}")
-    # table[m][j] = B_{m,j} for the same argument list
+    return bell_table(n, xs, k)[n][k]
+
+
+def bell_table(n: int, values, k=None):
+    """table[m][j] = B_{m,j}(x_1,...,x_{m-j+1}) for j <= m <= n and j <= k
+    (default n), by the convolution recurrence
+        B_{m,j} = sum_i C(m-1, i-1) x_i B_{m-i,j-1},
+    which costs O(n^2 k) instead of enumerating multi-indices.  B_{m,j} reads
+    x_1..x_{m-j+1} only, so one table over x_1..x_n serves every (m, j); an
+    argument past the end of `values` counts as absent."""
+    xs = [float(v) for v in values]
+    k = n if k is None else k
     table = [[0.0] * (k + 1) for _ in range(n + 1)]
     table[0][0] = 1.0
     for j in range(1, k + 1):
@@ -60,7 +67,7 @@ def bell_partial(n: int, k: int, values) -> float:
                 if i - 1 < len(xs):
                     acc += math.comb(m - 1, i - 1) * xs[i - 1] * table[m - i][j - 1]
             table[m][j] = acc
-    return table[n][k]
+    return table
 
 
 def log_bell_partial(n: int, k: int, log_values) -> float:
@@ -75,6 +82,13 @@ def log_bell_partial(n: int, k: int, log_values) -> float:
     lx = list(log_values)
     if len(lx) != n - k + 1:
         raise ValueError(f"B_{{{n},{k}}} takes {n - k + 1} arguments, got {len(lx)}")
+    return log_bell_table(n, lx, k)[n][k]
+
+
+def log_bell_table(n: int, log_values, k=None):
+    """bell_table in log space: table[m][j] = log B_{m,j}, -inf where it vanishes."""
+    lx = list(log_values)
+    k = n if k is None else k
     table = [[-inf] * (k + 1) for _ in range(n + 1)]
     table[0][0] = 0.0
     for j in range(1, k + 1):
@@ -90,7 +104,7 @@ def log_bell_partial(n: int, k: int, log_values) -> float:
             if terms:
                 mx = max(terms)
                 table[m][j] = mx + log(sum(exp(t - mx) for t in terms))
-    return table[n][k]
+    return table
 
 
 def upper_incomplete_gamma(s: float, x: float) -> float:

@@ -266,6 +266,13 @@ class TestPearsonRho:
         r2 = pearson_rho(vector(GammaMixing(3.0, 9.0), 2))
         assert r1 == pytest.approx(r2, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [3.0, 7.3, 100.0, 1e4, 1e8, 1e12, 1e15])
+    def test_gamma_law_keeps_its_digits(self, alpha):
+        # rho = 1/alpha: log q = log((alpha - 1)/(alpha - 2)), a difference of two logs
+        # of size 2 log alpha, left rho 6.8e-8 off at alpha = 1e8
+        rho = pearson_rho(vector(GammaMixing(alpha, 1.0), 2))
+        assert rho * alpha == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
     def test_nonexistent_second_moment(self):
         with pytest.raises(NonexistentMomentError):
             pearson_rho(vector(GammaMixing(1.5, 1.0), 2))

@@ -38,12 +38,13 @@ from riskmix.mixing import (
 
 import mp_reference
 from reference_formulas import (
-    bell_partial,
+    bell_table,
     bessel_k_half,
     faa_di_bruno,
     falling_factorial,
     log_abs_falling_factorial,
     log_bell_partial,
+    log_bell_table,
 )
 
 ALL_KINDS = [
@@ -262,6 +263,17 @@ class TestBeta2KernelAtFloatMax:
         got = BetaSecondKindMixing(beta, gam).log_abs_laplace_derivative(0, s)
         want = math.lgamma(beta + gam) - math.lgamma(gam) - beta * math.log(s)
         assert got == pytest.approx(want, rel=1e-13)
+
+
+class TestBeta2KernelAtTinyShape:
+    @pytest.mark.parametrize("s", [1e-10, 1e-300])
+    def test_flat_kummer_integrand_is_refused(self, s):
+        # at beta = 1e-300 the log of the Kummer integrand has a slope of order beta for
+        # hundreds of units of log t beside its peak, and the tangent cut of its grid lay
+        # 1e302 cells away: np.arange raised an untyped ValueError
+        with pytest.raises(PrecisionError):
+            BetaSecondKindMixing(1e-300, 2.0).log_abs_laplace_derivative(0, s)
+        assert BetaSecondKindMixing(1e-300, 2.0).log_abs_laplace_derivative(0, 0.0) == 0.0
 
 
 # parameters near 1e+-200, where the kernels' intermediate products over- or underflow
@@ -508,16 +520,16 @@ class TestLevyBesselIdentity:
     def test_sqrt_bell_closed_form_matches_recurrences(self):
         # production coefficients of the Levy and inverse Gaussian derivatives
         from riskmix.mixing import _sqrt_bell
+        # one table of each serves every (n, k): B_{n,k} reads x_1..x_{n-k+1} only
         abs_a = [abs(falling_factorial(0.5, j)) for j in range(1, ORDERS + 1)]
+        log_want = log_bell_table(ORDERS, np.log(abs_a))
+        want = bell_table(20, abs_a[:20])
         for n in range(1, ORDERS + 1):
             got = _sqrt_bell(n)
             for k in range(1, n + 1):
-                args = abs_a[: n - k + 1]
-                want = log_bell_partial(n, k, np.log(args))
-                assert got[k - 1] == pytest.approx(want, abs=3e-13)
+                assert got[k - 1] == pytest.approx(log_want[n][k], abs=3e-13)
                 if n <= 20:
-                    assert math.exp(got[k - 1]) == pytest.approx(
-                        bell_partial(n, k, args), rel=1e-13)
+                    assert math.exp(got[k - 1]) == pytest.approx(want[n][k], rel=1e-13)
 
     def test_derivative_equals_bessel_form(self):
         # (-1)^n L^(n)(x) = lam/sqrt(pi) (lam/(2 sqrt x))^{n-1/2} K_{n-1/2}(lam sqrt x)

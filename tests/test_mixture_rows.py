@@ -136,6 +136,14 @@ class TestProperties:
         # nonincreasing, up to the rounding of equal or neighbouring points
         assert np.all(s[1:] <= s[:-1] * (1.0 + 1e-13))
 
+    def test_survival_that_rounds_to_one(self):
+        # Q(14, 0.227) = 1 - 1e-20: the sum of its 14 terms came out at 1 + 2.2e-16,
+        # and the cdf at -2.2e-16
+        m = model(GleserGammaMixing(1.0, 1e-3), 14)
+        x = np.array([1.0, 227.0])
+        assert survival(m, x).tolist() == [1.0, 1.0]
+        assert cdf(m, x).tolist() == [0.0, 0.0]
+
     @settings(max_examples=60, deadline=None)
     @given(ROW_MIXINGS, st.integers(min_value=1, max_value=64),
            st.floats(min_value=1e-3, max_value=1.0 - 1e-9))
