@@ -8,8 +8,9 @@ a < 1 and 0 < z <= 1.1, scipy's series evaluates log Gamma(1+a) again at
 every point, about 50 times the cost of Q at the shape a+1, which made Q
 most of the cost of the Gleser law's survival; there the recurrence
 Q(a, z) = Q(a+1, z) - z^a e^-z / Gamma(a+1) (DLMF 8.8.2) serves every point
-where it cancels less than eightfold.  It holds Q to 2e-15 relative, where
-scipy's series is up to 3e-14 off at a = 0.5.
+where it cancels less than eightfold.  At those points it holds Q to 2e-15
+relative, where scipy's series is up to 3e-14 off at a = 0.5; the other
+points keep scipy's value, up to 3.7e-15 off at a = 1e-3.
 
 Everything here is a pure function of its arguments and safe to call from
 any thread.
@@ -46,25 +47,21 @@ def log_gammaincc(a, z):
     _gammaincc_near (see the module docstring); every other point is
     scipy's value, bit for bit."""
     a, z = np.asarray(a, dtype=float), np.asarray(z, dtype=float)
-    # a VaR step calls with one point, where np.broadcast_arrays and .any()
-    # would cost more than gammaincc: broadcasting is left to the branches
-    # that need it, and the masks are tested with count_nonzero, the cheapest
-    # reduction
+    # a VaR step calls with one point at z > 1.1, where np.broadcast_arrays and
+    # .any() would cost more than gammaincc: that path neither broadcasts nor
+    # reduces with anything dearer than count_nonzero
     near = (a < 1.0) & (z > 0.0) & (z <= 1.1)
-    count = np.count_nonzero(near)
-    if not count:
+    if not np.count_nonzero(near):
         q = special.gammaincc(a, z)
-    elif count == near.size:
-        q = _gammaincc_near(a, z)
     else:
-        a, z = _spread(near.shape, a, z)
+        a, z = np.broadcast_arrays(a, z)
         q = np.empty(near.shape)
         q[~near] = special.gammaincc(a[~near], z[~near])
         q[near] = _gammaincc_near(a[near], z[near])
     out = np.asarray(np.log(np.maximum(q, 1e-300)))
     far = q <= 1e-300
     if np.count_nonzero(far):
-        a, z = _spread(far.shape, a, z)
+        a, z = np.broadcast_arrays(a, z)
         far &= z < inf
         out[z == inf] = -inf
         af, zf = a[far], z[far]
@@ -75,7 +72,7 @@ def log_gammaincc(a, z):
 
 
 def _gammaincc_near(a, z):
-    """Q(a, z) for a < 1 and 0 < z <= 1.1 (arrays that broadcast), as Q(a+1, z) - t,
+    """Q(a, z) for a < 1 and 0 < z <= 1.1 (1-d arrays of one shape), as Q(a+1, z) - t,
     t = z^a e^-z / Gamma(a+1) (DLMF 8.8.2), wherever Q(a+1, z) + t <= 8 (Q(a+1, z) - t),
     so that the difference inflates the rounding of its terms at most eightfold;
     gammaincc itself at the other points."""
@@ -84,21 +81,9 @@ def _gammaincc_near(a, z):
     t = np.exp(a * np.log(z) - z - special.gammaln(a1))
     q = q1 - t
     bad = t > 7.0 / 9.0 * q1
-    count = np.count_nonzero(bad)
-    if count == bad.size:
-        return special.gammaincc(a, z)
-    if count:
-        a, z = _spread(bad.shape, a, z)
-        q = np.asarray(q)
+    if np.count_nonzero(bad):
         q[bad] = special.gammaincc(a[bad], z[bad])
     return q
-
-
-def _spread(shape, *arrays):
-    """The arrays broadcast to `shape` as new arrays, at a fraction of the
-    per-call cost of np.broadcast_arrays."""
-    zero = np.zeros(shape)
-    return [x + zero for x in arrays]
 
 
 def log_kummer_u_integral(a, b, z):
