@@ -24,7 +24,7 @@ from .aggregate import (
     weibull_half_model,
     weibull_model,
 )
-from .asymptotics import ParetoTailSpec, tail_pdf_gamma, tail_pdf_generic, tail_pdf_ig
+from .asymptotics import ParetoTailSpec, tail_pdf_generic
 from .dependence import (
     joint_moment,
     joint_survival,

@@ -3,10 +3,10 @@ frailty: the generic Laplace-of-log form
 
     f(x) ~ -d/dx L[log(x / beta^m)] = -L'(log(x/beta^m)) / x,
 
-which holds for every frailty law, plus its gamma and inverse-Gaussian
-specializations.  beta is the Pareto precision parameter and m the index of
-the smallest conditional shape.  tail_pdf_generic takes a scalar or an array
-of x and makes one Laplace-derivative call for all of them.
+which holds for every frailty law.  beta is the Pareto precision parameter
+and m the index of the smallest conditional shape.  tail_pdf_generic takes a
+scalar or an array of x and makes one Laplace-derivative call for all of
+them.
 """
 
 import math
@@ -16,7 +16,7 @@ import numpy as np
 
 from .mixing import MixingDistribution
 
-__all__ = ["ParetoTailSpec", "tail_pdf_generic", "tail_pdf_gamma", "tail_pdf_ig"]
+__all__ = ["ParetoTailSpec", "tail_pdf_generic"]
 
 
 @dataclass(frozen=True)
@@ -49,20 +49,3 @@ def tail_pdf_generic(spec: ParetoTailSpec, x):
     x_arr = np.asarray(x, dtype=float)
     out = -spec.mixing.laplace_derivative(1, _log_arg(spec, x_arr)) / x_arr
     return float(out) if out.ndim == 0 else out
-
-
-def tail_pdf_gamma(alpha: float, lam: float, beta: float, m: int, x: float) -> float:
-    """Printed gamma specialization alpha lam^alpha / (x [lam + log x - m log beta]^{alpha+1})."""
-    denom = lam + math.log(x) - m * math.log(beta)
-    if denom <= 0:
-        raise ValueError("x is below the valid tail domain")
-    return alpha * lam ** alpha / (x * denom ** (alpha + 1.0))
-
-
-def tail_pdf_ig(lam: float, mu: float, beta: float, m: int, x: float) -> float:
-    """Printed inverse-Gaussian specialization with
-    phi(x) = lam/mu^2 + 2 log(x/beta^m)."""
-    phi = lam / mu ** 2 + 2.0 * (math.log(x) - m * math.log(beta))
-    if phi <= 0:
-        raise ValueError("x is below the valid tail domain")
-    return (1.0 / x) * math.sqrt(lam / phi) * math.exp(lam / mu - math.sqrt(lam * phi))

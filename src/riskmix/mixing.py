@@ -15,7 +15,7 @@ log E(Theta^k e^{-s Theta}) for every integer order k, on an array s > 0
 negative order k = -j is the j-fold integrated transform that the tail
 moments of a KernelRow sum (below), and raises NonexistentMomentError where
 it diverges.  Every order is -inf at s = inf, and where the law's log lies
-below -FLOAT_MAX (_vanishing); no kernel warns on overflow.
+below -FLOAT_MAX; no kernel warns on overflow.
 Given a 1-D array of orders it returns one row per order from one pass
 (each law's _log_kernel), so the aggregate survival, sum_{k<n} of the
 orders 0..n-1, is one kernel call, and so are the tail moments' orders
@@ -35,21 +35,33 @@ for one point (|k| >= 2^16), or a stable row past the largest Bell
 triangle (order 2047, 32 MB per index), raises DerivativeCapError before
 anything is allocated.
 
+Scale.  Every law but the stable and second-kind beta ones has a scale c,
+Theta = c Theta_1 with the unit law Theta_1 free of c: gamma 1/beta, Gleser
+lam, Levy lam^2, Lindley 1/lam, inverse Gaussian min(2 lam, mu).  Each law's
+_log_kernel is the unit law's, which reads no scale: the base class runs it
+at u = c s and adds k log c once (log_abs_laplace_derivative,
+_log_unit_kernel), and where u over- or underflows a double it hands the
+kernel log u = log c + log s, in extended precision (_unit).  The rows work
+in u as well (below), and the negative moments split the same way:
+log_neg_moment(r) = log_unit_neg_moment(r) - r log c, so a ratio of them
+(pearson_rho) cancels the scale exactly.
+
 * Gamma and Lindley: closed forms, broadcast over the orders; Lindley has
   no negative order.
-* Levy and inverse Gaussian: one kernel (_log_bessel_kernel).  Under IG(lam,
-  mu), E(Theta^k e^{-s Theta}) is a prefactor times K_{k-1/2}(z), z =
-  hypot(lam/mu, sqrt(2 lam s)), and Levy(lam) is its limit IG(lam^2/2, mu ->
-  inf), z = lam sqrt(s).  The Bessel ratio is the partial sums
+* Levy and inverse Gaussian: one kernel (_log_bessel_kernel) of the unit law
+  IG(lam, lam/rho), lam = max(rho, 1/2), whose one parameter is rho = lam/mu
+  of the law: E(Theta^k e^{-u Theta}) is a prefactor times K_{k-1/2}(z), z =
+  hypot(rho, sqrt(2 lam u)), and Levy(1) is its limit rho = 0, IG(1/2, inf),
+  z = sqrt(u).  The Bessel ratio is the partial sums
   (_partial_sums) of the log ratios of the upward recurrence of DLMF 10.29.1,
   a sum of positive terms (_log_bessel_ratios), which starts from 1 at an
   integer order and from special.kve at a real one; where z underflows it is
   the small-z limit, refused (PrecisionError) at a real order near 1/2.
-  The IG unit negative moments are the kernel at s = 0, or where lam >= mu
+  The IG unit negative moments are the kernel at u = 0, or where lam >= mu
   the same recurrence on r_i - 1, whose log1p keeps the digits of a moment
   near 1.
-* Gleser: the moment of order k is c e^{-lam s} I_{k-1}, I_m = int_0^inf
-  (lam+u)^m u^-alpha e^{-us} du.  The ratios I_m / I_{m-1} climb by a
+* Gleser: the unit moment of order k is c e^{-u} I_{k-1}, I_m = int_0^inf
+  (1+t)^m t^-alpha e^{-ut} dt.  The ratios I_m / I_{m-1} climb by a
   recurrence of positive terms (_climb) from the closed form c I_0 at the
   integer orders (k = 0 is specfun.log_gammaincc, evaluated only when asked
   for) and from one Kummer integral at every other order.
@@ -78,17 +90,19 @@ handle scalars, arrays and the points off the support once for every law.
 Rows.  sum_row(a), for every total shape a, answers for S through one of two
 row classes with the same calls (log_survival, log_survival_terms, pdf,
 pdf_at_zero, log_tail_moments, mixture), the first and third in blocks of
-_KERNEL_CELLS // a points.  Under the
-stable, Levy and Gleser laws S_n is a finite mixture of gamma-power laws
-X_k = (G_k/rate)^(1/power), G_k ~ Gamma(shape0 + k, 1), k = 1..n, with
-positive weights: a MixtureRow, built on first use and kept in one bounded
-lru_cache per (law, n) (_mixture_row, _ROW_CACHE rows), whose sums of
-positive terms call no kernel:
-* stable: shape0 0, power alpha, rate 1, weights from row n of the Bell
-  triangle and survival coefficients summed down its columns;
-* Levy: shape0 0, power 1/2, rate lam, weights from the closed Bell row
-  _sqrt_bell;
-* Gleser: shape0 alpha - 1, power 1, rate lam, the printed gamma sum.
+_KERNEL_CELLS // a points.  A row sums the unit law's S_1 = c S at the unit
+coordinate u = c x (unit, from_unit): S(x) = S_1(u), f(x) = c f_1(u), E(S^r
+1{S > a}) = c^-r E(S_1^r 1{S_1 > c a}), and VaR brackets and iterates in u
+(riskmeasures).  Under the stable, Levy and Gleser laws S_1 is a finite
+mixture of gamma-power laws X_k = G_k^(1/power), G_k ~ Gamma(shape0 + k, 1),
+k = 1..n, with positive weights: a MixtureRow, whose sums are built on first
+use and kept in one bounded lru_cache per unit law and n (_mixture_row,
+_ROW_CACHE entries), so that every scale of a law shares them, and whose sums
+of positive terms call no kernel:
+* stable: shape0 0, power alpha, weights from row n of the Bell triangle and
+  survival coefficients summed down its columns;
+* Levy: shape0 0, power 1/2, weights from the closed Bell row _sqrt_bell;
+* Gleser: shape0 alpha - 1, power 1, the printed gamma sum.
 Every other law, and every fractional a, gets a KernelRow, which sums the
 kernel (at a fractional a only its pdf answers) and reads the law's own
 density limit at 0 and finite mixture (_sum_pdf_at_zero, _sum_mixture):
@@ -97,10 +111,6 @@ is Ga(1, lam) with weight lam/(1+lam) and Ga(2, lam) otherwise, B2(n, 1)
 and B2(n, 2) of scale lam; the inverse Gaussian and second-kind beta none.
 These printed forms share no code with the kernel, so they check it (cli
 verify's closed_vs_generic).
-
-Negative moments split into a unit part and the scale: log_neg_moment(r) =
-log_unit_neg_moment(r) - r log c, Theta / c free of c, so a ratio of them
-(pearson_rho) cancels the scale exactly.
 
 Finite mixture representations are built from two component laws:
 GammaPowerComponent, X = (G/rate)^(1/power) with G ~ Gamma(shape, 1), which
@@ -111,7 +121,7 @@ second-kind beta of Pareto claims.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import exp, inf, lgamma, log, sqrt
 
 import numpy as np
@@ -155,6 +165,8 @@ _ROW_CACHE = 64
 _SMALL_REDUCTION = 256
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
 _FLOAT_MAX = float(np.finfo(float).max)
+_LOG_FLOAT_MAX = log(_FLOAT_MAX)
+_FLOAT_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 def _require_positive(**params):
@@ -268,43 +280,50 @@ def _bessel_k_over_half(nu: float, z):
     return out
 
 
-def _log_bessel_kernel(k, s, lam, mu, c, log_c, b):
-    """log E(Theta^k e^{-s Theta}) for Theta ~ IG(lam, mu) on a 1-D array s >= 0:
-    log(K_{k-1/2}(z)/K_{1/2}(z)) - (z - c) - k log(z/lam), z = hypot(c, w), c = lam/mu,
-    w = b sqrt(s), b = sqrt(2 lam); Levy(b) is its limit mu = inf, c = 0.  c comes
-    with its log and b = sqrt(2) sqrt(lam) as well as lam, since each can over- or
-    underflow where the others do not.  Where c, w and z/lam lie in the double range
-    the formula is computed as written.  Elsewhere (Levy, c past the double range, z +
-    c or z/lam overflowing, z underflowing) the terms come from the larger of c and w
-    and t = min(c, w)/max(c, w): z - c = w^2/(z + c) is w/(hypot(1, t) + t) where w >=
-    c and 2 mu s/(1 + hypot(1, t)) where w < c (exact in mu and s, so a point mass at
-    mu keeps its digits), and log(z/lam) is log hypot(1, t) plus log(s)/2 + log 2 -
-    log b or - log mu."""
+def _log_bessel_kernel(k, u, log_u, rho, log_rho):
+    """log E(Theta^k e^{-u Theta}) for the unit inverse Gaussian law Theta ~ IG(lam, mu),
+    lam = max(rho, 1/2), mu = lam/rho, on 1-D arrays u >= 0 and log u:
+    log(K_{k-1/2}(z)/K_{1/2}(z)) - (z - rho) - k log(z/lam), z = hypot(rho, w), w = b
+    sqrt(u), b = sqrt(2 lam).  Its one parameter rho = lam/mu comes with its log, since
+    rho can over- or underflow; rho = 0 is Levy(1) = IG(1/2, inf), and rho -> inf the
+    point mass at 1.  Where rho, w and z/lam lie in the double range the formula is
+    computed as written.  Elsewhere (Levy, rho past the double range, z + rho
+    overflowing, z or u underflowing) the terms come from the larger of rho and w and t
+    = min(rho, w)/max(rho, w): z - rho = w^2/(z + rho) is w/(hypot(1, t) + t) where w
+    >= rho and 2 mu u/(1 + hypot(1, t)) where w < rho (exact in u, so the point mass
+    keeps its digits), and log(z/lam) is log hypot(1, t) plus log(u)/2 + log 2 - log b
+    or - log mu."""
+    lam = max(rho, 0.5)
     top = _FLOAT_MAX / 8 * min(lam, 1.0)
-    if c > 1e-290 and max(c, lam, b * sqrt(s.max(initial=0.0))) < top:
-        w = sqrt(2.0 * lam) * np.sqrt(s)
-        z = np.hypot(c, w)
-        e, log_zl, tiny = w * (w / (z + c)), np.log(z / lam), None
+    if rho > 1e-290 and max(rho, lam) < top and sqrt(2.0 * lam) * sqrt(u.max(initial=0.0)) < top:
+        w = sqrt(2.0 * lam) * np.sqrt(u)
+        z = np.hypot(rho, w)
+        e, log_zl, tiny = w * (w / (z + rho)), np.log(z / lam), None
     else:
-        # (invalid: at the Levy point s = 0, t's log-ratio is nan, and np.where forms
+        log_b, log_mu = 0.5 * (log(2.0) + max(log_rho, -log(2.0))), max(0.0, -log(2.0) - log_rho)
+        # (invalid: at the Levy point u = 0, t's log-ratio is nan, and np.where forms
         # both branches, whose unused one may hold inf * 0)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            w = b * np.sqrt(s)
-            z = np.hypot(c, w)
-            half_log_s = 0.5 * np.log(s)
-            near = half_log_s - (log_c - log(b)) < 0.0
-            # t is 0 where c = w = 0; past the double range it comes from the logs
-            t = np.nan_to_num(np.where(near, w / c, c / w) if 0 < c < inf
-                              else np.exp(-np.abs(half_log_s - (log_c - log(b)))))
+            b = np.exp(log_b)
+            half_log_u = 0.5 * log_u
+            # w from its log where u is not a normal double
+            w = np.where((u >= _FLOAT_TINY) & (u < inf), b * np.sqrt(u), np.exp(half_log_u + log_b))
+            z = np.hypot(rho, w)
+            near = half_log_u - (log_rho - log_b) < 0.0
+            # t is 0 where rho = w = 0; past the double range it comes from the logs
+            t = np.nan_to_num(np.where(near, w / rho, rho / w) if 0 < rho < inf
+                              else np.exp(-np.abs(half_log_u - (log_rho - log_b))))
             zt = np.hypot(1.0, t)
-            e = np.where(near, 2.0 / (1.0 + zt) * mu * s, w / (zt + t))
-            log_zl = np.where(near, -log(mu), half_log_s + log(2.0) - log(b)) + np.log(zt)
-            log_2z = np.where(near, log(2.0) - log_c, log(2.0) - log(b) - half_log_s) - np.log(zt)
+            e = np.where(near, 2.0 / (1.0 + zt) * exp(min(log_mu, _LOG_FLOAT_MAX)) * u, w / (zt + t))
+            log_zl = np.where(near, -log_mu, half_log_u + log(2.0) - log_b) + np.log(zt)
+            log_2z = np.where(near, log(2.0) - log_rho, log(2.0) - log_b - half_log_u) - np.log(zt)
             tiny = z < 2.0 * (float(np.abs(k).max()) + 1.0) / _FLOAT_MAX
+            z = np.where(tiny, 1.0, z).astype(float)  # (an extended-precision z, below)
     if k.size == 1 and k[0] == 0:
-        # order 0 alone also takes s = 0, where log(z/lam) is -inf at c = 0
+        # order 0 alone also takes u = 0, where log(z/lam) is -inf at rho = 0
         return -e[None]
-    rows = _log_bessel_ratios(k, z if tiny is None else np.where(tiny, 1.0, z))
+    # in the extended precision of an extreme log u (MixingDistribution._unit)
+    rows = _log_bessel_ratios(k, z).astype(log_zl.dtype, copy=False)
     if tiny is not None and tiny.any():
         # where z underflows, or the recurrence's 2|k|/z overflows: log K_nu(z)/K_{1/2}(z)
         # = log(Gamma(nu)/Gamma(1/2)) + (nu - 1/2) log(2/z) + O(z) + O((z/2)^(2 nu))
@@ -331,12 +350,12 @@ def _partial_sums(terms, k):
     return rows[k]
 
 
-def _vanishing(kernel, k, s, far):
-    """kernel(k, s) on a 1-D array s with every order -inf at the points `far`,
-    where it runs at s = 1 instead, so it still refuses an order it cannot take."""
-    rows = kernel(k, np.where(far, 1.0, s))
-    rows[:, far] = -inf
-    return rows
+def _log1p(u, log_u):
+    """log(1 + u) on the unit coordinate: log u where u overflows."""
+    out = np.log1p(u)
+    far = np.isinf(u)
+    out[far] = log_u[far]
+    return out
 
 
 def _column(k, ndim):
@@ -476,19 +495,32 @@ class MixtureRepresentation:
         return _ret(out, scalar_in)
 
 
-def _by_blocks(n, x, fn):
-    """fn over the points of an array x of any shape in blocks of _KERNEL_CELLS // n,
-    so a sum of n terms per point holds at most _KERNEL_CELLS of them at once."""
-    flat = np.reshape(x, -1)
-    out = np.empty(flat.shape)
+def _by_blocks(n, fn, *arrays):
+    """fn over the points of arrays of one shape (any shape) in blocks of _KERNEL_CELLS //
+    n, so a sum of n terms per point holds at most _KERNEL_CELLS of them at once."""
+    flat = [np.reshape(a, -1) for a in arrays]
     block = max(1, int(_KERNEL_CELLS // n))
-    for i in range(0, flat.size, block):
-        out[i:i + block] = fn(flat[i:i + block])
-    return out.reshape(np.shape(x))
+    if 0 < flat[0].size <= block:
+        return np.reshape(fn(*flat), np.shape(arrays[0]))
+    out = np.empty(flat[0].shape)
+    for i in range(0, out.size, block):
+        out[i:i + block] = fn(*(a[i:i + block] for a in flat))
+    return out.reshape(np.shape(arrays[0]))
 
 
 class _Row:
-    """What both rows share: the blocking, and the check of a fractional n."""
+    """What both rows share: the blocking, the check of a fractional n, and the unit
+    coordinate u = c x (unit, from_unit), in which the survival, its terms and the
+    tail moments are those of S_1 = c S (the methods that take u take its log too,
+    needed where u is not a normal double)."""
+
+    def unit(self, x):
+        """(u, log u), u = c x, on an array x >= 0 (MixingDistribution._unit)."""
+        return self.law._unit(x)
+
+    def from_unit(self, v, r=1):
+        """v / c^r for a value v of S_1 in units of u^r (MixingDistribution._from_unit)."""
+        return self.law._from_unit(v, r)
 
     def _integer_n(self) -> int:
         """n, for a sum of the integer orders below it."""
@@ -498,156 +530,173 @@ class _Row:
                 "moments take a real order")
         return int(self.n)
 
-    def log_survival(self, x):
-        """log S(x) on an array x > 0 of any shape: the log-sum of the survival
+    def log_survival(self, u, log_u=None):
+        """log S_1(u) on an array u > 0 of any shape: the log-sum of the survival
         terms, in blocks of _KERNEL_CELLS // n points, at most 0 (where S rounds
         to 1, the sum can come out an ulp above it)."""
-        return _by_blocks(self._integer_n(), x, lambda xs: np.minimum(
-            _log_sum_exp(self.log_survival_terms(xs)), 0.0))
+        return _by_blocks(self._integer_n(), lambda u, log_u: np.minimum(
+            _log_sum_exp(self.log_survival_terms(u, False, log_u)), 0.0),
+            u, np.log(u) if log_u is None else log_u)
 
     def pdf(self, x):
-        """f(x) on an array x > 0 of any shape."""
-        return _by_blocks(self.n, x, self._pdf)
+        """f(x) = c f_1(c x) on an array x > 0 of any shape: exp(log f_1(u) + log c) at |log
+        c| < 1; at other scales that sum would round by |log c| ulps, so there it is the
+        product where f_1(u) and c are normal doubles."""
+        c, log_c = self.law.scale, self.law.log_scale
+
+        def density(u, log_u):
+            log_f = self._log_unit_pdf(u, log_u)
+            if -1.0 < log_c < 1.0:
+                return np.exp(log_f + log_c)
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = np.exp(log_f)
+                off = ~((f >= _FLOAT_TINY) & (f < inf)) | (not _FLOAT_TINY <= c < inf)
+                f *= c
+                if off.any():
+                    f[off] = np.exp(log_f[off] + log_c)
+                return f.astype(float, copy=False)
+
+        return _by_blocks(self.n, density, *self.unit(x))
 
 
 @dataclass(frozen=True, eq=False)
 class MixtureRow(_Row):
-    """S_n as the finite mixture sum_k w_k X_k, X_k = (G_k/rate)^(1/power), G_k ~
-    Gamma(shape0 + k, 1), k = 1..n, with weights w_k >= 0 (a weight of 0 has the
-    log -inf).  With y = rate x^power every quantity is a sum of positive terms:
+    """S_1 as the finite mixture sum_k w_k X_k, X_k = G_k^(1/power), G_k ~ Gamma(shape0 +
+    k, 1), k = 1..n, with weights w_k >= 0 (a weight of 0 has the log -inf).  With y =
+    u^power every quantity is a sum of positive terms:
 
-        x f(x)          = power e^{-y} sum_k d_k y^(shape0+k),    d_k = w_k / Gamma(shape0+k)
-        S(x)            = Q(shape0+1, y) + e^{-y} sum_{i=1}^{n-1} c_i y^(shape0+i),
-                          c_i = T_i / Gamma(shape0+i+1),  T_i = sum_{k>i} w_k
-        E(S^r 1{S > a}) = rate^(-r/power) sum_k d_k Gamma(shape0+k+r/power, rate a^power)
+        u f_1(u)            = power e^{-y} sum_k d_k y^(shape0+k),    d_k = w_k / Gamma(shape0+k)
+        S_1(u)              = Q(shape0+1, y) + e^{-y} sum_{i=1}^{n-1} c_i y^(shape0+i),
+                              c_i = T_i / Gamma(shape0+i+1),  T_i = sum_{k>i} w_k
+        E(S_1^r 1{S_1 > u}) = sum_k d_k Gamma(shape0+k+r/power, y)
 
     from Q(b+1, y) = Q(b, y) + e^{-y} y^b / Gamma(b+1); at shape0 = 0 the first
-    term Q(1, y) = e^{-y} is the i = 0 term with c_0 = 1.  The law gives log d_k
+    term Q(1, y) = e^{-y} is the i = 0 term with c_0 = 1.  The unit law gives log d_k
     (log_d, k = 1..n) and, where it has a more accurate form than the partial sums
-    of the weights, log c_i (log_c, i = 0..n-1)."""
+    of the weights, log c_i (log_c, i = 0..n-1); they are built on first use and
+    cached per unit law and n (_mixture_row), so every scale of a law shares them."""
 
-    shape0: float
-    power: float
-    rate: float
-    log_d: np.ndarray
-    log_c: np.ndarray = None
+    law: "MixingDistribution"
+    n: int
 
     def __post_init__(self):
-        # shape0 + i + 1 for i = 0..n-1, which is also shape0 + k for k = 1..n
-        shapes = self.shape0 + np.arange(1.0, self.log_d.size + 1.0)
-        log_gamma = special.gammaln(shapes)
-        if self.log_c is None:
-            # log T_i, the tail sums of the weights, from the last one down
-            tails = np.logaddexp.accumulate((self.log_d + log_gamma)[::-1])[::-1]
-            log_c = tails - log_gamma
-            log_c[0] = -log_gamma[0]  # T_0 = 1
-            object.__setattr__(self, "log_c", log_c)
-        object.__setattr__(self, "_shapes", shapes)
-        object.__setattr__(self, "n", self.log_d.size)
-        for values in (self.log_d, self.log_c, shapes):
-            values.flags.writeable = False
+        sums = _mixture_row(self.law._unit_law, self.n)
+        for name, value in zip(("shape0", "power", "log_d", "log_c", "_shapes"), sums):
+            object.__setattr__(self, name, value)
 
-    def _log_y(self, x):
-        """(log y, y) on an array x > 0; log y is finite wherever y under- or
-        overflows, and y stops at the largest double, where every term is 0."""
-        with np.errstate(over="ignore"):
-            y = np.minimum(self.rate * x ** self.power, _FLOAT_MAX)
-        return self.power * np.log(x) + log(self.rate), y
+    def _log_y(self, u, log_u):
+        """(log y, y), y = u^power; log y is finite wherever y under- or overflows,
+        and every term is -inf where y does."""
+        return self.power * log_u, u ** self.power
 
-    def log_survival_terms(self, x, density=False):
-        """The (n, *x.shape) log terms on an array x > 0 whose log-sum is log
-        S(x); with density=True the pair (terms, log(x f(x)))."""
-        log_y, y = self._log_y(x)
-        col = (-1,) + (1,) * x.ndim
+    def log_survival_terms(self, u, density=False, log_u=None):
+        """The (n, *u.shape) log terms on an array u > 0 whose log-sum is log
+        S_1(u); with density=True the pair (terms, log(u f_1(u)))."""
+        log_y, y = self._log_y(u, np.log(u) if log_u is None else log_u)
+        col = (-1,) + (1,) * u.ndim
         terms = self.log_c.reshape(col) + (self._shapes.reshape(col) - 1.0) * log_y - y
         if self.shape0:
             terms[0] = log_gammaincc(self.shape0 + 1.0, y)
-        return (terms, self.log_x_density(x)) if density else terms
+        return (terms, self._log_u_density(log_y, y)) if density else terms
 
-    def log_x_density(self, x):
-        """log(x f(x)) on x > 0."""
-        log_y, y = self._log_y(x)
-        col = (-1,) + (1,) * x.ndim
+    def _log_u_density(self, log_y, y):
+        """log(u f_1(u))."""
+        col = (-1,) + (1,) * y.ndim
         return (log(self.power) - y
                 + _log_sum_exp(self.log_d.reshape(col) + self._shapes.reshape(col) * log_y))
 
-    def _pdf(self, x):
-        return np.exp(self.log_x_density(x) - np.log(x))
+    def _log_unit_pdf(self, u, log_u):
+        return self._log_u_density(*self._log_y(u, log_u)) - log_u
 
     def pdf_at_zero(self) -> float:
-        """f(0+), from the first term of positive weight, power d_k rate^b x^e with
-        b = shape0 + k and e = power b - 1: inf below e = 0, 0 above it."""
+        """f(0+) = c f_1(0+), from the first term of positive weight, power d_k u^e with
+        e = power (shape0 + k) - 1: inf below e = 0, 0 above it."""
         k = int(np.argmax(self.log_d > -inf))
-        b = float(self._shapes[k])
-        e = self.power * b - 1.0
+        e = self.power * float(self._shapes[k]) - 1.0
         if e:
             return inf if e < 0 else 0.0
-        return self.power * exp(self.log_d[k]) * self.rate ** b
+        return self.power * exp(self.log_d[k]) * self.law.scale
 
     def log_tail_moments(self, a: float, orders, terms) -> np.ndarray:
-        """log E(S^r 1{S > a}) for each order r of a 1-D array, a > 0, from one
-        log_gammaincc call (KernelRow's survival terms are not needed)."""
+        """log E(S_1^r 1{S_1 > u}), u = c a (so c^-r times it is E(S^r 1{S > a})), for
+        each order r of a 1-D array, a > 0, from one log_gammaincc call (KernelRow's
+        survival terms are not needed)."""
+        u, _ = self.unit(a)
         shift = np.asarray(orders, dtype=float)[:, None] / self.power
         b = self._shapes + shift
-        terms = self.log_d + special.gammaln(b) + log_gammaincc(b, self.rate * a ** self.power)
-        return np.logaddexp.reduce(terms, axis=1) - shift[:, 0] * log(self.rate)
+        terms = self.log_d + special.gammaln(b) + log_gammaincc(b, u ** self.power)
+        return np.logaddexp.reduce(terms, axis=1)
 
     def mixture(self) -> MixtureRepresentation:
+        # X_k / c = (G_k / c^power)^(1/power)
+        rate = exp(self.power * self.law.log_scale)
         weights = np.exp(self.log_d + special.gammaln(self._shapes))
         return MixtureRepresentation(tuple(
-            GammaPowerComponent(a, self.power, self.rate, w)
+            GammaPowerComponent(a, self.power, rate, w)
             for a, w in zip(self._shapes.tolist(), weights.tolist())))
 
 
 @lru_cache(maxsize=_ROW_CACHE)
-def _mixture_row(law, n: int) -> MixtureRow:
-    """The law's MixtureRow of S_n, built on first use."""
-    return law._row(n)
+def _mixture_row(unit_law, n: int) -> tuple:
+    """(shape0, power, log_d, log_c, shapes) of the MixtureRow of S_n under a unit
+    law, from its _row, built on first use; shapes holds shape0 + i + 1 for i =
+    0..n-1, which is also shape0 + k for k = 1..n."""
+    shape0, power, log_d, log_c = unit_law._row(n)
+    shapes = shape0 + np.arange(1.0, n + 1.0)
+    if log_c is None:
+        # log T_i, the tail sums of the weights, from the last one down
+        log_gamma = special.gammaln(shapes)
+        log_c = np.logaddexp.accumulate((log_d + log_gamma)[::-1])[::-1] - log_gamma
+        log_c[0] = -log_gamma[0]  # T_0 = 1
+    for values in (log_d, log_c, shapes):
+        values.flags.writeable = False
+    return shape0, power, log_d, log_c, shapes
 
 
 @dataclass(frozen=True)
 class KernelRow(_Row):
-    """S, of total shape n, through the law's kernel, built per call (it holds no
-    arrays).  Given Theta, S is Gamma(n, Theta), so x f(x) = x^n/Gamma(n) |L^(n)(x)|
-    at every n, and at an integral n (else UnsupportedModelError) these are sums
-    of positive terms:
+    """S = S_1 / c, of total shape n, through the law's unit kernel K_1(k, u) = E(Theta_1^k
+    e^{-u Theta_1}) (MixingDistribution._log_unit_kernel), built per call (it holds no
+    arrays).  Given Theta_1, S_1 is Gamma(n, Theta_1), so u f_1(u) = u^n/Gamma(n) K_1(n,
+    u) at every n, and at an integral n (else UnsupportedModelError) these are sums of
+    positive terms:
 
-        S(x)            = sum_{k<n} x^k/k! |L^(k)(x)|,
-        E(S^r 1{S > a}) = Gamma(n+r)/Gamma(n) sum_{k<n+r} a^k/k! E(Theta^(k-r) e^(-Theta a))."""
+        S_1(u)              = sum_{k<n} u^k/k! K_1(k, u),
+        E(S_1^r 1{S_1 > u}) = Gamma(n+r)/Gamma(n) sum_{k<n+r} u^k/k! K_1(k-r, u)."""
 
     law: "MixingDistribution"
     n: float
 
-    def log_survival_terms(self, x, density=False):
-        """The (n, *x.shape) log terms on an array x > 0 whose log-sum is log
-        S(x); with density=True the pair (terms, log(x f(x))), one kernel call."""
-        n = self._integer_n()
+    def log_survival_terms(self, u, density=False, log_u=None):
+        """The (n, *u.shape) log terms on an array u > 0 whose log-sum is log
+        S_1(u); with density=True the pair (terms, log(u f_1(u))), one kernel call."""
+        n, log_u = self._integer_n(), np.log(u) if log_u is None else log_u
         k = np.arange(n + density)
-        col = k.reshape((-1,) + (1,) * x.ndim)
+        col = k.reshape((-1,) + (1,) * u.ndim)
         # the kernel first: it refuses an order past its budget before the other
         # terms are formed
-        terms = self.law.log_abs_laplace_derivative(k, x)
-        terms += col * np.log(x) - special.gammaln(col + 1.0)
+        terms = self.law._log_unit_kernel(k, u, log_u)
+        terms += col * log_u - special.gammaln(col + 1.0)
         return (terms[:n], terms[n] + log(n)) if density else terms
 
-    def _pdf(self, x):
-        # the derivative route f(x) = x^(n-1)/Gamma(n) |L^(n)(x)|
+    def _log_unit_pdf(self, u, log_u):
+        # the derivative route f_1(u) = u^(n-1)/Gamma(n) K_1(n, u)
         n = self.n
-        return np.exp((n - 1.0) * np.log(x) - lgamma(n)
-                      + self.law.log_abs_laplace_derivative(n, x))
+        return (n - 1.0) * log_u - lgamma(n) + self.law._log_unit_kernel(n, u, log_u)
 
     def pdf_at_zero(self) -> float:
         return self.law._sum_pdf_at_zero(self._integer_n())
 
     def log_tail_moments(self, a: float, orders, terms) -> np.ndarray:
-        """log E(S^r 1{S > a}) for each order r of a 1-D array, a > 0, from the
-        survival terms at a (a 1-D array) and one kernel call for the orders
-        -1..-max(orders): for k >= r the survival term of order k - r times
-        a^r (k-r)!/k!, for k < r a^k/k! E(Theta^(k-r) e^(-Theta a))."""
+        """log E(S_1^r 1{S_1 > u}), u = c a (so c^-r times it is E(S^r 1{S > a})), for
+        each order r of a 1-D array, a > 0, from the survival terms at a (a 1-D array)
+        and one kernel call for the orders -1..-max(orders): for k >= r the survival
+        term of order k - r times u^r (k-r)!/k!, for k < r u^k/k! K_1(k-r, u)."""
         n, top = self._integer_n(), max(orders)
-        neg = self.law.log_abs_laplace_derivative(-np.arange(1, top + 1), np.array(a))
-        # log k! - k log a
-        lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log(a)
+        u, log_u = self.unit(a)
+        neg = self.law._log_unit_kernel(-np.arange(1, top + 1), u, log_u)
+        # log k! - k log u
+        lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log_u
         return np.array([lgamma(n + r) - lgamma(n)
                          + np.logaddexp.reduce(np.concatenate((terms + lf[:n] - lf[r:n + r],
                                                                neg[r - 1::-1] - lf[:r])))
@@ -663,6 +712,8 @@ class MixingDistribution:
     kind = "abstract"
     support = (0.0, inf)
 
+    _log_unit_floor = -inf  # the log of the lower end of the unit law's support
+
     def log_abs_laplace_derivative(self, k, s):
         """log E(Theta^k e^{-s Theta}) on an array s > 0, for every integer order
         k and every real one (the stable law: the integer orders k >= 0 only).
@@ -671,9 +722,26 @@ class MixingDistribution:
         k = -j is the j-fold integrated transform, and NonexistentMomentError
         where it diverges.  An array of orders gives one row per order, shaped
         (*k.shape, *s.shape), from one pass; an array that mixes both signs is
-        a ValueError.  s runs in blocks of the memory budget (see the module
-        docstring); DerivativeCapError where one point exceeds it."""
+        a ValueError.  It is the unit kernel at u = c s plus k log c
+        (_log_unit_kernel, _unit)."""
         s, k = np.asarray(s, dtype=float), np.asarray(k)
+        rows = self._log_unit_kernel(k, *self._unit(s))
+        if self.log_scale:
+            rows += np.reshape(k, k.shape + (1,) * s.ndim) * self.log_scale
+        if rows.dtype != float:
+            with np.errstate(over="ignore"):  # below -FLOAT_MAX the log is -inf
+                rows = rows.astype(float)
+        return rows
+
+    def _log_unit_kernel(self, k, u, log_u):
+        """log E(Theta_1^k e^{-u Theta_1}) of the unit law Theta_1 = Theta / c, on
+        arrays u >= 0 and log u of one shape (_unit), with the orders k of
+        log_abs_laplace_derivative.  The law's _log_kernel runs on u in blocks of the
+        memory budget (see the module docstring); DerivativeCapError where one point
+        exceeds it.  Every order is -inf where u Theta_1 lies past the double range
+        for every Theta_1 of the support (at s = inf, and where u times the unit
+        law's lowest value overflows)."""
+        u, k = np.asarray(u, dtype=float), np.asarray(k)
         orders = k.reshape(-1)
         if orders.dtype.kind == "f":
             if (orders % 1 == 0).all():
@@ -687,21 +755,58 @@ class MixingDistribution:
             raise DerivativeCapError(
                 f"derivative order {deepest} needs {deepest + 1} rows per point, "
                 f"more than the kernel's budget of {_KERNEL_CELLS} cells")
-        # the kernels take orders of one sign and s flat, so each of their rows
+        # the kernels take orders of one sign and u flat, so each of their rows
         # is an array they can write into
-        flat = s.reshape(-1)
-        far = np.isinf(flat)
+        flat, log_flat = u.reshape(-1), np.reshape(log_u, -1)
+        far = log_flat >= _LOG_FLOAT_MAX - self._log_unit_floor
         if far.any():
-            # Theta > 0, so every order tends to 0 as s -> inf
-            rows = _vanishing(self.log_abs_laplace_derivative, orders, flat, far)
-            return rows.reshape(k.shape + s.shape)
-        if flat.size <= block:
-            rows = self._log_kernel(orders, flat)
+            # there every order tends to 0; the kernel runs at u = 1 instead, so it
+            # still refuses an order it cannot take
+            rows = self._log_unit_kernel(orders, np.where(far, 1.0, flat),
+                                         np.where(far, 0.0, log_flat))
+            rows[:, far] = -inf
+        elif flat.size <= block:
+            rows = self._log_kernel(orders, flat, log_flat)
         else:
-            rows = np.empty((orders.size, flat.size))
+            rows = np.empty((orders.size, flat.size), dtype=log_flat.dtype)
             for i in range(0, flat.size, block):
-                rows[:, i:i + block] = self._log_kernel(orders, flat[i:i + block])
-        return rows.reshape(k.shape + s.shape)
+                rows[:, i:i + block] = self._log_kernel(orders, flat[i:i + block],
+                                                        log_flat[i:i + block])
+        return rows.reshape(k.shape + u.shape)
+
+    def _unit(self, s):
+        """(u, log u) on an array s >= 0, u = c s the unit coordinate: the product and
+        its log where that is a positive normal double.  Elsewhere, where u over- or
+        underflows, log u = log c + log s; and where c itself is not a normal double, u
+        = exp(log c + log s)."""
+        s = np.asarray(s, dtype=float)
+        flat, c, log_c = s.reshape(-1), self.scale, self.log_scale
+        if (_FLOAT_TINY <= c < inf and flat.size and float(flat.min()) * c >= _FLOAT_TINY
+                and float(flat.max()) * c < inf):
+            u = flat * c
+            return u.reshape(s.shape), np.log(u).reshape(s.shape)
+        with np.errstate(over="ignore", divide="ignore"):
+            u = flat * c if _FLOAT_TINY <= c < inf else np.exp(log_c + np.log(flat))
+            log_u = np.log(u)
+            off = (u < _FLOAT_TINY) | (u == inf)
+            if off.any():
+                # in extended precision: a unit kernel's k log u cancels the k log c added
+                # to it, and |log u| passes 1024 there, where a double's rounding is 1e-13
+                log_u = log_u.astype(np.longdouble)
+                log_u[off] = log_c + np.log(flat[off].astype(np.longdouble))
+        return u.reshape(s.shape), log_u.reshape(s.shape)
+
+    def _from_unit(self, v: float, r: int = 1) -> float:
+        """v / c^r for a value v > 0 of the unit law in units of u^r (a quantile r = 1,
+        a tail moment r): r divisions by c, one rounding each, where v and c are normal
+        doubles; elsewhere exp(log v - r log c), which rounds by |log c| ulps."""
+        c, v = self.scale, float(v)
+        if not (_FLOAT_TINY <= v < inf and _FLOAT_TINY <= c < inf):
+            with np.errstate(over="ignore"):
+                return float(np.exp(log(v) - r * self.log_scale))
+        for _ in range(r):
+            v /= c
+        return v
 
     def quadrature_transform(self, k: float, s: float) -> float:
         """E(Theta^k e^{-s Theta}) by adaptive quadrature of the density, split at
@@ -751,15 +856,20 @@ class MixingDistribution:
         return self.log_unit_neg_moment(r) - r * self.log_scale
 
     @property
+    def scale(self) -> float:
+        """c, where the unit law Theta / c is free of c; 1 for a law without a scale."""
+        return 1.0
+
+    @property
     def log_scale(self) -> float:
-        """log c, where Theta / c has a law free of c; 0 for a law without a scale."""
-        return 0.0
+        """log c, finite also where c itself leaves the double range."""
+        return log(self.scale)
 
     def log_unit_neg_moment(self, r: int) -> float:
         """log E((Theta/c)^-r), the part of log_neg_moment that the scale c does
-        not touch: the kernel of order -r at s = 0 for a law without a scale;
-        laws with one, or whose kernel needs s > 0, override it."""
-        return float(self.log_abs_laplace_derivative(-r, 0.0))
+        not touch: the unit kernel of order -r at u = 0; laws with a closed
+        form, or whose kernel needs u > 0, override it."""
+        return float(self._log_unit_kernel(-r, 0.0, -inf))
 
     def inverse_variance_share(self) -> float:
         """u = Var(W) / E(W^2) = 1 - E^2(W) / E(W^2), W = 1/Theta, from which
@@ -782,14 +892,15 @@ class MixingDistribution:
 
     # -- formulas of the sum S of claims of total shape a driven by this law
 
-    _row = None  # builds the MixtureRow of S_n (stable, Levy, Gleser)
+    # the unit law's MixtureRow sums of S_n (stable, Levy, Gleser), on _unit_law
+    _row = None
 
     def sum_row(self, a):
-        """The row of S: the law's cached MixtureRow at an integral a where it has
-        one, a KernelRow otherwise."""
+        """The row of S: a MixtureRow at an integral a where the law has one, a
+        KernelRow otherwise."""
         if self._row is None or a % 1:
             return KernelRow(self, a)
-        return _mixture_row(self, int(a))
+        return MixtureRow(self, int(a))
 
     def _sum_pdf_at_zero(self, n: int) -> float:
         """f(0+) of S_n for a law whose row is a KernelRow."""
@@ -819,15 +930,15 @@ class GammaMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(alpha=self.alpha, beta=self.beta)
 
-    def _log_kernel(self, k, s):
+    def _log_kernel(self, k, u, log_u):
+        # Theta beta ~ Ga(alpha, 1): Gamma(alpha + k)/Gamma(alpha) (1 + u)^-(alpha + k)
         _require_above(k, "alpha", self.alpha)
-        a, b, k = self.alpha, self.beta, _column(k, s.ndim)
-        with np.errstate(over="ignore"):
-            log1p_t = np.log1p(s / b)
-        # where s / b overflows, log(1 + s/b) is log s - log b to double precision
-        far = np.isinf(log1p_t)
-        log1p_t[far] = np.log(s[far]) - log(b)
-        return special.gammaln(a + k) - lgamma(a) - k * log(b) - (a + k) * log1p_t
+        a, k = self.alpha, _column(k, u.ndim)
+        return special.gammaln(a + k) - lgamma(a) - (a + k) * _log1p(u, log_u)
+
+    @property
+    def scale(self):
+        return 1.0 / self.beta
 
     @property
     def log_scale(self):
@@ -880,12 +991,16 @@ class LevyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def _log_kernel(self, k, s):
-        # IG(lam^2/2, mu = inf): c = 0, b = lam
-        return _log_bessel_kernel(k, s, 0.5 * self.lam * self.lam, inf, 0.0, -inf, self.lam)
+    def _log_kernel(self, k, u, log_u):
+        # Theta / lam^2 ~ Levy(1) = IG(1/2, inf)
+        return _log_bessel_kernel(k, u, log_u, 0.0, -inf)
 
     def _generator(self, t):
         return (-np.log(t) / self.lam) ** 2
+
+    @property
+    def scale(self):
+        return self.lam * self.lam
 
     @property
     def log_scale(self):
@@ -903,10 +1018,14 @@ class LevyMixing(MixingDistribution):
         lam = self.lam
         return log(lam / 2) - 0.5 * (log(math.pi) + 3 * np.log(th)) - lam ** 2 / (4 * th)
 
+    @cached_property
+    def _unit_law(self):
+        return LevyMixing(1.0)
+
     def _row(self, n):
-        # the stable law's mixture at alpha = 1/2 with rate lam, square-gamma components
-        # weighted |B_{n,k}| Gamma(k) / (Gamma(n) / 2) over the closed Bell row
-        return MixtureRow(0.0, 0.5, self.lam, _sqrt_bell(n) + log(2.0) - lgamma(n))
+        # the stable law's mixture at alpha = 1/2, square-gamma components weighted
+        # |B_{n,k}| Gamma(k) / (Gamma(n) / 2) over the closed Bell row
+        return 0.0, 0.5, _sqrt_bell(n) + log(2.0) - lgamma(n), None
 
     def kendall_tau(self):
         # the stable value at index 1/2: rescaling Theta leaves the copula alone
@@ -929,7 +1048,7 @@ class PositiveStableMixing(MixingDistribution):
         if not (0 < self.alpha <= 1):
             raise ValueError(f"stable index must lie in (0, 1], got {self.alpha}")
 
-    def _log_kernel(self, k, s):
+    def _log_kernel(self, k, s, log_s):
         a = self.alpha
         if k.dtype.kind == "f" or k[0] < 0:
             # its tail moments and survival are sums of positive terms over the mixture
@@ -941,7 +1060,7 @@ class PositiveStableMixing(MixingDistribution):
         out = np.empty((k.size,) + s.shape)
         out[:] = expo
         if k.any():
-            log_s, table = np.log(s), _power_bell(a, int(k.max()))
+            table = _power_bell(a, int(k.max()))
             ja = _column(np.arange(1, k.max() + 1), s.ndim) * a
             for i, n in enumerate(k.tolist()):
                 if n:
@@ -963,7 +1082,11 @@ class PositiveStableMixing(MixingDistribution):
         log_c = np.full(n, -inf)
         for k in range(n):
             np.logaddexp(log_c[:k + 1], table[k, :k + 1] - lf[k], out=log_c[:k + 1])
-        return MixtureRow(0.0, a, 1.0, table[n, 1:n + 1] - lgamma(n) - log(a), log_c)
+        return 0.0, a, table[n, 1:n + 1] - lgamma(n) - log(a), log_c
+
+    @property
+    def _unit_law(self):
+        return self
 
     def kendall_tau(self):
         return 1.0 - self.alpha
@@ -995,9 +1118,8 @@ class InverseGaussianMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam, mu=self.mu)
 
-    def _log_kernel(self, k, s):
-        return _log_bessel_kernel(k, s, self.lam, self.mu, self.lam / self.mu,
-                                  log(self.lam) - log(self.mu), sqrt(2.0) * sqrt(self.lam))
+    def _log_kernel(self, k, u, log_u):
+        return _log_bessel_kernel(k, u, log_u, self.lam / self.mu, log(self.lam) - log(self.mu))
 
     def _generator(self, t):
         # L(s) = exp(c - z) solved for s: with u = -log t, s = u/mu + u^2/(2 lam)
@@ -1005,18 +1127,19 @@ class InverseGaussianMixing(MixingDistribution):
         return u / self.mu + u * u / (2.0 * self.lam)
 
     @property
-    def log_scale(self):
-        return log(self.mu)
+    def scale(self):
+        # IG(lam, mu) = c IG(lam/c, mu/c): c = mu keeps the point mass at mu (lam/mu ->
+        # inf) a unit one, and c = 2 lam the Levy limit (mu -> inf) Levy(1)
+        return min(2.0 * self.lam, self.mu)
 
     def log_unit_neg_moment(self, r):
-        # Theta / mu ~ IG(c, 1), c = lam/mu: the kernel of order -r at s = 0 (b is idle).
-        # At c >= 1 the moment is near 1, so at an integer r its ratios r_i = 1/r_{i-1} +
-        # (2i - 1)/c, r_0 = 1, run as d_i = r_i - 1: log1p keeps the digits rho = O(1/c) needs
+        # the unit kernel of order -r at u = 0.  At c = lam/mu >= 1 the unit law is
+        # IG(c, 1), whose moment is near 1, so at an integer r its ratios r_i = 1/r_{i-1}
+        # + (2i - 1)/c, r_0 = 1, run as d_i = r_i - 1: log1p keeps the digits rho = O(1/c)
+        # needs
         y = self.mu / self.lam
         if y > 1.0 or not float(r).is_integer():
-            c = self.lam / self.mu
-            return float(_log_bessel_kernel(np.array([-r]), np.zeros(1), c, 1.0, c,
-                                            log(self.lam) - log(self.mu), 1.0)[0, 0])
+            return super().log_unit_neg_moment(r)
         d = out = 0.0
         for i in range(1, int(r) + 1):
             d = (2 * i - 1) * y - d / (1.0 + d)
@@ -1058,15 +1181,23 @@ class LindleyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def _log_kernel(self, k, s):
-        # lam^2/(1+lam) * (k! y^-(k+1) + (k+1)! y^-(k+2)), y = lam + s; the density
-        # is positive at 0, so no negative order exists
+    def _log_kernel(self, k, u, log_u):
+        # Theta lam is Ga(1, 1) with weight lam/(1+lam) and Ga(2, 1) otherwise:
+        # k! (1+u)^-(k+1) (lam/(1+lam) + (k+1)/((1+lam)(1+u))); the density is
+        # positive at 0, so no negative order exists
         if k[0] < 0:
             raise NonexistentMomentError("E(Theta^-j e^(-s Theta)) diverges for the Lindley law")
-        lam, k = self.lam, _column(k, s.ndim)
-        y = lam + s
-        return (2.0 * log(lam) - math.log1p(lam) + special.gammaln(k + 1.0)
-                - (k + 1.0) * np.log(y) + np.log1p((k + 1.0) / y))
+        lam, k = self.lam, _column(k, u.ndim)
+        return (special.gammaln(k + 1.0) - (k + 1.0) * _log1p(u, log_u)
+                + np.log(lam / (1.0 + lam) + (k + 1.0) / (1.0 + lam) / (1.0 + u)))
+
+    @property
+    def scale(self):
+        return 1.0 / self.lam
+
+    @property
+    def log_scale(self):
+        return -log(self.lam)
 
     def _generator(self, t):
         lam = self.lam
@@ -1119,59 +1250,61 @@ class GleserGammaMixing(MixingDistribution):
     lam: float
 
     kind = "gleser-gamma"
+    _log_unit_floor = 0.0  # Theta / lam = 1/B >= 1
 
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
             raise ValueError(f"shape must lie in (0, 1], got {self.alpha}")
         _require_positive(lam=self.lam)
 
-    def _log_kernel(self, k, s):
-        a, lam = self.alpha, self.lam
-        with np.errstate(over="ignore"):
-            ls = lam * s
-        if np.isinf(ls).any():  # there the log, -lam s + O(log s), is below -FLOAT_MAX
-            return _vanishing(self._log_kernel, k, s, np.isinf(ls))
-        if a == 1.0:  # the point mass at lam
-            return _column(k, s.ndim) * log(lam) - ls
+    def _log_kernel(self, k, u, log_u):
+        # Theta / lam = 1/B, B ~ Beta(alpha, 1-alpha)
+        a = self.alpha
+        if a == 1.0:  # the point mass at 1
+            return _column(k, u.ndim) * 0.0 - u
         if k.dtype.kind == "i" and k[0] >= 0:
-            # c = lam^alpha / (Gamma(1-alpha) Gamma(alpha)) and c I_0 = lam^alpha s^(alpha-1) /
-            # Gamma(alpha), from which the orders climb with q_1 = lam + (1-alpha)/s
+            # c = 1 / (Gamma(1-alpha) Gamma(alpha)) and c I_0 = u^(alpha-1) / Gamma(alpha),
+            # from which the orders climb with q_1 = 1 + (1-alpha)/u
             top = int(k.max())
             if not top:
-                rows = np.empty((k.size,) + s.shape)
+                rows = np.empty((k.size,) + u.shape)
             else:
-                step = 1.0 / s
+                # where 1/u overflows, q_j is (j - alpha)/u to double precision
+                tiny = u < 1.0 / _FLOAT_MAX
+                step = 1.0 / np.where(tiny, 1.0, u)
                 rows = self._climb(0, (1.0 - a) * step, step, k)
-                rows += a * log(lam) - lgamma(a) - ls + (a - 1.0) * np.log(s)
-            if k.min() == 0:  # log Q(alpha, lam s), only when an order asks for it
-                rows[k == 0] = log_gammaincc(a, ls)
+                rows += -lgamma(a) - u + (a - 1.0) * log_u
+                rows[:, tiny] = ((special.gammaln(k - a) - lgamma(1.0 - a) - lgamma(a))[:, None]
+                                 + _column(a - k, 1) * log_u[tiny])
+            if k.min() == 0:  # log Q(alpha, u), only when an order asks for it
+                rows[k == 0] = log_gammaincc(a, u)
             return rows
-        # every other order: e^{-lam s} lam^m / B(alpha, 1-alpha) I(1-alpha, 1-alpha+m, lam s)
-        # in one Kummer integral, at m = k up to order 1 and past it at m = k + 1 - ceil(k)
-        # in (0, 1], from which the order climbs to k
+        # every other order: e^{-u} / B(alpha, 1-alpha) I(1-alpha, 1-alpha+m, u) in one
+        # Kummer integral, at m = k up to order 1 and past it at m = k + 1 - ceil(k) in
+        # (0, 1], from which the order climbs to k
         climb = np.maximum(np.ceil(k) - 1.0, 0.0)
         # one Kummer integral per distinct start: orders a whole number apart share it
         starts, which = np.unique(k - climb, return_inverse=True)
-        m = _column(starts, s.ndim)
-        log_i = log_kummer_u_integral(1.0 - a, 1.0 - a + m, ls)
-        rows = (m * log(lam) - ls + log_i - lgamma(a) - lgamma(1.0 - a))[which]
+        m = _column(starts, u.ndim)
+        log_i = log_kummer_u_integral(1.0 - a, 1.0 - a + m, u)
+        rows = (log_i - u - lgamma(a) - lgamma(1.0 - a))[which]
         for i, m0 in enumerate(starts.tolist()):
             pick = (which == i) & (climb > 0)
             if not pick.any():
                 continue
-            # the first excess q_m0 - lam is a ratio of two Kummer integrals: lam times
-            # int_0^inf (1+t)^(m0-1) t^(1-alpha) e^{-lam s t} dt over the one above
-            d = lam * np.exp(log_kummer_u_integral(2.0 - a, 2.0 - a + m0, ls) - log_i[i])
-            rows[pick] += self._climb(m0 - 1.0, d, 1.0 / s, climb[pick].astype(int) + 1)
+            # the first excess q_m0 - 1 is a ratio of two Kummer integrals:
+            # int_0^inf (1+t)^(m0-1) t^(1-alpha) e^{-u t} dt over the one above
+            d = np.exp(log_kummer_u_integral(2.0 - a, 2.0 - a + m0, u) - log_i[i])
+            rows[pick] += self._climb(m0 - 1.0, d, 1.0 / u, climb[pick].astype(int) + 1)
         return rows
 
     def _climb(self, start, d, step, index):
         """The partial sums, at the indices `index`, of log q_{start+j}, j >= 1 (the
-        sum at index i runs over j < i), where q_m = I_m / I_{m-1} = lam + d_m.
+        sum at index i runs over j < i), where q_m = I_m / I_{m-1} = 1 + d_m.
         The excess d_m, first d_{start+1} = d, obeys d_{m+1} = ((1-alpha) +
-        m d_m / q_m) / s, a sum of positive terms: q_{m+1} = lam + (m+1-alpha)/s
-        - (m lam/s) / q_m itself would lose up to m/(1-alpha) ulps."""
-        a, lam = self.alpha, self.lam
+        m d_m / q_m) / u, a sum of positive terms: q_{m+1} = 1 + (m+1-alpha)/u
+        - (m/u) / q_m itself would lose up to m/(1-alpha) ulps."""
+        a = self.alpha
         ratios = np.ones((int(index.max()),) + step.shape)
         for j in range(1, len(ratios)):
             if j > 1:
@@ -1180,7 +1313,7 @@ class GleserGammaMixing(MixingDistribution):
                 d *= start + j - 1
                 d += 1.0 - a
                 d *= step
-            np.add(d, lam, out=ratios[j])
+            np.add(d, 1.0, out=ratios[j])
         return _partial_sums(np.log(ratios, out=ratios), index)
 
     def _row(self, n):
@@ -1194,7 +1327,11 @@ class GleserGammaMixing(MixingDistribution):
             log_falling = np.cumsum(np.log(np.r_[1.0, 1.0 - self.alpha + np.arange(n - 1.0)]))
         log_d = (log_falling - lgamma(self.alpha) - special.gammaln(j + 1.0)
                  - special.gammaln(n - j))
-        return MixtureRow(self.alpha - 1.0, 1.0, self.lam, log_d[::-1])
+        return self.alpha - 1.0, 1.0, log_d[::-1], None
+
+    @cached_property
+    def _unit_law(self):
+        return GleserGammaMixing(self.alpha, 1.0)
 
     def _generator(self, t):
         return special.gammainccinv(self.alpha, t) / self.lam
@@ -1207,8 +1344,8 @@ class GleserGammaMixing(MixingDistribution):
         return float(1.0 - special.poch(self.alpha, 0.5) / special.poch(1.0, 0.5))
 
     @property
-    def log_scale(self):
-        return log(self.lam)
+    def scale(self):
+        return self.lam
 
     def log_unit_neg_moment(self, r):
         # E(Theta^-r) = Gamma(alpha + r) / (lam^r r! Gamma(alpha)), by the
@@ -1245,7 +1382,7 @@ class BetaSecondKindMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(beta=self.beta, gam=self.gam)
 
-    def _log_kernel(self, k, s):
+    def _log_kernel(self, k, s, log_s):
         # E(Theta^k e^{-s Theta}) = Gamma(beta+k) U(beta+k, 1+k-gam, s) / B(beta, gam), one
         # Kummer integral per order: in one call for every order the grid would be as long
         # as the widest order's and as fine as the sharpest's (3-7x the time on 1000

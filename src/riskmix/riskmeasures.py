@@ -9,25 +9,28 @@ threshold; every level a double holds in (0, 1) is accepted.
 n is the model's total shape; every risk measure sums the orders below it,
 so at a fractional one the model's row raises UnsupportedModelError.
 
-VaR brackets its root with one log_survival call of the row on a geometric
-grid from 2^-40 to 2^40, and a second one only for a quantile outside it: on
-to 2^996 (about 1e300), or from 2^-1074, the smallest positive double (past
-either end, TailUnderflowError).  It starts from the log-log interpolation between the
-bracketing grid points and runs a safeguarded Newton iteration in u = log x
-on g = log S - log(1 - level), dg/du = -x f / S (S' = -f), bisecting
+VaR works in the unit coordinate u = c x of the law's scale c (mixing), where
+S(x) = S_1(u): it brackets its root with one log_survival call of the row on
+a geometric grid of u from 2^-40 to 2^40, and a second one only for a
+quantile outside it: on to 2^996, or from 2^-1074 (past either end,
+TailUnderflowError).  It starts from the log-log interpolation between the
+bracketing grid points and runs a safeguarded Newton iteration in t = log u
+on g = log S - log(1 - level), dg/dt = -u f_1 / S (S' = -f), bisecting
 whenever a step leaves the bracket.  Each step takes the survival terms and
-x f at x together from the law's row (mixing.MixtureRow or KernelRow).
-Below level 0.5 it iterates on g = log F -
-log(level) instead, with F = 1 - S from the same survival call and dg/du =
-x f / F: there log S is strongly concave in log x and a first Newton step on
-it overshoots.  It stops once the bracket or the step is within rtol = 1e-12
-of x, relative at every scale, and returns the point of its last survival
-evaluation.
+u f_1 at u together from the law's row (mixing.MixtureRow or KernelRow).
+Below level 0.5 it iterates on g = log F - log(level) instead, with F = 1 - S
+from the same survival call and dg/dt = u f_1 / F: there log S is strongly
+concave in log u and a first Newton step on it overshoots.  It stops once the
+bracket or the step is within rtol = 1e-12 of u, relative at every scale, and
+returns x = u / c at the point of its last survival evaluation
+(TailUnderflowError where that leaves the positive doubles), so a law and its
+unit law take the same steps.
 
-Tail moments.  The law's row gives log E(S^r 1{S > a}) from the survival
-terms at a, one log-space reduction, divided by S(a).  risk_report takes
-the row and the survival terms of VaR's last evaluation, so S(a) costs no
-further call.
+Tail moments.  The law's row gives log E(S_1^r 1{S_1 > c a}) from the
+survival terms at a, one log-space reduction, divided by S(a) and then by
+c^r.  Both logs round by |log S(a)| eps, so below log S(a) = -4096 the
+moment is refused (TailUnderflowError).  risk_report takes the row and the
+survival terms of VaR's last evaluation, so S(a) costs no further call.
 """
 
 from dataclasses import dataclass
@@ -36,7 +39,8 @@ from math import exp, inf, log, log1p, sqrt
 import numpy as np
 
 from .aggregate import AggregateModel, moment
-from .errors import RiskmixError, TailUnderflowError
+from .errors import PrecisionError, RiskmixError, TailUnderflowError
+from .mixing import _finite_exp
 
 __all__ = ["RiskReport", "value_at_risk", "tail_moment", "tvar", "risk_report"]
 
@@ -44,6 +48,9 @@ __all__ = ["RiskReport", "value_at_risk", "tail_moment", "tvar", "risk_report"]
 _VAR_NEAR, _VAR_FAR, _VAR_LOW = (2.0 ** np.arange(*ends)
                                  for ends in ((-40, 41), (40, 997), (-1074, -39)))
 _VAR_RTOL, _VAR_MAXITER = 1e-12, 100
+# a tail moment is exp(log E(S^r 1{S > a}) - log S(a)), whose logs round by |log S| eps
+# each: below this floor that is more than VaR's relative tolerance
+_TAIL_LOG_FLOOR = -4096.0
 
 
 def _value_at_risk(model: AggregateModel, level: float):
@@ -68,34 +75,41 @@ def _value_at_risk(model: AggregateModel, level: float):
     lo, hi = grid[j - 1], grid[j]
     drop = log_grid[j - 1] - log_grid[j]
     frac = (log_grid[j - 1] - log_target) / drop if np.isfinite(drop) else 0.5
-    x = lo * (hi / lo) ** frac
+    u = lo * (hi / lo) ** frac
     # P is the smaller tail: S from the median up, F = 1 - S below it
     lower = level < 0.5
     sign, log_p_target = (-1.0, log(level)) if lower else (1.0, log_target)
     for _ in range(_VAR_MAXITER):
-        # Newton in u = log x: h = +-(log P - log P*) > 0 below the root, dh/du = -x f / P
-        terms, log_xf = row.log_survival_terms(np.array([x]), density=True)
+        # Newton in t = log u: h = +-(log P - log P*) > 0 below the root, dh/dt = -u f_1 / P
+        terms, log_uf = row.log_survival_terms(np.array([u]), density=True)
         terms = terms[:, 0]
         s = exp(np.logaddexp.reduce(terms))
         p = 1.0 - s if lower else s
         h = sign * ((log(p) if p > 0.0 else -inf) - log_p_target)
         if h == 0.0:
-            return x, row, terms
+            break
         if h > 0.0:
-            lo = x
+            lo = u
         else:
-            hi = x
+            hi = u
         if hi - lo <= _VAR_RTOL * hi:
-            return x, row, terms
-        slope = exp(log_xf[0]) / p if p > 0.0 else 0.0
-        new = x * exp(min(h / slope, 700.0)) if slope > 0.0 else 0.0
+            break
+        slope = exp(log_uf[0]) / p if p > 0.0 else 0.0
+        new = u * exp(min(h / slope, 700.0)) if slope > 0.0 else 0.0
         if not (lo <= new <= hi and new > 0.0):
             # the geometric mean, whose product lo hi may underflow
             new = sqrt(lo * hi) or sqrt(lo) * sqrt(hi)
-        if abs(new - x) <= _VAR_RTOL * new:
-            return x, row, terms
-        x = new
-    raise RiskmixError(f"VaR iteration did not converge in {_VAR_MAXITER} steps")
+        if abs(new - u) <= _VAR_RTOL * new:
+            break
+        u = new
+    else:
+        raise RiskmixError(f"VaR iteration did not converge in {_VAR_MAXITER} steps")
+    x = row.from_unit(u)
+    if not x:
+        raise TailUnderflowError("the quantile lies below the smallest positive double")
+    if x == inf:
+        raise TailUnderflowError("the quantile lies past the largest double")
+    return x, row, terms
 
 
 def value_at_risk(model: AggregateModel, level: float) -> float:
@@ -105,12 +119,17 @@ def value_at_risk(model: AggregateModel, level: float) -> float:
 
 def _tail_moments(row, a: float, terms, orders) -> dict:
     """{r: E(S^r | S > a)} for a > 0, from the law's row and its survival
-    terms at a."""
+    terms at a; TailUnderflowError where log S(a) lies below _TAIL_LOG_FLOOR."""
     log_surv = np.logaddexp.reduce(terms)
-    if exp(log_surv) <= 1e-300:
-        raise TailUnderflowError(f"survival({a}) underflows; tail moment is noise")
+    if not log_surv >= _TAIL_LOG_FLOOR:
+        raise TailUnderflowError(f"log survival({a}) = {log_surv:.6g} lies below "
+                                 f"{_TAIL_LOG_FLOOR}, where the tail moment loses its digits")
     log_num = row.log_tail_moments(a, orders, terms)
-    return {r: exp(v - log_surv) for r, v in zip(orders, log_num)}
+    moments = {r: row.from_unit(_finite_exp(v - log_surv, f"E(S_1^{r} | S_1 > c {a})"), r)
+               for r, v in zip(orders, log_num)}
+    if inf in moments.values():
+        raise PrecisionError(f"a tail moment at {a} overflows a double")
+    return moments
 
 
 def tail_moment(model: AggregateModel, r: int, a: float) -> float:
@@ -123,7 +142,8 @@ def tail_moment(model: AggregateModel, r: int, a: float) -> float:
     if a == 0.0:
         return plain
     row = model.mixing.sum_row(model.total_shape)
-    terms = row.log_survival_terms(np.array([float(a)]))[:, 0]
+    u, log_u = row.unit(np.array([float(a)]))
+    terms = row.log_survival_terms(u, log_u=log_u)[:, 0]
     return _tail_moments(row, a, terms, (r,))[r]
 
 

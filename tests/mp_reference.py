@@ -283,40 +283,47 @@ def _mpf_long(v):
     return mp.ldexp(mp.mpf(hi) + mp.mpf(float(m - np.longdouble(hi))), int(e))
 
 
-def mixture_survival(law, n, xs, dps=50):
-    """S_n(x) = sum_k w_k Q(shape0 + k, rate x^power) for the laws whose S_n is
-    a finite mixture of gamma-power components, as floats, at `dps` digits.
+def _mixture_weights(law, n):
+    """(shape0, power, rate, [w_1..w_n]) of S_n = sum_k w_k (G_k/rate)^(1/power), G_k ~
+    Gamma(shape0 + k, 1), for the laws whose S_n is a finite mixture of gamma-power
+    components, at the working precision.
 
     Weights: the stable law's |B_{n,k}| Gamma(k) / (Gamma(n) alpha) (shape0 = 0,
     power alpha, rate 1); the Levy law's 2 (2n-k-1)! / ((n-k)! 2^(2n-k) (n-1)!)
     (shape0 = 0, power 1/2, rate lam); Gleser's c_j Gamma(a_j) at the shapes
     a_j = n + alpha - j - 1, c_j = (1-alpha)^(j rising) / (Gamma(alpha) j! (n-j-1)!)
-    (shape0 = alpha - 1, power 1, rate lam).  Q(b, y) climbs from
-    mp.gammainc by Q(b+1, y) = Q(b, y) + e^-y y^b / Gamma(b+1)."""
+    (shape0 = alpha - 1, power 1, rate lam)."""
+    if isinstance(law, PositiveStableMixing):
+        alpha = mp.mpf(law.alpha)
+        bell = _stable_bell_row(law.alpha, n)
+        return mp.mpf(0), alpha, mp.mpf(1), [
+            _mpf_long(b) * mp.factorial(k - 1) / (mp.factorial(n - 1) * alpha)
+            for k, b in enumerate(bell, start=1)]
+    if isinstance(law, LevyMixing):
+        return mp.mpf(0), mp.mpf(1) / 2, mp.mpf(law.lam), [
+            2 * mp.factorial(2 * n - k - 1)
+            / (mp.factorial(n - k) * mp.mpf(2) ** (2 * n - k) * mp.factorial(n - 1))
+            for k in range(1, n + 1)]
+    if isinstance(law, GleserGammaMixing):
+        alpha = mp.mpf(law.alpha)
+        w = [mp.mpf(0)] * n
+        rising = mp.mpf(1)
+        for j in range(n):
+            # component k = n - j has the shape s0 + k = a_j
+            w[n - j - 1] = (rising * mp.gamma(n + alpha - j - 1)
+                            / (mp.gamma(alpha) * mp.factorial(j) * mp.factorial(n - j - 1)))
+            rising *= 1 - alpha + j
+        return alpha - 1, mp.mpf(1), mp.mpf(law.lam), w
+    raise ValueError(f"no gamma-power mixture for {law.kind}")
+
+
+def mixture_survival(law, n, xs, dps=50):
+    """S_n(x) = sum_k w_k Q(shape0 + k, rate x^power) for the laws whose S_n is
+    a finite mixture of gamma-power components (_mixture_weights), as floats, at
+    `dps` digits.  Q(b, y) climbs from mp.gammainc by Q(b+1, y) = Q(b, y) +
+    e^-y y^b / Gamma(b+1)."""
     with mp.workdps(dps):
-        if isinstance(law, PositiveStableMixing):
-            alpha = mp.mpf(law.alpha)
-            s0, power, rate = mp.mpf(0), alpha, mp.mpf(1)
-            bell = _stable_bell_row(law.alpha, n)
-            w = [_mpf_long(b) * mp.factorial(k - 1) / (mp.factorial(n - 1) * alpha)
-                 for k, b in enumerate(bell, start=1)]
-        elif isinstance(law, LevyMixing):
-            s0, power, rate = mp.mpf(0), mp.mpf(1) / 2, mp.mpf(law.lam)
-            w = [2 * mp.factorial(2 * n - k - 1)
-                 / (mp.factorial(n - k) * mp.mpf(2) ** (2 * n - k) * mp.factorial(n - 1))
-                 for k in range(1, n + 1)]
-        elif isinstance(law, GleserGammaMixing):
-            alpha = mp.mpf(law.alpha)
-            s0, power, rate = alpha - 1, mp.mpf(1), mp.mpf(law.lam)
-            w = [mp.mpf(0)] * n
-            rising = mp.mpf(1)
-            for j in range(n):
-                # component k = n - j has the shape s0 + k = a_j
-                w[n - j - 1] = (rising * mp.gamma(n + alpha - j - 1)
-                                / (mp.gamma(alpha) * mp.factorial(j) * mp.factorial(n - j - 1)))
-                rising *= 1 - alpha + j
-        else:
-            raise ValueError(f"no gamma-power mixture for {law.kind}")
+        s0, power, rate, w = _mixture_weights(law, n)
         out = []
         for x in xs:
             y = rate * mp.mpf(float(x)) ** power
@@ -331,3 +338,17 @@ def mixture_survival(law, n, xs, dps=50):
                 step *= y / b
             out.append(float(total))
         return out
+
+
+def mixture_tail_moment(law, n, r, a, dps=50):
+    """(E(S_n^r | S_n > a), log S_n(a)) as floats for the laws of mixture_survival:
+    sum_k w_k rate^(-r/power) Gamma(b_k + r/power, y) / Gamma(b_k) over sum_k w_k
+    Q(b_k, y), b_k = shape0 + k, y = rate a^power."""
+    with mp.workdps(dps):
+        s0, power, rate, w = _mixture_weights(law, n)
+        y, shift = rate * mp.mpf(a) ** power, r / power
+        b = [s0 + k for k in range(1, n + 1)]
+        surv = mp.fsum(wk * mp.gammainc(bk, y, mp.inf) / mp.gamma(bk) for wk, bk in zip(w, b))
+        num = mp.fsum(wk * mp.gammainc(bk + shift, y, mp.inf) / mp.gamma(bk)
+                      for wk, bk in zip(w, b))
+        return float(num / surv / rate ** shift), float(mp.log(surv))

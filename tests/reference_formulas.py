@@ -1,8 +1,9 @@
 """Reference formulas that only the tests use: falling factorials, partial
 Bell polynomials in linear and log space, Faa di Bruno's formula, the upper
 incomplete gamma of every real order, gamma quantiles, half-integer
-Bessel K and the source's printed Lindley sum density.  They share no code
-with riskmix and check its kernels."""
+Bessel K, the source's printed Lindley sum density and its gamma and
+inverse-Gaussian Pareto tail densities.  They share no code with riskmix and
+check its kernels."""
 
 import math
 from math import exp, inf, lgamma, log
@@ -199,3 +200,20 @@ def lindley_sum_pdf(lam: float, n: int, x):
                + np.log(xp + lam + n + 1.0) - (n + 2.0) * np.log(xp + lam))
     out = np.where(x_arr >= 0, np.exp(log_val), 0.0)
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
+
+
+def tail_pdf_gamma(alpha: float, lam: float, beta: float, m: int, x: float) -> float:
+    """Printed gamma specialization alpha lam^alpha / (x [lam + log x - m log beta]^{alpha+1})."""
+    denom = lam + math.log(x) - m * math.log(beta)
+    if denom <= 0:
+        raise ValueError("x is below the valid tail domain")
+    return alpha * lam ** alpha / (x * denom ** (alpha + 1.0))
+
+
+def tail_pdf_ig(lam: float, mu: float, beta: float, m: int, x: float) -> float:
+    """Printed inverse-Gaussian specialization with
+    phi(x) = lam/mu^2 + 2 log(x/beta^m)."""
+    phi = lam / mu ** 2 + 2.0 * (math.log(x) - m * math.log(beta))
+    if phi <= 0:
+        raise ValueError("x is below the valid tail domain")
+    return (1.0 / x) * math.sqrt(lam / phi) * math.exp(lam / mu - math.sqrt(lam * phi))

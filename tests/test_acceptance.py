@@ -31,12 +31,7 @@ from riskmix.aggregate import (
     weibull_half_model,
     weibull_model,
 )
-from riskmix.asymptotics import (
-    ParetoTailSpec,
-    tail_pdf_gamma,
-    tail_pdf_generic,
-    tail_pdf_ig,
-)
+from riskmix.asymptotics import ParetoTailSpec, tail_pdf_generic
 from riskmix.cli import main as cli_main
 from riskmix.dependence import kendall_tau_closed, kendall_tau_numeric, pearson_rho
 from riskmix.mixing import GammaMixing, InverseGaussianMixing
@@ -58,7 +53,7 @@ from riskmix.simulate import (
     sample_vector,
 )
 
-from reference_formulas import bell_partial
+from reference_formulas import bell_partial, tail_pdf_gamma, tail_pdf_ig
 
 FIVE_MODELS = {
     "pareto": lambda n: pareto_model(3.0, 1.0, n),

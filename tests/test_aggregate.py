@@ -56,14 +56,14 @@ class TestOneKernelCall:
         # each Newton step the orders 0..n from one call
         m = SEVEN_MODELS[name](n)
         law = type(m.mixing)
-        kernel = law.log_abs_laplace_derivative
+        kernel = law._log_unit_kernel
         calls = []
 
-        def counted(self, k, s):
+        def counted(self, k, u, log_u):
             calls.append(np.array(k))
-            return kernel(self, k, s)
+            return kernel(self, k, u, log_u)
 
-        monkeypatch.setattr(law, "log_abs_laplace_derivative", counted)
+        monkeypatch.setattr(law, "_log_unit_kernel", counted)
         row = m.mixing.sum_row(n)
         has_row = isinstance(row, MixtureRow)
         assert has_row == (name in ("weibull", "weibull_half", "gamma_claims"))
@@ -89,14 +89,14 @@ class TestOneKernelCall:
         m = SIX_MODELS["invgauss"](2)
         xs = np.geomspace(1e-2, 1e3, 70000)
         law = type(m.mixing)
-        kernel = law.log_abs_laplace_derivative
+        kernel = law._log_unit_kernel
         sizes = []
 
-        def counted(self, k, s):
-            sizes.append(np.size(k) * np.size(s))
-            return kernel(self, k, s)
+        def counted(self, k, u, log_u):
+            sizes.append(np.size(k) * np.size(u))
+            return kernel(self, k, u, log_u)
 
-        monkeypatch.setattr(law, "log_abs_laplace_derivative", counted)
+        monkeypatch.setattr(law, "_log_unit_kernel", counted)
         surv = survival(m, xs)
         assert len(sizes) == 3 and max(sizes) <= 1 << 16
         monkeypatch.undo()

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from riskmix.asymptotics import (
-    ParetoTailSpec,
-    tail_pdf_gamma,
-    tail_pdf_generic,
-    tail_pdf_ig,
-)
+from riskmix.asymptotics import ParetoTailSpec, tail_pdf_generic
 from riskmix.mixing import (
     BetaSecondKindMixing,
     GammaMixing,
@@ -18,6 +13,8 @@ from riskmix.mixing import (
     LindleyMixing,
     PositiveStableMixing,
 )
+
+from reference_formulas import tail_pdf_gamma, tail_pdf_ig
 
 X_GRID = np.logspace(2, 6, 15)
 

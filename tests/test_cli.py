@@ -88,6 +88,13 @@ class TestPdfCommand:
     # Gamma(2, 1), the sum at a point mass at mu = 1: its VaR and TVaR = 2 Q(3, v)/(1 - p)
     _VAR = special.gammaincinv(2.0, [0.5, 0.99])
     _TVAR = 2.0 * special.gammaincc(3.0, _VAR) / np.array([0.5, 0.01])
+    # Levy(1) at n = 2, the unit law of IG(lam, mu -> inf) at the scale c = 2 lam: S(x) =
+    # e^-y (1 + y/2), y = sqrt(x), so y = -W_{-1}(-2q/e^2) - 2 at q = 1 - p, and
+    # E(S 1{S > x}) = (Gamma(3, y) + Gamma(4, y))/2; IG(1e-300, 1e300) divides both by c
+    _Q = np.array([0.5, 0.1, 0.01])
+    _Y = -special.lambertw(-2.0 * _Q / math.e ** 2, -1).real - 2.0
+    _LEVY_VAR = _Y ** 2 / 2e-300
+    _LEVY_TVAR = (special.gammaincc(3.0, _Y) + 3.0 * special.gammaincc(4.0, _Y)) / _Q / 2e-300
 
     @pytest.mark.parametrize("case", [
         # lam/mu = 1e308 and 1e600: a point mass at mu, S ~ Gamma(2, mu); rho =
@@ -105,11 +112,16 @@ class TestPdfCommand:
         (["rho", "--lambda", "1e300", "--mu", "1e-300"], [0.0], 0.0),
         (["moments", "--lambda", "1e300", "--mu", "1e-300"], None, None),
         # lam/mu = 1e-600 and 1e-310: Levy(sqrt(2 lam)) to 1e-310 relative, rho = 2/5;
-        # its quantiles lie past 2^996, and E(S) past the double range
+        # its quantiles lie past 2^996 (bracketed in the unit coordinate), and E(S)
+        # past the double range
         (["rho", "--lambda", "1e-300", "--mu", "1e300"], [0.4], 1e-13),
         (["rho", "--lambda", "1e-310", "--mu", "1"], [0.4], 1e-13),
-        (["var", "--lambda", "1e-300", "--mu", "1e300", "--levels", "0.5,0.99"], None, None),
-        (["tvar", "--lambda", "1e-300", "--mu", "1e300", "--levels", "0.5,0.99"], None, None),
+        (["var", "--lambda", "1e-300", "--mu", "1e300", "--levels", "0.5,0.99"],
+         np.column_stack([_LEVY_VAR, _LEVY_TVAR])[[0, 2]].ravel(), 1e-12),
+        (["tvar", "--lambda", "1e-300", "--mu", "1e300", "--levels", "0.5,0.99"],
+         np.column_stack([_LEVY_VAR, _LEVY_TVAR])[[0, 2]].ravel(), 1e-12),
+        (["var", "--lambda", "1e-300", "--mu", "1e300", "--levels", "0.9"],
+         [_LEVY_VAR[1], _LEVY_TVAR[1]], 1e-12),
         (["moments", "--lambda", "1e-300", "--mu", "1e300"], None, None),
         (["moments", "--lambda", "1e-310", "--mu", "1"], None, None),
     ], ids=lambda case: " ".join(case[0]))
@@ -425,7 +437,7 @@ class TestBuilderPaths:
 
 class TestAsymptoticCommand:
     def test_matches_library(self, capsys):
-        from riskmix.asymptotics import tail_pdf_gamma
+        from reference_formulas import tail_pdf_gamma
         code, out, _ = run(capsys, ["asymptotic", "--mixing", "gamma", "--alpha", "2",
                                     "--lambda", "1", "--beta", "1", "--m", "1",
                                     "--grid", "100:10000:5:log"])

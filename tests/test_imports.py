@@ -8,13 +8,14 @@ before any test starts.
 """
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-from riskmix.mixing import MixingDistribution
+from riskmix.mixing import MixingDistribution, MixtureRow
 
 SCRIPT = textwrap.dedent("""
     import sys
@@ -124,3 +125,35 @@ def test_sums_of_claims_go_through_the_row():
     # the row is the only way into S: the law keeps no forwarders to it
     for attr in ("sum_pdf", "sum_pdf_at_zero", "sum_mixture", "sum_pdf_derivative"):
         assert not hasattr(MixingDistribution, attr), attr
+
+
+def _self_reads(node, names):
+    """The nodes self.<name> under node, for the names given."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr in names
+            and isinstance(n.value, ast.Name) and n.value.id == "self"]
+
+
+def test_kernels_run_on_the_unit_law():
+    # every law with a scale is c times its unit law, and the base class applies c once
+    # (MixingDistribution.log_abs_laplace_derivative, _unit, the rows): the gamma, Gleser
+    # and Levy kernels read no scale parameter, and the inverse Gaussian one reads lam
+    # and mu only in their ratio lam/mu and its log
+    path = Path(__file__).resolve().parents[1] / "src" / "riskmix" / "mixing.py"
+    classes = {node.name: node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+
+    def kernel(name):
+        return next(f for f in classes[name].body
+                    if isinstance(f, ast.FunctionDef) and f.name == "_log_kernel")
+
+    for name in ("GammaMixing", "GleserGammaMixing", "LevyMixing"):
+        assert not _self_reads(kernel(name), {"beta", "lam", "mu"}), name
+    ig = kernel("InverseGaussianMixing")
+    ratios = [n for n in ast.walk(ig) if isinstance(n, ast.BinOp)
+              and isinstance(n.op, (ast.Div, ast.Sub)) and len(_self_reads(n, {"lam"})) == 1
+              and len(_self_reads(n, {"mu"})) == 1]
+    in_ratios = {id(n) for r in ratios for n in _self_reads(r, {"lam", "mu"})}
+    reads = _self_reads(ig, {"lam", "mu"})
+    assert reads and {id(n) for n in reads} == in_ratios
+    # the scale lives on the law, not on the MixtureRow, whose sums every scale shares
+    assert "rate" not in {f.name for f in dataclasses.fields(MixtureRow)}

@@ -406,9 +406,9 @@ class TestInverseGaussianLimits:
 
     @pytest.mark.parametrize("lam, mu, ns, rel", [
         (1e308, 1.0, (2, 10), 1e-13),
-        # S sums x^k |L^(k)(x)| / k!, whose x^k mu^k is exp(k log x + k log mu) with
-        # |log mu| = 691, exact to about 3e-14 k
-        (1e300, 1e-300, (2,), 2e-13)])
+        # the row sums the unit law IG(lam/mu, 1) at u = mu x, so |log mu| = 691 no
+        # longer enters its terms u^k K_1(k, u) / k! (it cost 3e-14 k)
+        (1e300, 1e-300, (2, 10, 32), 1e-14)])
     def test_point_mass_at_mu(self, lam, mu, ns, rel):
         # S_n given Theta = mu is Gamma(n, mu): S(x) = Q(n, mu x)
         y = np.logspace(-2, 1.5, 36)
@@ -689,6 +689,17 @@ class TestKernelRows:
             want = [float(mp.log(mp.gammainc(0.55, sv, mp.inf, regularized=True))) for sv in s]
         assert want[0] == pytest.approx(-803.4887, abs=1e-4)
         assert log_error(got, want).max() <= 1e-15
+
+    @pytest.mark.parametrize("lam, s", [(1.0, 1e-310), (1e-200, 1e-150)])
+    def test_gleser_where_one_over_u_overflows(self, lam, s):
+        # u = lam s below 1/FLOAT_MAX: the unit moment e^-u U(1-alpha, k+1-alpha, u) /
+        # Gamma(alpha) at 30 digits (orders 2 on were inf)
+        got = GleserGammaMixing(0.5, lam).log_abs_laplace_derivative(np.arange(1, 5), np.array([s]))
+        with mp.workdps(30):
+            u = mp.mpf(lam) * mp.mpf(s)
+            want = [float(k * mp.log(lam) + mp.log(mp.exp(-u) * mp.hyperu(0.5, k + 0.5, u)
+                                                     / mp.gamma(0.5))) for k in range(1, 5)]
+        assert got[:, 0] == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("m", ALL_KINDS, ids=lambda m: f"{m.kind}-{hash(m) % 997}")
     def test_rows_equal_scalar_calls(self, m):

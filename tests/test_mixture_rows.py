@@ -28,11 +28,11 @@ def model(law, n):
 
 def survival_error(law, n):
     """The largest relative error of survival against the 50-digit mixture sum
-    where 1e-290 < S < 1 - 1e-3, on y = rate x^power from 1e-3 through the bulk
-    of S_n and past the double range of its tail."""
+    where 1e-290 < S < 1 - 1e-3, on y = u^power, u = c x the unit coordinate, from
+    1e-3 through the bulk of S_n and past the double range of its tail."""
     row = law.sum_row(n)
     y = np.r_[np.geomspace(1e-3, 1e3, 20), np.linspace(1.0, 2.0 * n + 800.0, 20)]
-    x = (y / row.rate) ** (1.0 / row.power)
+    x = y ** (1.0 / row.power) / law.scale
     want = np.array(mp_reference.mixture_survival(law, n, x))
     keep = (want > 1e-290) & (want < 1.0 - 1e-3)
     assert keep.sum() >= 5
@@ -94,8 +94,11 @@ class TestTailMoments:
         assert all(np.isfinite(v) for _, v in rep.tail_moments)
 
     def test_rows_are_cached(self):
-        m = gamma_claims_model(0.55, 1.3, 17)
-        assert m.mixing.sum_row(17) is m.mixing.sum_row(17)
+        # the sums are kept per unit law and n, so every scale of a law shares them
+        rows = [gamma_claims_model(0.55, lam, 17).mixing.sum_row(17) for lam in (1.3, 7.0)]
+        rows += [LevyMixing(lam).sum_row(9) for lam in (0.3, 1.0, 7.0)]
+        assert rows[0].log_d is rows[1].log_d and rows[0].log_c is rows[1].log_c
+        assert rows[2].log_d is rows[3].log_d is rows[4].log_d
         assert mixing._mixture_row.cache_info().maxsize == mixing._ROW_CACHE
 
 

@@ -18,7 +18,7 @@ from riskmix.aggregate import (
     weibull_model,
 )
 from riskmix.errors import NonexistentMomentError, RiskmixError, TailUnderflowError
-from riskmix.mixing import BetaSecondKindMixing, KernelRow, MixtureRow
+from riskmix.mixing import BetaSecondKindMixing, GleserGammaMixing, KernelRow, MixtureRow
 from riskmix import aggregate, riskmeasures
 from riskmix.riskmeasures import risk_report, tail_moment, tvar, value_at_risk
 from riskmix.simulate import SimulationPlan, sample_sums
@@ -40,17 +40,17 @@ LEVELS = (0.9, 0.95, 0.99, 0.995, 0.999)
 def count_survival_evaluations(monkeypatch):
     """The points at which VaR evaluates survival, one entry per call: the rows'
     log_survival (the bracket) and log_survival_terms with the density (a
-    Newton step)."""
+    Newton step), in the unit coordinate u."""
     calls = []
     for row in (MixtureRow, KernelRow):
-        def bracket(self, x, inner=row.log_survival):
-            calls.append(x)
-            return inner(self, x)
+        def bracket(self, u, log_u=None, inner=row.log_survival):
+            calls.append(u)
+            return inner(self, u, log_u)
 
-        def step(self, x, density=False, inner=row.log_survival_terms):
+        def step(self, u, density=False, log_u=None, inner=row.log_survival_terms):
             if density:
-                calls.append(x)
-            return inner(self, x, density)
+                calls.append(u)
+            return inner(self, u, density, log_u)
 
         monkeypatch.setattr(row, "log_survival", bracket)
         monkeypatch.setattr(row, "log_survival_terms", step)
@@ -237,10 +237,53 @@ class TestTailMoment:
             tail_moment(m, 2, 1.0)
 
     def test_tail_underflow_deep_threshold(self):
-        # survival underflows double precision far enough out
+        # log S(1e9) is about -31600, below the floor where its rounding, |log S| eps,
+        # would pass VaR's 1e-12 (the moment came out 7e-12 off a + 2 sqrt(a) + 4)
         m = weibull_half_model(1.0, 2)
         with pytest.raises(TailUnderflowError):
             tail_moment(m, 1, 1e9)
+
+
+class TestTailMomentPastTheDoubleRange:
+    """The tail moment is one ratio of log-space sums, so it holds where S(a) lies
+    below the doubles (1e-300 was a floor), to a relative error that grows with
+    |log S(a)|, from log S = -700 to -1100."""
+
+    TARGETS = np.linspace(-700.0, -1100.0, 5)
+
+    @staticmethod
+    def bound(log_s):
+        return 8.0 * abs(log_s) * 2.0 ** -53
+
+    def test_pareto_kernel_row(self):
+        # S_n is B2(n, alpha): E(S | S > a) = n/(alpha-1) I_t(alpha-1, n+1) / I_t(alpha, n),
+        # t = 1/(1 + a), and S(a) = I_t(alpha, n); log S is about -alpha log a
+        alpha, n = 3.2, 2
+        for target in self.TARGETS:
+            a = math.exp(-target / alpha)
+            with mp.workdps(50):
+                t = 1 / (1 + mp.mpf(a))
+                surv = mp.betainc(alpha, n, 0, t, regularized=True)
+                want = n / (alpha - 1) * mp.betainc(alpha - 1, n + 1, 0, t, regularized=True) / surv
+                log_s = float(mp.log(surv))
+            got = tail_moment(pareto_model(alpha, 1.0, n), 1, a)
+            assert got == pytest.approx(float(want), rel=self.bound(log_s), abs=0.0), log_s
+
+    def test_gleser_mixture_row(self):
+        # the printed gamma mixture summed at 50 digits; log S is about -lam a
+        law = GleserGammaMixing(0.55, 1.3)
+        for target in self.TARGETS:
+            a = -target / law.lam
+            want, log_s = mp_reference.mixture_tail_moment(law, 3, 1, a)
+            got = tail_moment(AggregateModel(law, (1.0,) * 3), 1, a)
+            assert got == pytest.approx(want, rel=self.bound(log_s), abs=0.0), log_s
+
+    def test_floor_is_on_the_log(self):
+        # S(1e100) = 1e-320 or so is fine; where y = lam a overflows, log S is -inf
+        assert tail_moment(pareto_model(3.2, 1.0, 2), 1, 1e100) == pytest.approx(
+            3.2 / 2.2 * 1e100, rel=1e-13)
+        with pytest.raises(TailUnderflowError):
+            tail_moment(gamma_claims_model(0.5, 1e10, 2), 1, 1e300)
 
 
 class TestTailKernelSum:
@@ -385,16 +428,18 @@ class TestVaRAtCapPlusOne:
 
 
 # (VaR, TVaR, E(S^2 | S > VaR)) of risk_report for the six command-line laws,
-# computed before the negative orders moved into the one kernel
+# computed before the negative orders moved into the one kernel; the gamma-claims
+# and inverse Gaussian entries whose scale is not 1 since VaR iterates in the unit
+# coordinate, each VaR within 1e-12 of the 40-digit quantile, as before
 PINNED_CLI_REPORTS = {
     ("pareto", 2, 0.9): (2.120508576705548, 3.8453113404029193, 23.60294822265267),
     ("pareto", 2, 0.999): (14.61569424111759, 22.55484782799266, 697.7426740194954),
     ("pareto", 10, 0.9): (9.4544654870184, 16.047442485230437, 385.4171947303993),
     ("pareto", 10, 0.999): (57.06703398698934, 87.26426684545886, 10349.062359269197),
-    ("gamma", 2, 0.9): (1.9106651218998145, 2.757056169217849, 8.297349558114792),
+    ("gamma", 2, 0.9): (1.9106651219010773, 2.757056169219088, 8.297349558121583),
     ("gamma", 2, 0.999): (5.737841697467855, 6.545797315969118, 43.494732789206985),
     ("gamma", 10, 0.9): (8.156514142020553, 9.880807658228525, 100.0283796630468),
-    ("gamma", 10, 0.999): (15.077716495055043, 16.289323852774217, 266.7213176554842),
+    ("gamma", 10, 0.999): (15.077716495047683, 16.28932385276711, 266.7213176552525),
     ("weibull-half", 2, 0.9): (10.704754158292904, 21.248378279005493, 623.8710951291121),
     ("weibull-half", 2, 0.999): (73.49465648915334, 94.6404613975445, 9506.05852092429),
     ("weibull-half", 10, 0.9): (53.83011430555965, 92.2262911332643, 10317.46262704572),
@@ -404,8 +449,8 @@ PINNED_CLI_REPORTS = {
     ("weibull", 10, 0.9): (36.81013209198552, 54.06168068619745, 3230.147604123417),
     ("weibull", 10, 0.999): (117.98293965880679, 136.75908136003235, 19070.191173615236),
     ("invgauss", 2, 0.9): (8.315306651292174, 12.710348090727377, 186.16432135527668),
-    ("invgauss", 2, 0.999): (31.780713236749826, 38.65062359419497, 1548.953450451452),
-    ("invgauss", 10, 0.9): (35.76121682402532, 48.71451947069232, 2558.227733577555),
+    ("invgauss", 2, 0.999): (31.780713236746195, 38.65062359419102, 1548.9534504511437),
+    ("invgauss", 10, 0.9): (35.76121682403251, 48.714519470699834, 2558.227733578298),
     ("invgauss", 10, 0.999): (99.28145537046555, 115.29717810040282, 13572.343908500941),
 }
 CLI_REPORT_MODELS = {
