@@ -180,7 +180,7 @@ def survival(model: AggregateModel, x):
     x_arr = np.asarray(x, dtype=float)
     out = np.ones_like(x_arr, dtype=float)
     pos = x_arr > 0
-    out[pos] = np.exp(row.log_survival(*row.unit(x_arr[pos])))
+    out[pos] = np.exp(row.log_survival(*row.law._unit(x_arr[pos])))
     return _ret(out, scalar_in)
 
 

@@ -91,7 +91,7 @@ Rows.  sum_row(a), for every total shape a, answers for S through one of two
 row classes with the same calls (log_survival, log_survival_terms, pdf,
 pdf_at_zero, log_tail_moments, mixture), the first and third in blocks of
 _KERNEL_CELLS // a points.  A row sums the unit law's S_1 = c S at the unit
-coordinate u = c x (unit, from_unit): S(x) = S_1(u), f(x) = c f_1(u), E(S^r
+coordinate u = c x (_unit, from_unit): S(x) = S_1(u), f(x) = c f_1(u), E(S^r
 1{S > a}) = c^-r E(S_1^r 1{S_1 > c a}), and VaR brackets and iterates in u
 (riskmeasures).  Under the stable, Levy and Gleser laws S_1 is a finite
 mixture of gamma-power laws X_k = G_k^(1/power), G_k ~ Gamma(shape0 + k, 1),
@@ -307,14 +307,16 @@ def _log_bessel_kernel(k, u, log_u, rho, log_rho):
             b = np.exp(log_b)
             half_log_u = 0.5 * log_u
             # w from its log where u is not a normal double
-            w = np.where((u >= _FLOAT_TINY) & (u < inf), b * np.sqrt(u), np.exp(half_log_u + log_b))
+            w = np.where((u >= _FLOAT_TINY) & (u < inf), b * np.sqrt(u),
+                         np.exp(half_log_u + log_b))
             z = np.hypot(rho, w)
             near = half_log_u - (log_rho - log_b) < 0.0
             # t is 0 where rho = w = 0; past the double range it comes from the logs
             t = np.nan_to_num(np.where(near, w / rho, rho / w) if 0 < rho < inf
                               else np.exp(-np.abs(half_log_u - (log_rho - log_b))))
             zt = np.hypot(1.0, t)
-            e = np.where(near, 2.0 / (1.0 + zt) * exp(min(log_mu, _LOG_FLOAT_MAX)) * u, w / (zt + t))
+            e = np.where(near, 2.0 / (1.0 + zt) * exp(min(log_mu, _LOG_FLOAT_MAX)) * u,
+                         w / (zt + t))
             log_zl = np.where(near, -log_mu, half_log_u + log(2.0) - log_b) + np.log(zt)
             log_2z = np.where(near, log(2.0) - log_rho, log(2.0) - log_b - half_log_u) - np.log(zt)
             tiny = z < 2.0 * (float(np.abs(k).max()) + 1.0) / _FLOAT_MAX
@@ -500,8 +502,6 @@ def _by_blocks(n, fn, *arrays):
     n, so a sum of n terms per point holds at most _KERNEL_CELLS of them at once."""
     flat = [np.reshape(a, -1) for a in arrays]
     block = max(1, int(_KERNEL_CELLS // n))
-    if 0 < flat[0].size <= block:
-        return np.reshape(fn(*flat), np.shape(arrays[0]))
     out = np.empty(flat[0].shape)
     for i in range(0, out.size, block):
         out[i:i + block] = fn(*(a[i:i + block] for a in flat))
@@ -509,18 +509,22 @@ def _by_blocks(n, fn, *arrays):
 
 
 class _Row:
-    """What both rows share: the blocking, the check of a fractional n, and the unit
-    coordinate u = c x (unit, from_unit), in which the survival, its terms and the
-    tail moments are those of S_1 = c S (the methods that take u take its log too,
-    needed where u is not a normal double)."""
+    """What both rows share: the blocking, the check of a fractional n, and the way
+    back from the unit coordinate u = c x (MixingDistribution._unit), in which the
+    survival, its terms and the tail moments are those of S_1 = c S; the methods
+    that take u take its log too, needed where u is not a normal double."""
 
-    def unit(self, x):
-        """(u, log u), u = c x, on an array x >= 0 (MixingDistribution._unit)."""
-        return self.law._unit(x)
-
-    def from_unit(self, v, r=1):
-        """v / c^r for a value v of S_1 in units of u^r (MixingDistribution._from_unit)."""
-        return self.law._from_unit(v, r)
+    def from_unit(self, v: float, log_v: float, r: int = 1) -> float:
+        """v / c^r for a value v > 0 of S_1 in units of u^r (a quantile r = 1, a tail
+        moment r), given log v: r divisions by c, one rounding each, where v and c are
+        normal doubles; elsewhere exp(log v - r log c), which rounds by its log's ulps."""
+        c, v = self.law.scale, float(v)
+        if not (_FLOAT_TINY <= v < inf and _FLOAT_TINY <= c < inf):
+            with np.errstate(over="ignore"):
+                return float(np.exp(log_v - r * self.law.log_scale))
+        for _ in range(r):
+            v /= c
+        return v
 
     def _integer_n(self) -> int:
         """n, for a sum of the integer orders below it."""
@@ -530,33 +534,30 @@ class _Row:
                 "moments take a real order")
         return int(self.n)
 
-    def log_survival(self, u, log_u=None):
+    def log_survival(self, u, log_u):
         """log S_1(u) on an array u > 0 of any shape: the log-sum of the survival
         terms, in blocks of _KERNEL_CELLS // n points, at most 0 (where S rounds
         to 1, the sum can come out an ulp above it)."""
         return _by_blocks(self._integer_n(), lambda u, log_u: np.minimum(
-            _log_sum_exp(self.log_survival_terms(u, False, log_u)), 0.0),
-            u, np.log(u) if log_u is None else log_u)
+            _log_sum_exp(self.log_survival_terms(u, log_u)), 0.0), u, log_u)
 
     def pdf(self, x):
-        """f(x) = c f_1(c x) on an array x > 0 of any shape: exp(log f_1(u) + log c) at |log
-        c| < 1; at other scales that sum would round by |log c| ulps, so there it is the
-        product where f_1(u) and c are normal doubles."""
+        """f(x) = c f_1(c x) on an array x > 0 of any shape: the product of f_1(u) and c
+        where both are normal doubles, else exp(log f_1(u) + log c), which rounds by
+        |log c| ulps."""
         c, log_c = self.law.scale, self.law.log_scale
 
         def density(u, log_u):
             log_f = self._log_unit_pdf(u, log_u)
-            if -1.0 < log_c < 1.0:
-                return np.exp(log_f + log_c)
             with np.errstate(over="ignore", invalid="ignore"):
-                f = np.exp(log_f)
-                off = ~((f >= _FLOAT_TINY) & (f < inf)) | (not _FLOAT_TINY <= c < inf)
-                f *= c
+                f = np.exp(log_f) * c
+                # (|log f_1| < 708: f_1 is a normal double)
+                off = (np.abs(log_f) >= 708.0) | (not _FLOAT_TINY <= c < inf)
                 if off.any():
                     f[off] = np.exp(log_f[off] + log_c)
-                return f.astype(float, copy=False)
+            return f
 
-        return _by_blocks(self.n, density, *self.unit(x))
+        return _by_blocks(self.n, density, *self.law._unit(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,10 +590,10 @@ class MixtureRow(_Row):
         and every term is -inf where y does."""
         return self.power * log_u, u ** self.power
 
-    def log_survival_terms(self, u, density=False, log_u=None):
+    def log_survival_terms(self, u, log_u, density=False):
         """The (n, *u.shape) log terms on an array u > 0 whose log-sum is log
         S_1(u); with density=True the pair (terms, log(u f_1(u)))."""
-        log_y, y = self._log_y(u, np.log(u) if log_u is None else log_u)
+        log_y, y = self._log_y(u, log_u)
         col = (-1,) + (1,) * u.ndim
         terms = self.log_c.reshape(col) + (self._shapes.reshape(col) - 1.0) * log_y - y
         if self.shape0:
@@ -621,7 +622,7 @@ class MixtureRow(_Row):
         """log E(S_1^r 1{S_1 > u}), u = c a (so c^-r times it is E(S^r 1{S > a})), for
         each order r of a 1-D array, a > 0, from one log_gammaincc call (KernelRow's
         survival terms are not needed)."""
-        u, _ = self.unit(a)
+        u, _ = self.law._unit(a)
         shift = np.asarray(orders, dtype=float)[:, None] / self.power
         b = self._shapes + shift
         terms = self.log_d + special.gammaln(b) + log_gammaincc(b, u ** self.power)
@@ -667,10 +668,10 @@ class KernelRow(_Row):
     law: "MixingDistribution"
     n: float
 
-    def log_survival_terms(self, u, density=False, log_u=None):
+    def log_survival_terms(self, u, log_u, density=False):
         """The (n, *u.shape) log terms on an array u > 0 whose log-sum is log
         S_1(u); with density=True the pair (terms, log(u f_1(u))), one kernel call."""
-        n, log_u = self._integer_n(), np.log(u) if log_u is None else log_u
+        n = self._integer_n()
         k = np.arange(n + density)
         col = k.reshape((-1,) + (1,) * u.ndim)
         # the kernel first: it refuses an order past its budget before the other
@@ -693,7 +694,7 @@ class KernelRow(_Row):
         and one kernel call for the orders -1..-max(orders): for k >= r the survival
         term of order k - r times u^r (k-r)!/k!, for k < r u^k/k! K_1(k-r, u)."""
         n, top = self._integer_n(), max(orders)
-        u, log_u = self.unit(a)
+        u, log_u = self.law._unit(a)
         neg = self.law._log_unit_kernel(-np.arange(1, top + 1), u, log_u)
         # log k! - k log u
         lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log_u
@@ -775,38 +776,23 @@ class MixingDistribution:
         return rows.reshape(k.shape + u.shape)
 
     def _unit(self, s):
-        """(u, log u) on an array s >= 0, u = c s the unit coordinate: the product and
-        its log where that is a positive normal double.  Elsewhere, where u over- or
-        underflows, log u = log c + log s; and where c itself is not a normal double, u
-        = exp(log c + log s)."""
-        s = np.asarray(s, dtype=float)
-        flat, c, log_c = s.reshape(-1), self.scale, self.log_scale
-        if (_FLOAT_TINY <= c < inf and flat.size and float(flat.min()) * c >= _FLOAT_TINY
-                and float(flat.max()) * c < inf):
-            u = flat * c
-            return u.reshape(s.shape), np.log(u).reshape(s.shape)
+        """(u, log u) on an array s >= 0, u = c s the unit coordinate, or exp(log c + log s)
+        where c itself is not a normal double.  Where u is not a positive normal double,
+        log u = log c + log s, in extended precision: a unit kernel's k log u cancels the
+        k log c added to it, and |log u| passes 700 there, where a double's rounding is
+        1e-13."""
+        s, c, log_c = np.asarray(s, dtype=float), self.scale, self.log_scale
+        if (_FLOAT_TINY <= c < inf and s.size and float(s.min()) * c >= _FLOAT_TINY
+                and float(s.max()) * c < inf):
+            u = s * c  # (every point normal: the masks below cost 4% of a 1000-point curve)
+            return u, np.log(u)
         with np.errstate(over="ignore", divide="ignore"):
-            u = flat * c if _FLOAT_TINY <= c < inf else np.exp(log_c + np.log(flat))
+            u = s * c if _FLOAT_TINY <= c < inf else np.exp(log_c + np.log(s))
             log_u = np.log(u)
             off = (u < _FLOAT_TINY) | (u == inf)
             if off.any():
-                # in extended precision: a unit kernel's k log u cancels the k log c added
-                # to it, and |log u| passes 1024 there, where a double's rounding is 1e-13
-                log_u = log_u.astype(np.longdouble)
-                log_u[off] = log_c + np.log(flat[off].astype(np.longdouble))
-        return u.reshape(s.shape), log_u.reshape(s.shape)
-
-    def _from_unit(self, v: float, r: int = 1) -> float:
-        """v / c^r for a value v > 0 of the unit law in units of u^r (a quantile r = 1,
-        a tail moment r): r divisions by c, one rounding each, where v and c are normal
-        doubles; elsewhere exp(log v - r log c), which rounds by |log c| ulps."""
-        c, v = self.scale, float(v)
-        if not (_FLOAT_TINY <= v < inf and _FLOAT_TINY <= c < inf):
-            with np.errstate(over="ignore"):
-                return float(np.exp(log(v) - r * self.log_scale))
-        for _ in range(r):
-            v /= c
-        return v
+                log_u = np.where(off, log_c + np.log(s.astype(np.longdouble)), log_u)
+        return u, log_u
 
     def quadrature_transform(self, k: float, s: float) -> float:
         """E(Theta^k e^{-s Theta}) by adaptive quadrature of the density, split at
@@ -1182,14 +1168,21 @@ class LindleyMixing(MixingDistribution):
         _require_positive(lam=self.lam)
 
     def _log_kernel(self, k, u, log_u):
-        # Theta lam is Ga(1, 1) with weight lam/(1+lam) and Ga(2, 1) otherwise:
-        # k! (1+u)^-(k+1) (lam/(1+lam) + (k+1)/((1+lam)(1+u))); the density is
-        # positive at 0, so no negative order exists
+        # Theta lam is Ga(1, 1) with weight lam v and Ga(2, 1) with weight v = 1/(1+lam):
+        # k! (1+u)^-(k+1) (lam v + v (k+1)/(1+u)), whose last factor, a sum of positive
+        # terms, is 1 - v u/(1+u) at order 0: near 1 at a small u, where that row takes
+        # log1p; the density is positive at 0, so no negative order exists
         if k[0] < 0:
             raise NonexistentMomentError("E(Theta^-j e^(-s Theta)) diverges for the Lindley law")
-        lam, k = self.lam, _column(k, u.ndim)
-        return (special.gammaln(k + 1.0) - (k + 1.0) * _log1p(u, log_u)
-                + np.log(lam / (1.0 + lam) + (k + 1.0) / (1.0 + lam) / (1.0 + u)))
+        lam, zero, k = self.lam, k == 0, _column(k, u.ndim)
+        v = 1.0 / (1.0 + lam)
+        last = np.log(lam * v + (k + 1.0) * (v / (1.0 + u)))
+        if zero.any():
+            # (b is nan at u = inf, and the unused log1p(b) is -inf where b = -1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                b = -v * u / (1.0 + u)
+                last[zero] = np.where(b > -0.5, np.log1p(b), last[zero])
+        return special.gammaln(k + 1.0) - (k + 1.0) * _log1p(u, log_u) + last
 
     @property
     def scale(self):

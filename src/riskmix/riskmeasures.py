@@ -21,16 +21,20 @@ u f_1 at u together from the law's row (mixing.MixtureRow or KernelRow).
 Below level 0.5 it iterates on g = log F - log(level) instead, with F = 1 - S
 from the same survival call and dg/dt = u f_1 / F: there log S is strongly
 concave in log u and a first Newton step on it overshoots.  It stops once the
-bracket or the step is within rtol = 1e-12 of u, relative at every scale, and
-returns x = u / c at the point of its last survival evaluation
-(TailUnderflowError where that leaves the positive doubles), so a law and its
-unit law take the same steps.
+bracket is within rtol = 1e-12 of u, or the Newton step from u is (so u is
+about that close to the root): within 1e-14 of u from the median up, within
+rtol below it, where F = 1 - S carries the rounding of S, eps S / F relative.
+Both are relative at every scale, and it returns x = u / c at the point of
+its last survival evaluation (TailUnderflowError where that leaves the
+positive doubles), so a law and its unit law take the same steps.
 
 Tail moments.  The law's row gives log E(S_1^r 1{S_1 > c a}) from the
-survival terms at a, one log-space reduction, divided by S(a) and then by
-c^r.  Both logs round by |log S(a)| eps, so below log S(a) = -4096 the
-moment is refused (TailUnderflowError).  risk_report takes the row and the
-survival terms of VaR's last evaluation, so S(a) costs no further call.
+survival terms at a, one log-space reduction; its ratio to S(a) is divided
+by c^r (the row's from_unit, in log space where the unit law's moment leaves
+the doubles, as at c = 1e300, a = 1e10).  Both logs round by |log S(a)| eps,
+so below log S(a) = -4096 the moment is refused (TailUnderflowError).
+risk_report takes the row and the survival terms of VaR's last evaluation,
+so S(a) costs no further call.
 """
 
 from dataclasses import dataclass
@@ -40,14 +44,13 @@ import numpy as np
 
 from .aggregate import AggregateModel, moment
 from .errors import PrecisionError, RiskmixError, TailUnderflowError
-from .mixing import _finite_exp
 
 __all__ = ["RiskReport", "value_at_risk", "tail_moment", "tvar", "risk_report"]
 
 # the bracketing grids, a factor 2 apart; the far and the low one share the near one's ends
 _VAR_NEAR, _VAR_FAR, _VAR_LOW = (2.0 ** np.arange(*ends)
                                  for ends in ((-40, 41), (40, 997), (-1074, -39)))
-_VAR_RTOL, _VAR_MAXITER = 1e-12, 100
+_VAR_RTOL, _VAR_STEP, _VAR_MAXITER = 1e-12, 1e-14, 100
 # a tail moment is exp(log E(S^r 1{S > a}) - log S(a)), whose logs round by |log S| eps
 # each: below this floor that is more than VaR's relative tolerance
 _TAIL_LOG_FLOOR = -4096.0
@@ -62,7 +65,7 @@ def _value_at_risk(model: AggregateModel, level: float):
     log_target = log1p(-level)
     grid = _VAR_NEAR
     for _ in range(2):
-        log_grid = row.log_survival(grid)
+        log_grid = row.log_survival(grid, np.log(grid))
         below = np.flatnonzero(log_grid <= log_target)
         if grid is not _VAR_NEAR or (below.size and below[0]):
             break
@@ -76,12 +79,14 @@ def _value_at_risk(model: AggregateModel, level: float):
     drop = log_grid[j - 1] - log_grid[j]
     frac = (log_grid[j - 1] - log_target) / drop if np.isfinite(drop) else 0.5
     u = lo * (hi / lo) ** frac
-    # P is the smaller tail: S from the median up, F = 1 - S below it
+    # P is the smaller tail: S from the median up, F = 1 - S below it; F holds S's
+    # absolute rounding, eps S / F relative, so there the steps stop at rtol
     lower = level < 0.5
-    sign, log_p_target = (-1.0, log(level)) if lower else (1.0, log_target)
+    sign, log_p_target, step_tol = ((-1.0, log(level), _VAR_RTOL) if lower
+                                    else (1.0, log_target, _VAR_STEP))
     for _ in range(_VAR_MAXITER):
         # Newton in t = log u: h = +-(log P - log P*) > 0 below the root, dh/dt = -u f_1 / P
-        terms, log_uf = row.log_survival_terms(np.array([u]), density=True)
+        terms, log_uf = row.log_survival_terms(np.array([u]), np.array([log(u)]), density=True)
         terms = terms[:, 0]
         s = exp(np.logaddexp.reduce(terms))
         p = 1.0 - s if lower else s
@@ -99,12 +104,12 @@ def _value_at_risk(model: AggregateModel, level: float):
         if not (lo <= new <= hi and new > 0.0):
             # the geometric mean, whose product lo hi may underflow
             new = sqrt(lo * hi) or sqrt(lo) * sqrt(hi)
-        if abs(new - u) <= _VAR_RTOL * new:
+        if abs(new - u) <= step_tol * new:
             break
         u = new
     else:
         raise RiskmixError(f"VaR iteration did not converge in {_VAR_MAXITER} steps")
-    x = row.from_unit(u)
+    x = row.from_unit(u, log(u))
     if not x:
         raise TailUnderflowError("the quantile lies below the smallest positive double")
     if x == inf:
@@ -124,9 +129,12 @@ def _tail_moments(row, a: float, terms, orders) -> dict:
     if not log_surv >= _TAIL_LOG_FLOOR:
         raise TailUnderflowError(f"log survival({a}) = {log_surv:.6g} lies below "
                                  f"{_TAIL_LOG_FLOOR}, where the tail moment loses its digits")
-    log_num = row.log_tail_moments(a, orders, terms)
-    moments = {r: row.from_unit(_finite_exp(v - log_surv, f"E(S_1^{r} | S_1 > c {a})"), r)
-               for r, v in zip(orders, log_num)}
+    # the unit law's moment may leave the doubles where the answer does not: from_unit
+    # takes its log too
+    log_moments = row.log_tail_moments(a, orders, terms) - log_surv
+    with np.errstate(over="ignore"):
+        moments = {r: row.from_unit(float(np.exp(v)), v, r)
+                   for r, v in zip(orders, log_moments.tolist())}
     if inf in moments.values():
         raise PrecisionError(f"a tail moment at {a} overflows a double")
     return moments
@@ -142,8 +150,7 @@ def tail_moment(model: AggregateModel, r: int, a: float) -> float:
     if a == 0.0:
         return plain
     row = model.mixing.sum_row(model.total_shape)
-    u, log_u = row.unit(np.array([float(a)]))
-    terms = row.log_survival_terms(u, log_u=log_u)[:, 0]
+    terms = row.log_survival_terms(*row.law._unit(np.array([float(a)])))[:, 0]
     return _tail_moments(row, a, terms, (r,))[r]
 
 

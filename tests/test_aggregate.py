@@ -76,7 +76,8 @@ class TestOneKernelCall:
         survival(m, 2.5)
         assert len(calls) == (0 if has_row else 2)
         calls.clear()
-        terms, _ = m.mixing.sum_row(n).log_survival_terms(np.array([2.5]), density=True)
+        terms, _ = m.mixing.sum_row(n).log_survival_terms(np.array([2.5]), np.log([2.5]),
+                                                          density=True)
         assert terms.shape == (n, 1)
         if has_row:
             assert not calls

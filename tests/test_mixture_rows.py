@@ -109,14 +109,15 @@ class TestEveryTotalShape:
         # orders below the shape raises at every x, none included
         row = law.sum_row(2.7)
         assert isinstance(row, mixing.KernelRow)
-        for call in (lambda: row.log_survival(np.array([])),
-                     lambda: row.log_survival_terms(np.array([1.0])), row.pdf_at_zero,
+        for call in (lambda: row.log_survival(np.array([]), np.array([])),
+                     lambda: row.log_survival_terms(np.array([1.0]), np.array([0.0])),
+                     row.pdf_at_zero,
                      lambda: row.log_tail_moments(1.0, (1,), np.zeros(2)), row.mixture):
             with pytest.raises(UnsupportedModelError):
                 call()
         # both rows take arrays of any shape, 0-d included
         row, x = law.sum_row(3), np.geomspace(0.1, 10.0, 6)
-        for fn in (row.log_survival, row.pdf):
+        for fn in (lambda u: row.log_survival(u, np.log(u)), row.pdf):
             assert np.array_equal(fn(x.reshape(2, 3)), fn(x).reshape(2, 3))
             assert fn(np.array(x[1])).shape == () and fn(np.array(x[1])) == fn(x)[1]
 
