@@ -4,7 +4,8 @@ The claims are X_i = G_i / Theta, G_i ~ Gamma(a_i, 1), independent given one
 frailty Theta (mixing.py), which owns the formulas of their sums; a_i = 1 is
 the paper's basic model.  Given Theta, S is Gamma(a, Theta), a = sum a_i, so
 the basic model's formulas hold with n replaced by a.  This module validates
-arguments and handles the boundary x <= 0.  The density has two entry points:
+arguments and handles the boundaries x <= 0 and x = inf.  The density has
+two entry points:
 
 * pdf: the density of the law's row (MixingDistribution.sum_row, the route
   of survival), its limit at x = 0 and 0 below it, and
@@ -29,7 +30,7 @@ methods.
 """
 
 from dataclasses import dataclass, field
-from math import fsum, isfinite, lgamma
+from math import fsum, inf, isfinite, lgamma
 
 import numpy as np
 
@@ -151,13 +152,14 @@ def pdf(model: AggregateModel, x):
     total shape, the derivative route at a fractional one).
 
     x = 0 returns the mathematical limit (inf signals an unbounded density;
-    UnsupportedModelError at a fractional total shape), x < 0 returns 0.
+    UnsupportedModelError at a fractional total shape), x < 0 and x = inf
+    return 0.
     """
     row = model.mixing.sum_row(model.total_shape)
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     out = np.zeros_like(x_arr, dtype=float)
-    pos = x_arr > 0
+    pos = (x_arr > 0) & (x_arr < inf)
     out[pos] = row.pdf(x_arr[pos])
     if np.any(x_arr == 0):
         out[x_arr == 0] = row.pdf_at_zero()
@@ -166,7 +168,7 @@ def pdf(model: AggregateModel, x):
 
 def survival(model: AggregateModel, x):
     """Pr(S > x) = sum_{k=0}^{a-1} x^k/k! * (-1)^k L^(k)(x), a the integral
-    total shape: exp of the row's log-survival.
+    total shape: exp of the row's log-survival; 1 at x <= 0 and 0 at x = inf.
 
     The sum starts at k = 0 (the k = 0 term is L itself), which is what the
     gamma-cdf identity requires and what makes survival(0) = 1 exact.  Every
@@ -179,8 +181,9 @@ def survival(model: AggregateModel, x):
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     out = np.ones_like(x_arr, dtype=float)
-    pos = x_arr > 0
+    pos = (x_arr > 0) & (x_arr < inf)
     out[pos] = np.exp(row.log_survival(*row.law._unit(x_arr[pos])))
+    out[x_arr == inf] = 0.0
     return _ret(out, scalar_in)
 
 

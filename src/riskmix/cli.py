@@ -551,9 +551,17 @@ def run_verify(cfg, command):
         qerr = np.max([abs(q - p) / p for q, p in zip(quad, ps)])
         checks.append(("quadrature_vs_pdf", qerr, 1e-8))
 
-    total, _ = integrate.quad(lambda x: aggregate.pdf(model, x), 0, np.inf,
-                              epsabs=1e-12, epsrel=1e-10, limit=400)
-    checks.append(("pdf_normalization", abs(total - 1.0), 1e-8))
+    # int x^p f(x) dx for p = 0 and, where the mean exists, p = 1, on [0, 1] and [1, inf)
+    # in one tanh-sinh call; a divergent mean (Lindley) would spend its every level
+    try:
+        want = aggregate.moment(model, 1)
+    except RiskmixError:
+        want = None  # infinite-mean frailties (Lindley) have no moment check
+    powers = np.array([[0.0]] if want is None else [[0.0], [1.0]])
+    found = integrate.tanhsinh(lambda x, p: x ** p * aggregate.pdf(model, x), [0.0, 1.0],
+                               [1.0, np.inf], args=(powers,), atol=1e-12, rtol=1e-10)
+    integrals = found.integral.sum(axis=1)
+    checks.append(("pdf_normalization", abs(integrals[0] - 1.0), 1e-8))
 
     h = 1e-5
     fd_errs = []
@@ -565,13 +573,8 @@ def run_verify(cfg, command):
 
     checks.append(("survival_at_zero", abs(aggregate.survival(model, 0.0) - 1.0), 0.0))
 
-    try:
-        want = aggregate.moment(model, 1)
-        got, _ = integrate.quad(lambda x: x * aggregate.pdf(model, x), 0, np.inf,
-                                epsabs=1e-11, epsrel=1e-9, limit=400)
-        checks.append(("mean_formula_vs_quadrature", abs(got - want) / want, 1e-6))
-    except RiskmixError:
-        pass  # infinite-mean frailties (Lindley) have no moment check
+    if want is not None:
+        checks.append(("mean_formula_vs_quadrature", abs(integrals[1] - want) / want, 1e-6))
 
     plan = simulate.SimulationPlan(model, samples, cfg["seed"], streams)
     sums = simulate.sample_sums(plan, threads=threads)

@@ -88,17 +88,20 @@ generator on an array (_generator); the base class's pdf and generator
 handle scalars, arrays and the points off the support once for every law.
 
 Rows.  sum_row(a), for every total shape a, answers for S through one of two
-row classes with the same calls (log_survival, log_survival_terms, pdf,
-pdf_at_zero, log_tail_moments, mixture), the first and third in blocks of
-_KERNEL_CELLS // a points.  A row sums the unit law's S_1 = c S at the unit
-coordinate u = c x (_unit, from_unit): S(x) = S_1(u), f(x) = c f_1(u), E(S^r
-1{S > a}) = c^-r E(S_1^r 1{S_1 > c a}), and VaR brackets and iterates in u
-(riskmeasures).  Under the stable, Levy and Gleser laws S_1 is a finite
-mixture of gamma-power laws X_k = G_k^(1/power), G_k ~ Gamma(shape0 + k, 1),
-k = 1..n, with positive weights: a MixtureRow, whose sums are built on first
-use and kept in one bounded lru_cache per unit law and n (_mixture_row,
-_ROW_CACHE entries), so that every scale of a law shares them, and whose sums
-of positive terms call no kernel:
+row classes with the same calls (log_survival, log_survival_density,
+log_survival_terms, pdf, pdf_at_zero, log_tail_moments, mixture), the first,
+second and fourth in blocks of _KERNEL_CELLS // a points (a + 1 for the
+second).  A row sums the unit law's S_1 = c S at the unit coordinate u = c x
+(_unit, from_unit): S(x) = S_1(u), f(x) = c f_1(u), E(S^r 1{S > a}) = c^-r
+E(S_1^r 1{S_1 > c a}), and VaR brackets and iterates in u (riskmeasures,
+which keeps its bracketing tables per _unit_law, the law at scale 1 where
+its kernel reads no other parameter, else the law itself).  Under the
+stable, Levy and Gleser laws S_1 is a finite mixture of gamma-power laws X_k
+= G_k^(1/power), G_k ~ Gamma(shape0 + k, 1), k = 1..n, with positive
+weights: a MixtureRow, whose sums are built on first use and kept in one
+bounded lru_cache per unit law and n (_mixture_row, _ROW_CACHE entries), so
+that every scale of a law shares them, and whose sums of positive terms call
+no kernel:
 * stable: shape0 0, power alpha, weights from row n of the Bell triangle and
   survival coefficients summed down its columns;
 * Levy: shape0 0, power 1/2, weights from the closed Bell row _sqrt_bell;
@@ -497,15 +500,16 @@ class MixtureRepresentation:
         return _ret(out, scalar_in)
 
 
-def _by_blocks(n, fn, *arrays):
+def _by_blocks(n, fn, *arrays, rows=()):
     """fn over the points of arrays of one shape (any shape) in blocks of _KERNEL_CELLS //
-    n, so a sum of n terms per point holds at most _KERNEL_CELLS of them at once."""
+    n, so a sum of n terms per point holds at most _KERNEL_CELLS of them at once; fn
+    gives the shape rows + (points of its block,), and so does the result."""
     flat = [np.reshape(a, -1) for a in arrays]
     block = max(1, int(_KERNEL_CELLS // n))
-    out = np.empty(flat[0].shape)
-    for i in range(0, out.size, block):
-        out[i:i + block] = fn(*(a[i:i + block] for a in flat))
-    return out.reshape(np.shape(arrays[0]))
+    out = np.empty(rows + flat[0].shape)
+    for i in range(0, flat[0].size, block):
+        out[..., i:i + block] = fn(*(a[i:i + block] for a in flat))
+    return out.reshape(rows + np.shape(arrays[0]))
 
 
 class _Row:
@@ -540,6 +544,17 @@ class _Row:
         to 1, the sum can come out an ulp above it)."""
         return _by_blocks(self._integer_n(), lambda u, log_u: np.minimum(
             _log_sum_exp(self.log_survival_terms(u, log_u)), 0.0), u, log_u)
+
+    def log_survival_density(self, u, log_u):
+        """The pair (log S_1(u), log(u f_1(u))) on an array u > 0 of any shape, as one
+        (2, *u.shape) array: log_survival's sums of the survival terms with the
+        density, in blocks of _KERNEL_CELLS // (n + 1) points (a KernelRow's kernel
+        holds the orders 0..n)."""
+        def pair(u, log_u):
+            terms, log_uf = self.log_survival_terms(u, log_u, density=True)
+            return np.minimum(_log_sum_exp(terms), 0.0), log_uf
+
+        return _by_blocks(self._integer_n() + 1, pair, u, log_u, rows=(2,))
 
     def pdf(self, x):
         """f(x) = c f_1(c x) on an array x > 0 of any shape: the product of f_1(u) and c
@@ -881,6 +896,14 @@ class MixingDistribution:
     # the unit law's MixtureRow sums of S_n (stable, Levy, Gleser), on _unit_law
     _row = None
 
+    @property
+    def _unit_law(self):
+        """A law with this law's unit kernel and rows, free of its scale where the
+        kernel reads no other parameter (gamma, Levy, Gleser): the keys of the caches
+        that every scale shares (the MixtureRow sums, riskmeasures' VaR tables).  By
+        default the law itself."""
+        return self
+
     def sum_row(self, a):
         """The row of S: a MixtureRow at an integral a where the law has one, a
         KernelRow otherwise."""
@@ -919,8 +942,9 @@ class GammaMixing(MixingDistribution):
     def _log_kernel(self, k, u, log_u):
         # Theta beta ~ Ga(alpha, 1): Gamma(alpha + k)/Gamma(alpha) (1 + u)^-(alpha + k)
         _require_above(k, "alpha", self.alpha)
+        # (both gammas from special.gammaln, so order 0 at u = 0 is exactly 0)
         a, k = self.alpha, _column(k, u.ndim)
-        return special.gammaln(a + k) - lgamma(a) - (a + k) * _log1p(u, log_u)
+        return special.gammaln(a + k) - special.gammaln(a) - (a + k) * _log1p(u, log_u)
 
     @property
     def scale(self):
@@ -929,6 +953,10 @@ class GammaMixing(MixingDistribution):
     @property
     def log_scale(self):
         return -log(self.beta)
+
+    @cached_property
+    def _unit_law(self):
+        return GammaMixing(self.alpha, 1.0)
 
     def log_unit_neg_moment(self, r):
         # Theta beta ~ Ga(alpha, 1)
@@ -1069,10 +1097,6 @@ class PositiveStableMixing(MixingDistribution):
         for k in range(n):
             np.logaddexp(log_c[:k + 1], table[k, :k + 1] - lf[k], out=log_c[:k + 1])
         return 0.0, a, table[n, 1:n + 1] - lgamma(n) - log(a), log_c
-
-    @property
-    def _unit_law(self):
-        return self
 
     def kendall_tau(self):
         return 1.0 - self.alpha

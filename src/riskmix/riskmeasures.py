@@ -10,14 +10,22 @@ n is the model's total shape; every risk measure sums the orders below it,
 so at a fractional one the model's row raises UnsupportedModelError.
 
 VaR works in the unit coordinate u = c x of the law's scale c (mixing), where
-S(x) = S_1(u): it brackets its root with one log_survival call of the row on
-a geometric grid of u from 2^-40 to 2^40, and a second one only for a
-quantile outside it: on to 2^996, or from 2^-1074 (past either end,
-TailUnderflowError).  It starts from the log-log interpolation between the
-bracketing grid points and runs a safeguarded Newton iteration in t = log u
-on g = log S - log(1 - level), dg/dt = -u f_1 / S (S' = -f), bisecting
-whenever a step leaves the bracket.  Each step takes the survival terms and
-u f_1 at u together from the law's row (mixing.MixtureRow or KernelRow).
+S(x) = S_1(u): it brackets its root on a geometric grid of u, a factor 2
+apart, from 2^-40 to 2^40, and only for a quantile outside it on to 2^996 or
+from 2^-1074 (past either end, TailUnderflowError).  A grid's table is log
+S_1 and its log-log slope -u f_1 / S_1 at every point, from one
+log_survival_density call of the row; the near grid's reads neither the
+level nor the scale, so it is built once per unit law and total shape and
+kept (_near_table: at most _VAR_TABLES of 2 x 81 doubles, 2^16 doubles or
+512 kB in all), and a warm report makes no call for its bracket.  Newton
+starts from the root of the cubic Hermite interpolant of (log u, log S_1)
+with the table's slopes between the bracketing points: a few Newton steps on
+the cubic from the linear fraction (_start), or that fraction itself where a
+slope is not finite or the cubic does not decrease.  The safeguarded Newton
+iteration runs in t = log u on g = log S - log(1 - level), dg/dt = -u f_1 /
+S (S' = -f), bisecting whenever a step leaves the bracket.  Each step takes
+the survival terms and u f_1 at u together from the law's row
+(mixing.MixtureRow or KernelRow).
 Below level 0.5 it iterates on g = log F - log(level) instead, with F = 1 - S
 from the same survival call and dg/dt = u f_1 / F: there log S is strongly
 concave in log u and a first Newton step on it overshoots.  It stops once the
@@ -32,13 +40,15 @@ Tail moments.  The law's row gives log E(S_1^r 1{S_1 > c a}) from the
 survival terms at a, one log-space reduction; its ratio to S(a) is divided
 by c^r (the row's from_unit, in log space where the unit law's moment leaves
 the doubles, as at c = 1e300, a = 1e10).  Both logs round by |log S(a)| eps,
-so below log S(a) = -4096 the moment is refused (TailUnderflowError).
-risk_report takes the row and the survival terms of VaR's last evaluation,
-so S(a) costs no further call.
+so below log S(a) = -4096 the moment is refused (TailUnderflowError); a
+moment that over- or underflows a double is PrecisionError.  risk_report
+takes the row and the survival terms of VaR's last evaluation, so S(a) costs
+no further call.
 """
 
 from dataclasses import dataclass
-from math import exp, inf, log, log1p, sqrt
+from functools import lru_cache
+from math import exp, inf, isfinite, log, log1p, sqrt
 
 import numpy as np
 
@@ -51,9 +61,62 @@ __all__ = ["RiskReport", "value_at_risk", "tail_moment", "tvar", "risk_report"]
 _VAR_NEAR, _VAR_FAR, _VAR_LOW = (2.0 ** np.arange(*ends)
                                  for ends in ((-40, 41), (40, 997), (-1074, -39)))
 _VAR_RTOL, _VAR_STEP, _VAR_MAXITER = 1e-12, 1e-14, 100
+# the near grid's tables kept (_near_table), two arrays of its 81 points each: at most
+# 2^16 doubles (512 kB) in all, the kernel's cell budget (mixing)
+_VAR_TABLES = (1 << 16) // (2 * _VAR_NEAR.size)
+# Newton steps on the cubic of _start
+_START_STEPS = 4
+_LOG2 = log(2.0)  # the grids' step in log u
 # a tail moment is exp(log E(S^r 1{S > a}) - log S(a)), whose logs round by |log S| eps
 # each: below this floor that is more than VaR's relative tolerance
 _TAIL_LOG_FLOOR = -4096.0
+
+
+def _grid_table(row, grid):
+    """(log S_1, d log S_1 / d log u = -u f_1 / S_1) on a grid of u, from one row call;
+    the slope is not finite where S_1 or u f_1 is not a positive double."""
+    log_s, log_uf = row.log_survival_density(grid, np.log(grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return log_s, -np.exp(log_uf - log_s)
+
+
+@lru_cache(maxsize=_VAR_TABLES)
+def _near_table(unit_law, n):
+    """_grid_table on the near grid, read-only, for every law of that unit law
+    (mixing.MixingDistribution._unit_law) and total shape n: it reads neither the
+    level nor the scale."""
+    table = _grid_table(unit_law.sum_row(n), _VAR_NEAR)
+    for values in table:
+        values.flags.writeable = False
+    return table
+
+
+def _start(log_s, slopes, log_target) -> float:
+    """The fraction of the grid step log 2, from the point of log S_1 = log_s[0] >
+    log_target >= log_s[1], at which the cubic Hermite interpolant of (log u,
+    log S_1) with the slopes d log S_1 / d log u meets log_target: a few Newton
+    steps on the cubic from the linear fraction, kept within [0, 1].  Where a
+    slope is not finite or the cubic is not decreasing, the linear fraction; where
+    log S_1 falls to -inf, 1/2."""
+    (y0, y1), (m0, m1) = log_s, slopes
+    drop = y0 - y1
+    if not isfinite(drop):
+        return 0.5
+    frac = (y0 - log_target) / drop
+    # p(s) = y0 + m0 s + c2 s^2 + c3 s^3 on s in [0, 1], its slopes scaled to the step
+    m0, m1 = m0 * _LOG2, m1 * _LOG2
+    c2, c3 = -3.0 * drop - 2.0 * m0 - m1, 2.0 * drop + m0 + m1
+    # p' = m0 + 2 c2 s + 3 c3 s^2 is m0 and m1 at the ends; where it has a maximum
+    # inside, at -c2 / (3 c3), that is m0 - c2^2 / (3 c3)
+    if not (-inf < m0 < 0.0 and -inf < m1 < 0.0):
+        return frac
+    if 3.0 * c3 < -c2 < 0.0 and m0 - c2 * c2 / (3.0 * c3) >= 0.0:
+        return frac
+    s = frac
+    for _ in range(_START_STEPS):
+        g = y0 - log_target + s * (m0 + s * (c2 + s * c3))
+        s = min(max(s - g / (m0 + s * (2.0 * c2 + 3.0 * s * c3)), 0.0), 1.0)
+    return s
 
 
 def _value_at_risk(model: AggregateModel, level: float):
@@ -64,21 +127,20 @@ def _value_at_risk(model: AggregateModel, level: float):
     row = model.mixing.sum_row(model.total_shape)
     log_target = log1p(-level)
     grid = _VAR_NEAR
-    for _ in range(2):
-        log_grid = row.log_survival(grid, np.log(grid))
-        below = np.flatnonzero(log_grid <= log_target)
-        if grid is not _VAR_NEAR or (below.size and below[0]):
-            break
+    log_grid, slopes = _near_table(model.mixing._unit_law, model.total_shape)
+    below = np.flatnonzero(log_grid <= log_target)
+    if not (below.size and below[0]):
         grid = _VAR_LOW if below.size else _VAR_FAR  # the quantile lies below or beyond it
+        log_grid, slopes = _grid_table(row, grid)
+        below = np.flatnonzero(log_grid <= log_target)
     if not below.size:
         raise TailUnderflowError("VaR bracket expansion ran away")
     j = below[0]
     if not j:
         raise TailUnderflowError("the quantile lies below the smallest positive double")
     lo, hi = grid[j - 1], grid[j]
-    drop = log_grid[j - 1] - log_grid[j]
-    frac = (log_grid[j - 1] - log_target) / drop if np.isfinite(drop) else 0.5
-    u = lo * (hi / lo) ** frac
+    u = lo * (hi / lo) ** _start(log_grid[j - 1:j + 1].tolist(),
+                                 slopes[j - 1:j + 1].tolist(), log_target)
     # P is the smaller tail: S from the median up, F = 1 - S below it; F holds S's
     # absolute rounding, eps S / F relative, so there the steps stop at rtol
     lower = level < 0.5
@@ -124,7 +186,8 @@ def value_at_risk(model: AggregateModel, level: float) -> float:
 
 def _tail_moments(row, a: float, terms, orders) -> dict:
     """{r: E(S^r | S > a)} for a > 0, from the law's row and its survival
-    terms at a; TailUnderflowError where log S(a) lies below _TAIL_LOG_FLOOR."""
+    terms at a; TailUnderflowError where log S(a) lies below _TAIL_LOG_FLOOR,
+    PrecisionError where a moment over- or underflows a double."""
     log_surv = np.logaddexp.reduce(terms)
     if not log_surv >= _TAIL_LOG_FLOOR:
         raise TailUnderflowError(f"log survival({a}) = {log_surv:.6g} lies below "
@@ -137,6 +200,8 @@ def _tail_moments(row, a: float, terms, orders) -> dict:
                    for r, v in zip(orders, log_moments.tolist())}
     if inf in moments.values():
         raise PrecisionError(f"a tail moment at {a} overflows a double")
+    if 0.0 in moments.values():
+        raise PrecisionError(f"a tail moment at {a} underflows a double")
     return moments
 
 

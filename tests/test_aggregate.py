@@ -10,6 +10,7 @@ from scipy import integrate, special
 from riskmix.aggregate import (
     AggregateModel,
     Beta2Component,
+    cdf,
     gamma_claims_model,
     inverse_gaussian_model,
     lindley_model,
@@ -477,6 +478,19 @@ class TestBoundaryBehavior:
         assert np.all(np.isfinite(surv)) and np.all((surv >= 0) & (surv <= 1))
         assert np.all(np.isfinite(dens)) and np.all(dens >= 0)
         assert np.allclose(surv, scalar, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("name", SIX_MODELS)
+    def test_infinite_x_is_the_limit(self, name):
+        # S = f = 0 and F = 1 at x = inf (they were nan, with RuntimeWarnings), and the
+        # largest doubles stay finite
+        m = SIX_MODELS[name](2)
+        xs = np.array([math.inf, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surv, dist, dens = survival(m, xs), cdf(m, xs), pdf(m, xs)
+            at_inf = survival(m, math.inf), cdf(m, math.inf), pdf(m, math.inf)
+        assert (surv[0], dist[0], dens[0]) == (0.0, 1.0, 0.0) == at_inf
+        assert 0.0 <= surv[1] < 1e-300 and dist[1] == 1.0 and 0.0 <= dens[1] < 1e-300
 
     def test_huge_x_pareto_against_betainc(self):
         # S_n is second-kind beta B2(n, alpha, beta): Pr(S_n > x) = I_{beta/(beta+x)}(alpha, n)

@@ -197,6 +197,13 @@ class TestClosedFormLaplace:
         assert m.laplace(1.0) == pytest.approx(0.125, rel=1e-14)
         assert m.laplace_derivative(1, 1.0) == pytest.approx(-0.1875, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5, 3.0, 7.1, 1e5])
+    def test_gamma_at_zero_is_one(self, alpha):
+        # log Gamma(alpha) from one routine on both sides: math.lgamma against
+        # special.gammaln left L(0) = 1 + 2.2e-16 at alpha = 3
+        for beta in (1e-3, 1.0, 1e3):
+            assert GammaMixing(alpha, beta).laplace(0.0) == 1.0
+
     def test_levy(self):
         m = LevyMixing(2.0)
         assert m.laplace(4.0) == pytest.approx(math.exp(-4.0), rel=1e-14)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from math import inf
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from riskmix.aggregate import (
     weibull_half_model,
     weibull_model,
 )
-from riskmix.errors import NonexistentMomentError, RiskmixError, TailUnderflowError
+from riskmix.errors import (NonexistentMomentError, PrecisionError, RiskmixError,
+                            TailUnderflowError)
 from riskmix.mixing import BetaSecondKindMixing, GleserGammaMixing, KernelRow, MixtureRow
-from riskmix import aggregate, riskmeasures
+from riskmix import aggregate, cli, riskmeasures
 from riskmix.riskmeasures import risk_report, tail_moment, tvar, value_at_risk
 from riskmix.simulate import SimulationPlan, sample_sums
 
@@ -39,20 +41,15 @@ LEVELS = (0.9, 0.95, 0.99, 0.995, 0.999)
 
 def count_survival_evaluations(monkeypatch):
     """The points at which VaR evaluates survival, one entry per call: the rows'
-    log_survival (the bracket) and log_survival_terms with the density (a
-    Newton step), in the unit coordinate u."""
+    log_survival_terms with the density, for a bracketing grid (unless its table
+    is cached) and for each Newton step, in the unit coordinate u."""
     calls = []
     for row in (MixtureRow, KernelRow):
-        def bracket(self, u, log_u, inner=row.log_survival):
-            calls.append(u)
-            return inner(self, u, log_u)
-
         def step(self, u, log_u, density=False, inner=row.log_survival_terms):
             if density:
                 calls.append(u)
             return inner(self, u, log_u, density)
 
-        monkeypatch.setattr(row, "log_survival", bracket)
         monkeypatch.setattr(row, "log_survival_terms", step)
     return calls
 
@@ -235,6 +232,14 @@ class TestTailMoment:
         m = pareto_model(2.0, 1.0, 2)
         with pytest.raises(NonexistentMomentError):
             tail_moment(m, 2, 1.0)
+
+    def test_underflow_is_a_precision_error(self):
+        # E(S^2 | S > 1e-290) at c = 1e300 is about 2.7e-580, past the doubles, like the
+        # overflowing moments (it returned 0.0); the first order, 1.45e-290, is a double
+        m = pareto_model(3.2, 1e-300, 2)
+        with pytest.raises(PrecisionError, match="underflows"):
+            tail_moment(m, 2, 1e-290)
+        assert tail_moment(m, 1, 1e-290) == pytest.approx(1.4545454546e-290, rel=1e-9)
 
     def test_tail_underflow_deep_threshold(self):
         # log S(1e9) is about -31600, below the floor where its rounding, |log S| eps,
@@ -551,3 +556,101 @@ class TestRiskReport:
         rep = risk_report(m, 0.95, orders=(2,))
         assert [r for r, _ in rep.tail_moments] == [2]
         assert rep.tvar == tvar(m, 0.95)
+
+
+# the laws of the risk-warm benchmark, at the centres of its parameter ranges
+RISK_WARM_MODELS = {
+    "pareto": lambda n: pareto_model(3.25, 1.0, n),
+    "gamma_claims": lambda n: gamma_claims_model(0.55, 1.0, n),
+    "weibull_half": lambda n: weibull_half_model(1.0, n),
+    "weibull": lambda n: weibull_model(0.45, n),
+    "weibull_55": lambda n: weibull_model(0.55, n),
+    "invgauss": lambda n: inverse_gaussian_model(1.0, 1.0, n),
+}
+
+
+class TestNearTable:
+    """VaR reads its near grid's log survival and log-log slope from a table per
+    unit law and total shape, and starts Newton from a cubic Hermite root."""
+
+    @pytest.mark.parametrize("name", SIX_MODELS)
+    def test_cold_and_warm_are_bit_identical(self, name):
+        for n in (2, 10):
+            m = SIX_MODELS[name](n)
+            for lv in (0.3, 0.9, 0.999):
+                riskmeasures._near_table.cache_clear()
+                cold = value_at_risk(m, lv)
+                warm = value_at_risk(m, lv)
+                assert cold == warm
+                if name == "lindley":
+                    continue
+                riskmeasures._near_table.cache_clear()
+                cold = risk_report(m, lv, orders=(1, 2))
+                assert risk_report(m, lv, orders=(1, 2)) == cold
+                riskmeasures._near_table.cache_clear()
+                assert tail_moment(m, 2, cold.var) == dict(cold.tail_moments)[2]
+
+    def test_scales_share_one_table(self):
+        # every scale of a law whose unit kernel reads no other parameter: Levy at two
+        # lam, gamma frailty (Pareto claims) at two beta, Gleser at two lam
+        for make in (lambda c: weibull_half_model(c, 2), lambda c: pareto_model(3.0, c, 2),
+                     lambda c: gamma_claims_model(0.5, c, 2)):
+            riskmeasures._near_table.cache_clear()
+            value_at_risk(make(1.0), 0.9)
+            value_at_risk(make(3.7), 0.99)
+            info = riskmeasures._near_table.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_cache_bound_is_the_kernel_budget(self):
+        from riskmix.mixing import _KERNEL_CELLS
+        cells = 2 * riskmeasures._VAR_NEAR.size
+        assert riskmeasures._near_table.cache_info().maxsize == _KERNEL_CELLS // cells
+        riskmeasures._near_table.cache_clear()
+        log_s, slopes = riskmeasures._near_table(weibull_half_model(1.0, 2).mixing._unit_law, 2)
+        assert log_s.size + slopes.size == cells
+        assert not (log_s.flags.writeable or slopes.flags.writeable)
+
+    @pytest.mark.parametrize("name", RISK_WARM_MODELS)
+    def test_warm_reports_take_few_newton_steps(self, name, monkeypatch):
+        # one-point Newton steps per warm report at the risk-warm levels: the linear
+        # start took 3 to 6
+        calls = count_survival_evaluations(monkeypatch)
+        most = 4 if name == "gamma_claims" else 3
+        for n in (2, 5, 10, 32):
+            m = RISK_WARM_MODELS[name](n)
+            for lv in (0.9, 0.95, 0.99, 0.995, 0.999):
+                risk_report(m, lv)
+                calls.clear()
+                risk_report(m, lv)
+                assert all(u.size == 1 for u in calls)
+                assert 1 <= len(calls) <= most, (n, lv)
+
+    def test_cli_var_builds_one_table(self, capsys):
+        riskmeasures._near_table.cache_clear()
+        code = cli.main(["var", "--model", "invgauss", "--lambda", "1", "--mu", "1",
+                         "--n", "5", "--levels", "0.9,0.99,0.999"])
+        capsys.readouterr()
+        assert code == 0
+        info = riskmeasures._near_table.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("lv", [1e-13, 0.3, 0.999999])
+    def test_start_is_near_the_root(self, lv):
+        # the cubic's root against the linear one at the quantile of S_1 = Exp(1) (stable
+        # index 1), log S_1 = -u with the log-log slope -u, at three scales of u
+        target = math.log1p(-lv)
+        root = -target
+        grid = 2.0 ** np.floor(np.log2(root))
+        y = [-grid, -2.0 * grid]
+        slopes = [-grid, -2.0 * grid]
+        frac = riskmeasures._start(y, slopes, target)
+        linear = (y[0] - target) / (y[0] - y[1])
+        want = math.log2(root / grid)
+        assert 0.0 <= frac <= 1.0
+        assert abs(frac - want) < 0.1 * abs(linear - want) + 1e-12
+
+    def test_start_falls_back_to_the_linear_fraction(self):
+        # a slope that is not finite, one that is not negative, and a cubic that rises
+        for slopes in ([-inf, -1.0], [0.0, -1.0], [-1.0, math.nan], [-20.0, -20.0]):
+            assert riskmeasures._start([-1.0, -2.0], slopes, -1.25) == 0.25
+        assert riskmeasures._start([-1.0, -inf], [-1.0, -1.0], -5.0) == 0.5
