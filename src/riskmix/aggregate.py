@@ -30,7 +30,7 @@ methods.
 """
 
 from dataclasses import dataclass, field
-from math import fsum, inf, isfinite, lgamma
+from math import fsum, inf, isfinite, log, log1p
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .mixing import (
     _finite_exp,
     _ret,
 )
+from .specfun import log_poch
 
 __all__ = [
     "AggregateModel",
@@ -197,8 +198,7 @@ def moment(model: AggregateModel, r: float) -> float:
     if r < 1:
         raise ValueError("moment order must be >= 1")
     a = model.total_shape
-    return _finite_exp(lgamma(a + r) - lgamma(a) + model.mixing.log_neg_moment(r),
-                       f"E(S^{r})")
+    return _finite_exp(log_poch(a, r) + model.mixing.log_neg_moment(r), f"E(S^{r})")
 
 
 def mean(model: AggregateModel) -> float:
@@ -206,8 +206,12 @@ def mean(model: AggregateModel) -> float:
 
 
 def variance(model: AggregateModel) -> float:
-    mu1 = moment(model, 1)
-    return moment(model, 2) - mu1 ** 2
+    """Var(S) = a (a + 1) E(W^2) - a^2 E^2(W) as a E(W^2) (1 + a u), W = 1/Theta, u =
+    Var(W)/E(W^2) the law's inverse_variance_share: positive terms, in log space;
+    PrecisionError where it overflows a double."""
+    a, law = model.total_shape, model.mixing
+    return _finite_exp(log(a) + law.log_neg_moment(2) + log1p(a * law.inverse_variance_share()),
+                       "Var(S)")
 
 
 def mixture_representation(model: AggregateModel) -> MixtureRepresentation:

@@ -8,14 +8,13 @@ and the pairwise measures are those of exponential claims (every shape 1) and
 raise UnsupportedModelError for other shapes.
 """
 
-from math import lgamma
-
 import numpy as np
 
 from ._lazy import lazy_import
 from .aggregate import AggregateModel
 from .errors import UnsupportedModelError
 from .mixing import _QUAD_OPTS, _finite_exp
+from .specfun import log_poch
 
 integrate = lazy_import("scipy.integrate")
 
@@ -129,5 +128,5 @@ def joint_moment(model: AggregateModel, r) -> float:
     total = sum(orders)
     if total == 0:
         return 1.0
-    return _finite_exp(sum(lgamma(a + k) - lgamma(a) for a, k in zip(model.shapes, orders))
+    return _finite_exp(sum(log_poch(a, k) for a, k in zip(model.shapes, orders))
                        + model.mixing.log_neg_moment(total), "the joint moment")

@@ -57,9 +57,8 @@ log_neg_moment(r) = log_unit_neg_moment(r) - r log c, so a ratio of them
   a sum of positive terms (_log_bessel_ratios), which starts from 1 at an
   integer order and from special.kve at a real one; where z underflows it is
   the small-z limit, refused (PrecisionError) at a real order near 1/2.
-  The IG unit negative moments are the kernel at u = 0, or where lam >= mu
-  the same recurrence on r_i - 1, whose log1p keeps the digits of a moment
-  near 1.
+  The IG negative moments of an integer order are a closed sum (its
+  log_unit_neg_moment), of every other order the kernel at u = 0.
 * Gleser: the unit moment of order k is c e^{-u} I_{k-1}, I_m = int_0^inf
   (1+t)^m t^-alpha e^{-ut} dt.  The ratios I_m / I_{m-1} climb by a
   recurrence of positive terms (_climb) from the closed form c I_0 at the
@@ -72,6 +71,10 @@ log_neg_moment(r) = log_unit_neg_moment(r) - r log c, so a ratio of them
   negative order: UnsupportedModelError.
 * Second-kind beta: the log of a Kummer integral, one call per order of
   either sign for every s at once (specfun.log_kummer_u_integral).
+
+Every ratio Gamma(a + r) / Gamma(a) here (the gamma kernel, the negative
+moments, the tail-moment shifts, the components' moments) is specfun.log_poch,
+exact to a few ulps of max(1, |log|) at every shape.
 
 Real orders (the density of gamma claims of fractional total shape) take
 each law's one kernel path; the stable kernel alone raises
@@ -107,7 +110,8 @@ no kernel:
 * Levy: shape0 0, power 1/2, weights from the closed Bell row _sqrt_bell;
 * Gleser: shape0 alpha - 1, power 1, the printed gamma sum.
 Every other law, and every fractional a, gets a KernelRow, which sums the
-kernel (at a fractional a only its pdf answers) and reads the law's own
+kernel (at a fractional a only its pdf answers; its tail moments read the
+Pochhammer shifts of _tail_pochs, cached per n and order) and reads the law's own
 density limit at 0 and finite mixture (_sum_pdf_at_zero, _sum_mixture):
 gamma (Pareto claims) one B2(n, alpha) of scale beta; Lindley, whose Theta
 is Ga(1, lam) with weight lam/(1+lam) and Ga(2, lam) otherwise, B2(n, 1)
@@ -138,7 +142,7 @@ from .errors import (
     TailUnderflowError,
     UnsupportedModelError,
 )
-from .specfun import exp_scaled_expn, log_gammaincc, log_kummer_u_integral
+from .specfun import exp_scaled_expn, log_gammaincc, log_kummer_u_integral, log_poch
 
 integrate = lazy_import("scipy.integrate")
 optimize = lazy_import("scipy.optimize")
@@ -185,16 +189,6 @@ def _require_above(k, name, value):
     if value <= j:
         raise NonexistentMomentError(
             f"E(Theta^-{j} e^(-s Theta)) requires {name} > {j}, got {value}")
-
-
-def _log_poch(a: float, r: float) -> float:
-    """log Gamma(a + r) / Gamma(a) for a > 0 and a + r > 0: the log of
-    special.poch, which multiplies out a whole r, where that is a normal double,
-    and a difference of gammaln past it."""
-    p = special.poch(a, r)
-    if 1e-300 < p < 1e300:
-        return log(p)
-    return float(special.gammaln(a + r) - special.gammaln(a))
 
 
 def _ret(value, scalar_in):
@@ -335,7 +329,7 @@ def _log_bessel_kernel(k, u, log_u, rho, log_rho):
         nu, log_2z = _column(np.abs(k - 0.5), 1), log_2z[tiny]
         if (nu * log_2z < 20.0).any():
             raise PrecisionError(f"K_nu(z) at nu = {nu.min():.3g} and z near 0")
-        rows[:, tiny] = special.gammaln(nu) - special.gammaln(0.5) + (nu - 0.5) * log_2z
+        rows[:, tiny] = log_poch(0.5, nu - 0.5) + (nu - 0.5) * log_2z
     rows -= e
     rows -= _column(k, 1) * log_zl
     return rows
@@ -451,7 +445,7 @@ class GammaPowerComponent:
 
     def moment(self, r: float) -> float:
         a, p = self.shape, self.power
-        return exp(lgamma(a + r / p) - lgamma(a) - r / p * log(self.rate))
+        return exp(log_poch(a, r / p) - r / p * log(self.rate))
 
 
 @dataclass(frozen=True)
@@ -475,7 +469,7 @@ class Beta2Component:
                 f"beta2 moment of order {r} needs second shape > {r}, got {self.shape2}"
             )
         a, b = self.shape1, self.shape2
-        return exp(r * log(self.scale) + lgamma(a + r) + lgamma(b - r) - lgamma(a) - lgamma(b))
+        return exp(r * log(self.scale) + log_poch(a, r) - log_poch(b - r, r))
 
 
 @dataclass(frozen=True)
@@ -486,10 +480,6 @@ class MixtureRepresentation:
         total = sum(c.weight for c in self.components)
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"mixture weights sum to {total}, expected 1")
-
-    @property
-    def weights(self):
-        return np.array([c.weight for c in self.components])
 
     def pdf(self, x):
         scalar_in = np.isscalar(x)
@@ -669,6 +659,16 @@ def _mixture_row(unit_law, n: int) -> tuple:
     return shape0, power, log_d, log_c, shapes
 
 
+@lru_cache(maxsize=_ROW_CACHE)
+def _tail_pochs(n: int, r: int) -> tuple:
+    """(log (n)_r, log (j)_r for j = 1..n), the latter read-only: the shifts of a
+    KernelRow's tail moment of order r, which read nothing else, kept per (n, r) (8 n
+    bytes each) since a risk report makes them at each of its orders."""
+    log_j = log_poch(np.arange(1.0, n + 1.0), r)
+    log_j.flags.writeable = False
+    return log_poch(n, r), log_j
+
+
 @dataclass(frozen=True)
 class KernelRow(_Row):
     """S = S_1 / c, of total shape n, through the law's unit kernel K_1(k, u) = E(Theta_1^k
@@ -707,16 +707,17 @@ class KernelRow(_Row):
         """log E(S_1^r 1{S_1 > u}), u = c a (so c^-r times it is E(S^r 1{S > a})), for
         each order r of a 1-D array, a > 0, from the survival terms at a (a 1-D array)
         and one kernel call for the orders -1..-max(orders): for k >= r the survival
-        term of order k - r times u^r (k-r)!/k!, for k < r u^k/k! K_1(k-r, u)."""
+        term of order j = k - r times u^r j!/k! = u^r / (j+1)_r, for k < r u^k/k!
+        K_1(k-r, u)."""
         n, top = self._integer_n(), max(orders)
         u, log_u = self.law._unit(a)
         neg = self.law._log_unit_kernel(-np.arange(1, top + 1), u, log_u)
-        # log k! - k log u
-        lf = special.gammaln(np.arange(1.0, n + top + 1.0)) - np.arange(n + top) * log_u
-        return np.array([lgamma(n + r) - lgamma(n)
-                         + np.logaddexp.reduce(np.concatenate((terms + lf[:n] - lf[r:n + r],
-                                                               neg[r - 1::-1] - lf[:r])))
-                         for r in orders])
+        out = np.empty(len(orders))
+        for i, r in enumerate(orders):
+            log_n, log_j = _tail_pochs(n, r)
+            head = [neg[r - 1 - k] + k * log_u - lgamma(k + 1.0) for k in range(r)]
+            out[i] = log_n + np.logaddexp.reduce(np.concatenate((terms + r * log_u - log_j, head)))
+        return out
 
     def mixture(self) -> MixtureRepresentation:
         return self.law._sum_mixture(self._integer_n())
@@ -942,9 +943,8 @@ class GammaMixing(MixingDistribution):
     def _log_kernel(self, k, u, log_u):
         # Theta beta ~ Ga(alpha, 1): Gamma(alpha + k)/Gamma(alpha) (1 + u)^-(alpha + k)
         _require_above(k, "alpha", self.alpha)
-        # (both gammas from special.gammaln, so order 0 at u = 0 is exactly 0)
         a, k = self.alpha, _column(k, u.ndim)
-        return special.gammaln(a + k) - special.gammaln(a) - (a + k) * _log1p(u, log_u)
+        return log_poch(a, k) - (a + k) * _log1p(u, log_u)
 
     @property
     def scale(self):
@@ -962,7 +962,7 @@ class GammaMixing(MixingDistribution):
         # Theta beta ~ Ga(alpha, 1)
         if self.alpha <= r:
             raise NonexistentMomentError(f"E(Theta^-{r}) requires alpha > {r}, got {self.alpha}")
-        return -_log_poch(self.alpha - r, r)
+        return -log_poch(self.alpha - r, r)
 
     def inverse_variance_share(self):
         # q = (alpha - 1)/(alpha - 2), whose logs of size 2 log alpha cancelled
@@ -1022,7 +1022,7 @@ class LevyMixing(MixingDistribution):
 
     def log_unit_neg_moment(self, r):
         # Theta = lam^2 / (2 N^2): E((Theta/lam^2)^-r) = (2r)! / r!
-        return _log_poch(1.0 + r, r)
+        return log_poch(1.0 + r, r)
 
     def sample(self, size, rng):
         n = rng.standard_normal(size)
@@ -1102,7 +1102,7 @@ class PositiveStableMixing(MixingDistribution):
         return 1.0 - self.alpha
 
     def log_unit_neg_moment(self, r):
-        return _log_poch(1.0, r / self.alpha) - _log_poch(1.0, r)
+        return log_poch(1.0, r / self.alpha) - log_poch(1.0, r)
 
     def sample(self, size, rng):
         # Chambers-Mallows-Stuck restricted to the one-sided case
@@ -1143,18 +1143,25 @@ class InverseGaussianMixing(MixingDistribution):
         return min(2.0 * self.lam, self.mu)
 
     def log_unit_neg_moment(self, r):
-        # the unit kernel of order -r at u = 0.  At c = lam/mu >= 1 the unit law is
-        # IG(c, 1), whose moment is near 1, so at an integer r its ratios r_i = 1/r_{i-1}
-        # + (2i - 1)/c, r_0 = 1, run as d_i = r_i - 1: log1p keeps the digits rho = O(1/c)
-        # needs
-        y = self.mu / self.lam
-        if y > 1.0 or not float(r).is_integer():
+        # at an integer r, E(Theta^-r) = mu^-r sum_{k<=r} (r+k)!/(k! (r-k)!) (y/2)^k, y =
+        # mu/lam (the Bessel polynomial of K_{r+1/2}), a sum of positive terms whose ratios
+        # are (r+k+1)(r-k)/(k+1) y/2; for the unit law mu/c = max(y/2, 1).  The kernel at u
+        # = 0 (other orders) costs about 20 times as much
+        if not float(r).is_integer():
             return super().log_unit_neg_moment(r)
-        d = out = 0.0
-        for i in range(1, int(r) + 1):
-            d = (2 * i - 1) * y - d / (1.0 + d)
-            out += math.log1p(d)
-        return out
+        log_half_y = log(self.mu) - log(self.lam) - log(2.0)
+        terms = [0.0]
+        for k in range(int(r)):
+            terms.append(terms[-1] + log((r + k + 1) * (r - k) / (k + 1)) + log_half_y)
+        top = max(terms)
+        return top + log(math.fsum(exp(t - top) for t in terms)) - r * max(log_half_y, 0.0)
+
+    def inverse_variance_share(self):
+        # E(W) = (1 + y)/mu and E(W^2) = (1 + 3y + 3y^2)/mu^2, y = mu/lam, so u = (y + 2y^2) /
+        # (1 + 3y + 3y^2), past y = 1 in t = 1/y, where y^2 could overflow
+        y, t = self.mu / self.lam, self.lam / self.mu
+        return y * (1.0 + 2.0 * y) / (1.0 + 3.0 * y * (1.0 + y)) if y <= 1.0 else (
+            (2.0 + t) / (3.0 + t * (3.0 + t)))
 
     def _sum_pdf_at_zero(self, n):
         return self.mu if n == 1 else 0.0
@@ -1291,7 +1298,7 @@ class GleserGammaMixing(MixingDistribution):
                 step = 1.0 / np.where(tiny, 1.0, u)
                 rows = self._climb(0, (1.0 - a) * step, step, k)
                 rows += -lgamma(a) - u + (a - 1.0) * log_u
-                rows[:, tiny] = ((special.gammaln(k - a) - lgamma(1.0 - a) - lgamma(a))[:, None]
+                rows[:, tiny] = ((log_poch(1.0 - a, k - 1.0) - lgamma(a))[:, None]
                                  + _column(a - k, 1) * log_u[tiny])
             if k.min() == 0:  # log Q(alpha, u), only when an order asks for it
                 rows[k == 0] = log_gammaincc(a, u)
@@ -1357,8 +1364,9 @@ class GleserGammaMixing(MixingDistribution):
         # int s L'(s)^2 ds = Gamma(2 alpha) / (4^alpha Gamma(alpha)^2), so tau =
         # 1 - 2 Gamma(alpha + 1/2) / (sqrt(pi) Gamma(alpha)) = 1 - (alpha)_{1/2} / (1)_{1/2}
         # with the Pochhammer symbol (a)_{1/2} = Gamma(a + 1/2) / Gamma(a): exactly 0 at
-        # the point mass alpha = 1, and within 5e-16 absolute as tau -> 0 there
-        return float(1.0 - special.poch(self.alpha, 0.5) / special.poch(1.0, 0.5))
+        # the point mass alpha = 1 (0 - expm1(0) is +0), and within 5e-16 absolute as
+        # tau -> 0 there
+        return 0.0 - math.expm1(log_poch(self.alpha, 0.5) - log_poch(1.0, 0.5))
 
     @property
     def scale(self):
@@ -1367,7 +1375,11 @@ class GleserGammaMixing(MixingDistribution):
     def log_unit_neg_moment(self, r):
         # E(Theta^-r) = Gamma(alpha + r) / (lam^r r! Gamma(alpha)), by the
         # change of variables theta = lam/u against the Beta(alpha, 1-alpha) law
-        return _log_poch(self.alpha, r) - _log_poch(1.0, r)
+        return log_poch(self.alpha, r) - log_poch(1.0, r)
+
+    def inverse_variance_share(self):
+        # E(W) = alpha/lam and E(W^2) = alpha (alpha + 1)/(2 lam^2)
+        return (1.0 - self.alpha) / (1.0 + self.alpha)
 
     def sample(self, size, rng):
         if self.alpha == 1.0:
@@ -1438,7 +1450,13 @@ class BetaSecondKindMixing(MixingDistribution):
             raise NonexistentMomentError(
                 f"E(Theta^-{r}) requires beta > {r}, got beta={self.beta}"
             )
-        return _log_poch(self.gam, r) - _log_poch(self.beta - r, r)
+        return log_poch(self.gam, r) - log_poch(self.beta - r, r)
+
+    def inverse_variance_share(self):
+        # E(W) = gam/(beta - 1) and E(W^2) = gam (gam + 1)/((beta - 1)(beta - 2)), so u =
+        # (gam + beta - 1)/((gam + 1)(beta - 1)), divided out one factor at a time
+        self.log_unit_neg_moment(2)  # NonexistentMomentError unless beta > 2
+        return (self.gam + self.beta - 1.0) / (self.gam + 1.0) / (self.beta - 1.0)
 
     def _sum_pdf_at_zero(self, n):
         # Theta's density decays like theta^{-gam-1}/B(beta, gam); for gam = 1

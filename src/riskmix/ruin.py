@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from .mixing import LindleyMixing
-from .specfun import exp_scaled_expn
+from .specfun import exp_scaled_expn, log_poch
 
 __all__ = [
     "ruin_probability",
@@ -122,7 +122,7 @@ class NegativeBinomialCounts:
 
     def pmf(self, n: int) -> float:
         r, p = self.r, self.p
-        return exp(math.lgamma(n + r) - math.lgamma(r) - math.lgamma(n + 1)
+        return exp(log_poch(r, n) - math.lgamma(n + 1)
                    + r * log(p) + n * math.log1p(-p))
 
     def atom(self) -> float:

@@ -18,6 +18,7 @@ densities, whose e^(-c/Theta) factor meets Theta^-j near 0, misses by up
 to a few percent on the log at large s.
 """
 
+import functools
 import math
 
 import mpmath as mp
@@ -158,8 +159,17 @@ def conditional_tail_moment(law, n, r, a, dps=DPS):
         else:
             q = lambda m, t: mp.gammainc(m, t * am, mp.inf, regularized=True)
             num = _expect(law, lambda t: t ** -r * q(n + r, t), n / am)
-            surv = _expect(law, lambda t: q(n, t), n / am)
+            surv = _survival(law, n, a, dps)
         return float(mp.gamma(n + r) / mp.gamma(n) * num / surv)
+
+
+@functools.lru_cache(maxsize=None)
+def _survival(law, n, a, dps):
+    """S_n(a) = E[Q(n, Theta a)] at dps digits by one quadrature, which the tail moments
+    of every order at one (law, n, a) share."""
+    with mp.workdps(dps):
+        am = mp.mpf(a)
+        return _expect(law, lambda t: mp.gammainc(n, t * am, mp.inf, regularized=True), n / am)
 
 
 def _left_power(law):

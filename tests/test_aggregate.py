@@ -202,6 +202,20 @@ class TestSurvival:
             vals = survival(m, np.linspace(0, 8, 40))
             assert np.all(np.diff(vals) < 0)
 
+    @pytest.mark.parametrize("alpha", [1e6, 1e10, 1e14])
+    def test_pareto_at_large_shapes(self, alpha):
+        # S_n is B2(n, alpha) of scale beta: S(x) = I_{1/(1 + x/beta)}(alpha, n).  The
+        # kernel's Gamma(alpha + k)/Gamma(alpha) was a difference of log-gammas of size
+        # alpha log alpha: S(0.5) was 0.93535 at alpha = beta = 1e14, n = 10 (true
+        # 0.99999999983), 8.4e-6 off at 1e10 and 3.8e-10 at 1e6
+        x = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+        for n in (2, 10, 32):
+            with mp.workdps(60):
+                want = [float(mp.betainc(alpha, n, 0, 1 / (1 + mp.mpf(v) / alpha),
+                                         regularized=True)) for v in x]
+            got = survival(pareto_model(alpha, alpha, n), x)
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+
     def test_derivative_is_minus_pdf(self):
         h = 1e-5
         for name in FIVE_MODELS:
@@ -251,6 +265,38 @@ class TestMoments:
             w2 = m.mixing.neg_moment(2)
             want = n * w2 + n ** 2 * (w2 - w1 ** 2)
             assert variance(m) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("m, want", [
+        # Var(S) = a E(W^2) (1 + a u): the inverse Gaussian's E(W^2) = (1 + 3y + 3y^2)/mu^2
+        # and u = (y + 2y^2)/(1 + 3y + 3y^2), y = mu/lam; a point mass lam has u = 0.
+        # E(S^2) - E^2(S) was 5.7e-5 off at n = 1e5 and 7.4e-10 at n = 1000
+        (AggregateModel(inverse_gaussian_model(1e12, 1.0, 1).mixing, (1e5,)),
+         lambda a: a * (1 + 3e-12 + 3e-24) * (1 + a * mp.mpf(1e-12) * (1 + 2e-12)
+                                              / (1 + 3e-12 + 3e-24))),
+        (AggregateModel(gamma_claims_model(1.0, 1.0, 1).mixing, (1e5,)), lambda a: a),
+        (gamma_claims_model(1.0, 1.0, 1000), lambda a: a),
+        (pareto_model(3.2, 2.0, 10), lambda a: a * 4 / (mp.mpf(2.2) * mp.mpf(1.2))
+         * (1 + a / mp.mpf(2.2))),
+    ], ids=["invgauss", "gleser-1e5", "gleser-1000", "pareto"])
+    def test_variance_without_cancellation(self, m, want):
+        with mp.workdps(40):
+            v = float(want(mp.mpf(m.total_shape)))
+        assert variance(m) == pytest.approx(v, rel=1e-14, abs=0.0)
+
+    def test_variance_needs_a_second_moment(self):
+        for m in (lindley_model(1.0, 2), pareto_model(2.0, 1.0, 2)):
+            with pytest.raises(NonexistentMomentError):
+                variance(m)
+
+    def test_large_total_shape(self):
+        # riskmix moments --model weibull-half --lambda 1 --n 10000000 printed
+        # 20000000.304 and 1200000143796692 from differences of log-gammas near 1.5e8: E(S)
+        # = a E(W) and E(S^2) = a (a + 1) E(W^2) with E(W) = 2, E(W^2) = 12.  In log space
+        # they are 1.1e-15 and 1.7e-15 off, the distance from exp of the double nearest
+        # their logs
+        m = AggregateModel(weibull_half_model(1.0, 1).mixing, (1e7,))
+        assert moment(m, 1) == pytest.approx(2e7, rel=2e-15, abs=0.0)
+        assert moment(m, 2) == pytest.approx(1.20000012e15, rel=2e-15, abs=0.0)
 
     def test_moment_vs_quadrature(self):
         cases = [pareto_model(3.0, 1.0, 2), gamma_claims_model(0.5, 1.0, 2),

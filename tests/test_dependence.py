@@ -276,6 +276,33 @@ class TestPearsonRho:
     def test_nonexistent_second_moment(self):
         with pytest.raises(NonexistentMomentError):
             pearson_rho(vector(GammaMixing(1.5, 1.0), 2))
+        with pytest.raises(NonexistentMomentError):
+            pearson_rho(vector(BetaSecondKindMixing(2.0, 3.0), 2))
+
+    @pytest.mark.parametrize("m, share", [
+        (InverseGaussianMixing(1e-300, 1e300), lambda m: mp.mpf(2) / 3),
+        (InverseGaussianMixing(2.0, 0.7), lambda m: (
+            lambda y: (y + 2 * y ** 2) / (1 + 3 * y + 3 * y ** 2))(mp.mpf(m.mu) / m.lam)),
+        (BetaSecondKindMixing(1e10, 3.0), lambda m: (
+            (m.gam + mp.mpf(m.beta) - 1) / ((m.gam + 1) * (mp.mpf(m.beta) - 1)))),
+        (BetaSecondKindMixing(4.0, 2.0), lambda m: (
+            (m.gam + mp.mpf(m.beta) - 1) / ((m.gam + 1) * (mp.mpf(m.beta) - 1)))),
+        (GleserGammaMixing(1.0 - 1e-10, 1.0), lambda m: (1 - mp.mpf(m.alpha)) / (1 + m.alpha)),
+        (GleserGammaMixing(0.4, 1.5), lambda m: (1 - mp.mpf(m.alpha)) / (1 + m.alpha)),
+    ], ids=["invgauss-1e-300-1e300", "invgauss", "beta2-1e10-3", "beta2", "gleser-1-1e-10",
+            "gleser"])
+    def test_closed_variance_shares(self, m, share):
+        # u = Var(W)/E(W^2) in closed form: from log q = log E W^2 - 2 log E W it was
+        # 8.6e-14 off for the inverse Gaussian at (1e-300, 1e300), 1.9e-14 for B2(1e10, 3),
+        # and rho 1.25e-10 off for Gleser at alpha = 1 - 1e-10 (against 50 digits)
+        with mp.workdps(50):
+            u = share(m)
+            want_u, want_rho = float(u), float(u / (1 + u))
+        assert m.inverse_variance_share() == pytest.approx(want_u, rel=1e-15, abs=0.0)
+        assert pearson_rho(vector(m, 2)) == pytest.approx(want_rho, rel=1e-15, abs=0.0)
+        # the default from the unit moments agrees to the digits its log q keeps
+        log_q = m.log_unit_neg_moment(2) - 2.0 * m.log_unit_neg_moment(1)
+        assert m.inverse_variance_share() == pytest.approx(-math.expm1(-log_q), rel=1e-5)
 
     @pytest.mark.parametrize("m, want", [
         (GammaMixing(3.0, 1e300), 1.0 / 3.0),

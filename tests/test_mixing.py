@@ -806,6 +806,31 @@ class TestNegativeMoments:
             v2, _ = integrate.quad(f, mid, np.inf, limit=300)
             assert m.neg_moment(r) == pytest.approx(v1 + v2, rel=1e-8)
 
+    def test_large_shapes_keep_their_logs(self):
+        # a difference of log-gammas of size a log a: log E(Theta^-2) of B2(1e200, 3) was
+        # +2.485 and log E(Theta^-40) of Ga(1e100, 1) was 0.0
+        with mp.workdps(50):
+            b, a = mp.mpf(1e200), mp.mpf(1e100)
+            want_beta2 = float(mp.log(12) - mp.log(b - 2) - mp.log(b - 1))
+            want_gamma = float(-mp.fsum(mp.log(a - i) for i in range(1, 41)))
+        assert BetaSecondKindMixing(1e200, 3.0).log_neg_moment(2) == pytest.approx(
+            want_beta2, rel=1e-15, abs=0.0)
+        assert GammaMixing(1e100, 1.0).log_neg_moment(40) == pytest.approx(want_gamma, rel=1e-15,
+                                                                             abs=0.0)
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 0.95), (0.95, 1.0), (7.0, 3.0), (3.0, 7.0),
+                                         (1e10, 1.0), (1e300, 1e-300), (1e-300, 1e300)])
+    def test_inverse_gaussian_integer_orders(self, lam, mu):
+        # E(Theta^-r) = mu^-r sum_k (r+k)!/(k! (r-k)!) (mu/(2 lam))^k, against 60 digits
+        for r in (1, 2, 3, 7):
+            with mp.workdps(60):
+                lm, mm = mp.mpf(lam), mp.mpf(mu)
+                terms = (mp.factorial(r + k) / (mp.factorial(k) * mp.factorial(r - k))
+                         * (mm / (2 * lm)) ** k for k in range(r + 1))
+                want = float(mp.log(mp.fsum(terms)) - r * mp.log(mm))
+            got = InverseGaussianMixing(lam, mu).log_neg_moment(r)
+            assert got == pytest.approx(want, rel=4e-15, abs=4e-16)
+
     def test_gleser_alpha_one_is_point_mass(self):
         m = GleserGammaMixing(1.0, 2.0)
         assert m.neg_moment(1) == pytest.approx(0.5, rel=1e-14)

@@ -327,6 +327,19 @@ class TestTailKernelSum:
             want = mp_reference.conditional_tail_moment(m.mixing, 10, 1, rep.var)
             assert rep.tvar == pytest.approx(want, rel=1e-13)
 
+    def test_pareto_at_a_large_n(self):
+        # S_n is B2(n, alpha): E(S 1{S > a}) = n/(alpha - 1) I_{1/(1+a)}(alpha - 1, n + 1).
+        # Each term's shift log k! - log (k+1)! was a difference of log-gammas near 6e5,
+        # whose ulp is 1e-10: E(S | S > n/2.2) was 4.5e-11 off at n = 60000
+        n, alpha = 60000, 3.2
+        a = n / 2.2
+        with mp.workdps(60):
+            am, al = mp.mpf(a), mp.mpf(alpha)
+            y = 1 / (1 + am)
+            want = float(n / (al - 1) * mp.betainc(al - 1, n + 1, 0, y, regularized=True)
+                         / mp.betainc(al, n, 0, y, regularized=True))
+        assert tail_moment(pareto_model(alpha, 1.0, n), 1, a) == pytest.approx(want, rel=1e-11)
+
     @pytest.mark.parametrize("m", [
         pareto_model(3.0, 1.0, 10), gamma_claims_model(0.5, 1.3, 10),
         weibull_half_model(1.2, 10), weibull_model(0.45, 10),

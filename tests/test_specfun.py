@@ -11,7 +11,7 @@ from scipy import integrate, special
 from riskmix import specfun
 from riskmix.aggregate import cdf, gamma_claims_model, survival
 from riskmix.errors import PrecisionError
-from riskmix.specfun import exp_scaled_expn, log_gammaincc, log_kummer_u_integral
+from riskmix.specfun import exp_scaled_expn, log_gammaincc, log_kummer_u_integral, log_poch
 
 from reference_formulas import (
     bell_partial,
@@ -194,6 +194,77 @@ class TestUpperIncompleteGamma:
             upper_incomplete_gamma(0.0, 0.0)
         with pytest.raises(ValueError):
             upper_incomplete_gamma(-1.0, 0.0)
+
+
+POCH_SHAPES = [1e-3, 0.5, 3.2, 9.99, 10.0, 1e3, 1e6, 1e10, 1e15, 1e100, 1e300]
+POCH_ORDERS = [0, 1, 2, 3, 40, 1000, 65535, 0.5, 2.7]
+
+
+class TestLogPoch:
+    """log Gamma(a + r) / Gamma(a) against 400-digit mpmath, to 4 eps of max(1, |want|):
+    a difference of two log-gammas of size a log a was finite and wrong past a of about
+    1e6 (log_neg_moment(40) of Ga(1e100, 1) was 0.0, the exact value -9210.34)."""
+
+    @pytest.mark.parametrize("a", POCH_SHAPES)
+    def test_against_mpmath(self, a):
+        orders = POCH_ORDERS + ([-0.5] if a > 0.5 else [])
+        with mp.workdps(400):
+            want = np.array([float(mp.loggamma(mp.mpf(a) + mp.mpf(r)) - mp.loggamma(mp.mpf(a)))
+                             for r in orders])
+        bound = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(want))
+        scalars = np.array([log_poch(a, r) for r in orders])
+        assert np.all(np.abs(scalars - want) <= bound)
+        got = log_poch(a, np.array(orders, dtype=float))
+        assert got.shape == (len(orders),)
+        assert np.all(np.abs(got - want) <= bound)
+        # an array of shapes, one per order (the elementwise branches)
+        assert np.all(np.abs(log_poch(np.full(len(orders), a), np.array(orders, dtype=float))
+                             - want) <= bound)
+
+    @pytest.mark.parametrize("a", [4.0001, 4.5] + POCH_SHAPES[3:])
+    def test_integer_orders(self, a):
+        # an integer array of orders of either sign (the gamma kernel's) takes the partial
+        # sums of logs, up from 0 or down from -1; at a = 4.0001, r = -4, a factor 1 + i/a
+        # would cancel
+        with mp.workdps(400):
+            for orders in ([0, 1, 2, 3, 40, 1000, 65535], [-1, -2, -3, -4]):
+                want = np.array([float(mp.loggamma(mp.mpf(a) + r) - mp.loggamma(mp.mpf(a)))
+                                 for r in orders])
+                got = log_poch(a, np.array(orders)[:, None])
+                assert got.shape == (len(orders), 1)
+                assert np.all(np.abs(got[:, 0] - want)
+                              <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(want)))
+
+    def test_broadcasts(self):
+        a, r = np.array([[0.5], [3.2], [1e6]]), np.array([0.0, 1.0, 2.7, 40.0])
+        got = log_poch(a, r)
+        assert got.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                assert got[i, j] == log_poch(a[i], r[j:j + 1])[0]
+        assert np.all(got[:, 0] == 0.0)
+        # an array of shapes at a whole order from 0 to 3 keeps its shape
+        assert log_poch(np.array([2.0, 5.0]), 0).shape == (2,)
+        assert log_poch(np.array([2.0, 5.0]), 2) == pytest.approx([math.log(6.0), math.log(30.0)],
+                                                                   rel=2e-16, abs=0.0)
+
+    def test_quiet_where_the_log_gammas_overflow(self):
+        # past a of 2.6e305 both log-gammas are inf; the Stirling branch must not form
+        # their difference (GammaMixing(1e306, 1).log_neg_moment(5) asks for this one)
+        a, orders = 1e306 - 5.0, [5, 0.5, 2.7, 40]
+        with mp.workdps(400):
+            want = np.array([float(mp.loggamma(mp.mpf(a) + r) - mp.loggamma(mp.mpf(a)))
+                             for r in orders])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array([log_poch(a, r) for r in orders])
+            arr = log_poch(np.full(len(orders), a), np.array(orders, dtype=float))
+        for values in (got, arr):
+            assert np.all(np.abs(values - want) <= 4.0 * np.finfo(float).eps * np.abs(want))
+
+    def test_two_numbers_give_a_float(self):
+        for a, r in ((3.2, 1.5), (7, 2), (1e6, 2.7), (5.0, -0.5)):
+            assert isinstance(log_poch(a, r), float)
 
 
 class TestLogGammaincc:
