@@ -13,9 +13,8 @@ Each law implements one kernel, log_abs_laplace_derivative(k, s) =
 log E(Theta^k e^{-s Theta}) for every integer order k, on an array s > 0
 (and s = 0 at k = 0).  An order k >= 0 is log|L^(k)(s)| (k = 0 is log L); a
 negative order k = -j is the j-fold integrated transform that the tail
-moments of a KernelRow sum (below), and raises NonexistentMomentError where
-it diverges.  Every order is -inf at s = inf, and where the law's log lies
-below -FLOAT_MAX; no kernel warns on overflow.
+moments of a KernelRow sum (below).  Every order is -inf at s = inf, and
+where the law's log lies below -FLOAT_MAX; no kernel warns on overflow.
 Given a 1-D array of orders it returns one row per order from one pass
 (each law's _log_kernel), so the aggregate survival, sum_{k<n} of the
 orders 0..n-1, is one kernel call, and so are the tail moments' orders
@@ -25,6 +24,12 @@ logarithm (huge s, high k).  laplace, laplace_derivative and neg_moment
 are written once on the base class, as exp and (-1)^k exp of the kernel
 and exp of the law's log_neg_moment.
 
+Existence.  E(Theta^-j), and with it the kernel of order -j and E(S^j), is
+finite exactly when j < j* = neg_order_limit: alpha for gamma, beta for the
+second-kind beta law, 1 for Lindley, inf for the others.  The kernel (in
+_log_unit_kernel), the negative moments, the variance share and the risk
+measures all ask require_neg_moment, which raises NonexistentMomentError.
+
 Memory budget.  The base class runs _log_kernel on blocks of
 _KERNEL_CELLS // (1 + max|k|) points of s (all of s when they fit), so an
 array with a row per order (a recurrence, its partial sums, the rows) has
@@ -33,7 +38,7 @@ length of s; a Kummer integral (beta2, Gleser) adds a few dozen arrays
 of one cell per point (25 MB at 2^16 points).  An order past the budget
 for one point (|k| >= 2^16), or a stable row past the largest Bell
 triangle (order 2047, 32 MB per index), raises DerivativeCapError before
-anything is allocated.
+anything is allocated; at most _BELL_CACHE = 8 triangles are kept.
 
 Scale.  Every law but the stable and second-kind beta ones has a scale c,
 Theta = c Theta_1 with the unit law Theta_1 free of c: gamma 1/beta, Gleser
@@ -46,8 +51,8 @@ in u as well (below), and the negative moments split the same way:
 log_neg_moment(r) = log_unit_neg_moment(r) - r log c, so a ratio of them
 (pearson_rho) cancels the scale exactly.
 
-* Gamma and Lindley: closed forms, broadcast over the orders; Lindley has
-  no negative order.
+* Gamma and Lindley: closed forms, broadcast over the orders, which hold at
+  every real order the law has (Lindley: k > -1).
 * Levy and inverse Gaussian: one kernel (_log_bessel_kernel) of the unit law
   IG(lam, lam/rho), lam = max(rho, 1/2), whose one parameter is rho = lam/mu
   of the law: E(Theta^k e^{-u Theta}) is a prefactor times K_{k-1/2}(z), z =
@@ -58,7 +63,7 @@ log_neg_moment(r) = log_unit_neg_moment(r) - r log c, so a ratio of them
   integer order and from special.kve at a real one; where z underflows it is
   the small-z limit, refused (PrecisionError) at a real order near 1/2.
   The IG negative moments of an integer order are a closed sum (its
-  log_unit_neg_moment), of every other order the kernel at u = 0.
+  _log_unit_neg_moment), of every other order the kernel at u = 0.
 * Gleser: the unit moment of order k is c e^{-u} I_{k-1}, I_m = int_0^inf
   (1+t)^m t^-alpha e^{-ut} dt.  The ratios I_m / I_{m-1} climb by a
   recurrence of positive terms (_climb) from the closed form c I_0 at the
@@ -91,22 +96,22 @@ generator on an array (_generator); the base class's pdf and generator
 handle scalars, arrays and the points off the support once for every law.
 
 Rows.  sum_row(a), for every total shape a, answers for S through one of two
-row classes with the same calls (log_survival, log_survival_density,
-log_survival_terms, pdf, pdf_at_zero, log_tail_moments, mixture), the first,
-second and fourth in blocks of _KERNEL_CELLS // a points (a + 1 for the
-second).  A row sums the unit law's S_1 = c S at the unit coordinate u = c x
-(_unit, from_unit): S(x) = S_1(u), f(x) = c f_1(u), E(S^r 1{S > a}) = c^-r
-E(S_1^r 1{S_1 > c a}), and VaR brackets and iterates in u (riskmeasures,
-which keeps its bracketing tables per _unit_law, the law at scale 1 where
-its kernel reads no other parameter, else the law itself).  Under the
-stable, Levy and Gleser laws S_1 is a finite mixture of gamma-power laws X_k
-= G_k^(1/power), G_k ~ Gamma(shape0 + k, 1), k = 1..n, with positive
-weights: a MixtureRow, whose sums are built on first use and kept in one
-bounded lru_cache per unit law and n (_mixture_row, _ROW_CACHE entries), so
-that every scale of a law shares them, and whose sums of positive terms call
-no kernel:
-* stable: shape0 0, power alpha, weights from row n of the Bell triangle and
-  survival coefficients summed down its columns;
+row classes with the same calls (log_survival, log_survival_terms, pdf,
+pdf_at_zero, log_tail_moments, mixture), the first and third in blocks of
+_KERNEL_CELLS // a points (a + 1 for log_survival with density=True, which
+also gives log(u f_1)).  A row sums the unit law's S_1 = c S at the unit
+coordinate u = c x, which its calls take with log u (_unit, from_unit): S(x)
+= S_1(u), f(x) = c f_1(u), E(S^r 1{S > a}) = c^-r E(S_1^r 1{S_1 > c a}), and
+VaR brackets and iterates in u (riskmeasures, which keeps its bracketing
+tables per _unit_law, the law at scale 1 where its kernel reads no other
+parameter, else the law itself).  Under the stable, Levy and Gleser laws S_1
+is a finite mixture of gamma-power laws X_k = G_k^(1/power), G_k ~
+Gamma(shape0 + k, 1), k = 1..n, with positive weights: a MixtureRow, whose
+weights and survival coefficients (their tail sums) are built on first use
+and kept in one bounded lru_cache per unit law and n (_mixture_row,
+_ROW_CACHE entries), so that every scale of a law shares them, and whose
+sums of positive terms call no kernel:
+* stable: shape0 0, power alpha, weights from row n of the Bell triangle;
 * Levy: shape0 0, power 1/2, weights from the closed Bell row _sqrt_bell;
 * Gleser: shape0 alpha - 1, power 1, the printed gamma sum.
 Every other law, and every fractional a, gets a KernelRow, which sums the
@@ -163,6 +168,7 @@ __all__ = [
 
 _KERNEL_CELLS = 1 << 16  # the memory budget of the module docstring
 _BELL_ROWS = 2048  # the stable law's largest Bell triangle, 32 MB per index
+_BELL_CACHE = 8  # the Bell triangles kept: 8 size^2 bytes each, at most 256 MB in all
 # the MixtureRows kept (rows of n cells: 16 n bytes each, built on first use)
 _ROW_CACHE = 64
 # arrays of at most this many terms reduce by pairwise logaddexp: measured,
@@ -180,15 +186,6 @@ def _require_positive(**params):
     for name, value in params.items():
         if not (value > 0):
             raise ValueError(f"{name} must be positive, got {value}")
-
-
-def _require_above(k, name, value):
-    """E(Theta^k e^{-s Theta}) diverges unless the shape `name` exceeds -k for
-    every order k."""
-    j = -min(k.tolist())
-    if value <= j:
-        raise NonexistentMomentError(
-            f"E(Theta^-{j} e^(-s Theta)) requires {name} > {j}, got {value}")
 
 
 def _ret(value, scalar_in):
@@ -386,7 +383,7 @@ def _power_bell(alpha: float, top: int) -> np.ndarray:
     return _bell_triangle(alpha, max(128, 1 << int(top).bit_length()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BELL_CACHE)
 def _bell_triangle(alpha: float, size: int) -> np.ndarray:
     """The (size, size) table of _power_bell.
 
@@ -528,23 +525,21 @@ class _Row:
                 "moments take a real order")
         return int(self.n)
 
-    def log_survival(self, u, log_u):
+    def log_survival(self, u, log_u, density=False):
         """log S_1(u) on an array u > 0 of any shape: the log-sum of the survival
         terms, in blocks of _KERNEL_CELLS // n points, at most 0 (where S rounds
-        to 1, the sum can come out an ulp above it)."""
-        return _by_blocks(self._integer_n(), lambda u, log_u: np.minimum(
-            _log_sum_exp(self.log_survival_terms(u, log_u)), 0.0), u, log_u)
+        to 1, the sum can come out an ulp above it).  With density=True the pair
+        (log S_1(u), log(u f_1(u))) as one (2, *u.shape) array, in blocks of
+        _KERNEL_CELLS // (n + 1) points (a KernelRow's kernel holds the orders
+        0..n)."""
+        def reduce(u, log_u):
+            terms = self.log_survival_terms(u, log_u, density)
+            if density:
+                return np.minimum(_log_sum_exp(terms[0]), 0.0), terms[1]
+            return np.minimum(_log_sum_exp(terms), 0.0)
 
-    def log_survival_density(self, u, log_u):
-        """The pair (log S_1(u), log(u f_1(u))) on an array u > 0 of any shape, as one
-        (2, *u.shape) array: log_survival's sums of the survival terms with the
-        density, in blocks of _KERNEL_CELLS // (n + 1) points (a KernelRow's kernel
-        holds the orders 0..n)."""
-        def pair(u, log_u):
-            terms, log_uf = self.log_survival_terms(u, log_u, density=True)
-            return np.minimum(_log_sum_exp(terms), 0.0), log_uf
-
-        return _by_blocks(self._integer_n() + 1, pair, u, log_u, rows=(2,))
+        return _by_blocks(self._integer_n() + density, reduce, u, log_u,
+                          rows=(2,) if density else ())
 
     def pdf(self, x):
         """f(x) = c f_1(c x) on an array x > 0 of any shape: the product of f_1(u) and c
@@ -578,9 +573,9 @@ class MixtureRow(_Row):
 
     from Q(b+1, y) = Q(b, y) + e^{-y} y^b / Gamma(b+1); at shape0 = 0 the first
     term Q(1, y) = e^{-y} is the i = 0 term with c_0 = 1.  The unit law gives log d_k
-    (log_d, k = 1..n) and, where it has a more accurate form than the partial sums
-    of the weights, log c_i (log_c, i = 0..n-1); they are built on first use and
-    cached per unit law and n (_mixture_row), so every scale of a law shares them."""
+    (log_d, k = 1..n), and log c_i (log_c, i = 0..n-1) are the tail sums of its
+    weights; they are built on first use and cached per unit law and n
+    (_mixture_row), so every scale of a law shares them."""
 
     law: "MixingDistribution"
     n: int
@@ -623,11 +618,10 @@ class MixtureRow(_Row):
             return inf if e < 0 else 0.0
         return self.power * exp(self.log_d[k]) * self.law.scale
 
-    def log_tail_moments(self, a: float, orders, terms) -> np.ndarray:
-        """log E(S_1^r 1{S_1 > u}), u = c a (so c^-r times it is E(S^r 1{S > a})), for
-        each order r of a 1-D array, a > 0, from one log_gammaincc call (KernelRow's
-        survival terms are not needed)."""
-        u, _ = self.law._unit(a)
+    def log_tail_moments(self, u, log_u, orders, terms) -> np.ndarray:
+        """log E(S_1^r 1{S_1 > u}) at the unit point u = c a > 0 (so c^-r times it is
+        E(S^r 1{S > a})), for each order r of a 1-D array, from one log_gammaincc
+        call (KernelRow's survival terms are not needed)."""
         shift = np.asarray(orders, dtype=float)[:, None] / self.power
         b = self._shapes + shift
         terms = self.log_d + special.gammaln(b) + log_gammaincc(b, u ** self.power)
@@ -647,13 +641,12 @@ def _mixture_row(unit_law, n: int) -> tuple:
     """(shape0, power, log_d, log_c, shapes) of the MixtureRow of S_n under a unit
     law, from its _row, built on first use; shapes holds shape0 + i + 1 for i =
     0..n-1, which is also shape0 + k for k = 1..n."""
-    shape0, power, log_d, log_c = unit_law._row(n)
+    shape0, power, log_d = unit_law._row(n)
     shapes = shape0 + np.arange(1.0, n + 1.0)
-    if log_c is None:
-        # log T_i, the tail sums of the weights, from the last one down
-        log_gamma = special.gammaln(shapes)
-        log_c = np.logaddexp.accumulate((log_d + log_gamma)[::-1])[::-1] - log_gamma
-        log_c[0] = -log_gamma[0]  # T_0 = 1
+    # log T_i, the tail sums of the weights, from the last one down
+    log_gamma = special.gammaln(shapes)
+    log_c = np.logaddexp.accumulate((log_d + log_gamma)[::-1])[::-1] - log_gamma
+    log_c[0] = -log_gamma[0]  # T_0 = 1
     for values in (log_d, log_c, shapes):
         values.flags.writeable = False
     return shape0, power, log_d, log_c, shapes
@@ -703,14 +696,13 @@ class KernelRow(_Row):
     def pdf_at_zero(self) -> float:
         return self.law._sum_pdf_at_zero(self._integer_n())
 
-    def log_tail_moments(self, a: float, orders, terms) -> np.ndarray:
-        """log E(S_1^r 1{S_1 > u}), u = c a (so c^-r times it is E(S^r 1{S > a})), for
-        each order r of a 1-D array, a > 0, from the survival terms at a (a 1-D array)
-        and one kernel call for the orders -1..-max(orders): for k >= r the survival
-        term of order j = k - r times u^r j!/k! = u^r / (j+1)_r, for k < r u^k/k!
-        K_1(k-r, u)."""
+    def log_tail_moments(self, u, log_u, orders, terms) -> np.ndarray:
+        """log E(S_1^r 1{S_1 > u}) at the unit point u = c a > 0 (so c^-r times it is
+        E(S^r 1{S > a})), for each order r of a 1-D array, from the survival terms at
+        u (a 1-D array) and one kernel call for the orders -1..-max(orders): for k >=
+        r the survival term of order j = k - r times u^r j!/k! = u^r / (j+1)_r, for k
+        < r u^k/k! K_1(k-r, u)."""
         n, top = self._integer_n(), max(orders)
-        u, log_u = self.law._unit(a)
         neg = self.law._log_unit_kernel(-np.arange(1, top + 1), u, log_u)
         out = np.empty(len(orders))
         for i, r in enumerate(orders):
@@ -730,6 +722,14 @@ class MixingDistribution:
     support = (0.0, inf)
 
     _log_unit_floor = -inf  # the log of the lower end of the unit law's support
+    neg_order_limit = inf  # j* of the module docstring
+
+    def require_neg_moment(self, j) -> None:
+        """The law's existence rule: NonexistentMomentError unless j < neg_order_limit."""
+        if j >= self.neg_order_limit:
+            raise NonexistentMomentError(
+                f"E(Theta^-{j:g}) diverges for the {self.kind} law, whose negative moments "
+                f"exist only below order {self.neg_order_limit:g}")
 
     def log_abs_laplace_derivative(self, k, s):
         """log E(Theta^k e^{-s Theta}) on an array s > 0, for every integer order
@@ -737,9 +737,9 @@ class MixingDistribution:
         An order k >= 0 is log|L^(k)(s)| ((-1)^k L^(k) >= 0 for every law in the catalog);
         k = 0 is log L and also takes s = 0.  A negative order
         k = -j is the j-fold integrated transform, and NonexistentMomentError
-        where it diverges.  An array of orders gives one row per order, shaped
-        (*k.shape, *s.shape), from one pass; an array that mixes both signs is
-        a ValueError.  It is the unit kernel at u = c s plus k log c
+        where it diverges (require_neg_moment).  An array of orders gives one
+        row per order, shaped (*k.shape, *s.shape), from one pass; an array
+        that mixes both signs is a ValueError.  It is the unit kernel at u = c s plus k log c
         (_log_unit_kernel, _unit)."""
         s, k = np.asarray(s, dtype=float), np.asarray(k)
         rows = self._log_unit_kernel(k, *self._unit(s))
@@ -772,6 +772,8 @@ class MixingDistribution:
             raise DerivativeCapError(
                 f"derivative order {deepest} needs {deepest + 1} rows per point, "
                 f"more than the kernel's budget of {_KERNEL_CELLS} cells")
+        if low < 0:
+            self.require_neg_moment(-low)
         # the kernels take orders of one sign and u flat, so each of their rows
         # is an array they can write into
         flat, log_flat = u.reshape(-1), np.reshape(log_u, -1)
@@ -869,8 +871,13 @@ class MixingDistribution:
 
     def log_unit_neg_moment(self, r: int) -> float:
         """log E((Theta/c)^-r), the part of log_neg_moment that the scale c does
-        not touch: the unit kernel of order -r at u = 0; laws with a closed
-        form, or whose kernel needs u > 0, override it."""
+        not touch (NonexistentMomentError from require_neg_moment)."""
+        self.require_neg_moment(r)
+        return self._log_unit_neg_moment(r)
+
+    def _log_unit_neg_moment(self, r) -> float:
+        """log_unit_neg_moment of an order that exists: the unit kernel of order -r
+        at u = 0; laws with a closed form, or whose kernel needs u > 0, override it."""
         return float(self._log_unit_kernel(-r, 0.0, -inf))
 
     def inverse_variance_share(self) -> float:
@@ -942,7 +949,6 @@ class GammaMixing(MixingDistribution):
 
     def _log_kernel(self, k, u, log_u):
         # Theta beta ~ Ga(alpha, 1): Gamma(alpha + k)/Gamma(alpha) (1 + u)^-(alpha + k)
-        _require_above(k, "alpha", self.alpha)
         a, k = self.alpha, _column(k, u.ndim)
         return log_poch(a, k) - (a + k) * _log1p(u, log_u)
 
@@ -958,15 +964,17 @@ class GammaMixing(MixingDistribution):
     def _unit_law(self):
         return GammaMixing(self.alpha, 1.0)
 
-    def log_unit_neg_moment(self, r):
+    @property
+    def neg_order_limit(self):
+        return self.alpha
+
+    def _log_unit_neg_moment(self, r):
         # Theta beta ~ Ga(alpha, 1)
-        if self.alpha <= r:
-            raise NonexistentMomentError(f"E(Theta^-{r}) requires alpha > {r}, got {self.alpha}")
         return -log_poch(self.alpha - r, r)
 
     def inverse_variance_share(self):
         # q = (alpha - 1)/(alpha - 2), whose logs of size 2 log alpha cancelled
-        self.log_unit_neg_moment(2)  # NonexistentMomentError unless alpha > 2
+        self.require_neg_moment(2)
         return 1.0 / (self.alpha - 1.0)
 
     def _generator(self, t):
@@ -1020,7 +1028,7 @@ class LevyMixing(MixingDistribution):
     def log_scale(self):
         return 2.0 * log(self.lam)
 
-    def log_unit_neg_moment(self, r):
+    def _log_unit_neg_moment(self, r):
         # Theta = lam^2 / (2 N^2): E((Theta/lam^2)^-r) = (2r)! / r!
         return log_poch(1.0 + r, r)
 
@@ -1039,7 +1047,7 @@ class LevyMixing(MixingDistribution):
     def _row(self, n):
         # the stable law's mixture at alpha = 1/2, square-gamma components weighted
         # |B_{n,k}| Gamma(k) / (Gamma(n) / 2) over the closed Bell row
-        return 0.0, 0.5, _sqrt_bell(n) + log(2.0) - lgamma(n), None
+        return 0.0, 0.5, _sqrt_bell(n) + log(2.0) - lgamma(n)
 
     def kendall_tau(self):
         # the stable value at index 1/2: rescaling Theta leaves the copula alone
@@ -1087,21 +1095,14 @@ class PositiveStableMixing(MixingDistribution):
 
     def _row(self, n):
         # generalized gamma components G_k^(1/alpha), k = 1..n, weighted |B_{n,k}| Gamma(k) /
-        # (Gamma(n) alpha) from row n of the triangle.  The survival coefficients
-        # c_j = sum_{k=j}^{n-1} |B_{k,j}| / k! are the kernel's survival sum over its rows
-        # 0..n-1, S = sum_{k<n} x^k/k! |L^(k)(x)|, gathered by powers of y = x^alpha: one
-        # logaddexp per row down the columns
-        a, lf = self.alpha, special.gammaln(np.arange(1.0, n + 1.0))
-        table = _power_bell(a, n)
-        log_c = np.full(n, -inf)
-        for k in range(n):
-            np.logaddexp(log_c[:k + 1], table[k, :k + 1] - lf[k], out=log_c[:k + 1])
-        return 0.0, a, table[n, 1:n + 1] - lgamma(n) - log(a), log_c
+        # (Gamma(n) alpha) from row n of the triangle
+        a = self.alpha
+        return 0.0, a, _power_bell(a, n)[n, 1:n + 1] - lgamma(n) - log(a)
 
     def kendall_tau(self):
         return 1.0 - self.alpha
 
-    def log_unit_neg_moment(self, r):
+    def _log_unit_neg_moment(self, r):
         return log_poch(1.0, r / self.alpha) - log_poch(1.0, r)
 
     def sample(self, size, rng):
@@ -1142,13 +1143,13 @@ class InverseGaussianMixing(MixingDistribution):
         # inf) a unit one, and c = 2 lam the Levy limit (mu -> inf) Levy(1)
         return min(2.0 * self.lam, self.mu)
 
-    def log_unit_neg_moment(self, r):
+    def _log_unit_neg_moment(self, r):
         # at an integer r, E(Theta^-r) = mu^-r sum_{k<=r} (r+k)!/(k! (r-k)!) (y/2)^k, y =
         # mu/lam (the Bessel polynomial of K_{r+1/2}), a sum of positive terms whose ratios
         # are (r+k+1)(r-k)/(k+1) y/2; for the unit law mu/c = max(y/2, 1).  The kernel at u
         # = 0 (other orders) costs about 20 times as much
         if not float(r).is_integer():
-            return super().log_unit_neg_moment(r)
+            return super()._log_unit_neg_moment(r)
         log_half_y = log(self.mu) - log(self.lam) - log(2.0)
         terms = [0.0]
         for k in range(int(r)):
@@ -1194,17 +1195,16 @@ class LindleyMixing(MixingDistribution):
     lam: float
 
     kind = "lindley"
+    neg_order_limit = 1.0  # the density is positive at 0
 
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
     def _log_kernel(self, k, u, log_u):
         # Theta lam is Ga(1, 1) with weight lam v and Ga(2, 1) with weight v = 1/(1+lam):
-        # k! (1+u)^-(k+1) (lam v + v (k+1)/(1+u)), whose last factor, a sum of positive
-        # terms, is 1 - v u/(1+u) at order 0: near 1 at a small u, where that row takes
-        # log1p; the density is positive at 0, so no negative order exists
-        if k[0] < 0:
-            raise NonexistentMomentError("E(Theta^-j e^(-s Theta)) diverges for the Lindley law")
+        # Gamma(k+1) (1+u)^-(k+1) (lam v + v (k+1)/(1+u)) at every real k > -1, whose last
+        # factor, a sum of positive terms, is 1 - v u/(1+u) at order 0: near 1 at a small
+        # u, where that row takes log1p
         lam, zero, k = self.lam, k == 0, _column(k, u.ndim)
         v = 1.0 / (1.0 + lam)
         last = np.log(lam * v + (k + 1.0) * (v / (1.0 + u)))
@@ -1351,7 +1351,7 @@ class GleserGammaMixing(MixingDistribution):
             log_falling = np.cumsum(np.log(np.r_[1.0, 1.0 - self.alpha + np.arange(n - 1.0)]))
         log_d = (log_falling - lgamma(self.alpha) - special.gammaln(j + 1.0)
                  - special.gammaln(n - j))
-        return self.alpha - 1.0, 1.0, log_d[::-1], None
+        return self.alpha - 1.0, 1.0, log_d[::-1]
 
     @cached_property
     def _unit_law(self):
@@ -1372,7 +1372,7 @@ class GleserGammaMixing(MixingDistribution):
     def scale(self):
         return self.lam
 
-    def log_unit_neg_moment(self, r):
+    def _log_unit_neg_moment(self, r):
         # E(Theta^-r) = Gamma(alpha + r) / (lam^r r! Gamma(alpha)), by the
         # change of variables theta = lam/u against the Beta(alpha, 1-alpha) law
         return log_poch(self.alpha, r) - log_poch(1.0, r)
@@ -1416,7 +1416,6 @@ class BetaSecondKindMixing(MixingDistribution):
         # Kummer integral per order: in one call for every order the grid would be as long
         # as the widest order's and as fine as the sharpest's (3-7x the time on 1000
         # points); L(0) = 1, and the integral needs s > 0
-        _require_above(k, "beta", self.beta)
         zero = s == 0.0
         out = np.empty((k.size,) + s.shape)
         for i, n in enumerate(k.tolist()):
@@ -1445,17 +1444,17 @@ class BetaSecondKindMixing(MixingDistribution):
 
         return np.array([invert(ti) for ti in t.ravel().tolist()]).reshape(t.shape)
 
-    def log_unit_neg_moment(self, r):
-        if r >= self.beta:
-            raise NonexistentMomentError(
-                f"E(Theta^-{r}) requires beta > {r}, got beta={self.beta}"
-            )
+    @property
+    def neg_order_limit(self):
+        return self.beta
+
+    def _log_unit_neg_moment(self, r):
         return log_poch(self.gam, r) - log_poch(self.beta - r, r)
 
     def inverse_variance_share(self):
         # E(W) = gam/(beta - 1) and E(W^2) = gam (gam + 1)/((beta - 1)(beta - 2)), so u =
         # (gam + beta - 1)/((gam + 1)(beta - 1)), divided out one factor at a time
-        self.log_unit_neg_moment(2)  # NonexistentMomentError unless beta > 2
+        self.require_neg_moment(2)
         return (self.gam + self.beta - 1.0) / (self.gam + 1.0) / (self.beta - 1.0)
 
     def _sum_pdf_at_zero(self, n):

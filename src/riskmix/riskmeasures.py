@@ -13,11 +13,11 @@ VaR works in the unit coordinate u = c x of the law's scale c (mixing), where
 S(x) = S_1(u): it brackets its root on a geometric grid of u, a factor 2
 apart, from 2^-40 to 2^40, and only for a quantile outside it on to 2^996 or
 from 2^-1074 (past either end, TailUnderflowError).  A grid's table is log
-S_1 and its log-log slope -u f_1 / S_1 at every point, from one
-log_survival_density call of the row; the near grid's reads neither the
-level nor the scale, so it is built once per unit law and total shape and
-kept (_near_table: at most _VAR_TABLES of 2 x 81 doubles, 2^16 doubles or
-512 kB in all), and a warm report makes no call for its bracket.  Newton
+S_1 and its log-log slope -u f_1 / S_1 at every point, from one density=True
+log_survival call of the row; the near grid's reads neither the level nor
+the scale, so it is built once per unit law and total shape and kept
+(_near_table: at most _VAR_TABLES of 2 x 81 doubles, 2^16 doubles or 512 kB
+in all), and a warm report makes no call for its bracket.  Newton
 starts from the root of the cubic Hermite interpolant of (log u, log S_1)
 with the table's slopes between the bracketing points: a few Newton steps on
 the cubic from the linear fraction (_start), or that fraction itself where a
@@ -36,14 +36,16 @@ Both are relative at every scale, and it returns x = u / c at the point of
 its last survival evaluation (TailUnderflowError where that leaves the
 positive doubles), so a law and its unit law take the same steps.
 
-Tail moments.  The law's row gives log E(S_1^r 1{S_1 > c a}) from the
-survival terms at a, one log-space reduction; its ratio to S(a) is divided
+Tail moments.  The law's row gives log E(S_1^r 1{S_1 > u}), u = c a, from the
+survival terms at u, one log-space reduction; its ratio to S(a) is divided
 by c^r (the row's from_unit, in log space where the unit law's moment leaves
 the doubles, as at c = 1e300, a = 1e10).  Both logs round by |log S(a)| eps,
 so below log S(a) = -4096 the moment is refused (TailUnderflowError); a
 moment that over- or underflows a double is PrecisionError.  risk_report
-takes the row and the survival terms of VaR's last evaluation, so S(a) costs
-no further call.
+takes the row, the unit point u and the survival terms of VaR's last
+evaluation, so neither S(a) nor u costs a further call.  E(S^r | S > a) is
+finite where E(Theta^-r) is: both ask the law's existence rule
+(require_neg_moment) before they evaluate anything.
 """
 
 from dataclasses import dataclass
@@ -75,7 +77,7 @@ _TAIL_LOG_FLOOR = -4096.0
 def _grid_table(row, grid):
     """(log S_1, d log S_1 / d log u = -u f_1 / S_1) on a grid of u, from one row call;
     the slope is not finite where S_1 or u f_1 is not a positive double."""
-    log_s, log_uf = row.log_survival_density(grid, np.log(grid))
+    log_s, log_uf = row.log_survival(grid, np.log(grid), density=True)
     with np.errstate(over="ignore", invalid="ignore"):
         return log_s, -np.exp(log_uf - log_s)
 
@@ -120,8 +122,8 @@ def _start(log_s, slopes, log_target) -> float:
 
 
 def _value_at_risk(model: AggregateModel, level: float):
-    """VaR, the model's row and the survival terms (the row's
-    log_survival_terms, a 1-D array) of the last evaluation there."""
+    """VaR, the model's row, and the unit point u and the survival terms (the
+    row's log_survival_terms, a 1-D array) of the last evaluation, at VaR."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie strictly between 0 and 1")
     row = model.mixing.sum_row(model.total_shape)
@@ -176,7 +178,7 @@ def _value_at_risk(model: AggregateModel, level: float):
         raise TailUnderflowError("the quantile lies below the smallest positive double")
     if x == inf:
         raise TailUnderflowError("the quantile lies past the largest double")
-    return x, row, terms
+    return x, row, u, terms
 
 
 def value_at_risk(model: AggregateModel, level: float) -> float:
@@ -184,17 +186,17 @@ def value_at_risk(model: AggregateModel, level: float) -> float:
     return _value_at_risk(model, level)[0]
 
 
-def _tail_moments(row, a: float, terms, orders) -> dict:
-    """{r: E(S^r | S > a)} for a > 0, from the law's row and its survival
-    terms at a; TailUnderflowError where log S(a) lies below _TAIL_LOG_FLOOR,
-    PrecisionError where a moment over- or underflows a double."""
+def _tail_moments(row, a: float, u, log_u, terms, orders) -> dict:
+    """{r: E(S^r | S > a)} for a > 0, from the law's row, the unit point (u, log u)
+    of a and the survival terms there; TailUnderflowError where log S(a) lies below
+    _TAIL_LOG_FLOOR, PrecisionError where a moment over- or underflows a double."""
     log_surv = np.logaddexp.reduce(terms)
     if not log_surv >= _TAIL_LOG_FLOOR:
         raise TailUnderflowError(f"log survival({a}) = {log_surv:.6g} lies below "
                                  f"{_TAIL_LOG_FLOOR}, where the tail moment loses its digits")
     # the unit law's moment may leave the doubles where the answer does not: from_unit
     # takes its log too
-    log_moments = row.log_tail_moments(a, orders, terms) - log_surv
+    log_moments = row.log_tail_moments(u, log_u, orders, terms) - log_surv
     with np.errstate(over="ignore"):
         moments = {r: row.from_unit(float(np.exp(v)), v, r)
                    for r, v in zip(orders, log_moments.tolist())}
@@ -211,12 +213,12 @@ def tail_moment(model: AggregateModel, r: int, a: float) -> float:
         raise ValueError("moment order must be >= 1")
     if a < 0:
         raise ValueError("threshold must be nonnegative")
-    plain = moment(model, r)  # a divergent moment raises here
     if a == 0.0:
-        return plain
+        return moment(model, r)
+    model.mixing.require_neg_moment(r)
     row = model.mixing.sum_row(model.total_shape)
-    terms = row.log_survival_terms(*row.law._unit(np.array([float(a)])))[:, 0]
-    return _tail_moments(row, a, terms, (r,))[r]
+    u, log_u = row.law._unit(float(a))
+    return _tail_moments(row, a, u, log_u, row.log_survival_terms(u, log_u), (r,))[r]
 
 
 def tvar(model: AggregateModel, level: float) -> float:
@@ -235,14 +237,13 @@ class RiskReport:
 def risk_report(model: AggregateModel, level: float, orders=(1, 2)) -> RiskReport:
     """VaR/TVaR bundle with tail moments of the requested orders.
 
-    Every moment the report needs must exist; a divergent one raises
-    NonexistentMomentError before the VaR search.  The tail moments are one
-    sum of the VaR search's row at VaR, given its last survival terms.
+    Every moment the report needs must exist (the law's require_neg_moment, before
+    the VaR search).  The tail moments are one sum of the VaR search's row at its
+    last unit point, given its survival terms there.
     """
     needed = tuple(dict.fromkeys((1, *orders)))
-    for r in needed:
-        moment(model, r)
-    a, row, terms = _value_at_risk(model, level)
-    tail = _tail_moments(row, a, terms, needed)
+    model.mixing.require_neg_moment(max(needed))
+    a, row, u, terms = _value_at_risk(model, level)
+    tail = _tail_moments(row, a, u, log(u), terms, needed)
     return RiskReport(level=level, var=a, tvar=tail[1],
                       tail_moments=tuple((r, tail[r]) for r in orders))

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -29,6 +30,7 @@ from riskmix.mixing import (
     LevyMixing,
     LindleyMixing,
     PositiveStableMixing,
+    _BELL_CACHE,
     _KERNEL_CELLS,
     _bell_triangle,
     _log_sum_exp,
@@ -604,17 +606,26 @@ class TestPowerBellTriangle:
                 assert got == pytest.approx(want[k], rel=1e-14, abs=1e-14)
 
     def test_one_cache_entry_per_alpha(self):
+        # one table is built for every order below 128 (counted as cache misses, since
+        # a full cache keeps its size)
         alpha = 0.4321
-        before = _bell_triangle.cache_info().currsize
+        before = _bell_triangle.cache_info().misses
         xs = np.logspace(-2, 2, 7)
         for n in range(2, ORDERS + 1):
             m = weibull_model(alpha, n)
             survival(m, xs)
             pdf(m, xs)
-        assert _bell_triangle.cache_info().currsize == before + 1
+        assert _bell_triangle.cache_info().misses == before + 1
         # orders 128..255 take the next power of two: one more table
         survival(weibull_model(alpha, 200), xs)
-        assert _bell_triangle.cache_info().currsize == before + 2
+        assert _bell_triangle.cache_info().misses == before + 2
+
+    def test_cache_is_bounded(self):
+        # a sweep over more indices than the cache keeps leaves at most _BELL_CACHE tables
+        for alpha in np.linspace(0.11, 0.99, _BELL_CACHE + 3).tolist():
+            _power_bell(alpha, 3)
+        info = _bell_triangle.cache_info()
+        assert info.maxsize == _BELL_CACHE and info.currsize <= _BELL_CACHE
 
     def test_larger_tables_extend_the_smaller(self):
         small, large = _power_bell(0.55, ORDERS), _power_bell(0.55, HIGH_ORDERS)
@@ -904,7 +915,7 @@ class TestNegativeOrders:
             assert got == pytest.approx(want, rel=1e-6)
 
     def test_existence_limits(self):
-        # gamma needs alpha > j, beta2 beta > j; Lindley diverges at every order
+        # gamma needs alpha > j, beta2 beta > j, Lindley 1 > j
         s = np.array([0.5, 2.0])
         for m in (GammaMixing(2.0, 1.0), BetaSecondKindMixing(2.0, 3.0)):
             assert np.all(np.isfinite(m.log_abs_laplace_derivative(-1, s)))
@@ -930,6 +941,66 @@ class TestNegativeOrders:
         assert got == pytest.approx(mp_reference.conditional_tail_moment(m, 3, 6, 1e4), rel=1e-12)
         for r in (5, 8):
             assert np.isfinite(tail_moment(model, r, 1e4))
+
+
+# each law with its order limit j*: E(Theta^-j) is finite exactly when j < j*
+EXISTENCE_LAWS = [(GammaMixing(1.5, 0.7), 1.5), (BetaSecondKindMixing(1.5, 2.5), 1.5),
+                  (LindleyMixing(0.8), 1.0), (LevyMixing(1.2), math.inf),
+                  (PositiveStableMixing(0.6), math.inf),
+                  (InverseGaussianMixing(0.9, 1.7), math.inf),
+                  (GleserGammaMixing(0.4, 1.5), math.inf)]
+
+
+class TestExistenceRule:
+    """One rule per law (neg_order_limit, require_neg_moment) answers every question of
+    existence, with one message."""
+
+    @pytest.mark.parametrize("m, limit", EXISTENCE_LAWS, ids=lambda v: getattr(v, "kind", ""))
+    def test_raises_exactly_from_the_limit(self, m, limit):
+        assert m.neg_order_limit == limit
+        s = np.array([0.3, 4.0])
+        for j in (0.5, 1, 2) + ((limit,) if limit < math.inf else ()):
+            calls = (lambda: m.log_abs_laplace_derivative(-j, s), lambda: m.neg_moment(j),
+                     lambda: m.log_unit_neg_moment(j))
+            if j >= limit:
+                message = (f"E(Theta^-{j:g}) diverges for the {m.kind} law, whose negative "
+                           f"moments exist only below order {limit:g}")
+                for call in calls:
+                    with pytest.raises(NonexistentMomentError, match=f"^{re.escape(message)}$"):
+                        call()
+                continue
+            assert 0.0 < m.neg_moment(j) < math.inf
+            assert math.isfinite(m.log_unit_neg_moment(j))
+            if isinstance(m, PositiveStableMixing):
+                # a limit of the kernel, not of existence: its tail moments sum its row
+                with pytest.raises(UnsupportedModelError):
+                    calls[0]()
+            else:
+                assert np.isfinite(calls[0]()).all()
+        if 2 >= limit:
+            with pytest.raises(NonexistentMomentError):
+                m.inverse_variance_share()
+        else:
+            assert 0.0 <= m.inverse_variance_share() < 1.0
+
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+    def test_lindley_half_order(self, lam):
+        # the closed form Gamma(k+1) (1+u)^-(k+1) (lam v + v (k+1)/(1+u)) holds at k = -1/2,
+        # against 40-digit quadrature of theta^-1/2 e^(-s theta) times the density
+        m = LindleyMixing(lam)
+        with mp.workdps(40):
+            lm = mp.mpf(lam)
+
+            def want(s):
+                return float(mp.quad(lambda t: t ** mp.mpf(-0.5) * mp.exp(-(s + lm) * t)
+                                     * lm ** 2 / (1 + lm) * (1 + t), [0, 1 / lm, mp.inf]))
+
+            w0, w2 = want(0), want(2)
+        assert m.neg_moment(0.5) == pytest.approx(w0, rel=1e-14)
+        assert math.exp(m.log_abs_laplace_derivative(-0.5, 2.0)) == pytest.approx(w2, rel=1e-14)
+        if lam == 1.0:
+            # E(Theta^-1/2) = (Gamma(1/2) + Gamma(3/2)) / 2
+            assert m.neg_moment(0.5) == pytest.approx(0.75 * math.sqrt(math.pi), rel=4e-16)
 
 
 BESSEL_NEGATIVE_LAWS = [LevyMixing(0.05), LevyMixing(1.2), LevyMixing(30.0),

@@ -3,6 +3,7 @@
 mixture, tail moments against mp_reference, the route that takes no kernel
 call, and properties of S, F and VaR."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,20 @@ class TestSurvivalAgainstMpmath:
     @pytest.mark.parametrize("law", ROW_LAWS, ids=repr)
     def test_n_1000_within_5e_12(self, law):
         assert survival_error(law, 1000) <= 5e-12
+
+    @pytest.mark.parametrize("n", [10, 32, 64])
+    @pytest.mark.parametrize("alpha", [0.45, 0.9])
+    def test_stable_coefficients_are_tail_sums(self, alpha, n):
+        # log c_i = log T_i - log i!, T_i = sum_{k>i} w_k, against 50 digits over the
+        # long-double Bell row: within a few ulps of the row's largest log, the rounding
+        # of the logs of row n of the double table
+        law = PositiveStableMixing(alpha)
+        with mp.workdps(50):
+            _, _, _, w = mp_reference._mixture_weights(law, n)
+            want = np.array([float(mp.log(mp.fsum(w[i:])) - mp.loggamma(i + 1))
+                             for i in range(n)])
+        err = np.abs(law.sum_row(n).log_c - want).max()
+        assert err <= 4 * np.spacing(np.abs(want).max())
 
     def test_y_past_the_double_range(self):
         # y = rate x^power overflows: S and f are 0, with no RuntimeWarning (an
@@ -112,7 +127,7 @@ class TestEveryTotalShape:
         for call in (lambda: row.log_survival(np.array([]), np.array([])),
                      lambda: row.log_survival_terms(np.array([1.0]), np.array([0.0])),
                      row.pdf_at_zero,
-                     lambda: row.log_tail_moments(1.0, (1,), np.zeros(2)), row.mixture):
+                     lambda: row.log_tail_moments(1.0, 0.0, (1,), np.zeros(2)), row.mixture):
             with pytest.raises(UnsupportedModelError):
                 call()
         # both rows take arrays of any shape, 0-d included

@@ -20,7 +20,8 @@ from riskmix.aggregate import (
 )
 from riskmix.errors import (NonexistentMomentError, PrecisionError, RiskmixError,
                             TailUnderflowError)
-from riskmix.mixing import BetaSecondKindMixing, GleserGammaMixing, KernelRow, MixtureRow
+from riskmix.mixing import (BetaSecondKindMixing, GleserGammaMixing, KernelRow, MixingDistribution,
+                            MixtureRow)
 from riskmix import aggregate, cli, riskmeasures
 from riskmix.riskmeasures import risk_report, tail_moment, tvar, value_at_risk
 from riskmix.simulate import SimulationPlan, sample_sums
@@ -357,7 +358,7 @@ class TestTailKernelSum:
         # the returned VaR is the last point the iteration evaluated, within its tolerances
         for m in (pareto_model(3.0, 1.0, 10), weibull_model(0.45, 5)):
             for lv in (0.3, 0.9, 0.999):
-                a, _, terms = riskmeasures._value_at_risk(m, lv)
+                a, _, _, terms = riskmeasures._value_at_risk(m, lv)
                 assert np.exp(np.logaddexp.reduce(terms)) == pytest.approx(survival(m, a), rel=1e-14)
                 assert survival(m, a) == pytest.approx(1.0 - lv, rel=1e-9)
 
@@ -402,7 +403,7 @@ class TestOneKernelCallPerStep:
         for n in (2, 10, 32):
             m = SIX_MODELS[name](n)
             for lv in (0.3, 0.99):
-                a, _, _ = riskmeasures._value_at_risk(m, lv)
+                a, _, _, _ = riskmeasures._value_at_risk(m, lv)
                 assert a > 0
 
     @pytest.mark.parametrize("key", PINNED_REPORTS, ids=lambda key: f"{key[0]}-{key[1]}")
@@ -569,6 +570,43 @@ class TestRiskReport:
         rep = risk_report(m, 0.95, orders=(2,))
         assert [r for r, _ in rep.tail_moments] == [2]
         assert rep.tvar == tvar(m, 0.95)
+
+    def test_existence_is_the_laws_rule(self, monkeypatch):
+        # a divergent order raises from the law's existence rule before any row, kernel
+        # or moment is evaluated
+        calls = []
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+        for owner, name in ((MixingDistribution, "sum_row"),
+                            (MixingDistribution, "_log_unit_kernel"),
+                            (aggregate, "moment"), (riskmeasures, "moment")):
+            spy(owner, name)
+        pareto, lindley = pareto_model(2.0, 1.0, 3), lindley_model(1.0, 3)
+        for call in (lambda: risk_report(pareto, 0.9, orders=(1, 2)),
+                     lambda: tail_moment(pareto, 2, 1.5), lambda: risk_report(lindley, 0.9),
+                     lambda: tvar(lindley, 0.9), lambda: tail_moment(lindley, 1, 1.5)):
+            with pytest.raises(NonexistentMomentError):
+                call()
+        assert calls == []
+        # E(S) of Pareto claims at alpha = 2 exists, and so does its TVaR
+        assert math.isfinite(tvar(pareto, 0.9))
+
+    @pytest.mark.parametrize("name", [k for k in SIX_MODELS if k != "lindley"])
+    def test_one_unit_point(self, name, monkeypatch):
+        # a warm report reads VaR's last unit point, and tail_moment converts its
+        # threshold once
+        m, calls = SIX_MODELS[name](10), []
+        risk_report(m, 0.99)
+        unit = MixingDistribution._unit
+        monkeypatch.setattr(MixingDistribution, "_unit",
+                            lambda self, s: calls.append(s) or unit(self, s))
+        risk_report(m, 0.99)
+        assert calls == []
+        tail_moment(m, 2, 3.0)
+        assert len(calls) == 1
 
 
 # the laws of the risk-warm benchmark, at the centres of its parameter ranges
