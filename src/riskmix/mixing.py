@@ -27,8 +27,20 @@ and exp of the law's log_neg_moment.
 Existence.  E(Theta^-j), and with it the kernel of order -j and E(S^j), is
 finite exactly when j < j* = neg_order_limit: alpha for gamma, beta for the
 second-kind beta law, 1 for Lindley, inf for the others.  The kernel (in
-_log_unit_kernel), the negative moments, the variance share and the risk
-measures all ask require_neg_moment, which raises NonexistentMomentError.
+_orders), the negative moments, the variance share and the risk measures all
+ask require_neg_moment, which raises NonexistentMomentError.
+
+Orders and points.  A kernel call is split in two.  _orders casts whole
+orders to integers and checks them once, in this order: their sign, the
+memory budget below (DerivativeCapError), the existence rule; and the law
+forms the part of its formula that reads the orders alone (_order_part): for
+gamma log (alpha)_k and alpha + k, for Lindley k + 1 (its Gamma(k+1) is the
+orders' log k!, _Orders.log_factorial); the stable law refuses a real or
+negative order there.  _log_unit_kernel then runs the
+law's _log_kernel on the points, in blocks, with the far-point test.
+log_abs_laplace_derivative forms both parts on every call; a KernelRow keeps
+its checked orders per unit law (_row_orders), so each of its calls pays only
+for the arithmetic that reads u.
 
 Memory budget.  The base class runs _log_kernel on blocks of
 _KERNEL_CELLS // (1 + max|k|) points of s (all of s when they fit), so an
@@ -114,10 +126,14 @@ sums of positive terms call no kernel:
 * stable: shape0 0, power alpha, weights from row n of the Bell triangle;
 * Levy: shape0 0, power 1/2, weights from the closed Bell row _sqrt_bell;
 * Gleser: shape0 alpha - 1, power 1, the printed gamma sum.
-Every other law, and every fractional a, gets a KernelRow, which sums the
-kernel (at a fractional a only its pdf answers; its tail moments read the
-Pochhammer shifts of _tail_pochs, cached per n and order) and reads the law's own
-density limit at 0 and finite mixture (_sum_pdf_at_zero, _sum_mixture):
+The rows keep these sums with the (n, 1) columns that their sums over the
+points broadcast, so a call forms none of them.  Every other law, and every
+fractional a, gets a KernelRow, which sums the kernel (at a fractional a only
+its pdf answers): its orders, with their float column, log k! and the
+kernel's order part, come from _row_orders, and its tail moments read the
+Pochhammer shifts of _tail_shifts, cached per n and orders.  It reads the
+law's own density limit at 0 and finite mixture (_sum_pdf_at_zero,
+_sum_mixture):
 gamma (Pareto claims) one B2(n, alpha) of scale beta; Lindley, whose Theta
 is Ga(1, lam) with weight lam/(1+lam) and Ga(2, lam) otherwise, B2(n, 1)
 and B2(n, 2) of scale lam; the inverse Gaussian and second-kind beta none.
@@ -499,6 +515,37 @@ def _by_blocks(n, fn, *arrays, rows=()):
     return out.reshape(rows + np.shape(arrays[0]))
 
 
+@dataclass(frozen=True, eq=False)
+class _Orders:
+    """Kernel orders checked once (MixingDistribution._orders): k, a read-only 1-D
+    array, of integers where every order is whole; the shape they came in; col, their
+    float column; block, the points of one kernel pass under the memory budget; and
+    part, the part of the law's kernel that reads the orders alone (_order_part)."""
+
+    k: np.ndarray
+    shape: tuple
+    col: np.ndarray
+    block: int
+    part: object
+
+    @cached_property
+    def log_factorial(self) -> np.ndarray:
+        """log k! as a read-only column, formed on first use: a KernelRow's survival
+        terms divide by k!, and the Lindley kernel multiplies by it."""
+        out = special.gammaln(self.col + 1.0)
+        out.flags.writeable = False
+        return out
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _row_orders(unit_law, k) -> _Orders:
+    """unit_law._orders(k) for the orders of a KernelRow, a number (its density's n) or
+    a range (its survival terms' 0..n-1, with the density 0..n, and its tail moments'
+    -1..-r), built on first use and kept per unit law and orders, so that every call
+    and every scale of the law shares the checks and the kernel's order part."""
+    return unit_law._orders(np.array(k) if isinstance(k, range) else k)
+
+
 class _Row:
     """What both rows share: the blocking, the check of a fractional n, and the way
     back from the unit coordinate u = c x (MixingDistribution._unit), in which the
@@ -575,15 +622,23 @@ class MixtureRow(_Row):
     term Q(1, y) = e^{-y} is the i = 0 term with c_0 = 1.  The unit law gives log d_k
     (log_d, k = 1..n), and log c_i (log_c, i = 0..n-1) are the tail sums of its
     weights; they are built on first use and cached per unit law and n
-    (_mixture_row), so every scale of a law shares them."""
+    (_mixture_row), with the columns that the sums over the points read, so every
+    scale of a law shares them."""
 
     law: "MixingDistribution"
     n: int
 
     def __post_init__(self):
         sums = _mixture_row(self.law._unit_law, self.n)
-        for name, value in zip(("shape0", "power", "log_d", "log_c", "_shapes"), sums):
+        for name, value in zip(("shape0", "power", "log_d", "log_c", "_shapes", "_cols"), sums):
             object.__setattr__(self, name, value)
+
+    def _columns(self, ndim):
+        """The columns (log c_i, shape0 + i, log d_k, shape0 + k) that broadcast over
+        ndim axes of points."""
+        if ndim == 1:
+            return self._cols
+        return tuple(np.reshape(c, (-1,) + (1,) * ndim) for c in self._cols)
 
     def _log_y(self, u, log_u):
         """(log y, y), y = u^power; log y is finite wherever y under- or overflows,
@@ -594,17 +649,16 @@ class MixtureRow(_Row):
         """The (n, *u.shape) log terms on an array u > 0 whose log-sum is log
         S_1(u); with density=True the pair (terms, log(u f_1(u)))."""
         log_y, y = self._log_y(u, log_u)
-        col = (-1,) + (1,) * u.ndim
-        terms = self.log_c.reshape(col) + (self._shapes.reshape(col) - 1.0) * log_y - y
+        log_c, shapes_less_1, _, _ = self._columns(u.ndim)
+        terms = log_c + shapes_less_1 * log_y - y
         if self.shape0:
             terms[0] = log_gammaincc(self.shape0 + 1.0, y)
         return (terms, self._log_u_density(log_y, y)) if density else terms
 
     def _log_u_density(self, log_y, y):
         """log(u f_1(u))."""
-        col = (-1,) + (1,) * y.ndim
-        return (log(self.power) - y
-                + _log_sum_exp(self.log_d.reshape(col) + self._shapes.reshape(col) * log_y))
+        _, _, log_d, shapes = self._columns(y.ndim)
+        return log(self.power) - y + _log_sum_exp(log_d + shapes * log_y)
 
     def _log_unit_pdf(self, u, log_u):
         return self._log_u_density(*self._log_y(u, log_u)) - log_u
@@ -638,36 +692,51 @@ class MixtureRow(_Row):
 
 @lru_cache(maxsize=_ROW_CACHE)
 def _mixture_row(unit_law, n: int) -> tuple:
-    """(shape0, power, log_d, log_c, shapes) of the MixtureRow of S_n under a unit
-    law, from its _row, built on first use; shapes holds shape0 + i + 1 for i =
-    0..n-1, which is also shape0 + k for k = 1..n."""
+    """(shape0, power, log_d, log_c, shapes, columns) of the MixtureRow of S_n under a
+    unit law, from its _row, built on first use; shapes holds shape0 + i + 1 for i =
+    0..n-1, which is also shape0 + k for k = 1..n, and columns is (log_c, shapes - 1,
+    log_d, shapes) as (n, 1) columns."""
     shape0, power, log_d = unit_law._row(n)
     shapes = shape0 + np.arange(1.0, n + 1.0)
     # log T_i, the tail sums of the weights, from the last one down
     log_gamma = special.gammaln(shapes)
     log_c = np.logaddexp.accumulate((log_d + log_gamma)[::-1])[::-1] - log_gamma
     log_c[0] = -log_gamma[0]  # T_0 = 1
-    for values in (log_d, log_c, shapes):
+    columns = tuple(c[:, None] for c in (log_c, shapes - 1.0, log_d, shapes))
+    for values in (log_d, log_c, shapes, *columns):
         values.flags.writeable = False
-    return shape0, power, log_d, log_c, shapes
+    return shape0, power, log_d, log_c, shapes, columns
 
 
 @lru_cache(maxsize=_ROW_CACHE)
-def _tail_pochs(n: int, r: int) -> tuple:
-    """(log (n)_r, log (j)_r for j = 1..n), the latter read-only: the shifts of a
-    KernelRow's tail moment of order r, which read nothing else, kept per (n, r) (8 n
-    bytes each) since a risk report makes them at each of its orders."""
-    log_j = log_poch(np.arange(1.0, n + 1.0), r)
-    log_j.flags.writeable = False
-    return log_poch(n, r), log_j
+def _tail_shifts(n: int, orders: tuple) -> tuple:
+    """What a KernelRow's tail moments of the orders r (a tuple) read besides the
+    point, kept per (n, orders) since every risk report asks for them, read-only: log
+    (n)_r; r as a column; log (j)_r for j = 1..n, a row per order; and for the terms
+    k < max(r) of the head, k, and per order the index r - 1 - k of the kernel's order
+    k - r among -1, ..., -max(r) and log k!, which is inf past k = r - 1, so that
+    there the term is -inf."""
+    top, r = max(orders), np.array(orders)[:, None]
+    log_n = np.array([log_poch(n, j) for j in orders])
+    log_j = np.array([log_poch(np.arange(1.0, n + 1.0), j) for j in orders])
+    k = np.arange(top)
+    log_fact = np.full((len(orders), top), inf)
+    for i, j in enumerate(orders):
+        log_fact[i, :j] = [lgamma(m + 1.0) for m in range(j)]
+    shifts = log_n, r.astype(float), log_j, k.astype(float), np.maximum(r - 1 - k, 0), log_fact
+    for values in shifts:
+        values.flags.writeable = False
+    return shifts
 
 
 @dataclass(frozen=True)
 class KernelRow(_Row):
     """S = S_1 / c, of total shape n, through the law's unit kernel K_1(k, u) = E(Theta_1^k
-    e^{-u Theta_1}) (MixingDistribution._log_unit_kernel), built per call (it holds no
-    arrays).  Given Theta_1, S_1 is Gamma(n, Theta_1), so u f_1(u) = u^n/Gamma(n) K_1(n,
-    u) at every n, and at an integral n (else UnsupportedModelError) these are sums of
+    e^{-u Theta_1}) (MixingDistribution._log_unit_kernel), built per call; its orders,
+    checked, with their column, log k! and the kernel's order part, are built on first
+    use and kept per unit law (_row_orders), so a call pays only for what reads u.
+    Given Theta_1, S_1 is Gamma(n, Theta_1), so u f_1(u) = u^n/Gamma(n) K_1(n, u) at
+    every n, and at an integral n (else UnsupportedModelError) these are sums of
     positive terms:
 
         S_1(u)              = sum_{k<n} u^k/k! K_1(k, u),
@@ -680,36 +749,39 @@ class KernelRow(_Row):
         """The (n, *u.shape) log terms on an array u > 0 whose log-sum is log
         S_1(u); with density=True the pair (terms, log(u f_1(u))), one kernel call."""
         n = self._integer_n()
-        k = np.arange(n + density)
-        col = k.reshape((-1,) + (1,) * u.ndim)
-        # the kernel first: it refuses an order past its budget before the other
-        # terms are formed
-        terms = self.law._log_unit_kernel(k, u, log_u)
-        terms += col * log_u - special.gammaln(col + 1.0)
+        # the orders first: they refuse an order past the budget before any term is
+        # formed
+        orders = _row_orders(self.law._unit_law, range(n + density))
+        terms = self.law._log_unit_kernel(orders, u, log_u)
+        col, log_fact = orders.col, orders.log_factorial
+        if u.ndim != 1:
+            col, log_fact = (np.reshape(a, (-1,) + (1,) * u.ndim) for a in (col, log_fact))
+        terms += col * log_u - log_fact
         return (terms[:n], terms[n] + log(n)) if density else terms
 
     def _log_unit_pdf(self, u, log_u):
         # the derivative route f_1(u) = u^(n-1)/Gamma(n) K_1(n, u)
         n = self.n
-        return (n - 1.0) * log_u - lgamma(n) + self.law._log_unit_kernel(n, u, log_u)
+        return ((n - 1.0) * log_u - lgamma(n)
+                + self.law._log_unit_kernel(_row_orders(self.law._unit_law, n), u, log_u))
 
     def pdf_at_zero(self) -> float:
         return self.law._sum_pdf_at_zero(self._integer_n())
 
     def log_tail_moments(self, u, log_u, orders, terms) -> np.ndarray:
         """log E(S_1^r 1{S_1 > u}) at the unit point u = c a > 0 (so c^-r times it is
-        E(S^r 1{S > a})), for each order r of a 1-D array, from the survival terms at
-        u (a 1-D array) and one kernel call for the orders -1..-max(orders): for k >=
-        r the survival term of order j = k - r times u^r j!/k! = u^r / (j+1)_r, for k
-        < r u^k/k! K_1(k-r, u)."""
+        E(S^r 1{S > a})), for each order r of a tuple, from the survival terms at u (a
+        1-D array) and one kernel call for the orders -1..-max(orders): for k >= r the
+        survival term of order j = k - r times u^r j!/k! = u^r / (j+1)_r, for k < r
+        u^k/k! K_1(k-r, u).  Every order is one row of a single reduction, whose rows
+        of a lower order end in -inf (_tail_shifts)."""
         n, top = self._integer_n(), max(orders)
-        neg = self.law._log_unit_kernel(-np.arange(1, top + 1), u, log_u)
-        out = np.empty(len(orders))
-        for i, r in enumerate(orders):
-            log_n, log_j = _tail_pochs(n, r)
-            head = [neg[r - 1 - k] + k * log_u - lgamma(k + 1.0) for k in range(r)]
-            out[i] = log_n + np.logaddexp.reduce(np.concatenate((terms + r * log_u - log_j, head)))
-        return out
+        log_n, r, log_j, k, index, log_fact = _tail_shifts(n, tuple(orders))
+        neg = self.law._log_unit_kernel(_row_orders(self.law._unit_law, range(-1, -top - 1, -1)),
+                                        u, log_u)
+        body = terms + r * log_u - log_j
+        head = neg[index] + k * log_u - log_fact
+        return log_n + np.logaddexp.reduce(np.concatenate((body, head), axis=1), axis=1)
 
     def mixture(self) -> MixtureRepresentation:
         return self.law._sum_mixture(self._integer_n())
@@ -740,25 +812,25 @@ class MixingDistribution:
         where it diverges (require_neg_moment).  An array of orders gives one
         row per order, shaped (*k.shape, *s.shape), from one pass; an array
         that mixes both signs is a ValueError.  It is the unit kernel at u = c s plus k log c
-        (_log_unit_kernel, _unit)."""
-        s, k = np.asarray(s, dtype=float), np.asarray(k)
-        rows = self._log_unit_kernel(k, *self._unit(s))
+        (_log_unit_kernel, _unit), of the orders checked here (_orders); a row keeps its
+        checked orders instead (_row_orders)."""
+        s, orders = np.asarray(s, dtype=float), self._orders(k)
+        rows = self._log_unit_kernel(orders, *self._unit(s))
         if self.log_scale:
-            rows += np.reshape(k, k.shape + (1,) * s.ndim) * self.log_scale
+            rows += np.reshape(orders.k, orders.shape + (1,) * s.ndim) * self.log_scale
         if rows.dtype != float:
             with np.errstate(over="ignore"):  # below -FLOAT_MAX the log is -inf
                 rows = rows.astype(float)
         return rows
 
-    def _log_unit_kernel(self, k, u, log_u):
-        """log E(Theta_1^k e^{-u Theta_1}) of the unit law Theta_1 = Theta / c, on
-        arrays u >= 0 and log u of one shape (_unit), with the orders k of
-        log_abs_laplace_derivative.  The law's _log_kernel runs on u in blocks of the
-        memory budget (see the module docstring); DerivativeCapError where one point
-        exceeds it.  Every order is -inf where u Theta_1 lies past the double range
-        for every Theta_1 of the support (at s = inf, and where u times the unit
-        law's lowest value overflows)."""
-        u, k = np.asarray(u, dtype=float), np.asarray(k)
+    def _orders(self, k) -> "_Orders":
+        """The orders k of log_abs_laplace_derivative, checked once for every call
+        that takes them: ValueError where they mix both signs, DerivativeCapError
+        where one point of them exceeds the memory budget (see the module
+        docstring), then the law's existence rule at a negative order
+        (require_neg_moment); whole orders become integers, and the law forms the
+        part of its kernel that reads the orders alone (_order_part)."""
+        k = np.asarray(k)
         orders = k.reshape(-1)
         if orders.dtype.kind == "f":
             if (orders % 1 == 0).all():
@@ -774,24 +846,46 @@ class MixingDistribution:
                 f"more than the kernel's budget of {_KERNEL_CELLS} cells")
         if low < 0:
             self.require_neg_moment(-low)
+        col = _column(orders, 1)
+        for values in (orders, col):
+            values.flags.writeable = False
+        return _Orders(orders, k.shape, col, block, self._order_part(orders, col))
+
+    def _order_part(self, k, col):
+        """The part of the law's kernel that reads the orders alone (k, and col, their
+        float column), formed once per _Orders and handed to _log_kernel; None by
+        default.  It also refuses an order the kernel cannot take."""
+        return None
+
+    def _log_unit_kernel(self, orders, u, log_u):
+        """log E(Theta_1^k e^{-u Theta_1}) of the unit law Theta_1 = Theta / c, on
+        arrays u >= 0 and log u of one shape (_unit), for the checked orders k of
+        _orders.  The law's _log_kernel runs on u in blocks of the memory budget
+        (see the module docstring).  Every order is -inf where u Theta_1 lies past
+        the double range for every Theta_1 of the support (at s = inf, and where u
+        times the unit law's lowest value overflows)."""
+        u = np.asarray(u, dtype=float)
         # the kernels take orders of one sign and u flat, so each of their rows
-        # is an array they can write into
-        flat, log_flat = u.reshape(-1), np.reshape(log_u, -1)
+        # is an array they can write into.  (count_nonzero, not .any(): on the one
+        # point of a Newton step the method's dispatch costs three times as much)
+        flat, log_flat = u.reshape(-1), np.asarray(log_u).reshape(-1)
         far = log_flat >= _LOG_FLOAT_MAX - self._log_unit_floor
-        if far.any():
-            # there every order tends to 0; the kernel runs at u = 1 instead, so it
-            # still refuses an order it cannot take
-            rows = self._log_unit_kernel(orders, np.where(far, 1.0, flat),
-                                         np.where(far, 0.0, log_flat))
-            rows[:, far] = -inf
-        elif flat.size <= block:
+        any_far = np.count_nonzero(far)
+        if any_far:
+            # there every order tends to 0: the kernel runs at u = 1 instead, and those
+            # columns become -inf
+            flat, log_flat = np.where(far, 1.0, flat), np.where(far, 0.0, log_flat)
+        block = orders.block
+        if flat.size <= block:
             rows = self._log_kernel(orders, flat, log_flat)
         else:
-            rows = np.empty((orders.size, flat.size), dtype=log_flat.dtype)
+            rows = np.empty((orders.k.size, flat.size), dtype=log_flat.dtype)
             for i in range(0, flat.size, block):
                 rows[:, i:i + block] = self._log_kernel(orders, flat[i:i + block],
                                                         log_flat[i:i + block])
-        return rows.reshape(k.shape + u.shape)
+        if any_far:
+            rows[:, far] = -inf
+        return rows.reshape(orders.shape + u.shape)
 
     def _unit(self, s):
         """(u, log u) on an array s >= 0, u = c s the unit coordinate, or exp(log c + log s)
@@ -878,7 +972,7 @@ class MixingDistribution:
     def _log_unit_neg_moment(self, r) -> float:
         """log_unit_neg_moment of an order that exists: the unit kernel of order -r
         at u = 0; laws with a closed form, or whose kernel needs u > 0, override it."""
-        return float(self._log_unit_kernel(-r, 0.0, -inf))
+        return float(self._log_unit_kernel(self._orders(-r), 0.0, -inf))
 
     def inverse_variance_share(self) -> float:
         """u = Var(W) / E(W^2) = 1 - E^2(W) / E(W^2), W = 1/Theta, from which
@@ -947,10 +1041,14 @@ class GammaMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(alpha=self.alpha, beta=self.beta)
 
-    def _log_kernel(self, k, u, log_u):
-        # Theta beta ~ Ga(alpha, 1): Gamma(alpha + k)/Gamma(alpha) (1 + u)^-(alpha + k)
-        a, k = self.alpha, _column(k, u.ndim)
-        return log_poch(a, k) - (a + k) * _log1p(u, log_u)
+    def _order_part(self, k, col):
+        # Theta beta ~ Ga(alpha, 1): Gamma(alpha + k)/Gamma(alpha) (1 + u)^-(alpha + k),
+        # whose first factor and exponent read the orders alone
+        return log_poch(self.alpha, col), self.alpha + col
+
+    def _log_kernel(self, orders, u, log_u):
+        log_poch_k, power = orders.part
+        return log_poch_k - power * _log1p(u, log_u)
 
     @property
     def scale(self):
@@ -1013,9 +1111,9 @@ class LevyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def _log_kernel(self, k, u, log_u):
+    def _log_kernel(self, orders, u, log_u):
         # Theta / lam^2 ~ Levy(1) = IG(1/2, inf)
-        return _log_bessel_kernel(k, u, log_u, 0.0, -inf)
+        return _log_bessel_kernel(orders.k, u, log_u, 0.0, -inf)
 
     def _generator(self, t):
         return (-np.log(t) / self.lam) ** 2
@@ -1070,13 +1168,15 @@ class PositiveStableMixing(MixingDistribution):
         if not (0 < self.alpha <= 1):
             raise ValueError(f"stable index must lie in (0, 1], got {self.alpha}")
 
-    def _log_kernel(self, k, s, log_s):
-        a = self.alpha
+    def _order_part(self, k, col):
         if k.dtype.kind == "f" or k[0] < 0:
             # its tail moments and survival are sums of positive terms over the mixture
             # row instead (sum_row)
             raise UnsupportedModelError(
                 f"{self.kind} mixing has no kernel of real or negative order")
+
+    def _log_kernel(self, orders, s, log_s):
+        a, k = self.alpha, orders.k
         # row n: sum_{j=1..n} |B_{n,j}| s^(j alpha - n) e^{-s^alpha}
         expo = -s ** a
         out = np.empty((k.size,) + s.shape)
@@ -1129,8 +1229,9 @@ class InverseGaussianMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam, mu=self.mu)
 
-    def _log_kernel(self, k, u, log_u):
-        return _log_bessel_kernel(k, u, log_u, self.lam / self.mu, log(self.lam) - log(self.mu))
+    def _log_kernel(self, orders, u, log_u):
+        return _log_bessel_kernel(orders.k, u, log_u, self.lam / self.mu,
+                                  log(self.lam) - log(self.mu))
 
     def _generator(self, t):
         # L(s) = exp(c - z) solved for s: with u = -log t, s = u/mu + u^2/(2 lam)
@@ -1200,20 +1301,25 @@ class LindleyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def _log_kernel(self, k, u, log_u):
+    def _order_part(self, k, col):
         # Theta lam is Ga(1, 1) with weight lam v and Ga(2, 1) with weight v = 1/(1+lam):
-        # Gamma(k+1) (1+u)^-(k+1) (lam v + v (k+1)/(1+u)) at every real k > -1, whose last
-        # factor, a sum of positive terms, is 1 - v u/(1+u) at order 0: near 1 at a small
-        # u, where that row takes log1p
-        lam, zero, k = self.lam, k == 0, _column(k, u.ndim)
+        # Gamma(k+1) (1+u)^-(k+1) (lam v + v (k+1)/(1+u)) at every real k > -1, whose
+        # Gamma(k+1) is the orders' log k! (_Orders.log_factorial); k + 1 and the order
+        # 0 read the orders alone too
+        return col + 1.0, k == 0
+
+    def _log_kernel(self, orders, u, log_u):
+        # the last factor, a sum of positive terms, is 1 - v u/(1+u) at order 0: near 1
+        # at a small u, where that row takes log1p
+        (k1, zero), lam = orders.part, self.lam
         v = 1.0 / (1.0 + lam)
-        last = np.log(lam * v + (k + 1.0) * (v / (1.0 + u)))
+        last = np.log(lam * v + k1 * (v / (1.0 + u)))
         if zero.any():
             # (b is nan at u = inf, and the unused log1p(b) is -inf where b = -1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 b = -v * u / (1.0 + u)
                 last[zero] = np.where(b > -0.5, np.log1p(b), last[zero])
-        return special.gammaln(k + 1.0) - (k + 1.0) * _log1p(u, log_u) + last
+        return orders.log_factorial - k1 * _log1p(u, log_u) + last
 
     @property
     def scale(self):
@@ -1281,11 +1387,11 @@ class GleserGammaMixing(MixingDistribution):
             raise ValueError(f"shape must lie in (0, 1], got {self.alpha}")
         _require_positive(lam=self.lam)
 
-    def _log_kernel(self, k, u, log_u):
+    def _log_kernel(self, orders, u, log_u):
         # Theta / lam = 1/B, B ~ Beta(alpha, 1-alpha)
-        a = self.alpha
+        a, k = self.alpha, orders.k
         if a == 1.0:  # the point mass at 1
-            return _column(k, u.ndim) * 0.0 - u
+            return orders.col * 0.0 - u
         if k.dtype.kind == "i" and k[0] >= 0:
             # c = 1 / (Gamma(1-alpha) Gamma(alpha)) and c I_0 = u^(alpha-1) / Gamma(alpha),
             # from which the orders climb with q_1 = 1 + (1-alpha)/u
@@ -1411,12 +1517,12 @@ class BetaSecondKindMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(beta=self.beta, gam=self.gam)
 
-    def _log_kernel(self, k, s, log_s):
+    def _log_kernel(self, orders, s, log_s):
         # E(Theta^k e^{-s Theta}) = Gamma(beta+k) U(beta+k, 1+k-gam, s) / B(beta, gam), one
         # Kummer integral per order: in one call for every order the grid would be as long
         # as the widest order's and as fine as the sharpest's (3-7x the time on 1000
         # points); L(0) = 1, and the integral needs s > 0
-        zero = s == 0.0
+        zero, k = s == 0.0, orders.k
         out = np.empty((k.size,) + s.shape)
         for i, n in enumerate(k.tolist()):
             out[i] = log_kummer_u_integral(self.beta + n, 1.0 + n - self.gam,

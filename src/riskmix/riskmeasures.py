@@ -10,20 +10,25 @@ n is the model's total shape; every risk measure sums the orders below it,
 so at a fractional one the model's row raises UnsupportedModelError.
 
 VaR works in the unit coordinate u = c x of the law's scale c (mixing), where
-S(x) = S_1(u): it brackets its root on a geometric grid of u, a factor 2
-apart, from 2^-40 to 2^40, and only for a quantile outside it on to 2^996 or
-from 2^-1074 (past either end, TailUnderflowError).  A grid's table is log
-S_1 and its log-log slope -u f_1 / S_1 at every point, from one density=True
+S(x) = S_1(u): it brackets its root on a geometric grid of u from 2^-40 to
+2^40, 16 points per octave (1281 points, 2^(1/16) apart), and only for a
+quantile outside it on grids a factor 2 apart, on to 2^996 or from 2^-1074
+(past either end, TailUnderflowError).  A grid's table is log S_1 and its
+log-log slope -u f_1 / S_1 at every point, from one density=True
 log_survival call of the row; the near grid's reads neither the level nor
 the scale, so it is built once per unit law and total shape and kept
-(_near_table: at most _VAR_TABLES of 2 x 81 doubles, 2^16 doubles or 512 kB
-in all), and a warm report makes no call for its bracket.  Newton
-starts from the root of the cubic Hermite interpolant of (log u, log S_1)
-with the table's slopes between the bracketing points: a few Newton steps on
-the cubic from the linear fraction (_start), or that fraction itself where a
-slope is not finite or the cubic does not decrease.  The safeguarded Newton
-iteration runs in t = log u on g = log S - log(1 - level), dg/dt = -u f_1 /
-S (S' = -f), bisecting whenever a step leaves the bracket.  Each step takes
+(_near_table: 2 x 1281 doubles or 20.5 kB a table, at most _VAR_TABLES = 102
+of them in a budget of 2 MB), and a warm report makes no call for its
+bracket.  Newton starts from the root of the cubic Hermite interpolant of
+(log u, log S_1) with the table's slopes between the bracketing points: a
+few Newton steps on the cubic from the linear fraction (_start), or that
+fraction itself where a slope is not finite or the cubic does not decrease.
+On the near grid's narrow bracket that start is close enough for one Newton
+step to land within 1e-14 of the root, so a warm report at levels 0.9 to
+0.999 makes two survival calls, the second of which confirms the first.  The
+safeguarded Newton iteration runs in t = log u on g = log S - log(1 -
+level), dg/dt = -u f_1 / S (S' = -f), bisecting whenever a step leaves the
+bracket.  Each step takes
 the survival terms and u f_1 at u together from the law's row
 (mixing.MixtureRow or KernelRow).
 Below level 0.5 it iterates on g = log F - log(level) instead, with F = 1 - S
@@ -34,7 +39,9 @@ about that close to the root): within 1e-14 of u from the median up, within
 rtol below it, where F = 1 - S carries the rounding of S, eps S / F relative.
 Both are relative at every scale, and it returns x = u / c at the point of
 its last survival evaluation (TailUnderflowError where that leaves the
-positive doubles), so a law and its unit law take the same steps.
+positive doubles), so a law and its unit law take the same steps.  Each step
+takes log u as numpy's log, as the unit coordinate does (mixing's _unit), so
+that tail_moment at VaR repeats the report's digits.
 
 Tail moments.  The law's row gives log E(S_1^r 1{S_1 > u}), u = c a, from the
 survival terms at u, one log-space reduction; its ratio to S(a) is divided
@@ -59,16 +66,21 @@ from .errors import PrecisionError, RiskmixError, TailUnderflowError
 
 __all__ = ["RiskReport", "value_at_risk", "tail_moment", "tvar", "risk_report"]
 
-# the bracketing grids, a factor 2 apart; the far and the low one share the near one's ends
-_VAR_NEAR, _VAR_FAR, _VAR_LOW = (2.0 ** np.arange(*ends)
-                                 for ends in ((-40, 41), (40, 997), (-1074, -39)))
+# the bracketing grids: the near one 2^(1/16) apart from 2^-40 to 2^40, the far and the
+# low one a factor 2 apart, sharing its ends
+_NEAR_PER_OCTAVE = 16
+_VAR_NEAR = 2.0 ** (np.arange(-40 * _NEAR_PER_OCTAVE, 40 * _NEAR_PER_OCTAVE + 1)
+                    / _NEAR_PER_OCTAVE)
+_VAR_FAR, _VAR_LOW = (2.0 ** np.arange(*ends) for ends in ((40, 997), (-1074, -39)))
+# the grids' steps in log u
+_NEAR_STEP, _LOG2 = log(2.0) / _NEAR_PER_OCTAVE, log(2.0)
 _VAR_RTOL, _VAR_STEP, _VAR_MAXITER = 1e-12, 1e-14, 100
-# the near grid's tables kept (_near_table), two arrays of its 81 points each: at most
-# 2^16 doubles (512 kB) in all, the kernel's cell budget (mixing)
-_VAR_TABLES = (1 << 16) // (2 * _VAR_NEAR.size)
+# the near grid's tables kept (_near_table), two arrays of its 1281 points each (20.5 kB):
+# a budget of 2 MB holds 102 of them
+_VAR_TABLE_BYTES = 1 << 21
+_VAR_TABLES = _VAR_TABLE_BYTES // (2 * _VAR_NEAR.nbytes)
 # Newton steps on the cubic of _start
 _START_STEPS = 4
-_LOG2 = log(2.0)  # the grids' step in log u
 # a tail moment is exp(log E(S^r 1{S > a}) - log S(a)), whose logs round by |log S| eps
 # each: below this floor that is more than VaR's relative tolerance
 _TAIL_LOG_FLOOR = -4096.0
@@ -93,8 +105,8 @@ def _near_table(unit_law, n):
     return table
 
 
-def _start(log_s, slopes, log_target) -> float:
-    """The fraction of the grid step log 2, from the point of log S_1 = log_s[0] >
+def _start(log_s, slopes, log_target, step) -> float:
+    """The fraction of the grid step (in log u), from the point of log S_1 = log_s[0] >
     log_target >= log_s[1], at which the cubic Hermite interpolant of (log u,
     log S_1) with the slopes d log S_1 / d log u meets log_target: a few Newton
     steps on the cubic from the linear fraction, kept within [0, 1].  Where a
@@ -106,7 +118,7 @@ def _start(log_s, slopes, log_target) -> float:
         return 0.5
     frac = (y0 - log_target) / drop
     # p(s) = y0 + m0 s + c2 s^2 + c3 s^3 on s in [0, 1], its slopes scaled to the step
-    m0, m1 = m0 * _LOG2, m1 * _LOG2
+    m0, m1 = m0 * step, m1 * step
     c2, c3 = -3.0 * drop - 2.0 * m0 - m1, 2.0 * drop + m0 + m1
     # p' = m0 + 2 c2 s + 3 c3 s^2 is m0 and m1 at the ends; where it has a maximum
     # inside, at -c2 / (3 c3), that is m0 - c2^2 / (3 c3)
@@ -128,11 +140,12 @@ def _value_at_risk(model: AggregateModel, level: float):
         raise ValueError("level must lie strictly between 0 and 1")
     row = model.mixing.sum_row(model.total_shape)
     log_target = log1p(-level)
-    grid = _VAR_NEAR
+    grid, step = _VAR_NEAR, _NEAR_STEP
     log_grid, slopes = _near_table(model.mixing._unit_law, model.total_shape)
     below = np.flatnonzero(log_grid <= log_target)
     if not (below.size and below[0]):
-        grid = _VAR_LOW if below.size else _VAR_FAR  # the quantile lies below or beyond it
+        # the quantile lies below or beyond it
+        grid, step = (_VAR_LOW if below.size else _VAR_FAR), _LOG2
         log_grid, slopes = _grid_table(row, grid)
         below = np.flatnonzero(log_grid <= log_target)
     if not below.size:
@@ -142,7 +155,7 @@ def _value_at_risk(model: AggregateModel, level: float):
         raise TailUnderflowError("the quantile lies below the smallest positive double")
     lo, hi = grid[j - 1], grid[j]
     u = lo * (hi / lo) ** _start(log_grid[j - 1:j + 1].tolist(),
-                                 slopes[j - 1:j + 1].tolist(), log_target)
+                                 slopes[j - 1:j + 1].tolist(), log_target, step)
     # P is the smaller tail: S from the median up, F = 1 - S below it; F holds S's
     # absolute rounding, eps S / F relative, so there the steps stop at rtol
     lower = level < 0.5
@@ -150,7 +163,10 @@ def _value_at_risk(model: AggregateModel, level: float):
                                     else (1.0, log_target, _VAR_STEP))
     for _ in range(_VAR_MAXITER):
         # Newton in t = log u: h = +-(log P - log P*) > 0 below the root, dh/dt = -u f_1 / P
-        terms, log_uf = row.log_survival_terms(np.array([u]), np.array([log(u)]), density=True)
+        # log u as the unit coordinate takes it (mixing's _unit), so that a tail moment at
+        # VaR gives the report's digits
+        point = np.array([u])
+        terms, log_uf = row.log_survival_terms(point, np.log(point), density=True)
         terms = terms[:, 0]
         s = exp(np.logaddexp.reduce(terms))
         p = 1.0 - s if lower else s
@@ -244,6 +260,6 @@ def risk_report(model: AggregateModel, level: float, orders=(1, 2)) -> RiskRepor
     needed = tuple(dict.fromkeys((1, *orders)))
     model.mixing.require_neg_moment(max(needed))
     a, row, u, terms = _value_at_risk(model, level)
-    tail = _tail_moments(row, a, u, log(u), terms, needed)
+    tail = _tail_moments(row, a, u, np.log(u), terms, needed)
     return RiskReport(level=level, var=a, tvar=tail[1],
                       tail_moments=tuple((r, tail[r]) for r in orders))

@@ -7,7 +7,9 @@ of max(1, |log|) from a = 1e-3 to 1e300 (see its docstring); no other module
 forms it, and none subtracts two log-gammas of one base.
 
 The incomplete gamma Q(a, z) is scipy's gammaincc except in two regions.
-Where it underflows, Gamma(a, z) = z^a e^-z U(1, 1+a, z) keeps its log.  At
+Where it underflows, Gamma(a, z) = z^a e^-z U(1, 1+a, z) keeps its log, with U
+from its asymptotic series wherever the series' stated remainder bound holds
+(_log_hyperu_1; 1.65-1.9 us a point from scipy's hyperu).  At
 a < 1 and 0 < z <= 1.1, scipy's series evaluates log Gamma(1+a) again at
 every point, about 50 times the cost of Q at the shape a+1, which made Q
 most of the cost of the Gleser law's survival; there the recurrence
@@ -15,6 +17,9 @@ Q(a, z) = Q(a+1, z) - z^a e^-z / Gamma(a+1) (DLMF 8.8.2) serves every point
 where it cancels less than eightfold.  At those points it holds Q to 2e-15
 relative, where scipy's series is up to 3e-14 off at a = 0.5; the other
 points keep scipy's value, up to 3.7e-15 off at a = 1e-3.
+
+One point outside both regions, as a VaR step asks for, costs one gammaincc
+and one log.
 
 Everything here is a pure function of its arguments and safe to call from
 any thread.
@@ -49,6 +54,11 @@ _POCH_SHIFT = 6
 _STIRLING = (-3617 / 122400, 1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260,
              -1 / 360, 1 / 12)
 _POCH_SPAN = 1 << 16
+
+# log_gammaincc's far branch: the terms of U(1, 1+a, z)'s asymptotic series summed at
+# most, and the largest first neglected term, relative to the sum, that it accepts
+_HYPERU_TERMS = 40
+_HYPERU_TOL = 2.0 ** -54
 
 
 def log_poch(a, r):
@@ -106,16 +116,17 @@ def log_gammaincc(a, z):
     """log Q(a, z) = log(Gamma(a, z) / Gamma(a)) for a > 0 and z >= 0, arrays
     that broadcast.  Where gammaincc falls below 1e-300 (from z near 690 for
     a near 1) it would lose digits and then underflow to 0; there it uses
-    Gamma(a, z) = z^a e^-z U(1, 1+a, z), finite for every z.  scipy's hyperu
-    returns nan at some z beyond 1e100; from z = 1e20 on,
-    U(1, 1+a, z) = (1 - (1-a)/z) / z to double precision.  z = inf gives
-    the limit, -inf.  At a < 1 and 0 < z <= 1.1 it takes the recurrence of
-    _gammaincc_near (see the module docstring); every other point is
-    scipy's value, bit for bit."""
+    Gamma(a, z) = z^a e^-z U(1, 1+a, z), finite for every z, with log U from
+    _log_hyperu_1.  z = inf gives the limit, -inf.  At a < 1 and 0 < z <= 1.1
+    it takes the recurrence of _gammaincc_near (see the module docstring);
+    every other point is scipy's value, bit for bit."""
     a, z = np.asarray(a, dtype=float), np.asarray(z, dtype=float)
-    # a VaR step calls with one point at z > 1.1, where np.broadcast_arrays and
-    # .any() would cost more than gammaincc: that path neither broadcasts nor
-    # reduces with anything dearer than count_nonzero
+    if a.ndim == 0 and z.size == 1 and not (a.item() < 1.0 and 0.0 < z.item() <= 1.1):
+        # one point (a VaR step) outside the near band: one gammaincc and one log,
+        # the array path's operations on the same values, unless it is far
+        q = special.gammaincc(a, z)
+        if q.item() > 1e-300:
+            return np.asarray(np.log(q))
     near = (a < 1.0) & (z > 0.0) & (z <= 1.1)
     if not np.count_nonzero(near):
         q = special.gammaincc(a, z)
@@ -131,9 +142,46 @@ def log_gammaincc(a, z):
         far &= z < inf
         out[z == inf] = -inf
         af, zf = a[far], z[far]
-        log_u = np.where(zf < 1e20, np.log(special.hyperu(1.0, 1.0 + af, np.minimum(zf, 1e20))),
-                         -np.log(zf) - (1.0 - af) / zf)
-        out[far] = af * np.log(zf) - zf + log_u - special.gammaln(af)
+        if af.size:
+            out[far] = af * np.log(zf) - zf + _log_hyperu_1(af, zf) - special.gammaln(af)
+    return out
+
+
+def _log_hyperu_1(a, z):
+    """log U(1, 1+a, z) for 1-D arrays a > 0 and z > 0 of one shape, the points where
+    Q(a, z) underflows (z from about 690 at a near 1, lower at a tiny a), from the
+    asymptotic series U(1, 1+a, z) = z^-1 (sum_{k<N} u_k z^-k + R_N), u_k = (a-1)(a-2)
+    ... (a-k) (DLMF 8.11.2, 13.7.3), whose remainder R_N at real a and z > 0 has the
+    sign of the first neglected term u_N z^-N and is no larger, once N >= a - 1
+    (DLMF 8.11(i)).  N is the fewest terms for which that bound, taken at the
+    smallest z and the largest |a - j|, is below _HYPERU_TOL of the sum, at most
+    _HYPERU_TERMS; each point keeps the series where N >= a - 1 and its own first
+    neglected term is below _HYPERU_TOL of its sum.  The others take scipy's hyperu,
+    which returns nan at some z beyond 1e100, so from z = 1e20 on U(1, 1+a, z) =
+    (1 - (1-a)/z) / z, which is U to double precision there."""
+    lo, hi, z_min = float(a.min()), float(a.max()), float(z.min())
+    bound, terms = 1.0, _HYPERU_TERMS
+    for k in range(1, _HYPERU_TERMS + 1):
+        bound *= max(abs(lo - k), abs(hi - k)) / z_min
+        if k >= hi - 1.0 and bound <= 0.5 * _HYPERU_TOL:
+            terms = k
+            break
+    # rest = sum_{1 <= k < N} u_k z^-k, in log1p; term ends as u_N z^-N.  (Where the
+    # series diverges, at a small z of a tiny a, it may overflow: those points fail
+    # the bound.)
+    step = 1.0 / z
+    term = (a - 1.0) * step
+    rest = np.zeros_like(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, terms + 1):
+            rest += term
+            term *= (a - k) * step
+        out = np.log1p(rest) - np.log(z)
+    bad = (a - 1.0 > terms) | ~(np.abs(term) <= _HYPERU_TOL * (1.0 + rest))
+    if np.count_nonzero(bad):
+        ab, zb = a[bad], z[bad]
+        out[bad] = np.where(zb < 1e20, np.log(special.hyperu(1.0, 1.0 + ab, np.minimum(zb, 1e20))),
+                            -np.log(zb) - (1.0 - ab) / zb)
     return out
 
 

@@ -26,6 +26,7 @@ from riskmix.aggregate import (
     weibull_half_model,
     weibull_model,
 )
+from riskmix import mixing
 from riskmix.errors import NonexistentMomentError, RiskmixError, UnsupportedModelError
 from riskmix.mixing import BetaSecondKindMixing, KernelRow, MixtureRow
 from riskmix.simulate import SimulationPlan, quadrature_mixture_pdf, sample_sums
@@ -53,37 +54,49 @@ class TestOneKernelCall:
     def test_survival_is_one_kernel_call(self, name, n, monkeypatch):
         # the route pin: the three laws with a mixture row (stable, Levy, gamma claims)
         # sum it and call no kernel, in survival and in each Newton step of VaR; the
-        # other laws take the orders 0..n-1 from one call as an (n, len x) array, and
-        # each Newton step the orders 0..n from one call
+        # other laws take the orders 0..n-1 from one pass of the law's kernel as an (n,
+        # len x) array, and each Newton step the orders 0..n from one pass.  The
+        # orders are checked once per unit law: every call gets the same _Orders,
+        # whose order part the kernel reads, and the checks do not run again
         m = SEVEN_MODELS[name](n)
         law = type(m.mixing)
-        kernel = law._log_unit_kernel
-        calls = []
+        kernel, check = law._log_kernel, law._orders
+        calls, checks = [], []
 
-        def counted(self, k, u, log_u):
-            calls.append(np.array(k))
-            return kernel(self, k, u, log_u)
+        def counted(self, orders, u, log_u):
+            calls.append(orders)
+            return kernel(self, orders, u, log_u)
 
-        monkeypatch.setattr(law, "_log_unit_kernel", counted)
+        def checked(self, k):
+            checks.append(k)
+            return check(self, k)
+
+        monkeypatch.setattr(law, "_log_kernel", counted)
+        monkeypatch.setattr(law, "_orders", checked)
         row = m.mixing.sum_row(n)
         has_row = isinstance(row, MixtureRow)
         assert has_row == (name in ("weibull", "weibull_half", "gamma_claims"))
         assert has_row or isinstance(row, KernelRow)
+        mixing._row_orders.cache_clear()
         survival(m, np.geomspace(1e-2, 1e3, 50))
         if has_row:
             assert not calls
         else:
-            assert len(calls) == 1 and np.array_equal(calls[0], np.arange(n))
+            assert len(calls) == 1 and np.array_equal(calls[0].k, np.arange(n))
         survival(m, 2.5)
         assert len(calls) == (0 if has_row else 2)
+        assert has_row or calls[1] is calls[0]
         calls.clear()
-        terms, _ = m.mixing.sum_row(n).log_survival_terms(np.array([2.5]), np.log([2.5]),
-                                                          density=True)
+        for _ in range(2):
+            terms, _ = m.mixing.sum_row(n).log_survival_terms(np.array([2.5]), np.log([2.5]),
+                                                              density=True)
         assert terms.shape == (n, 1)
         if has_row:
-            assert not calls
+            assert not (calls or checks)
         else:
-            assert len(calls) == 1 and np.array_equal(calls[0], np.arange(n + 1))
+            assert len(calls) == 2 and calls[0] is calls[1]
+            assert np.array_equal(calls[0].k, np.arange(n + 1))
+            assert len(checks) == 2  # the orders 0..n-1, then 0..n
 
     def test_long_input_in_blocks(self, monkeypatch):
         # 2 x 70000 terms: three kernel calls of at most 2^16 terms, and the
@@ -94,9 +107,9 @@ class TestOneKernelCall:
         kernel = law._log_unit_kernel
         sizes = []
 
-        def counted(self, k, u, log_u):
-            sizes.append(np.size(k) * np.size(u))
-            return kernel(self, k, u, log_u)
+        def counted(self, orders, u, log_u):
+            sizes.append(orders.k.size * np.size(u))
+            return kernel(self, orders, u, log_u)
 
         monkeypatch.setattr(law, "_log_unit_kernel", counted)
         surv = survival(m, xs)

@@ -1328,3 +1328,49 @@ class TestValidation:
         m = GammaMixing(3.0, 1.0)
         with pytest.raises(Exception):
             m.alpha = 4.0
+
+
+class TestRowOrders:
+    """A kernel call is its orders, checked once, and its points: a KernelRow keeps
+    its checked orders per unit law (_row_orders), and log_abs_laplace_derivative
+    forms the same two parts on every call."""
+
+    LAWS = [GammaMixing(3.2, 1.0), GammaMixing(5.0, 1.0), LindleyMixing(1.0),
+            InverseGaussianMixing(1.0, 1.0), BetaSecondKindMixing(2.0, 3.0),
+            GleserGammaMixing(0.55, 1.0)]
+
+    @pytest.mark.parametrize("law", LAWS, ids=repr)
+    def test_kept_orders_are_the_uncached_route(self, law):
+        # at scale 1 the two routes are the same arithmetic, bit for bit
+        from riskmix.mixing import _row_orders
+        u = np.geomspace(1e-3, 1e3, 37)
+        for k in (range(11), range(-1, -3, -1), 7, 2.5):
+            if isinstance(k, range) and k.start < 0 and k.stop <= -law.neg_order_limit:
+                continue
+            orders = _row_orders(law._unit_law, k)
+            assert _row_orders(law._unit_law, k) is orders
+            want = law.log_abs_laplace_derivative(np.array(k) if isinstance(k, range) else k, u)
+            assert np.array_equal(law._log_unit_kernel(orders, u, np.log(u)), want)
+
+    def test_checks_run_before_any_point(self, monkeypatch):
+        from riskmix.mixing import _row_orders
+        law = GammaMixing(3.2, 1.0)
+        calls = []
+        monkeypatch.setattr(GammaMixing, "_log_kernel", lambda *a: calls.append(a))
+        with pytest.raises(DerivativeCapError):
+            _row_orders(law, range((1 << 16) + 1))
+        with pytest.raises(NonexistentMomentError):
+            _row_orders(law, range(-1, -5, -1))
+        with pytest.raises(ValueError):
+            law._orders(np.array([-1, 2]))
+        with pytest.raises(UnsupportedModelError):
+            PositiveStableMixing(0.5)._orders(-1)
+        assert calls == []
+
+    def test_kept_arrays_are_read_only(self):
+        from riskmix.mixing import _row_orders
+        orders = _row_orders(LindleyMixing(1.0), range(6))
+        assert orders.k.dtype.kind == "i" and orders.col.shape == (6, 1)
+        assert np.array_equal(orders.log_factorial[:, 0], special.gammaln(np.arange(1.0, 7.0)))
+        for values in (orders.k, orders.col, orders.log_factorial):
+            assert not values.flags.writeable

@@ -22,7 +22,7 @@ from riskmix.errors import (NonexistentMomentError, PrecisionError, RiskmixError
                             TailUnderflowError)
 from riskmix.mixing import (BetaSecondKindMixing, GleserGammaMixing, KernelRow, MixingDistribution,
                             MixtureRow)
-from riskmix import aggregate, cli, riskmeasures
+from riskmix import aggregate, cli, mixing, riskmeasures
 from riskmix.riskmeasures import risk_report, tail_moment, tvar, value_at_risk
 from riskmix.simulate import SimulationPlan, sample_sums
 
@@ -652,29 +652,50 @@ class TestNearTable:
             info = riskmeasures._near_table.cache_info()
             assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
-    def test_cache_bound_is_the_kernel_budget(self):
-        from riskmix.mixing import _KERNEL_CELLS
-        cells = 2 * riskmeasures._VAR_NEAR.size
-        assert riskmeasures._near_table.cache_info().maxsize == _KERNEL_CELLS // cells
+    def test_cache_bound_is_the_table_budget(self):
+        # 16 points per octave from 2^-40 to 2^40, two doubles each (20.5 kB a table):
+        # the 2 MB budget holds more than the 60 tables of a risk-warm run
+        near = riskmeasures._VAR_NEAR
+        assert near.size == 1281 and near[0] == 2.0 ** -40 and near[-1] == 2.0 ** 40
+        assert np.allclose(near[1:] / near[:-1], 2.0 ** (1 / 16), rtol=1e-15, atol=0.0)
+        table_bytes = 2 * near.nbytes
+        most = riskmeasures._near_table.cache_info().maxsize
+        assert most == riskmeasures._VAR_TABLE_BYTES // table_bytes and most >= 100
         riskmeasures._near_table.cache_clear()
         log_s, slopes = riskmeasures._near_table(weibull_half_model(1.0, 2).mixing._unit_law, 2)
-        assert log_s.size + slopes.size == cells
+        assert log_s.nbytes + slopes.nbytes == table_bytes
         assert not (log_s.flags.writeable or slopes.flags.writeable)
 
     @pytest.mark.parametrize("name", RISK_WARM_MODELS)
-    def test_warm_reports_take_few_newton_steps(self, name, monkeypatch):
-        # one-point Newton steps per warm report at the risk-warm levels: the linear
-        # start took 3 to 6
+    def test_warm_reports_take_two_newton_steps(self, name, monkeypatch):
+        # one-point Newton steps per warm report at the risk-warm levels: from the cubic
+        # start on a bracket 2^(1/16) wide one step lands within 1e-14 of the root and
+        # the second confirms it (the linear start on a factor-2 grid took 3 to 6, the
+        # cubic one 2 to 4)
         calls = count_survival_evaluations(monkeypatch)
-        most = 4 if name == "gamma_claims" else 3
         for n in (2, 5, 10, 32):
             m = RISK_WARM_MODELS[name](n)
             for lv in (0.9, 0.95, 0.99, 0.995, 0.999):
                 risk_report(m, lv)
                 calls.clear()
                 risk_report(m, lv)
-                assert all(u.size == 1 for u in calls)
-                assert 1 <= len(calls) <= most, (n, lv)
+                assert [u.size for u in calls] == [1, 1], (n, lv)
+
+    @pytest.mark.parametrize("alpha", [3.2, 5.0])
+    def test_warm_pareto_report_forms_no_pochhammer(self, alpha, monkeypatch):
+        # the gamma kernel's log (alpha)_k reads the orders alone: the row keeps it with
+        # its orders (mixing._row_orders), and the tail shifts are kept per (n, r)
+        m = pareto_model(alpha, 1.0, 5)
+        risk_report(m, 0.99)
+        calls = []
+        for module in (mixing, aggregate, riskmeasures):
+            if hasattr(module, "log_poch"):
+                fn = module.log_poch
+                monkeypatch.setattr(module, "log_poch",
+                                    lambda *a, fn=fn: calls.append(a) or fn(*a))
+        for lv in (0.9, 0.99):
+            risk_report(m, lv)
+        assert calls == []
 
     def test_cli_var_builds_one_table(self, capsys):
         riskmeasures._near_table.cache_clear()
@@ -694,7 +715,7 @@ class TestNearTable:
         grid = 2.0 ** np.floor(np.log2(root))
         y = [-grid, -2.0 * grid]
         slopes = [-grid, -2.0 * grid]
-        frac = riskmeasures._start(y, slopes, target)
+        frac = riskmeasures._start(y, slopes, target, math.log(2.0))
         linear = (y[0] - target) / (y[0] - y[1])
         want = math.log2(root / grid)
         assert 0.0 <= frac <= 1.0
@@ -703,5 +724,5 @@ class TestNearTable:
     def test_start_falls_back_to_the_linear_fraction(self):
         # a slope that is not finite, one that is not negative, and a cubic that rises
         for slopes in ([-inf, -1.0], [0.0, -1.0], [-1.0, math.nan], [-20.0, -20.0]):
-            assert riskmeasures._start([-1.0, -2.0], slopes, -1.25) == 0.25
-        assert riskmeasures._start([-1.0, -inf], [-1.0, -1.0], -5.0) == 0.5
+            assert riskmeasures._start([-1.0, -2.0], slopes, -1.25, math.log(2.0)) == 0.25
+        assert riskmeasures._start([-1.0, -inf], [-1.0, -1.0], -5.0, math.log(2.0)) == 0.5

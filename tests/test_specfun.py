@@ -294,18 +294,86 @@ class TestLogGammaincc:
 
 
 class _SpySpecial:
-    """scipy.special, with gammaincc recording each (a, z) point it is asked for."""
+    """scipy.special, with gammaincc recording each (a, z) point it is asked for, and
+    hyperu and every other function the name of each call."""
 
     def __init__(self):
-        self.points = []
+        self.points, self.calls = [], []
 
     def __getattr__(self, name):
-        return getattr(special, name)
+        fn = getattr(special, name)
+
+        def spied(*args, **kwargs):
+            self.calls.append(name)
+            return fn(*args, **kwargs)
+
+        return spied
 
     def gammaincc(self, a, z):
+        self.calls.append("gammaincc")
         a, z = np.broadcast_arrays(a, z)
         self.points += zip(a.ravel().tolist(), z.ravel().tolist())
         return special.gammaincc(a, z)
+
+
+@pytest.fixture
+def special_calls(monkeypatch):
+    spy = _SpySpecial()
+    monkeypatch.setattr(specfun, "special", spy)
+    return spy.calls
+
+
+class TestLogGammainccFarAndOnePoint:
+    """Where Q underflows, U(1, 1+a, z) from its asymptotic series wherever the
+    series' remainder bound holds; one point outside the near band and the far branch
+    costs one gammaincc and one log."""
+
+    A = np.geomspace(1e-3, 1e3, 13)
+    Z = np.geomspace(690.0, 1e300, 25)
+
+    def test_far_branch_against_mpmath(self):
+        # log Q everywhere on the grid, and log U itself at the 318 points where Q
+        # underflows (the far branch: series or hyperu), to 4 ulps of its log
+        got = log_gammaincc(self.A[:, None], self.Z)
+        far = special.gammaincc(self.A[:, None], self.Z) <= 1e-300
+        assert far.sum() == 318
+        with mp.workdps(40):
+            for i, ai in enumerate(self.A.tolist()):
+                for j, zj in enumerate(self.Z.tolist()):
+                    want = float(mp.log(mp.gammainc(ai, zj, mp.inf, regularized=True)))
+                    assert abs(got[i, j] - want) <= 1e-15 * max(1.0, abs(want))
+                    if not far[i, j]:
+                        continue
+                    log_u = specfun._log_hyperu_1(np.array([ai]), np.array([zj]))[0]
+                    want = float(mp.log(mp.hyperu(1, 1 + mp.mpf(ai), zj)))
+                    assert abs(log_u - want) <= 4.0 * np.finfo(float).eps * abs(want)
+
+    def test_series_where_its_bound_holds(self, special_calls):
+        # a below 41 needs at most 40 terms; at a = 142 the bound needs 141, so the
+        # point goes to scipy's hyperu
+        for a in (1e-3, 0.55, 1.0, 7.5, 40.0):
+            log_gammaincc(a, self.Z)
+        assert "hyperu" not in special_calls
+        log_gammaincc(142.0, np.array([2e3, 1e5]))
+        assert special_calls.count("hyperu") == 1
+
+    def test_one_point_equals_the_array_path(self):
+        a = np.array([1e-3, 0.3, 0.55, 0.999, 1.0, 1.55, 7.0, 142.0])
+        z = np.r_[0.0, 1e-300, np.geomspace(1e-6, 1.1, 9), np.nextafter(1.1, 2.0),
+                  np.geomspace(1.2, 680.0, 12), self.Z, np.inf]
+        got = log_gammaincc(a[:, None], z)
+        for i, ai in enumerate(a.tolist()):
+            for j, zj in enumerate(z.tolist()):
+                one, zero = log_gammaincc(ai, np.array([zj])), log_gammaincc(ai, zj)
+                assert one.shape == (1,) and zero.shape == ()
+                assert one[0] == got[i, j] and zero == got[i, j], (ai, zj)
+
+    def test_one_point_is_one_gammaincc(self, special_calls):
+        # a VaR step of gamma claims: z > 1.1, or a >= 1, and Q above 1e-300
+        for a, z in ((0.55, 5.3), (0.55, 1.2), (1.55, 0.7), (3.0, 600.0)):
+            special_calls.clear()
+            log_gammaincc(a, np.array([z]))
+            assert special_calls == ["gammaincc"], (a, z)
 
 
 @pytest.fixture
