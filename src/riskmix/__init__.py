@@ -4,17 +4,12 @@ and gamma distributions: one claim model, AggregateModel(mixing, shapes)."""
 
 from .aggregate import (
     AggregateModel,
-    Beta2Component,
-    GammaPowerComponent,
-    MixtureRepresentation,
     cdf,
     gamma_claims_model,
     inverse_gaussian_model,
     lindley_model,
     mean,
-    mixture_representation,
     moment,
-    moment_from_mixture,
     pareto_model,
     pdf,
     pdf_generic,

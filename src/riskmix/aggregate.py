@@ -17,15 +17,17 @@ two entry points:
 Every quantity of S reads the row sum_row(a), with no branch here.  At a
 fractional a, pdf at x > 0, pdf_generic and moment take the kernel at the
 real order a; the row raises UnsupportedModelError, at every x, for what
-sums the integer orders below a (survival, cdf, the density at 0, the
-mixture representation, the risk measures).
+sums the integer orders below a (survival, cdf, the density at 0, the risk
+measures).
 
-The survival is exp of the row's log-survival, one log-space reduction of a
-positive terms per point, so it is finite for every x: a mixture row
-(stable, Levy, Gleser) calls no kernel, a KernelRow one for the orders
-0..a-1 as an (a, len x) array.  Cdf, moments (in log space,
-PrecisionError where one overflows a double) and the finite mixture
-representation (with the moments of a mixture) are built on the same law
+The survival is exp of the row's log-survival, one log-space reduction of
+positive terms per point, so it is finite for every x: the mixture rows
+call no kernel, one term per gamma-power component (stable, Levy, Gleser)
+or one incomplete beta per second-kind beta component (gamma, Lindley),
+and a KernelRow (inverse Gaussian, second-kind beta) one kernel pass for the
+orders 0..a-1 as an (a, len x) array.  The finite mixture is the row itself,
+whose weights and shapes it shows.  Cdf and moments (in log space,
+PrecisionError where one overflows a double) are built on the same law
 methods.
 """
 
@@ -35,16 +37,13 @@ from math import fsum, inf, isfinite, log, log1p
 import numpy as np
 
 from .mixing import (
-    Beta2Component,
     BetaSecondKindMixing,
     GammaMixing,
-    GammaPowerComponent,
     GleserGammaMixing,
     InverseGaussianMixing,
     LevyMixing,
     LindleyMixing,
     MixingDistribution,
-    MixtureRepresentation,
     KernelRow,
     PositiveStableMixing,
     _finite_exp,
@@ -68,11 +67,6 @@ __all__ = [
     "moment",
     "mean",
     "variance",
-    "GammaPowerComponent",
-    "Beta2Component",
-    "MixtureRepresentation",
-    "mixture_representation",
-    "moment_from_mixture",
 ]
 
 
@@ -213,14 +207,3 @@ def variance(model: AggregateModel) -> float:
     return _finite_exp(log(a) + law.log_neg_moment(2) + log1p(a * law.inverse_variance_share()),
                        "Var(S)")
 
-
-def mixture_representation(model: AggregateModel) -> MixtureRepresentation:
-    """Finite mixture form of the aggregate density, where one exists."""
-    return model.mixing.sum_row(model.total_shape).mixture()
-
-
-def moment_from_mixture(rep: MixtureRepresentation, r: float) -> float:
-    """E(X^r) of the mixture: weighted sum of component moments."""
-    if r == 0:
-        return 1.0
-    return sum(c.weight * c.moment(r) for c in rep.components)

@@ -23,7 +23,7 @@ import numpy as np
 from . import aggregate, asymptotics, dependence, riskmeasures, ruin, simulate
 from ._lazy import lazy_import
 from .errors import RiskmixError, UnsupportedModelError
-from .mixing import GammaMixing, InverseGaussianMixing
+from .mixing import GammaMixing, InverseGaussianMixing, KernelRow
 
 integrate = lazy_import("scipy.integrate")
 
@@ -531,11 +531,10 @@ def run_verify(cfg, command):
     checks = []
     xs = np.logspace(-2, 1.5, 40)
 
-    try:
-        closed = aggregate.mixture_representation(model).pdf(xs)
-    except UnsupportedModelError:
-        pass  # no finite mixture (inverse Gaussian, beta2): pdf is the derivative route
-    else:  # the printed B2 or gamma-power mixture against the derivative route
+    # a mixture row's density (second-kind beta or gamma-power components) against the
+    # derivative route; a KernelRow's density (inverse Gaussian, beta2) is that route
+    if not isinstance(model.mixing.sum_row(n), KernelRow):
+        closed = aggregate.pdf(model, xs)
         gen = aggregate.pdf_generic(model, xs)
         err = float(np.max(np.abs(closed - gen) / np.abs(gen)))
         checks.append(("closed_vs_generic", err, 1e-9))

@@ -90,7 +90,7 @@ log_neg_moment(r) = log_unit_neg_moment(r) - r log c, so a ratio of them
   either sign for every s at once (specfun.log_kummer_u_integral).
 
 Every ratio Gamma(a + r) / Gamma(a) here (the gamma kernel, the negative
-moments, the tail-moment shifts, the components' moments) is specfun.log_poch,
+moments, the tail-moment shifts and constants) is specfun.log_poch,
 exact to a few ulps of max(1, |log|) at every shape.
 
 Real orders (the density of gamma claims of fractional total shape) take
@@ -99,52 +99,50 @@ UnsupportedModelError, at real orders as at negative ones.  The mixture
 quadrature of the density (quadrature_transform) is the kernels' oracle, and
 no kernel calls it.
 
-Multi-term sums reduce with _log_sum_exp: pairwise logaddexp for small
-arrays, a numpy max-shift for large ones.  An array of orders with both
+Multi-term sums reduce with _log_sum_exp: one term is itself, pairwise
+logaddexp serves small arrays and a numpy max-shift large ones.  An array of orders with both
 signs is rejected.
 
 Each law also supplies its log density on its support (_log_pdf) and its
 generator on an array (_generator); the base class's pdf and generator
 handle scalars, arrays and the points off the support once for every law.
 
-Rows.  sum_row(a), for every total shape a, answers for S through one of two
+Rows.  sum_row(a), for every total shape a, answers for S through one of three
 row classes with the same calls (log_survival, log_survival_terms, pdf,
-pdf_at_zero, log_tail_moments, mixture), the first and third in blocks of
-_KERNEL_CELLS // a points (a + 1 for log_survival with density=True, which
-also gives log(u f_1)).  A row sums the unit law's S_1 = c S at the unit
-coordinate u = c x, which its calls take with log u (_unit, from_unit): S(x)
-= S_1(u), f(x) = c f_1(u), E(S^r 1{S > a}) = c^-r E(S_1^r 1{S_1 > c a}), and
-VaR brackets and iterates in u (riskmeasures, which keeps its bracketing
-tables per _unit_law, the law at scale 1 where its kernel reads no other
-parameter, else the law itself).  Under the stable, Levy and Gleser laws S_1
-is a finite mixture of gamma-power laws X_k = G_k^(1/power), G_k ~
-Gamma(shape0 + k, 1), k = 1..n, with positive weights: a MixtureRow, whose
-weights and survival coefficients (their tail sums) are built on first use
-and kept in one bounded lru_cache per unit law and n (_mixture_row,
-_ROW_CACHE entries), so that every scale of a law shares them, and whose
-sums of positive terms call no kernel:
-* stable: shape0 0, power alpha, weights from row n of the Bell triangle;
-* Levy: shape0 0, power 1/2, weights from the closed Bell row _sqrt_bell;
-* Gleser: shape0 alpha - 1, power 1, the printed gamma sum.
-The rows keep these sums with the (n, 1) columns that their sums over the
-points broadcast, so a call forms none of them.  Every other law, and every
-fractional a, gets a KernelRow, which sums the kernel (at a fractional a only
-its pdf answers): its orders, with their float column, log k! and the
-kernel's order part, come from _row_orders, and its tail moments read the
-Pochhammer shifts of _tail_shifts, cached per n and orders.  It reads the
-law's own density limit at 0 and finite mixture (_sum_pdf_at_zero,
-_sum_mixture):
-gamma (Pareto claims) one B2(n, alpha) of scale beta; Lindley, whose Theta
-is Ga(1, lam) with weight lam/(1+lam) and Ga(2, lam) otherwise, B2(n, 1)
-and B2(n, 2) of scale lam; the inverse Gaussian and second-kind beta none.
-These printed forms share no code with the kernel, so they check it (cli
-verify's closed_vs_generic).
-
-Finite mixture representations are built from two component laws:
-GammaPowerComponent, X = (G/rate)^(1/power) with G ~ Gamma(shape, 1), which
-is the gamma (power 1, Gleser), square-gamma (power 1/2, Levy) and
-generalized gamma (power alpha, stable) law; and Beta2Component, the
-second-kind beta of Pareto claims.
+pdf_at_zero, log_tail_moments), the first and third in blocks of
+_KERNEL_CELLS // w points, w the row's terms per point (_width; one more for
+log_survival with density=True, which also gives log(u f_1)).  A row sums the
+unit law's S_1 = c S at the unit coordinate u = c x, which its calls take with
+log u (_unit, from_unit): S(x) = S_1(u), f(x) = c f_1(u), E(S^r 1{S > a}) =
+c^-r E(S_1^r 1{S_1 > c a}), and VaR brackets and iterates in u (riskmeasures,
+which keeps its bracketing tables per _unit_law, the law at scale 1 where its
+kernel reads no other parameter, else the law itself).  The law names its
+row's class (_row_class) and declares the row's components; the row is the
+finite mixture, whose weights and shapes it shows read-only:
+* MixtureRow (stable, Levy, Gleser): S_1 is a finite mixture of gamma-power
+  laws X_k = G_k^(1/power), G_k ~ Gamma(shape0 + k, 1), k = 1..n, with
+  positive weights (the law's _row), kept with their survival coefficients
+  (tail sums) in one bounded lru_cache per unit law and n (_mixture_row,
+  _ROW_CACHE entries), so that every scale of a law shares them: the stable
+  law shape0 0, power alpha, weights from row n of the Bell triangle; Levy
+  shape0 0, power 1/2, weights from the closed Bell row _sqrt_bell; Gleser
+  shape0 alpha - 1, power 1, the printed gamma sum.
+* Beta2Row (gamma, Lindley): S_1 is a finite mixture of second-kind beta laws
+  B2(n, a_j) (the law's _beta2_components), each a closed form in the
+  incomplete beta function (specfun.log_betainc): gamma (Pareto claims) one
+  B2(n, alpha), Lindley, whose Theta lam is Ga(1, 1) with weight lam/(1+lam)
+  and Ga(2, 1) otherwise, B2(n, 1) and B2(n, 2); kept per unit law and n
+  (_beta2_row), their tail constants per orders (_beta2_tail).
+These rows keep their sums with the (m, 1) columns that their sums over the
+points broadcast, so a call forms none of them, and call no kernel.  Every
+other law (inverse Gaussian, second-kind beta), and every fractional a, gets
+a KernelRow, which sums the kernel (at a fractional a only its pdf answers):
+its orders, with their float column, log k! and the kernel's order part, come
+from _row_orders, and its tail moments read the Pochhammer shifts of
+_tail_shifts, cached per n and orders; its density limit at 0 is the law's
+_sum_pdf_at_zero.  A KernelRow's pdf is the derivative route (aggregate's
+pdf_generic), which shares no code with the other two rows' densities, so it
+checks them (cli verify's closed_vs_generic).
 """
 
 import math
@@ -163,7 +161,14 @@ from .errors import (
     TailUnderflowError,
     UnsupportedModelError,
 )
-from .specfun import exp_scaled_expn, log_gammaincc, log_kummer_u_integral, log_poch
+from .specfun import (
+    exp_scaled_expn,
+    log_beta,
+    log_betainc,
+    log_gammaincc,
+    log_kummer_u_integral,
+    log_poch,
+)
 
 integrate = lazy_import("scipy.integrate")
 optimize = lazy_import("scipy.optimize")
@@ -177,9 +182,6 @@ __all__ = [
     "LindleyMixing",
     "GleserGammaMixing",
     "BetaSecondKindMixing",
-    "GammaPowerComponent",
-    "Beta2Component",
-    "MixtureRepresentation",
 ]
 
 _KERNEL_CELLS = 1 << 16  # the memory budget of the module docstring
@@ -221,21 +223,21 @@ def _log_sum_exp(log_terms):
     """log sum_k exp(log_terms[k]): log_terms is a (k, ...) array or a list of
     equally shaped arrays.  A column of -inf gives -inf; +inf and nan propagate.
 
-    A column whose largest term is finite holds no nan and no +inf, so
-    np.logaddexp.reduce is exact on it and raises no warning (it is the
-    cheaper reduction for a few hundred terms or fewer); larger arrays take
-    the max-shift, one exp per term."""
+    One term is itself; up to _SMALL_REDUCTION terms it is np.logaddexp.reduce, exact
+    on every column, with only the invalid warning of a nan silenced; larger arrays
+    take the max-shift, one exp per term, where the largest term of every column is
+    finite."""
     a = np.asarray(log_terms, dtype=float)
-    top = a.max(axis=0)
-    if not np.isfinite(top).all():
-        # some column is all -inf, or holds +inf or nan: pairwise logaddexp
-        # keeps -inf and +inf, and only nan needs its warning silenced
-        with np.errstate(invalid="ignore"):
-            return np.logaddexp.reduce(a, axis=0)
-    if a.size <= _SMALL_REDUCTION:
+    if len(a) == 1:
+        return a[0]
+    if a.size > _SMALL_REDUCTION:
+        top = a.max(axis=0)
+        if np.isfinite(top).all():
+            shifted = a - top
+            return top + np.log(np.exp(shifted, out=shifted).sum(axis=0))
+    # (pairwise logaddexp keeps -inf and +inf)
+    with np.errstate(invalid="ignore"):
         return np.logaddexp.reduce(a, axis=0)
-    shifted = a - top
-    return top + np.log(np.exp(shifted, out=shifted).sum(axis=0))
 
 
 def _log_bessel_ratios(k, z):
@@ -429,80 +431,6 @@ def _bell_triangle(alpha: float, size: int) -> np.ndarray:
     return table
 
 
-def _density(log_pdf, x, lower=0.0):
-    """exp(log_pdf(x)) where x > lower and 0 elsewhere; a scalar x gives a float."""
-    x_arr = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(x_arr > lower, np.exp(log_pdf(x_arr)), 0.0)
-    return _ret(out, np.isscalar(x))
-
-
-@dataclass(frozen=True)
-class GammaPowerComponent:
-    """X = (G/rate)^(1/power) with G ~ Gamma(shape, 1), weighted in a mixture.
-
-    power = 1 is the gamma law Ga(shape, rate) (Gleser mixtures), power = 1/2
-    the square-gamma law of the Levy mixture, and rate = 1 the generalized
-    gamma law of the stable mixture.
-    """
-
-    shape: float
-    power: float
-    rate: float
-    weight: float
-
-    def pdf(self, x):
-        a, p, lam = self.shape, self.power, self.rate
-        return _density(lambda t: (log(p) + a * log(lam) + (p * a - 1.0) * np.log(t)
-                                   - lam * t ** p - lgamma(a)), x)
-
-    def moment(self, r: float) -> float:
-        a, p = self.shape, self.power
-        return exp(log_poch(a, r / p) - r / p * log(self.rate))
-
-
-@dataclass(frozen=True)
-class Beta2Component:
-    """Second-kind beta law B2(shape1, shape2) with a scale, weighted in a mixture:
-    X = scale * G1 / G2 with independent G1 ~ Gamma(shape1), G2 ~ Gamma(shape2)."""
-
-    shape1: float
-    shape2: float
-    scale: float
-    weight: float
-
-    def pdf(self, x):
-        a, b, s = self.shape1, self.shape2, self.scale
-        return _density(lambda t: ((a - 1.0) * np.log(t) - a * log(s) - special.betaln(a, b)
-                                   - (a + b) * np.log1p(t / s)), x)
-
-    def moment(self, r: float) -> float:
-        if r >= self.shape2:
-            raise NonexistentMomentError(
-                f"beta2 moment of order {r} needs second shape > {r}, got {self.shape2}"
-            )
-        a, b = self.shape1, self.shape2
-        return exp(r * log(self.scale) + log_poch(a, r) - log_poch(b - r, r))
-
-
-@dataclass(frozen=True)
-class MixtureRepresentation:
-    components: tuple
-
-    def __post_init__(self):
-        total = sum(c.weight for c in self.components)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"mixture weights sum to {total}, expected 1")
-
-    def pdf(self, x):
-        scalar_in = np.isscalar(x)
-        x_arr = np.asarray(x, dtype=float)
-        # no positivity assumption on the weights: only the total is a density
-        out = sum(c.weight * np.asarray(c.pdf(x_arr), dtype=float)
-                  for c in self.components)
-        return _ret(out, scalar_in)
-
-
 def _by_blocks(n, fn, *arrays, rows=()):
     """fn over the points of arrays of one shape (any shape) in blocks of _KERNEL_CELLS //
     n, so a sum of n terms per point holds at most _KERNEL_CELLS of them at once; fn
@@ -547,10 +475,16 @@ def _row_orders(unit_law, k) -> _Orders:
 
 
 class _Row:
-    """What both rows share: the blocking, the check of a fractional n, and the way
+    """What the rows share: the blocking, the check of a fractional n, and the way
     back from the unit coordinate u = c x (MixingDistribution._unit), in which the
     survival, its terms and the tail moments are those of S_1 = c S; the methods
     that take u take its log too, needed where u is not a normal double."""
+
+    @property
+    def _width(self):
+        """The terms per point of the row's sums, by which log_survival and pdf block:
+        n, one per order or component."""
+        return self.n
 
     def from_unit(self, v: float, log_v: float, r: int = 1) -> float:
         """v / c^r for a value v > 0 of S_1 in units of u^r (a quantile r = 1, a tail
@@ -574,10 +508,10 @@ class _Row:
 
     def log_survival(self, u, log_u, density=False):
         """log S_1(u) on an array u > 0 of any shape: the log-sum of the survival
-        terms, in blocks of _KERNEL_CELLS // n points, at most 0 (where S rounds
-        to 1, the sum can come out an ulp above it).  With density=True the pair
-        (log S_1(u), log(u f_1(u))) as one (2, *u.shape) array, in blocks of
-        _KERNEL_CELLS // (n + 1) points (a KernelRow's kernel holds the orders
+        terms, in blocks of _KERNEL_CELLS // w points (w = _width), at most 0 (where
+        S rounds to 1, the sum can come out an ulp above it).  With density=True the
+        pair (log S_1(u), log(u f_1(u))) as one (2, *u.shape) array, in blocks of
+        _KERNEL_CELLS // (w + 1) points (a KernelRow's kernel holds the orders
         0..n)."""
         def reduce(u, log_u):
             terms = self.log_survival_terms(u, log_u, density)
@@ -585,7 +519,8 @@ class _Row:
                 return np.minimum(_log_sum_exp(terms[0]), 0.0), terms[1]
             return np.minimum(_log_sum_exp(terms), 0.0)
 
-        return _by_blocks(self._integer_n() + density, reduce, u, log_u,
+        self._integer_n()
+        return _by_blocks(self._width + density, reduce, u, log_u,
                           rows=(2,) if density else ())
 
     def pdf(self, x):
@@ -604,7 +539,7 @@ class _Row:
                     f[off] = np.exp(log_f[off] + log_c)
             return f
 
-        return _by_blocks(self.n, density, *self.law._unit(x))
+        return _by_blocks(self._width, density, *self.law._unit(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -623,15 +558,22 @@ class MixtureRow(_Row):
     (log_d, k = 1..n), and log c_i (log_c, i = 0..n-1) are the tail sums of its
     weights; they are built on first use and cached per unit law and n
     (_mixture_row), with the columns that the sums over the points read, so every
-    scale of a law shares them."""
+    scale of a law shares them; shapes (shape0 + k) and weights are read-only."""
 
     law: "MixingDistribution"
     n: int
 
     def __post_init__(self):
         sums = _mixture_row(self.law._unit_law, self.n)
-        for name, value in zip(("shape0", "power", "log_d", "log_c", "_shapes", "_cols"), sums):
+        for name, value in zip(("shape0", "power", "log_d", "log_c", "shapes", "_cols"), sums):
             object.__setattr__(self, name, value)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """w_k = d_k Gamma(shape0 + k), k = 1..n, read-only."""
+        out = np.exp(self.log_d + special.gammaln(self.shapes))
+        out.flags.writeable = False
+        return out
 
     def _columns(self, ndim):
         """The columns (log c_i, shape0 + i, log d_k, shape0 + k) that broadcast over
@@ -667,7 +609,7 @@ class MixtureRow(_Row):
         """f(0+) = c f_1(0+), from the first term of positive weight, power d_k u^e with
         e = power (shape0 + k) - 1: inf below e = 0, 0 above it."""
         k = int(np.argmax(self.log_d > -inf))
-        e = self.power * float(self._shapes[k]) - 1.0
+        e = self.power * float(self.shapes[k]) - 1.0
         if e:
             return inf if e < 0 else 0.0
         return self.power * exp(self.log_d[k]) * self.law.scale
@@ -677,17 +619,9 @@ class MixtureRow(_Row):
         E(S^r 1{S > a})), for each order r of a 1-D array, from one log_gammaincc
         call (KernelRow's survival terms are not needed)."""
         shift = np.asarray(orders, dtype=float)[:, None] / self.power
-        b = self._shapes + shift
+        b = self.shapes + shift
         terms = self.log_d + special.gammaln(b) + log_gammaincc(b, u ** self.power)
         return np.logaddexp.reduce(terms, axis=1)
-
-    def mixture(self) -> MixtureRepresentation:
-        # X_k / c = (G_k / c^power)^(1/power)
-        rate = exp(self.power * self.law.log_scale)
-        weights = np.exp(self.log_d + special.gammaln(self._shapes))
-        return MixtureRepresentation(tuple(
-            GammaPowerComponent(a, self.power, rate, w)
-            for a, w in zip(self._shapes.tolist(), weights.tolist())))
 
 
 @lru_cache(maxsize=_ROW_CACHE)
@@ -783,8 +717,118 @@ class KernelRow(_Row):
         head = neg[index] + k * log_u - log_fact
         return log_n + np.logaddexp.reduce(np.concatenate((body, head), axis=1), axis=1)
 
-    def mixture(self) -> MixtureRepresentation:
-        return self.law._sum_mixture(self._integer_n())
+
+def _beta2_t(u, log_u):
+    """(t, log t) of t = 1/(1 + u) on arrays u >= 0 and log u of one shape: log t =
+    -log1p(u), -log u where u overflows."""
+    log1p_u = np.log1p(u)
+    if np.count_nonzero(u == inf):
+        log1p_u = np.where(u == inf, log_u, log1p_u)
+    return 1.0 / (1.0 + u), -log1p_u
+
+
+@dataclass(frozen=True, eq=False)
+class Beta2Row(_Row):
+    """S_1 as the finite mixture sum_j w_j X_j of second-kind beta laws X_j = G / G_j ~
+    B2(n, a_j), G ~ Gamma(n, 1) and G_j ~ Gamma(a_j, 1) independent, with weights w_j >
+    0 summing to 1: S_1 given a unit frailty Ga(a_j, 1) is G over it.  With t = 1/(1+u)
+    (DLMF 8.17) every quantity is a sum of positive terms, one per component:
+
+        S_1(u)              = sum_j w_j I_t(a_j, n)
+        u f_1(u)            = (1-t)^n sum_j d_j t^a_j,    d_j = w_j / B(n, a_j)
+        E(S_1^r 1{S_1 > u}) = sum_j w_j (n)_r / (a_j - r)_r I_t(a_j - r, n + r),  r < a_j
+
+    log I_t is specfun.log_betainc: scipy's betainc, or the finite sum of I_t at the whole
+    b = n or n + r where that costs less or betainc is not to be trusted.  The unit law
+    gives log w_j and a_j (its _beta2_components); they are built on first use and
+    cached per unit law and n (_beta2_row), with the columns that the sums over the
+    points read, and the tail constants per orders (_beta2_tail), so every scale of a
+    law shares them; shapes (a_j) and weights are read-only."""
+
+    law: "MixingDistribution"
+    n: int
+
+    def __post_init__(self):
+        for name, value in zip(("log_w", "shapes", "_cols"),
+                               _beta2_row(self.law._unit_law, self.n)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """w_j, read-only."""
+        out = np.exp(self.log_w)
+        out.flags.writeable = False
+        return out
+
+    @property
+    def _width(self):
+        return self.shapes.size
+
+    def _columns(self, ndim):
+        """The columns (log w_j, a_j, log d_j) that broadcast over ndim axes of points."""
+        if ndim == 1:
+            return self._cols
+        return tuple(np.reshape(c, (-1,) + (1,) * ndim) for c in self._cols)
+
+    def log_survival_terms(self, u, log_u, density=False):
+        """The (m, *u.shape) log terms on an array u > 0 whose log-sum is log
+        S_1(u), one per component; with density=True the pair (terms, log(u f_1(u)))."""
+        t, log_t = _beta2_t(u, log_u)
+        log_w, shapes, _ = self._columns(np.ndim(u))
+        terms = log_w + log_betainc(shapes, self.n, t, log_t)
+        return (terms, self._log_density(1, u, log_u, log_t)) if density else terms
+
+    def _log_density(self, j, u, log_u, log_t):
+        """log(u^j f_1(u)) = log((1-t)^(n-1+j) sum_k d_k t^(a_k+1-j)), at j = 0 and 1, the
+        t of _beta2_t.  log(1 - t) = log(u/(1 + u)) is -log1p(1/u), which neither 1 - t
+        nor log u + log t would hold, and log u where u is not a normal double."""
+        _, shapes, log_d = self._columns(np.ndim(log_t))
+        log1m_t = -np.log1p(1.0 / np.maximum(u, _FLOAT_TINY))
+        if np.count_nonzero(u < _FLOAT_TINY):
+            log1m_t = np.where(u < _FLOAT_TINY, log_u, log1m_t)
+        return (self.n - 1 + j) * log1m_t + _log_sum_exp(log_d + (shapes + (1 - j)) * log_t)
+
+    def _log_unit_pdf(self, u, log_u):
+        return self._log_density(0, u, log_u, _beta2_t(u, log_u)[1])
+
+    def pdf_at_zero(self) -> float:
+        """f(0+) = c f_1(0+): sum_j w_j a_j at n = 1 (where 1/B(1, a) = a), 0 above it."""
+        return float(self.weights @ self.shapes) * self.law.scale if self.n == 1 else 0.0
+
+    def log_tail_moments(self, u, log_u, orders, terms) -> np.ndarray:
+        """log E(S_1^r 1{S_1 > u}) at the unit point u = c a > 0 (so c^-r times it is
+        E(S^r 1{S > a})), for each order r of a 1-D sequence, from one log_betainc call
+        (KernelRow's survival terms are not needed)."""
+        log_k, a, b = _beta2_tail(self.law._unit_law, self.n, tuple(orders))
+        t, log_t = _beta2_t(np.asarray(u, dtype=float), np.asarray(log_u))
+        return np.logaddexp.reduce(log_k + log_betainc(a, b, t, log_t), axis=1)
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _beta2_row(unit_law, n: int) -> tuple:
+    """(log_w, shapes, columns) of the Beta2Row of S_n under a unit law, from its
+    _beta2_components, built on first use; columns is (log_w, shapes, log_d) as (m, 1)
+    columns, log d_j = log w_j - log B(n, a_j)."""
+    log_w, shapes = unit_law._beta2_components()
+    columns = tuple(c[:, None] for c in (log_w, shapes, log_w - log_beta(float(n), shapes)))
+    for values in (log_w, shapes, *columns):
+        values.flags.writeable = False
+    return log_w, shapes, columns
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _beta2_tail(unit_law, n: int, orders: tuple) -> tuple:
+    """What a Beta2Row's tail moments of the orders r (a tuple) read besides the point,
+    kept per (unit law, n, orders) since every risk report asks for them, read-only,
+    with a row per order and a column per component: log(w_j (n)_r / (a_j - r)_r),
+    a_j - r, and n + r (one column)."""
+    log_w, shapes, _ = _beta2_row(unit_law, n)
+    r = np.array(orders, dtype=float)[:, None]
+    a = shapes - r
+    consts = log_w + log_poch(float(n), r) - log_poch(a, r), a, n + r
+    for values in consts:
+        values.flags.writeable = False
+    return consts
 
 
 class MixingDistribution:
@@ -987,16 +1031,22 @@ class MixingDistribution:
         raise NotImplementedError
 
     def pdf(self, theta):
-        """Density of Theta: exp(_log_pdf) on the support, 0 below it."""
-        return _density(self._log_pdf, theta, self.support[0])
+        """Density of Theta: exp(_log_pdf) on the support, 0 below it; a scalar theta
+        gives a float."""
+        th = np.asarray(theta, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(th > self.support[0], np.exp(self._log_pdf(th)), 0.0)
+        return _ret(out, np.isscalar(theta))
 
     def _log_pdf(self, theta):
         raise UnsupportedModelError(f"{self.kind} mixing has no usable density")
 
     # -- formulas of the sum S of claims of total shape a driven by this law
 
-    # the unit law's MixtureRow sums of S_n (stable, Levy, Gleser), on _unit_law
-    _row = None
+    # the class of the rows of S_n at an integral n: MixtureRow (stable, Levy, Gleser),
+    # whose sums the unit law gives (_row); Beta2Row (gamma, Lindley), whose components
+    # it gives (_beta2_components); else KernelRow, which sums the kernel
+    _row_class = KernelRow
 
     @property
     def _unit_law(self):
@@ -1007,19 +1057,13 @@ class MixingDistribution:
         return self
 
     def sum_row(self, a):
-        """The row of S: a MixtureRow at an integral a where the law has one, a
-        KernelRow otherwise."""
-        if self._row is None or a % 1:
-            return KernelRow(self, a)
-        return MixtureRow(self, int(a))
+        """The row of S: the law's _row_class at an integral a, a KernelRow at a
+        fractional one."""
+        return KernelRow(self, a) if a % 1 else self._row_class(self, int(a))
 
     def _sum_pdf_at_zero(self, n: int) -> float:
         """f(0+) of S_n for a law whose row is a KernelRow."""
         raise UnsupportedModelError(f"unknown mixing law {self.kind}")
-
-    def _sum_mixture(self, n: int) -> MixtureRepresentation:
-        """The finite mixture of S_n for a law whose row is a KernelRow."""
-        raise UnsupportedModelError(f"no finite mixture representation for {self.kind} mixing")
 
     def kendall_tau(self) -> float:
         """Closed-form pairwise Kendall tau of the copula, where one exists."""
@@ -1037,6 +1081,7 @@ class GammaMixing(MixingDistribution):
     beta: float
 
     kind = "gamma"
+    _row_class = Beta2Row
 
     def __post_init__(self):
         _require_positive(alpha=self.alpha, beta=self.beta)
@@ -1085,11 +1130,9 @@ class GammaMixing(MixingDistribution):
         a, b = self.alpha, self.beta
         return a * log(b) + (a - 1) * np.log(th) - b * th - lgamma(a)
 
-    def _sum_pdf_at_zero(self, n):
-        return self.alpha / self.beta if n == 1 else 0.0
-
-    def _sum_mixture(self, n):
-        return MixtureRepresentation((Beta2Component(float(n), self.alpha, self.beta, 1.0),))
+    def _beta2_components(self):
+        # Theta beta ~ Ga(alpha, 1): S_1 = beta S is one B2(n, alpha)
+        return np.zeros(1), np.array([float(self.alpha)])
 
     def kendall_tau(self):
         # Clayton copula of parameter 1/alpha: 1/(1 + 2 alpha), written so 2 alpha
@@ -1107,6 +1150,7 @@ class LevyMixing(MixingDistribution):
     lam: float
 
     kind = "levy"
+    _row_class = MixtureRow
 
     def __post_init__(self):
         _require_positive(lam=self.lam)
@@ -1163,6 +1207,7 @@ class PositiveStableMixing(MixingDistribution):
     alpha: float
 
     kind = "stable"
+    _row_class = MixtureRow
 
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
@@ -1297,6 +1342,7 @@ class LindleyMixing(MixingDistribution):
 
     kind = "lindley"
     neg_order_limit = 1.0  # the density is positive at 0
+    _row_class = Beta2Row
 
     def __post_init__(self):
         _require_positive(lam=self.lam)
@@ -1336,16 +1382,11 @@ class LindleyMixing(MixingDistribution):
         y = (lam ** 2 + disc) / (2.0 * t * (1.0 + lam))
         return y - lam
 
-    def _sum_pdf_at_zero(self, n):
-        # the n = 1 density at 0 is E(Theta) = lam/(1+lam) * 1/lam + 1/(1+lam) * 2/lam
-        return (1.0 + 2.0 / self.lam) / (1.0 + self.lam) if n == 1 else 0.0
-
-    def _sum_mixture(self, n):
-        # Theta is Ga(1, lam) with weight lam/(1+lam) and Ga(2, lam) otherwise, and a
-        # gamma frailty Ga(a, lam) makes S_n second-kind beta B2(n, a) of scale lam
-        lam = self.lam
-        return MixtureRepresentation((Beta2Component(float(n), 1.0, lam, lam / (1.0 + lam)),
-                                      Beta2Component(float(n), 2.0, lam, 1.0 / (1.0 + lam))))
+    def _beta2_components(self):
+        # Theta lam is Ga(1, 1) with weight lam/(1+lam) and Ga(2, 1) otherwise, and a
+        # unit gamma frailty Ga(a, 1) makes S_1 = lam S second-kind beta B2(n, a)
+        log1p_lam = math.log1p(self.lam)
+        return np.array([log(self.lam) - log1p_lam, -log1p_lam]), np.array([1.0, 2.0])
 
     def kendall_tau(self):
         # 1 - 4 int s L'(s)^2 ds = 1 - 4 (u^2/6 + u v/3 + v^2/5), u = lam/(1+lam),
@@ -1380,6 +1421,7 @@ class GleserGammaMixing(MixingDistribution):
     lam: float
 
     kind = "gleser-gamma"
+    _row_class = MixtureRow
     _log_unit_floor = 0.0  # Theta / lam = 1/B >= 1
 
     def __post_init__(self):

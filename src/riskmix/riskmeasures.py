@@ -15,13 +15,16 @@ S(x) = S_1(u): it brackets its root on a geometric grid of u from 2^-40 to
 quantile outside it on grids a factor 2 apart, on to 2^996 or from 2^-1074
 (past either end, TailUnderflowError).  A grid's table is log S_1 and its
 log-log slope -u f_1 / S_1 at every point, from one density=True
-log_survival call of the row; the near grid's reads neither the level nor
-the scale, so it is built once per unit law and total shape and kept
-(_near_table: 2 x 1281 doubles or 20.5 kB a table, at most _VAR_TABLES = 102
-of them in a budget of 2 MB), and a warm report makes no call for its
-bracket.  Newton starts from the root of the cubic Hermite interpolant of
-(log u, log S_1) with the table's slopes between the bracketing points: a
-few Newton steps on the cubic from the linear fraction (_start), or that
+log_survival call of the row, and the negated running minimum of log S_1,
+on which one searchsorted finds the first point at or below the target (log
+S_1 itself rises by an ulp here and there where S_1 rounds to 1); the near
+grid's reads neither the level nor the scale, so it is built once per unit
+law and total shape and kept (_near_table: 3 x 1281 doubles or 30.7 kB a
+table, at most _VAR_TABLES = 102 of them in a budget of 3 MB), and a warm
+report makes no call for its bracket.  Newton starts from the root of the
+cubic Hermite interpolant of (log u, log S_1) with the table's slopes
+between the bracketing points: a few Newton steps on the cubic from the
+linear fraction (_start), or that
 fraction itself where a slope is not finite or the cubic does not decrease.
 On the near grid's narrow bracket that start is close enough for one Newton
 step to land within 1e-14 of the root, so a warm report at levels 0.9 to
@@ -30,7 +33,7 @@ safeguarded Newton iteration runs in t = log u on g = log S - log(1 -
 level), dg/dt = -u f_1 / S (S' = -f), bisecting whenever a step leaves the
 bracket.  Each step takes
 the survival terms and u f_1 at u together from the law's row
-(mixing.MixtureRow or KernelRow).
+(mixing.MixtureRow, Beta2Row or KernelRow).
 Below level 0.5 it iterates on g = log F - log(level) instead, with F = 1 - S
 from the same survival call and dg/dt = u f_1 / F: there log S is strongly
 concave in log u and a first Newton step on it overshoots.  It stops once the
@@ -75,10 +78,10 @@ _VAR_FAR, _VAR_LOW = (2.0 ** np.arange(*ends) for ends in ((40, 997), (-1074, -3
 # the grids' steps in log u
 _NEAR_STEP, _LOG2 = log(2.0) / _NEAR_PER_OCTAVE, log(2.0)
 _VAR_RTOL, _VAR_STEP, _VAR_MAXITER = 1e-12, 1e-14, 100
-# the near grid's tables kept (_near_table), two arrays of its 1281 points each (20.5 kB):
-# a budget of 2 MB holds 102 of them
-_VAR_TABLE_BYTES = 1 << 21
-_VAR_TABLES = _VAR_TABLE_BYTES // (2 * _VAR_NEAR.nbytes)
+# the near grid's tables kept (_near_table), three arrays of its 1281 points each (30.7
+# kB): a budget of 3 MB holds 102 of them
+_VAR_TABLE_BYTES = 3 << 20
+_VAR_TABLES = _VAR_TABLE_BYTES // (3 * _VAR_NEAR.nbytes)
 # Newton steps on the cubic of _start
 _START_STEPS = 4
 # a tail moment is exp(log E(S^r 1{S > a}) - log S(a)), whose logs round by |log S| eps
@@ -87,11 +90,12 @@ _TAIL_LOG_FLOOR = -4096.0
 
 
 def _grid_table(row, grid):
-    """(log S_1, d log S_1 / d log u = -u f_1 / S_1) on a grid of u, from one row call;
-    the slope is not finite where S_1 or u f_1 is not a positive double."""
+    """(log S_1, d log S_1 / d log u = -u f_1 / S_1, -(running minimum of log S_1)) on a
+    grid of u, from one row call; the slope is not finite where S_1 or u f_1 is not a
+    positive double."""
     log_s, log_uf = row.log_survival(grid, np.log(grid), density=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        return log_s, -np.exp(log_uf - log_s)
+        return log_s, -np.exp(log_uf - log_s), -np.minimum.accumulate(log_s)
 
 
 @lru_cache(maxsize=_VAR_TABLES)
@@ -141,16 +145,16 @@ def _value_at_risk(model: AggregateModel, level: float):
     row = model.mixing.sum_row(model.total_shape)
     log_target = log1p(-level)
     grid, step = _VAR_NEAR, _NEAR_STEP
-    log_grid, slopes = _near_table(model.mixing._unit_law, model.total_shape)
-    below = np.flatnonzero(log_grid <= log_target)
-    if not (below.size and below[0]):
+    log_grid, slopes, drop = _near_table(model.mixing._unit_law, model.total_shape)
+    # the first point at or below the target: the first whose running minimum is
+    j = int(np.searchsorted(drop, -log_target))
+    if not 0 < j < grid.size:
         # the quantile lies below or beyond it
-        grid, step = (_VAR_LOW if below.size else _VAR_FAR), _LOG2
-        log_grid, slopes = _grid_table(row, grid)
-        below = np.flatnonzero(log_grid <= log_target)
-    if not below.size:
+        grid, step = (_VAR_FAR if j else _VAR_LOW), _LOG2
+        log_grid, slopes, drop = _grid_table(row, grid)
+        j = int(np.searchsorted(drop, -log_target))
+    if j == grid.size:
         raise TailUnderflowError("VaR bracket expansion ran away")
-    j = below[0]
     if not j:
         raise TailUnderflowError("the quantile lies below the smallest positive double")
     lo, hi = grid[j - 1], grid[j]

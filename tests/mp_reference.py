@@ -362,3 +362,61 @@ def mixture_tail_moment(law, n, r, a, dps=50):
         num = mp.fsum(wk * mp.gammainc(bk + shift, y, mp.inf) / mp.gamma(bk)
                       for wk, bk in zip(w, b))
         return float(num / surv / rate ** shift), float(mp.log(surv))
+
+
+def _beta2_mixture(law):
+    """(scale, [(w_j, a_j)]) of S_n = scale * sum_j w_j B2(n, a_j) for the gamma law
+    Ga(alpha, beta) (scale beta, one B2(n, alpha)) and Lindley(lam) (scale lam, B2(n, 1)
+    and B2(n, 2) weighted lam/(1+lam) and 1/(1+lam)), from the law's parameters."""
+    if isinstance(law, GammaMixing):
+        return mp.mpf(law.beta), [(mp.mpf(1), mp.mpf(law.alpha))]
+    lam = mp.mpf(law.lam)
+    return lam, [(lam / (1 + lam), mp.mpf(1)), (1 / (1 + lam), mp.mpf(2))]
+
+
+def beta2_log_survival(law, n, x, dps=DPS, unit=False):
+    """log S_n(x) = log sum_j w_j I_t(a_j, n), t = scale / (scale + x), as a float, from
+    mp.betainc (whose value at a tiny t mpmath holds below the doubles); with unit=True
+    x is the unit coordinate x / scale, which may pass the doubles of x."""
+    with mp.workdps(dps):
+        scale, parts = _beta2_mixture(law)
+        t = 1 / (1 + mp.mpf(float(x))) if unit else scale / (scale + mp.mpf(float(x)))
+        return float(mp.log(mp.fsum(w * mp.betainc(a, n, 0, t, regularized=True)
+                                    for w, a in parts)))
+
+
+def beta2_log_pdf(law, n, x, dps=DPS):
+    """log f_n(x), f_n(x) = sum_j w_j v^(n-1) (1+v)^(-n-a_j) / (scale B(n, a_j)), v = x /
+    scale, as a float."""
+    with mp.workdps(dps):
+        scale, parts = _beta2_mixture(law)
+        v = mp.mpf(float(x)) / scale
+        return float(mp.log(mp.fsum(w * v ** (n - 1) * (1 + v) ** (-n - a) / mp.beta(n, a)
+                                    for w, a in parts) / scale))
+
+
+def beta2_tail_moment(law, n, r, a, dps=DPS):
+    """E(S_n^r | S_n > a) as a float, from E(X^r 1{X > v}) = (n)_r / (a_j - r)_r
+    I_t(a_j - r, n + r) for X ~ B2(n, a_j), t = 1/(1 + v) (DLMF 8.17)."""
+    with mp.workdps(dps):
+        scale, parts = _beta2_mixture(law)
+        t = scale / (scale + mp.mpf(float(a)))
+        num = mp.fsum(w * mp.rf(n, r) / mp.rf(aj - r, r)
+                      * mp.betainc(aj - r, n + r, 0, t, regularized=True) for w, aj in parts)
+        den = mp.fsum(w * mp.betainc(aj, n, 0, t, regularized=True) for w, aj in parts)
+        return float(scale ** r * num / den)
+
+
+def beta2_quantile(law, n, level, start, dps=DPS):
+    """The x with S_n(x) = 1 - level, as a float: Newton in log x on log S_n from
+    start, at dps digits."""
+    with mp.workdps(dps):
+        scale, parts = _beta2_mixture(law)
+        target = mp.log(1 - mp.mpf(level))
+
+        def g(y):
+            t = scale / (scale + mp.exp(y))
+            return mp.log(mp.fsum(w * mp.betainc(a, n, 0, t, regularized=True)
+                                  for w, a in parts)) - target
+
+        return float(mp.exp(mp.findroot(g, mp.log(mp.mpf(start)))))

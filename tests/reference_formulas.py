@@ -2,7 +2,8 @@
 Bell polynomials in linear and log space, Faa di Bruno's formula, the upper
 incomplete gamma of every real order, gamma quantiles, half-integer
 Bessel K, the source's printed Lindley sum density and its gamma and
-inverse-Gaussian Pareto tail densities.  They share no code with riskmix and
+inverse-Gaussian Pareto tail densities, and the density of a mixture row
+from its weights and shapes in linear space.  They share no code with riskmix and
 check its kernels."""
 
 import math
@@ -200,6 +201,22 @@ def lindley_sum_pdf(lam: float, n: int, x):
                + np.log(xp + lam + n + 1.0) - (n + 2.0) * np.log(xp + lam))
     out = np.where(x_arr >= 0, np.exp(log_val), 0.0)
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
+
+
+def row_mixture_pdf(row, x):
+    """The density of S at x > 0 from a mixture row's weights and shapes alone, in
+    linear space: c sum_k w_k g_k(c x), c the law's scale and g_k the component
+    density, p u^(p a_k - 1) e^(-u^p) / Gamma(a_k) for a gamma-power row of power p,
+    u^(n-1) (1+u)^(-n-a_k) / B(n, a_k) for a second-kind beta row (no power)."""
+    c = row.law.scale
+    u = c * np.asarray(x, dtype=float)
+    if hasattr(row, "power"):
+        p = row.power
+        parts = [p * u ** (p * a - 1.0) * np.exp(-u ** p) / math.gamma(a) for a in row.shapes]
+    else:
+        n = row.n
+        parts = [u ** (n - 1.0) * (1.0 + u) ** (-n - a) / special.beta(n, a) for a in row.shapes]
+    return c * sum(w * g for w, g in zip(row.weights.tolist(), parts))
 
 
 def tail_pdf_gamma(alpha: float, lam: float, beta: float, m: int, x: float) -> float:

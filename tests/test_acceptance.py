@@ -19,9 +19,7 @@ from riskmix.aggregate import (
     inverse_gaussian_model,
     lindley_model,
     mean,
-    mixture_representation,
     moment,
-    moment_from_mixture,
     pareto_model,
     pdf,
     pdf_generic,
@@ -35,6 +33,7 @@ from riskmix.asymptotics import ParetoTailSpec, tail_pdf_generic
 from riskmix.cli import main as cli_main
 from riskmix.dependence import kendall_tau_closed, kendall_tau_numeric, pearson_rho
 from riskmix.mixing import GammaMixing, InverseGaussianMixing
+from riskmix.riskmeasures import tail_moment
 from riskmix.ruin import (
     CompoundModel,
     LogarithmicCounts,
@@ -53,7 +52,7 @@ from riskmix.simulate import (
     sample_vector,
 )
 
-from reference_formulas import bell_partial, tail_pdf_gamma, tail_pdf_ig
+from reference_formulas import bell_partial, row_mixture_pdf, tail_pdf_gamma, tail_pdf_ig
 
 FIVE_MODELS = {
     "pareto": lambda n: pareto_model(3.0, 1.0, n),
@@ -77,9 +76,9 @@ def integrate_density(f):
 
 
 def test_criterion_1_closed_vs_generic():
-    # each printed sum density, the law's finite mixture (one or two B2 components
-    # for Pareto and Lindley, gamma powers for the rest), against the derivative
-    # route; the inverse Gaussian has no printed form
+    # each printed sum density, the law's mixture row (one or two B2 components for
+    # Pareto and Lindley, gamma powers for the rest), against the derivative route;
+    # the inverse Gaussian has no printed form
     t0 = time.monotonic()
     worst = 0.0
     xs = np.logspace(-2, 1.5, 50)
@@ -88,7 +87,7 @@ def test_criterion_1_closed_vs_generic():
     for name, make in models.items():
         for n in (2, 3, 6):
             m = make(n)
-            a = mixture_representation(m).pdf(xs)
+            a = pdf(m, xs)
             b = pdf_generic(m, xs)
             worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
     elapsed = time.monotonic() - t0
@@ -164,9 +163,10 @@ def test_criterion_4_moments():
     if abs(sums.mean() - 4.0) > 4 * se:
         failures.append("IG Monte Carlo mean")
 
-    # gamma claims alpha=1/2, lam=1, n=2: two independent oracles must agree
+    # gamma claims alpha=1/2, lam=1, n=2: two independent oracles must agree; the
+    # mixture mean is the row's weighted sum of its components' tail moments
     mg = gamma_claims_model(0.5, 1.0, 2)
-    mix_mean = moment_from_mixture(mixture_representation(mg), 1)
+    mix_mean = tail_moment(mg, 1, 1e-300)
     sums = sample_sums(SimulationPlan(mg, 1_000_000, seed=103))
     se = sums.std(ddof=1) / math.sqrt(sums.size)
     if abs(sums.mean() - mix_mean) > 4 * se:
@@ -187,14 +187,15 @@ def test_criterion_5_mixture_representations():
              pareto_model(3.0, 1.0, 2), lindley_model(1.0, 2), lindley_model(0.01, 5)]
     xs = np.logspace(-1.5, 1.0, 30)
     for m in cases:
-        rep = mixture_representation(m)
-        worst_wsum = max(worst_wsum, abs(sum(c.weight for c in rep.components) - 1.0))
+        # the row's weights and shapes, summed in linear space on the test side
+        row = m.mixing.sum_row(m.total_shape)
+        worst_wsum = max(worst_wsum, abs(sum(row.weights) - 1.0))
         scale = np.max(np.abs(pdf(m, xs)))
         worst_rec = max(worst_rec, float(
-            np.max(np.abs(rep.pdf(xs) - pdf(m, xs))) / scale))
+            np.max(np.abs(row_mixture_pdf(row, xs) - pdf(m, xs))) / scale))
     alpha = 0.5
-    w2 = [c.weight for c in mixture_representation(weibull_model(alpha, 2)).components]
-    w3 = [c.weight for c in mixture_representation(weibull_model(alpha, 3)).components]
+    w2 = weibull_model(alpha, 2).mixing.sum_row(2).weights
+    w3 = weibull_model(alpha, 3).mixing.sum_row(3).weights
     ok_weights = (np.allclose(w2, [1 - alpha, alpha], atol=1e-14)
                   and np.allclose(w3, [(1 - alpha) * (2 - alpha) / 2,
                                        3 * alpha * (1 - alpha) / 2,

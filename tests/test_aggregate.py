@@ -9,15 +9,12 @@ from scipy import integrate, special
 
 from riskmix.aggregate import (
     AggregateModel,
-    Beta2Component,
     cdf,
     gamma_claims_model,
     inverse_gaussian_model,
     lindley_model,
     mean,
-    mixture_representation,
     moment,
-    moment_from_mixture,
     pareto_model,
     pdf,
     pdf_generic,
@@ -27,11 +24,12 @@ from riskmix.aggregate import (
     weibull_model,
 )
 from riskmix import mixing
-from riskmix.errors import NonexistentMomentError, RiskmixError, UnsupportedModelError
-from riskmix.mixing import BetaSecondKindMixing, KernelRow, MixtureRow
+from riskmix.errors import NonexistentMomentError, RiskmixError
+from riskmix.mixing import BetaSecondKindMixing, Beta2Row, KernelRow, MixtureRow
+from riskmix.riskmeasures import tail_moment
 from riskmix.simulate import SimulationPlan, quadrature_mixture_pdf, sample_sums
 
-from reference_formulas import lindley_sum_pdf
+from reference_formulas import lindley_sum_pdf, row_mixture_pdf
 
 FIVE_MODELS = {
     "pareto": lambda n: pareto_model(3.0, 1.0, n),
@@ -52,8 +50,9 @@ class TestOneKernelCall:
     @pytest.mark.parametrize("name", SEVEN_MODELS)
     @pytest.mark.parametrize("n", [2, 10, 64])
     def test_survival_is_one_kernel_call(self, name, n, monkeypatch):
-        # the route pin: the three laws with a mixture row (stable, Levy, gamma claims)
-        # sum it and call no kernel, in survival and in each Newton step of VaR; the
+        # the route pin: the five laws with a mixture row (stable, Levy, gamma claims:
+        # gamma powers; Pareto, Lindley: second-kind betas) sum it and call no kernel, in
+        # survival, the density, each Newton step of VaR and the tail moments; the
         # other laws take the orders 0..n-1 from one pass of the law's kernel as an (n,
         # len x) array, and each Newton step the orders 0..n from one pass.  The
         # orders are checked once per unit law: every call gets the same _Orders,
@@ -74,9 +73,10 @@ class TestOneKernelCall:
         monkeypatch.setattr(law, "_log_kernel", counted)
         monkeypatch.setattr(law, "_orders", checked)
         row = m.mixing.sum_row(n)
-        has_row = isinstance(row, MixtureRow)
-        assert has_row == (name in ("weibull", "weibull_half", "gamma_claims"))
-        assert has_row or isinstance(row, KernelRow)
+        has_row = not isinstance(row, KernelRow)
+        assert has_row == (name in ("weibull", "weibull_half", "gamma_claims", "pareto",
+                                    "lindley"))
+        assert isinstance(row, (MixtureRow, Beta2Row)) == has_row
         mixing._row_orders.cache_clear()
         survival(m, np.geomspace(1e-2, 1e3, 50))
         if has_row:
@@ -90,8 +90,12 @@ class TestOneKernelCall:
         for _ in range(2):
             terms, _ = m.mixing.sum_row(n).log_survival_terms(np.array([2.5]), np.log([2.5]),
                                                               density=True)
-        assert terms.shape == (n, 1)
+        # one term per order (a KernelRow) or per component
+        assert terms.shape == (len(row.shapes) if has_row else n, 1)
         if has_row:
+            pdf(m, np.geomspace(1e-2, 1e3, 50))
+            if name != "lindley":  # (no tail moment exists)
+                tail_moment(m, 2, 2.5)
             assert not (calls or checks)
         else:
             assert len(calls) == 2 and calls[0] is calls[1]
@@ -358,47 +362,52 @@ class TestMoments:
         assert abs(sums.mean() - 1.0) < 4 * se
 
 
+def mixture_row(m):
+    return m.mixing.sum_row(m.total_shape)
+
+
 class TestMixtureRepresentation:
+    """The row is the finite mixture: its read-only weights, shapes and power."""
+
     def test_pareto_single_beta2(self):
-        rep = mixture_representation(pareto_model(3.0, 1.0, 2))
-        (c,) = rep.components
-        assert c == Beta2Component(2, 3, 1, 1)
+        row = mixture_row(pareto_model(3.0, 1.0, 2))
+        assert isinstance(row, Beta2Row) and row.n == 2
+        assert row.shapes.tolist() == [3.0] and row.weights.tolist() == [1.0]
+        assert not (row.shapes.flags.writeable or row.weights.flags.writeable)
 
     def test_gamma_claims_shapes_and_weights(self):
-        rep = mixture_representation(gamma_claims_model(0.5, 1.0, 2))
-        shapes = [c.shape for c in rep.components]
-        assert shapes == pytest.approx([0.5, 1.5])
-        assert sum(c.weight for c in rep.components) == pytest.approx(1.0, abs=1e-12)
+        row = mixture_row(gamma_claims_model(0.5, 1.0, 2))
+        assert row.shapes == pytest.approx([0.5, 1.5])
+        assert sum(row.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_weibull_small_n_weights(self):
         alpha = 0.5
-        rep2 = mixture_representation(weibull_model(alpha, 2))
-        assert [c.weight for c in rep2.components] == pytest.approx([1 - alpha, alpha])
-        assert [c.shape for c in rep2.components] == [1.0, 2.0]
-        rep3 = mixture_representation(weibull_model(alpha, 3))
+        row2 = mixture_row(weibull_model(alpha, 2))
+        assert row2.weights == pytest.approx([1 - alpha, alpha])
+        assert row2.shapes.tolist() == [1.0, 2.0]
+        row3 = mixture_row(weibull_model(alpha, 3))
         want = [(1 - alpha) * (2 - alpha) / 2, 3 * alpha * (1 - alpha) / 2, alpha ** 2]
-        assert [c.weight for c in rep3.components] == pytest.approx(want)
+        assert row3.weights == pytest.approx(want)
 
     def test_weibull_half_weights(self):
-        rep = mixture_representation(weibull_half_model(1.0, 3))
-        assert [c.weight for c in rep.components] == pytest.approx([0.375, 0.375, 0.25])
+        row = mixture_row(weibull_half_model(1.0, 3))
+        assert row.weights == pytest.approx([0.375, 0.375, 0.25])
         # square-gamma a = 0.5, 1, 1.5: shapes 2a at power 1/2
-        assert [c.shape for c in rep.components] == pytest.approx([1.0, 2.0, 3.0])
-        assert [c.power for c in rep.components] == [0.5, 0.5, 0.5]
+        assert row.shapes == pytest.approx([1.0, 2.0, 3.0])
+        assert row.power == 0.5
 
     @pytest.mark.parametrize("name", ["pareto", "gamma_claims", "weibull_half", "weibull"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_weights_sum_to_one(self, name, n):
-        rep = mixture_representation(FIVE_MODELS[name](n))
-        assert sum(c.weight for c in rep.components) == pytest.approx(1.0, abs=1e-12)
+        assert sum(mixture_row(FIVE_MODELS[name](n)).weights) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["pareto", "gamma_claims", "weibull_half", "weibull"])
     def test_reconstructs_closed_pdf(self, name):
+        # the weights and shapes, summed in linear space on the test side
         for n in (1, 2, 3):
             m = FIVE_MODELS[name](n)
-            rep = mixture_representation(m)
             xs = np.logspace(-1.5, 1.0, 20)
-            got = rep.pdf(xs)
+            got = row_mixture_pdf(mixture_row(m), xs)
             want = pdf(m, xs)
             assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -407,12 +416,12 @@ class TestMixtureRepresentation:
         # nonnegative on this grid (not asserted as a theorem elsewhere)
         for alpha in np.arange(0.1, 1.0, 0.2):
             for n in (2, 3, 4, 6):
-                rep = mixture_representation(gamma_claims_model(float(alpha), 1.0, n))
-                assert min(c.weight for c in rep.components) >= -1e-15
+                assert min(mixture_row(gamma_claims_model(float(alpha), 1.0, n)).weights) >= -1e-15
 
     def test_unsupported_kinds(self):
-        with pytest.raises(UnsupportedModelError):
-            mixture_representation(inverse_gaussian_model(1.0, 1.0, 2))
+        # no finite mixture: the row sums the kernel, and shows no weights
+        row = mixture_row(inverse_gaussian_model(1.0, 1.0, 2))
+        assert isinstance(row, KernelRow) and not hasattr(row, "weights")
 
 
 class TestLindleyMixture:
@@ -421,9 +430,10 @@ class TestLindleyMixture:
     scale lam, the density pdf takes."""
 
     def test_components(self):
-        rep = mixture_representation(lindley_model(3.0, 4))
-        assert rep.components == (Beta2Component(4.0, 1.0, 3.0, 0.75),
-                                   Beta2Component(4.0, 2.0, 3.0, 0.25))
+        row = mixture_row(lindley_model(3.0, 4))
+        assert row.n == 4 and row.law.scale == pytest.approx(1.0 / 3.0)
+        assert row.shapes.tolist() == [1.0, 2.0]
+        assert row.weights == pytest.approx([0.75, 0.25], rel=1e-15)
 
     @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0, 10.0, 1e3])
     @pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
@@ -447,54 +457,35 @@ class TestLindleyMixture:
         with pytest.raises(NonexistentMomentError):
             moment(m, 1)
         with pytest.raises(NonexistentMomentError):
-            moment_from_mixture(mixture_representation(m), 1)
+            tail_moment(m, 1, 1e-300)
 
 
 class TestMomentFromMixture:
-    def test_weibull_half_marginal_mean(self):
-        rep = mixture_representation(weibull_half_model(1.0, 1))
-        assert moment_from_mixture(rep, 1) == pytest.approx(2.0, rel=1e-12)
+    """E(S^r | S > 1e-300) is the row's weighted sum of its components' moments above
+    1e-300, which is E(S^r) to double precision."""
 
-    def test_order_zero(self):
-        rep = mixture_representation(pareto_model(3.0, 1.0, 2))
-        assert moment_from_mixture(rep, 0) == 1.0
+    def test_weibull_half_marginal_mean(self):
+        assert tail_moment(weibull_half_model(1.0, 1), 1, 1e-300) == pytest.approx(2.0, rel=1e-12)
 
     def test_gamma_claims_two_independent_oracles(self):
         # E(S_2) for alpha=1/2, lam=1: the mixture formula and Monte Carlo
         # must agree with each other (both give 2 * alpha / lam = 1)
         m = gamma_claims_model(0.5, 1.0, 2)
-        rep = mixture_representation(m)
-        mix_val = moment_from_mixture(rep, 1)
+        mix_val = tail_moment(m, 1, 1e-300)
         sums = sample_sums(SimulationPlan(m, 1_000_000, seed=777))
         se = sums.std(ddof=1) / math.sqrt(sums.size)
         assert abs(sums.mean() - mix_val) < 4 * se
         assert mix_val == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_direct_moment_everywhere_defined(self):
-        for maker, n in ((lambda: pareto_model(4.0, 2.0, 3), 3),
-                         (lambda: gamma_claims_model(0.7, 1.5, 2), 2)):
-            m = maker()
-            rep = mixture_representation(m)
+        for m in (pareto_model(4.0, 2.0, 3), gamma_claims_model(0.7, 1.5, 2),
+                  weibull_model(0.4, 3), weibull_half_model(1.5, 2)):
             for r in (1, 2):
-                assert moment_from_mixture(rep, r) == pytest.approx(
-                    moment(m, r), rel=1e-9)
+                assert tail_moment(m, r, 1e-300) == pytest.approx(moment(m, r), rel=1e-12)
 
     def test_component_moment_divergence(self):
-        rep = mixture_representation(pareto_model(2.0, 1.0, 2))
         with pytest.raises(NonexistentMomentError):
-            moment_from_mixture(rep, 2)
-
-    def test_each_component_family_is_a_density(self):
-        reps = [mixture_representation(m) for m in
-                (pareto_model(3.0, 1.0, 2), gamma_claims_model(0.5, 1.0, 3),
-                 weibull_half_model(1.5, 2), weibull_model(0.4, 3))]
-        seen = set()
-        for rep in reps:
-            for c in rep.components:
-                seen.add((type(c), getattr(c, "power", None)))
-                total = integrate_density(c.pdf)
-                assert total == pytest.approx(1.0, abs=1e-9)
-        assert len(seen) == 4  # beta2, and gamma powers 1, 1/2 and 0.4
+            tail_moment(pareto_model(2.0, 1.0, 2), 2, 1e-300)
 
 
 class TestBoundaryBehavior:
@@ -586,11 +577,11 @@ class TestBoundaryBehavior:
         # the stable mixture weights are row n of the Bell triangle:
         # E(S_n) = n Gamma(1 + 1/alpha) = 2n at alpha = 1/2
         for n in (64, 65, 200):
-            rep = mixture_representation(weibull_model(0.5, n))
-            assert moment_from_mixture(rep, 1) == pytest.approx(2.0 * n, rel=1e-12)
+            assert tail_moment(weibull_model(0.5, n), 1, 1e-300) == pytest.approx(2.0 * n,
+                                                                                  rel=1e-12)
         # the memory budget is the one cap: the triangle stops at order 2047
         with pytest.raises(DerivativeCapError):
-            mixture_representation(weibull_model(0.5, 2048))
+            weibull_model(0.5, 2048).mixing.sum_row(2048)
         with pytest.raises(DerivativeCapError):
             survival(weibull_model(0.5, 3000), np.geomspace(0.1, 10.0, 200))
 

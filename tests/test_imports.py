@@ -15,7 +15,16 @@ import sys
 import textwrap
 from pathlib import Path
 
-from riskmix.mixing import MixingDistribution, MixtureRow
+import riskmix
+from riskmix import aggregate, mixing
+from riskmix.mixing import (
+    Beta2Row,
+    GammaMixing,
+    KernelRow,
+    LindleyMixing,
+    MixingDistribution,
+    MixtureRow,
+)
 
 SCRIPT = textwrap.dedent("""
     import sys
@@ -102,7 +111,7 @@ def _row_is_tested_for_none(tree):
 
 
 def test_sums_of_claims_go_through_the_row():
-    # every law answers S_n through its row (mixing.MixtureRow or KernelRow), so the
+    # every law answers S_n through its row (mixing.MixtureRow, Beta2Row or KernelRow), so the
     # aggregate and risk-measure layers call no kernel, never ask whether a law has
     # a row, and need no special functions
     root = Path(__file__).resolve().parents[1] / "src" / "riskmix"
@@ -157,3 +166,20 @@ def test_kernels_run_on_the_unit_law():
     assert reads and {id(n) for n in reads} == in_ratios
     # the scale lives on the law, not on the MixtureRow, whose sums every scale shares
     assert "rate" not in {f.name for f in dataclasses.fields(MixtureRow)}
+
+
+def test_the_row_is_the_mixture():
+    # one route per law: the linear-space component classes, the rows' mixture(), the
+    # laws' _sum_mixture hooks and the gamma and Lindley density limits at 0 are gone,
+    # and so are the aggregate functions that read them
+    for name in ("GammaPowerComponent", "Beta2Component", "MixtureRepresentation",
+                 "mixture_representation", "moment_from_mixture"):
+        for module in (riskmix, aggregate, mixing):
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in getattr(module, "__all__", ()), (module.__name__, name)
+    for row in (MixtureRow, Beta2Row, KernelRow):
+        assert not hasattr(row, "mixture"), row
+    assert not hasattr(MixingDistribution, "_sum_mixture")
+    for law in (GammaMixing, LindleyMixing):
+        assert "_sum_pdf_at_zero" not in vars(law) and "_sum_mixture" not in vars(law)
+        assert law._row_class is Beta2Row

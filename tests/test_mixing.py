@@ -17,14 +17,12 @@ from riskmix.errors import (
     TailUnderflowError,
     UnsupportedModelError,
 )
-from riskmix.aggregate import AggregateModel, moment_from_mixture, pdf, survival, weibull_model
+from riskmix.aggregate import AggregateModel, pdf, survival, weibull_model
 from riskmix.dependence import pearson_rho
 from riskmix.riskmeasures import tail_moment
 from riskmix.mixing import (
-    Beta2Component,
     BetaSecondKindMixing,
     GammaMixing,
-    GammaPowerComponent,
     GleserGammaMixing,
     InverseGaussianMixing,
     LevyMixing,
@@ -763,33 +761,6 @@ def integrate_density(f):
     return v1 + v2
 
 
-COMPONENTS = [
-    GammaPowerComponent(2.5, 1.0, 1.5, 1.0),   # gamma
-    GammaPowerComponent(3.0, 0.5, 1.2, 1.0),   # square-gamma a = 1.5
-    GammaPowerComponent(2.0, 0.7, 1.0, 1.0),   # generalized gamma
-    Beta2Component(2.0, 4.0, 1.5, 1.0),
-]
-
-
-class TestMixtureComponents:
-    @pytest.mark.parametrize("c", COMPONENTS)
-    def test_is_a_distribution(self, c):
-        assert integrate_density(c.pdf) == pytest.approx(1.0, abs=1e-9)
-        assert c.pdf(0.0) == 0.0 and c.pdf(-1.0) == 0.0
-        assert c.moment(0) == pytest.approx(1.0, rel=1e-15)
-
-    @pytest.mark.parametrize("c", COMPONENTS)
-    def test_moments_against_quadrature(self, c):
-        for r in (1, 2, 2.5):
-            want = integrate_density(lambda x: x ** r * c.pdf(x))
-            assert c.moment(r) == pytest.approx(want, rel=1e-8)
-
-    def test_beta2_moment_divergence(self):
-        c = Beta2Component(2.0, 3.0, 1.0, 1.0)
-        with pytest.raises(NonexistentMomentError):
-            c.moment(3)
-
-
 class TestNegativeMoments:
     def test_gamma_closed_form(self):
         m = GammaMixing(3.0, 1.0)
@@ -852,14 +823,15 @@ class TestNegativeMoments:
             LindleyMixing(1.0).neg_moment(1)
 
     def test_stable_kinds_closed_form(self):
-        # E(Theta^-r) = E(X^r) / r! for one claim X, whose law is the mixture of one
-        # component; and E(Theta^-r) = int_0^inf s^(r-1) L(s) ds / Gamma(r) by quadrature
+        # E(Theta^-r) = E(X^r) / r! for one claim X, whose law is the mixture row of one
+        # component (E(X^r | X > 1e-300), its sum of positive terms); and E(Theta^-r) =
+        # int_0^inf s^(r-1) L(s) ds / Gamma(r) by quadrature
         for m in (LevyMixing(1.0), LevyMixing(2.2), PositiveStableMixing(0.5),
                   PositiveStableMixing(0.35), PositiveStableMixing(0.85), PositiveStableMixing(1.0)):
-            rep = m.sum_row(1).mixture()
             for r in (1, 2, 3):
                 assert m.neg_moment(r) == pytest.approx(
-                    moment_from_mixture(rep, r) / math.factorial(r), rel=1e-13)
+                    tail_moment(AggregateModel(m, (1.0,)), r, 1e-300) / math.factorial(r),
+                    rel=1e-13)
                 want = integrate_density(lambda s: s ** (r - 1) * m.laplace(s)) / math.gamma(r)
                 assert m.neg_moment(r) == pytest.approx(want, rel=1e-8)
             if isinstance(m, LevyMixing):

@@ -127,7 +127,7 @@ class TestEveryTotalShape:
         for call in (lambda: row.log_survival(np.array([]), np.array([])),
                      lambda: row.log_survival_terms(np.array([1.0]), np.array([0.0])),
                      row.pdf_at_zero,
-                     lambda: row.log_tail_moments(1.0, 0.0, (1,), np.zeros(2)), row.mixture):
+                     lambda: row.log_tail_moments(1.0, 0.0, (1,), np.zeros(2))):
             with pytest.raises(UnsupportedModelError):
                 call()
         # both rows take arrays of any shape, 0-d included

@@ -20,8 +20,8 @@ from riskmix.aggregate import (
 )
 from riskmix.errors import (NonexistentMomentError, PrecisionError, RiskmixError,
                             TailUnderflowError)
-from riskmix.mixing import (BetaSecondKindMixing, GleserGammaMixing, KernelRow, MixingDistribution,
-                            MixtureRow)
+from riskmix.mixing import (Beta2Row, BetaSecondKindMixing, GleserGammaMixing, KernelRow,
+                            MixingDistribution, MixtureRow)
 from riskmix import aggregate, cli, mixing, riskmeasures
 from riskmix.riskmeasures import risk_report, tail_moment, tvar, value_at_risk
 from riskmix.simulate import SimulationPlan, sample_sums
@@ -45,7 +45,7 @@ def count_survival_evaluations(monkeypatch):
     log_survival_terms with the density, for a bracketing grid (unless its table
     is cached) and for each Newton step, in the unit coordinate u."""
     calls = []
-    for row in (MixtureRow, KernelRow):
+    for row in (MixtureRow, Beta2Row, KernelRow):
         def step(self, u, log_u, density=False, inner=row.log_survival_terms):
             if density:
                 calls.append(u)
@@ -398,7 +398,7 @@ class TestOneKernelCallPerStep:
 
         assert not hasattr(riskmeasures, "pdf")
         monkeypatch.setattr(aggregate, "pdf", refuse)
-        for row in (MixtureRow, KernelRow):
+        for row in (MixtureRow, Beta2Row, KernelRow):
             monkeypatch.setattr(row, "pdf", refuse)
         for n in (2, 10, 32):
             m = SIX_MODELS[name](n)
@@ -653,18 +653,34 @@ class TestNearTable:
             assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_cache_bound_is_the_table_budget(self):
-        # 16 points per octave from 2^-40 to 2^40, two doubles each (20.5 kB a table):
-        # the 2 MB budget holds more than the 60 tables of a risk-warm run
+        # 16 points per octave from 2^-40 to 2^40, three doubles each (30.7 kB a table):
+        # the 3 MB budget holds more than the 60 tables of a risk-warm run
         near = riskmeasures._VAR_NEAR
         assert near.size == 1281 and near[0] == 2.0 ** -40 and near[-1] == 2.0 ** 40
         assert np.allclose(near[1:] / near[:-1], 2.0 ** (1 / 16), rtol=1e-15, atol=0.0)
-        table_bytes = 2 * near.nbytes
+        table_bytes = 3 * near.nbytes
         most = riskmeasures._near_table.cache_info().maxsize
         assert most == riskmeasures._VAR_TABLE_BYTES // table_bytes and most >= 100
         riskmeasures._near_table.cache_clear()
-        log_s, slopes = riskmeasures._near_table(weibull_half_model(1.0, 2).mixing._unit_law, 2)
-        assert log_s.nbytes + slopes.nbytes == table_bytes
-        assert not (log_s.flags.writeable or slopes.flags.writeable)
+        table = riskmeasures._near_table(weibull_half_model(1.0, 2).mixing._unit_law, 2)
+        assert sum(values.nbytes for values in table) == table_bytes
+        assert not any(values.flags.writeable for values in table)
+
+    @pytest.mark.parametrize("name", [*RISK_WARM_MODELS, "lindley"])
+    def test_bracket_is_the_first_point_below(self, name):
+        # searchsorted on the negated running minimum finds the point that a scan of
+        # log S_1 <= target finds, though log S_1 is not monotone where S_1 rounds to 1
+        levels = np.r_[1e-12, np.geomspace(1e-9, 0.5, 40), 1.0 - np.geomspace(0.5, 1e-12, 40)]
+        make = dict(RISK_WARM_MODELS, lindley=lambda n: lindley_model(1.0, n))[name]
+        for n in (2, 5, 10, 32):
+            law = make(n).mixing
+            log_s, _, drop = riskmeasures._near_table(law._unit_law, n)
+            assert np.all(np.diff(drop) >= 0.0)
+            for lv in levels.tolist():
+                target = math.log1p(-lv)
+                below = np.flatnonzero(log_s <= target)
+                want = below[0] if below.size else log_s.size
+                assert np.searchsorted(drop, -target) == want, (n, lv)
 
     @pytest.mark.parametrize("name", RISK_WARM_MODELS)
     def test_warm_reports_take_two_newton_steps(self, name, monkeypatch):

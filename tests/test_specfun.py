@@ -635,3 +635,71 @@ class TestExpScaledExpn:
             exp_scaled_expn(3, 0.0)
         with pytest.raises(ValueError):
             exp_scaled_expn(0, 1.0)
+
+
+def _mp_log_betainc(a, b, t, log_t):
+    """log I_t(a, b) at 40 digits, at t = exp(log_t) (which holds t where it underflows)."""
+    with mp.workdps(40):
+        return float(mp.log(mp.betainc(mp.mpf(a), mp.mpf(b), 0, mp.exp(mp.mpf(log_t)),
+                                       regularized=True)))
+
+
+class TestLogBetainc:
+    """specfun.log_betainc: betainc, the finite sum at a whole b, the complement where t
+    is too coarse, and the series where I_t underflows, against 40-digit mpmath."""
+
+    @pytest.mark.parametrize("a", [0.7, 3.2, 5.0, 40.0])
+    @pytest.mark.parametrize("b", [2.0, 2.5, 32.0, 499.5])
+    def test_far_tail(self, a, b):
+        # log t down to -996 log 2 and past the doubles of t (t = 0, log t given), where
+        # betainc underflows: the series at a real b, the finite sum at a whole one
+        log_t = -np.log(2.0) * np.r_[np.arange(60.0, 997.0, 31.0), 1100.0, 2000.0]
+        t = np.exp(log_t)
+        got = specfun.log_betainc(a, b, t, log_t)
+        want = np.array([_mp_log_betainc(a, b, v, lv) for v, lv in zip(t, log_t)])
+        assert (t == 0.0).sum() == 2
+        assert np.abs(got - want).max() <= 4 * 2.0 ** -53 * np.abs(want).max()
+
+    @pytest.mark.parametrize("a", [0.7, 3.25, 1.0, 2.0])
+    @pytest.mark.parametrize("b", [1.0, 2.0, 10.0, 33.0])
+    def test_finite_sum_and_betainc_agree(self, a, b):
+        # the finite sum (on 1000 points, where it pays) against betainc (on one), over
+        # the bulk and the tails of I_t, both within 1e-14 of mpmath
+        u = np.geomspace(1e-6, 1e8, 1000)
+        t, log_t = 1.0 / (1.0 + u), -np.log1p(u)
+        assert specfun._sum_pays(np.asarray(a), np.asarray(b), t) == (a % 1 > 0 or b <= 12)
+        grid = specfun.log_betainc(a, b, t, log_t)
+        pick = np.arange(0, 1000, 37)
+        one = np.array([specfun.log_betainc(a, b, t[i:i + 1], log_t[i:i + 1])[0] for i in pick])
+        want = np.array([_mp_log_betainc(a, b, t[i], log_t[i]) for i in pick])
+        assert np.abs(np.exp(grid[pick] - want) - 1.0).max() <= 1e-14
+        assert np.abs(np.exp(one - want) - 1.0).max() <= 1e-14
+
+    def test_which_route_pays(self):
+        # the sum never on one value; on 1000, up to b = 50 at a real a, 12 at a whole one
+        one, many = np.array([0.5]), np.full(1000, 0.5)
+        for a in (0.7, 1.0):
+            assert not specfun._sum_pays(np.asarray(a), np.asarray(2.0), one)
+        assert specfun._sum_pays(np.asarray(3.25), np.asarray(50.0), many)
+        assert not specfun._sum_pays(np.asarray(3.25), np.asarray(51.0), many)
+        assert specfun._sum_pays(np.asarray(2.0), np.asarray(12.0), many)
+        assert not specfun._sum_pays(np.asarray(2.0), np.asarray(13.0), many)
+
+    @pytest.mark.parametrize("a", [1e6, 1e10, 1e14])
+    @pytest.mark.parametrize("b", [2.0, 64.0])
+    def test_complement_at_a_large_shape(self, a, b):
+        # at one point (betainc's route) in the bulk of a large a, where an ulp of t near
+        # 1 moves I_t by up to a percent: 1 - I_{1-t}(b, a) at 1 - t = -expm1(log t)
+        for v in (0.5, 2.0, 8.0, 40.0):
+            u = v * b / a
+            t, log_t = np.array([1.0 / (1.0 + u)]), np.array([-math.log1p(u)])
+            got = specfun.log_betainc(a, b, t, log_t)[0]
+            with mp.workdps(40):
+                want = float(mp.log(mp.betainc(a, b, 0, 1 / (1 + mp.mpf(u)), regularized=True)))
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (v, got, want)
+
+    def test_series_that_would_not_converge(self):
+        # I_t underflows at a t just below the mean of a huge a = b, where the terms'
+        # ratio tends to 0.98: more terms than the series takes
+        with pytest.raises(PrecisionError):
+            specfun.log_betainc(1e8, 1e8, np.array([0.49]), np.array([math.log(0.49)]))
