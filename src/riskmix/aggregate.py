@@ -20,6 +20,9 @@ real order a; the row raises UnsupportedModelError, at every x, for what
 sums the integer orders below a (survival, cdf, the density at 0, the risk
 measures).
 
+The row works in the unit coordinate u = c x and reads no scale (mixing): the
+law takes x to u (_unit), and f_1 back to f = c f_1 (from_unit, and at x = 0).
+
 The survival is exp of the row's log-survival, one log-space reduction of
 positive terms per point, so it is finite for every x: the mixture rows
 call no kernel, one term per gamma-power component (stable, Levy, Gleser)
@@ -133,13 +136,21 @@ def sibuya_model(shapes, beta: float, gam: float) -> AggregateModel:
     return AggregateModel(BetaSecondKindMixing(gam, beta), tuple(shapes))
 
 
+def _density(law: MixingDistribution, row, x):
+    """f(x) = c f_1(c x) on an array x > 0, from the row's log f_1: the law applies c."""
+    log_f = row.log_pdf(*law._unit(x))
+    with np.errstate(over="ignore"):
+        return law.from_unit(np.exp(log_f), log_f, -1)
+
+
 def pdf_generic(model: AggregateModel, x):
     """Theorem route: f(x) = x^{a-1}/Gamma(a) * (-1)^a L^(a)(x), x > 0."""
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0):
         raise ValueError("pdf_generic requires x > 0; use pdf() for boundary points")
-    return _ret(KernelRow(model.mixing, model.total_shape).pdf(x_arr), scalar_in)
+    law = model.mixing
+    return _ret(_density(law, KernelRow(law._unit_law, model.total_shape), x_arr), scalar_in)
 
 
 def pdf(model: AggregateModel, x):
@@ -155,9 +166,9 @@ def pdf(model: AggregateModel, x):
     x_arr = np.asarray(x, dtype=float)
     out = np.zeros_like(x_arr, dtype=float)
     pos = (x_arr > 0) & (x_arr < inf)
-    out[pos] = row.pdf(x_arr[pos])
+    out[pos] = _density(model.mixing, row, x_arr[pos])
     if np.any(x_arr == 0):
-        out[x_arr == 0] = row.pdf_at_zero()
+        out[x_arr == 0] = row.pdf_at_zero() * model.mixing.scale
     return _ret(out, scalar_in)
 
 
@@ -177,7 +188,7 @@ def survival(model: AggregateModel, x):
     x_arr = np.asarray(x, dtype=float)
     out = np.ones_like(x_arr, dtype=float)
     pos = (x_arr > 0) & (x_arr < inf)
-    out[pos] = np.exp(row.log_survival(*row.law._unit(x_arr[pos])))
+    out[pos] = np.exp(row.log_survival(*model.mixing._unit(x_arr[pos])))
     out[x_arr == inf] = 0.0
     return _ret(out, scalar_in)
 

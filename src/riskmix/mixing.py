@@ -32,15 +32,12 @@ ask require_neg_moment, which raises NonexistentMomentError.
 
 Orders and points.  A kernel call is split in two.  _orders casts whole
 orders to integers and checks them once, in this order: their sign, the
-memory budget below (DerivativeCapError), the existence rule; and the law
-forms the part of its formula that reads the orders alone (_order_part): for
-gamma log (alpha)_k and alpha + k, for Lindley k + 1 (its Gamma(k+1) is the
-orders' log k!, _Orders.log_factorial); the stable law refuses a real or
-negative order there.  _log_unit_kernel then runs the
+memory budget below (DerivativeCapError), the existence rule; the stable law
+refuses a real or negative order there too.  _log_unit_kernel then runs the
 law's _log_kernel on the points, in blocks, with the far-point test.
 log_abs_laplace_derivative forms both parts on every call; a KernelRow keeps
-its checked orders per unit law (_row_orders), so each of its calls pays only
-for the arithmetic that reads u.
+its checked orders, so each of its calls pays only for the arithmetic that
+reads u.
 
 Memory budget.  The base class runs _log_kernel on blocks of
 _KERNEL_CELLS // (1 + max|k|) points of s (all of s when they fit), so an
@@ -59,7 +56,9 @@ _log_kernel is the unit law's, which reads no scale: the base class runs it
 at u = c s and adds k log c once (log_abs_laplace_derivative,
 _log_unit_kernel), and where u over- or underflows a double it hands the
 kernel log u = log c + log s, in extended precision (_unit).  The rows work
-in u as well (below), and the negative moments split the same way:
+in u alone and read no scale (below): the law takes x to u (_unit) and a
+quantile, a tail moment or a density back by c^-r (from_unit).  The negative
+moments split the same way:
 log_neg_moment(r) = log_unit_neg_moment(r) - r log c, so a ratio of them
 (pearson_rho) cancels the scale exactly.
 
@@ -108,39 +107,33 @@ generator on an array (_generator); the base class's pdf and generator
 handle scalars, arrays and the points off the support once for every law.
 
 Rows.  sum_row(a), for every total shape a, answers for S through one of three
-row classes with the same calls (log_survival, log_survival_terms, pdf,
+row classes with the same calls (log_survival, log_survival_terms, log_pdf,
 pdf_at_zero, log_tail_moments), the first and third in blocks of
 _KERNEL_CELLS // w points, w the row's terms per point (_width; one more for
 log_survival with density=True, which also gives log(u f_1)).  A row sums the
 unit law's S_1 = c S at the unit coordinate u = c x, which its calls take with
-log u (_unit, from_unit): S(x) = S_1(u), f(x) = c f_1(u), E(S^r 1{S > a}) =
-c^-r E(S_1^r 1{S_1 > c a}), and VaR brackets and iterates in u (riskmeasures,
-which keeps its bracketing tables per _unit_law, the law at scale 1 where its
-kernel reads no other parameter, else the law itself).  The law names its
-row's class (_row_class) and declares the row's components; the row is the
-finite mixture, whose weights and shapes it shows read-only:
+log u: S(x) = S_1(u), f(x) = c f_1(u), E(S^r 1{S > a}) = c^-r E(S_1^r 1{S_1 >
+c a}), and VaR brackets and iterates in u.  The row is one object per _unit_law
+(the law at scale 1 where its kernel reads no other parameter, else the law
+itself) and a, kept in one bounded cache (_sum_row), and keeps as read-only
+attributes, built on first use, all that its calls read besides u.  The law
+names its row's class (_row_class) and declares the row's components; the row
+is the finite mixture, whose weights and shapes it shows read-only:
 * MixtureRow (stable, Levy, Gleser): S_1 is a finite mixture of gamma-power
   laws X_k = G_k^(1/power), G_k ~ Gamma(shape0 + k, 1), k = 1..n, with
   positive weights (the law's _row), kept with their survival coefficients
-  (tail sums) in one bounded lru_cache per unit law and n (_mixture_row,
-  _ROW_CACHE entries), so that every scale of a law shares them: the stable
-  law shape0 0, power alpha, weights from row n of the Bell triangle; Levy
-  shape0 0, power 1/2, weights from the closed Bell row _sqrt_bell; Gleser
-  shape0 alpha - 1, power 1, the printed gamma sum.
+  (tail sums): the stable law shape0 0, power alpha, weights from row n of the
+  Bell triangle; Levy shape0 0, power 1/2, weights from the closed Bell row
+  _sqrt_bell; Gleser shape0 alpha - 1, power 1, the printed gamma sum.
 * Beta2Row (gamma, Lindley): S_1 is a finite mixture of second-kind beta laws
   B2(n, a_j) (the law's _beta2_components), each a closed form in the
   incomplete beta function (specfun.log_betainc): gamma (Pareto claims) one
   B2(n, alpha), Lindley, whose Theta lam is Ga(1, 1) with weight lam/(1+lam)
-  and Ga(2, 1) otherwise, B2(n, 1) and B2(n, 2); kept per unit law and n
-  (_beta2_row), their tail constants per orders (_beta2_tail).
-These rows keep their sums with the (m, 1) columns that their sums over the
-points broadcast, so a call forms none of them, and call no kernel.  Every
-other law (inverse Gaussian, second-kind beta), and every fractional a, gets
-a KernelRow, which sums the kernel (at a fractional a only its pdf answers):
-its orders, with their float column, log k! and the kernel's order part, come
-from _row_orders, and its tail moments read the Pochhammer shifts of
-_tail_shifts, cached per n and orders; its density limit at 0 is the law's
-_sum_pdf_at_zero.  A KernelRow's pdf is the derivative route (aggregate's
+  and Ga(2, 1) otherwise, B2(n, 1) and B2(n, 2).
+These rows call no kernel.  Every other law (inverse Gaussian, second-kind
+beta), and every fractional a, gets a KernelRow, which sums the kernel (at a
+fractional a only its log_pdf answers); its density limit at 0 is the law's
+_sum_pdf_at_zero.  A KernelRow's density is the derivative route (aggregate's
 pdf_generic), which shares no code with the other two rows' densities, so it
 checks them (cli verify's closed_vs_generic).
 """
@@ -187,8 +180,9 @@ __all__ = [
 _KERNEL_CELLS = 1 << 16  # the memory budget of the module docstring
 _BELL_ROWS = 2048  # the stable law's largest Bell triangle, 32 MB per index
 _BELL_CACHE = 8  # the Bell triangles kept: 8 size^2 bytes each, at most 256 MB in all
-# the MixtureRows kept (rows of n cells: 16 n bytes each, built on first use)
-_ROW_CACHE = 64
+# the rows kept (_sum_row), one per unit law and total shape, and the tuples of orders
+# whose tail constants each keeps (a risk report asks for (1, 2), a tail moment for (r,))
+_ROW_CACHE, _TAIL_MEMO = 64, 8
 # arrays of at most this many terms reduce by pairwise logaddexp: measured,
 # pairwise is cheaper for every shape up to 64 terms and the max-shift for
 # every shape from 512; between them the crossover is about 100 terms for a
@@ -372,6 +366,13 @@ def _log1p(u, log_u):
     return out
 
 
+def _read_only(*arrays):
+    """The arrays made read-only: the one array given, or the tuple of them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
 def _column(k, ndim):
     """The orders k as a float column that broadcasts over ndim more axes."""
     return np.asarray(k, dtype=float).reshape((-1,) + (1,) * ndim)
@@ -431,13 +432,13 @@ def _bell_triangle(alpha: float, size: int) -> np.ndarray:
     return table
 
 
-def _by_blocks(n, fn, *arrays, rows=()):
+def _by_blocks(n, fn, *arrays, rows=(), dtype=float):
     """fn over the points of arrays of one shape (any shape) in blocks of _KERNEL_CELLS //
     n, so a sum of n terms per point holds at most _KERNEL_CELLS of them at once; fn
-    gives the shape rows + (points of its block,), and so does the result."""
+    gives the shape rows + (points of its block,), and so does the result, of dtype."""
     flat = [np.reshape(a, -1) for a in arrays]
     block = max(1, int(_KERNEL_CELLS // n))
-    out = np.empty(rows + flat[0].shape)
+    out = np.empty(rows + flat[0].shape, dtype=dtype)
     for i in range(0, flat[0].size, block):
         out[..., i:i + block] = fn(*(a[i:i + block] for a in flat))
     return out.reshape(rows + np.shape(arrays[0]))
@@ -447,56 +448,25 @@ def _by_blocks(n, fn, *arrays, rows=()):
 class _Orders:
     """Kernel orders checked once (MixingDistribution._orders): k, a read-only 1-D
     array, of integers where every order is whole; the shape they came in; col, their
-    float column; block, the points of one kernel pass under the memory budget; and
-    part, the part of the law's kernel that reads the orders alone (_order_part)."""
+    float column; and block, the points of one kernel pass under the memory budget."""
 
     k: np.ndarray
     shape: tuple
     col: np.ndarray
     block: int
-    part: object
-
-    @cached_property
-    def log_factorial(self) -> np.ndarray:
-        """log k! as a read-only column, formed on first use: a KernelRow's survival
-        terms divide by k!, and the Lindley kernel multiplies by it."""
-        out = special.gammaln(self.col + 1.0)
-        out.flags.writeable = False
-        return out
-
-
-@lru_cache(maxsize=_ROW_CACHE)
-def _row_orders(unit_law, k) -> _Orders:
-    """unit_law._orders(k) for the orders of a KernelRow, a number (its density's n) or
-    a range (its survival terms' 0..n-1, with the density 0..n, and its tail moments'
-    -1..-r), built on first use and kept per unit law and orders, so that every call
-    and every scale of the law shares the checks and the kernel's order part."""
-    return unit_law._orders(np.array(k) if isinstance(k, range) else k)
 
 
 class _Row:
-    """What the rows share: the blocking, the check of a fractional n, and the way
-    back from the unit coordinate u = c x (MixingDistribution._unit), in which the
-    survival, its terms and the tail moments are those of S_1 = c S; the methods
-    that take u take its log too, needed where u is not a normal double."""
+    """What the rows share: the blocking and the check of a fractional n.  A row works in
+    the unit coordinate u = c x alone, where it answers for S_1 = c S; its methods take log
+    u too, needed where u is not a normal double, and read no scale (the law applies it:
+    _unit, from_unit).  Its arrays are read-only."""
 
     @property
     def _width(self):
-        """The terms per point of the row's sums, by which log_survival and pdf block:
+        """The terms per point of the row's sums, by which log_survival and log_pdf block:
         n, one per order or component."""
         return self.n
-
-    def from_unit(self, v: float, log_v: float, r: int = 1) -> float:
-        """v / c^r for a value v > 0 of S_1 in units of u^r (a quantile r = 1, a tail
-        moment r), given log v: r divisions by c, one rounding each, where v and c are
-        normal doubles; elsewhere exp(log v - r log c), which rounds by its log's ulps."""
-        c, v = self.law.scale, float(v)
-        if not (_FLOAT_TINY <= v < inf and _FLOAT_TINY <= c < inf):
-            with np.errstate(over="ignore"):
-                return float(np.exp(log_v - r * self.law.log_scale))
-        for _ in range(r):
-            v /= c
-        return v
 
     def _integer_n(self) -> int:
         """n, for a sum of the integer orders below it."""
@@ -523,23 +493,24 @@ class _Row:
         return _by_blocks(self._width + density, reduce, u, log_u,
                           rows=(2,) if density else ())
 
-    def pdf(self, x):
-        """f(x) = c f_1(c x) on an array x > 0 of any shape: the product of f_1(u) and c
-        where both are normal doubles, else exp(log f_1(u) + log c), which rounds by
-        |log c| ulps."""
-        c, log_c = self.law.scale, self.law.log_scale
+    def _columns(self, ndim):
+        """The row's (m, 1) columns (_cols), that broadcast over ndim axes of points."""
+        if ndim == 1:
+            return self._cols
+        return tuple(np.reshape(c, (-1,) + (1,) * ndim) for c in self._cols)
 
-        def density(u, log_u):
-            log_f = self._log_unit_pdf(u, log_u)
-            with np.errstate(over="ignore", invalid="ignore"):
-                f = np.exp(log_f) * c
-                # (|log f_1| < 708: f_1 is a normal double)
-                off = (np.abs(log_f) >= 708.0) | (not _FLOAT_TINY <= c < inf)
-                if off.any():
-                    f[off] = np.exp(log_f[off] + log_c)
-            return f
+    def log_pdf(self, u, log_u):
+        """log f_1(u) on an array u > 0 of any shape, in blocks of _KERNEL_CELLS // w
+        points (w = _width), in the precision of log u: extended where u is not a normal
+        double, so that c f_1 = exp(log f_1 + log c) keeps it."""
+        return _by_blocks(self._width, self._log_unit_pdf, u, log_u,
+                          dtype=np.result_type(log_u, float))
 
-        return _by_blocks(self._width, density, *self.law._unit(x))
+    @cached_property
+    def _tail(self):
+        """_tail_constants(orders) for a tuple of orders, kept for the last _TAIL_MEMO
+        tuples."""
+        return lru_cache(maxsize=_TAIL_MEMO)(self._tail_constants)
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,32 +526,30 @@ class MixtureRow(_Row):
 
     from Q(b+1, y) = Q(b, y) + e^{-y} y^b / Gamma(b+1); at shape0 = 0 the first
     term Q(1, y) = e^{-y} is the i = 0 term with c_0 = 1.  The unit law gives log d_k
-    (log_d, k = 1..n), and log c_i (log_c, i = 0..n-1) are the tail sums of its
-    weights; they are built on first use and cached per unit law and n
-    (_mixture_row), with the columns that the sums over the points read, so every
-    scale of a law shares them; shapes (shape0 + k) and weights are read-only."""
+    (log_d, k = 1..n, its _row), and log c_i (log_c, i = 0..n-1) are the tail sums of
+    its weights; the row keeps them with the (n, 1) columns that the sums over the
+    points read (log_c, shapes - 1, log_d, shapes), shapes = shape0 + k; shapes and
+    weights are read-only."""
 
     law: "MixingDistribution"
     n: int
 
     def __post_init__(self):
-        sums = _mixture_row(self.law._unit_law, self.n)
-        for name, value in zip(("shape0", "power", "log_d", "log_c", "shapes", "_cols"), sums):
-            object.__setattr__(self, name, value)
+        shape0, power, log_d = self.law._row(self.n)
+        shapes = shape0 + np.arange(1.0, self.n + 1.0)
+        # log T_i, the tail sums of the weights, from the last one down
+        log_gamma = special.gammaln(shapes)
+        log_c = np.logaddexp.accumulate((log_d + log_gamma)[::-1])[::-1] - log_gamma
+        log_c[0] = -log_gamma[0]  # T_0 = 1
+        cols = _read_only(*(c[:, None] for c in (log_c, shapes - 1.0, log_d, shapes)))
+        _read_only(log_d, log_c, shapes)
+        vars(self).update(shape0=shape0, power=power, log_d=log_d, log_c=log_c, shapes=shapes,
+                          _cols=cols)
 
     @property
     def weights(self) -> np.ndarray:
         """w_k = d_k Gamma(shape0 + k), k = 1..n, read-only."""
-        out = np.exp(self.log_d + special.gammaln(self.shapes))
-        out.flags.writeable = False
-        return out
-
-    def _columns(self, ndim):
-        """The columns (log c_i, shape0 + i, log d_k, shape0 + k) that broadcast over
-        ndim axes of points."""
-        if ndim == 1:
-            return self._cols
-        return tuple(np.reshape(c, (-1,) + (1,) * ndim) for c in self._cols)
+        return _read_only(np.exp(self.log_d + special.gammaln(self.shapes)))
 
     def _log_y(self, u, log_u):
         """(log y, y), y = u^power; log y is finite wherever y under- or overflows,
@@ -606,78 +575,60 @@ class MixtureRow(_Row):
         return self._log_u_density(*self._log_y(u, log_u)) - log_u
 
     def pdf_at_zero(self) -> float:
-        """f(0+) = c f_1(0+), from the first term of positive weight, power d_k u^e with
-        e = power (shape0 + k) - 1: inf below e = 0, 0 above it."""
+        """f_1(0+), from the first term of positive weight, power d_k u^e with e = power
+        (shape0 + k) - 1: inf below e = 0, 0 above it."""
         k = int(np.argmax(self.log_d > -inf))
         e = self.power * float(self.shapes[k]) - 1.0
         if e:
             return inf if e < 0 else 0.0
-        return self.power * exp(self.log_d[k]) * self.law.scale
+        return self.power * exp(self.log_d[k])
+
+    def _tail_constants(self, orders: tuple) -> tuple:
+        """What the tail moments of the orders r read besides the point, read-only, a row
+        per order: b_k = shape0 + k + r/power and log d_k + log Gamma(b_k)."""
+        b = self.shapes + np.array(orders, dtype=float)[:, None] / self.power
+        return _read_only(b, self.log_d + special.gammaln(b))
 
     def log_tail_moments(self, u, log_u, orders, terms) -> np.ndarray:
         """log E(S_1^r 1{S_1 > u}) at the unit point u = c a > 0 (so c^-r times it is
-        E(S^r 1{S > a})), for each order r of a 1-D array, from one log_gammaincc
+        E(S^r 1{S > a})), for each order r of a 1-D sequence, from one log_gammaincc
         call (KernelRow's survival terms are not needed)."""
-        shift = np.asarray(orders, dtype=float)[:, None] / self.power
-        b = self.shapes + shift
-        terms = self.log_d + special.gammaln(b) + log_gammaincc(b, u ** self.power)
-        return np.logaddexp.reduce(terms, axis=1)
+        b, log_k = self._tail(tuple(orders))
+        return np.logaddexp.reduce(log_k + log_gammaincc(b, u ** self.power), axis=1)
 
 
-@lru_cache(maxsize=_ROW_CACHE)
-def _mixture_row(unit_law, n: int) -> tuple:
-    """(shape0, power, log_d, log_c, shapes, columns) of the MixtureRow of S_n under a
-    unit law, from its _row, built on first use; shapes holds shape0 + i + 1 for i =
-    0..n-1, which is also shape0 + k for k = 1..n, and columns is (log_c, shapes - 1,
-    log_d, shapes) as (n, 1) columns."""
-    shape0, power, log_d = unit_law._row(n)
-    shapes = shape0 + np.arange(1.0, n + 1.0)
-    # log T_i, the tail sums of the weights, from the last one down
-    log_gamma = special.gammaln(shapes)
-    log_c = np.logaddexp.accumulate((log_d + log_gamma)[::-1])[::-1] - log_gamma
-    log_c[0] = -log_gamma[0]  # T_0 = 1
-    columns = tuple(c[:, None] for c in (log_c, shapes - 1.0, log_d, shapes))
-    for values in (log_d, log_c, shapes, *columns):
-        values.flags.writeable = False
-    return shape0, power, log_d, log_c, shapes, columns
-
-
-@lru_cache(maxsize=_ROW_CACHE)
-def _tail_shifts(n: int, orders: tuple) -> tuple:
-    """What a KernelRow's tail moments of the orders r (a tuple) read besides the
-    point, kept per (n, orders) since every risk report asks for them, read-only: log
-    (n)_r; r as a column; log (j)_r for j = 1..n, a row per order; and for the terms
-    k < max(r) of the head, k, and per order the index r - 1 - k of the kernel's order
-    k - r among -1, ..., -max(r) and log k!, which is inf past k = r - 1, so that
-    there the term is -inf."""
-    top, r = max(orders), np.array(orders)[:, None]
-    log_n = np.array([log_poch(n, j) for j in orders])
-    log_j = np.array([log_poch(np.arange(1.0, n + 1.0), j) for j in orders])
-    k = np.arange(top)
-    log_fact = np.full((len(orders), top), inf)
-    for i, j in enumerate(orders):
-        log_fact[i, :j] = [lgamma(m + 1.0) for m in range(j)]
-    shifts = log_n, r.astype(float), log_j, k.astype(float), np.maximum(r - 1 - k, 0), log_fact
-    for values in shifts:
-        values.flags.writeable = False
-    return shifts
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelRow(_Row):
-    """S = S_1 / c, of total shape n, through the law's unit kernel K_1(k, u) = E(Theta_1^k
-    e^{-u Theta_1}) (MixingDistribution._log_unit_kernel), built per call; its orders,
-    checked, with their column, log k! and the kernel's order part, are built on first
-    use and kept per unit law (_row_orders), so a call pays only for what reads u.
-    Given Theta_1, S_1 is Gamma(n, Theta_1), so u f_1(u) = u^n/Gamma(n) K_1(n, u) at
-    every n, and at an integral n (else UnsupportedModelError) these are sums of
-    positive terms:
+    """S_1 = c S, of total shape n, through the law's unit kernel K_1(k, u) =
+    E(Theta_1^k e^{-u Theta_1}) (MixingDistribution._log_unit_kernel).  Given Theta_1, S_1
+    is Gamma(n, Theta_1), so u f_1(u) = u^n/Gamma(n) K_1(n, u) at every n, and at an
+    integral n (else UnsupportedModelError) these are sums of positive terms:
 
         S_1(u)              = sum_{k<n} u^k/k! K_1(k, u),
-        E(S_1^r 1{S_1 > u}) = Gamma(n+r)/Gamma(n) sum_{k<n+r} u^k/k! K_1(k-r, u)."""
+        E(S_1^r 1{S_1 > u}) = Gamma(n+r)/Gamma(n) sum_{k<n+r} u^k/k! K_1(k-r, u).
+
+    It keeps its orders, checked (_orders) on first use: 0..n-1, 0..n with the density,
+    n for the pdf, and -1..-max(r) per tuple of tail-moment orders (_tail)."""
 
     law: "MixingDistribution"
     n: float
+
+    @cached_property
+    def _survival_orders(self) -> "_Orders":
+        return self.law._orders(np.arange(self._integer_n()))
+
+    @cached_property
+    def _density_orders(self) -> "_Orders":
+        return self.law._orders(np.arange(self._integer_n() + 1))
+
+    @cached_property
+    def _pdf_orders(self) -> "_Orders":
+        return self.law._orders(self.n)
+
+    @cached_property
+    def _log_factorial(self) -> np.ndarray:
+        """log k!, k = 0..n, as a read-only column."""
+        return _read_only(special.gammaln(np.arange(self._integer_n() + 1.0) + 1.0)[:, None])
 
     def log_survival_terms(self, u, log_u, density=False):
         """The (n, *u.shape) log terms on an array u > 0 whose log-sum is log
@@ -685,9 +636,9 @@ class KernelRow(_Row):
         n = self._integer_n()
         # the orders first: they refuse an order past the budget before any term is
         # formed
-        orders = _row_orders(self.law._unit_law, range(n + density))
+        orders = self._density_orders if density else self._survival_orders
         terms = self.law._log_unit_kernel(orders, u, log_u)
-        col, log_fact = orders.col, orders.log_factorial
+        col, log_fact = orders.col, self._log_factorial[:n + density]
         if u.ndim != 1:
             col, log_fact = (np.reshape(a, (-1,) + (1,) * u.ndim) for a in (col, log_fact))
         terms += col * log_u - log_fact
@@ -696,11 +647,29 @@ class KernelRow(_Row):
     def _log_unit_pdf(self, u, log_u):
         # the derivative route f_1(u) = u^(n-1)/Gamma(n) K_1(n, u)
         n = self.n
-        return ((n - 1.0) * log_u - lgamma(n)
-                + self.law._log_unit_kernel(_row_orders(self.law._unit_law, n), u, log_u))
+        return (n - 1.0) * log_u - lgamma(n) + self.law._log_unit_kernel(self._pdf_orders, u,
+                                                                        log_u)
 
     def pdf_at_zero(self) -> float:
         return self.law._sum_pdf_at_zero(self._integer_n())
+
+    def _tail_constants(self, orders: tuple) -> tuple:
+        """What the tail moments of the orders r read besides the point, read-only: the
+        checked kernel orders -1..-max(r); log (n)_r; r as a column; log (j)_r for j =
+        1..n, a row per order; and for the terms k < max(r) of the head, k, and per
+        order the index r - 1 - k of the kernel's order k - r among -1, ..., -max(r)
+        and log k!, which is inf past k = r - 1, so that there the term is -inf."""
+        n = self._integer_n()
+        top, r = max(orders), np.array(orders)[:, None]
+        neg = self.law._orders(np.arange(-1, -top - 1, -1))
+        log_n = np.array([log_poch(n, j) for j in orders])
+        log_j = np.array([log_poch(np.arange(1.0, n + 1.0), j) for j in orders])
+        k = np.arange(top)
+        log_fact = np.full((len(orders), top), inf)
+        for i, j in enumerate(orders):
+            log_fact[i, :j] = [lgamma(m + 1.0) for m in range(j)]
+        return (neg, *_read_only(log_n, r.astype(float), log_j, k.astype(float),
+                                 np.maximum(r - 1 - k, 0), log_fact))
 
     def log_tail_moments(self, u, log_u, orders, terms) -> np.ndarray:
         """log E(S_1^r 1{S_1 > u}) at the unit point u = c a > 0 (so c^-r times it is
@@ -708,11 +677,9 @@ class KernelRow(_Row):
         1-D array) and one kernel call for the orders -1..-max(orders): for k >= r the
         survival term of order j = k - r times u^r j!/k! = u^r / (j+1)_r, for k < r
         u^k/k! K_1(k-r, u).  Every order is one row of a single reduction, whose rows
-        of a lower order end in -inf (_tail_shifts)."""
-        n, top = self._integer_n(), max(orders)
-        log_n, r, log_j, k, index, log_fact = _tail_shifts(n, tuple(orders))
-        neg = self.law._log_unit_kernel(_row_orders(self.law._unit_law, range(-1, -top - 1, -1)),
-                                        u, log_u)
+        of a lower order end in -inf (_tail_constants)."""
+        neg, log_n, r, log_j, k, index, log_fact = self._tail(tuple(orders))
+        neg = self.law._log_unit_kernel(neg, u, log_u)
         body = terms + r * log_u - log_j
         head = neg[index] + k * log_u - log_fact
         return log_n + np.logaddexp.reduce(np.concatenate((body, head), axis=1), axis=1)
@@ -740,35 +707,27 @@ class Beta2Row(_Row):
 
     log I_t is specfun.log_betainc: scipy's betainc, or the finite sum of I_t at the whole
     b = n or n + r where that costs less or betainc is not to be trusted.  The unit law
-    gives log w_j and a_j (its _beta2_components); they are built on first use and
-    cached per unit law and n (_beta2_row), with the columns that the sums over the
-    points read, and the tail constants per orders (_beta2_tail), so every scale of a
-    law shares them; shapes (a_j) and weights are read-only."""
+    gives log w_j and a_j (its _beta2_components); the row keeps them with the (m, 1)
+    columns that the sums over the points read (log w_j, a_j, log d_j), and its tail
+    constants per tuple of orders (_tail); shapes (a_j) and weights are read-only."""
 
     law: "MixingDistribution"
     n: int
 
     def __post_init__(self):
-        for name, value in zip(("log_w", "shapes", "_cols"),
-                               _beta2_row(self.law._unit_law, self.n)):
-            object.__setattr__(self, name, value)
+        log_w, shapes = _read_only(*self.law._beta2_components())
+        cols = (log_w, shapes, log_w - log_beta(float(self.n), shapes))
+        vars(self).update(log_w=log_w, shapes=shapes,
+                          _cols=_read_only(*(c[:, None] for c in cols)))
 
     @property
     def weights(self) -> np.ndarray:
         """w_j, read-only."""
-        out = np.exp(self.log_w)
-        out.flags.writeable = False
-        return out
+        return _read_only(np.exp(self.log_w))
 
     @property
     def _width(self):
         return self.shapes.size
-
-    def _columns(self, ndim):
-        """The columns (log w_j, a_j, log d_j) that broadcast over ndim axes of points."""
-        if ndim == 1:
-            return self._cols
-        return tuple(np.reshape(c, (-1,) + (1,) * ndim) for c in self._cols)
 
     def log_survival_terms(self, u, log_u, density=False):
         """The (m, *u.shape) log terms on an array u > 0 whose log-sum is log
@@ -792,43 +751,24 @@ class Beta2Row(_Row):
         return self._log_density(0, u, log_u, _beta2_t(u, log_u)[1])
 
     def pdf_at_zero(self) -> float:
-        """f(0+) = c f_1(0+): sum_j w_j a_j at n = 1 (where 1/B(1, a) = a), 0 above it."""
-        return float(self.weights @ self.shapes) * self.law.scale if self.n == 1 else 0.0
+        """f_1(0+): sum_j w_j a_j at n = 1 (where 1/B(1, a) = a), 0 above it."""
+        return float(self.weights @ self.shapes) if self.n == 1 else 0.0
+
+    def _tail_constants(self, orders: tuple) -> tuple:
+        """What the tail moments of the orders r read besides the point, read-only, with a
+        row per order and a column per component: log(w_j (n)_r / (a_j - r)_r), a_j - r,
+        and n + r (one column)."""
+        r = np.array(orders, dtype=float)[:, None]
+        a = self.shapes - r
+        return _read_only(self.log_w + log_poch(float(self.n), r) - log_poch(a, r), a, self.n + r)
 
     def log_tail_moments(self, u, log_u, orders, terms) -> np.ndarray:
         """log E(S_1^r 1{S_1 > u}) at the unit point u = c a > 0 (so c^-r times it is
         E(S^r 1{S > a})), for each order r of a 1-D sequence, from one log_betainc call
         (KernelRow's survival terms are not needed)."""
-        log_k, a, b = _beta2_tail(self.law._unit_law, self.n, tuple(orders))
+        log_k, a, b = self._tail(tuple(orders))
         t, log_t = _beta2_t(np.asarray(u, dtype=float), np.asarray(log_u))
         return np.logaddexp.reduce(log_k + log_betainc(a, b, t, log_t), axis=1)
-
-
-@lru_cache(maxsize=_ROW_CACHE)
-def _beta2_row(unit_law, n: int) -> tuple:
-    """(log_w, shapes, columns) of the Beta2Row of S_n under a unit law, from its
-    _beta2_components, built on first use; columns is (log_w, shapes, log_d) as (m, 1)
-    columns, log d_j = log w_j - log B(n, a_j)."""
-    log_w, shapes = unit_law._beta2_components()
-    columns = tuple(c[:, None] for c in (log_w, shapes, log_w - log_beta(float(n), shapes)))
-    for values in (log_w, shapes, *columns):
-        values.flags.writeable = False
-    return log_w, shapes, columns
-
-
-@lru_cache(maxsize=_ROW_CACHE)
-def _beta2_tail(unit_law, n: int, orders: tuple) -> tuple:
-    """What a Beta2Row's tail moments of the orders r (a tuple) read besides the point,
-    kept per (unit law, n, orders) since every risk report asks for them, read-only,
-    with a row per order and a column per component: log(w_j (n)_r / (a_j - r)_r),
-    a_j - r, and n + r (one column)."""
-    log_w, shapes, _ = _beta2_row(unit_law, n)
-    r = np.array(orders, dtype=float)[:, None]
-    a = shapes - r
-    consts = log_w + log_poch(float(n), r) - log_poch(a, r), a, n + r
-    for values in consts:
-        values.flags.writeable = False
-    return consts
 
 
 class MixingDistribution:
@@ -856,8 +796,8 @@ class MixingDistribution:
         where it diverges (require_neg_moment).  An array of orders gives one
         row per order, shaped (*k.shape, *s.shape), from one pass; an array
         that mixes both signs is a ValueError.  It is the unit kernel at u = c s plus k log c
-        (_log_unit_kernel, _unit), of the orders checked here (_orders); a row keeps its
-        checked orders instead (_row_orders)."""
+        (_log_unit_kernel, _unit), of the orders checked here (_orders); a KernelRow keeps
+        its checked orders instead."""
         s, orders = np.asarray(s, dtype=float), self._orders(k)
         rows = self._log_unit_kernel(orders, *self._unit(s))
         if self.log_scale:
@@ -872,8 +812,7 @@ class MixingDistribution:
         that takes them: ValueError where they mix both signs, DerivativeCapError
         where one point of them exceeds the memory budget (see the module
         docstring), then the law's existence rule at a negative order
-        (require_neg_moment); whole orders become integers, and the law forms the
-        part of its kernel that reads the orders alone (_order_part)."""
+        (require_neg_moment); whole orders become integers."""
         k = np.asarray(k)
         orders = k.reshape(-1)
         if orders.dtype.kind == "f":
@@ -890,16 +829,8 @@ class MixingDistribution:
                 f"more than the kernel's budget of {_KERNEL_CELLS} cells")
         if low < 0:
             self.require_neg_moment(-low)
-        col = _column(orders, 1)
-        for values in (orders, col):
-            values.flags.writeable = False
-        return _Orders(orders, k.shape, col, block, self._order_part(orders, col))
-
-    def _order_part(self, k, col):
-        """The part of the law's kernel that reads the orders alone (k, and col, their
-        float column), formed once per _Orders and handed to _log_kernel; None by
-        default.  It also refuses an order the kernel cannot take."""
-        return None
+        orders, col = _read_only(orders, _column(orders, 1))
+        return _Orders(orders, k.shape, col, block)
 
     def _log_unit_kernel(self, orders, u, log_u):
         """log E(Theta_1^k e^{-u Theta_1}) of the unit law Theta_1 = Theta / c, on
@@ -949,6 +880,28 @@ class MixingDistribution:
             if off.any():
                 log_u = np.where(off, log_c + np.log(s.astype(np.longdouble)), log_u)
         return u, log_u
+
+    def from_unit(self, v, log_v, r: int = 1):
+        """v / c^r for values v >= 0 of the unit law's sum in units of u^r, given log v: a
+        quantile (r = 1), a tail moment (r) or a density (r = -1).  Where v and c are
+        normal doubles, r divisions by c (a product at r = -1); else exp(log v - r log c).
+        A float (numpy's too) gives a float, an array an array."""
+        c = self.scale
+        if isinstance(v, float):  # (in python floats: a risk report takes three of them)
+            if not (_FLOAT_TINY <= v < inf and _FLOAT_TINY <= c < inf):
+                with np.errstate(over="ignore"):
+                    return float(np.exp(log_v - r * self.log_scale))
+            for _ in range(r):
+                v /= c
+            return float(v * c if r < 0 else v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = v * c if r < 0 else v
+            for _ in range(r):
+                out = out / c
+            off = (v < _FLOAT_TINY) | (v == inf) | (not _FLOAT_TINY <= c < inf)
+            if np.count_nonzero(off):
+                out = np.where(off, np.exp(log_v - r * self.log_scale), out)
+        return out
 
     def quadrature_transform(self, k: float, s: float) -> float:
         """E(Theta^k e^{-s Theta}) by adaptive quadrature of the density, split at
@@ -1051,23 +1004,30 @@ class MixingDistribution:
     @property
     def _unit_law(self):
         """A law with this law's unit kernel and rows, free of its scale where the
-        kernel reads no other parameter (gamma, Levy, Gleser): the keys of the caches
-        that every scale shares (the MixtureRow sums, riskmeasures' VaR tables).  By
+        kernel reads no other parameter (gamma, Levy, Gleser, inverse Gaussian): the key
+        of the caches that every scale shares (the rows, riskmeasures' VaR tables).  By
         default the law itself."""
         return self
 
     def sum_row(self, a):
-        """The row of S: the law's _row_class at an integral a, a KernelRow at a
-        fractional one."""
-        return KernelRow(self, a) if a % 1 else self._row_class(self, int(a))
+        """The row of S at total shape a, of the unit law: one object per unit law and a
+        (_sum_row), so every scale of a law shares it."""
+        return _sum_row(self._unit_law, a)
 
     def _sum_pdf_at_zero(self, n: int) -> float:
-        """f(0+) of S_n for a law whose row is a KernelRow."""
+        """f_1(0+) of S_1 = c S_n for a law whose row is a KernelRow."""
         raise UnsupportedModelError(f"unknown mixing law {self.kind}")
 
     def kendall_tau(self) -> float:
         """Closed-form pairwise Kendall tau of the copula, where one exists."""
         raise UnsupportedModelError(f"no closed-form tau for {self.kind} mixing")
+
+
+@lru_cache(maxsize=_ROW_CACHE)
+def _sum_row(unit_law, a):
+    """The row of S at total shape a under a unit law, built on first use: the law's
+    _row_class at an integral a, a KernelRow at a fractional one."""
+    return KernelRow(unit_law, a) if a % 1 else unit_law._row_class(unit_law, int(a))
 
 
 @dataclass(frozen=True)
@@ -1086,14 +1046,10 @@ class GammaMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(alpha=self.alpha, beta=self.beta)
 
-    def _order_part(self, k, col):
-        # Theta beta ~ Ga(alpha, 1): Gamma(alpha + k)/Gamma(alpha) (1 + u)^-(alpha + k),
-        # whose first factor and exponent read the orders alone
-        return log_poch(self.alpha, col), self.alpha + col
-
     def _log_kernel(self, orders, u, log_u):
-        log_poch_k, power = orders.part
-        return log_poch_k - power * _log1p(u, log_u)
+        # Theta beta ~ Ga(alpha, 1): Gamma(alpha + k)/Gamma(alpha) (1 + u)^-(alpha + k)
+        a, col = self.alpha, orders.col
+        return log_poch(a, col) - (a + col) * _log1p(u, log_u)
 
     @property
     def scale(self):
@@ -1213,12 +1169,14 @@ class PositiveStableMixing(MixingDistribution):
         if not (0 < self.alpha <= 1):
             raise ValueError(f"stable index must lie in (0, 1], got {self.alpha}")
 
-    def _order_part(self, k, col):
-        if k.dtype.kind == "f" or k[0] < 0:
+    def _orders(self, k):
+        orders = super()._orders(k)
+        if orders.k.dtype.kind == "f" or orders.k[0] < 0:
             # its tail moments and survival are sums of positive terms over the mixture
             # row instead (sum_row)
             raise UnsupportedModelError(
                 f"{self.kind} mixing has no kernel of real or negative order")
+        return orders
 
     def _log_kernel(self, orders, s, log_s):
         a, k = self.alpha, orders.k
@@ -1289,6 +1247,13 @@ class InverseGaussianMixing(MixingDistribution):
         # inf) a unit one, and c = 2 lam the Levy limit (mu -> inf) Levy(1)
         return min(2.0 * self.lam, self.mu)
 
+    @cached_property
+    def _unit_law(self):
+        # the unit kernel reads rho = lam/mu alone, as IG(rho, 1) has it where rho is a
+        # normal double
+        rho = self.lam / self.mu
+        return InverseGaussianMixing(rho, 1.0) if _FLOAT_TINY <= rho < inf else self
+
     def _log_unit_neg_moment(self, r):
         # at an integer r, E(Theta^-r) = mu^-r sum_{k<=r} (r+k)!/(k! (r-k)!) (y/2)^k, y =
         # mu/lam (the Bessel polynomial of K_{r+1/2}), a sum of positive terms whose ratios
@@ -1311,7 +1276,12 @@ class InverseGaussianMixing(MixingDistribution):
             (2.0 + t) / (3.0 + t * (3.0 + t)))
 
     def _sum_pdf_at_zero(self, n):
-        return self.mu if n == 1 else 0.0
+        if n > 1:
+            return 0.0
+        mean = max(0.5 * self.mu / self.lam, 1.0)  # E(Theta_1) = mu / c
+        if mean == inf:
+            raise PrecisionError(f"E(Theta / c) at lam / mu = {self.lam / self.mu:.3g} overflows")
+        return mean
 
     def kendall_tau(self):
         # the printed 1 - (a (2 + a) - 4 e^{2/a} Gamma(0, 2/a)) / (2 a^2), a = mu/lam,
@@ -1347,17 +1317,12 @@ class LindleyMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(lam=self.lam)
 
-    def _order_part(self, k, col):
-        # Theta lam is Ga(1, 1) with weight lam v and Ga(2, 1) with weight v = 1/(1+lam):
-        # Gamma(k+1) (1+u)^-(k+1) (lam v + v (k+1)/(1+u)) at every real k > -1, whose
-        # Gamma(k+1) is the orders' log k! (_Orders.log_factorial); k + 1 and the order
-        # 0 read the orders alone too
-        return col + 1.0, k == 0
-
     def _log_kernel(self, orders, u, log_u):
-        # the last factor, a sum of positive terms, is 1 - v u/(1+u) at order 0: near 1
-        # at a small u, where that row takes log1p
-        (k1, zero), lam = orders.part, self.lam
+        # Theta lam is Ga(1, 1) with weight lam v and Ga(2, 1) with weight v = 1/(1+lam):
+        # Gamma(k+1) (1+u)^-(k+1) (lam v + v (k+1)/(1+u)) at every real k > -1.  The last
+        # factor, a sum of positive terms, is 1 - v u/(1+u) at order 0: near 1 at a small
+        # u, where that row takes log1p
+        k1, zero, lam = orders.col + 1.0, orders.k == 0, self.lam
         v = 1.0 / (1.0 + lam)
         last = np.log(lam * v + k1 * (v / (1.0 + u)))
         if zero.any():
@@ -1365,7 +1330,7 @@ class LindleyMixing(MixingDistribution):
             with np.errstate(divide="ignore", invalid="ignore"):
                 b = -v * u / (1.0 + u)
                 last[zero] = np.where(b > -0.5, np.log1p(b), last[zero])
-        return orders.log_factorial - k1 * _log1p(u, log_u) + last
+        return special.gammaln(k1) - k1 * _log1p(u, log_u) + last
 
     @property
     def scale(self):

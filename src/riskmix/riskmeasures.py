@@ -10,7 +10,9 @@ n is the model's total shape; every risk measure sums the orders below it,
 so at a fractional one the model's row raises UnsupportedModelError.
 
 VaR works in the unit coordinate u = c x of the law's scale c (mixing), where
-S(x) = S_1(u): it brackets its root on a geometric grid of u from 2^-40 to
+S(x) = S_1(u) and the law's row reads no scale: the law alone applies c, to take
+a threshold to u (_unit) and a quantile or tail moment back (from_unit).  It
+brackets its root on a geometric grid of u from 2^-40 to
 2^40, 16 points per octave (1281 points, 2^(1/16) apart), and only for a
 quantile outside it on grids a factor 2 apart, on to 2^996 or from 2^-1074
 (past either end, TailUnderflowError).  A grid's table is log S_1 and its
@@ -40,22 +42,24 @@ concave in log u and a first Newton step on it overshoots.  It stops once the
 bracket is within rtol = 1e-12 of u, or the Newton step from u is (so u is
 about that close to the root): within 1e-14 of u from the median up, within
 rtol below it, where F = 1 - S carries the rounding of S, eps S / F relative.
-Both are relative at every scale, and it returns x = u / c at the point of
-its last survival evaluation (TailUnderflowError where that leaves the
+Both are relative at every scale, and it returns x = u / c (from_unit) at the
+point of its last survival evaluation (TailUnderflowError where that leaves the
 positive doubles), so a law and its unit law take the same steps.  Each step
 takes log u as numpy's log, as the unit coordinate does (mixing's _unit), so
 that tail_moment at VaR repeats the report's digits.
 
 Tail moments.  The law's row gives log E(S_1^r 1{S_1 > u}), u = c a, from the
 survival terms at u, one log-space reduction; its ratio to S(a) is divided
-by c^r (the row's from_unit, in log space where the unit law's moment leaves
+by c^r (the law's from_unit, in log space where the unit law's moment leaves
 the doubles, as at c = 1e300, a = 1e10).  Both logs round by |log S(a)| eps,
 so below log S(a) = -4096 the moment is refused (TailUnderflowError); a
 moment that over- or underflows a double is PrecisionError.  risk_report
 takes the row, the unit point u and the survival terms of VaR's last
 evaluation, so neither S(a) nor u costs a further call.  E(S^r | S > a) is
 finite where E(Theta^-r) is: both ask the law's existence rule
-(require_neg_moment) before they evaluate anything.
+(require_neg_moment) before they evaluate anything.  Before that, an order
+that is not a whole number >= 1, or a threshold that is nan, infinite or
+negative, is a ValueError.
 """
 
 from dataclasses import dataclass
@@ -193,7 +197,7 @@ def _value_at_risk(model: AggregateModel, level: float):
         u = new
     else:
         raise RiskmixError(f"VaR iteration did not converge in {_VAR_MAXITER} steps")
-    x = row.from_unit(u, log(u))
+    x = model.mixing.from_unit(float(u), log(u))
     if not x:
         raise TailUnderflowError("the quantile lies below the smallest positive double")
     if x == inf:
@@ -206,7 +210,7 @@ def value_at_risk(model: AggregateModel, level: float) -> float:
     return _value_at_risk(model, level)[0]
 
 
-def _tail_moments(row, a: float, u, log_u, terms, orders) -> dict:
+def _tail_moments(law, row, a: float, u, log_u, terms, orders) -> dict:
     """{r: E(S^r | S > a)} for a > 0, from the law's row, the unit point (u, log u)
     of a and the survival terms there; TailUnderflowError where log S(a) lies below
     _TAIL_LOG_FLOOR, PrecisionError where a moment over- or underflows a double."""
@@ -214,11 +218,11 @@ def _tail_moments(row, a: float, u, log_u, terms, orders) -> dict:
     if not log_surv >= _TAIL_LOG_FLOOR:
         raise TailUnderflowError(f"log survival({a}) = {log_surv:.6g} lies below "
                                  f"{_TAIL_LOG_FLOOR}, where the tail moment loses its digits")
-    # the unit law's moment may leave the doubles where the answer does not: from_unit
-    # takes its log too
+    # the unit law's moment may leave the doubles where the answer does not: the law's
+    # from_unit takes its log too
     log_moments = row.log_tail_moments(u, log_u, orders, terms) - log_surv
     with np.errstate(over="ignore"):
-        moments = {r: row.from_unit(float(np.exp(v)), v, r)
+        moments = {r: law.from_unit(float(np.exp(v)), v, r)
                    for r, v in zip(orders, log_moments.tolist())}
     if inf in moments.values():
         raise PrecisionError(f"a tail moment at {a} overflows a double")
@@ -227,18 +231,28 @@ def _tail_moments(row, a: float, u, log_u, terms, orders) -> dict:
     return moments
 
 
+def _whole_orders(orders) -> tuple:
+    """The tail-moment orders as ints: ValueError unless each is a whole number >= 1."""
+    try:
+        ints = tuple(map(int, orders))
+    except (ValueError, OverflowError):  # (nan, inf)
+        ints = None
+    if ints != tuple(orders) or min(ints, default=1) < 1:
+        raise ValueError(f"tail-moment orders must be whole numbers >= 1, got {orders!r}")
+    return ints
+
+
 def tail_moment(model: AggregateModel, r: int, a: float) -> float:
     """Conditional upper tail moment E(S_n^r | S_n > a); a = 0 gives E(S_n^r)."""
-    if r < 1:
-        raise ValueError("moment order must be >= 1")
-    if a < 0:
-        raise ValueError("threshold must be nonnegative")
+    (r,) = _whole_orders((r,))
+    if not 0.0 <= a < inf:
+        raise ValueError(f"the threshold must be finite and nonnegative, got {a!r}")
     if a == 0.0:
         return moment(model, r)
-    model.mixing.require_neg_moment(r)
-    row = model.mixing.sum_row(model.total_shape)
-    u, log_u = row.law._unit(float(a))
-    return _tail_moments(row, a, u, log_u, row.log_survival_terms(u, log_u), (r,))[r]
+    law = model.mixing
+    law.require_neg_moment(r)
+    row, (u, log_u) = law.sum_row(model.total_shape), law._unit(float(a))
+    return _tail_moments(law, row, a, u, log_u, row.log_survival_terms(u, log_u), (r,))[r]
 
 
 def tvar(model: AggregateModel, level: float) -> float:
@@ -261,9 +275,10 @@ def risk_report(model: AggregateModel, level: float, orders=(1, 2)) -> RiskRepor
     the VaR search).  The tail moments are one sum of the VaR search's row at its
     last unit point, given its survival terms there.
     """
+    orders = _whole_orders(orders)
     needed = tuple(dict.fromkeys((1, *orders)))
     model.mixing.require_neg_moment(max(needed))
     a, row, u, terms = _value_at_risk(model, level)
-    tail = _tail_moments(row, a, u, np.log(u), terms, needed)
+    tail = _tail_moments(model.mixing, row, a, u, np.log(u), terms, needed)
     return RiskReport(level=level, var=a, tvar=tail[1],
                       tail_moments=tuple((r, tail[r]) for r in orders))

@@ -2,7 +2,7 @@
 Poisson surplus, and the compound (collective risk) total-claim densities
 with Poisson, negative binomial / geometric and logarithmic counting laws;
 each counting law holds its own closed density.  compound_pdf_series, their
-oracle, sums the densities of S_n that LindleyMixing's row gives (the
+oracle, sums the densities of S_n that the aggregate pdf gives (the
 source's rational form of them is a reference in the tests); mixing does
 not import this module.
 """
@@ -14,7 +14,7 @@ from math import exp, inf, log
 import numpy as np
 from scipy import special
 
-from .mixing import LindleyMixing
+from .aggregate import lindley_model, pdf
 from .specfun import exp_scaled_expn, log_poch
 
 __all__ = [
@@ -262,8 +262,7 @@ def compound_pdf_series(m: CompoundModel, x: float, n_max: int) -> float:
         raise ValueError("series form is for x > 0; the atom is p_0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    law = LindleyMixing(m.lam)
-    return sum(m.counting.pmf(n) * law.sum_row(n).pdf(x) for n in range(1, n_max + 1))
+    return sum(m.counting.pmf(n) * pdf(lindley_model(m.lam, n), x) for n in range(1, n_max + 1))
 
 
 def primary_tail_mass(m: CompoundModel, n_max: int) -> float:

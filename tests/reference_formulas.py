@@ -203,12 +203,12 @@ def lindley_sum_pdf(lam: float, n: int, x):
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
-def row_mixture_pdf(row, x):
+def row_mixture_pdf(row, x, c):
     """The density of S at x > 0 from a mixture row's weights and shapes alone, in
-    linear space: c sum_k w_k g_k(c x), c the law's scale and g_k the component
-    density, p u^(p a_k - 1) e^(-u^p) / Gamma(a_k) for a gamma-power row of power p,
-    u^(n-1) (1+u)^(-n-a_k) / B(n, a_k) for a second-kind beta row (no power)."""
-    c = row.law.scale
+    linear space: c sum_k w_k g_k(c x), c the law's scale (the row reads none) and g_k
+    the component density, p u^(p a_k - 1) e^(-u^p) / Gamma(a_k) for a gamma-power row
+    of power p, u^(n-1) (1+u)^(-n-a_k) / B(n, a_k) for a second-kind beta row (no
+    power)."""
     u = c * np.asarray(x, dtype=float)
     if hasattr(row, "power"):
         p = row.power

@@ -192,7 +192,7 @@ def test_criterion_5_mixture_representations():
         worst_wsum = max(worst_wsum, abs(sum(row.weights) - 1.0))
         scale = np.max(np.abs(pdf(m, xs)))
         worst_rec = max(worst_rec, float(
-            np.max(np.abs(row_mixture_pdf(row, xs) - pdf(m, xs))) / scale))
+            np.max(np.abs(row_mixture_pdf(row, xs, m.mixing.scale) - pdf(m, xs))) / scale))
     alpha = 0.5
     w2 = weibull_model(alpha, 2).mixing.sum_row(2).weights
     w3 = weibull_model(alpha, 3).mixing.sum_row(3).weights

@@ -55,8 +55,8 @@ class TestOneKernelCall:
         # survival, the density, each Newton step of VaR and the tail moments; the
         # other laws take the orders 0..n-1 from one pass of the law's kernel as an (n,
         # len x) array, and each Newton step the orders 0..n from one pass.  The
-        # orders are checked once per unit law: every call gets the same _Orders,
-        # whose order part the kernel reads, and the checks do not run again
+        # orders are checked once per row, which is kept per unit law and n: every call
+        # gets the same _Orders, and the checks do not run again
         m = SEVEN_MODELS[name](n)
         law = type(m.mixing)
         kernel, check = law._log_kernel, law._orders
@@ -72,12 +72,12 @@ class TestOneKernelCall:
 
         monkeypatch.setattr(law, "_log_kernel", counted)
         monkeypatch.setattr(law, "_orders", checked)
+        mixing._sum_row.cache_clear()
         row = m.mixing.sum_row(n)
         has_row = not isinstance(row, KernelRow)
         assert has_row == (name in ("weibull", "weibull_half", "gamma_claims", "pareto",
                                     "lindley"))
         assert isinstance(row, (MixtureRow, Beta2Row)) == has_row
-        mixing._row_orders.cache_clear()
         survival(m, np.geomspace(1e-2, 1e3, 50))
         if has_row:
             assert not calls
@@ -407,7 +407,7 @@ class TestMixtureRepresentation:
         for n in (1, 2, 3):
             m = FIVE_MODELS[name](n)
             xs = np.logspace(-1.5, 1.0, 20)
-            got = row_mixture_pdf(mixture_row(m), xs)
+            got = row_mixture_pdf(mixture_row(m), xs, m.mixing.scale)
             want = pdf(m, xs)
             assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 

@@ -5,6 +5,7 @@ underflows, and the route that takes no kernel call."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -124,14 +125,29 @@ def test_no_kernel_call(make, monkeypatch):
         assert tail_moment(m, 2, rep.var) == dict(rep.tail_moments)[2]
 
 
+@pytest.mark.parametrize("n", [1000, 1500])
+def test_pareto_at_a_huge_shape(n):
+    # alpha = 1e14 in the bulk, where an ulp of t = 1/(1+x) moves I_t(alpha, n) by up to a
+    # percent: the long-double finite sum at n = 1000 (which overflows a double there),
+    # the complement betaincc at 1 - t past it (betainc at the rounded t was 2e-6 to
+    # 2.5e-4 off); against 50-digit mpmath, I_t(alpha, n) = I_{x/(1+x)}..1 of B(n, alpha)
+    alpha = 1e14
+    x = n / alpha * np.array([0.98, 1.0, 1.02])
+    got = survival(pareto_model(alpha, 1.0, n), x)
+    with mp.workdps(50):
+        want = np.array([float(mp.betainc(n, alpha, mp.mpf(v) / (1 + mp.mpf(v)), 1,
+                                          regularized=True)) for v in x])
+    err = np.abs(got / want - 1.0)
+    assert (err <= 2e-14 + LOG_ULP * np.abs(np.log(want))).all(), err.max()
+
+
 def test_rows_are_cached():
-    # the components are kept per unit law and n, so every scale of the gamma law shares
-    # them, and the tail constants per orders
+    # the row, with its components, is kept per unit law and n, so every scale of the
+    # gamma law shares it, and the row keeps its tail constants per orders
     rows = [GammaMixing(3.2, beta).sum_row(7) for beta in (0.5, 1.0, 1e300)]
-    assert rows[0].log_w is rows[1].log_w is rows[2].log_w
-    assert mixing._beta2_row.cache_info().maxsize == mixing._ROW_CACHE
-    assert mixing._beta2_tail(GammaMixing(3.2, 1.0), 7, (1, 2)) is mixing._beta2_tail(
-        GammaMixing(3.2, 1.0), 7, (1, 2))
+    assert rows[0] is rows[1] is rows[2]
+    assert mixing._sum_row.cache_info().maxsize == mixing._ROW_CACHE
+    assert rows[0]._tail((1, 2)) is GammaMixing(3.2, 7.0).sum_row(7)._tail((1, 2))
 
 
 def test_density_at_zero():

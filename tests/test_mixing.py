@@ -1,6 +1,9 @@
+import ast
+import dataclasses
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from riskmix import mixing
 from riskmix.errors import (
     DerivativeCapError,
     NonexistentMomentError,
@@ -25,6 +29,7 @@ from riskmix.mixing import (
     GammaMixing,
     GleserGammaMixing,
     InverseGaussianMixing,
+    KernelRow,
     LevyMixing,
     LindleyMixing,
     PositiveStableMixing,
@@ -1304,8 +1309,8 @@ class TestValidation:
 
 class TestRowOrders:
     """A kernel call is its orders, checked once, and its points: a KernelRow keeps
-    its checked orders per unit law (_row_orders), and log_abs_laplace_derivative
-    forms the same two parts on every call."""
+    its checked orders, and log_abs_laplace_derivative forms the same two parts on
+    every call."""
 
     LAWS = [GammaMixing(3.2, 1.0), GammaMixing(5.0, 1.0), LindleyMixing(1.0),
             InverseGaussianMixing(1.0, 1.0), BetaSecondKindMixing(2.0, 3.0),
@@ -1314,35 +1319,143 @@ class TestRowOrders:
     @pytest.mark.parametrize("law", LAWS, ids=repr)
     def test_kept_orders_are_the_uncached_route(self, law):
         # at scale 1 the two routes are the same arithmetic, bit for bit
-        from riskmix.mixing import _row_orders
         u = np.geomspace(1e-3, 1e3, 37)
-        for k in (range(11), range(-1, -3, -1), 7, 2.5):
-            if isinstance(k, range) and k.start < 0 and k.stop <= -law.neg_order_limit:
-                continue
-            orders = _row_orders(law._unit_law, k)
-            assert _row_orders(law._unit_law, k) is orders
-            want = law.log_abs_laplace_derivative(np.array(k) if isinstance(k, range) else k, u)
+        row = KernelRow(law._unit_law, 11)
+        kept = {"_survival_orders": np.arange(11), "_density_orders": np.arange(12)}
+        for name, k in kept.items():
+            orders = getattr(row, name)
+            assert getattr(row, name) is orders
+            want = law.log_abs_laplace_derivative(k, u)
+            assert np.array_equal(law._log_unit_kernel(orders, u, np.log(u)), want)
+        for n in (7, 2.5):
+            orders = KernelRow(law._unit_law, n)._pdf_orders
+            want = law.log_abs_laplace_derivative(n, u)
+            assert np.array_equal(law._log_unit_kernel(orders, u, np.log(u)), want)
+        if law.neg_order_limit > 2:
+            orders = row._tail((1, 2))[0]
+            assert row._tail((1, 2))[0] is orders
+            want = law.log_abs_laplace_derivative(np.array([-1, -2]), u)
             assert np.array_equal(law._log_unit_kernel(orders, u, np.log(u)), want)
 
     def test_checks_run_before_any_point(self, monkeypatch):
-        from riskmix.mixing import _row_orders
         law = GammaMixing(3.2, 1.0)
         calls = []
         monkeypatch.setattr(GammaMixing, "_log_kernel", lambda *a: calls.append(a))
+        u = np.array([1.0])
         with pytest.raises(DerivativeCapError):
-            _row_orders(law, range((1 << 16) + 1))
+            KernelRow(law, (1 << 16) + 1).log_survival_terms(u, np.log(u))
         with pytest.raises(NonexistentMomentError):
-            _row_orders(law, range(-1, -5, -1))
+            KernelRow(law, 5).log_tail_moments(u, np.log(u), (1, 4), np.zeros((5, 1)))
         with pytest.raises(ValueError):
             law._orders(np.array([-1, 2]))
-        with pytest.raises(UnsupportedModelError):
-            PositiveStableMixing(0.5)._orders(-1)
+        for k in (-1, 2.5):
+            with pytest.raises(UnsupportedModelError):
+                PositiveStableMixing(0.5)._orders(k)
         assert calls == []
 
     def test_kept_arrays_are_read_only(self):
-        from riskmix.mixing import _row_orders
-        orders = _row_orders(LindleyMixing(1.0), range(6))
+        row = KernelRow(LindleyMixing(1.0), 6)
+        orders = row._survival_orders
         assert orders.k.dtype.kind == "i" and orders.col.shape == (6, 1)
-        assert np.array_equal(orders.log_factorial[:, 0], special.gammaln(np.arange(1.0, 7.0)))
-        for values in (orders.k, orders.col, orders.log_factorial):
+        assert np.array_equal(row._log_factorial[:, 0], special.gammaln(np.arange(1.0, 8.0)))
+        for values in (orders.k, orders.col, row._log_factorial):
             assert not values.flags.writeable
+
+
+def _scaleless(law):
+    """law as an instance of a subclass whose scale and log scale raise, and which is
+    its own unit law."""
+    def refuse(self):
+        raise AssertionError("a row read the scale")
+
+    cls = type(f"Scaleless{type(law).__name__}", (type(law),),
+               {"scale": property(refuse), "log_scale": property(refuse),
+                "_unit_law": property(lambda self: self)})
+    return cls(*dataclasses.astuple(law))
+
+
+class TestRowCache:
+    """One row per unit law and total shape (sum_row), which keeps what its calls read
+    besides u, in read-only arrays, and reads no scale."""
+
+    LAWS = [GammaMixing(3.2, 1.3), LindleyMixing(1.3), PositiveStableMixing(0.45),
+            LevyMixing(1.3), GleserGammaMixing(0.55, 1.3), InverseGaussianMixing(1.3, 0.7),
+            BetaSecondKindMixing(4.0, 3.0)]
+
+    def test_one_row_at_every_scale(self):
+        # the unit law is free of the scale (for the inverse Gaussian law, of lam and mu
+        # but for lam/mu, which a power of two scales exactly)
+        scaled = [[GammaMixing(3.2, b) for b in (1e-300, 1.0, 1e300)],
+                  [LevyMixing(lam) for lam in (1e-150, 1.0, 1e150)],
+                  [GleserGammaMixing(0.55, lam) for lam in (1e-300, 1.0, 1e300)],
+                  [InverseGaussianMixing(1.3 * k, 0.7 * k) for k in (2.0 ** -900, 1.0, 2.0 ** 900)]]
+        for laws in scaled:
+            rows = [law.sum_row(7) for law in laws]
+            assert rows[0] is rows[1] is rows[2], laws
+            assert rows[0] is laws[0].sum_row(7.0)
+            assert rows[0] is not laws[0].sum_row(8)
+
+    def test_two_lru_caches(self):
+        # the rows and the stable law's Bell triangles are all that the module keeps
+        caches = {name for name, obj in vars(mixing).items() if hasattr(obj, "cache_info")}
+        assert caches == {"_sum_row", "_bell_triangle"}
+        assert mixing._sum_row.cache_info().maxsize == mixing._ROW_CACHE
+
+    @pytest.mark.parametrize("law", LAWS, ids=repr)
+    def test_row_arrays_are_read_only(self, law):
+        u = np.geomspace(1e-2, 1e2, 9)
+        # (the stable law has no kernel of real order: its fractional shapes raise)
+        for n in (5,) if law.kind == "stable" else (5, 2.5):
+            row = law.sum_row(n)
+            row.log_pdf(u, np.log(u))
+            kept = list(vars(row).values())
+            if not n % 1:
+                row.log_survival(u, np.log(u))
+                row.log_survival(u, np.log(u), density=True)
+                # (orders that exist: a Lindley sum has no tail moment)
+                orders = (1,) if law.neg_order_limit > 1 else ()
+                terms = row.log_survival_terms(u[:1], np.log(u[:1]))
+                if orders:
+                    row.log_tail_moments(u[0], np.log(u[0]), orders, terms[:, 0])
+                    kept += row._tail(orders)
+                kept += vars(row).values()
+            arrays = []
+            while kept:
+                value = kept.pop()
+                if isinstance(value, np.ndarray):
+                    arrays.append(value)
+                elif isinstance(value, tuple):
+                    kept += value
+                elif dataclasses.is_dataclass(value):
+                    kept += [getattr(value, f.name) for f in dataclasses.fields(value)]
+            assert arrays and not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("law", LAWS, ids=repr)
+    def test_rows_read_no_scale(self, law):
+        # a law whose scale raises still evaluates its row, which works in u alone
+        unit = _scaleless(law)
+        u = np.geomspace(1e-2, 1e2, 9)
+        for n in (1, 5):
+            row = unit.sum_row(n)
+            assert row.law is unit
+            want = law.sum_row(n)
+            log_s = row.log_survival(u, np.log(u), density=True)
+            assert np.array_equal(log_s, want.log_survival(u, np.log(u), density=True))
+            assert np.array_equal(row.log_pdf(u, np.log(u)), want.log_pdf(u, np.log(u)))
+            assert row.pdf_at_zero() == want.pdf_at_zero()
+            if law.neg_order_limit > 2:
+                terms = row.log_survival_terms(u[4:5], np.log(u[4:5]))[:, 0]
+                got = row.log_tail_moments(u[4], np.log(u[4]), (1, 2), terms)
+                assert np.array_equal(got, want.log_tail_moments(u[4], np.log(u[4]), (1, 2),
+                                                                 terms))
+        if law.kind != "stable":
+            assert np.array_equal(unit.sum_row(2.5).log_pdf(u, np.log(u)),
+                                  law.sum_row(2.5).log_pdf(u, np.log(u)))
+
+    def test_no_row_method_names_the_scale(self):
+        path = Path(mixing.__file__)
+        classes = {node.name: node for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.ClassDef)}
+        for name in ("_Row", "MixtureRow", "KernelRow", "Beta2Row"):
+            names = {n.attr for n in ast.walk(classes[name]) if isinstance(n, ast.Attribute)}
+            assert not {"scale", "log_scale", "_unit", "_unit_law"} & names, name

@@ -109,12 +109,13 @@ class TestTailMoments:
         assert all(np.isfinite(v) for _, v in rep.tail_moments)
 
     def test_rows_are_cached(self):
-        # the sums are kept per unit law and n, so every scale of a law shares them
+        # the row, with its sums, is kept per unit law and n, so every scale of a law
+        # shares it
         rows = [gamma_claims_model(0.55, lam, 17).mixing.sum_row(17) for lam in (1.3, 7.0)]
         rows += [LevyMixing(lam).sum_row(9) for lam in (0.3, 1.0, 7.0)]
+        assert rows[0] is rows[1] and rows[2] is rows[3] is rows[4]
         assert rows[0].log_d is rows[1].log_d and rows[0].log_c is rows[1].log_c
-        assert rows[2].log_d is rows[3].log_d is rows[4].log_d
-        assert mixing._mixture_row.cache_info().maxsize == mixing._ROW_CACHE
+        assert mixing._sum_row.cache_info().maxsize == mixing._ROW_CACHE
 
 
 class TestEveryTotalShape:
@@ -132,7 +133,7 @@ class TestEveryTotalShape:
                 call()
         # both rows take arrays of any shape, 0-d included
         row, x = law.sum_row(3), np.geomspace(0.1, 10.0, 6)
-        for fn in (lambda u: row.log_survival(u, np.log(u)), row.pdf):
+        for fn in (lambda u: row.log_survival(u, np.log(u)), lambda u: row.log_pdf(u, np.log(u))):
             assert np.array_equal(fn(x.reshape(2, 3)), fn(x).reshape(2, 3))
             assert fn(np.array(x[1])).shape == () and fn(np.array(x[1])) == fn(x)[1]
 

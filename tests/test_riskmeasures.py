@@ -399,7 +399,7 @@ class TestOneKernelCallPerStep:
         assert not hasattr(riskmeasures, "pdf")
         monkeypatch.setattr(aggregate, "pdf", refuse)
         for row in (MixtureRow, Beta2Row, KernelRow):
-            monkeypatch.setattr(row, "pdf", refuse)
+            monkeypatch.setattr(row, "log_pdf", refuse)
         for n in (2, 10, 32):
             m = SIX_MODELS[name](n)
             for lv in (0.3, 0.99):
@@ -699,8 +699,8 @@ class TestNearTable:
 
     @pytest.mark.parametrize("alpha", [3.2, 5.0])
     def test_warm_pareto_report_forms_no_pochhammer(self, alpha, monkeypatch):
-        # the gamma kernel's log (alpha)_k reads the orders alone: the row keeps it with
-        # its orders (mixing._row_orders), and the tail shifts are kept per (n, r)
+        # a warm report reads the tail constants that its row keeps per orders, and
+        # forms no log-Pochhammer
         m = pareto_model(alpha, 1.0, 5)
         risk_report(m, 0.99)
         calls = []
@@ -742,3 +742,33 @@ class TestNearTable:
         for slopes in ([-inf, -1.0], [0.0, -1.0], [-1.0, math.nan], [-20.0, -20.0]):
             assert riskmeasures._start([-1.0, -2.0], slopes, -1.25, math.log(2.0)) == 0.25
         assert riskmeasures._start([-1.0, -inf], [-1.0, -1.0], -5.0, math.log(2.0)) == 0.5
+
+
+class TestInvalidInputs:
+    @pytest.mark.parametrize("name", SIX_MODELS)
+    def test_orders_and_thresholds_are_checked_first(self, name, monkeypatch):
+        # an order that is not a whole number >= 1 and a threshold that is nan or inf are
+        # a ValueError, with no RuntimeWarning, before any row or VaR table is touched
+        m = SIX_MODELS[name](5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row or a table was touched")
+
+        monkeypatch.setattr(mixing.MixingDistribution, "sum_row", refuse)
+        monkeypatch.setattr(riskmeasures, "_near_table", refuse)
+        calls = [lambda r=r: tail_moment(m, r, 1.0) for r in (1.5, 0, -1, math.nan, inf)]
+        calls += [lambda a=a: tail_moment(m, 1, a) for a in (math.nan, inf, -inf, -1.0)]
+        calls += [lambda a=a: tail_moment(m, 2, a) for a in (math.nan, inf)]
+        calls += [lambda o=o: risk_report(m, 0.9, orders=o)
+                  for o in ((-1,), (0,), (1.5,), (1, math.nan), (2, inf))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValueError):
+                    call()
+
+    @pytest.mark.parametrize("name", ["pareto", "gamma_claims", "invgauss"])
+    def test_whole_float_orders(self, name):
+        m = SIX_MODELS[name](5)
+        assert risk_report(m, 0.9, orders=(2.0,)) == risk_report(m, 0.9, orders=(2,))
+        assert tail_moment(m, 2.0, 1.5) == tail_moment(m, 2, 1.5)

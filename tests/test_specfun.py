@@ -644,6 +644,22 @@ def _mp_log_betainc(a, b, t, log_t):
                                        regularized=True)))
 
 
+def _mp_log_betainc_bulk(a, b, u):
+    """log I_t(a, b) at t = 1/(1 + u) and 50 digits, as 1 - I_x(b, a), x = u/(1 + u): at a
+    whole b the finite sum t^a sum_{k<b} (a)_k/k! x^k (mpmath's hypergeometric series
+    does not converge at b = 5000 and a = 1e14), else mpmath's betainc."""
+    with mp.workdps(50):
+        u = mp.mpf(u)
+        x = u / (1 + u)
+        if b % 1:
+            return float(mp.log(mp.betainc(b, a, x, 1, regularized=True)))
+        term, total = mp.mpf(1), mp.mpf(0)
+        for k in range(int(b)):
+            total += term
+            term *= (a + k) / (k + 1) * x
+        return float(-a * mp.log1p(u) + mp.log(total))
+
+
 class TestLogBetainc:
     """specfun.log_betainc: betainc, the finite sum at a whole b, the complement where t
     is too coarse, and the series where I_t underflows, against 40-digit mpmath."""
@@ -697,6 +713,21 @@ class TestLogBetainc:
             with mp.workdps(40):
                 want = float(mp.log(mp.betainc(a, b, 0, 1 / (1 + mp.mpf(u)), regularized=True)))
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (v, got, want)
+
+    @pytest.mark.parametrize("b", [999.0, 1000.0, 1500.0, 1500.5, 5000.0])
+    def test_past_the_finite_sum(self, b):
+        # a huge a in the bulk and lower tail, where t is too coarse for betainc: the
+        # finite sum in long double up to b = 1000 where it fits one, the complement
+        # betaincc past it (betainc kept its value, off by up to 1e-2 at a = 1e16); within
+        # 3e-14 + 3e-15 |log I| of 50-digit mpmath at the exact u: the rounding of 1 - t
+        # alone moves log I by about a (1-t) - b ulps in its lower tail
+        for a in (1e6, 1e14, 1e16):
+            for f in (0.9, 0.98, 1.0, 1.02, 1.1, 1.3):
+                u = b / a * f
+                t, log_t = np.array([1.0 / (1.0 + u)]), np.array([-math.log1p(u)])
+                got = specfun.log_betainc(a, b, t, log_t)[0]
+                want = _mp_log_betainc_bulk(a, b, u)
+                assert abs(got - want) <= 3e-14 + 3e-15 * abs(want), (a, f, got, want)
 
     def test_series_that_would_not_converge(self):
         # I_t underflows at a t just below the mean of a huge a = b, where the terms'
