@@ -168,7 +168,7 @@ def pdf(model: AggregateModel, x):
     pos = (x_arr > 0) & (x_arr < inf)
     out[pos] = _density(model.mixing, row, x_arr[pos])
     if np.any(x_arr == 0):
-        out[x_arr == 0] = row.pdf_at_zero() * model.mixing.scale
+        out[x_arr == 0] = model.mixing.from_unit(*row.pdf_at_zero(), -1)
     return _ret(out, scalar_in)
 
 

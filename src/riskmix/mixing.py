@@ -133,7 +133,8 @@ is the finite mixture, whose weights and shapes it shows read-only:
 These rows call no kernel.  Every other law (inverse Gaussian, second-kind
 beta), and every fractional a, gets a KernelRow, which sums the kernel (at a
 fractional a only its log_pdf answers); its density limit at 0 is the law's
-_sum_pdf_at_zero.  A KernelRow's density is the derivative route (aggregate's
+_sum_pdf_at_zero; every row gives that limit with its log (pdf_at_zero), for
+from_unit.  A KernelRow's density is the derivative route (aggregate's
 pdf_generic), which shares no code with the other two rows' densities, so it
 checks them (cli verify's closed_vs_generic).
 """
@@ -373,6 +374,11 @@ def _read_only(*arrays):
     return arrays[0] if len(arrays) == 1 else arrays
 
 
+def _and_log(v: float) -> tuple:
+    """(v, log v) for a density limit v in [0, inf], the pair that from_unit takes."""
+    return v, log(v) if v else -inf
+
+
 def _column(k, ndim):
     """The orders k as a float column that broadcasts over ndim more axes."""
     return np.asarray(k, dtype=float).reshape((-1,) + (1,) * ndim)
@@ -574,14 +580,12 @@ class MixtureRow(_Row):
     def _log_unit_pdf(self, u, log_u):
         return self._log_u_density(*self._log_y(u, log_u)) - log_u
 
-    def pdf_at_zero(self) -> float:
-        """f_1(0+), from the first term of positive weight, power d_k u^e with e = power
-        (shape0 + k) - 1: inf below e = 0, 0 above it."""
+    def pdf_at_zero(self) -> tuple:
+        """(f_1(0+), its log), from the first term of positive weight, power d_k u^e with
+        e = power (shape0 + k) - 1: inf below e = 0, 0 above it."""
         k = int(np.argmax(self.log_d > -inf))
         e = self.power * float(self.shapes[k]) - 1.0
-        if e:
-            return inf if e < 0 else 0.0
-        return self.power * exp(self.log_d[k])
+        return _and_log((inf if e < 0 else 0.0) if e else self.power * exp(self.log_d[k]))
 
     def _tail_constants(self, orders: tuple) -> tuple:
         """What the tail moments of the orders r read besides the point, read-only, a row
@@ -650,7 +654,7 @@ class KernelRow(_Row):
         return (n - 1.0) * log_u - lgamma(n) + self.law._log_unit_kernel(self._pdf_orders, u,
                                                                         log_u)
 
-    def pdf_at_zero(self) -> float:
+    def pdf_at_zero(self) -> tuple:
         return self.law._sum_pdf_at_zero(self._integer_n())
 
     def _tail_constants(self, orders: tuple) -> tuple:
@@ -750,9 +754,9 @@ class Beta2Row(_Row):
     def _log_unit_pdf(self, u, log_u):
         return self._log_density(0, u, log_u, _beta2_t(u, log_u)[1])
 
-    def pdf_at_zero(self) -> float:
-        """f_1(0+): sum_j w_j a_j at n = 1 (where 1/B(1, a) = a), 0 above it."""
-        return float(self.weights @ self.shapes) if self.n == 1 else 0.0
+    def pdf_at_zero(self) -> tuple:
+        """(f_1(0+), its log): sum_j w_j a_j at n = 1 (where 1/B(1, a) = a), 0 above it."""
+        return _and_log(float(self.weights @ self.shapes) if self.n == 1 else 0.0)
 
     def _tail_constants(self, orders: tuple) -> tuple:
         """What the tail moments of the orders r read besides the point, read-only, with a
@@ -1014,8 +1018,8 @@ class MixingDistribution:
         (_sum_row), so every scale of a law shares it."""
         return _sum_row(self._unit_law, a)
 
-    def _sum_pdf_at_zero(self, n: int) -> float:
-        """f_1(0+) of S_1 = c S_n for a law whose row is a KernelRow."""
+    def _sum_pdf_at_zero(self, n: int) -> tuple:
+        """(f_1(0+), its log) of S_1 = c S_n for a law whose row is a KernelRow."""
         raise UnsupportedModelError(f"unknown mixing law {self.kind}")
 
     def kendall_tau(self) -> float:
@@ -1276,12 +1280,14 @@ class InverseGaussianMixing(MixingDistribution):
             (2.0 + t) / (3.0 + t * (3.0 + t)))
 
     def _sum_pdf_at_zero(self, n):
+        # f_1(0+) = E(Theta / c) = mu / c at n = 1: 1 at c = mu, else mu / (2 lam), whose log
+        # is log mu in long double less from_unit's log c, so that c f_1(0+) is mu to an ulp
         if n > 1:
-            return 0.0
-        mean = max(0.5 * self.mu / self.lam, 1.0)  # E(Theta_1) = mu / c
-        if mean == inf:
-            raise PrecisionError(f"E(Theta / c) at lam / mu = {self.lam / self.mu:.3g} overflows")
-        return mean
+            return 0.0, -inf
+        mean = 0.5 * self.mu / self.lam
+        if mean <= 1.0:
+            return 1.0, 0.0
+        return mean, np.log(np.longdouble(self.mu)) - log(2.0 * self.lam)
 
     def kendall_tau(self):
         # the printed 1 - (a (2 + a) - 4 e^{2/a} Gamma(0, 2/a)) / (2 a^2), a = mu/lam,
@@ -1575,10 +1581,10 @@ class BetaSecondKindMixing(MixingDistribution):
         # that is beta theta^{-2}, so x^{n-1} E(Theta^n e^{-Theta x})/Gamma(n)
         # tends to beta Gamma(n-1)/Gamma(n) when n > 1
         if self.gam > 1.0:
-            return self.beta / (self.gam - 1.0) if n == 1 else 0.0
+            return _and_log(self.beta / (self.gam - 1.0) if n == 1 else 0.0)
         if self.gam == 1.0 and n > 1:
-            return self.beta / (n - 1.0)
-        return inf
+            return _and_log(self.beta / (n - 1.0))
+        return inf, inf
 
     def sample(self, size, rng):
         return rng.gamma(self.beta, 1.0, size=size) / rng.gamma(self.gam, 1.0, size=size)

@@ -213,7 +213,7 @@ def value_at_risk(model: AggregateModel, level: float) -> float:
 def _tail_moments(law, row, a: float, u, log_u, terms, orders) -> dict:
     """{r: E(S^r | S > a)} for a > 0, from the law's row, the unit point (u, log u)
     of a and the survival terms there; TailUnderflowError where log S(a) lies below
-    _TAIL_LOG_FLOOR, PrecisionError where a moment over- or underflows a double."""
+    _TAIL_LOG_FLOOR, PrecisionError where a moment is nan or leaves the doubles."""
     log_surv = np.logaddexp.reduce(terms)
     if not log_surv >= _TAIL_LOG_FLOOR:
         raise TailUnderflowError(f"log survival({a}) = {log_surv:.6g} lies below "
@@ -224,10 +224,10 @@ def _tail_moments(law, row, a: float, u, log_u, terms, orders) -> dict:
     with np.errstate(over="ignore"):
         moments = {r: law.from_unit(float(np.exp(v)), v, r)
                    for r, v in zip(orders, log_moments.tolist())}
-    if inf in moments.values():
-        raise PrecisionError(f"a tail moment at {a} overflows a double")
-    if 0.0 in moments.values():
-        raise PrecisionError(f"a tail moment at {a} underflows a double")
+    for m in moments.values():
+        if not 0.0 < m < inf:
+            how = {inf: "overflows a double", 0.0: "underflows a double"}.get(m, "is nan")
+            raise PrecisionError(f"a tail moment at {a} {how}")
     return moments
 
 

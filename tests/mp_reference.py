@@ -420,3 +420,18 @@ def beta2_quantile(law, n, level, start, dps=DPS):
                                   for w, a in parts)) - target
 
         return float(mp.exp(mp.findroot(g, mp.log(mp.mpf(start)))))
+
+
+def log_hyperu_1(a, z, dps=DPS):
+    """log U(1, 1+a, z) = log int_0^inf (1 + s/z)^(a-1) e^-s ds - log z, as a float, for
+    a > 0 and z > 0, by mp.quad at dps digits: mpmath's hyperu raises NoConvergence at
+    shapes from about 1e4 (at z = 1.12e5 for a = 1e5).  The integrand's log, (a-1)
+    log1p(s/z) - s, falls at rate (z+1-a)/z from s = 0 and, at a large a, as a Gaussian
+    of width z/sqrt(a): the quadrature is split at multiples of the narrower scale."""
+    with mp.workdps(dps):
+        a, z = mp.mpf(float(a)), mp.mpf(float(z))
+        rate = (z + 1 - a) / z
+        w = min(1 / rate, z / mp.sqrt(a)) if a > 1 else 1 / rate
+        cuts = [0, *(w * 4 ** k for k in range(-2, 6)), mp.inf]
+        total = mp.quad(lambda s: mp.exp((a - 1) * mp.log1p(s / z) - s), cuts)
+        return float(mp.log(total) - mp.log(z))

@@ -504,6 +504,16 @@ class TestBoundaryBehavior:
         assert pdf(AggregateModel(BetaSecondKindMixing(2.0, 1.0), (1.0,) * 1),
                    0.0) == math.inf
 
+    @pytest.mark.parametrize("lam", [1e-300, 1e-310, 5e-324])
+    @pytest.mark.parametrize("mu", [1.0, 1e300])
+    def test_inverse_gaussian_at_zero_at_a_tiny_scale(self, lam, mu):
+        # f(0+) = E(Theta) = mu at n = 1, c f_1(0+) with c = 2 lam, though f_1(0+) = mu / c
+        # overflows a double at lam / mu below about 2.8e-309 (which raised
+        # PrecisionError); 0 at n = 2
+        got = pdf(inverse_gaussian_model(lam, mu, 1), 0.0)
+        assert abs(got - mu) <= 2.0 * np.spacing(mu)
+        assert pdf(inverse_gaussian_model(lam, mu, 2), 0.0) == 0.0
+
     def test_beta2_pdf_near_zero_against_mpmath(self):
         # f(x) = x^{n-1}/Gamma(n) * Gamma(b+n) U(b+n, n+1-g, x) / B(b, g); the
         # Kummer quadrature used to miss its peak here and return -3.8e-5

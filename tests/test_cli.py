@@ -214,6 +214,15 @@ class TestValidation:
         assert code == 3 and out == ""
         assert "overflows" in err
 
+    def test_var_at_n_5000_is_finite(self, capsys):
+        # the tail moments read log Q at shapes up to 5000 where it underflows, where the
+        # report printed tvar = nan and exited 0
+        code, out, _ = run_strict(capsys, ["var", "--model", "gamma", "--alpha", "0.5",
+                                           "--lambda", "1.3", "--n", "5000", "--levels", "0.99"])
+        header, row = out.strip().split("\n")
+        assert code == 0 and header == "level,var,tvar"
+        assert all(math.isfinite(float(v)) for v in row.split(","))
+
     @pytest.mark.parametrize("argv, scale_one", [
         (["--model", "pareto", "--alpha", "3", "--beta", "1e300"],
          ["--model", "pareto", "--alpha", "3", "--beta", "1"]),

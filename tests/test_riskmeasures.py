@@ -18,8 +18,8 @@ from riskmix.aggregate import (
     weibull_half_model,
     weibull_model,
 )
-from riskmix.errors import (NonexistentMomentError, PrecisionError, RiskmixError,
-                            TailUnderflowError)
+from riskmix.errors import (DerivativeCapError, NonexistentMomentError, PrecisionError,
+                            RiskmixError, TailUnderflowError)
 from riskmix.mixing import (Beta2Row, BetaSecondKindMixing, GleserGammaMixing, KernelRow,
                             MixingDistribution, MixtureRow)
 from riskmix import aggregate, cli, mixing, riskmeasures
@@ -307,6 +307,26 @@ class TestTailMomentPastTheDoubleRange:
             tail_moment(gamma_claims_model(0.5, 1e10, 2), 1, 1e300)
 
 
+class TestNanGuard:
+    def test_a_nan_moment_raises(self, monkeypatch, capsys):
+        # a row whose tail moments are nan, with no RuntimeWarning to stop them: the
+        # report raises PrecisionError (CLI exit 3) rather than return tvar = nan
+        def nan_moments(self, u, log_u, orders, terms):
+            return np.full(len(orders), math.nan)
+
+        monkeypatch.setattr(Beta2Row, "log_tail_moments", nan_moments)
+        m = pareto_model(3.0, 1.0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match="is nan"):
+                risk_report(m, 0.9)
+            with pytest.raises(PrecisionError, match="is nan"):
+                tail_moment(m, 1, 2.0)
+            assert cli.main(["var", "--model", "pareto", "--alpha", "3", "--beta", "1",
+                             "--n", "2", "--levels", "0.9"]) == 3
+        assert "nan" in capsys.readouterr().err
+
+
 class TestTailKernelSum:
     """Tail moments at the returned VaR against 40-digit mpmath references."""
 
@@ -512,6 +532,42 @@ class TestCliLawReports:
         for lv in (0.9, 0.999):
             with pytest.raises(NonexistentMomentError):
                 risk_report(CLI_REPORT_MODELS["lindley"](n), lv)
+
+
+class TestLargePortfolio:
+    """Every CLI law, and gamma claims (0.9, 1), at n = 5000: the gamma-claims tail moments
+    read log Q at shapes up to 5000 where it underflows, where scipy's hyperu returned nan
+    and the report tvar = nan."""
+
+    MODELS = {**CLI_REPORT_MODELS, "gamma-0.9": lambda n: gamma_claims_model(0.9, 1.0, n)}
+    # the stable law's orders past its Bell triangle's, and the Lindley law's moments, which
+    # diverge
+    REFUSED = {"weibull": DerivativeCapError, "lindley": NonexistentMomentError}
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_finite_or_a_typed_error(self, name):
+        # with RuntimeWarnings as errors (the test settings)
+        m = self.MODELS[name](5000)
+        for level in (0.01, 0.5, 0.9, 0.99, 0.999):
+            if name in self.REFUSED:
+                with pytest.raises(self.REFUSED[name]):
+                    risk_report(m, level)
+                continue
+            rep = risk_report(m, level)
+            values = (rep.var, rep.tvar, *dict(rep.tail_moments).values())
+            assert all(math.isfinite(v) for v in values), (level, values)
+
+    def test_pinned_against_the_printed_mixture(self):
+        # the references are mp_reference.mixture_tail_moment(law, 5000, r, a, dps=30), the
+        # printed gamma mixture of 5000 terms summed at 30 digits at the VaR a below, which
+        # takes about a minute a moment: too slow to run here
+        m = gamma_claims_model(0.5, 1.3, 5000)
+        rep = risk_report(m, 0.99)
+        a = 3892.625995932124
+        assert rep.var == pytest.approx(a, rel=1e-14)
+        assert tail_moment(m, 1, a) == pytest.approx(3920.6203118329213, rel=1e-12)
+        assert rep.tvar == pytest.approx(3920.6203118329213, rel=1e-12)
+        assert tail_moment(m, 2, a) == pytest.approx(15371851.104385296, rel=3e-12)
 
 
 class TestTVaR:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from math import inf
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +14,7 @@ from riskmix.aggregate import cdf, gamma_claims_model, survival
 from riskmix.errors import PrecisionError
 from riskmix.specfun import exp_scaled_expn, log_gammaincc, log_kummer_u_integral, log_poch
 
+import mp_reference
 from reference_formulas import (
     bell_partial,
     bell_table,
@@ -269,8 +271,8 @@ class TestLogPoch:
 
 class TestLogGammaincc:
     def test_against_mpmath(self):
-        # gammaincc below 1e-300 (z past about 690), scipy's hyperu nan at
-        # z = 1e200 for a = 0.3, and the asymptotic form from z = 1e20 on
+        # gammaincc below 1e-300 (z past about 690), where log U(1, 1+a, z) comes from
+        # Legendre's continued fraction, out to z = 1e300
         a = np.array([0.3, 0.55, 0.999, 5.0, 142.0])[:, None]
         z = np.array([0.0, 1.0, 50.0, 700.0, 800.0, 1e3, 1e5, 1e8, 1e19, 1e21, 1e200, 1e300])
         got = log_gammaincc(a, z)
@@ -324,16 +326,15 @@ def special_calls(monkeypatch):
 
 
 class TestLogGammainccFarAndOnePoint:
-    """Where Q underflows, U(1, 1+a, z) from its asymptotic series wherever the
-    series' remainder bound holds; one point outside the near band and the far branch
-    costs one gammaincc and one log."""
+    """Where Q underflows, U(1, 1+a, z) from Legendre's continued fraction; one point
+    outside the near band and the far branch costs one gammaincc and one log."""
 
     A = np.geomspace(1e-3, 1e3, 13)
     Z = np.geomspace(690.0, 1e300, 25)
 
     def test_far_branch_against_mpmath(self):
         # log Q everywhere on the grid, and log U itself at the 318 points where Q
-        # underflows (the far branch: series or hyperu), to 4 ulps of its log
+        # underflows (the far branch), to 4 ulps of its log
         got = log_gammaincc(self.A[:, None], self.Z)
         far = special.gammaincc(self.A[:, None], self.Z) <= 1e-300
         assert far.sum() == 318
@@ -348,14 +349,14 @@ class TestLogGammainccFarAndOnePoint:
                     want = float(mp.log(mp.hyperu(1, 1 + mp.mpf(ai), zj)))
                     assert abs(log_u - want) <= 4.0 * np.finfo(float).eps * abs(want)
 
-    def test_series_where_its_bound_holds(self, special_calls):
-        # a below 41 needs at most 40 terms; at a = 142 the bound needs 141, so the
-        # point goes to scipy's hyperu
-        for a in (1e-3, 0.55, 1.0, 7.5, 40.0):
+    def test_log_gammaincc_makes_no_hyperu_call(self, special_calls):
+        # the far branch (whose log Gamma(a) is its one gammaln call) is the continued
+        # fraction at every shape: scipy's hyperu returned nan at large a near z
+        for a in (1e-3, 0.55, 1.0, 7.5, 40.0, 142.0, 2222.5, 1e5, 1e12):
             log_gammaincc(a, self.Z)
-        assert "hyperu" not in special_calls
         log_gammaincc(142.0, np.array([2e3, 1e5]))
-        assert special_calls.count("hyperu") == 1
+        assert special_calls.count("gammaln") == 10
+        assert "hyperu" not in special_calls
 
     def test_one_point_equals_the_array_path(self):
         a = np.array([1e-3, 0.3, 0.55, 0.999, 1.0, 1.55, 7.0, 142.0])
@@ -375,6 +376,71 @@ class TestLogGammainccFarAndOnePoint:
             log_gammaincc(a, np.array([z]))
             assert special_calls == ["gammaincc"], (a, z)
 
+
+def _far_edge(a):
+    """The least z at which gammaincc(a, z) <= 1e-300, where log_gammaincc's far branch
+    starts, by bisection on an array of shapes a."""
+    lo, hi = np.zeros_like(a), a + 40.0 * np.sqrt(a) + 800.0
+    assert (special.gammaincc(a, hi) <= 1e-300).all()
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        far = special.gammaincc(a, mid) <= 1e-300
+        lo, hi = np.where(far, lo, mid), np.where(far, mid, hi)
+    return hi
+
+
+class TestLogHyperuFarBranch:
+    """log U(1, 1+a, z), log_gammaincc's far branch, against the quadrature of
+    mp_reference.log_hyperu_1 (mpmath's own hyperu raises NoConvergence at a = 1e4 and
+    1e5 here): within 4 ulps of |log U|, finite, with no RuntimeWarning (an error under
+    the test settings), in one call on each grid."""
+
+    @staticmethod
+    def check(a, z):
+        assert (special.gammaincc(a, z) <= 1e-300).all()  # (the far branch's points)
+        got = specfun._log_hyperu_1(a, z)
+        assert np.isfinite(got).all()
+        want = np.array([mp_reference.log_hyperu_1(ai, zi) for ai, zi in zip(a, z)])
+        assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * np.abs(want))
+        assert np.isfinite(log_gammaincc(a, z)).all()
+
+    def test_from_the_edge_to_1e300(self):
+        # a from 1e-3 to 1e12, z at the far edge, just past it, twice it, 1e100 and 1e300
+        a = np.geomspace(1e-3, 1e12, 11)
+        edge = _far_edge(a)[:, None]
+        z = np.hstack([edge * np.array([1.0, 1.01, 2.0]), np.full((a.size, 2), [1e100, 1e300])])
+        self.check(np.repeat(a, 5), z.ravel())
+
+    def test_where_hyperu_was_nan(self):
+        # a >= 1600 at a / z from 0.44 to 0.95 where Q underflows, the region where
+        # scipy's hyperu returned nan; at a = 2222.5, z = 5060.4, log Q is -1014.22
+        a = np.repeat([1600.0, 2222.5, 1e4, 1e5], 5)
+        z = a / np.tile([0.44, 0.6, 0.75, 0.89, 0.95], 4)
+        far = special.gammaincc(a, z) <= 1e-300
+        assert far.sum() == 8
+        self.check(np.r_[a[far], 2222.5], np.r_[z[far], 5060.4])
+        assert log_gammaincc(2222.5, 5060.4) == pytest.approx(-1014.22, abs=5e-3)
+
+    def test_huge_shapes_a_few_ulps_past_their_edge(self):
+        # past a of about 3e34 the edge a + 37 sqrt(a) lies within the first ulp above a
+        a = np.repeat([1e50, 1e100, 1e300], 2)
+        z = np.nextafter(a, inf)
+        z[1::2] = np.nextafter(np.nextafter(z[1::2], inf), inf)  # (three ulps past a)
+        self.check(a, z)
+
+
+    def test_tiny_shapes_at_a_small_z(self):
+        # Q(a, z), about a E_1(z), underflows below z = 1 only at a below 4.6e-300, where
+        # the fraction slows (101 steps at z = 1.1); past its cap, at z below about 0.07,
+        # it raises, where scipy's hyperu gave -inf at a = 1e-310, z = 1e-3
+        z = np.array([0.22, 1.1, 30.0, 650.0])
+        got = log_gammaincc(1e-300, z)
+        with mp.workdps(40):
+            for g, zi in zip(got.tolist(), z.tolist()):
+                want = float(mp.log(mp.gammainc(mp.mpf(1e-300), zi, mp.inf, regularized=True)))
+                assert abs(g - want) <= 1e-15 * abs(want)
+        with pytest.raises(PrecisionError):
+            log_gammaincc(1e-310, 1e-3)
 
 @pytest.fixture
 def gammaincc_points(monkeypatch):
