@@ -475,11 +475,10 @@ def run_ruin(cfg, command):
     if errors:
         return errors, None, None
     try:
-        rows = [(float(u), ruin.ruin_probability(cfg["lam"], cfg["phi"], cfg["c"], float(u)))
-                for u in us]
+        psi = ruin.ruin_probability(cfg["lam"], cfg["phi"], cfg["c"], us)
     except ValueError as exc:
         return [str(exc)], None, None
-    return [], ("u", "psi"), rows
+    return [], ("u", "psi"), np.column_stack((us, psi))
 
 
 def run_compound(cfg, command):

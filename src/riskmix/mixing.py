@@ -360,11 +360,9 @@ def _partial_sums(terms, k):
 
 
 def _log1p(u, log_u):
-    """log(1 + u) on the unit coordinate: log u where u overflows."""
-    out = np.log1p(u)
-    far = np.isinf(u)
-    out[far] = log_u[far]
-    return out
+    """log(1 + u) on arrays u >= 0 and log u of one shape (0-d too): log u at u = inf."""
+    out, far = np.log1p(u), u == inf
+    return np.where(far, log_u, out) if np.count_nonzero(far) else out
 
 
 def _read_only(*arrays):
@@ -691,11 +689,8 @@ class KernelRow(_Row):
 
 def _beta2_t(u, log_u):
     """(t, log t) of t = 1/(1 + u) on arrays u >= 0 and log u of one shape: log t =
-    -log1p(u), -log u where u overflows."""
-    log1p_u = np.log1p(u)
-    if np.count_nonzero(u == inf):
-        log1p_u = np.where(u == inf, log_u, log1p_u)
-    return 1.0 / (1.0 + u), -log1p_u
+    -_log1p(u, log u)."""
+    return 1.0 / (1.0 + u), -_log1p(u, log_u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1530,6 +1525,10 @@ class BetaSecondKindMixing(MixingDistribution):
     def __post_init__(self):
         _require_positive(beta=self.beta, gam=self.gam)
 
+    @cached_property
+    def _log_b(self):  # (betaln is up to 3e-7 off in log B past a shape of 1e5)
+        return float(log_beta(self.beta, self.gam))
+
     def _log_kernel(self, orders, s, log_s):
         # E(Theta^k e^{-s Theta}) = Gamma(beta+k) U(beta+k, 1+k-gam, s) / B(beta, gam), one
         # Kummer integral per order: in one call for every order the grid would be as long
@@ -1540,7 +1539,7 @@ class BetaSecondKindMixing(MixingDistribution):
         for i, n in enumerate(k.tolist()):
             out[i] = log_kummer_u_integral(self.beta + n, 1.0 + n - self.gam,
                                            s if n else np.where(zero, 1.0, s))
-            out[i] -= special.betaln(self.beta, self.gam)
+            out[i] -= self._log_b
             if not n:
                 out[i, zero] = 0.0
         return out
@@ -1591,5 +1590,5 @@ class BetaSecondKindMixing(MixingDistribution):
 
     def _log_pdf(self, th):
         b, g = self.beta, self.gam
-        return (b - 1.0) * np.log(th) - (b + g) * np.log1p(th) - special.betaln(b, g)
+        return (b - 1.0) * np.log(th) - (b + g) * np.log1p(th) - self._log_b
 

@@ -53,8 +53,9 @@ def ruin_probability_limit(lam: float, phi: float, c: float) -> float:
     return 1.0 - lindley_survival(lam, _theta0(phi, c))
 
 
-def ruin_probability(lam: float, phi: float, c: float, u: float) -> float:
-    """Ruin probability of the compound Poisson surplus with Lindley frailty.
+def ruin_probability(lam: float, phi: float, c: float, u):
+    """Ruin probability of the compound Poisson surplus with Lindley frailty at initial
+    capital u >= 0: a number (a float out) or an array in one pass, bit for bit the same.
 
     The printed bracket multiplies exp(u phi/c) by Gamma(0, theta0 (u+lam)),
     an overflow/underflow pair; it is evaluated here through the scaled
@@ -70,14 +71,17 @@ def ruin_probability(lam: float, phi: float, c: float, u: float) -> float:
     for name, val in (("lam", lam), ("phi", phi), ("c", c)):
         if val <= 0:
             raise ValueError(f"{name} must be positive")
-    if u < 0:
+    u = np.asarray(u, dtype=float)
+    if np.count_nonzero(u < 0.0):
         raise ValueError("initial capital must be nonnegative")
     theta0 = _theta0(phi, c)
-    z = theta0 * (u + lam)
-    bracket = 1.0 + (u + lam) * exp_scaled_expn(1, z)
-    correction = (lam / (1.0 + lam) * (lam / (u + lam))
-                  * (theta0 * exp(-theta0 * lam)) * bracket)
-    return ruin_probability_limit(lam, phi, c) + correction
+    y = u + lam
+    with np.errstate(over="ignore"):  # (a z past the float maximum is inf: e^z E1(z) = 0)
+        z = theta0 * y
+    bracket = 1.0 + y * exp_scaled_expn(1, z)
+    correction = lam / (1.0 + lam) * (lam / y) * (theta0 * exp(-theta0 * lam)) * bracket
+    out = ruin_probability_limit(lam, phi, c) + correction
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,34 @@ class TestBeta2KernelAtFloatMax:
         assert got == pytest.approx(want, rel=1e-13)
 
 
+HUGE_BETA2_SHAPES = [(1e6, 0.5), (1e6, 2.0), (1e6, 10.0), (1e7, 10.0), (1e7, 100.0),
+                     (1e8, 100.0), (1e8, 1e4)]
+
+
+def _mp_log_beta(a, b):
+    with mp.workdps(40):
+        return float(mp.log(mp.beta(mp.mpf(a), mp.mpf(b))))
+
+
+class TestBeta2LogBetaAtHugeShapes:
+    """log B(beta, gam) of the second-kind beta law, past a shape of 1e5, where scipy's
+    betaln is 1e-10 to 3e-7 off and L(1e-300) read above 1."""
+
+    @pytest.mark.parametrize("beta, gam", HUGE_BETA2_SHAPES)
+    def test_laplace_at_a_tiny_s_is_one(self, beta, gam):
+        got = BetaSecondKindMixing(beta, gam).log_abs_laplace_derivative(0, 1e-300)
+        eps = np.finfo(float).eps
+        assert abs(got) <= 4.0 * eps * max(1.0, abs(_mp_log_beta(beta, gam)))
+
+    @pytest.mark.parametrize("beta, gam", HUGE_BETA2_SHAPES)
+    def test_log_pdf_at_one(self, beta, gam):
+        # log f(1) = -(beta + gam) log 2 - log B(beta, gam)
+        got = BetaSecondKindMixing(beta, gam)._log_pdf(np.array(1.0))
+        want = -(beta + gam) * math.log(2.0) - _mp_log_beta(beta, gam)
+        eps = np.finfo(float).eps
+        assert got == pytest.approx(want, rel=4.0 * eps, abs=0.0)
+
+
 class TestBeta2KernelAtTinyShape:
     @pytest.mark.parametrize("s", [1e-10, 1e-300])
     def test_flat_kummer_integrand_is_refused(self, s):

@@ -129,7 +129,29 @@ class TestRuinProbability:
             limit = 1 - (1 + lm * (1 + t0)) / (1 + lm) * mp.exp(-t0 * lm)
             want = float(limit + lm ** 2 * ph * mp.exp(um * t0) / (cm * (1 + lm) * (um + lm))
                          * (mp.exp(-z) + (um + lm) * mp.e1(z)))
-        assert ruin_probability(lam, phi, c, u) == pytest.approx(want, rel=1e-13, abs=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ruin_probability(lam, phi, c, u)
+            as_array = ruin_probability(lam, phi, c, np.array([u, u]))
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert np.array_equal(as_array, [got, got])
+
+    @pytest.mark.parametrize("lam,phi,c", [(1.0, 1.0, 1.5), (0.3, 2.0, 1.0), (1e200, 1.0, 1.5),
+                                           (1e300, 1e10, 1.0), (1.0, 1e300, 1e-8)])
+    def test_array_equals_scalar_calls(self, lam, phi, c):
+        # both routes of e^z E1(z) (z past 701.8 takes the fraction) and z = inf
+        u = np.concatenate(([0.0, 1e300], np.logspace(-3, 4, 60), np.linspace(690, 720, 31)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ruin_probability(lam, phi, c, u.reshape(-1, 3))
+            want = [ruin_probability(lam, phi, c, float(v)) for v in u]
+        assert got.shape == (u.size // 3, 3)
+        assert np.array_equal(got.ravel(), want)
+        assert all(type(v) is float for v in want)
+
+    def test_array_domain(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ruin_probability(1.0, 1.0, 1.0, np.array([1.0, -0.5]))
 
     @pytest.mark.parametrize("phi,c", [(1e300, 1e-300), (1e-300, 1e300)])
     def test_theta0_must_be_a_positive_float(self, phi, c):

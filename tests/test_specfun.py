@@ -703,6 +703,67 @@ class TestExpScaledExpn:
             exp_scaled_expn(0, 1.0)
 
 
+def _mp_exp_scaled_expn(n, z):
+    """e^z E_n(z) at 50 digits: mpmath's expint up to z = 1e6, past it the asymptotic
+    series (1/z) sum_k (-1)^k (n)_k / z^k, whose twelfth term is below 1e-50 there
+    (mpmath's expint reads 0 at z = 1e54)."""
+    with mp.workdps(50):
+        z = mp.mpf(z)
+        if z <= 1e6:
+            return float(mp.e ** z * mp.expint(n, z))
+        total, term = mp.mpf(0), 1 / z
+        for k in range(12):
+            total += term
+            term *= -(n + k) / z
+        return float(total)
+
+
+class TestExpScaledExpnSweep:
+    """e^z E_n(z) on both routes: scipy's exp1/expn times e^z where E_n is a normal
+    double, Legendre's fraction past its underflow edge near z = 701.8."""
+
+    # 1e-3 to 1e300, every 0.25 from 700 to 708 across the edge, and 1 to 1e4 densely
+    Z = np.concatenate((np.logspace(-3, 300, 304), np.linspace(700.0, 708.0, 33),
+                        np.logspace(0.0, 4.0, 81)))
+
+    def test_reference_series_meets_expint(self):
+        for n in (1, 7):
+            for z in (2e6, 1e8, 1e12):
+                with mp.workdps(50):
+                    direct = float(mp.e ** mp.mpf(z) * mp.expint(n, mp.mpf(z)))
+                assert _mp_exp_scaled_expn(n, z) == direct
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_against_mpmath(self, n):
+        got = exp_scaled_expn(n, self.Z)
+        want = np.array([_mp_exp_scaled_expn(n, z) for z in self.Z])
+        assert np.abs(got / want - 1.0).max() <= 3e-15
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_array_equals_scalar_calls(self, n):
+        z = np.append(self.Z, (inf, 701.8)).reshape(-1, 2)
+        got = exp_scaled_expn(n, z)
+        assert got.shape == z.shape
+        want = np.array([exp_scaled_expn(n, float(v)) for v in z.ravel()]).reshape(z.shape)
+        assert np.array_equal(got, want)
+        assert all(type(exp_scaled_expn(n, float(v))) is float for v in (0.5, 800.0, inf))
+
+    def test_infinity_gives_zero(self):
+        assert exp_scaled_expn(1, inf) == 0.0
+        assert exp_scaled_expn(3, inf) == 0.0
+        assert exp_scaled_expn(2, np.array([inf, 800.0]))[0] == 0.0
+
+    def test_step_cap_raises(self, monkeypatch):
+        # the fraction never returns an unconverged value: E_1 at a z it takes in 3
+        # steps, with the cap at 2, and the fraction itself at a z far below its range
+        monkeypatch.setattr(specfun, "_LEGENDRE_STEPS", 2)
+        with pytest.raises(PrecisionError, match="continued fraction"):
+            exp_scaled_expn(1, 800.0)
+        monkeypatch.undo()
+        with pytest.raises(PrecisionError, match="continued fraction"):
+            specfun._legendre(np.array([0.0]), np.array([1e-3]))
+
+
 def _mp_log_betainc(a, b, t, log_t):
     """log I_t(a, b) at 40 digits, at t = exp(log_t) (which holds t where it underflows)."""
     with mp.workdps(40):
