@@ -43,11 +43,13 @@ Memory budget.  The base class runs _log_kernel on blocks of
 _KERNEL_CELLS // (1 + max|k|) points of s (all of s when they fit), so an
 array with a row per order (a recurrence, its partial sums, the rows) has
 at most _KERNEL_CELLS = 2^16 cells (512 kB), whatever the order and the
-length of s; a Kummer integral (beta2, Gleser) adds a few dozen arrays
-of one cell per point (25 MB at 2^16 points).  An order past the budget
-for one point (|k| >= 2^16), or a stable row past the largest Bell
-triangle (order 2047, 32 MB per index), raises DerivativeCapError before
-anything is allocated; at most _BELL_CACHE = 8 triangles are kept.
+length of s; a Kummer integral (beta2, Gleser) forms its grid per block of
+256 columns on at most 2^18 cells (specfun.log_kummer_u_integral): beta2
+order 0 holds 6 MB beyond its output at 2^16 points and 9 MB at 200000.
+An order past the budget for one point (|k| >= 2^16), or a stable row past
+the largest Bell triangle (order 2047, 32 MB per index), raises
+DerivativeCapError before anything is allocated; at most _BELL_CACHE = 8
+triangles are kept.
 
 Scale.  Every law but the stable and second-kind beta ones has a scale c,
 Theta = c Theta_1 with the unit law Theta_1 free of c: gamma 1/beta, Gleser
@@ -85,8 +87,9 @@ log_neg_moment(r) = log_unit_neg_moment(r) - r log c, so a ratio of them
   long double, rounded once) and cached per index in sizes of a power of two
   rows (_power_bell), reduced one requested row at a time.  It has no
   negative order: UnsupportedModelError.
-* Second-kind beta: the log of a Kummer integral, one call per order of
-  either sign for every s at once (specfun.log_kummer_u_integral).
+* Second-kind beta: the log of a Kummer integral, one call for every order
+  of either sign and every s at once (specfun.log_kummer_u_integral), with
+  log L clamped at 0.
 
 Every ratio Gamma(a + r) / Gamma(a) here (the gamma kernel, the negative
 moments, the tail-moment shifts and constants) is specfun.log_poch,
@@ -1531,18 +1534,15 @@ class BetaSecondKindMixing(MixingDistribution):
 
     def _log_kernel(self, orders, s, log_s):
         # E(Theta^k e^{-s Theta}) = Gamma(beta+k) U(beta+k, 1+k-gam, s) / B(beta, gam), one
-        # Kummer integral per order: in one call for every order the grid would be as long
-        # as the widest order's and as fine as the sharpest's (3-7x the time on 1000
-        # points); L(0) = 1, and the integral needs s > 0
-        zero, k = s == 0.0, orders.k
-        out = np.empty((k.size,) + s.shape)
-        for i, n in enumerate(k.tolist()):
-            out[i] = log_kummer_u_integral(self.beta + n, 1.0 + n - self.gam,
-                                           s if n else np.where(zero, 1.0, s))
-            out[i] -= self._log_b
-            if not n:
-                out[i, zero] = 0.0
-        return out
+        # Kummer integral for every order; L(0) = 1, and the integral needs s > 0.  log L
+        # is clamped at 0: where beta is huge, log K and log B cancel to an ulp of their size
+        k = orders.col
+        first = k == 0.0
+        zero = first & (s == 0.0)
+        out = log_kummer_u_integral(self.beta + k, 1.0 + k - self.gam, np.where(zero, 1.0, s))
+        out -= self._log_b
+        out[zero] = 0.0
+        return np.minimum(out, 0.0, out=out, where=first)
 
     def _generator(self, t):
         def invert(ti):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from .aggregate import lindley_model, pdf
-from .specfun import exp_scaled_expn, log_poch
+from .specfun import exp_scaled_expn, log_betainc, log_poch
 
 __all__ = [
     "ruin_probability",
@@ -65,8 +65,9 @@ def ruin_probability(lam: float, phi: float, c: float, u):
                  * [1 + (u+lam) e^z E1(z)],   z = theta0 (u + lam),
 
     with lam^2 / ((1+lam)(u+lam)) taken as the product of the ratios
-    lam/(1+lam) and lam/(u+lam), so that no finite lam overflows.  A theta0
-    that is not a positive finite float is a ValueError.
+    lam/(1+lam) and lam/(u+lam), so that no finite lam overflows.  Where u +
+    lam is inf (u = inf) it is the limit itself.  A theta0 that is not a
+    positive finite float is a ValueError.
     """
     for name, val in (("lam", lam), ("phi", phi), ("c", c)):
         if val <= 0:
@@ -76,11 +77,17 @@ def ruin_probability(lam: float, phi: float, c: float, u):
         raise ValueError("initial capital must be nonnegative")
     theta0 = _theta0(phi, c)
     y = u + lam
-    with np.errstate(over="ignore"):  # (a z past the float maximum is inf: e^z E1(z) = 0)
+    # a z past the float maximum is inf, where e^z E1(z) = 0; at y = inf the bracket is
+    # inf 0 = nan, and psi the limit
+    with np.errstate(over="ignore", invalid="ignore"):
         z = theta0 * y
-    bracket = 1.0 + y * exp_scaled_expn(1, z)
+        bracket = 1.0 + y * exp_scaled_expn(1, z)
     correction = lam / (1.0 + lam) * (lam / y) * (theta0 * exp(-theta0 * lam)) * bracket
-    out = ruin_probability_limit(lam, phi, c) + correction
+    limit = ruin_probability_limit(lam, phi, c)
+    out = limit + correction
+    far = y == inf
+    if np.count_nonzero(far):
+        out = np.where(far, limit, out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -165,8 +172,11 @@ def geometric_counts(p: float) -> NegativeBinomialCounts:
     return NegativeBinomialCounts(1.0, p)
 
 
-# the vanishing negative binomial index whose limit is the logarithmic law
+# the vanishing negative binomial index whose limit is the logarithmic law; the smallest
+# normal double, and the log of the smallest positive one
 _LOGARITHMIC_R = 1e-20
+_FLOAT_TINY = float(np.finfo(float).tiny)
+_LOG_SUBNORMAL = log(math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -211,14 +221,26 @@ class LogarithmicCounts:
 
         At r = 1e-20 the ratio is that limit to a relative O(r (L + log n)),
         far below rounding; both factors are about r L, which is why the
-        limit is not used for small phi, where they would underflow."""
+        limit is not used for small phi, where they would underflow.  The
+        numerator, r times the tail, is below the smallest normal double where
+        the tail is below about 2e-288 (betainc read 0.0 at phi = 0.51, n =
+        1000, where the tail is 5.4e-296); there it is read as its log
+        (specfun.log_betainc), and the tail is 0 where its bound phi^{n+1} /
+        ((n+1) L (1 - phi)) underflows.  In between, past phi of about 0.966,
+        the series of log_betainc needs more than its 1000 terms:
+        PrecisionError."""
         phi, n1 = self.phi, n_max + 1.0
         log_q = math.log1p(-phi)
         if phi <= 0.5:
             return float(phi ** n_max / n1 * (phi / -log_q)
                          * special.hyp2f1(1.0, n1, n1 + 1.0, phi))
         r = _LOGARITHMIC_R
-        return float(special.betainc(n1, r, phi) / -math.expm1(r * log_q))
+        i, p0 = special.betainc(n1, r, phi), -math.expm1(r * log_q)
+        if i >= _FLOAT_TINY:
+            return float(i / p0)
+        if n1 * log(phi) - log(n1 * -log_q * (1.0 - phi)) < _LOG_SUBNORMAL:
+            return 0.0
+        return float(np.exp(log_betainc(n1, r, phi, log(phi)) - log(p0)))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tomllib
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -188,6 +189,31 @@ class TestValidation:
                                     "--beta", "1", "--n", "2", "--grid", "0.1:1:5"])
         assert code == 2
         assert "positive" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["var", *PARETO], "missing --levels"),
+        (["var", *PARETO, "--levels", "1.5"], "levels must lie in (0, 1)"),
+        (["moments", *PARETO, "--orders", "0"], "moment orders must be positive integers"),
+        (["moments", *PARETO, "--orders", "x"], "invalid literal for int()"),
+        (["tau", "--model", "pareto", "--alpha", "3", "--beta", "1", "--n", "1"],
+         "tau needs n >= 2"),
+        (["ruin", "--lambda", "1", "--phi", "1", "--c", "-1", "--u", "1"], "c must be positive"),
+        (["ruin", "--lambda", "1", "--c", "1.5", "--u", "1"], "missing --phi"),
+        (RUIN + ["--u", "-1"], "u must be nonnegative"),
+        (["compound", "--primary", "poisson", "--phi", "1", "--x", "1"], "missing --lambda"),
+        (["compound", "--primary", "poisson", "--phi", "1", "--lambda", "-2", "--x", "1"],
+         "lambda must be positive"),
+        (["asymptotic", "--mixing", "gamma", "--alpha", "2", "--lambda", "1",
+          "--grid", "100:1000:3"], "missing --beta"),
+        (["survival", "--model", "pareto", "--alpha", "3", "--beta", "1",
+          "--grid", "0.1:1:5"], "missing --n"),
+    ], ids=["var-levels", "var-bad-level", "moments-order-0", "moments-order-x", "tau-n-1",
+            "ruin-c", "ruin-phi", "ruin-u", "compound-lambda", "compound-bad-lambda",
+            "asymptotic-beta", "survival-n"])
+    def test_each_validation_exits_2_with_its_message(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert any(message in line for line in err.splitlines() if line.startswith("error:"))
 
     def test_all_violations_reported_at_once(self, capsys):
         code, _, err = run(capsys, ["pdf", "--n", "0"])
@@ -808,6 +834,25 @@ class TestParserReuse:
 
 class TestConsoleEntryPoint:
     PDF = ["pdf", "--model", "pareto", "--alpha", "3", "--beta", "1", "--n", "2"]
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_script_entry_and_module_run(self):
+        # pyproject's console script is the module's main, and the module runs as a
+        # program: a CSV header and one row per grid point, exit 0
+        with open(self.ROOT / "pyproject.toml", "rb") as f:
+            assert tomllib.load(f)["project"]["scripts"]["riskmix"] == "riskmix.cli:main"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(self.ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "riskmix.cli", "survival", "--model",
+                               "pareto", "--alpha", "3", "--beta", "1", "--n", "2",
+                               "--grid", "0.1:10:5"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "x,survival" and len(lines) == 6
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [
+            0.1, 2.575, 5.05, 7.525, 10.0]
 
     @pytest.mark.parametrize("extra,want", [(["--grid", "0.01:10:50:log"], 0), ([], 2),
                                             (["--grid", "0:inf:3"], 2)],

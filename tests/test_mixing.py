@@ -24,6 +24,7 @@ from riskmix.errors import (
 from riskmix.aggregate import AggregateModel, pdf, survival, weibull_model
 from riskmix.dependence import pearson_rho
 from riskmix.riskmeasures import tail_moment
+from riskmix.specfun import log_kummer_u_integral
 from riskmix.mixing import (
     BetaSecondKindMixing,
     GammaMixing,
@@ -303,6 +304,17 @@ class TestBeta2LogBetaAtHugeShapes:
         want = -(beta + gam) * math.log(2.0) - _mp_log_beta(beta, gam)
         eps = np.finfo(float).eps
         assert got == pytest.approx(want, rel=4.0 * eps, abs=0.0)
+
+
+class TestBeta2LaplaceAtMostOne:
+    @pytest.mark.parametrize("beta", [1e8, 1e20, 1e200])
+    def test_log_laplace_is_clamped_at_zero(self, beta):
+        # log K and log B are both about -1380.9 at B2(1e200, 3), and cancelled to +2.3e-13
+        # at s = 1e-300, where the truth is -5e-101
+        s = np.geomspace(1e-300, 1e-20, 57)
+        rows = BetaSecondKindMixing(beta, 3.0).log_abs_laplace_derivative(np.array([0, 1]), s)
+        assert (rows[0] <= 0.0).all()
+        assert (BetaSecondKindMixing(beta, 3.0).laplace(s) <= 1.0).all()
 
 
 class TestBeta2KernelAtTinyShape:
@@ -1175,6 +1187,45 @@ class TestMemoryBudget:
         for i, k in enumerate(orders.tolist()):
             # a call of one order runs bigger blocks, whose Kummer steps differ
             assert log_error(rows[i], m.log_abs_laplace_derivative(k, s)).max() <= 1e-14
+
+    @pytest.mark.parametrize("m, orders", [
+        (BetaSecondKindMixing(3.0, 2.0), np.array([0])),
+        (GleserGammaMixing(0.55, 1.3), np.array([-1, -2])),
+    ], ids=["beta2-0", "gleser-1-2"])
+    def test_kummer_kernels_stay_within_budget(self, m, orders):
+        # 200000 points run in blocks of 65536 (beta2) or 21845 (Gleser), and each
+        # Kummer call in blocks of 256 columns on at most 2^18 grid cells: at most 10 MB
+        # beyond the output, where one grid for the whole call held 32.4 and 26.2 MB
+        s = np.geomspace(1e-3, 1e3, 200_000)
+        m.log_abs_laplace_derivative(orders, s[:10])
+        tracemalloc.start()
+        try:
+            rows = m.log_abs_laplace_derivative(orders, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 10e6
+        for i in (0, 99_999, 199_999):
+            one = m.log_abs_laplace_derivative(orders, s[i:i + 1])
+            assert log_error(rows[:, i], one[:, 0]).max() <= 2e-15
+
+    @pytest.mark.parametrize("points", [1, 1000])
+    def test_beta2_orders_share_one_kummer_call(self, points, monkeypatch):
+        # orders 0..32 in one call of the integral, which forms a grid per block of its
+        # columns: 33 calls, one per order, took 14 times as long on one point
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return log_kummer_u_integral(*args)
+
+        m = BetaSecondKindMixing(3.0, 2.0)
+        s = np.geomspace(1e-2, 1e2, points)
+        want = np.array([m.log_abs_laplace_derivative(k, s) for k in range(33)])
+        monkeypatch.setattr(mixing, "log_kummer_u_integral", counted)
+        rows = m.log_abs_laplace_derivative(np.arange(33), s)
+        assert len(calls) == 1
+        assert log_error(rows, want).max() <= 2e-15
 
     def test_real_order_runs_in_whole_blocks(self):
         # order 2.5 on 30000 points: blocks of 65536 // 3 = 21845 points

@@ -145,6 +145,16 @@ class TestValueAtRisk:
             with pytest.raises(TailUnderflowError, match="smallest positive double"):
                 value_at_risk(weibull_half_model(1e200, 2), lv)
 
+    @pytest.mark.parametrize("alpha, level, match", [
+        (0.01, 1 - 1e-15, "bracket expansion ran away"),
+        (1e10, 1e-320, "smallest positive double"),
+    ], ids=["beyond-the-far-grid", "below-the-low-grid"])
+    def test_quantile_past_the_bracket_grids(self, alpha, level, match):
+        # Pareto(0.01, 1): the 1 - 1e-15 quantile lies past the far grid's last point;
+        # Pareto(1e10, 1): the 1e-320 quantile lies below the low grid's first
+        with pytest.raises(TailUnderflowError, match=match):
+            value_at_risk(pareto_model(alpha, 1.0, 1), level)
+
     def test_far_quantile_inside_the_grid(self):
         # Pareto(0.05) tail: the quantile lies near 1e120, far beyond any
         # bracket a short doubling would reach

@@ -149,6 +149,19 @@ class TestRuinProbability:
         assert np.array_equal(got.ravel(), want)
         assert all(type(v) is float for v in want)
 
+    @pytest.mark.parametrize("lam,phi,c", [(1.0, 1.0, 2.0), (0.3, 2.0, 1.0), (1e200, 1.0, 1.5)])
+    def test_infinite_capital_is_the_limit(self, lam, phi, c):
+        # at u = inf the bracket 1 + (u + lam) e^z E1(z) was inf 0 = nan, with a warning
+        limit = ruin_probability_limit(lam, phi, c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ruin_probability(lam, phi, c, math.inf)
+            row = ruin_probability(lam, phi, c, np.array([0.0, 1.0, math.inf, 1e300]))
+        assert got == limit and type(got) is float
+        assert row[2] == limit
+        assert np.array_equal(row[[0, 1, 3]], [ruin_probability(lam, phi, c, u)
+                                                for u in (0.0, 1.0, 1e300)])
+
     def test_array_domain(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ruin_probability(1.0, 1.0, 1.0, np.array([1.0, -0.5]))
@@ -255,6 +268,30 @@ class TestTailMasses:
                     assert abs(got - want) <= 1e-13 * want, (n, got, float(want))
                 else:
                     assert got <= 1e-289, (n, got)
+
+    @pytest.mark.parametrize("phi,n", [(0.51, 1000), (0.5000001, 1000), (0.6, 1352),
+                                       (0.9, 6550)])
+    def test_logarithmic_tail_where_betainc_underflows(self, phi, n):
+        # tails from 1e-304 to 1e-291, where betainc(n + 1, 1e-20, phi), 1e-20 times the
+        # tail, underflowed to 0 (tail_mass read 0.0 at phi = 0.51, n = 1000).  The
+        # oracle is the direct 50-digit sum: mpmath's lerchphi is not trusted here
+        with mp.workdps(50):
+            ph = mp.mpf(phi)
+            k, term, tail = n + 1, ph ** (n + 1) / (n + 1), mp.mpf(0)
+            while term > tail * mp.mpf(10) ** -50:
+                tail += term
+                term = term * ph * k / (k + 1)
+                k += 1
+            want = float(tail / -mp.log1p(-ph))
+        assert 1e-305 < want < 1e-288
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = LogarithmicCounts(phi).tail_mass(n)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_logarithmic_tail_below_its_underflowing_bound(self):
+        # phi^(n+1) / ((n+1) L (1 - phi)) is e^-1002 at phi = 0.999, n = 1e6: the tail is 0
+        assert LogarithmicCounts(0.999).tail_mass(1_000_000) == 0.0
 
     @pytest.mark.parametrize("cnt", TAIL_COUNTS, ids=str)
     def test_matches_scipy_stats(self, cnt):

@@ -645,6 +645,50 @@ class TestKummerU:
             want = [self.log_integral_around_peak(1e200, b, zi, 250, quad=False) for zi in z]
             assert log_kummer_u_integral(1e200, b, z) == pytest.approx(want, rel=1e-13)
 
+    def test_large_shape_right_cut_against_mpmath(self):
+        # a from 10 to 1e8, b from a + 1 down to 1 - a, z from 1e-3 to 1e12: where z
+        # e^peak passed about 1e3 the right cut lay short of the peak (5e-6 of |log| off
+        # at a = 5.5e5, b = a + 0.996, z = 2.2e5)
+        rng = np.random.default_rng(5)
+        for _ in range(16):
+            a = math.exp(rng.uniform(math.log(10.0), math.log(1e8)))
+            b = a + 1.0 - math.exp(rng.uniform(math.log(1e-3), math.log(2.0 * a)))
+            z = math.exp(rng.uniform(math.log(1e-3), math.log(1e12)))
+            want = self.log_integral_around_peak(a, b, z, 40)
+            assert log_kummer_u_integral(a, b, z) == pytest.approx(want, rel=2e-15, abs=2e-15)
+
+    @pytest.mark.parametrize("a", [1e3, 1e4, 1e6, 1e8])
+    def test_gamma_integral_at_its_peak(self, a):
+        # b = a + 1 is Gamma(a) z^-a; at z = a the peak sits at t = 1, where the cut that
+        # lay short of it left log 0.2 out at a = 1e6
+        with mp.workdps(40):
+            want = float(mp.loggamma(a) - a * mp.log(a))
+        assert log_kummer_u_integral(a, a + 1.0, a) == pytest.approx(want, rel=2e-15)
+
+    def test_blocks_match_single_columns(self):
+        # 700 columns run in three blocks, each on its own grid; the single columns'
+        # grids differ from their block's only in terms below e^-50
+        rng = np.random.default_rng(3)
+        a = np.exp(rng.uniform(math.log(0.05), math.log(1e4), 700))
+        assert a.size > 2 * specfun._KUMMER_BLOCK
+        b = a + 1.0 - np.exp(rng.uniform(math.log(1e-3), np.log(2.0 * a)))
+        z = np.exp(rng.uniform(math.log(1e-12), math.log(1e12), 700))
+        got = log_kummer_u_integral(a, b, z)
+        want = [log_kummer_u_integral(*v) for v in zip(a.tolist(), b.tolist(), z.tolist())]
+        assert np.abs(got - want).max() <= 2e-15 * np.maximum(1.0, np.abs(want)).max()
+
+    def test_block_past_the_cell_budget_splits(self, monkeypatch):
+        # under a budget of 2000 cells a block of 256 columns, each with a grid of 177 to
+        # 293 cells, halves until each part's shared grid fits (8 columns or fewer); a
+        # column alone past the budget is refused
+        z = np.geomspace(1e-6, 1e6, 256)
+        full = log_kummer_u_integral(2.5, 0.5, z)
+        monkeypatch.setattr(specfun, "_KUMMER_CELLS", 2000)
+        assert np.abs(log_kummer_u_integral(2.5, 0.5, z) - full).max() <= 1e-14
+        monkeypatch.setattr(specfun, "_KUMMER_CELLS", 20)
+        with pytest.raises(PrecisionError, match="too flat"):
+            log_kummer_u_integral(2.5, 0.5, z)
+
     def test_narrow_peak_of_modest_height_is_refused(self):
         # b = a + 1 is the gamma integral Gamma(a) z^-a, whose log at z = a/e is
         # -log(a)/2 + O(1): a peak 1e-15 wide on a grid of doubles 1e-12 apart
