@@ -52,10 +52,10 @@ DEFAULT_SEED = 202508
 # budget of 2^16 rows long before it
 _MAX_CLAIMS = 10 ** 7
 # the largest simulate table, refused before sampling: the command holds the
-# claim matrix (8 B a cell) and formats up to _BLOCK_ROWS rows of it at once
-# (about 90 B a cell in CSV, 190 B in JSON, and more per column in a wide
-# table).  Measured peaks (ru_maxrss, Python 3.11) at these bounds: 340 MB for
-# JSON at 32 x 312500, 230 MB for CSV at 5 x 2000000; --n 1000000 --samples 2,
+# claim matrix (8 B a cell, twice while a stream's draws are divided into it)
+# and formats _BLOCK_ROWS rows of it at once (a few MB).  Measured peaks
+# (ru_maxrss, Python 3.11, 56 MB of it the imports) at these bounds: 212 MB for
+# JSON at 32 x 312500, 224 MB for CSV at 5 x 2000000; --n 1000000 --samples 2,
 # now refused, took 450 MB
 _MAX_SIM_WIDTH = 32
 _MAX_SIM_CELLS = 10 ** 7
@@ -69,12 +69,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-_BLOCK_ROWS = 1 << 15
+_BLOCK_ROWS = 1 << 11
 _ROW_SEP = {"csv": "\n", "json": ",\n"}
 
 
 def _cells(column, fmt):
-    """One column of a block as (conversion, values) for the row template.
+    """One column of a row list's block as (conversion, values) for the row template.
 
     A float column goes through one C-level call: '%.17g' in CSV, which is
     f"{v:.17g}", and one json.dumps of the whole list in JSON, whose items
@@ -89,14 +89,26 @@ def _cells(column, fmt):
 
 
 def _block_text(block, fmt, keys):
-    """Rows of one block, formatted by a single %-template over all values."""
-    columns = block.T.tolist() if isinstance(block, np.ndarray) else list(zip(*block))
-    specs, cells = zip(*(_cells(c, fmt) for c in columns))
+    """Rows of one block, formatted by a single %-template over all values.
+
+    A float array goes through the template as its flat list of values: '%.17g'
+    in CSV, and '%s' (float.__repr__) in JSON, where json.dumps's text replaces
+    NaN and the infinities.  A row list goes column by column through _cells."""
+    if isinstance(block, np.ndarray) and block.dtype == float:
+        specs = ("%.17g" if fmt == "csv" else "%s",) * block.shape[1]
+        values = block.ravel().tolist()
+        if fmt == "json":
+            for i in np.flatnonzero(~np.isfinite(block)).tolist():
+                values[i] = json.dumps(values[i])
+    else:
+        columns = block.T.tolist() if isinstance(block, np.ndarray) else list(zip(*block))
+        specs, cells = zip(*(_cells(c, fmt) for c in columns))
+        values = chain.from_iterable(zip(*cells))
     if fmt == "csv":
         row = ",".join(specs)
     else:
         row = "    {\n" + ",\n".join(f"      {k}: {c}" for k, c in zip(keys, specs)) + "\n    }"
-    return _ROW_SEP[fmt].join([row] * len(block)) % tuple(chain.from_iterable(zip(*cells)))
+    return _ROW_SEP[fmt].join([row] * len(block)) % tuple(values)
 
 
 def write_table(path, fmt, columns, rows, meta):
@@ -105,8 +117,9 @@ def write_table(path, fmt, columns, rows, meta):
     `rows` is a sequence of rows or a 2-D array.  The output is byte for byte
     what ",".join(_fmt(v) for v in row) per CSV line, or
     json.dumps(payload, indent=2), writes.  It is formatted and written in
-    blocks of _BLOCK_ROWS rows with one formatting pass per block, so a
-    million-row table is never held as text or as Python objects at once.
+    blocks of _BLOCK_ROWS rows with one %-template per block (_block_text), so
+    a million-row table is never held as text or as Python objects at once:
+    a block of 2^11 rows holds a few MB, and larger blocks format no faster.
     """
     if fmt == "csv":
         keys, opening, closing = None, ",".join(columns) + "\n", "\n"

@@ -910,15 +910,22 @@ class MixingDistribution:
         one past the lower end of its support: the kernel's independent oracle.
         It misses the integrand's peak at large s (past s of a few hundred for
         Levy, a few tens for Gleser), so it checks the kernel at moderate s only.
-        UnsupportedModelError from pdf for a law without a density."""
+        The integrand reads pdf's value on each float node, exp(_log_pdf) above the
+        support's lower end and 0 at or below it, without pdf's array wrapper (six
+        times the cost of the log density); UnsupportedModelError from _log_pdf for a
+        law without a density."""
         lo, _ = self.support
+        log_pdf = self._log_pdf
 
         def f(th):
-            return exp(k * log(th) - th * s) * self.pdf(th)
+            if th <= lo:
+                return 0.0
+            return exp(k * log(th) - th * s) * np.exp(log_pdf(th))
 
         mid = lo + 1.0
-        v1, _ = integrate.quad(f, lo, mid, **_QUAD_OPTS)
-        v2, _ = integrate.quad(f, mid, inf, **_QUAD_OPTS)
+        with np.errstate(divide="ignore", invalid="ignore"):  # (as in pdf)
+            v1, _ = integrate.quad(f, lo, mid, **_QUAD_OPTS)
+            v2, _ = integrate.quad(f, mid, inf, **_QUAD_OPTS)
         return v1 + v2
 
     def laplace(self, s):

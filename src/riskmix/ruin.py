@@ -15,7 +15,8 @@ import numpy as np
 from scipy import special
 
 from .aggregate import lindley_model, pdf
-from .specfun import exp_scaled_expn, log_betainc, log_poch
+from .errors import PrecisionError
+from .specfun import exp_scaled_expn, log_poch
 
 __all__ = [
     "ruin_probability",
@@ -177,6 +178,11 @@ def geometric_counts(p: float) -> NegativeBinomialCounts:
 _LOGARITHMIC_R = 1e-20
 _FLOAT_TINY = float(np.finfo(float).tiny)
 _LOG_SUBNORMAL = log(math.ulp(0.0))
+# the most terms LogarithmicCounts.tail_mass sums past betainc's range, and the terms it
+# forms at once: about 40 / (1 - phi) of them are needed, so phi up to about 1 - 1.2e-5
+# (28 ms there)
+_LOG_TAIL_TERMS = 1 << 22
+_LOG_TAIL_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -224,11 +230,17 @@ class LogarithmicCounts:
         limit is not used for small phi, where they would underflow.  The
         numerator, r times the tail, is below the smallest normal double where
         the tail is below about 2e-288 (betainc read 0.0 at phi = 0.51, n =
-        1000, where the tail is 5.4e-296); there it is read as its log
-        (specfun.log_betainc), and the tail is 0 where its bound phi^{n+1} /
-        ((n+1) L (1 - phi)) underflows.  In between, past phi of about 0.966,
-        the series of log_betainc needs more than its 1000 terms:
-        PrecisionError."""
+        1000, where the tail is 5.4e-296), and the tail is 0 where its bound
+        phi^{n+1} / ((n+1) L (1 - phi)) underflows.  In between the tail is the
+        series of positive terms again,
+
+            phi^{n+1} / L * sum_j phi^j / (n+1+j),
+
+        its sum a normal double and phi^{n+1} formed in log space (in long
+        double: (n+1) log phi passes 700 there).  The terms after the J-th sum
+        to at most phi^J / (1 - phi) of the whole, so it takes the first J that
+        brings that below 2^-56, about 40 / (1 - phi) terms; PrecisionError past
+        _LOG_TAIL_TERMS of them."""
         phi, n1 = self.phi, n_max + 1.0
         log_q = math.log1p(-phi)
         if phi <= 0.5:
@@ -238,9 +250,20 @@ class LogarithmicCounts:
         i, p0 = special.betainc(n1, r, phi), -math.expm1(r * log_q)
         if i >= _FLOAT_TINY:
             return float(i / p0)
-        if n1 * log(phi) - log(n1 * -log_q * (1.0 - phi)) < _LOG_SUBNORMAL:
+        log_phi = log(phi)
+        if n1 * log_phi - log(n1 * -log_q * (1.0 - phi)) < _LOG_SUBNORMAL:
             return 0.0
-        return float(np.exp(log_betainc(n1, r, phi, log(phi)) - log(p0)))
+        terms = math.ceil((log_q - 56.0 * log(2.0)) / log_phi)
+        if terms > _LOG_TAIL_TERMS:
+            raise PrecisionError(
+                f"the logarithmic tail at phi = {phi!r}, n = {n_max} needs {terms} terms, "
+                f"more than the {_LOG_TAIL_TERMS} it may sum")
+        total = 0.0
+        for start in range(0, terms, _LOG_TAIL_CHUNK):
+            j = np.arange(start, min(start + _LOG_TAIL_CHUNK, terms), dtype=float)
+            total += float(np.sum(np.exp(j * log_phi) / (n1 + j)))
+        lead = np.longdouble(n1) * np.log1p(np.longdouble(phi - 1.0))
+        return float(np.exp(lead + (log(total) - log(-log_q))))
 
 
 @dataclass(frozen=True)

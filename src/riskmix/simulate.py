@@ -69,10 +69,9 @@ def _fill_block(model, out, rng):
     np.divide(draws, theta[:, None], out=out)
 
 
-def sample_vector(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
-    """Draw the (samples x n) claim matrix; rows are iid, the frailty draw is
-    shared across the columns of a row."""
-    out = np.empty((plan.samples, plan.n), dtype=float)
+def _run_streams(plan: SimulationPlan, threads: int, fill):
+    """fill(lo, hi, rng) on each stream's rows lo:hi, with the stream's own generator,
+    on up to `threads` worker threads."""
     seqs = np.random.SeedSequence(plan.seed).spawn(plan.streams)
     base, rem = divmod(plan.samples, plan.streams)
     bounds = []
@@ -85,8 +84,7 @@ def sample_vector(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
     def work(i):
         lo, hi = bounds[i]
         if hi > lo:
-            rng = np.random.Generator(np.random.Philox(seqs[i]))
-            _fill_block(plan.model, out[lo:hi], rng)
+            fill(lo, hi, np.random.Generator(np.random.Philox(seqs[i])))
 
     if threads <= 1:
         for i in range(plan.streams):
@@ -94,11 +92,34 @@ def sample_vector(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, range(plan.streams)))
+
+
+def sample_vector(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
+    """Draw the (samples x n) claim matrix; rows are iid, the frailty draw is
+    shared across the columns of a row."""
+    out = np.empty((plan.samples, plan.n), dtype=float)
+    _run_streams(plan, threads, lambda lo, hi, rng: _fill_block(plan.model, out[lo:hi], rng))
     return out
 
 
 def sample_sums(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
-    return sample_vector(plan, threads=threads).sum(axis=1)
+    """The row sums of sample_vector(plan, threads), each stream's block summed as it
+    is drawn, so the whole matrix is never held.  The columns are added left to
+    right, which is numpy's sum(axis=1) bit for bit below 8 columns (its pairwise
+    sum is sequential there); from 8 columns on, where numpy keeps 8 partial sums,
+    the two differ by at most n 2^-52 of the sum (both add positive claims)."""
+    sums = np.empty(plan.samples, dtype=float)
+
+    def fill(lo, hi, rng):
+        block = np.empty((hi - lo, plan.n), dtype=float)
+        _fill_block(plan.model, block, rng)
+        total = sums[lo:hi]
+        total[:] = block[:, 0]
+        for column in block.T[1:]:
+            total += column
+
+    _run_streams(plan, threads, fill)
+    return sums
 
 
 def empirical_ks(sums: np.ndarray, cdf) -> float:

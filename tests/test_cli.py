@@ -780,6 +780,17 @@ class TestWriteTableOracle:
         for k in (3, 4, 5, 6, 10):
             assert self._written(tmp_path, fmt, self.COLUMNS, rows[:k]) == \
                 _reference_table(fmt, self.COLUMNS, rows[:k], _META)
+        # float arrays take the flat template, which writes NaN and the infinities
+        # as json.dumps does
+        floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310,
+                  1.7976931348623157e308, 0.1]
+        mat = np.array([floats[i % 8:] + floats[:i % 8] for i in range(10)])
+        cols = tuple(f"x{i + 1}" for i in range(8))
+        for k in (3, 4, 5, 6, 9, 10):
+            want = _reference_table(fmt, cols, mat[:k].tolist(), _META)
+            assert self._written(tmp_path, fmt, cols, mat[:k]) == want
+            assert self._written(tmp_path, fmt, cols[:1], mat[:k, :1]) == \
+                _reference_table(fmt, cols[:1], mat[:k, :1].tolist(), _META)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_simulate_output_matches_reference(self, capsys, fmt):

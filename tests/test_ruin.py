@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from riskmix.aggregate import lindley_model, pdf_generic
+from riskmix.errors import PrecisionError
 from riskmix.ruin import (
     CompoundModel,
     LogarithmicCounts,
@@ -252,6 +253,13 @@ SCIPY_SF = {PoissonCounts: lambda c, n: stats.poisson.sf(n, c.phi),
             LogarithmicCounts: lambda c, n: stats.logser.sf(n, c.phi)}
 
 
+# P(N > n) of the logarithmic law, phi^(n+1) Phi(phi, 1, n+1) / L at 40 digits (mp.lerchphi)
+LERCHPHI_TAILS = {(0.97, 22000): 3.9796426766853071e-295,
+                  (0.99, 66000): 2.7229048792073098e-292,
+                  (0.999, 660000): 3.6497004714739045e-291,
+                  (0.99, 70000): 8.9185488048716429e-310}
+
+
 class TestTailMasses:
     """The counting laws' tail masses in closed form (pdtrc, betainc, hyp2f1)."""
 
@@ -270,24 +278,35 @@ class TestTailMasses:
                     assert got <= 1e-289, (n, got)
 
     @pytest.mark.parametrize("phi,n", [(0.51, 1000), (0.5000001, 1000), (0.6, 1352),
-                                       (0.9, 6550)])
+                                       (0.9, 6550), (0.97, 22000), (0.99, 66000),
+                                       (0.999, 660000), (0.99, 70000)])
     def test_logarithmic_tail_where_betainc_underflows(self, phi, n):
-        # tails from 1e-304 to 1e-291, where betainc(n + 1, 1e-20, phi), 1e-20 times the
+        # tails from 9e-310 to 1e-291, where betainc(n + 1, 1e-20, phi), 1e-20 times the
         # tail, underflowed to 0 (tail_mass read 0.0 at phi = 0.51, n = 1000).  The
-        # oracle is the direct 50-digit sum: mpmath's lerchphi is not trusted here
-        with mp.workdps(50):
-            ph = mp.mpf(phi)
-            k, term, tail = n + 1, ph ** (n + 1) / (n + 1), mp.mpf(0)
-            while term > tail * mp.mpf(10) ** -50:
-                tail += term
-                term = term * ph * k / (k + 1)
-                k += 1
-            want = float(tail / -mp.log1p(-ph))
-        assert 1e-305 < want < 1e-288
+        # oracle is the direct 50-digit sum: mpmath's lerchphi is not trusted here.  Past
+        # phi of about 0.966 log_betainc's series needed more than its 1000 terms
+        # (PrecisionError); those tails are pinned from 40-digit lerchphi, one of them
+        # subnormal, to within one subnormal ulp besides
+        want = LERCHPHI_TAILS.get((phi, n))
+        if want is None:
+            with mp.workdps(50):
+                ph = mp.mpf(phi)
+                k, term, tail = n + 1, ph ** (n + 1) / (n + 1), mp.mpf(0)
+                while term > tail * mp.mpf(10) ** -50:
+                    tail += term
+                    term = term * ph * k / (k + 1)
+                    k += 1
+                want = float(tail / -mp.log1p(-ph))
+            assert 1e-305 < want < 1e-288
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = LogarithmicCounts(phi).tail_mass(n)
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert got == pytest.approx(want, rel=1e-13, abs=math.ulp(0.0) if want < 1e-307 else 0.0)
+
+    def test_logarithmic_tail_term_budget(self):
+        # at phi = 1 - 1e-5 the series past betainc's range needs 5e6 terms
+        with pytest.raises(PrecisionError):
+            LogarithmicCounts(0.99999).tail_mass(67_000_000)
 
     def test_logarithmic_tail_below_its_underflowing_bound(self):
         # phi^(n+1) / ((n+1) L (1 - phi)) is e^-1002 at phi = 0.999, n = 1e6: the tail is 0

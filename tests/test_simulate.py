@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from riskmix import mixing
 from riskmix.aggregate import (
     cdf,
     gamma_claims_model,
@@ -12,7 +14,15 @@ from riskmix.aggregate import (
     weibull_model,
 )
 from riskmix.errors import UnsupportedModelError
-from riskmix.mixing import GammaMixing, GleserGammaMixing, PositiveStableMixing
+from riskmix.mixing import (
+    BetaSecondKindMixing,
+    GammaMixing,
+    GleserGammaMixing,
+    InverseGaussianMixing,
+    LevyMixing,
+    LindleyMixing,
+    PositiveStableMixing,
+)
 from riskmix.simulate import (
     SimulationPlan,
     empirical_ks,
@@ -100,6 +110,23 @@ class TestStatisticalProperties:
             assert abs(x[:, i].mean() - want) < 4 * se
 
 
+class TestSampleSums:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 13])
+    def test_row_sums_of_the_claim_matrix(self, n, threads):
+        # summed block by block as drawn, column by column: numpy's sum(axis=1) bit for
+        # bit below 8 columns, where its pairwise sum is sequential; within n 2^-52 of
+        # it from 8 on, both sums of positive claims
+        for model in (pareto_model(3.2, 1.0, n), gamma_claims_model(0.7, 1.3, n)):
+            plan = SimulationPlan(model, 5001, seed=19, streams=3)
+            got = sample_sums(plan, threads=threads)
+            want = sample_vector(plan, threads=threads).sum(axis=1)
+            if n < 8:
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= n * 2.0 ** -52 * want)
+
+
 class TestEmpiricalKS:
     def test_self_cdf_is_within_one_over_n(self):
         sums = sample_sums(SimulationPlan(pareto_model(3.0, 1.0, 2), 1000, seed=8))
@@ -134,6 +161,24 @@ class TestQuadratureMixturePdf:
     def test_stable_kind_unsupported(self):
         with pytest.raises(UnsupportedModelError):
             quadrature_mixture_pdf(PositiveStableMixing(0.5), 2, 1.0)
+        with pytest.raises(UnsupportedModelError):
+            GleserGammaMixing(1.0, 2.0).quadrature_transform(2, 1.0)
+
+    @pytest.mark.parametrize("law", [GammaMixing(2.5, 1.3), GammaMixing(0.6, 2.0),
+                                     LevyMixing(1.7), InverseGaussianMixing(2.0, 0.7),
+                                     LindleyMixing(1.3), GleserGammaMixing(0.4, 1.5),
+                                     BetaSecondKindMixing(2.0, 3.5)], ids=repr)
+    def test_transform_is_the_quadrature_of_the_density(self, law):
+        # the integrand reads the log density on each node, not pdf: QUADPACK sees the
+        # same values, so the transform is the quadrature of pdf bit for bit
+        lo = law.support[0]
+        for k, s in ((0, 0.5), (2, 1.0), (3.2, 4.0), (5, 0.1)):
+            def f(th):
+                return math.exp(k * math.log(th) - th * s) * law.pdf(th)
+
+            want = (integrate.quad(f, lo, lo + 1.0, **mixing._QUAD_OPTS)[0]
+                    + integrate.quad(f, lo + 1.0, math.inf, **mixing._QUAD_OPTS)[0])
+            assert law.quadrature_transform(k, s) == want
 
 
 class TestSampleFiles:
