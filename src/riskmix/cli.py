@@ -52,10 +52,10 @@ DEFAULT_SEED = 202508
 # budget of 2^16 rows long before it
 _MAX_CLAIMS = 10 ** 7
 # the largest simulate table, refused before sampling: the command holds the
-# claim matrix (8 B a cell, twice while a stream's draws are divided into it)
-# and formats _BLOCK_ROWS rows of it at once (a few MB).  Measured peaks
-# (ru_maxrss, Python 3.11, 56 MB of it the imports) at these bounds: 212 MB for
-# JSON at 32 x 312500, 224 MB for CSV at 5 x 2000000; --n 1000000 --samples 2,
+# claim matrix (8 B a cell; each stream draws its claims into it and divides them
+# there) and formats _BLOCK_ROWS rows of it at once (a few MB).  Measured peaks
+# (ru_maxrss, Python 3.11, 56 MB of it the imports) at these bounds: 141 MB for
+# JSON at 32 x 312500, 148 MB for CSV at 5 x 2000000; --n 1000000 --samples 2,
 # now refused, took 450 MB
 _MAX_SIM_WIDTH = 32
 _MAX_SIM_CELLS = 10 ** 7

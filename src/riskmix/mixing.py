@@ -133,7 +133,10 @@ is the finite mixture, whose weights and shapes it shows read-only:
   incomplete beta function (specfun.log_betainc): gamma (Pareto claims) one
   B2(n, alpha), Lindley, whose Theta lam is Ga(1, 1) with weight lam/(1+lam)
   and Ga(2, 1) otherwise, B2(n, 1) and B2(n, 2).
-These rows call no kernel.  Every other law (inverse Gaussian, second-kind
+These rows call no kernel.  At one point (a VaR step, a tail moment) they
+form y or t and their logs as numbers, the array path's operations on the same
+value, so that a one-point call pays for its arithmetic, not for (1,) arrays
+(MixtureRow._log_y, _beta2_t).  Every other law (inverse Gaussian, second-kind
 beta), and every fractional a, gets a KernelRow, which sums the kernel (at a
 fractional a only its log_pdf answers); its density limit at 0 is the law's
 _sum_pdf_at_zero; every row gives that limit with its log (pdf_at_zero), for
@@ -560,7 +563,11 @@ class MixtureRow(_Row):
 
     def _log_y(self, u, log_u):
         """(log y, y), y = u^power; log y is finite wherever y under- or overflows,
-        and every term is -inf where y does."""
+        and every term is -inf where y does.  At one point (a VaR step, a tail moment)
+        they are numbers, which the (n, 1) columns read without a (1,) array beside
+        them."""
+        if u.size == 1:
+            return self.power * log_u.item(), (u ** self.power).item()
         return self.power * log_u, u ** self.power
 
     def log_survival_terms(self, u, log_u, density=False):
@@ -571,15 +578,15 @@ class MixtureRow(_Row):
         terms = log_c + shapes_less_1 * log_y - y
         if self.shape0:
             terms[0] = log_gammaincc(self.shape0 + 1.0, y)
-        return (terms, self._log_u_density(log_y, y)) if density else terms
+        return (terms, self._log_u_density(log_y, y, u.ndim)) if density else terms
 
-    def _log_u_density(self, log_y, y):
-        """log(u f_1(u))."""
-        _, _, log_d, shapes = self._columns(y.ndim)
+    def _log_u_density(self, log_y, y, ndim):
+        """log(u f_1(u)) from _log_y at points of ndim axes."""
+        _, _, log_d, shapes = self._columns(ndim)
         return log(self.power) - y + _log_sum_exp(log_d + shapes * log_y)
 
     def _log_unit_pdf(self, u, log_u):
-        return self._log_u_density(*self._log_y(u, log_u)) - log_u
+        return self._log_u_density(*self._log_y(u, log_u), u.ndim) - log_u
 
     def pdf_at_zero(self) -> tuple:
         """(f_1(0+), its log), from the first term of positive weight, power d_k u^e with
@@ -690,10 +697,26 @@ class KernelRow(_Row):
         return log_n + np.logaddexp.reduce(np.concatenate((body, head), axis=1), axis=1)
 
 
-def _beta2_t(u, log_u):
-    """(t, log t) of t = 1/(1 + u) on arrays u >= 0 and log u of one shape: log t =
-    -_log1p(u, log u)."""
-    return 1.0 / (1.0 + u), -_log1p(u, log_u)
+def _beta2_t(u, log_u, density=False):
+    """(t, log t, log(1 - t)) of t = 1/(1 + u) on arrays u >= 0 and log u of one shape
+    (0-d too), log(1 - t) only with density=True (else None).  log t is -log1p(u), -log u
+    at u = inf; log(1 - t) = log(u/(1 + u)) is -log1p(1/u), which neither 1 - t nor log u
+    + log t would hold, and log u where u is not a normal double.  At one positive normal
+    point (a VaR step, a tail moment) all three are numbers, from the same operations on
+    the same value, and neither test is made."""
+    if u.size == 1:
+        v = u.item()
+        if _FLOAT_TINY <= v < inf:
+            return 1.0 / (1.0 + v), -np.log1p(v), -np.log1p(1.0 / v) if density else None
+    t, log_t = 1.0 / (1.0 + u), -np.log1p(u)
+    if np.count_nonzero(u == inf):
+        log_t = np.where(u == inf, -log_u, log_t)
+    if not density:
+        return t, log_t, None
+    log1m_t = -np.log1p(1.0 / np.maximum(u, _FLOAT_TINY))
+    if np.count_nonzero(u < _FLOAT_TINY):
+        log1m_t = np.where(u < _FLOAT_TINY, log_u, log1m_t)
+    return t, log_t, log1m_t
 
 
 @dataclass(frozen=True, eq=False)
@@ -734,23 +757,19 @@ class Beta2Row(_Row):
     def log_survival_terms(self, u, log_u, density=False):
         """The (m, *u.shape) log terms on an array u > 0 whose log-sum is log
         S_1(u), one per component; with density=True the pair (terms, log(u f_1(u)))."""
-        t, log_t = _beta2_t(u, log_u)
-        log_w, shapes, _ = self._columns(np.ndim(u))
+        t, log_t, log1m_t = _beta2_t(u, log_u, density)
+        log_w, shapes, log_d = self._columns(u.ndim)
         terms = log_w + log_betainc(shapes, self.n, t, log_t)
-        return (terms, self._log_density(1, u, log_u, log_t)) if density else terms
-
-    def _log_density(self, j, u, log_u, log_t):
-        """log(u^j f_1(u)) = log((1-t)^(n-1+j) sum_k d_k t^(a_k+1-j)), at j = 0 and 1, the
-        t of _beta2_t.  log(1 - t) = log(u/(1 + u)) is -log1p(1/u), which neither 1 - t
-        nor log u + log t would hold, and log u where u is not a normal double."""
-        _, shapes, log_d = self._columns(np.ndim(log_t))
-        log1m_t = -np.log1p(1.0 / np.maximum(u, _FLOAT_TINY))
-        if np.count_nonzero(u < _FLOAT_TINY):
-            log1m_t = np.where(u < _FLOAT_TINY, log_u, log1m_t)
-        return (self.n - 1 + j) * log1m_t + _log_sum_exp(log_d + (shapes + (1 - j)) * log_t)
+        if not density:
+            return terms
+        # log(u f_1(u)) = log((1-t)^n sum_j d_j t^a_j)
+        return terms, self.n * log1m_t + _log_sum_exp(log_d + shapes * log_t)
 
     def _log_unit_pdf(self, u, log_u):
-        return self._log_density(0, u, log_u, _beta2_t(u, log_u)[1])
+        # log f_1(u) = log((1-t)^(n-1) sum_j d_j t^(a_j+1))
+        _, log_t, log1m_t = _beta2_t(u, log_u, density=True)
+        _, shapes, log_d = self._columns(u.ndim)
+        return (self.n - 1) * log1m_t + _log_sum_exp(log_d + (shapes + 1) * log_t)
 
     def pdf_at_zero(self) -> tuple:
         """(f_1(0+), its log): sum_j w_j a_j at n = 1 (where 1/B(1, a) = a), 0 above it."""
@@ -769,7 +788,7 @@ class Beta2Row(_Row):
         E(S^r 1{S > a})), for each order r of a 1-D sequence, from one log_betainc call
         (KernelRow's survival terms are not needed)."""
         log_k, a, b = self._tail(tuple(orders))
-        t, log_t = _beta2_t(np.asarray(u, dtype=float), np.asarray(log_u))
+        t, log_t, _ = _beta2_t(np.asarray(u, dtype=float), np.asarray(log_u))
         return np.logaddexp.reduce(log_k + log_betainc(a, b, t, log_t), axis=1)
 
 

@@ -54,8 +54,12 @@ by c^r (the law's from_unit, in log space where the unit law's moment leaves
 the doubles, as at c = 1e300, a = 1e10).  Both logs round by |log S(a)| eps,
 so below log S(a) = -4096 the moment is refused (TailUnderflowError); a
 moment that over- or underflows a double is PrecisionError.  risk_report
-takes the row, the unit point u and the survival terms of VaR's last
-evaluation, so neither S(a) nor u costs a further call.  E(S^r | S > a) is
+takes from VaR's last evaluation the row, the unit point u with its log, log S_1(u)
+and the survival terms whose log-sum that is, so a warm report makes two one-point
+Newton row calls and one tail-moment call, and reduces the survival terms and takes
+log u only in the VaR loop.  At a step's one point the rows and specfun take numbers
+where a (1,) array held one value: the same operations on the same values, without
+the array scaffolding that cost more than their arithmetic.  E(S^r | S > a) is
 finite where E(Theta^-r) is: both ask the law's existence rule
 (require_neg_moment) before they evaluate anything.  Before that, an order
 that is not a whole number >= 1, or a threshold that is nan, infinite or
@@ -141,9 +145,25 @@ def _start(log_s, slopes, log_target, step) -> float:
     return s
 
 
+def _log_survival(terms):
+    """log S_1 from the survival terms at one point (a 1-D array): their log-sum, which
+    one term is."""
+    return terms[0] if len(terms) == 1 else np.logaddexp.reduce(terms)
+
+
+def _exp(v: float) -> float:
+    """numpy's exp of a float, inf where it overflows (past 709.78): np.errstate is
+    entered only near there."""
+    if v < 709.0:
+        return float(np.exp(v))
+    with np.errstate(over="ignore"):
+        return float(np.exp(v))
+
+
 def _value_at_risk(model: AggregateModel, level: float):
-    """VaR, the model's row, and the unit point u and the survival terms (the
-    row's log_survival_terms, a 1-D array) of the last evaluation, at VaR."""
+    """VaR, the model's row, and at the last evaluation (at VaR) the unit point u with
+    its log, log S_1(u) and the survival terms (the row's log_survival_terms, a 1-D
+    array) whose log-sum that is."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie strictly between 0 and 1")
     row = model.mixing.sum_row(model.total_shape)
@@ -151,17 +171,19 @@ def _value_at_risk(model: AggregateModel, level: float):
     grid, step = _VAR_NEAR, _NEAR_STEP
     log_grid, slopes, drop = _near_table(model.mixing._unit_law, model.total_shape)
     # the first point at or below the target: the first whose running minimum is
-    j = int(np.searchsorted(drop, -log_target))
+    j = int(drop.searchsorted(-log_target))
     if not 0 < j < grid.size:
         # the quantile lies below or beyond it
         grid, step = (_VAR_FAR if j else _VAR_LOW), _LOG2
         log_grid, slopes, drop = _grid_table(row, grid)
-        j = int(np.searchsorted(drop, -log_target))
+        j = int(drop.searchsorted(-log_target))
     if j == grid.size:
         raise TailUnderflowError("VaR bracket expansion ran away")
     if not j:
         raise TailUnderflowError("the quantile lies below the smallest positive double")
-    lo, hi = grid[j - 1], grid[j]
+    # (the steps in Python floats, whose arithmetic and powers are those of numpy's
+    # float64 scalars, bit for bit)
+    lo, hi = grid[j - 1:j + 1].tolist()
     u = lo * (hi / lo) ** _start(log_grid[j - 1:j + 1].tolist(),
                                  slopes[j - 1:j + 1].tolist(), log_target, step)
     # P is the smaller tail: S from the median up, F = 1 - S below it; F holds S's
@@ -174,9 +196,11 @@ def _value_at_risk(model: AggregateModel, level: float):
         # log u as the unit coordinate takes it (mixing's _unit), so that a tail moment at
         # VaR gives the report's digits
         point = np.array([u])
-        terms, log_uf = row.log_survival_terms(point, np.log(point), density=True)
+        log_u = np.log(point)
+        terms, log_uf = row.log_survival_terms(point, log_u, density=True)
         terms = terms[:, 0]
-        s = exp(np.logaddexp.reduce(terms))
+        log_s = _log_survival(terms)
+        s = exp(log_s)
         p = 1.0 - s if lower else s
         h = sign * ((log(p) if p > 0.0 else -inf) - log_p_target)
         if h == 0.0:
@@ -197,12 +221,12 @@ def _value_at_risk(model: AggregateModel, level: float):
         u = new
     else:
         raise RiskmixError(f"VaR iteration did not converge in {_VAR_MAXITER} steps")
-    x = model.mixing.from_unit(float(u), log(u))
+    x = model.mixing.from_unit(u, log(u))
     if not x:
         raise TailUnderflowError("the quantile lies below the smallest positive double")
     if x == inf:
         raise TailUnderflowError("the quantile lies past the largest double")
-    return x, row, u, terms
+    return x, row, (u, log_u.item(), log_s, terms)
 
 
 def value_at_risk(model: AggregateModel, level: float) -> float:
@@ -210,20 +234,19 @@ def value_at_risk(model: AggregateModel, level: float) -> float:
     return _value_at_risk(model, level)[0]
 
 
-def _tail_moments(law, row, a: float, u, log_u, terms, orders) -> dict:
-    """{r: E(S^r | S > a)} for a > 0, from the law's row, the unit point (u, log u)
-    of a and the survival terms there; TailUnderflowError where log S(a) lies below
-    _TAIL_LOG_FLOOR, PrecisionError where a moment is nan or leaves the doubles."""
-    log_surv = np.logaddexp.reduce(terms)
+def _tail_moments(law, row, a: float, point, orders) -> dict:
+    """{r: E(S^r | S > a)} for a > 0, from the law's row and the point of a:
+    the unit point u, log u, log S_1(u) and the survival terms there;
+    TailUnderflowError where log S(a) lies below _TAIL_LOG_FLOOR, PrecisionError where a
+    moment is nan or leaves the doubles."""
+    u, log_u, log_surv, terms = point
     if not log_surv >= _TAIL_LOG_FLOOR:
         raise TailUnderflowError(f"log survival({a}) = {log_surv:.6g} lies below "
                                  f"{_TAIL_LOG_FLOOR}, where the tail moment loses its digits")
     # the unit law's moment may leave the doubles where the answer does not: the law's
     # from_unit takes its log too
     log_moments = row.log_tail_moments(u, log_u, orders, terms) - log_surv
-    with np.errstate(over="ignore"):
-        moments = {r: law.from_unit(float(np.exp(v)), v, r)
-                   for r, v in zip(orders, log_moments.tolist())}
+    moments = {r: law.from_unit(_exp(v), v, r) for r, v in zip(orders, log_moments.tolist())}
     for m in moments.values():
         if not 0.0 < m < inf:
             how = {inf: "overflows a double", 0.0: "underflows a double"}.get(m, "is nan")
@@ -252,7 +275,8 @@ def tail_moment(model: AggregateModel, r: int, a: float) -> float:
     law = model.mixing
     law.require_neg_moment(r)
     row, (u, log_u) = law.sum_row(model.total_shape), law._unit(float(a))
-    return _tail_moments(law, row, a, u, log_u, row.log_survival_terms(u, log_u), (r,))[r]
+    terms = row.log_survival_terms(u, log_u)
+    return _tail_moments(law, row, a, (u, log_u, _log_survival(terms), terms), (r,))[r]
 
 
 def tvar(model: AggregateModel, level: float) -> float:
@@ -278,7 +302,7 @@ def risk_report(model: AggregateModel, level: float, orders=(1, 2)) -> RiskRepor
     orders = _whole_orders(orders)
     needed = tuple(dict.fromkeys((1, *orders)))
     model.mixing.require_neg_moment(max(needed))
-    a, row, u, terms = _value_at_risk(model, level)
-    tail = _tail_moments(model.mixing, row, a, u, np.log(u), terms, needed)
+    a, row, point = _value_at_risk(model, level)
+    tail = _tail_moments(model.mixing, row, a, point, needed)
     return RiskReport(level=level, var=a, tvar=tail[1],
                       tail_moments=tuple((r, tail[r]) for r in orders))

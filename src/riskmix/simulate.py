@@ -56,17 +56,16 @@ class SimulationPlan:
 
 
 def _fill_block(model, out, rng):
-    # X_ij = G_ij / Theta_i with G_ij ~ Gamma(shape_j, 1); at shape 1 numpy's
-    # gamma draws are its exponential ones, bit for bit.  One shape for every
-    # claim (always so for exponential claims) takes numpy's scalar-shape path,
-    # which draws the same values as the array path at about half the cost
+    # X_ij = G_ij / Theta_i with G_ij ~ Gamma(shape_j, 1), drawn into the block and
+    # divided there, so no second array of its size is held; at shape 1 numpy's gamma
+    # draws are its exponential ones, bit for bit.  One shape for every claim (always so
+    # for exponential claims) takes numpy's scalar-shape path, which draws the same
+    # values as the array path at about half the cost
     theta = model.mixing.sample(out.shape[0], rng)
     shapes = model.shapes
-    if len(set(shapes)) == 1:
-        draws = rng.standard_gamma(shapes[0], size=out.shape)
-    else:
-        draws = rng.gamma(np.asarray(shapes), 1.0, size=out.shape)
-    np.divide(draws, theta[:, None], out=out)
+    rng.standard_gamma(shapes[0] if len(set(shapes)) == 1 else np.asarray(shapes),
+                       size=out.shape, out=out)
+    np.divide(out, theta[:, None], out=out)
 
 
 def _run_streams(plan: SimulationPlan, threads: int, fill):

@@ -18,8 +18,8 @@ where it cancels less than eightfold.  At those points it holds Q to 2e-15
 relative, where scipy's series is up to 3e-14 off at a = 0.5; the other
 points keep scipy's value, up to 3.7e-15 off at a = 1e-3.
 
-One point outside both regions, as a VaR step asks for, costs one gammaincc
-and one log.
+One z outside both regions, as a VaR step and the tail moments at VaR ask for
+(at one shape or at a row of them), costs one gammaincc and one log.
 
 e^z E_n(z) = U(1, 2 - n, z) (exp_scaled_expn) is scipy's exp1 or expn times e^z where
 E_n is a normal double, and past that the same continued fraction at a = 1 - n.
@@ -29,7 +29,8 @@ b its finite sum of b positive terms: on a grid of points where the sum's
 Horner steps cost less than betainc, and wherever betainc underflows or the
 rounding of t moves it too far (a huge a).  Past those, where it underflows,
 its log comes from a series of positive terms with a stated remainder bound,
-in the pattern of log_gammaincc.
+in the pattern of log_gammaincc.  One t at most 1/2 where every value lies above
+1e-300, as at every step of a warm risk report, costs one betainc and one log.
 
 Everything here is a pure function of its arguments and safe to call from
 any thread.
@@ -159,11 +160,12 @@ def log_gammaincc(a, z):
     z <= 1.1 it takes the recurrence of _gammaincc_near (see the module docstring);
     every other point is scipy's value, bit for bit."""
     a, z = np.asarray(a, dtype=float), np.asarray(z, dtype=float)
-    if a.ndim == 0 and z.size == 1 and not (a.item() < 1.0 and 0.0 < z.item() <= 1.1):
-        # one point (a VaR step) outside the near band: one gammaincc and one log,
-        # the array path's operations on the same values, unless it is far
+    if z.size == 1 and not (0.0 < z.item() <= 1.1 and _least(a) < 1.0):
+        # one point (a VaR step, the tail moments at VaR) outside the near band: one
+        # gammaincc and one log, the array path's operations on the same values, unless
+        # a value is far
         q = special.gammaincc(a, z)
-        if q.item() > 1e-300:
+        if _least(q) > 1e-300:
             return np.asarray(np.log(q))
     near = (a < 1.0) & (z > 0.0) & (z <= 1.1)
     if not np.count_nonzero(near):
@@ -183,6 +185,12 @@ def log_gammaincc(a, z):
         if af.size:
             out[far] = af * np.log(zf) - zf + _log_hyperu_1(af, zf) - special.gammaln(af)
     return out
+
+
+def _least(v) -> float:
+    """The least value of an array as a number, inf for an empty one: at one value
+    without numpy's reduction, which costs more than a one-point call's arithmetic."""
+    return v.item() if v.size == 1 else float(v.min(initial=inf))
 
 
 def _log_hyperu_1(a, z):
@@ -252,12 +260,16 @@ def log_betainc(a, b, t, log_t):
     1 - I_{1-t}(b, a), scipy's betaincc at 1 - t: within 3e-14 + 3e-15 |log I| of
     50-digit mpmath at a from 1e6 to 1e16 and b from 1000 to 5000, I_t down to e^-191,
     where the rounding of 1 - t alone moves log I by about a (1-t) - b ulps."""
-    a, b, t = (np.asarray(v, dtype=float) for v in (a, b, t))
+    a, b, t = np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(t, dtype=float)
     if _sum_pays(a, b, t) and _whole(b):
         out = _log_betainc_sum(a, b, log_t)
         if not np.isnan(out).any():
             return out
     i = np.asarray(special.betainc(a, b, t))
+    if t.size == 1 and t.item() <= 0.5 and _least(i) > 1e-300:
+        # one point (a VaR step, a tail moment) that neither branch below takes, as at
+        # every step of a warm risk report: their masks screened by one test of numbers
+        return np.asarray(np.log(i))
     out = np.asarray(np.log(np.maximum(i, 1e-300)))
     hard = i <= 1e-300
     upper = t > 0.5

@@ -1538,3 +1538,38 @@ class TestRowCache:
         for name in ("_Row", "MixtureRow", "KernelRow", "Beta2Row"):
             names = {n.attr for n in ast.walk(classes[name]) if isinstance(n, ast.Attribute)}
             assert not {"scale", "log_scale", "_unit", "_unit_law"} & names, name
+
+
+class TestOnePointRows:
+    """A VaR step or a tail moment evaluates a row at one point, where the second-kind
+    beta row forms t, log t and log(1 - t) as numbers (mixing._beta2_t), the mixture row
+    log y and y (MixtureRow._log_y), and specfun's log_betainc and log_gammaincc skip the
+    masks of their rare branches: the array path's operations on the same values, which
+    the same point twice takes."""
+
+    LAWS = [GammaMixing(0.05, 1.0), GammaMixing(3.2, 1.0), GammaMixing(1e14, 1.0),
+            LindleyMixing(1.0), PositiveStableMixing(0.45), PositiveStableMixing(0.5),
+            LevyMixing(1.0), GleserGammaMixing(0.55, 1.0), GleserGammaMixing(1.0, 1.0)]
+    # the least subnormal, a subnormal, small u, t = 1/(1+u) > 1/2, u = 1, the bulk, I_t
+    # below 1e-300 (a = 3.2 from 1e150), y past the far edge of Q, and near the largest
+    # double
+    POINTS = (2.0 ** -1074, 1e-310, 1e-12, 0.3, 1.0, 7.5, 1e150, 1e305)
+
+    @pytest.mark.parametrize("law", LAWS, ids=repr)
+    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    def test_one_point_equals_the_array_path(self, law, n):
+        row = law.sum_row(n)
+        for v in self.POINTS:
+            u = np.array([v])
+            log_u = np.log(u)
+            twice, log_twice = np.r_[u, u], np.r_[log_u, log_u]
+            terms, density = row.log_survival_terms(twice, log_twice, density=True)
+            # (a Newton step's point has the shape (1,), a tail moment's threshold ())
+            for shape in ((1,), ()):
+                one, log_one = u.reshape(shape), log_u.reshape(shape)
+                got, got_density = row.log_survival_terms(one, log_one, density=True)
+                assert np.array_equal(got.reshape(-1), terms[:, 0]), v
+                assert got_density == density[0], v
+                plain = row.log_survival_terms(one, log_one).reshape(-1)
+                assert np.array_equal(plain, terms[:, 0]), v
+            assert row.log_pdf(u, log_u)[0] == row.log_pdf(twice, log_twice)[0], v

@@ -385,11 +385,13 @@ class TestTailKernelSum:
             assert got == pytest.approx(want, rel=1e-11)
 
     def test_var_is_its_last_evaluation(self):
-        # the returned VaR is the last point the iteration evaluated, within its tolerances
+        # the returned VaR is the last point the iteration evaluated, within its tolerances,
+        # handed on with its unit point's log and the log-sum of its survival terms
         for m in (pareto_model(3.0, 1.0, 10), weibull_model(0.45, 5)):
             for lv in (0.3, 0.9, 0.999):
-                a, _, _, terms = riskmeasures._value_at_risk(m, lv)
-                assert np.exp(np.logaddexp.reduce(terms)) == pytest.approx(survival(m, a), rel=1e-14)
+                a, _, (u, log_u, log_s, terms) = riskmeasures._value_at_risk(m, lv)
+                assert log_u == np.log(u) and log_s == np.logaddexp.reduce(terms)
+                assert np.exp(log_s) == pytest.approx(survival(m, a), rel=1e-14)
                 assert survival(m, a) == pytest.approx(1.0 - lv, rel=1e-9)
 
 
@@ -433,7 +435,7 @@ class TestOneKernelCallPerStep:
         for n in (2, 10, 32):
             m = SIX_MODELS[name](n)
             for lv in (0.3, 0.99):
-                a, _, _, _ = riskmeasures._value_at_risk(m, lv)
+                a, _, _ = riskmeasures._value_at_risk(m, lv)
                 assert a > 0
 
     @pytest.mark.parametrize("key", PINNED_REPORTS, ids=lambda key: f"{key[0]}-{key[1]}")
@@ -748,20 +750,34 @@ class TestNearTable:
                 want = below[0] if below.size else log_s.size
                 assert np.searchsorted(drop, -target) == want, (n, lv)
 
-    @pytest.mark.parametrize("name", RISK_WARM_MODELS)
+    @pytest.mark.parametrize("name", [*RISK_WARM_MODELS, "lindley"])
     def test_warm_reports_take_two_newton_steps(self, name, monkeypatch):
         # one-point Newton steps per warm report at the risk-warm levels: from the cubic
         # start on a bracket 2^(1/16) wide one step lands within 1e-14 of the root and
         # the second confirms it (the linear start on a factor-2 grid took 3 to 6, the
-        # cubic one 2 to 4)
+        # cubic one 2 to 4).  The report then makes one tail-moment call, and reduces
+        # the survival terms only in the VaR loop, once per step: the tail moments read
+        # the log S of the last step (Lindley's tail moments do not exist: its VaR)
         calls = count_survival_evaluations(monkeypatch)
+        tails, sums = [], []
+        for row in (MixtureRow, Beta2Row, KernelRow):
+            monkeypatch.setattr(row, "log_tail_moments",
+                                lambda self, *args, inner=row.log_tail_moments:
+                                tails.append(args) or inner(self, *args))
+        log_survival = riskmeasures._log_survival
+        monkeypatch.setattr(riskmeasures, "_log_survival",
+                            lambda terms: sums.append(terms) or log_survival(terms))
+        make = dict(RISK_WARM_MODELS, lindley=lambda n: lindley_model(1.0, n))[name]
+        report = value_at_risk if name == "lindley" else risk_report
         for n in (2, 5, 10, 32):
-            m = RISK_WARM_MODELS[name](n)
+            m = make(n)
             for lv in (0.9, 0.95, 0.99, 0.995, 0.999):
-                risk_report(m, lv)
-                calls.clear()
-                risk_report(m, lv)
+                report(m, lv)
+                for seen in (calls, tails, sums):
+                    seen.clear()
+                report(m, lv)
                 assert [u.size for u in calls] == [1, 1], (n, lv)
+                assert len(tails) == (name != "lindley") and len(sums) == 2, (n, lv)
 
     @pytest.mark.parametrize("alpha", [3.2, 5.0])
     def test_warm_pareto_report_forms_no_pochhammer(self, alpha, monkeypatch):

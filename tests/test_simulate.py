@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,39 @@ class TestStatisticalProperties:
         theta = model.mixing.sample(900, rng)
         want = rng.gamma(np.asarray(shapes), 1.0, size=(900, len(shapes))) / theta[:, None]
         assert np.array_equal(sample_vector(plan), want)
+
+    @pytest.mark.parametrize("shapes", [(1.0,) * 3, (0.5, 0.5), (0.5, 1.0, 2.5)],
+                             ids=["exponential", "equal-half", "mixed"])
+    def test_draws_into_the_block_are_those_of_a_draws_array(self, shapes):
+        # the claims are drawn into the output block and divided there by theta: the
+        # values of drawing them into an array of their own and dividing that into the
+        # block, stream by stream
+        model = sibuya_model(shapes, 2.0, 4.0)
+        plan = SimulationPlan(model, 1001, seed=23, streams=3)
+        want = []
+        for seq, rows in zip(np.random.SeedSequence(23).spawn(3), (334, 334, 333)):
+            rng = np.random.Generator(np.random.Philox(seq))
+            theta = model.mixing.sample(rows, rng)
+            if len(set(shapes)) == 1:
+                draws = rng.standard_gamma(shapes[0], size=(rows, len(shapes)))
+            else:
+                draws = rng.gamma(np.asarray(shapes), 1.0, size=(rows, len(shapes)))
+            want.append(draws / theta[:, None])
+        assert np.array_equal(sample_vector(plan), np.concatenate(want))
+
+    def test_no_second_block_is_held(self):
+        # beyond the (samples x n) output, sample_vector holds a stream's frailty draws
+        # and what its sampler needs: under 16 bytes a row for gamma frailty at n = 5,
+        # where a second array of the claims held 40 bytes a row more
+        plan = SimulationPlan(pareto_model(3.0, 1.0, 5), 100_000, seed=5, streams=2)
+        sample_vector(plan)
+        tracemalloc.start()
+        try:
+            x = sample_vector(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - x.nbytes <= 16 * plan.samples
 
     def test_sibuya_product_representation(self):
         beta, gam = 2.0, 4.0

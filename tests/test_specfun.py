@@ -370,11 +370,27 @@ class TestLogGammainccFarAndOnePoint:
                 assert one[0] == got[i, j] and zero == got[i, j], (ai, zj)
 
     def test_one_point_is_one_gammaincc(self, special_calls):
-        # a VaR step of gamma claims: z > 1.1, or a >= 1, and Q above 1e-300
-        for a, z in ((0.55, 5.3), (0.55, 1.2), (1.55, 0.7), (3.0, 600.0)):
+        # a VaR step of gamma claims: z > 1.1, or a >= 1, and Q above 1e-300; and the
+        # tail moments at VaR, every shape at one z
+        for a, z in ((0.55, 5.3), (0.55, 1.2), (1.55, 0.7), (3.0, 600.0),
+                     (np.array([[1.55, 2.55], [0.55, 1.0]]), 5.3),
+                     (np.array([[1.55, 2.55], [3.55, 4.55]]), 0.7)):
             special_calls.clear()
             log_gammaincc(a, np.array([z]))
             assert special_calls == ["gammaincc"], (a, z)
+
+    def test_one_point_of_many_shapes_equals_the_array_path(self):
+        # the tail moments of a mixture row at VaR: a row of shapes per order at one z,
+        # one gammaincc and one log unless z lies in the near band of a shape below 1
+        # or a value is far, the array path's values
+        a = np.array([[1e-3, 0.55, 1.0, 7.5], [1.55, 2.0, 142.0, 1e5]])
+        z = np.r_[0.0, 1e-300, 0.5, 1.1, np.nextafter(1.1, 2.0), 5.3, 680.0, 1e4, self.Z,
+                  np.inf]
+        got = log_gammaincc(a[..., None], z)
+        for j, zj in enumerate(z.tolist()):
+            for one in (log_gammaincc(a, np.array([zj])), log_gammaincc(a, zj),
+                        log_gammaincc(a[1:, 2:], zj)):
+                assert np.array_equal(one, got[-one.shape[0]:, -one.shape[1]:, j]), zj
 
 
 def _far_edge(a):
@@ -861,6 +877,29 @@ class TestLogBetainc:
         want = np.array([_mp_log_betainc(a, b, t[i], log_t[i]) for i in pick])
         assert np.abs(np.exp(grid[pick] - want) - 1.0).max() <= 1e-14
         assert np.abs(np.exp(one - want) - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("a", [0.05, 1.0, 2.0, 3.2, 1e14])
+    @pytest.mark.parametrize("b", [1.0, 2.0, 5.0, 32.0, 2.5])
+    def test_one_point_equals_the_array_path(self, a, b):
+        # a VaR step or the tail moments at VaR: one t and a column of one or two shapes,
+        # as a second-kind beta row holds them.  Where t <= 1/2 and every value lies
+        # above 1e-300 that is betainc and its log, the values of the array path, which
+        # the same t twice takes
+        col = np.array([[a], [a + 1.0]])
+        for u in (1e-300, 1e-12, 0.3, 1.0, 7.5, 1e150, 1e305):
+            t, log_t = 1.0 / (1.0 + u), -np.log1p(u)
+            two = specfun.log_betainc(col, b, np.array([t, t]), np.array([log_t, log_t]))
+            for one in (specfun.log_betainc(col, b, t, log_t),
+                        specfun.log_betainc(col[:1], b, np.array([t]), np.array([log_t]))):
+                assert np.array_equal(one[:, 0], two[:len(one), 0]), u
+
+    def test_one_point_is_one_betainc(self, special_calls):
+        # a warm Pareto or Lindley step: t <= 1/2, I_t above 1e-300
+        col = np.array([[1.0], [2.0]])
+        for u in (1.0, 7.5, 1e3):
+            special_calls.clear()
+            specfun.log_betainc(col, 5.0, 1.0 / (1.0 + u), -np.log1p(u))
+            assert special_calls == ["betainc"], u
 
     def test_which_route_pays(self):
         # the sum never on one value; on 1000, up to b = 50 at a real a, 12 at a whole one
