@@ -1,9 +1,11 @@
 """Modules that are bound at import time but executed on first use.
 
-`scipy.integrate` and `scipy.optimize` serve only oracles and rare paths,
-and importing them costs more than the rest of riskmix.  `lazy_import`
-puts the module object in `sys.modules` (and under the caller's name)
-without running it; the first attribute access executes it in place, so
+`scipy.integrate` serves only `dependence.kendall_tau_numeric` and
+`scipy.optimize` only the second-kind beta law's generator, and importing
+them costs more than the rest of riskmix (`scipy.integrate` alone adds
+about 26 MB and 0.27 s to a process that has imported `riskmix.cli`, on a
+2-vCPU host).  `lazy_import` puts the module object in `sys.modules` (and
+under the caller's name) without running it; the first attribute access executes it in place, so
 every holder sees the same, then real, module.
 
 Before Python 3.12 the first access is not thread-safe.  The only threads

@@ -13,10 +13,11 @@ import numpy as np
 from ._lazy import lazy_import
 from .aggregate import AggregateModel
 from .errors import UnsupportedModelError
-from .mixing import _QUAD_OPTS, _finite_exp
+from .mixing import _finite_exp
 from .specfun import log_poch
 
 integrate = lazy_import("scipy.integrate")
+_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
 
 __all__ = [
     "joint_survival",

@@ -13,7 +13,7 @@ fills a disjoint slice of the output.
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import exp, lgamma, log
+from math import exp, inf, lgamma, log
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _MAGIC = b"RMIXSMP1"
+_KS_BLOCK = 1 << 14  # the sorted sums empirical_ks hands the cdf at once
 
 
 @dataclass(frozen=True)
@@ -122,12 +123,19 @@ def sample_sums(plan: SimulationPlan, threads: int = 1) -> np.ndarray:
 
 
 def empirical_ks(sums: np.ndarray, cdf) -> float:
-    """Sup distance between the empirical cdf of `sums` and the callable cdf."""
+    """Sup distance between the empirical cdf of `sums` and the callable cdf, which is
+    called on blocks of _KS_BLOCK of the sorted sums, so that its temporaries do not
+    grow with the sample; a nan from it gives nan."""
     s = np.sort(np.asarray(sums, dtype=float))
     n = s.size
-    f = np.asarray(cdf(s), dtype=float)
-    i = np.arange(n)
-    return float(max(np.max(f - i / n), np.max((i + 1) / n - f)))
+    if not n:
+        raise ValueError("empirical_ks needs at least one sum")
+    dist = -inf
+    for lo in range(0, n, _KS_BLOCK):
+        f = np.asarray(cdf(s[lo:lo + _KS_BLOCK]), dtype=float)
+        i = np.arange(lo, lo + f.size)
+        dist = np.maximum(dist, max(np.max(f - i / n), np.max((i + 1) / n - f)))
+    return float(dist)
 
 
 def quadrature_mixture_pdf(mixing: MixingDistribution, n: float, x: float) -> float:

@@ -1,6 +1,7 @@
 """Special-function kernel: the log-Pochhammer symbol, the log of the
 regularized upper incomplete gamma and incomplete beta functions, the log of
-the raw Kummer integral and the scaled exponential integral e^z E_n(z).
+the raw Kummer integral, the scaled exponential integral e^z E_n(z), and one
+quadrature rule for positive integrands on a half-line.
 
 log_poch is the package's one ratio Gamma(a + r) / Gamma(a), exact to a few ulps
 of max(1, |log|) from a = 1e-3 to 1e300 (see its docstring); no other module
@@ -32,12 +33,21 @@ its log comes from a series of positive terms with a stated remainder bound,
 in the pattern of log_gammaincc.  One t at most 1/2 where every value lies above
 1e-300, as at every step of a warm risk report, costs one betainc and one log.
 
+de_quad integrates a positive integrand, given as its log, over (0, inf) by the
+double-exponential rule (Takahasi & Mori 1974): tanh-sinh on (0, 1], whose nodes
+reach d = 1e-308, so that a d^-0.95 end loses less than 1e-15 of its integral, and
+exp-sinh on (1, inf), out to e^522.  It halves its step until two levels agree to
+1e-12 and raises PrecisionError past 2^-11.  The mixture quadrature stops at steps
+2^-4 to 2^-8 for s up to 1e4 (2^-9 at 1e5), verify's normalisation and mean at 2^-4
+to 2^-7 for n up to 32; by step 2^-L the rule has evaluated about 20 2^L nodes.
+
 Everything here is a pure function of its arguments and safe to call from
 any thread.
 """
 
 import math
-from math import inf, log, sqrt
+from functools import lru_cache
+from math import inf, log, pi, sqrt
 
 import numpy as np
 from scipy import special
@@ -51,6 +61,7 @@ __all__ = [
     "log_betainc",
     "log_kummer_u_integral",
     "exp_scaled_expn",
+    "de_quad",
 ]
 
 # log-height below its peak at which the Kummer integrand is cut, and the
@@ -97,6 +108,15 @@ _BETAINC_REAL_S, _BETAINC_WHOLE_S = 130e-9, 30e-9
 # value at a rounded t is not trusted (an ulp of t then moves it by more than 64 ulps)
 _BETAINC_COARSE = 64.0
 _LOG_BETAINC_COARSE = log(_BETAINC_COARSE)
+
+# de_quad's nodes t = j h, |t| <= _DE_T: at t = -6.1 the tanh-sinh node's distance from 0
+# leaves the normal doubles, and at t = 6.5 the exp-sinh node lies at e^522.  Level L has
+# step h = 2^-L; the rule stops at the first level from _DE_FIRST_CHECK on whose value is
+# within _DE_RTOL of the last level's, and refuses the integral after _DE_LEVELS levels
+_DE_T = 6.5
+_DE_FIRST_CHECK = 2
+_DE_LEVELS = 12
+_DE_RTOL = 1e-12
 
 
 def log_poch(a, r):
@@ -515,3 +535,57 @@ def exp_scaled_expn(n: int, z):
         steps, b0 = _legendre(1.0 - n, z[far])
         out[far] = steps / b0
     return float(out) if out.ndim == 0 else out
+
+
+def de_quad(log_f):
+    """(I, e): I = int_0^inf exp(log_f(d)) dd by the double-exponential rule of Takahasi
+    and Mori (1974), e its last change between levels.  The rule is tanh-sinh on (0, 1]
+    and exp-sinh on (1, inf), so the integrand may be singular at d = 0 and decay as
+    slowly as a power at infinity.  log_f takes a 1-D array of the distances d > 0 of
+    the nodes from the left end, all nodes of a level at once, and returns their log
+    integrand, of the same shape or with a leading axis of integrands (then I and e are
+    arrays along it).  Each level halves the step and adds the nodes between the last
+    level's; the rule stops when every integral is within a relative _DE_RTOL of the
+    last level's (an integral of 0 stops at once), and raises PrecisionError where one
+    is not finite or after _DE_LEVELS levels."""
+    total = last = None
+    for level in range(_DE_LEVELS):
+        d, log_w = _de_nodes(level)
+        with np.errstate(over="ignore"):
+            terms = np.exp(log_f(d) + log_w).sum(axis=-1)
+        total = terms if total is None else total + terms
+        value = total * 2.0 ** -level
+        if not np.all(np.isfinite(value)):
+            raise PrecisionError(f"the double-exponential rule met a non-finite integral "
+                                 f"at step 2^-{level}")
+        if level >= _DE_FIRST_CHECK:
+            err = np.abs(value - last)
+            if np.all((err <= _DE_RTOL * value) & (value > 0.0)):
+                return value, err
+        last = value
+    raise PrecisionError(f"the double-exponential rule did not settle to {_DE_RTOL:g} "
+                         f"by step 2^-{_DE_LEVELS - 1}")
+
+
+@lru_cache(maxsize=None)
+def _de_nodes(level):
+    """(d, log w) of the nodes that level `level` of de_quad adds, every node t = j h,
+    |t| <= _DE_T, at level 0 and the odd j after it; w = dd/dt.  With u = (pi/2) sinh t,
+    the tanh-sinh nodes are d = 1/(1 + e^-2u) and the exp-sinh ones d = 1 + e^u.  A
+    node that rounds onto an end of its piece is left out: at d = 0 the integrand may
+    not exist, and a node that rounds to d = 1 carries less than an ulp of the piece's
+    width."""
+    h = 2.0 ** -level
+    j = np.arange(-math.floor(_DE_T / h), math.floor(_DE_T / h) + 1)
+    t = (j if level == 0 else j[j % 2 == 1]) * h
+    u = 0.5 * pi * np.sinh(t)
+    log_cosh = np.log(np.cosh(t))
+    head = special.expit(2.0 * u)
+    log_head_w = log(pi) + log_cosh + special.log_expit(2.0 * u) + special.log_expit(-2.0 * u)
+    tail = 1.0 + np.exp(u)
+    log_tail_w = log(0.5 * pi) + log_cosh + u
+    keep_head, keep_tail = (head >= _FLOAT_TINY) & (head < 1.0), tail > 1.0
+    d = np.concatenate((head[keep_head], tail[keep_tail]))
+    log_w = np.concatenate((log_head_w[keep_head], log_tail_w[keep_tail]))
+    d.flags.writeable = log_w.flags.writeable = False
+    return d, log_w

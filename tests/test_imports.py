@@ -1,7 +1,9 @@
 """What `import riskmix` executes.
 
 scipy.stats is never imported, and scipy.integrate and scipy.optimize are
-bound but run only when an oracle or a cold path first uses them.  The
+bound but run only when an oracle or a cold path first uses them: `verify`
+on every CLI law runs neither, and scipy.integrate serves only
+dependence.kendall_tau_numeric.  The
 check runs in a fresh interpreter: this suite's warning filter names
 scipy.integrate.IntegrationWarning, so pytest has imported scipy.integrate
 before any test starts.
@@ -27,6 +29,7 @@ from riskmix.mixing import (
 )
 
 SCRIPT = textwrap.dedent("""
+    import os
     import sys
 
     import riskmix
@@ -41,15 +44,25 @@ SCRIPT = textwrap.dedent("""
     assert riskmix.dependence.integrate is sys.modules["scipy.integrate"]
     assert riskmix.mixing.optimize is sys.modules["scipy.optimize"]
 
+    # verify's oracles (the mixture quadrature, the normalisation and mean) are
+    # specfun's double-exponential rule, which needs no scipy.integrate
+    for law in (["pareto", "--alpha", "3.2", "--beta", "1"], ["gamma", "--alpha", "0.55",
+                "--lambda", "1"], ["weibull-half", "--lambda", "1"], ["weibull", "--alpha", "0.55"],
+                ["invgauss", "--lambda", "1", "--mu", "1"], ["lindley", "--lambda", "1"]):
+        code = riskmix.cli.main(["verify", "--model", *law, "--n", "2", "--samples", "2000",
+                                 "--output", os.devnull])
+        assert code == 0, law
+    model = riskmix.pareto_model(3.0, 1.0, n=2)
+    got = riskmix.quadrature_mixture_pdf(model.mixing, 2, 1.0)
+    want = riskmix.pdf(model, 1.0)
+    assert abs(got - want) < 1e-13 * want, (got, want)
+    assert not executed("scipy.integrate")
+
     from riskmix.dependence import kendall_tau_numeric
     from riskmix.mixing import BetaSecondKindMixing
 
     tau = kendall_tau_numeric(riskmix.weibull_model(0.5, 2))
     assert abs(tau - 0.5) < 1e-9, tau
-    model = riskmix.pareto_model(3.0, 1.0, n=2)
-    got = riskmix.quadrature_mixture_pdf(model.mixing, 2, 1.0)
-    want = riskmix.pdf(model, 1.0)
-    assert abs(got - want) < 1e-10 * want, (got, want)
     assert executed("scipy.integrate")
 
     m = BetaSecondKindMixing(3.0, 1.0)

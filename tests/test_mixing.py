@@ -1253,12 +1253,15 @@ class TestRealOrders:
                 assert np.array_equal(m.log_abs_laplace_derivative(k, s), want)
 
     def test_quadrature_oracle_matches_the_kernel_at_integer_orders(self):
-        # the mixture quadrature, the kernels' oracle at moderate s
-        for m in (LevyMixing(1.3), InverseGaussianMixing(2.0, 0.7), LindleyMixing(1.5),
-                  GleserGammaMixing(0.55, 1.3)):
-            for k, s in ((2, 0.7), (5, 3.0)):
-                want = float(m.log_abs_laplace_derivative(k, s))
-                assert math.log(m.quadrature_transform(k, s)) == pytest.approx(want, abs=1e-9)
+        # the mixture quadrature, the kernels' oracle, out to s = 1e4 (the Gleser law's
+        # value underflows past s of about 500)
+        far = (20.0, 1e2, 1e3, 1e4)
+        for m, ss in ((LevyMixing(1.3), far), (InverseGaussianMixing(2.0, 0.7), far),
+                      (GammaMixing(2.5, 1.3), far), (BetaSecondKindMixing(2.0, 3.5), far),
+                      (LindleyMixing(1.5), far), (GleserGammaMixing(0.55, 1.3), (20.0, 1e2))):
+            for k, s in ((2, 0.7), (5, 3.0), *((k, s) for s in ss for k in (0, 2, 5))):
+                want = math.exp(float(m.log_abs_laplace_derivative(k, s)))
+                assert m.quadrature_transform(k, s) == pytest.approx(want, rel=1e-13), (m, k, s)
 
     def test_real_order_kernels(self):
         # gamma: Gamma(a + k)/Gamma(a) b^-k (1 + s/b)^-(a+k) at k = 1.5; the
@@ -1350,6 +1353,31 @@ class TestSamplers:
         want = (lam + 2) / (lam * (lam + 1))
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - want) < 4 * se
+
+    @pytest.mark.parametrize("alpha", [0.05, 1 / 3, 0.45, 0.5, 0.55, 0.75, 0.99])
+    def test_stable_draws_are_chambers_mallows_stuck_in_place(self, alpha):
+        # the draws of the printed formula bit for bit (alpha = 0.5 takes numpy's
+        # square and copy for its powers), holding at most 16 bytes a row beyond the
+        # output at 200000 rows, where the printed formula held 40
+        def printed(size, rng):
+            theta = math.pi * (rng.random(size) - 0.5)
+            w = rng.exponential(1.0, size)
+            shifted = theta + math.pi / 2
+            return (np.sin(alpha * shifted) / np.cos(theta) ** (1.0 / alpha)
+                    * (np.cos(theta - alpha * shifted) / w) ** ((1.0 - alpha) / alpha))
+
+        m = PositiveStableMixing(alpha)
+        for size in (1, 1001):
+            want = printed(size, np.random.default_rng(21))
+            assert np.array_equal(m.sample(size, np.random.default_rng(21)), want)
+        rng = np.random.default_rng(22)
+        tracemalloc.start()
+        try:
+            draws = m.sample(200_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - draws.nbytes <= 16 * 200_000 + 4096
 
     def test_beta2_ratio_representation(self):
         rng = np.random.default_rng(14)

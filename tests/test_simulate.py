@@ -3,12 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
 
-from riskmix import mixing
+import mp_reference
 from riskmix.aggregate import (
     cdf,
     gamma_claims_model,
+    inverse_gaussian_model,
     lindley_model,
     pareto_model,
     sibuya_model,
@@ -176,6 +176,31 @@ class TestEmpiricalKS:
         sums = sample_sums(SimulationPlan(m, 1_000_000, seed=9))
         assert empirical_ks(sums, lambda t: cdf(m, t)) < 0.005
 
+    @pytest.mark.parametrize("model", [pareto_model(3.2, 1.0, 2), inverse_gaussian_model(1.0, 1.0, 2),
+                                       weibull_model(0.55, 3), lindley_model(1.0, 3)],
+                             ids=lambda m: m.mixing.kind)
+    def test_blocks_give_the_one_call_statistic(self, model):
+        # the cdf is called on blocks of the sorted sums (the last one partial): the
+        # statistic is the one-call formula's bit for bit, and the cdf's temporaries
+        # are those of a block (about 9 MB at once for the 200000 sums)
+        sums = sample_sums(SimulationPlan(model, 200_000, seed=3))
+        s = np.sort(sums)
+        f = cdf(model, s)
+        i = np.arange(s.size)
+        want = float(max(np.max(f - i / s.size), np.max((i + 1) / s.size - f)))
+        tracemalloc.start()
+        try:
+            got = empirical_ks(sums, lambda t: cdf(model, t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak - sums.nbytes <= 3_000_000
+
+    def test_nan_from_the_cdf_gives_nan(self):
+        sums = np.linspace(0.1, 5.0, 40_000)
+        assert math.isnan(empirical_ks(sums, lambda t: np.where(t > 4.0, np.nan, 0.5)))
+
     def test_detects_wrong_cdf(self):
         m = pareto_model(3.0, 1.0, 2)
         sums = sample_sums(SimulationPlan(m, 200_000, seed=10))
@@ -198,21 +223,20 @@ class TestQuadratureMixturePdf:
         with pytest.raises(UnsupportedModelError):
             GleserGammaMixing(1.0, 2.0).quadrature_transform(2, 1.0)
 
-    @pytest.mark.parametrize("law", [GammaMixing(2.5, 1.3), GammaMixing(0.6, 2.0),
-                                     LevyMixing(1.7), InverseGaussianMixing(2.0, 0.7),
-                                     LindleyMixing(1.3), GleserGammaMixing(0.4, 1.5),
-                                     BetaSecondKindMixing(2.0, 3.5)], ids=repr)
-    def test_transform_is_the_quadrature_of_the_density(self, law):
-        # the integrand reads the log density on each node, not pdf: QUADPACK sees the
-        # same values, so the transform is the quadrature of pdf bit for bit
-        lo = law.support[0]
-        for k, s in ((0, 0.5), (2, 1.0), (3.2, 4.0), (5, 0.1)):
-            def f(th):
-                return math.exp(k * math.log(th) - th * s) * law.pdf(th)
-
-            want = (integrate.quad(f, lo, lo + 1.0, **mixing._QUAD_OPTS)[0]
-                    + integrate.quad(f, lo + 1.0, math.inf, **mixing._QUAD_OPTS)[0])
-            assert law.quadrature_transform(k, s) == want
+    @pytest.mark.parametrize("law, k, s", [
+        *[(law, k, s) for law in (GammaMixing(2.5, 1.3), GammaMixing(0.6, 2.0), LevyMixing(1.7),
+                                  InverseGaussianMixing(2.0, 0.7), LindleyMixing(1.3),
+                                  GleserGammaMixing(0.4, 1.5), BetaSecondKindMixing(2.0, 3.5))
+          for k, s in ((0, 0.5), (2, 1.0), (3.2, 4.0), (5, 0.1))],
+        # the Gleser density's d^-alpha end, where QUADPACK was 0.78 and 1e-7 off
+        *[(law, k, 20.0) for law in (GleserGammaMixing(0.95, 2.0), GleserGammaMixing(0.55, 1.3))
+          for k in (0, 2)],
+    ], ids=repr)
+    def test_transform_matches_mpmath_at_the_peak(self, law, k, s):
+        # the double-exponential rule against a 30-digit mpmath quadrature whose
+        # breakpoints sit at the integrand's peak
+        want = mp_reference.peak_transform(law, k, s, dps=30)
+        assert law.quadrature_transform(k, s) == pytest.approx(want, rel=1e-13)
 
 
 class TestSampleFiles:

@@ -944,3 +944,44 @@ class TestLogBetainc:
         # ratio tends to 0.98: more terms than the series takes
         with pytest.raises(PrecisionError):
             specfun.log_betainc(1e8, 1e8, np.array([0.49]), np.array([math.log(0.49)]))
+
+
+class TestDoubleExponentialRule:
+    @pytest.mark.parametrize("a", [0.05, 0.5, 3.0, 30.0])
+    def test_gamma_integrals_with_a_singular_end(self, a):
+        # int d^(a-1) e^-d: a d^-0.95 end at a = 0.05, which needs the tanh-sinh nodes
+        # out to where d leaves the normal doubles
+        value, err = specfun.de_quad(lambda d: (a - 1.0) * np.log(d) - d)
+        assert value == pytest.approx(math.gamma(a), rel=1e-14)
+        assert err <= 1e-12 * value
+
+    def test_power_tails(self):
+        # the exp-sinh half decays as slowly as a power: int d^-1/2 / (1 + d) = pi
+        assert specfun.de_quad(lambda d: -0.5 * np.log(d) - np.log1p(d))[0] == \
+            pytest.approx(math.pi, rel=1e-15)
+        assert specfun.de_quad(lambda d: -2.0 * np.log1p(d))[0] == pytest.approx(1.0, rel=1e-15)
+
+    def test_leading_axis_of_integrands(self):
+        # one call for a stack of integrands on the same nodes: each as if alone
+        powers = np.array([[0.0], [1.0], [2.5]])
+        values, errs = specfun.de_quad(lambda d: powers * np.log(d) - d)
+        assert values.shape == errs.shape == (3,)
+        for p, v in zip(powers[:, 0], values):
+            assert v == pytest.approx(math.gamma(p + 1.0), rel=1e-14)
+
+    def test_a_peak_that_coarse_levels_miss_is_not_zero(self):
+        # a log-normal peak of width 0.02 at d = e^3 and height e^-700: every node of the
+        # first levels underflows, and their sums of 0 must not pass for the integral
+        value, _ = specfun.de_quad(lambda d: -700.0 - 0.5 * ((np.log(d) - 3.0) / 0.02) ** 2
+                                   - np.log(d))
+        assert value == pytest.approx(math.exp(-700.0) * 0.02 * math.sqrt(2 * math.pi),
+                                      rel=1e-13)
+
+    @pytest.mark.parametrize("log_f", [
+        lambda d: -np.log(d),  # divergent at both ends: every level grows
+        lambda d: np.full(d.shape, -np.inf),  # 0 at every node: nothing to settle on
+        lambda d: np.where(d > 3.0, np.nan, 0.0),  # a nan node
+    ], ids=["divergent", "zero", "nan"])
+    def test_refuses_what_does_not_settle(self, log_f):
+        with pytest.raises(PrecisionError):
+            specfun.de_quad(log_f)
