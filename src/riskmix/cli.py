@@ -22,7 +22,7 @@ import numpy as np
 
 from . import aggregate, asymptotics, dependence, riskmeasures, ruin, simulate
 from .errors import RiskmixError, UnsupportedModelError
-from .mixing import GammaMixing, InverseGaussianMixing, KernelRow
+from .mixing import GammaMixing, InverseGaussianMixing
 from .specfun import de_quad
 
 # law name -> (factory, parameter keys); factory(*params, **extra)
@@ -542,8 +542,8 @@ def run_verify(cfg, command):
     xs = np.logspace(-2, 1.5, 40)
 
     # a mixture row's density (second-kind beta or gamma-power components) against the
-    # derivative route; a KernelRow's density (inverse Gaussian, beta2) is that route
-    if not isinstance(model.mixing.sum_row(n), KernelRow):
+    # derivative route; the kernel route's density (inverse Gaussian, beta2) is that route
+    if model.mixing.sum_row(n).route != "kernel":
         closed = aggregate.pdf(model, xs)
         gen = aggregate.pdf_generic(model, xs)
         err = float(np.max(np.abs(closed - gen) / np.abs(gen)))

@@ -110,8 +110,11 @@ generator on an array (_generator); the base class's pdf and generator
 handle scalars, arrays and the points off the support once for every law.
 
 Rows.  sum_row(a), for every total shape a, answers for S through one of three
-row classes with the same calls (log_survival, log_survival_terms, log_pdf,
-pdf_at_zero, log_tail_moments), the first and third in blocks of
+row classes with one protocol, stated on _Row: the same calls (log_survival,
+log_survival_terms, log_pdf, pdf_at_zero, log_tail_moments), a route that names
+the class ("mixture", "beta2" or "kernel"), and survival terms that only their row
+reduces (log_survival_sum, clamped at 0) and reads back, so no caller tests a row's
+type or sums its terms.  log_survival and log_pdf run in blocks of
 _KERNEL_CELLS // w points, w the row's terms per point (_width; one more for
 log_survival with density=True, which also gives log(u f_1)).  A row sums the
 unit law's S_1 = c S at the unit coordinate u = c x, which its calls take with
@@ -142,7 +145,7 @@ fractional a only its log_pdf answers); its density limit at 0 is the law's
 _sum_pdf_at_zero; every row gives that limit with its log (pdf_at_zero), for
 from_unit.  A KernelRow's density is the derivative route (aggregate's
 pdf_generic), which shares no code with the other two rows' densities, so it
-checks them (cli verify's closed_vs_generic).
+checks them (cli verify's closed_vs_generic, on every route but "kernel").
 """
 
 import math
@@ -224,9 +227,8 @@ def _log_sum_exp(log_terms):
     equally shaped arrays.  A column of -inf gives -inf; +inf and nan propagate.
 
     One term is itself; up to _SMALL_REDUCTION terms it is np.logaddexp.reduce, exact
-    on every column, with only the invalid warning of a nan silenced; larger arrays
-    take the max-shift, one exp per term, where the largest term of every column is
-    finite."""
+    on every column; larger arrays take the max-shift, one exp per term, where the
+    largest term of every column is finite."""
     a = np.asarray(log_terms, dtype=float)
     if len(a) == 1:
         return a[0]
@@ -235,9 +237,12 @@ def _log_sum_exp(log_terms):
         if np.isfinite(top).all():
             shifted = a - top
             return top + np.log(np.exp(shifted, out=shifted).sum(axis=0))
-    # (pairwise logaddexp keeps -inf and +inf)
-    with np.errstate(invalid="ignore"):
-        return np.logaddexp.reduce(a, axis=0)
+    # (pairwise logaddexp keeps -inf and +inf; only a nan term makes it warn, invalid,
+    # so np.errstate, which costs as much as the reduction, is entered only there)
+    if np.count_nonzero(np.isnan(a)):
+        with np.errstate(invalid="ignore"):
+            return np.logaddexp.reduce(a, axis=0)
+    return np.logaddexp.reduce(a, axis=0)
 
 
 def _log_bessel_ratios(k, z):
@@ -466,10 +471,24 @@ class _Orders:
 
 
 class _Row:
-    """What the rows share: the blocking and the check of a fractional n.  A row works in
-    the unit coordinate u = c x alone, where it answers for S_1 = c S; its methods take log
-    u too, needed where u is not a normal double, and read no scale (the law applies it:
-    _unit, from_unit).  Its arrays are read-only."""
+    """The row protocol: how S_1 = c S of total shape n is answered, in the unit coordinate
+    u = c x alone.  Every call takes u with its log u, needed where u is not a normal
+    double, and reads no scale (the law applies it: _unit, from_unit):
+
+    * log_survival(u, log_u, density=False): log S_1(u), with density=True also log(u f_1);
+    * log_survival_terms(u, log_u, density=False): the positive terms whose log-sum that
+      is, with density=True also log(u f_1);
+    * log_pdf(u, log_u): log f_1(u);
+    * pdf_at_zero(): (f_1(0+), its log);
+    * log_tail_moments(u, log_u, orders, terms): log E(S_1^r 1{S_1 > u}) per order r.
+
+    The terms are opaque: the row that made them reduces them (log_survival_sum) and
+    takes them back in log_tail_moments, and no caller reads their number or their
+    order.  route names how the row sums: "mixture", "beta2" or "kernel"; only the
+    kernel route's density is the derivative route (aggregate's pdf_generic).  The
+    check of a fractional n (_integer_n) binds only a row that sums over the orders
+    below n, a KernelRow: the other two are built at an integral n alone (_sum_row).
+    Its arrays are read-only."""
 
     @property
     def _width(self):
@@ -485,18 +504,28 @@ class _Row:
                 "moments take a real order")
         return int(self.n)
 
+    def log_survival_sum(self, terms):
+        """log S_1 from the row's survival terms (log_survival_terms, a (w, *u.shape)
+        array): their log-sum, at most 0 (where S rounds to 1, the sum can come out an ulp
+        above it).  The terms of one point (a 1-D array: a VaR step, a tail moment) give
+        a number, by pairwise logaddexp at every count, without _log_sum_exp's tests:
+        the reduction that log_survival's (w, 1) column takes up to _SMALL_REDUCTION
+        terms."""
+        if terms.ndim == 1:
+            return min(terms[0] if len(terms) == 1 else np.logaddexp.reduce(terms), 0.0)
+        return np.minimum(_log_sum_exp(terms), 0.0)
+
     def log_survival(self, u, log_u, density=False):
-        """log S_1(u) on an array u > 0 of any shape: the log-sum of the survival
-        terms, in blocks of _KERNEL_CELLS // w points (w = _width), at most 0 (where
-        S rounds to 1, the sum can come out an ulp above it).  With density=True the
-        pair (log S_1(u), log(u f_1(u))) as one (2, *u.shape) array, in blocks of
-        _KERNEL_CELLS // (w + 1) points (a KernelRow's kernel holds the orders
+        """log S_1(u) on an array u > 0 of any shape: the row's log_survival_sum of the
+        survival terms, in blocks of _KERNEL_CELLS // w points (w = _width).  With
+        density=True the pair (log S_1(u), log(u f_1(u))) as one (2, *u.shape) array, in
+        blocks of _KERNEL_CELLS // (w + 1) points (a KernelRow's kernel holds the orders
         0..n)."""
         def reduce(u, log_u):
             terms = self.log_survival_terms(u, log_u, density)
             if density:
-                return np.minimum(_log_sum_exp(terms[0]), 0.0), terms[1]
-            return np.minimum(_log_sum_exp(terms), 0.0)
+                return self.log_survival_sum(terms[0]), terms[1]
+            return self.log_survival_sum(terms)
 
         self._integer_n()
         return _by_blocks(self._width + density, reduce, u, log_u,
@@ -542,6 +571,8 @@ class MixtureRow(_Row):
 
     law: "MixingDistribution"
     n: int
+
+    route = "mixture"
 
     def __post_init__(self):
         shape0, power, log_d = self.law._row(self.n)
@@ -623,6 +654,8 @@ class KernelRow(_Row):
 
     law: "MixingDistribution"
     n: float
+
+    route = "kernel"
 
     @cached_property
     def _survival_orders(self) -> "_Orders":
@@ -737,6 +770,8 @@ class Beta2Row(_Row):
 
     law: "MixingDistribution"
     n: int
+
+    route = "beta2"
 
     def __post_init__(self):
         log_w, shapes = _read_only(*self.law._beta2_components())
@@ -951,13 +986,15 @@ class MixingDistribution:
                     np.isscalar(s))
 
     def generator(self, t):
-        """Archimedean generator phi = L^{-1} on (0, 1]."""
+        """Archimedean generator phi = L^{-1} on (0, 1]: inf where it lies past the largest
+        double."""
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr > 1.0):
             raise ValueError("generator argument must lie in (0, 1]")
         if np.any(t_arr <= 0.0):
             raise ValueError("generator diverges at t = 0")
-        return _ret(self._generator(t_arr), np.isscalar(t) or t_arr.ndim == 0)
+        with np.errstate(over="ignore"):  # (past the doubles phi is inf)
+            return _ret(self._generator(t_arr), np.isscalar(t) or t_arr.ndim == 0)
 
     def neg_moment(self, r: int) -> float:
         """E(Theta^-r) = exp(log_neg_moment(r)); PrecisionError where it
@@ -1003,10 +1040,11 @@ class MixingDistribution:
 
     def pdf(self, theta):
         """Density of Theta: exp(_log_pdf) on the support, 0 below it; a scalar theta
-        gives a float."""
+        gives a float.  Its limits at the ends of the doubles: 0, or inf where the density
+        exceeds the largest double (each _log_pdf is -inf or inf there, never nan)."""
         th = np.asarray(theta, dtype=float)
         lo = self.support[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             out = np.where(th > lo, np.exp(self._log_pdf(th - lo)), 0.0)
         return _ret(out, np.isscalar(theta))
 
@@ -1098,7 +1136,9 @@ class GammaMixing(MixingDistribution):
         return 1.0 / (self.alpha - 1.0)
 
     def _generator(self, t):
-        return self.beta * np.expm1(-np.log(t) / self.alpha)
+        # beta (t^(-1/alpha) - 1), from exp(x + log beta) where expm1(x) overflows
+        x = -np.log(t) / self.alpha
+        return np.where(x < 709.0, self.beta * np.expm1(x), np.exp(x + log(self.beta)))
 
     def sample(self, size, rng):
         return rng.gamma(shape=self.alpha, scale=1.0 / self.beta, size=size)
@@ -1157,7 +1197,9 @@ class LevyMixing(MixingDistribution):
 
     def _log_pdf(self, th):
         lam = self.lam
-        return log(lam / 2) - 0.5 * (log(math.pi) + 3 * np.log(th)) - lam ** 2 / (4 * th)
+        # (lam * lam, / 4 / th: lam ** 2 raises past 1e154, and past th = FLOAT_MAX / 4
+        # the quotient by 4 th would be inf / inf)
+        return log(lam / 2) - 0.5 * (log(math.pi) + 3 * np.log(th)) - lam * lam / 4.0 / th
 
     @cached_property
     def _unit_law(self):
@@ -1333,8 +1375,9 @@ class InverseGaussianMixing(MixingDistribution):
 
     def _log_pdf(self, th):
         lam, mu = self.lam, self.mu
+        # (/ 2 / th, not / (2 th): past th = FLOAT_MAX / 2 that is inf / inf)
         return (0.5 * log(lam / (2 * math.pi)) - 1.5 * np.log(th)
-                - lam * (th / mu - 1.0) ** 2 / (2.0 * th))
+                - lam * (th / mu - 1.0) ** 2 / 2.0 / th)
 
 
 @dataclass(frozen=True)
@@ -1379,11 +1422,16 @@ class LindleyMixing(MixingDistribution):
         return -log(self.lam)
 
     def _generator(self, t):
+        # s = lam sigma, sigma the positive root of a sigma^2 + b sigma - c = 0 (L(s) = t
+        # multiplied out), a = t (1+lam), b = 2a - lam, c = (1-t)(1+lam): with e = |b| +
+        # sqrt(b^2 + 4ac), 2c / e where b > 0 and e / 2a elsewhere, neither of which
+        # cancels, and nothing squares lam (lam ** 4 raised past 1e77, and lam^2
+        # underflowed below 1e-154)
         lam = self.lam
-        # solve t (1+lam) y^2 - lam^2 y - lam^2 = 0 for y = lam + s
-        disc = np.sqrt(lam ** 4 + 4.0 * t * (1.0 + lam) * lam ** 2)
-        y = (lam ** 2 + disc) / (2.0 * t * (1.0 + lam))
-        return y - lam
+        a, c = t * (1.0 + lam), (1.0 - t) * (1.0 + lam)
+        b = 2.0 * a - lam
+        e = np.abs(b) + np.hypot(b, 2.0 * np.sqrt(a) * np.sqrt(c))
+        return lam * np.where(b > 0.0, 2.0 * c / e, e / (2.0 * a))
 
     def _beta2_components(self):
         # Theta lam is Ga(1, 1) with weight lam/(1+lam) and Ga(2, 1) otherwise, and a
@@ -1509,7 +1557,18 @@ class GleserGammaMixing(MixingDistribution):
         return GleserGammaMixing(self.alpha, 1.0)
 
     def _generator(self, t):
-        return special.gammainccinv(self.alpha, t) / self.lam
+        # Q(alpha, x) = t; below the normal doubles gammainccinv loses digits (1e-4 at t =
+        # 2^-1074), which Newton steps on log Q(alpha, x) = log t restore, whose slope is
+        # -x^(alpha-1) e^-x / (Gamma(alpha) Q)
+        a, x = self.alpha, np.array(special.gammainccinv(self.alpha, t))
+        tiny = t < _FLOAT_TINY
+        if np.count_nonzero(tiny):
+            xt, log_t = x[tiny], np.log(t[tiny])
+            for _ in range(3):
+                log_q = log_gammaincc(a, xt)
+                xt += (log_q - log_t) * np.exp(log_q + xt - (a - 1.0) * np.log(xt) + lgamma(a))
+            x[tiny] = xt
+        return x / self.lam
 
     def kendall_tau(self):
         # int s L'(s)^2 ds = Gamma(2 alpha) / (4^alpha Gamma(alpha)^2), so tau =
@@ -1579,19 +1638,23 @@ class BetaSecondKindMixing(MixingDistribution):
         return np.minimum(out, 0.0, out=out, where=first)
 
     def _generator(self, t):
+        def log_l(s):
+            return float(self.log_abs_laplace_derivative(0, s))
+
         def invert(ti):
             # L(s) decays like s^-beta, so a small t needs a bracket far out;
-            # it stops at 1e300, a few doublings short of the float maximum
+            # it stops at 1e300, a few doublings short of the float maximum.  The root
+            # is that of log L - log t: a subnormal t holds too few digits for L - t
             if ti == 1.0:
                 return 0.0
-            lo, hi = 0.0, 1.0
-            while self.laplace(hi) > ti:
+            lo, hi, log_t = 0.0, 1.0, log(ti)
+            while log_l(hi) > log_t:
                 if hi > 1e300:
                     raise TailUnderflowError(
                         f"L(s) > {ti} for every s up to 1e300; the generator "
                         "lies beyond double precision")
                 lo, hi = hi, 2.0 * hi
-            return optimize.brentq(lambda s: self.laplace(s) - ti, lo, hi,
+            return optimize.brentq(lambda s: log_l(s) - log_t, lo, hi,
                                    xtol=1e-14, rtol=8.9e-16)
 
         return np.array([invert(ti) for ti in t.ravel().tolist()]).reshape(t.shape)

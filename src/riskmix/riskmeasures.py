@@ -33,9 +33,9 @@ step to land within 1e-14 of the root, so a warm report at levels 0.9 to
 0.999 makes two survival calls, the second of which confirms the first.  The
 safeguarded Newton iteration runs in t = log u on g = log S - log(1 -
 level), dg/dt = -u f_1 / S (S' = -f), bisecting whenever a step leaves the
-bracket.  Each step takes
-the survival terms and u f_1 at u together from the law's row
-(mixing.MixtureRow, Beta2Row or KernelRow).
+bracket.  Each step takes the survival terms and u f_1 at u together from the
+law's row, and log S_1 from the row's own reduction of those terms
+(log_survival_sum), clamped at 0 as the table's is.
 Below level 0.5 it iterates on g = log F - log(level) instead, with F = 1 - S
 from the same survival call and dg/dt = u f_1 / F: there log S is strongly
 concave in log u and a first Newton step on it overshoots.  It stops once the
@@ -56,10 +56,12 @@ so below log S(a) = -4096 the moment is refused (TailUnderflowError); a
 moment that over- or underflows a double is PrecisionError.  risk_report
 takes from VaR's last evaluation the row, the unit point u with its log, log S_1(u)
 and the survival terms whose log-sum that is, so a warm report makes two one-point
-Newton row calls and one tail-moment call, and reduces the survival terms and takes
-log u only in the VaR loop.  At a step's one point the rows and specfun take numbers
-where a (1,) array held one value: the same operations on the same values, without
-the array scaffolding that cost more than their arithmetic.  E(S^r | S > a) is
+Newton row calls and one tail-moment call, and takes log u only in the VaR loop.  The
+terms are the row's: only the row reduces them, once per step, and takes them back
+for the tail moments; nothing here reads their number.  At a step's one point the
+rows and specfun take numbers where a (1,) array held one value: the same operations
+on the same values, without the array scaffolding that cost more than their
+arithmetic.  E(S^r | S > a) is
 finite where E(Theta^-r) is: both ask the law's existence rule
 (require_neg_moment) before they evaluate anything.  Before that, an order
 that is not a whole number >= 1, or a threshold that is nan, infinite or
@@ -145,12 +147,6 @@ def _start(log_s, slopes, log_target, step) -> float:
     return s
 
 
-def _log_survival(terms):
-    """log S_1 from the survival terms at one point (a 1-D array): their log-sum, which
-    one term is."""
-    return terms[0] if len(terms) == 1 else np.logaddexp.reduce(terms)
-
-
 def _exp(v: float) -> float:
     """numpy's exp of a float, inf where it overflows (past 709.78): np.errstate is
     entered only near there."""
@@ -163,7 +159,7 @@ def _exp(v: float) -> float:
 def _value_at_risk(model: AggregateModel, level: float):
     """VaR, the model's row, and at the last evaluation (at VaR) the unit point u with
     its log, log S_1(u) and the survival terms (the row's log_survival_terms, a 1-D
-    array) whose log-sum that is."""
+    array) from which the row reduced it."""
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie strictly between 0 and 1")
     row = model.mixing.sum_row(model.total_shape)
@@ -199,7 +195,7 @@ def _value_at_risk(model: AggregateModel, level: float):
         log_u = np.log(point)
         terms, log_uf = row.log_survival_terms(point, log_u, density=True)
         terms = terms[:, 0]
-        log_s = _log_survival(terms)
+        log_s = row.log_survival_sum(terms)
         s = exp(log_s)
         p = 1.0 - s if lower else s
         h = sign * ((log(p) if p > 0.0 else -inf) - log_p_target)
@@ -276,7 +272,7 @@ def tail_moment(model: AggregateModel, r: int, a: float) -> float:
     law.require_neg_moment(r)
     row, (u, log_u) = law.sum_row(model.total_shape), law._unit(float(a))
     terms = row.log_survival_terms(u, log_u)
-    return _tail_moments(law, row, a, (u, log_u, _log_survival(terms), terms), (r,))[r]
+    return _tail_moments(law, row, a, (u, log_u, row.log_survival_sum(terms), terms), (r,))[r]
 
 
 def tvar(model: AggregateModel, level: float) -> float:

@@ -448,3 +448,37 @@ def log_hyperu_1(a, z, dps=DPS):
         cuts = [0, *(w * 4 ** k for k in range(-2, 6)), mp.inf]
         total = mp.quad(lambda s: mp.exp((a - 1) * mp.log1p(s / z) - s), cuts)
         return float(mp.log(total) - mp.log(z))
+
+
+def generator(law, t, start, dps=DPS):
+    """phi(t) = L^{-1}(t), from the printed inverse where the law has one, else the root of
+    log L(s) = log t by mp.findroot in log s from start > 0 (Gleser: the upper incomplete
+    gamma ratio; second-kind beta: Gamma(beta+gam)/Gamma(gam) U(beta, 1-gam, s))."""
+    with mp.workdps(dps):
+        t = mp.mpf(t)
+        u = -mp.log(t)
+        if isinstance(law, GammaMixing):
+            return mp.mpf(law.beta) * mp.expm1(u / law.alpha)
+        if isinstance(law, LevyMixing):
+            return (u / law.lam) ** 2
+        if isinstance(law, PositiveStableMixing):
+            return u ** (1 / mp.mpf(law.alpha))
+        if isinstance(law, InverseGaussianMixing):
+            return u / law.mu + u ** 2 / (2 * mp.mpf(law.lam))
+        if isinstance(law, LindleyMixing):
+            lam = mp.mpf(law.lam)
+            a = t * (1 + lam)
+            return (lam ** 2 + mp.sqrt(lam ** 4 + 4 * a * lam ** 2)) / (2 * a) - lam
+        if isinstance(law, GleserGammaMixing):
+            a, lam = mp.mpf(law.alpha), mp.mpf(law.lam)
+
+            def log_l(s):
+                return mp.log(mp.gammainc(a, lam * s, mp.inf, regularized=True))
+        elif isinstance(law, BetaSecondKindMixing):
+            b, g = mp.mpf(law.beta), mp.mpf(law.gam)
+
+            def log_l(s):
+                return mp.loggamma(b + g) - mp.loggamma(g) + mp.log(mp.hyperu(b, 1 - g, s))
+        else:
+            raise ValueError(f"no generator reference for {law.kind}")
+        return mp.exp(mp.findroot(lambda y: log_l(mp.exp(y)) + u, mp.log(start)))

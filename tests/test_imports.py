@@ -104,29 +104,48 @@ def test_mixing_imports_only_the_kernel_layer():
     assert _riskmix_imports(path) <= {"specfun", "errors", "_lazy"}
 
 
-def _row_is_tested_for_none(tree):
-    """Whether a comparison with None takes a sum_row(...) call, or a name bound
-    to one, as an operand."""
+ROW_CLASSES = {"_Row", "MixtureRow", "Beta2Row", "KernelRow"}
+
+
+def _row_test(tree):
+    """A predicate: whether a node is a sum_row(...) call or a name bound to one."""
     def is_row_call(node):
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "sum_row")
 
     rows = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
             and is_row_call(node.value) for t in node.targets if isinstance(t, ast.Name)}
+    return lambda node: is_row_call(node) or (isinstance(node, ast.Name) and node.id in rows)
+
+
+def _row_is_tested_for_none(tree):
+    """Whether a comparison with None takes a sum_row(...) call, or a name bound
+    to one, as an operand."""
+    is_row = _row_test(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
             if any(isinstance(o, ast.Constant) and o.value is None for o in operands) and any(
-                    is_row_call(o) or (isinstance(o, ast.Name) and o.id in rows)
-                    for o in operands):
+                    is_row(o) for o in operands):
                 return True
     return False
+
+
+def _type_tests_of_rows(tree):
+    """The isinstance and issubclass calls that take a row (a sum_row(...) call or a name
+    bound to one) or name a row class."""
+    is_row = _row_test(tree)
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id in ("isinstance", "issubclass")
+            and any(is_row(a) or ROW_CLASSES & {n.id for n in ast.walk(a)
+                                                 if isinstance(n, ast.Name)}
+                    for a in node.args)]
 
 
 def test_sums_of_claims_go_through_the_row():
     # every law answers S_n through its row (mixing.MixtureRow, Beta2Row or KernelRow), so the
     # aggregate and risk-measure layers call no kernel, never ask whether a law has
-    # a row, and need no special functions
+    # a row, never reduce its terms, and need no special functions
     root = Path(__file__).resolve().parents[1] / "src" / "riskmix"
     for name in ("aggregate.py", "riskmeasures.py"):
         tree = ast.parse((root / name).read_text())
@@ -141,9 +160,22 @@ def test_sums_of_claims_go_through_the_row():
         # the row owns the blocking and the check of a fractional total shape, so
         # neither layer tests the shape's type or sums the survival terms itself
         assert not {"_integral_shape", "_KERNEL_CELLS", "_log_sum_exp", "isinstance"} & names, name
+        # the row reduces its own survival terms (its log_survival_sum)
+        assert "logaddexp" not in names, name
         if name == "riskmeasures.py":
             # VaR's bracket reads the row's log-survival, not exp then log of survival
             assert "survival" not in names
+    # the row names its route, so no module past mixing tests a row's type, and the CLI
+    # names no row class at all
+    for path in root.glob("*.py"):
+        if path.name != "mixing.py":
+            assert not _type_tests_of_rows(ast.parse(path.read_text())), path.name
+    cli_tree = ast.parse((root / "cli.py").read_text())
+    cli_names = {n.id for n in ast.walk(cli_tree) if isinstance(n, ast.Name)}
+    cli_names |= {n.attr for n in ast.walk(cli_tree) if isinstance(n, ast.Attribute)}
+    cli_names |= {a.name for n in ast.walk(cli_tree) if isinstance(n, ast.ImportFrom)
+                  for a in n.names}
+    assert not ROW_CLASSES & cli_names
     # the row is the only way into S: the law keeps no forwarders to it
     for attr in ("sum_pdf", "sum_pdf_at_zero", "sum_mixture", "sum_pdf_derivative"):
         assert not hasattr(MixingDistribution, attr), attr

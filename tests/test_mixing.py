@@ -265,6 +265,62 @@ class TestBeta2GeneratorTail:
         assert isinstance(err.value, RiskmixError)
 
 
+# the catalog at the ends of its parameters, for the density and the generator at the
+# ends of the doubles (the stable law has no density)
+FRAILTY_ENDS = [
+    GammaMixing(0.01, 1.0), GammaMixing(3.0, 2.0), GammaMixing(1.0, 1e-300),
+    LevyMixing(1.0), LevyMixing(1e-200), LevyMixing(1e200),
+    PositiveStableMixing(0.5), PositiveStableMixing(0.01),
+    InverseGaussianMixing(2.0, 0.7), InverseGaussianMixing(1e-3, 1e3),
+    InverseGaussianMixing(1e200, 1e-200),
+    LindleyMixing(1.0), LindleyMixing(1e-200), LindleyMixing(1e200),
+    GleserGammaMixing(0.5, 2.0), GleserGammaMixing(0.5, 1e-300),
+    BetaSecondKindMixing(2.0, 3.0), BetaSecondKindMixing(0.5, 0.5),
+]
+
+
+def _assert_limit(got, want, rel):
+    """got against the mpmath value want: equal where want rounds to 0 or inf, else
+    within rel of it, and within a few subnormal steps where want is subnormal."""
+    w = float(want)
+    if w in (0.0, math.inf):
+        assert got == w, (got, want)
+    else:
+        assert abs(got - w) <= rel * w + 4 * 2.0 ** -1074, (got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("law", FRAILTY_ENDS, ids=repr)
+class TestFrailtyAtDoubleEnds:
+    """The density and the generator at the ends of the doubles give their limits: 0 past
+    the double range, inf where the value exceeds the largest double, else the mpmath
+    value, and never a RuntimeWarning."""
+
+    def test_pdf(self, law):
+        if isinstance(law, PositiveStableMixing):
+            with pytest.raises(UnsupportedModelError):
+                law.pdf(1.0)
+            return
+        for theta in (5e-324, 1e-300, 1e300, 1.7e308):
+            with mp.workdps(40):
+                lower, density = mp_reference._density(law)
+                th = mp.mpf(theta)
+                want = density(th, th - lower) if th > lower else mp.mpf(0)
+            # (exp of a log near +-700 keeps about 1e-13 of it)
+            _assert_limit(law.pdf(theta), want, 1e-11)
+
+    def test_generator(self, law):
+        for t in (5e-324, 1e-300, 1e-20, 0.5):
+            try:
+                got = law.generator(t)
+            except TailUnderflowError:
+                # the second-kind beta inverse brackets its root up to s = 1e300 only
+                assert isinstance(law, BetaSecondKindMixing)
+                assert mp_reference.generator(law, t, 1e300) > 1e300
+                continue
+            _assert_limit(got, mp_reference.generator(law, t, got or 1.0), 1e-10)
+
+
 class TestBeta2KernelAtFloatMax:
     """L(s) = Gamma(beta+gam)/Gamma(gam) s^-beta (1 + O(1/s)): up to the float
     maximum the log kernel is that leading term, computed without overflow

@@ -755,18 +755,19 @@ class TestNearTable:
         # one-point Newton steps per warm report at the risk-warm levels: from the cubic
         # start on a bracket 2^(1/16) wide one step lands within 1e-14 of the root and
         # the second confirms it (the linear start on a factor-2 grid took 3 to 6, the
-        # cubic one 2 to 4).  The report then makes one tail-moment call, and reduces
-        # the survival terms only in the VaR loop, once per step: the tail moments read
-        # the log S of the last step (Lindley's tail moments do not exist: its VaR)
+        # cubic one 2 to 4).  The report then makes one tail-moment call, and the row
+        # reduces the survival terms only in the VaR loop, once per step: the tail
+        # moments read the log S of the last step (Lindley's tail moments do not exist:
+        # its VaR)
         calls = count_survival_evaluations(monkeypatch)
         tails, sums = [], []
         for row in (MixtureRow, Beta2Row, KernelRow):
             monkeypatch.setattr(row, "log_tail_moments",
                                 lambda self, *args, inner=row.log_tail_moments:
                                 tails.append(args) or inner(self, *args))
-        log_survival = riskmeasures._log_survival
-        monkeypatch.setattr(riskmeasures, "_log_survival",
-                            lambda terms: sums.append(terms) or log_survival(terms))
+        reduce = mixing._Row.log_survival_sum
+        monkeypatch.setattr(mixing._Row, "log_survival_sum",
+                            lambda self, terms: sums.append(terms) or reduce(self, terms))
         make = dict(RISK_WARM_MODELS, lindley=lambda n: lindley_model(1.0, n))[name]
         report = value_at_risk if name == "lindley" else risk_report
         for n in (2, 5, 10, 32):
