@@ -4,8 +4,9 @@ The claims are X_i = G_i / Theta, G_i ~ Gamma(a_i, 1), independent given one
 frailty Theta (mixing.py), which owns the formulas of their sums; a_i = 1 is
 the paper's basic model.  Given Theta, S is Gamma(a, Theta), a = sum a_i, so
 the basic model's formulas hold with n replaced by a.  This module validates
-arguments and handles the boundaries x <= 0 and x = inf.  The density has
-two entry points:
+arguments (a nan x is a ValueError) and handles the boundaries x <= 0 and
+x = inf, with masks only where x holds such a point.  The density has two
+entry points:
 
 * pdf: the density of the law's row (MixingDistribution.sum_row, the route
   of survival), its limit at x = 0 and 0 below it, and
@@ -136,21 +137,41 @@ def sibuya_model(shapes, beta: float, gam: float) -> AggregateModel:
     return AggregateModel(BetaSecondKindMixing(gam, beta), tuple(shapes))
 
 
-def _density(law: MixingDistribution, row, x):
-    """f(x) = c f_1(c x) on an array x > 0, from the row's log f_1: the law applies c."""
-    log_f = row.log_pdf(*law._unit(x))
+def _points(law: MixingDistribution, x):
+    """(x as a float array, the mask of its positive finite points, (u, log u) at them):
+    the mask is None where every point is positive and finite, as on a curve's grid, and
+    then u has x's shape; one min/max scan of x decides that and serves the law's range
+    test (_unit).  ValueError at a nan x."""
+    x_arr = np.asarray(x, dtype=float)
+    if x_arr.size:
+        bounds = float(x_arr.min()), float(x_arr.max())  # (nan where x holds one)
+        if bounds[0] > 0 and bounds[1] < inf:
+            return x_arr, None, law._unit(x_arr, bounds)
+    if np.count_nonzero(np.isnan(x_arr)):
+        raise ValueError("x must be a number, got nan")
+    pos = (x_arr > 0) & (x_arr < inf)
+    return x_arr, pos, law._unit(x_arr[pos])
+
+
+def _density(law: MixingDistribution, row, u, log_u):
+    """f(x) = c f_1(u) at the unit points u = c x > 0, from the row's log f_1: the law
+    applies c."""
+    log_f = row.log_pdf(u, log_u)
     with np.errstate(over="ignore"):
         return law.from_unit(np.exp(log_f), log_f, -1)
 
 
 def pdf_generic(model: AggregateModel, x):
-    """Theorem route: f(x) = x^{a-1}/Gamma(a) * (-1)^a L^(a)(x), x > 0."""
+    """Theorem route: f(x) = x^{a-1}/Gamma(a) * (-1)^a L^(a)(x), x > 0 (ValueError at
+    x <= 0 and at a nan x)."""
     scalar_in = np.isscalar(x)
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise ValueError("pdf_generic requires x > 0; use pdf() for boundary points")
+    if not (x_arr > 0).all():
+        raise ValueError("pdf_generic requires x > 0 (not nan); use pdf() for boundary "
+                         "points")
     law = model.mixing
-    return _ret(_density(law, KernelRow(law._unit_law, model.total_shape), x_arr), scalar_in)
+    return _ret(_density(law, KernelRow(law._unit_law, model.total_shape), *law._unit(x_arr)),
+                scalar_in)
 
 
 def pdf(model: AggregateModel, x):
@@ -159,42 +180,49 @@ def pdf(model: AggregateModel, x):
 
     x = 0 returns the mathematical limit (inf signals an unbounded density;
     UnsupportedModelError at a fractional total shape), x < 0 and x = inf
-    return 0.
+    return 0, and a nan x is a ValueError.
     """
-    row = model.mixing.sum_row(model.total_shape)
-    scalar_in = np.isscalar(x)
-    x_arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(x_arr, dtype=float)
-    pos = (x_arr > 0) & (x_arr < inf)
-    out[pos] = _density(model.mixing, row, x_arr[pos])
-    if np.any(x_arr == 0):
-        out[x_arr == 0] = model.mixing.from_unit(*row.pdf_at_zero(), -1)
-    return _ret(out, scalar_in)
+    law = model.mixing
+    row = law.sum_row(model.total_shape)
+    x_arr, pos, unit = _points(law, x)
+    f = _density(law, row, *unit)
+    if pos is not None:
+        out = np.zeros_like(x_arr)
+        out[pos] = f
+        if np.any(x_arr == 0):
+            out[x_arr == 0] = law.from_unit(*row.pdf_at_zero(), -1)
+        f = out
+    return _ret(f, np.isscalar(x))
 
 
 def survival(model: AggregateModel, x):
     """Pr(S > x) = sum_{k=0}^{a-1} x^k/k! * (-1)^k L^(k)(x), a the integral
-    total shape: exp of the row's log-survival; 1 at x <= 0 and 0 at x = inf.
+    total shape: exp of the row's log-survival; 1 at x <= 0, 0 at x = inf, and
+    ValueError at a nan x.
 
     The sum starts at k = 0 (the k = 0 term is L itself), which is what the
     gamma-cdf identity requires and what makes survival(0) = 1 exact.  Every
     term is nonnegative, so the sum is one log-space reduction of a terms:
     no term is formed in linear space, and no x is too large for it.  The
     row asks for the terms in blocks of at most _KERNEL_CELLS, which bounds
-    the temporaries.
+    the temporaries.  Where every x is positive and finite (a curve's grid) the
+    row's values are the output, with no mask, gather or scatter around them
+    (_points).
     """
     row = model.mixing.sum_row(model.total_shape)
-    scalar_in = np.isscalar(x)
-    x_arr = np.asarray(x, dtype=float)
-    out = np.ones_like(x_arr, dtype=float)
-    pos = (x_arr > 0) & (x_arr < inf)
-    out[pos] = np.exp(row.log_survival(*model.mixing._unit(x_arr[pos])))
-    out[x_arr == inf] = 0.0
-    return _ret(out, scalar_in)
+    x_arr, pos, unit = _points(model.mixing, x)
+    s = np.exp(row.log_survival(*unit))
+    if pos is not None:
+        out = np.ones_like(x_arr)
+        out[pos] = s
+        out[x_arr == inf] = 0.0
+        s = out
+    return _ret(s, np.isscalar(x))
 
 
 def cdf(model: AggregateModel, x):
-    return 1.0 - survival(model, x)
+    """Pr(S <= x) = 1 - survival, of x's shape (a float for a number)."""
+    return _ret(1.0 - survival(model, x), np.isscalar(x))
 
 
 def moment(model: AggregateModel, r: float) -> float:

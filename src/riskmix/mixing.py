@@ -71,9 +71,10 @@ log_neg_moment(r) = log_unit_neg_moment(r) - r log c, so a ratio of them
   of the law: E(Theta^k e^{-u Theta}) is a prefactor times K_{k-1/2}(z), z =
   hypot(rho, sqrt(2 lam u)), and Levy(1) is its limit rho = 0, IG(1/2, inf),
   z = sqrt(u).  The Bessel ratio is the partial sums
-  (_partial_sums) of the log ratios of the upward recurrence of DLMF 10.29.1,
-  a sum of positive terms (_log_bessel_ratios), which starts from 1 at an
-  integer order and from special.kve at a real one; where z underflows it is
+  (_partial_sums: one add per order on a wide grid, one cumsum on a narrow one,
+  the same adds either way) of the log ratios of the upward recurrence of DLMF
+  10.29.1, a sum of positive terms (_log_bessel_ratios), which starts from 1 at
+  an integer order and from special.kve at a real one; where z underflows it is
   the small-z limit, refused (PrecisionError) at a real order near 1/2.
   The IG negative moments of an integer order are a closed sum (its
   _log_unit_neg_moment), of every other order the kernel at u = 0.
@@ -116,7 +117,9 @@ the class ("mixture", "beta2" or "kernel"), and survival terms that only their r
 reduces (log_survival_sum, clamped at 0) and reads back, so no caller tests a row's
 type or sums its terms.  log_survival and log_pdf run in blocks of
 _KERNEL_CELLS // w points, w the row's terms per point (_width; one more for
-log_survival with density=True, which also gives log(u f_1)).  A row sums the
+log_survival with density=True, which also gives log(u f_1)); where the points fit
+in one block (a 1000-point curve at every n up to 64) the block's values are the
+result, not copied (_by_blocks).  A row sums the
 unit law's S_1 = c S at the unit coordinate u = c x, which its calls take with
 log u: S(x) = S_1(u), f(x) = c f_1(u), E(S^r 1{S > a}) = c^-r E(S_1^r 1{S_1 >
 c a}), and VaR brackets and iterates in u.  The row is one object per _unit_law
@@ -198,6 +201,12 @@ _ROW_CACHE, _TAIL_MEMO = 64, 8
 # every shape from 512; between them the crossover is about 100 terms for a
 # 1-D array and 300-400 for the (n, 81) survivals of the VaR bracket
 _SMALL_REDUCTION = 256
+# points from which _partial_sums adds its rows one at a time: a cumsum along axis 0
+# strides across the points.  Measured (best of 30, 2-vCPU host), cumsum against row
+# adds at (terms, points): (9, 64) 5.2 / 7.1 us, (9, 256) 12.4 / 12.2, (33, 128) 16.6 /
+# 22.9, (33, 256) 36 / 27, (33, 1000) 115 / 36, (61, 1000) 195 / 82, (33, 16384) 3682 /
+# 539; at one point 3 us against 21 (33 terms), so a Newton step keeps the cumsum
+_ROW_ADDS = 256
 _FLOAT_MAX = float(np.finfo(float).max)
 _LOG_FLOAT_MAX = log(_FLOAT_MAX)
 _FLOAT_TINY = float(np.finfo(float).tiny)  # the smallest normal double
@@ -358,12 +367,19 @@ def _log_bessel_kernel(k, u, log_u, rho, log_rho):
 def _partial_sums(terms, k):
     """The rows sum_{i<j} terms[i] for the orders j in k (a 1-D integer array,
     0 <= j <= len(terms)), one row per order.  A single order is one sum;
-    several are one cumsum (along axis 0 it costs about 15 sums on 1000
-    columns), returned without a copy when k is 0, 1, ..., len(terms)."""
+    several are the running sums rows[i+1] = rows[i] + terms[i], the adds of
+    np.cumsum(axis=0) in its order: from _ROW_ADDS points on one add per row, below it
+    one cumsum (_ROW_ADDS gives the measured costs).  They are returned without a copy
+    when k is 0, 1, ..., len(terms)."""
     if k.size == 1:
         return terms[:k[0]].sum(axis=0)[None]
     rows = np.zeros((len(terms) + 1,) + terms.shape[1:])
-    np.cumsum(terms, axis=0, out=rows[1:])
+    if len(terms) and terms[0].size >= _ROW_ADDS:
+        rows[1] = terms[0]
+        for i in range(1, len(terms)):
+            np.add(rows[i], terms[i], out=rows[i + 1])
+    else:
+        np.cumsum(terms, axis=0, out=rows[1:])
     if k.size == len(rows) and np.array_equal(k, np.arange(k.size)):
         return rows
     return rows[k]
@@ -449,12 +465,18 @@ def _bell_triangle(alpha: float, size: int) -> np.ndarray:
 def _by_blocks(n, fn, *arrays, rows=(), dtype=float):
     """fn over the points of arrays of one shape (any shape) in blocks of _KERNEL_CELLS //
     n, so a sum of n terms per point holds at most _KERNEL_CELLS of them at once; fn
-    gives the shape rows + (points of its block,), and so does the result, of dtype."""
+    gives a fresh array (or a tuple of them) of the shape rows + (points of its block,),
+    and the result, a fresh writable array of dtype, has the shape rows + the arrays'.
+    Where the points fit in one block, fn's result is the output (cast to dtype, or
+    stacked, only where it is not that already); no point calls no fn."""
     flat = [np.reshape(a, -1) for a in arrays]
-    block = max(1, int(_KERNEL_CELLS // n))
-    out = np.empty(rows + flat[0].shape, dtype=dtype)
-    for i in range(0, flat[0].size, block):
-        out[..., i:i + block] = fn(*(a[i:i + block] for a in flat))
+    size, block = flat[0].size, max(1, int(_KERNEL_CELLS // n))
+    if 0 < size <= block:
+        out = np.asarray(fn(*flat), dtype=dtype)
+    else:
+        out = np.empty(rows + flat[0].shape, dtype=dtype)
+        for i in range(0, size, block):
+            out[..., i:i + block] = fn(*(a[i:i + block] for a in flat))
     return out.reshape(rows + np.shape(arrays[0]))
 
 
@@ -917,17 +939,18 @@ class MixingDistribution:
             rows[:, far] = -inf
         return rows.reshape(orders.shape + u.shape)
 
-    def _unit(self, s):
+    def _unit(self, s, bounds=None):
         """(u, log u) on an array s >= 0, u = c s the unit coordinate, or exp(log c + log s)
         where c itself is not a normal double.  Where u is not a positive normal double,
         log u = log c + log s, in extended precision: a unit kernel's k log u cancels the
         k log c added to it, and |log u| passes 700 there, where a double's rounding is
-        1e-13."""
+        1e-13.  bounds, where given, are (min s, max s) from the caller's own scan."""
         s, c, log_c = np.asarray(s, dtype=float), self.scale, self.log_scale
-        if (_FLOAT_TINY <= c < inf and s.size and float(s.min()) * c >= _FLOAT_TINY
-                and float(s.max()) * c < inf):
-            u = s * c  # (every point normal: the masks below cost 4% of a 1000-point curve)
-            return u, np.log(u)
+        if _FLOAT_TINY <= c < inf and s.size:
+            lo, hi = bounds or (float(s.min()), float(s.max()))
+            if lo * c >= _FLOAT_TINY and hi * c < inf:
+                u = s * c  # (every point normal: the masks below cost 4% of a 1000-point curve)
+                return u, np.log(u)
         with np.errstate(over="ignore", divide="ignore"):
             u = s * c if _FLOAT_TINY <= c < inf else np.exp(log_c + np.log(s))
             log_u = np.log(u)
@@ -953,6 +976,9 @@ class MixingDistribution:
             out = v * c if r < 0 else v
             for _ in range(r):
                 out = out / c
+            if (_FLOAT_TINY <= c < inf and v.size and float(v.min()) >= _FLOAT_TINY
+                    and float(v.max()) < inf):
+                return out  # (every v normal: one min/max scan in place of the masks)
             off = (v < _FLOAT_TINY) | (v == inf) | (not _FLOAT_TINY <= c < inf)
             if np.count_nonzero(off):
                 out = np.where(off, np.exp(log_v - r * self.log_scale), out)

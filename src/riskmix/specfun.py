@@ -343,21 +343,37 @@ def _log_betainc_sum(a, b, log_t, extended=False):
 
     as a log t plus the log of the sum, which Horner's rule forms from its last term
     with the ratios (a+k-1)/k (1-t) (each value its own b), at 1 - t = -expm1(log t);
-    nan where the sum overflows.  extended=True forms it all in long double, which
-    rounds the result once: a log t passes 700 in the far tail, where a ratio of two
-    such logs (a tail moment) would keep each sum's roundings, and in the bulk of a huge
-    a, where log I is the difference of a log t and the log of the sum, each of size a
-    (1-t), and an ulp of 1 - t or of a ratio moves the sum by up to a (1-t) ulps."""
+    nan where the sum overflows.  Where a and b are columns that the points broadcast
+    (a row's shapes), there are two steps or more and the steps' ratios (a+k-1)/k, zero
+    past each b, hold fewer cells than the sum, they are formed once before the steps,
+    by the same operations on the same values, so that a step is three array
+    operations; per point (the long-double route) each step forms its own.
+    extended=True forms it all in long double, which rounds the result once: a log t
+    passes 700 in the far tail, where a ratio of two such logs (a tail moment) would
+    keep each sum's roundings, and in the bulk of a huge a, where log I is the
+    difference of a log t and the log of the sum, each of size a (1-t), and an ulp of 1
+    - t or of a ratio moves the sum by up to a (1-t) ulps."""
     if extended:
         a, log_t = a.astype(np.longdouble), np.asarray(log_t, dtype=np.longdouble)
     x = -np.expm1(log_t)
     k_rows = b.size > 1
-    h = np.ones(np.broadcast_shapes(a.shape, b.shape, np.shape(log_t)), dtype=a.dtype)
+    h = np.ones(np.broadcast(a, b, log_t).shape, dtype=a.dtype)
+    steps = int(b.max()) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(int(b.max()) - 1, 0, -1):
-            h *= x
-            h *= (a + (k - 1.0)) / k * (k < b) if k_rows else (a + (k - 1.0)) / k
-            h += 1.0
+        if 1 < steps and steps * np.broadcast(a, b).size < h.size:
+            k = np.arange(1.0, steps + 1.0).reshape((-1,) + (1,) * h.ndim)
+            ratios = (a + (k - 1.0)) / k
+            if k_rows:
+                ratios = ratios * (k < b)
+            for ratio in ratios[::-1]:
+                h *= x
+                h *= ratio
+                h += 1.0
+        else:
+            for k in range(steps, 0, -1):
+                h *= x
+                h *= (a + (k - 1.0)) / k * (k < b) if k_rows else (a + (k - 1.0)) / k
+                h += 1.0
         return np.where(h < inf, a * log_t + np.log(h), np.nan).astype(float)
 
 

@@ -3,8 +3,8 @@ Bell polynomials in linear and log space, Faa di Bruno's formula, the upper
 incomplete gamma of every real order, gamma quantiles, half-integer
 Bessel K, the source's printed Lindley sum density and its gamma and
 inverse-Gaussian Pareto tail densities, and the density of a mixture row
-from its weights and shapes in linear space.  They share no code with riskmix and
-check its kernels."""
+from its weights and shapes in linear space, and the per-step Horner form of the
+finite incomplete beta sum.  They share no code with riskmix and check its kernels."""
 
 import math
 from math import exp, inf, lgamma, log
@@ -234,3 +234,20 @@ def tail_pdf_ig(lam: float, mu: float, beta: float, m: int, x: float) -> float:
     if phi <= 0:
         raise ValueError("x is below the valid tail domain")
     return (1.0 / x) * math.sqrt(lam / phi) * math.exp(lam / mu - math.sqrt(lam * phi))
+
+
+def log_betainc_sum_per_step(a, b, log_t, extended=False):
+    """log I_t(a, b) at whole b from t^a sum_{k<b} (a)_k / k! (1-t)^k by Horner's rule,
+    each step forming its own ratio (a+k-1)/k, zero past each b: the per-step form that
+    specfun._log_betainc_sum keeps for a per-point a and whose operations its table of
+    ratios repeats (a, b arrays; log_t an array or a number)."""
+    if extended:
+        a, log_t = a.astype(np.longdouble), np.asarray(log_t, dtype=np.longdouble)
+    x = -np.expm1(log_t)
+    h = np.ones(np.broadcast_shapes(a.shape, b.shape, np.shape(log_t)), dtype=a.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(int(b.max()) - 1, 0, -1):
+            h *= x
+            h *= (a + (k - 1.0)) / k * (k < b) if b.size > 1 else (a + (k - 1.0)) / k
+            h += 1.0
+        return np.where(h < inf, a * log_t + np.log(h), np.nan).astype(float)
