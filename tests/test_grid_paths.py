@@ -141,7 +141,6 @@ class TestEdgeInputs:
             assert out.shape == shape and out.dtype == np.float64
             assert out.flags.writeable and not np.shares_memory(out, x)
             if out.size:
-                assert np.isfinite(out).all() or fn == "pdf"
                 again = f(m, x)
                 out[...] = -7.0  # a fresh array: writing it moves no later result
                 assert same_bits(f(m, x), again)
